@@ -77,8 +77,11 @@ fn export_csv(id: &str, secs: f64, bytes: u64) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let backends = Backend::available();
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     println!(
-        "commit_microbench — backends on this host: {}  (auto: {})",
+        "commit_microbench — {cores} cores; backends on this host: {}  (auto: {})",
         backends
             .iter()
             .map(|b| b.name())
@@ -109,7 +112,9 @@ fn main() {
         ]);
     }
     print_table(
-        &format!("Multi-way SHA-256 — {msg_count} messages x {msg_len} B vs scalar oracle"),
+        &format!(
+            "Multi-way SHA-256 — {msg_count} messages x {msg_len} B vs scalar oracle, {cores} cores"
+        ),
         &["backend", "batch time", "speedup", "throughput"],
         &rows,
     );
@@ -151,7 +156,7 @@ fn main() {
     }
     print_table(
         &format!(
-            "Trace commitment — {} KiB trace ({} tensors), leaf hash + tree build vs seed path ({:.3}ms)",
+            "Trace commitment — {} KiB trace ({} tensors), leaf hash + tree build vs seed path ({:.3}ms), {cores} cores",
             trace_bytes / 1024,
             values.len(),
             1e3 * t_seed
@@ -193,7 +198,7 @@ fn main() {
     }
     print_table(
         &format!(
-            "Tree build — {leaf_count} leaves x {leaf_len} B, {} backend, forced thread counts (roots bit-identical; thread speedup needs a multi-core host)",
+            "Tree build — {leaf_count} leaves x {leaf_len} B, {} backend, forced thread counts, {cores} cores (roots bit-identical; thread speedup needs a multi-core host)",
             Backend::auto().name()
         ),
         &["threads", "interior build", "speedup"],

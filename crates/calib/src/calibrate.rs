@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use tao_device::Fleet;
 use tao_graph::{execute, Graph, NodeId};
 use tao_tensor::Tensor;
@@ -87,8 +86,11 @@ impl CalibrationRecord {
 /// every fleet device, and per-operator error percentile profiles are
 /// collected over all ordered device pairs (Eq. 1–6).
 ///
-/// Samples are swept in parallel (scoped threads); each worker owns its
-/// full set of device traces, and only the cheap profile merge is locked.
+/// Samples are swept in parallel (scoped threads), each worker owning a
+/// contiguous chunk of samples. Workers return their results through their
+/// join handles and the merge runs after the scope: envelopes are
+/// max-folds (order-free), and each sample's error sum is added in sample
+/// order, so the record is the same for any thread count.
 ///
 /// # Errors
 ///
@@ -97,45 +99,6 @@ pub fn calibrate(
     graph: &Graph,
     samples: &[Vec<Tensor<f32>>],
     fleet: &Fleet,
-) -> Result<CalibrationRecord> {
-    calibrate_inner(graph, samples, fleet, 0)
-}
-
-/// [`calibrate`] with the deployment's static report threaded in: the
-/// per-worker error scratch buffers and every per-operator envelope are
-/// sized from the report's inferred shapes *before* the first forward
-/// pass, so the calibration hot loop performs no per-sample allocation.
-///
-/// Produces a [`CalibrationRecord`] identical to [`calibrate`]'s — the
-/// report only informs allocation, never the numbers.
-///
-/// # Errors
-///
-/// Returns an error for an empty fleet/sample set or if execution fails.
-pub fn calibrate_with_report(
-    graph: &Graph,
-    samples: &[Vec<Tensor<f32>>],
-    fleet: &Fleet,
-    report: &tao_analysis::StaticReport,
-) -> Result<CalibrationRecord> {
-    // The largest inferred operator output determines the scratch size: the
-    // element-wise error pass never produces more entries than the larger
-    // operand, and both traces executed the same graph.
-    let scratch = report
-        .shapes
-        .iter()
-        .flatten()
-        .map(|dims| dims.iter().product::<usize>())
-        .max()
-        .unwrap_or(0);
-    calibrate_inner(graph, samples, fleet, scratch)
-}
-
-fn calibrate_inner(
-    graph: &Graph,
-    samples: &[Vec<Tensor<f32>>],
-    fleet: &Fleet,
-    scratch_elems: usize,
 ) -> Result<CalibrationRecord> {
     if fleet.len() < 2 {
         return Err(CalibError::NotEnoughDevices(fleet.len()));
@@ -150,114 +113,97 @@ fn calibrate_inner(
         .collect::<core::result::Result<_, _>>()
         .map_err(|e| CalibError::Graph(e.to_string()))?;
 
-    struct Shared {
-        envelopes: Vec<PercentilePair>,
-        sequences: HashMap<NodeId, Vec<PercentilePair>>,
-        sum_abs: HashMap<NodeId, (f64, u64)>,
-    }
-    let shared = Mutex::new(Shared {
-        envelopes: vec![PercentilePair::zero(); compute_nodes.len()],
-        sequences: compute_nodes
-            .iter()
-            .map(|&n| (n, vec![PercentilePair::zero(); samples.len()]))
-            .collect(),
-        sum_abs: compute_nodes.iter().map(|&n| (n, (0.0, 0))).collect(),
-    });
-    let errors: Mutex<Vec<CalibError>> = Mutex::new(Vec::new());
-
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8);
     let chunk = samples.len().div_ceil(threads);
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        std::thread::scope(|scope| {
-            for (ti, sample_chunk) in samples.chunks(chunk).enumerate() {
-                let shared = &shared;
-                let errors = &errors;
+    // Joining every handle inside the scope keeps a worker panic from
+    // propagating; it surfaces as `CalibError::Worker` below.
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = samples
+            .chunks(chunk)
+            .map(|sample_chunk| {
                 let compute_nodes = &compute_nodes;
                 scope.spawn(move || {
-                    // Per-worker scratch, allocated once before the first
-                    // forward pass (pre-sized from the static report when
-                    // one was provided) and reused across every
-                    // (sample × device-pair × node) error computation.
-                    let mut abs: Vec<f64> = Vec::with_capacity(scratch_elems);
-                    let mut rel: Vec<f64> = Vec::with_capacity(scratch_elems);
-                    let mut local: Vec<PercentilePair> =
-                        vec![PercentilePair::zero(); compute_nodes.len()];
-                    let mut local_abs: Vec<(f64, u64)> = vec![(0.0, 0); compute_nodes.len()];
-                    for (si, sample) in sample_chunk.iter().enumerate() {
-                        let s = ti * chunk + si;
-                        // Execute on every device.
-                        let mut traces = Vec::with_capacity(fleet.len());
-                        for dev in fleet.devices() {
-                            match execute(graph, sample, dev.config(), None) {
-                                Ok(t) => traces.push(t),
-                                Err(e) => {
-                                    errors.lock().push(CalibError::Graph(e.to_string()));
-                                    return;
-                                }
-                            }
-                        }
-                        // Per-sample envelope across ordered device pairs.
-                        for p in &mut local {
-                            p.abs.fill(0.0);
-                            p.rel.fill(0.0);
-                        }
-                        local_abs.fill((0.0, 0));
-                        for j in 0..traces.len() {
-                            for k in j + 1..traces.len() {
-                                for (ci, &node) in compute_nodes.iter().enumerate() {
-                                    let a = &traces[j].values[node.0];
-                                    let b = &traces[k].values[node.0];
-                                    crate::profile::elementwise_errors_into(
-                                        a, b, DEFAULT_EPS, &mut abs, &mut rel,
-                                    );
-                                    let prof = PercentilePair {
-                                        abs: crate::percentile::grid_profile(&abs),
-                                        rel: crate::percentile::grid_profile(&rel),
-                                    };
-                                    local[ci].envelope(&prof);
-                                    local_abs[ci].0 += abs.iter().sum::<f64>();
-                                    local_abs[ci].1 += abs.len() as u64;
-                                }
-                            }
-                        }
-                        let mut guard = shared.lock();
-                        for (ci, &node) in compute_nodes.iter().enumerate() {
-                            guard.envelopes[ci].envelope(&local[ci]);
-                            if let Some(seq) = guard.sequences.get_mut(&node) {
-                                seq[s] = local[ci].clone();
-                            }
-                            if let Some(acc) = guard.sum_abs.get_mut(&node) {
-                                acc.0 += local_abs[ci].0;
-                                acc.1 += local_abs[ci].1;
-                            }
-                        }
-                    }
-                });
-            }
-        })
-    }))
-    .map_err(|_| CalibError::Worker)?;
-
-    let errs = errors.into_inner();
-    if let Some(e) = errs.into_iter().next() {
-        return Err(e);
+                    sample_chunk
+                        .iter()
+                        .map(|sample| sample_errors(graph, sample, fleet, compute_nodes))
+                        .collect::<Result<Vec<_>>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut per_sample: Vec<SampleErrors> = Vec::with_capacity(samples.len());
+    for worker in joined {
+        per_sample.extend(worker.map_err(|_| CalibError::Worker)??);
     }
-    let shared = shared.into_inner();
-    let mean_abs = shared
-        .sum_abs
-        .into_iter()
-        .map(|(n, (sum, count))| (n, if count == 0 { 0.0 } else { sum / count as f64 }))
+
+    let mut envelopes = vec![PercentilePair::zero(); compute_nodes.len()];
+    let mut sums = vec![(0.0f64, 0u64); compute_nodes.len()];
+    for sample in &per_sample {
+        for (ci, (profile, (sum, count))) in sample.iter().enumerate() {
+            envelopes[ci].envelope(profile);
+            sums[ci].0 += sum;
+            sums[ci].1 += count;
+        }
+    }
+    let sequences = compute_nodes
+        .iter()
+        .enumerate()
+        .map(|(ci, &node)| (node, per_sample.iter().map(|s| s[ci].0.clone()).collect()))
+        .collect();
+    let mean_abs = compute_nodes
+        .iter()
+        .zip(&sums)
+        .map(|(&node, &(sum, count))| (node, if count == 0 { 0.0 } else { sum / count as f64 }))
         .collect();
     Ok(CalibrationRecord {
         nodes: compute_nodes,
         mnemonics,
-        envelopes: shared.envelopes,
-        sequences: shared.sequences,
+        envelopes,
+        sequences,
         mean_abs,
     })
+}
+
+/// One sample's result per compute node: its profile envelope across the
+/// ordered device pairs, and the `(sum, count)` of its absolute errors.
+type SampleErrors = Vec<(PercentilePair, (f64, u64))>;
+
+/// Executes one sample on every fleet device and folds the per-node error
+/// profiles over all device pairs.
+fn sample_errors(
+    graph: &Graph,
+    sample: &[Tensor<f32>],
+    fleet: &Fleet,
+    compute_nodes: &[NodeId],
+) -> Result<SampleErrors> {
+    let traces = fleet
+        .devices()
+        .iter()
+        .map(|dev| execute(graph, sample, dev.config(), None))
+        .collect::<core::result::Result<Vec<_>, _>>()
+        .map_err(|e| CalibError::Graph(e.to_string()))?;
+    let mut out = vec![(PercentilePair::zero(), (0.0, 0)); compute_nodes.len()];
+    let (mut abs, mut rel) = (Vec::new(), Vec::new());
+    for j in 0..traces.len() {
+        for k in j + 1..traces.len() {
+            for (slot, &node) in out.iter_mut().zip(compute_nodes) {
+                let a = &traces[j].values[node.0];
+                let b = &traces[k].values[node.0];
+                crate::profile::elementwise_errors_into(a, b, DEFAULT_EPS, &mut abs, &mut rel);
+                slot.0.envelope(&PercentilePair {
+                    abs: crate::percentile::grid_profile(&abs),
+                    rel: crate::percentile::grid_profile(&rel),
+                });
+                slot.1 .0 += abs.iter().sum::<f64>();
+                slot.1 .1 += abs.len() as u64;
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -363,20 +309,47 @@ mod tests {
     }
 
     #[test]
-    fn presized_calibration_matches_unsized_exactly() {
-        // The static report only informs allocation: thresholds from the
-        // pre-sized path must be bit-identical to the plain path.
+    fn mean_abs_equals_a_serial_sample_order_reference() {
+        // Whatever the host's thread count, the mean must be the one a
+        // single thread gets folding samples (and device pairs) in order.
         let g = small_model();
         let fleet = Fleet::standard();
-        let samples = dataset(6);
-        let report = tao_analysis::analyze(&g, &[vec![4, 96]]);
-        let plain = calibrate(&g, &samples, &fleet)
-            .unwrap()
-            .into_thresholds(DEFAULT_ALPHA);
-        let presized = calibrate_with_report(&g, &samples, &fleet, &report)
-            .unwrap()
-            .into_thresholds(DEFAULT_ALPHA);
-        assert_eq!(plain, presized);
+        let samples = dataset(7);
+        let record = calibrate(&g, &samples, &fleet).unwrap();
+        let mut want: HashMap<NodeId, (f64, u64)> = HashMap::new();
+        for sample in &samples {
+            let traces: Vec<_> = fleet
+                .devices()
+                .iter()
+                .map(|d| execute(&g, sample, d.config(), None).unwrap())
+                .collect();
+            for &node in &record.nodes {
+                let mut sum = 0.0;
+                let mut count = 0;
+                for j in 0..traces.len() {
+                    for k in j + 1..traces.len() {
+                        let (abs, _) = crate::profile::elementwise_errors(
+                            &traces[j].values[node.0],
+                            &traces[k].values[node.0],
+                            DEFAULT_EPS,
+                        );
+                        sum += abs.iter().sum::<f64>();
+                        count += abs.len() as u64;
+                    }
+                }
+                let acc = want.entry(node).or_insert((0.0, 0));
+                acc.0 += sum;
+                acc.1 += count;
+            }
+        }
+        for node in &record.nodes {
+            let (sum, count) = want[node];
+            assert_eq!(
+                record.mean_abs[node].to_bits(),
+                (sum / count as f64).to_bits(),
+                "node {node}"
+            );
+        }
     }
 
     #[test]

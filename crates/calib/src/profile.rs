@@ -58,9 +58,9 @@ pub fn elementwise_errors(a: &Tensor<f32>, b: &Tensor<f32>, eps: f64) -> (Vec<f6
 }
 
 /// Allocation-free variant of [`elementwise_errors`]: clears `abs`/`rel` and
-/// writes into them, reusing whatever capacity the caller pre-sized. The
-/// calibration hot loop calls this with scratch vectors sized from the
-/// deployment's static report so no per-sample allocation happens.
+/// writes into them, reusing their capacity. The calibration loop reuses
+/// one pair of scratch vectors across every device pair and node of a
+/// sample.
 pub fn elementwise_errors_into(
     a: &Tensor<f32>,
     b: &Tensor<f32>,

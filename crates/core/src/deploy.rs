@@ -4,7 +4,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use tao_analysis::StaticReport;
-use tao_calib::{calibrate_with_report, CalibrationRecord, TailEstimator, ThresholdBundle};
+use tao_calib::{calibrate, CalibrationRecord, TailEstimator, ThresholdBundle};
 use tao_device::Fleet;
 use tao_merkle::{commit_model, graph_tree, weight_tree, MerkleTree, ModelCommitment};
 use tao_models::Model;
@@ -141,9 +141,7 @@ pub fn deploy_with(
             first.message
         )));
     }
-    // The report's inferred shapes pre-size every calibration envelope and
-    // scratch buffer before the first forward pass.
-    let calibration = calibrate_with_report(&model.graph, samples, &fleet, &static_report)?;
+    let calibration = calibrate(&model.graph, samples, &fleet)?;
     let thresholds = calibration.clone().into_thresholds_with(alpha, estimator);
     let wt = weight_tree(&model.graph);
     let gt = graph_tree(&model.graph);

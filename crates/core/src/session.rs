@@ -18,11 +18,9 @@
 //! [`SessionBuilder::run`] is the one-shot convenience that drives all
 //! phases in order, preserving the behavior of the old free-function API.
 //!
-//! The coordinator is shared through [`SharedCoordinator`]: since the
-//! coordinator became internally sharded (per-claim and per-account lock
-//! shards), sessions on distinct claims never contend at all, and the
-//! handle's [`lock`](SharedCoordinator::lock) accessor survives purely for
-//! migration compatibility — it hands out the coordinator directly.
+//! The coordinator is shared through [`SharedCoordinator`]: the
+//! coordinator is internally sharded (per-claim and per-account lock
+//! shards), so sessions on distinct claims never contend at all.
 
 use tao_bounds::BoundEngine;
 use tao_device::Device;
@@ -91,11 +89,9 @@ impl Default for SessionConfig {
 ///
 /// The coordinator is internally sharded (per-claim and per-account lock
 /// shards with a deterministic lock order — see `tao-protocol`'s
-/// coordinator docs), so this handle no longer wraps it in a mutex:
-/// sessions on distinct claims proceed with zero contention, and
-/// settlement runs in parallel. [`lock`](Self::lock) is kept as a
-/// migration-compatible accessor from the single-mutex era; it now simply
-/// returns the coordinator, whose methods all take `&self`.
+/// coordinator docs), so this handle wraps it in no mutex: sessions on
+/// distinct claims proceed with zero contention, and settlement runs in
+/// parallel.
 #[derive(Debug)]
 pub struct SharedCoordinator {
     inner: Coordinator,
@@ -105,16 +101,6 @@ impl SharedCoordinator {
     /// Wraps a coordinator for shared use.
     pub fn new(coordinator: Coordinator) -> Self {
         SharedCoordinator { inner: coordinator }
-    }
-
-    /// Migration-compatible accessor from the single-mutex era: existing
-    /// `coordinator.lock().method(...)` call sites keep compiling, but no
-    /// global lock is taken — synchronization happens on the coordinator's
-    /// internal shards, **per call**. Unlike the old guard, holding the
-    /// returned reference provides no atomicity across successive method
-    /// calls; prefer [`coordinator`](Self::coordinator) in new code.
-    pub fn lock(&self) -> &Coordinator {
-        &self.inner
     }
 
     /// The shared coordinator.
@@ -130,12 +116,6 @@ impl SharedCoordinator {
     /// Unwraps the coordinator once all sessions are done.
     pub fn into_inner(self) -> Coordinator {
         self.inner
-    }
-}
-
-impl From<Coordinator> for SharedCoordinator {
-    fn from(coordinator: Coordinator) -> Self {
-        SharedCoordinator::new(coordinator)
     }
 }
 
@@ -226,8 +206,7 @@ impl SessionBuilder {
             ProposerBehavior::Malicious(p) => Some(p),
         };
         // The trace commitment streams through the forward pass: every
-        // node's value is hashed as it is produced (overlapping the
-        // remaining compute on multi-core hosts) instead of in a post-hoc
+        // node's value is hashed as it is produced instead of in a post-hoc
         // pass over the finished trace. Built exactly once, here — the
         // dispute reuses it, never rebuilds.
         let mut committer = StreamingCommitter::new(deployment.model.graph.len());
@@ -801,7 +780,7 @@ mod tests {
         let mut session = pending.submit(&coord).unwrap();
         assert_eq!(session.claim_id(), 0);
         assert_eq!(
-            coord.lock().claim(0).unwrap().commitment,
+            coord.coordinator().claim(0).unwrap().commitment,
             c0,
             "posted commitment matches the prepared one"
         );

@@ -1,12 +1,22 @@
-//! Topological graph executor with per-operator tracing.
+//! The graph executor: one topological loop with a retention policy.
+//!
+//! [`execute`] and its variants keep every node's output alive
+//! (`Retention::KeepAll`) because the trace is what the proposer commits
+//! to and what the dispute localizes over. [`crate::forward`] and its
+//! variants run the *same* loop under `Retention::LastUse`: each
+//! intermediate is freed after its final consumer and its buffer returned
+//! to a [`BufferPool`] that later nodes draw from. [`eval_node`] is the one
+//! per-operator dispatch both policies share, so the two produce
+//! bit-identical values by construction.
 
 use std::collections::HashMap;
 
-use tao_tensor::{KernelConfig, Tensor};
+use tao_tensor::{Conv2dParams, KernelConfig, Tensor};
 
 use crate::error::GraphError;
 use crate::graph::{Graph, Node, NodeId};
 use crate::op::OpKind;
+use crate::pool::{last_uses, pooled_len_estimate, BufferPool, ExecStats, ResidentSet};
 use crate::Result;
 
 /// A complete execution trace: every node's output tensor plus FLOP counts.
@@ -53,39 +63,35 @@ pub type Perturbations = HashMap<NodeId, Tensor<f32>>;
 /// Observes every node's final output value exactly once during an
 /// execution pass — the streamed-commitment hook.
 ///
-/// Both executors guarantee the same contract: `observe` fires once per
-/// node with the node's *final* value (perturbations applied), while the
-/// tensor is still alive. The trace executor observes in node order; the
-/// pooled executor observes each value when the buffer pool's last-use
-/// analysis retires it (so hashing overlaps the remaining compute), with
-/// node order **not** guaranteed. Observers must therefore key on the
-/// `NodeId`, never on arrival order.
+/// Under either retention policy, `observe` fires once per node, in node
+/// order, right after the node's value is produced (perturbation applied)
+/// and before any later node runs.
 pub trait ValueObserver {
     /// Called exactly once per node with its final output value.
     fn observe(&mut self, id: NodeId, value: &Tensor<f32>);
 
-    /// Called by the pooled executor instead of [`observe`](Self::observe)
-    /// when a value is *retired* (its last consumer has run): the observer
-    /// takes ownership of the tensor and is responsible for returning its
-    /// buffer to `pool` once it no longer needs the data.
-    ///
-    /// The default forwards to [`observe`](Self::observe) and recycles the
-    /// buffer immediately. Observers that defer work on the value (e.g. a
-    /// background hashing thread) override this to hand the owned buffer
-    /// to the worker and route it back into the pool after digesting,
-    /// instead of cloning the tensor and letting the clone defeat the
-    /// uniqueness check that feeds the pool.
-    fn observe_retired(
-        &mut self,
-        id: NodeId,
-        value: Tensor<f32>,
-        pool: &mut crate::pool::BufferPool,
-    ) {
+    /// Hands the observer an owned value together with the pool its buffer
+    /// should return to. The executor never calls this — every value
+    /// reaches [`observe`](Self::observe) instead — and the default body
+    /// forwards there and recycles the buffer.
+    fn observe_retired(&mut self, id: NodeId, value: Tensor<f32>, pool: &mut BufferPool) {
         self.observe(id, &value);
         if let Some(buf) = value.into_unique_data() {
             pool.give(buf);
         }
     }
+}
+
+/// Which node values an execution pass keeps alive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Retention {
+    /// Every value stays live to the end of the pass (the trace), and
+    /// per-node FLOPs are recorded.
+    KeepAll,
+    /// Each intermediate is dropped after its last consumer and its
+    /// uniquely owned buffer goes back to the pool; graph outputs stay
+    /// live.
+    LastUse,
 }
 
 /// Executes `graph` on `inputs` under `cfg`, optionally injecting additive
@@ -106,8 +112,8 @@ pub fn execute(
 
 /// [`execute`] with a [`ValueObserver`] receiving every node's final value
 /// as it is produced — the streamed-commitment entry point for traced
-/// execution (each value is hashed while the next node computes, instead
-/// of in a post-hoc pass over the finished trace).
+/// execution (each value is hashed as soon as it exists, instead of in a
+/// post-hoc pass over the finished trace).
 ///
 /// # Errors
 ///
@@ -119,16 +125,25 @@ pub fn execute_observed(
     perturb: Option<&Perturbations>,
     observer: &mut dyn ValueObserver,
 ) -> Result<Execution> {
-    execute_inner(graph, inputs, cfg, perturb, Some(observer)).map(|(exec, _)| exec)
+    let mut pool = BufferPool::new();
+    run(
+        graph,
+        inputs,
+        cfg,
+        perturb,
+        &mut pool,
+        Retention::KeepAll,
+        Some(observer),
+    )
+    .map(|(e, _)| e)
 }
 
-/// [`execute`] plus the executor cost ledger ([`crate::ExecStats`]).
+/// [`execute`] plus the executor cost ledger ([`ExecStats`]).
 ///
-/// The trace executor keeps every value alive by design (the trace is the
-/// committed artifact), so its peak resident set equals its total; the
-/// interesting counters here are `param_copies` — pinned to 0 by the
-/// `Arc`-sharing contract — and `fresh_allocations`, the baseline the
-/// pooled [`crate::forward`] executor is measured against.
+/// The trace keeps every value alive by design, so its peak resident set
+/// equals its total; the interesting counters here are `param_copies` —
+/// pinned to 0 by the `Arc`-sharing contract — and `fresh_allocations`,
+/// the baseline the pooled [`crate::forward`] pass is measured against.
 ///
 /// # Errors
 ///
@@ -138,66 +153,99 @@ pub fn execute_with_stats(
     inputs: &[Tensor<f32>],
     cfg: &KernelConfig,
     perturb: Option<&Perturbations>,
-) -> Result<(Execution, crate::ExecStats)> {
-    execute_inner(graph, inputs, cfg, perturb, None)
+) -> Result<(Execution, ExecStats)> {
+    let mut pool = BufferPool::new();
+    run(
+        graph,
+        inputs,
+        cfg,
+        perturb,
+        &mut pool,
+        Retention::KeepAll,
+        None,
+    )
 }
 
-fn execute_inner(
+/// The executor loop: evaluates every node in order, applies its
+/// perturbation, observes it, and then — under `Retention::LastUse` —
+/// frees the values whose last consumer just ran, returning their buffers
+/// to `pool`. Under `LastUse` the freed slots of the returned values hold
+/// empty tensors and `flops` is empty.
+pub(crate) fn run(
     graph: &Graph,
     inputs: &[Tensor<f32>],
     cfg: &KernelConfig,
     perturb: Option<&Perturbations>,
+    pool: &mut BufferPool,
+    retention: Retention,
     mut observer: Option<&mut dyn ValueObserver>,
-) -> Result<(Execution, crate::ExecStats)> {
+) -> Result<(Execution, ExecStats)> {
     if inputs.len() != graph.num_inputs() {
         return Err(GraphError::InputCount {
             expected: graph.num_inputs(),
             got: inputs.len(),
         });
     }
-    let mut stats = crate::ExecStats::default();
-    let mut values: Vec<Tensor<f32>> = Vec::with_capacity(graph.len());
-    let mut flops = Vec::with_capacity(graph.len());
-    for node in graph.nodes() {
-        let mut out = eval_node(graph, node, &values, inputs, cfg)?;
-        if let Some(p) = perturb {
-            if let Some(delta) = p.get(&node.id) {
-                out = out.add(delta)?;
+    let keep_all = retention == Retention::KeepAll;
+    // Which value ids die right after node i.
+    let mut free_at: Vec<Vec<usize>> = vec![Vec::new(); if keep_all { 0 } else { graph.len() }];
+    if !keep_all {
+        for (id, &l) in last_uses(graph).iter().enumerate() {
+            if l != usize::MAX && l != id {
+                free_at[l].push(id);
             }
+        }
+    }
+    let mut stats = ExecStats::default();
+    let mut resident = ResidentSet::default();
+    // Freed slots are replaced by clones of this empty tensor (an Arc
+    // bump, no allocation).
+    let empty = Tensor::<f32>::zeros(&[0]);
+    let mut values: Vec<Tensor<f32>> = Vec::with_capacity(graph.len());
+    let mut flops = Vec::with_capacity(if keep_all { graph.len() } else { 0 });
+    for node in graph.nodes() {
+        let held = pool.len();
+        let mut out = eval_node(graph, node, &values, inputs, cfg, pool)?;
+        let from_pool = pool.len() < held;
+        if let Some(delta) = perturb.and_then(|p| p.get(&node.id)) {
+            out = out.add(delta)?;
         }
         if let OpKind::Parameter(name) = &node.kind {
             if !out.shares_buffer(graph.param(name)?) {
                 stats.param_copies += 1;
             }
         }
-        if !output_shares_storage(graph, node, inputs, &values, &out) {
+        if from_pool {
+            stats.pool_hits += 1;
+        } else if !output_shares_storage(graph, node, inputs, &values, &out) {
             stats.fresh_allocations += 1;
         }
-        let in_shapes: Vec<_> = node.inputs.iter().map(|&i| values[i.0].shape()).collect();
-        flops.push(node.kind.flops(&in_shapes, out.shape()));
+        if keep_all {
+            let in_shapes: Vec<_> = node.inputs.iter().map(|&i| values[i.0].shape()).collect();
+            flops.push(node.kind.flops(&in_shapes, out.shape()));
+        }
         if let Some(obs) = observer.as_deref_mut() {
             obs.observe(node.id, &out);
         }
+        resident.add(&out);
         values.push(out);
+        for &id in free_at.get(node.id.0).map_or(&[][..], Vec::as_slice) {
+            let dead = core::mem::replace(&mut values[id], empty.clone());
+            resident.remove(&dead);
+            if let Some(buf) = dead.into_unique_data() {
+                pool.give(buf);
+            }
+        }
     }
-    // The trace keeps every value alive, so the peak resident set is the
-    // final one. Summing after the loop — with every buffer still live —
-    // also makes the pointer-identity dedup exact: no freed address can
-    // have been reused by a later allocation.
-    let mut seen = std::collections::HashSet::new();
-    stats.peak_resident_bytes = values
-        .iter()
-        .filter(|v| seen.insert(v.buffer_id()))
-        .map(|v| (v.len() * core::mem::size_of::<f32>()) as u64)
-        .sum();
+    stats.peak_resident_bytes = resident.peak;
     Ok((Execution { values, flops }, stats))
 }
 
 /// True when `out` aliases the storage of one of `node`'s operands: an
-/// input value, the graph's own parameter tensor, or a graph input. The
-/// shared definition of "not a fresh allocation" for both executors'
-/// [`crate::ExecStats::fresh_allocations`] ledgers.
-pub(crate) fn output_shares_storage(
+/// input value, the graph's own parameter tensor, or a graph input — the
+/// definition of "not a fresh allocation" in
+/// [`ExecStats::fresh_allocations`].
+fn output_shares_storage(
     graph: &Graph,
     node: &Node,
     inputs: &[Tensor<f32>],
@@ -211,10 +259,15 @@ pub(crate) fn output_shares_storage(
             if inputs.get(idx).map(|t| out.shares_buffer(t)).unwrap_or(false))
 }
 
-/// Evaluates a single node given already-computed predecessor values.
+/// Evaluates a single node given already-computed predecessor values —
+/// the one per-operator dispatch of the executor.
 ///
+/// Operators with a `_with_buf` kernel compute into a buffer drawn from
+/// `pool` (a fresh one when the pool has none that fits); the kernels run
+/// the same numeric code either way, so results never depend on the pool.
 /// Exposed for leaf re-execution during single-operator adjudication: the
-/// committee calls this with the committed inputs of the disputed operator.
+/// committee calls this with the committed inputs of the disputed operator
+/// and an empty pool.
 ///
 /// # Errors
 ///
@@ -225,6 +278,7 @@ pub fn eval_node(
     values: &[Tensor<f32>],
     inputs: &[Tensor<f32>],
     cfg: &KernelConfig,
+    pool: &mut BufferPool,
 ) -> Result<Tensor<f32>> {
     let arg = |k: usize| -> Result<&Tensor<f32>> {
         let id = *node.inputs.get(k).ok_or(GraphError::Arity {
@@ -244,6 +298,21 @@ pub fn eval_node(
         }
         Ok(())
     };
+    // An optional third operand (bias) after two required ones.
+    let bias = || -> Result<Option<&Tensor<f32>>> {
+        if node.inputs.len() == 3 {
+            Ok(Some(arg(2)?))
+        } else {
+            need(2)?;
+            Ok(None)
+        }
+    };
+    // An output buffer for a pooled kernel: the pool's smallest fit for
+    // the output-size estimate, else a fresh (empty) Vec.
+    let mut buf = |b: Option<&Tensor<f32>>| -> Result<Vec<f32>> {
+        let len = pooled_len_estimate(&node.kind, arg(0)?, b);
+        Ok(pool.take(len).unwrap_or_default())
+    };
     let out = match &node.kind {
         OpKind::Input(idx) => inputs.get(*idx).cloned().ok_or(GraphError::InputCount {
             expected: idx + 1,
@@ -252,19 +321,19 @@ pub fn eval_node(
         OpKind::Parameter(name) => graph.param(name)?.clone(),
         OpKind::Add => {
             need(2)?;
-            arg(0)?.add(arg(1)?)?
+            arg(0)?.add_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
         }
         OpKind::Sub => {
             need(2)?;
-            arg(0)?.sub(arg(1)?)?
+            arg(0)?.sub_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
         }
         OpKind::Mul => {
             need(2)?;
-            arg(0)?.mul(arg(1)?)?
+            arg(0)?.mul_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
         }
         OpKind::Div => {
             need(2)?;
-            arg(0)?.div(arg(1)?)?
+            arg(0)?.div_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
         }
         OpKind::Pow => {
             need(2)?;
@@ -272,15 +341,15 @@ pub fn eval_node(
         }
         OpKind::Neg => {
             need(1)?;
-            arg(0)?.neg()
+            arg(0)?.neg_with_buf(buf(None)?)
         }
         OpKind::AddScalar(s) => {
             need(1)?;
-            arg(0)?.add_scalar(*s as f32)
+            arg(0)?.add_scalar_with_buf(*s as f32, buf(None)?)
         }
         OpKind::MulScalar(s) => {
             need(1)?;
-            arg(0)?.mul_scalar(*s as f32)
+            arg(0)?.mul_scalar_with_buf(*s as f32, buf(None)?)
         }
         OpKind::PowScalar(p) => {
             need(1)?;
@@ -316,7 +385,7 @@ pub fn eval_node(
         }
         OpKind::Relu => {
             need(1)?;
-            arg(0)?.relu()
+            arg(0)?.relu_with_buf(buf(None)?)
         }
         OpKind::Gelu => {
             need(1)?;
@@ -332,15 +401,15 @@ pub fn eval_node(
         }
         OpKind::Softmax => {
             need(1)?;
-            arg(0)?.softmax_last(cfg)?
+            arg(0)?.softmax_last_with_buf(cfg, buf(None)?)?
         }
         OpKind::LayerNorm { eps } => {
             need(3)?;
-            arg(0)?.layer_norm(arg(1)?, arg(2)?, *eps, cfg)?
+            arg(0)?.layer_norm_with_buf(arg(1)?, arg(2)?, *eps, cfg, buf(None)?)?
         }
         OpKind::RmsNorm { eps } => {
             need(2)?;
-            arg(0)?.rms_norm(arg(1)?, *eps, cfg)?
+            arg(0)?.rms_norm_with_buf(arg(1)?, *eps, cfg, buf(None)?)?
         }
         OpKind::BatchNorm2d { eps } => {
             need(5)?;
@@ -352,54 +421,35 @@ pub fn eval_node(
         }
         OpKind::MatMul => {
             need(2)?;
-            arg(0)?.matmul(arg(1)?, cfg)?
+            arg(0)?.matmul_with_buf(arg(1)?, cfg, buf(Some(arg(1)?))?)?
         }
         OpKind::Linear => {
-            let bias = if node.inputs.len() == 3 {
-                Some(arg(2)?)
-            } else {
-                need(2)?;
-                None
-            };
-            arg(0)?.linear(arg(1)?, bias, cfg)?
+            let bias = bias()?;
+            arg(0)?.linear_with_buf(arg(1)?, bias, cfg, buf(Some(arg(1)?))?)?
         }
         OpKind::Conv2d { stride, padding } => {
-            let bias = if node.inputs.len() == 3 {
-                Some(arg(2)?)
-            } else {
-                need(2)?;
-                None
+            let bias = bias()?;
+            let params = Conv2dParams {
+                stride: *stride,
+                padding: *padding,
             };
-            arg(0)?.conv2d(
-                arg(1)?,
-                bias,
-                tao_tensor::Conv2dParams {
-                    stride: *stride,
-                    padding: *padding,
-                },
-                cfg,
-            )?
+            arg(0)?.conv2d_with_buf(arg(1)?, bias, params, cfg, buf(Some(arg(1)?))?)?
         }
         OpKind::QuantMatmul => {
             need(2)?;
-            arg(0)?.quant_matmul(arg(1)?)?
+            arg(0)?.quant_matmul_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
         }
         OpKind::QuantLinear => {
-            let bias = if node.inputs.len() == 3 {
-                Some(arg(2)?)
-            } else {
-                need(2)?;
-                None
-            };
-            arg(0)?.quant_linear(arg(1)?, bias)?
+            let bias = bias()?;
+            arg(0)?.quant_linear_with_buf(arg(1)?, bias, buf(Some(arg(1)?))?)?
         }
         OpKind::Quantize { scale } => {
             need(1)?;
-            arg(0)?.quantize_static(*scale)?
+            arg(0)?.quantize_static_with_buf(*scale, buf(None)?)?
         }
         OpKind::Dequantize { scale } => {
             need(1)?;
-            arg(0)?.dequantize_static(*scale)?
+            arg(0)?.dequantize_static_with_buf(*scale, buf(None)?)?
         }
         OpKind::MeanAll => {
             need(1)?;

@@ -41,10 +41,7 @@ pub use exec::{
 };
 pub use graph::{Graph, Node, NodeId};
 pub use op::OpKind;
-pub use pool::{
-    forward, forward_observed, forward_observed_with_stats, forward_with_stats, BufferPool,
-    ExecStats,
-};
+pub use pool::{forward, forward_observed, forward_with_stats, BufferPool, ExecStats};
 pub use subgraph::{execute_subgraph, extract, partition, Subgraph};
 
 /// Crate-wide result alias.

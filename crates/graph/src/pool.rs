@@ -1,25 +1,18 @@
-//! Buffer-pool forward executor: outputs-only execution with last-use
+//! The buffer pool behind the outputs-only forward pass: last-use
 //! analysis, size-bucketed buffer recycling, and allocation accounting.
 //!
-//! The trace executor ([`crate::execute`]) is the protocol's workhorse —
-//! it *must* keep every node's output alive, because the trace is what the
-//! proposer commits to and the dispute localizes over. Plain inference
-//! (serving, decode loops, calibration forward passes that only read the
-//! outputs) has no such obligation, and the seed executor's costs there
-//! were real: every `OpKind::Parameter` deep-copied its weight tensor into
-//! the value list, and every intermediate stayed resident until the end of
-//! the pass.
-//!
-//! [`forward`] fixes both. Parameters and inputs are `Arc`-shared into the
-//! value list (a refcount bump — `Tensor` storage is copy-on-write), a
-//! last-use pass over the op list frees each intermediate at its final
-//! consumer, and uniquely-owned freed buffers return to a size-bucketed
-//! [`BufferPool`] that subsequent elementwise, GEMM, convolution, softmax
-//! and normalization nodes draw from via the tensor layer's `_with_buf`
-//! kernels. Those kernels run the identical
+//! The trace executor ([`crate::execute`]) *must* keep every node's output
+//! alive, because the trace is what the proposer commits to and the
+//! dispute localizes over. Plain inference (serving, decode loops) has no
+//! such obligation. [`forward`] runs the same executor loop under the
+//! `LastUse` retention policy: parameters and
+//! inputs are `Arc`-shared into the value list (a refcount bump — `Tensor`
+//! storage is copy-on-write), a last-use pass over the op list frees each
+//! intermediate at its final consumer, and uniquely-owned freed buffers
+//! return to a size-bucketed [`BufferPool`] that later nodes draw from via
+//! the tensor layer's `_with_buf` kernels. Those kernels run the identical
 //! numeric code paths as their allocating originals, so pooled forward
-//! passes are **bit-identical** to [`crate::execute`]'s outputs — asserted
-//! by this module's tests and the executor regression suite.
+//! passes are **bit-identical** to [`crate::execute`]'s outputs.
 //!
 //! [`ExecStats`] exposes the cost ledger (fresh allocations, pool hits,
 //! parameter copies, peak resident bytes) so tests can *pin* the
@@ -30,9 +23,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use tao_tensor::{Conv2dParams, KernelConfig, Tensor};
 
-use crate::error::GraphError;
-use crate::exec::{eval_node, output_shares_storage, ValueObserver};
-use crate::graph::{Graph, NodeId};
+use crate::exec::{run, Retention, ValueObserver};
+use crate::graph::Graph;
 use crate::op::OpKind;
 use crate::Result;
 
@@ -58,14 +50,14 @@ pub struct ExecStats {
 /// `Arc`-shared parameter referenced by several nodes, a reshape sharing
 /// its producer's storage) count once toward the resident set.
 #[derive(Debug, Default)]
-struct ResidentSet {
+pub(crate) struct ResidentSet {
     refs: HashMap<usize, (u64, u64)>, // buffer id -> (bytes, refcount)
     resident: u64,
-    peak: u64,
+    pub(crate) peak: u64,
 }
 
 impl ResidentSet {
-    fn add(&mut self, t: &Tensor<f32>) {
+    pub(crate) fn add(&mut self, t: &Tensor<f32>) {
         let bytes = (t.len() * core::mem::size_of::<f32>()) as u64;
         let entry = self.refs.entry(t.buffer_id()).or_insert((bytes, 0));
         if entry.1 == 0 {
@@ -75,7 +67,7 @@ impl ResidentSet {
         self.peak = self.peak.max(self.resident);
     }
 
-    fn remove(&mut self, t: &Tensor<f32>) {
+    pub(crate) fn remove(&mut self, t: &Tensor<f32>) {
         if let Some(entry) = self.refs.get_mut(&t.buffer_id()) {
             entry.1 = entry.1.saturating_sub(1);
             if entry.1 == 0 {
@@ -150,7 +142,7 @@ impl BufferPool {
 
 /// Last node index at which each value is read (its own index when never
 /// read); graph outputs are pinned live to the end.
-fn last_uses(graph: &Graph) -> Vec<usize> {
+pub(crate) fn last_uses(graph: &Graph) -> Vec<usize> {
     let mut last = (0..graph.len()).collect::<Vec<usize>>();
     for node in graph.nodes() {
         for &input in &node.inputs {
@@ -166,7 +158,11 @@ fn last_uses(graph: &Graph) -> Vec<usize> {
 /// Output-length estimate for the pooled kernels (a heuristic for pool
 /// sizing only — the `_with_buf` kernels resize as needed, so a wrong
 /// estimate can never affect results).
-fn pooled_len_estimate(node: &OpKind, a: &Tensor<f32>, b: Option<&Tensor<f32>>) -> usize {
+pub(crate) fn pooled_len_estimate(
+    node: &OpKind,
+    a: &Tensor<f32>,
+    b: Option<&Tensor<f32>>,
+) -> usize {
     match node {
         OpKind::MatMul | OpKind::QuantMatmul => {
             let b = b.expect("matmul has two inputs");
@@ -216,8 +212,7 @@ fn pooled_len_estimate(node: &OpKind, a: &Tensor<f32>, b: Option<&Tensor<f32>>) 
 /// [`crate::Execution::outputs`] — every value is computed by the same
 /// kernels in the same order — but parameters are `Arc`-shared instead of
 /// copied, dead intermediates are freed at their last use, and their
-/// buffers are recycled through `pool` into later elementwise and GEMM
-/// nodes.
+/// buffers are recycled through `pool` into later nodes.
 ///
 /// # Errors
 ///
@@ -242,23 +237,15 @@ pub fn forward_with_stats(
     cfg: &KernelConfig,
     pool: &mut BufferPool,
 ) -> Result<(Vec<Tensor<f32>>, ExecStats)> {
-    forward_inner(graph, inputs, cfg, pool, None)
+    let (pass, stats) = run(graph, inputs, cfg, None, pool, Retention::LastUse, None)?;
+    Ok((pass.outputs(graph), stats))
 }
 
 /// [`forward`] with a [`ValueObserver`] receiving every node's final value
-/// exactly once — each dead intermediate is handed to the observer's
-/// [`ValueObserver::observe_retired`] at the moment the last-use analysis
-/// retires it, *by value together with the pool*: the observer digests the
-/// tensor without cloning and returns the buffer to the pool itself (the
-/// background hasher does so after the worker thread finishes with it).
-/// Values still live at the end of the pass (graph outputs, never-read
-/// nodes) are observed by reference in a final id-order sweep. This is the
-/// streamed-commitment hook: hashing overlaps the remaining compute
-/// instead of running as a post-hoc pass, and retired buffers flow
-/// observer → pool with no copy on the retirement path.
-///
-/// Observation order follows retirement order, not node order; observers
-/// key on the `NodeId` they are handed.
+/// once, in node order, as it is produced — the streamed-commitment hook
+/// for pooled inference. Observation borrows each value and never touches
+/// the pool, so the pass recycles exactly the buffers an unobserved pass
+/// does.
 ///
 /// # Errors
 ///
@@ -270,219 +257,16 @@ pub fn forward_observed(
     pool: &mut BufferPool,
     observer: &mut dyn ValueObserver,
 ) -> Result<Vec<Tensor<f32>>> {
-    forward_inner(graph, inputs, cfg, pool, Some(observer)).map(|(outputs, _)| outputs)
-}
-
-/// [`forward_observed`] plus the executor cost ledger, so callers can pin
-/// that observation does not change the pool economics (the streamed
-/// committer hands every retired buffer back; warm-pass `pool_hits` match
-/// the unobserved executor exactly).
-///
-/// # Errors
-///
-/// Same error conditions as [`crate::execute`].
-pub fn forward_observed_with_stats(
-    graph: &Graph,
-    inputs: &[Tensor<f32>],
-    cfg: &KernelConfig,
-    pool: &mut BufferPool,
-    observer: &mut dyn ValueObserver,
-) -> Result<(Vec<Tensor<f32>>, ExecStats)> {
-    forward_inner(graph, inputs, cfg, pool, Some(observer))
-}
-
-fn forward_inner(
-    graph: &Graph,
-    inputs: &[Tensor<f32>],
-    cfg: &KernelConfig,
-    pool: &mut BufferPool,
-    mut observer: Option<&mut dyn ValueObserver>,
-) -> Result<(Vec<Tensor<f32>>, ExecStats)> {
-    if inputs.len() != graph.num_inputs() {
-        return Err(GraphError::InputCount {
-            expected: graph.num_inputs(),
-            got: inputs.len(),
-        });
-    }
-    let last = last_uses(graph);
-    // Invert: which value ids die right after node i.
-    let mut free_at: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
-    for (id, &l) in last.iter().enumerate() {
-        if l != usize::MAX && l != id {
-            free_at[l].push(id);
-        }
-    }
-    let mut stats = ExecStats::default();
-    let mut resident = ResidentSet::default();
-    let mut observed = vec![false; if observer.is_some() { graph.len() } else { 0 }];
-    // Freed slots are replaced by clones of this empty tensor (an Arc
-    // bump, no allocation).
-    let empty = Tensor::<f32>::zeros(&[0]);
-    let mut values: Vec<Tensor<f32>> = Vec::with_capacity(graph.len());
-    for node in graph.nodes() {
-        let arg = |k: usize| &values[node.inputs[k].0];
-        let mut from_pool = false;
-        let take = |len: usize, pool: &mut BufferPool, from_pool: &mut bool| -> Vec<f32> {
-            match pool.take(len) {
-                Some(buf) => {
-                    *from_pool = true;
-                    buf
-                }
-                None => Vec::new(),
-            }
-        };
-        let out: Tensor<f32> = match &node.kind {
-            // Structural values share storage outright.
-            OpKind::Parameter(name) => {
-                let p = graph.param(name)?;
-                let v = p.clone();
-                if !v.shares_buffer(p) {
-                    stats.param_copies += 1;
-                }
-                v
-            }
-            OpKind::Input(idx) => inputs.get(*idx).cloned().ok_or(GraphError::InputCount {
-                expected: idx + 1,
-                got: inputs.len(),
-            })?,
-            OpKind::Identity if node.inputs.len() == 1 => arg(0).clone(),
-            // Pooled kernels: identical numeric paths, recycled buffers.
-            OpKind::Add if node.inputs.len() == 2 => {
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                arg(0).add_with_buf(arg(1), buf)?
-            }
-            OpKind::Sub if node.inputs.len() == 2 => {
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                arg(0).sub_with_buf(arg(1), buf)?
-            }
-            OpKind::Mul if node.inputs.len() == 2 => {
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                arg(0).mul_with_buf(arg(1), buf)?
-            }
-            OpKind::Div if node.inputs.len() == 2 => {
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                arg(0).div_with_buf(arg(1), buf)?
-            }
-            OpKind::Neg if node.inputs.len() == 1 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).neg_with_buf(buf)
-            }
-            OpKind::AddScalar(s) if node.inputs.len() == 1 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).add_scalar_with_buf(*s as f32, buf)
-            }
-            OpKind::MulScalar(s) if node.inputs.len() == 1 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).mul_scalar_with_buf(*s as f32, buf)
-            }
-            OpKind::Relu if node.inputs.len() == 1 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).relu_with_buf(buf)
-            }
-            OpKind::MatMul if node.inputs.len() == 2 => {
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                arg(0).matmul_with_buf(arg(1), cfg, buf)?
-            }
-            OpKind::Linear if node.inputs.len() >= 2 => {
-                let bias = (node.inputs.len() == 3).then(|| arg(2));
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                arg(0).linear_with_buf(arg(1), bias, cfg, buf)?
-            }
-            OpKind::Conv2d { stride, padding } if node.inputs.len() >= 2 => {
-                let bias = (node.inputs.len() == 3).then(|| arg(2));
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                let params = Conv2dParams {
-                    stride: *stride,
-                    padding: *padding,
-                };
-                arg(0).conv2d_with_buf(arg(1), bias, params, cfg, buf)?
-            }
-            OpKind::QuantMatmul if node.inputs.len() == 2 => {
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                arg(0).quant_matmul_with_buf(arg(1), buf)?
-            }
-            OpKind::QuantLinear if node.inputs.len() >= 2 => {
-                let bias = (node.inputs.len() == 3).then(|| arg(2));
-                let estimate = pooled_len_estimate(&node.kind, arg(0), Some(arg(1)));
-                let buf = take(estimate, pool, &mut from_pool);
-                arg(0).quant_linear_with_buf(arg(1), bias, buf)?
-            }
-            OpKind::Quantize { scale } if node.inputs.len() == 1 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).quantize_static_with_buf(*scale, buf)?
-            }
-            OpKind::Dequantize { scale } if node.inputs.len() == 1 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).dequantize_static_with_buf(*scale, buf)?
-            }
-            OpKind::Softmax if node.inputs.len() == 1 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).softmax_last_with_buf(cfg, buf)?
-            }
-            OpKind::LayerNorm { eps } if node.inputs.len() == 3 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).layer_norm_with_buf(arg(1), arg(2), *eps, cfg, buf)?
-            }
-            OpKind::RmsNorm { eps } if node.inputs.len() == 2 => {
-                let buf = take(arg(0).len(), pool, &mut from_pool);
-                arg(0).rms_norm_with_buf(arg(1), *eps, cfg, buf)?
-            }
-            // Everything else runs the trace executor's kernel unchanged.
-            _ => eval_node(graph, node, &values, inputs, cfg)?,
-        };
-        if from_pool {
-            stats.pool_hits += 1;
-        } else if !output_shares_storage(graph, node, inputs, &values, &out) {
-            stats.fresh_allocations += 1;
-        }
-        resident.add(&out);
-        values.push(out);
-        // Free every value whose last consumer was this node. With an
-        // observer attached, the retired tensor is handed over whole
-        // (`observe_retired` owns returning the buffer to the pool — see
-        // the trait docs); otherwise uniquely owned buffers go straight
-        // back to the pool.
-        for &id in &free_at[node.id.0] {
-            let dead = core::mem::replace(&mut values[id], empty.clone());
-            resident.remove(&dead);
-            match observer.as_deref_mut() {
-                Some(obs) => {
-                    obs.observe_retired(NodeId(id), dead, pool);
-                    observed[id] = true;
-                }
-                None => {
-                    if let Some(buf) = dead.into_unique_data() {
-                        pool.give(buf);
-                    }
-                }
-            }
-        }
-    }
-    stats.peak_resident_bytes = resident.peak;
-    // Values never retired by the loop — graph outputs (pinned live) and
-    // never-read nodes — get observed in a final id-order sweep so the
-    // exactly-once contract holds for every node.
-    if let Some(obs) = observer {
-        for (id, seen) in observed.iter().enumerate() {
-            if !seen {
-                obs.observe(NodeId(id), &values[id]);
-            }
-        }
-    }
-    let outputs = graph
-        .outputs()
-        .iter()
-        .map(|&id| values[id.0].clone())
-        .collect();
-    Ok((outputs, stats))
+    let (pass, _) = run(
+        graph,
+        inputs,
+        cfg,
+        None,
+        pool,
+        Retention::LastUse,
+        Some(observer),
+    )?;
+    Ok(pass.outputs(graph))
 }
 
 #[cfg(test)]
@@ -561,6 +345,48 @@ mod tests {
         }
         // The input feeds the residual add, so it must stay live past fc1.
         assert!(last[0] > 3);
+    }
+
+    #[test]
+    fn observation_is_in_node_order_and_leaves_pool_economics_unchanged() {
+        /// Records the ids it sees; reads each value without keeping it.
+        struct Order(Vec<usize>);
+        impl ValueObserver for Order {
+            fn observe(&mut self, id: crate::NodeId, value: &Tensor<f32>) {
+                assert!(value.data().iter().all(|x| x.is_finite()));
+                self.0.push(id.0);
+            }
+        }
+        let (g, inputs) = mlp();
+        let cfg = KernelConfig::reference();
+        let (mut plain, mut observed) = (BufferPool::new(), BufferPool::new());
+        for pass in 0..2 {
+            let (_, want) = run(
+                &g,
+                &inputs,
+                &cfg,
+                None,
+                &mut plain,
+                Retention::LastUse,
+                None,
+            )
+            .unwrap();
+            let mut order = Order(Vec::new());
+            let (_, got) = run(
+                &g,
+                &inputs,
+                &cfg,
+                None,
+                &mut observed,
+                Retention::LastUse,
+                Some(&mut order),
+            )
+            .unwrap();
+            assert_eq!(order.0, (0..g.len()).collect::<Vec<_>>(), "pass {pass}");
+            assert_eq!(got, want, "pass {pass}");
+            assert_eq!(observed.len(), plain.len(), "pass {pass}");
+            assert_eq!(observed.held_bytes(), plain.held_bytes(), "pass {pass}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::error::GraphError;
 use crate::exec::eval_node;
 use crate::graph::{Graph, NodeId};
 use crate::op::OpKind;
+use crate::pool::BufferPool;
 use crate::Result;
 
 /// A contiguous slice `[start, end)` of a graph's canonical topological
@@ -174,8 +175,9 @@ pub fn execute_subgraph(
         }
     }
     let mut out = HashMap::new();
+    let mut pool = BufferPool::new();
     for node in &graph.nodes()[sub.start..sub.end] {
-        let v = eval_node(graph, node, &dense, inputs, cfg)?;
+        let v = eval_node(graph, node, &dense, inputs, cfg, &mut pool)?;
         dense[node.id.0] = v.clone();
         out.insert(node.id, v);
     }

@@ -152,9 +152,9 @@ impl TraceCommitment {
 
     /// Assembles a commitment from already-computed per-node digests on
     /// the fastest supported backend. This is the streamed-hashing entry
-    /// point: the executor's observer hashes each node's value as the
-    /// buffer pool retires it, and only the tree assembly remains at the
-    /// end of the pass. Bit-identical to [`TraceCommitment::build`] when
+    /// point: the executor's observer hashes each node's value as it is
+    /// produced, and only the tree assembly remains at the end of the
+    /// pass. Bit-identical to [`TraceCommitment::build`] when
     /// the digests equal `values.iter().map(tensor_hash)`.
     pub fn from_digests(digests: Vec<Digest>) -> Self {
         Self::from_digests_with(digests, Backend::auto())
@@ -217,7 +217,7 @@ impl TraceCommitment {
 }
 
 /// Hashes every tensor's canonical serialization, batching equal-shaped
-/// tensors through the multi-way compressor (their canonical headers and
+/// tensors through the 8-lane compressor (their canonical headers and
 /// data lengths are identical, so the lanes stay in lockstep). Equal to
 /// `values.iter().map(tensor_hash)` for any input.
 #[cfg(target_endian = "little")]
@@ -241,16 +241,9 @@ pub fn tensor_digests(values: &[Tensor<f32>], backend: Backend) -> Vec<Digest> {
         let batchable = 27 + 16 * dims.len() <= 512;
         let mut chunks = idxs.chunks_exact(if batchable { lanes } else { usize::MAX });
         for chunk in &mut chunks {
-            if lanes == 4 {
-                let batch: [&Tensor<f32>; 4] = std::array::from_fn(|j| &values[chunk[j]]);
-                for (j, d) in tensor_digests_equal(backend, batch).into_iter().enumerate() {
-                    out[chunk[j]] = d;
-                }
-            } else {
-                let batch: [&Tensor<f32>; 8] = std::array::from_fn(|j| &values[chunk[j]]);
-                for (j, d) in tensor_digests_equal(backend, batch).into_iter().enumerate() {
-                    out[chunk[j]] = d;
-                }
+            let batch: [&Tensor<f32>; 8] = std::array::from_fn(|j| &values[chunk[j]]);
+            for (j, d) in tensor_digests_equal(backend, batch).into_iter().enumerate() {
+                out[chunk[j]] = d;
             }
         }
         for &i in chunks.remainder() {

@@ -4,7 +4,7 @@
 //! The scalar [`Sha256`](crate::Sha256) stays in-tree as the permanent
 //! differential oracle; everything here must be **bit-identical** to it
 //! (enforced by this module's tests and `tests/tests/commit_equiv.rs`).
-//! Three mechanically different ways to go faster, selected at runtime by
+//! Two mechanically different ways to go faster, selected at runtime by
 //! [`Backend`]:
 //!
 //! * **SHA-NI** (`x86_64`, runtime-detected): one message at a time, but
@@ -15,10 +15,8 @@
 //!   messages compressed per call, one message per 32-bit SIMD lane. All
 //!   lanes run the identical FIPS 180-4 round function, so each lane's
 //!   digest equals the scalar result exactly.
-//! * **Portable lane-interleaved** (always available): the same
-//!   eight-/four-lane structure written in plain `u32` arithmetic with the
-//!   lane loop innermost, which the compiler can auto-vectorize on any
-//!   target.
+//!
+//! Hosts with neither extension use the scalar compressor.
 //!
 //! Multi-message batching ([`sha256_batch_with`], [`MultiSha256`]) requires
 //! equal-length lanes — every lane must consume the same block schedule and
@@ -26,26 +24,19 @@
 //! length and falls back to single-stream hashing for ragged remainders,
 //! which keeps its result equal to `msgs.map(sha256)` for *any* input mix.
 
-use crate::sha256::{compress_scalar, sha256, Digest, H0, K};
-
-/// How many compressor backends exist (sizing for [`Backend::available`]).
-const BACKEND_COUNT: usize = 5;
+use crate::sha256::{compress_scalar, sha256, Digest, H0};
 
 /// A SHA-256 compressor implementation, selected at runtime.
 ///
 /// Every backend produces digests bit-identical to the scalar oracle; they
 /// differ only in throughput. Unsupported hardware backends silently fall
-/// back to the portable path when invoked, so forcing a backend is always
+/// back to the scalar path when invoked, so forcing a backend is always
 /// *correct* — [`Backend::is_supported`] tells you whether it is also
 /// *fast*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The seed scalar compressor (the oracle path).
+    /// The seed scalar compressor (the oracle path and the fallback).
     Scalar,
-    /// Portable 4-lane interleaved compressor.
-    Wide4,
-    /// Portable 8-lane interleaved compressor.
-    Wide8,
     /// AVX2 8-lane SIMD compressor (`x86_64` with `avx2`).
     Avx2,
     /// Intel SHA extensions single-stream compressor (`x86_64` with `sha`).
@@ -54,7 +45,7 @@ pub enum Backend {
 
 impl Backend {
     /// The fastest supported backend on this host: SHA-NI, then AVX2, then
-    /// the portable 8-lane path.
+    /// the scalar compressor.
     pub fn auto() -> Backend {
         static AUTO: std::sync::OnceLock<Backend> = std::sync::OnceLock::new();
         *AUTO.get_or_init(|| {
@@ -63,16 +54,16 @@ impl Backend {
             } else if Backend::Avx2.is_supported() {
                 Backend::Avx2
             } else {
-                Backend::Wide8
+                Backend::Scalar
             }
         })
     }
 
     /// True when this backend's specialized code path can run on this host
-    /// (portable backends are always supported).
+    /// (the scalar backend is always supported).
     pub fn is_supported(&self) -> bool {
         match self {
-            Backend::Scalar | Backend::Wide4 | Backend::Wide8 => true,
+            Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
@@ -90,27 +81,17 @@ impl Backend {
     /// All backends supported on this host (used by the differential tests
     /// and the microbenchmarks to sweep every compiled path).
     pub fn available() -> Vec<Backend> {
-        let mut v = Vec::with_capacity(BACKEND_COUNT);
-        for b in [
-            Backend::Scalar,
-            Backend::Wide4,
-            Backend::Wide8,
-            Backend::Avx2,
-            Backend::ShaNi,
-        ] {
-            if b.is_supported() {
-                v.push(b);
-            }
-        }
-        v
+        [Backend::Scalar, Backend::Avx2, Backend::ShaNi]
+            .into_iter()
+            .filter(Backend::is_supported)
+            .collect()
     }
 
     /// How many independent messages one compressor call advances.
     pub fn lanes(&self) -> usize {
         match self {
             Backend::Scalar | Backend::ShaNi => 1,
-            Backend::Wide4 => 4,
-            Backend::Wide8 | Backend::Avx2 => 8,
+            Backend::Avx2 => 8,
         }
     }
 
@@ -118,8 +99,6 @@ impl Backend {
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Wide4 => "wide4",
-            Backend::Wide8 => "wide8",
             Backend::Avx2 => "avx2x8",
             Backend::ShaNi => "sha-ni",
         }
@@ -165,71 +144,8 @@ fn compress_lanes<const N: usize>(backend: Backend, states: &mut [[u32; 8]; N], 
         }
         return;
     }
-    match backend {
-        Backend::Scalar => {
-            for (state, block) in states.iter_mut().zip(blocks) {
-                compress_scalar(state, block.try_into().expect("64-byte block"));
-            }
-        }
-        _ => compress_wide::<N>(states, blocks),
-    }
-}
-
-/// Portable lane-interleaved compression of `N` independent blocks: the
-/// scalar round function with every variable widened to a `[u32; N]` lane
-/// array and the lane loop innermost (auto-vectorizer-friendly).
-// The schedule reads several rows of `w` at fixed offsets per lane; an
-// iterator over one row cannot express that.
-#[allow(clippy::needless_range_loop)]
-fn compress_wide<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8]; N]) {
-    let mut w = [[0u32; N]; 64];
-    for (t, wt) in w.iter_mut().enumerate().take(16) {
-        for (j, lane) in wt.iter_mut().enumerate() {
-            let b = blocks[j];
-            *lane = u32::from_be_bytes([b[4 * t], b[4 * t + 1], b[4 * t + 2], b[4 * t + 3]]);
-        }
-    }
-    for t in 16..64 {
-        for j in 0..N {
-            let x = w[t - 15][j];
-            let y = w[t - 2][j];
-            let s0 = x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3);
-            let s1 = y.rotate_right(17) ^ y.rotate_right(19) ^ (y >> 10);
-            w[t][j] = w[t - 16][j]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7][j])
-                .wrapping_add(s1);
-        }
-    }
-    let mut v = [[0u32; N]; 8];
-    for (r, vr) in v.iter_mut().enumerate() {
-        for (j, lane) in vr.iter_mut().enumerate() {
-            *lane = states[j][r];
-        }
-    }
-    for i in 0..64 {
-        let [a, b, c, d, e, f, g, h] = v;
-        let mut na = [0u32; N];
-        let mut ne = [0u32; N];
-        for j in 0..N {
-            let s1 = e[j].rotate_right(6) ^ e[j].rotate_right(11) ^ e[j].rotate_right(25);
-            let ch = (e[j] & f[j]) ^ ((!e[j]) & g[j]);
-            let t1 = h[j]
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i][j]);
-            let s0 = a[j].rotate_right(2) ^ a[j].rotate_right(13) ^ a[j].rotate_right(22);
-            let maj = (a[j] & b[j]) ^ (a[j] & c[j]) ^ (b[j] & c[j]);
-            ne[j] = d[j].wrapping_add(t1);
-            na[j] = t1.wrapping_add(s0.wrapping_add(maj));
-        }
-        v = [na, a, b, c, ne, e, f, g];
-    }
-    for (r, vr) in v.iter().enumerate() {
-        for (j, &lane) in vr.iter().enumerate() {
-            states[j][r] = states[j][r].wrapping_add(lane);
-        }
+    for (state, block) in states.iter_mut().zip(blocks) {
+        compress_scalar(state, block.try_into().expect("64-byte block"));
     }
 }
 
@@ -452,8 +368,8 @@ pub(crate) fn group_indices_by<K: PartialEq>(
 /// Hashes a batch of independent messages, equal to
 /// `msgs.iter().map(sha256)` for any input mix.
 ///
-/// Multi-lane backends group the messages by length (lanes must share a
-/// block schedule) and hash full groups `lanes()` at a time; ragged
+/// The 8-lane backend groups the messages by length (lanes must share a
+/// block schedule) and hashes full groups eight at a time; ragged
 /// remainders fall back to the single-stream path.
 pub fn sha256_batch_with<B: AsRef<[u8]>>(backend: Backend, msgs: &[B]) -> Vec<Digest> {
     let lanes = backend.lanes();
@@ -470,16 +386,9 @@ pub fn sha256_batch_with<B: AsRef<[u8]>>(backend: Backend, msgs: &[B]) -> Vec<Di
     for (_, idxs) in &group_indices_by(msgs.len(), |i| msgs[i].as_ref().len()) {
         let mut chunks = idxs.chunks_exact(lanes);
         for chunk in &mut chunks {
-            if lanes == 4 {
-                let batch: [&[u8]; 4] = std::array::from_fn(|j| msgs[chunk[j]].as_ref());
-                for (j, d) in sha256_many_equal(backend, batch).into_iter().enumerate() {
-                    out[chunk[j]] = d;
-                }
-            } else {
-                let batch: [&[u8]; 8] = std::array::from_fn(|j| msgs[chunk[j]].as_ref());
-                for (j, d) in sha256_many_equal(backend, batch).into_iter().enumerate() {
-                    out[chunk[j]] = d;
-                }
+            let batch: [&[u8]; 8] = std::array::from_fn(|j| msgs[chunk[j]].as_ref());
+            for (j, d) in sha256_many_equal(backend, batch).into_iter().enumerate() {
+                out[chunk[j]] = d;
             }
         }
         for &i in chunks.remainder() {
@@ -498,7 +407,7 @@ pub fn sha256_batch<B: AsRef<[u8]>>(msgs: &[B]) -> Vec<Digest> {
 /// Intel SHA extensions single-stream compressor.
 #[cfg(target_arch = "x86_64")]
 mod ni {
-    use super::K;
+    use crate::sha256::K;
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128,
@@ -572,7 +481,7 @@ mod ni {
 /// AVX2 eight-lane interleaved compressor.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::K;
+    use crate::sha256::K;
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_or_si256,
         _mm256_set1_epi32, _mm256_setr_epi32, _mm256_slli_epi32, _mm256_srli_epi32,
@@ -695,7 +604,6 @@ mod tests {
     fn auto_backend_is_supported() {
         assert!(Backend::auto().is_supported());
         assert!(Backend::available().contains(&Backend::Scalar));
-        assert!(Backend::available().contains(&Backend::Wide8));
     }
 
     #[test]
@@ -752,11 +660,6 @@ mod tests {
                 let got = sha256_many_equal(backend, refs);
                 for (j, m) in msgs.iter().enumerate() {
                     assert_eq!(got[j], sha256(m), "{backend:?} len {len} lane {j}");
-                }
-                let refs4: [&[u8]; 4] = std::array::from_fn(|j| msgs[j].as_slice());
-                let got4 = sha256_many_equal(backend, refs4);
-                for j in 0..4 {
-                    assert_eq!(got4[j], sha256(&msgs[j]), "{backend:?} 4-lane {j}");
                 }
             }
         }

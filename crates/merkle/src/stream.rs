@@ -2,20 +2,14 @@
 //! instead of in a post-hoc pass over the finished trace.
 //!
 //! [`StreamingCommitter`] implements [`tao_graph::ValueObserver`], so
-//! either executor ([`tao_graph::execute_observed`] for traced runs,
-//! [`tao_graph::forward_observed`] for pooled inference) feeds it each
-//! node's final value exactly once. On multi-core hosts the hashing runs
-//! on a dedicated worker thread — an `Arc`-cheap tensor clone crosses an
-//! mpsc channel and the canonical encoding + SHA-256 overlap the remaining
-//! compute, which is what collapses the flagged-path screening surcharge.
-//! On a single core (or by request) the committer hashes inline at the
-//! observation point, which still skips the second traversal of the trace.
-//!
-//! Both modes finish by assembling the identical
-//! [`TraceCommitment`] via [`TraceCommitment::from_digests`]; the digests
-//! are **bit-identical** to the post-hoc [`TraceCommitment::build`]
-//! oracle by contract, asserted across backends and modes by the
-//! `commit_equiv` differential suite.
+//! either retention policy ([`tao_graph::execute_observed`] for traced
+//! runs, [`tao_graph::forward_observed`] for pooled inference) feeds it
+//! each node's final value exactly once, in node order. It hashes the value
+//! inline at the observation point, which skips the second traversal of
+//! the trace, and finishes by assembling the [`TraceCommitment`] via
+//! [`TraceCommitment::from_digests`]. The digests are **bit-identical** to
+//! the post-hoc [`TraceCommitment::build`] oracle by contract, asserted by
+//! the `commit_equiv` differential suite.
 //!
 //! [`TokenChain`] extends the same machinery to autoregressive decoding:
 //! each decode step appends one leaf binding `(step, token, step trace
@@ -24,135 +18,23 @@
 //! zero prefix rehashing — long sessions stay disputable at token
 //! granularity.
 
-use std::sync::mpsc;
-use std::thread::JoinHandle;
-
 use tao_graph::{NodeId, ValueObserver};
 use tao_tensor::Tensor;
 
-use crate::canon::canon_tensor_sink;
-use crate::commit::TraceCommitment;
-use crate::multiway::{Backend, FastSha256};
+use crate::commit::{tensor_hash, TraceCommitment};
 use crate::sha256::{Digest, Sha256};
 
-/// Work shipped to the background hashing thread.
-enum Job {
-    /// Hash a (cloned) live value; the caller keeps the original.
-    Hash(usize, Tensor<f32>),
-    /// Hash an *owned* retired value and send its buffer back on the
-    /// return channel once digested, so the caller can recycle it.
-    HashAndReturn(usize, Tensor<f32>),
-}
-
-enum Mode {
-    Inline {
-        backend: Backend,
-    },
-    Background {
-        tx: Option<mpsc::Sender<Job>>,
-        handle: Option<JoinHandle<Vec<(usize, Digest)>>>,
-        /// Buffers coming back from `Job::HashAndReturn` (one message per
-        /// job; `None` when the tensor's storage was still shared).
-        buf_rx: mpsc::Receiver<Option<Vec<f32>>>,
-        /// Outstanding `HashAndReturn` jobs not yet drained (kept ≤ 1 so
-        /// the pool state after each retirement is deterministic).
-        in_flight: usize,
-    },
-}
-
-/// Streams per-node digests out of a running forward pass and assembles
-/// the [`TraceCommitment`] at the end; see the module docs for the
-/// threading model.
+/// Hashes each observed node value with [`tensor_hash`] and assembles the
+/// [`TraceCommitment`] at the end of the pass.
 pub struct StreamingCommitter {
     slots: Vec<Option<Digest>>,
-    mode: Mode,
 }
 
 impl StreamingCommitter {
-    /// A committer for a graph of `len` nodes, choosing the overlapped
-    /// background worker when the host has more than one core and inline
-    /// hashing otherwise.
+    /// A committer for a graph of `len` nodes.
     pub fn new(len: usize) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores >= 2 && len > 0 {
-            Self::background(len)
-        } else {
-            Self::inline(len)
-        }
-    }
-
-    /// A committer that hashes inline at each observation point (no worker
-    /// thread). Deterministic-mode pin for tests; also what [`new`]
-    /// picks on single-core hosts.
-    ///
-    /// [`new`]: StreamingCommitter::new
-    pub fn inline(len: usize) -> Self {
         StreamingCommitter {
             slots: vec![None; len],
-            mode: Mode::Inline {
-                backend: Backend::auto(),
-            },
-        }
-    }
-
-    /// A committer that ships values to a dedicated hashing thread; a live
-    /// observation is an `Arc` refcount bump plus a channel send, while a
-    /// *retired* observation (pooled executor) hands the worker the owned
-    /// tensor and gets the buffer back for the pool after digesting — so
-    /// background hashing no longer defeats buffer recycling.
-    pub fn background(len: usize) -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let (buf_tx, buf_rx) = mpsc::channel::<Option<Vec<f32>>>();
-        let handle = std::thread::spawn(move || {
-            let backend = Backend::auto();
-            let mut out = Vec::new();
-            while let Ok(job) = rx.recv() {
-                match job {
-                    Job::Hash(id, t) => out.push((id, hash_value(backend, &t))),
-                    Job::HashAndReturn(id, t) => {
-                        out.push((id, hash_value(backend, &t)));
-                        // Send even a `None` so the drain accounting stays
-                        // one message per job; ignore a hung-up receiver
-                        // (finish() may have dropped it).
-                        let _ = buf_tx.send(t.into_unique_data());
-                    }
-                }
-            }
-            out
-        });
-        StreamingCommitter {
-            slots: vec![None; len],
-            mode: Mode::Background {
-                tx: Some(tx),
-                handle: Some(handle),
-                buf_rx,
-                in_flight: 0,
-            },
-        }
-    }
-
-    /// Blocks until every outstanding retired buffer has come back from
-    /// the background worker and returns it to `pool` (no-op in inline
-    /// mode, where buffers are pooled at the observation point). Call this
-    /// between the end of a pooled forward pass and [`finish`]: the last
-    /// retirement's buffer is still with the worker when the pass ends,
-    /// and draining it keeps the pool's contents identical to an
-    /// unobserved run instead of dropping one buffer per pass.
-    ///
-    /// [`finish`]: StreamingCommitter::finish
-    pub fn drain_returns(&mut self, pool: &mut tao_graph::BufferPool) {
-        if let Mode::Background {
-            buf_rx, in_flight, ..
-        } = &mut self.mode
-        {
-            while *in_flight > 0 {
-                if let Ok(Some(buf)) = buf_rx.recv() {
-                    pool.give(buf);
-                }
-                *in_flight -= 1;
-            }
         }
     }
 
@@ -166,25 +48,14 @@ impl StreamingCommitter {
         self.slots.is_empty()
     }
 
-    /// Joins any in-flight hashing and assembles the commitment.
+    /// Assembles the commitment.
     ///
     /// # Panics
     ///
-    /// Panics if any node was never observed (or observed out of range) —
-    /// both executors guarantee the exactly-once contract, so a miss is a
-    /// caller bug, not a runtime condition.
-    pub fn finish(mut self) -> TraceCommitment {
-        if let Mode::Background { tx, handle, .. } = &mut self.mode {
-            drop(tx.take());
-            let hashed = handle
-                .take()
-                .expect("finish called once")
-                .join()
-                .expect("hash worker panicked");
-            for (id, digest) in hashed {
-                self.slots[id] = Some(digest);
-            }
-        }
+    /// Panics if any node was never observed — the executor guarantees the
+    /// exactly-once contract, so a miss is a caller bug, not a runtime
+    /// condition.
+    pub fn finish(self) -> TraceCommitment {
         let digests: Vec<Digest> = self
             .slots
             .into_iter()
@@ -197,65 +68,8 @@ impl StreamingCommitter {
 
 impl ValueObserver for StreamingCommitter {
     fn observe(&mut self, id: NodeId, value: &Tensor<f32>) {
-        match &mut self.mode {
-            Mode::Inline { backend } => {
-                self.slots[id.0] = Some(hash_value(*backend, value));
-            }
-            Mode::Background { tx, .. } => {
-                // The worker outlives every send (tx drops in finish), so
-                // this cannot fail while the committer is alive.
-                tx.as_ref()
-                    .expect("observe after finish")
-                    .send(Job::Hash(id.0, value.clone()))
-                    .expect("hash worker exited early");
-                self.slots[id.0] = Some([0u8; 32]); // placeholder: marks "observed"
-            }
-        }
+        self.slots[id.0] = Some(tensor_hash(value));
     }
-
-    fn observe_retired(&mut self, id: NodeId, value: Tensor<f32>, pool: &mut tao_graph::BufferPool) {
-        match &mut self.mode {
-            Mode::Inline { backend } => {
-                self.slots[id.0] = Some(hash_value(*backend, &value));
-                if let Some(buf) = value.into_unique_data() {
-                    pool.give(buf);
-                }
-            }
-            Mode::Background {
-                tx,
-                buf_rx,
-                in_flight,
-                ..
-            } => {
-                // Drain the previous retirement's buffer back into the
-                // pool before shipping the next one. Keeping at most one
-                // HashAndReturn outstanding makes the pool contents after
-                // every retirement deterministic (tests pin `pool_hits`),
-                // while the hash still overlaps the compute between two
-                // consecutive retirements.
-                while *in_flight > 0 {
-                    if let Ok(Some(buf)) = buf_rx.recv() {
-                        pool.give(buf);
-                    }
-                    *in_flight -= 1;
-                }
-                tx.as_ref()
-                    .expect("observe after finish")
-                    .send(Job::HashAndReturn(id.0, value))
-                    .expect("hash worker exited early");
-                *in_flight += 1;
-                self.slots[id.0] = Some([0u8; 32]); // placeholder: marks "observed"
-            }
-        }
-    }
-}
-
-/// One node digest: the canonical tensor encoding streamed into the
-/// fastest supported hasher — bit-identical to [`crate::tensor_hash`].
-fn hash_value(backend: Backend, t: &Tensor<f32>) -> Digest {
-    let mut h = FastSha256::with_backend(backend);
-    canon_tensor_sink(t, &mut h);
-    h.finalize()
 }
 
 /// Domain tags for the decode-time token chain.
@@ -381,30 +195,22 @@ mod tests {
 
     #[test]
     fn streamed_commitment_equals_post_hoc_oracle_in_both_modes() {
+        // Both retention policies: the traced pass and the pooled pass.
         let (g, inputs) = mlp();
         let cfg = KernelConfig::reference();
         let trace = execute(&g, &inputs, &cfg, None).unwrap();
         let oracle = TraceCommitment::build(&trace.values);
-        for background in [false, true] {
-            let mut c = if background {
-                StreamingCommitter::background(g.len())
-            } else {
-                StreamingCommitter::inline(g.len())
-            };
-            let streamed_trace = execute_observed(&g, &inputs, &cfg, None, &mut c).unwrap();
-            assert_eq!(c.finish(), oracle, "traced, background={background}");
-            assert_eq!(streamed_trace.values.len(), trace.values.len());
 
-            let mut c = if background {
-                StreamingCommitter::background(g.len())
-            } else {
-                StreamingCommitter::inline(g.len())
-            };
-            let mut pool = BufferPool::new();
-            let outputs = forward_observed(&g, &inputs, &cfg, &mut pool, &mut c).unwrap();
-            assert_eq!(c.finish(), oracle, "pooled, background={background}");
-            assert_eq!(outputs[0].data(), trace.outputs(&g)[0].data());
-        }
+        let mut c = StreamingCommitter::new(g.len());
+        let streamed_trace = execute_observed(&g, &inputs, &cfg, None, &mut c).unwrap();
+        assert_eq!(c.finish(), oracle, "traced");
+        assert_eq!(streamed_trace.values.len(), trace.values.len());
+
+        let mut c = StreamingCommitter::new(g.len());
+        let mut pool = BufferPool::new();
+        let outputs = forward_observed(&g, &inputs, &cfg, &mut pool, &mut c).unwrap();
+        assert_eq!(c.finish(), oracle, "pooled");
+        assert_eq!(outputs[0].data(), trace.outputs(&g)[0].data());
     }
 
     #[test]

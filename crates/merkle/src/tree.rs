@@ -184,11 +184,11 @@ fn pair_message(l: &Digest, r: &Digest) -> [u8; 65] {
 }
 
 /// Fills `out[o]` with the parent of leaves `2(o0+o)` and `2(o0+o)+1` of
-/// `prev` for every `o`, batching full pairs through the multi-way
-/// compressor `backend.lanes()` at a time. Pure per-output, so any band
+/// `prev` for every `o`, batching full pairs through the 8-lane
+/// compressor when the backend has one. Pure per-output, so any band
 /// decomposition yields identical digests.
 fn fill_parents(backend: Backend, prev: &[Digest], o0: usize, out: &mut [Digest]) {
-    let lanes = backend.lanes().max(1);
+    let lanes = backend.lanes();
     let mut o = 0;
     while o < out.len() {
         let global = o0 + o;
@@ -208,14 +208,6 @@ fn fill_parents(backend: Backend, prev: &[Digest], o0: usize, out: &mut [Digest]
             let refs: [&[u8]; 8] = std::array::from_fn(|j| msgs[j].as_slice());
             out[o..o + 8].copy_from_slice(&sha256_many_equal(backend, refs));
             o += 8;
-        } else if lanes == 4 && full >= 4 {
-            let msgs: [[u8; 65]; 4] = std::array::from_fn(|j| {
-                let g = global + j;
-                pair_message(&prev[2 * g], &prev[2 * g + 1])
-            });
-            let refs: [&[u8]; 4] = std::array::from_fn(|j| msgs[j].as_slice());
-            out[o..o + 4].copy_from_slice(&sha256_many_equal(backend, refs));
-            o += 4;
         } else {
             let msg = pair_message(&prev[2 * global], &prev[2 * global + 1]);
             out[o] = match backend {
@@ -247,7 +239,8 @@ fn level_up(prev: &[Digest], backend: Backend, threads: usize) -> Vec<Digest> {
 }
 
 /// Hashes raw leaves (`LEAF_PREFIX || leaf`) into leaf digests, batching
-/// equal-length leaves through the multi-way compressor. Equal to the
+/// equal-length leaves through the 8-lane compressor when the backend has
+/// one. Equal to the
 /// scalar per-leaf hashing of [`MerkleTree::from_leaves_reference`].
 pub fn hash_leaves<B: AsRef<[u8]>>(backend: Backend, leaves: &[B]) -> Vec<Digest> {
     let lanes = backend.lanes();
@@ -267,20 +260,11 @@ pub fn hash_leaves<B: AsRef<[u8]>>(backend: Backend, leaves: &[B]) -> Vec<Digest
     for (_, idxs) in &groups {
         let mut chunks = idxs.chunks_exact(lanes);
         for chunk in &mut chunks {
-            if lanes == 4 {
-                let mut h = crate::multiway::MultiSha256::<4>::new(backend);
-                h.update_all(&[LEAF_PREFIX]);
-                h.update(std::array::from_fn(|j| leaves[chunk[j]].as_ref()));
-                for (j, d) in h.finalize().into_iter().enumerate() {
-                    out[chunk[j]] = d;
-                }
-            } else {
-                let mut h = crate::multiway::MultiSha256::<8>::new(backend);
-                h.update_all(&[LEAF_PREFIX]);
-                h.update(std::array::from_fn(|j| leaves[chunk[j]].as_ref()));
-                for (j, d) in h.finalize().into_iter().enumerate() {
-                    out[chunk[j]] = d;
-                }
+            let mut h = crate::multiway::MultiSha256::<8>::new(backend);
+            h.update_all(&[LEAF_PREFIX]);
+            h.update(std::array::from_fn(|j| leaves[chunk[j]].as_ref()));
+            for (j, d) in h.finalize().into_iter().enumerate() {
+                out[chunk[j]] = d;
             }
         }
         for &i in chunks.remainder() {

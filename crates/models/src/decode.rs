@@ -121,8 +121,8 @@ pub struct DecodeCommitment {
 
 /// [`greedy_decode`] plus per-token incremental commitments: each step's
 /// forward pass streams its node values through a [`StreamingCommitter`]
-/// (hashing overlaps compute on multi-core hosts) and the resulting step
-/// root is appended to a prefix-stable [`TokenChain`].
+/// and the resulting step root is appended to a prefix-stable
+/// [`TokenChain`].
 ///
 /// Decoded tokens and logits are bit-identical to [`greedy_decode`] — the
 /// observer only reads values the executor already produced.

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use tao_bounds::{check_within_bound, BoundEngine, CheckReport};
 use tao_calib::{error_profile, ThresholdBundle, DEFAULT_EPS};
 use tao_device::Device;
-use tao_graph::{eval_node, Execution, Graph, NodeId};
+use tao_graph::{eval_node, BufferPool, Execution, Graph, NodeId};
 use tao_tensor::Tensor;
 
 use crate::error::ProtocolError;
@@ -66,6 +66,7 @@ impl<'a> LeafCase<'a> {
             &self.proposer_trace.values,
             self.inputs,
             device.config(),
+            &mut BufferPool::new(),
         )?)
     }
 

@@ -114,9 +114,8 @@ pub struct Claim {
     pub posted_at: u64,
     /// Challenge-window length in ticks.
     pub window: u64,
-    /// Proposer deposit escrowed for this claim. Flat `D_p` for
-    /// [`Coordinator::submit_claim`]; at least `D_p`, scaled up by the
-    /// static FLOP bound, for [`Coordinator::submit_claim_quoted`].
+    /// Proposer deposit escrowed for this claim: at least `D_p`, scaled up
+    /// by the static FLOP bound (see [`Coordinator::submit_claim_quoted`]).
     pub deposit: Money,
     /// Current status.
     pub status: ClaimStatus,
@@ -439,30 +438,14 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Posts a claim commitment (Phase 1), escrowing the flat proposer
-    /// deposit `D_p` and charging the flat commitment gas. The claim id is
-    /// allocated only after the deposit clears, so a rejected submission
-    /// leaves no gap in the id sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the proposer's balance is below `D_p`.
-    pub fn submit_claim(&self, proposer: &str, commitment: Digest, meta: &ClaimMeta) -> Result<u64> {
-        self.admit(
-            proposer,
-            commitment,
-            meta,
-            gas::commit_claim(),
-            self.amounts.d_p,
-        )
-    }
-
-    /// Posts a claim commitment priced by its static analysis: the gas
-    /// charged is the report's quote (base commitment cost plus the
+    /// Posts a claim commitment (Phase 1), priced by its static analysis:
+    /// the gas charged is the report's quote (base commitment cost plus the
     /// FLOP/traffic surcharge) and the escrowed deposit is
     /// `max(D_p, deposit_bound)`, so a claim committing to more work posts
     /// collateral that scales with it. Inadmissible graphs — any
     /// `Deny`-severity lint finding — are rejected before any money moves.
+    /// The claim id is allocated only after the deposit clears, so a
+    /// rejected submission leaves no gap in the id sequence.
     ///
     /// # Errors
     ///
@@ -482,17 +465,6 @@ impl Coordinator {
             )));
         }
         let deposit = self.amounts.d_p.max(report.deposit_bound);
-        self.admit(proposer, commitment, meta, report.gas_quote, deposit)
-    }
-
-    fn admit(
-        &self,
-        proposer: &str,
-        commitment: Digest,
-        meta: &ClaimMeta,
-        gas_cost: u64,
-        deposit: Money,
-    ) -> Result<u64> {
         self.ledger.reserve(proposer, deposit)?;
         let id = self.claims.allocate();
         self.claims.shard(id).lock().insert(
@@ -510,7 +482,7 @@ impl Coordinator {
         );
         // seq 0 belongs to the commit by construction; logged after the
         // shard lock is released (gas is a leaf lock).
-        self.charge_claim(id, 0, "commit_claim", gas_cost, deposit);
+        self.charge_claim(id, 0, "commit_claim", report.gas_quote, deposit);
         Ok(id)
     }
 
@@ -858,21 +830,6 @@ pub mod reference {
             self.epochs.iter().map(|e| e.root).collect()
         }
 
-        /// Posts a claim, escrowing the flat proposer deposit.
-        ///
-        /// # Errors
-        ///
-        /// Returns an error when the proposer's balance is below `D_p`.
-        pub fn submit_claim(
-            &mut self,
-            proposer: &str,
-            commitment: Digest,
-            meta: &ClaimMeta,
-        ) -> Result<u64> {
-            let d_p = self.amounts.d_p;
-            self.admit(proposer, commitment, meta, gas::commit_claim(), d_p)
-        }
-
         /// Serial mirror of [`super::Coordinator::submit_claim_quoted`]:
         /// charges the static report's gas quote and escrows
         /// `max(D_p, deposit_bound)`, rejecting inadmissible graphs.
@@ -895,17 +852,6 @@ pub mod reference {
                 )));
             }
             let deposit = self.amounts.d_p.max(report.deposit_bound);
-            self.admit(proposer, commitment, meta, report.gas_quote, deposit)
-        }
-
-        fn admit(
-            &mut self,
-            proposer: &str,
-            commitment: Digest,
-            meta: &ClaimMeta,
-            gas_cost: u64,
-            deposit: Money,
-        ) -> Result<u64> {
             self.lock(proposer, deposit)?;
             let id = self.claims.len() as u64;
             self.claims.push(Claim {
@@ -919,7 +865,7 @@ pub mod reference {
                 events: 1,
             });
             self.gas
-                .charge_claim(id, 0, "commit_claim", gas_cost, deposit);
+                .charge_claim(id, 0, "commit_claim", report.gas_quote, deposit);
             Ok(id)
         }
 
@@ -1158,7 +1104,9 @@ mod tests {
     fn happy_path_finalizes_and_pays() {
         let c = coordinator();
         c.fund("prop", 1_000);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         assert!(matches!(c.claim(id).unwrap().status, ClaimStatus::Pending));
         assert!(c.advance(5).is_empty(), "window still open");
         let finalized = c.advance(6);
@@ -1176,7 +1124,9 @@ mod tests {
         let c = coordinator();
         c.fund("prop", 1_000);
         c.fund("chal", 100);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         c.open_challenge(id, "chal").unwrap();
         assert!(matches!(
             c.claim(id).unwrap().status,
@@ -1206,7 +1156,9 @@ mod tests {
         let c = coordinator();
         c.fund("prop", 1_000);
         c.fund("chal", 100);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         c.open_challenge(id, "chal").unwrap();
         c.settle(id, Party::Proposer, 0).unwrap();
         assert!(c.balance("chal") < m(100), "spammer must lose its deposit");
@@ -1222,7 +1174,9 @@ mod tests {
         c.fund("prop", 1_000);
         c.fund("colluder", 100);
         c.fund("watchtower", 100);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         c.open_challenge(id, "colluder").unwrap();
         let deserter = c.adopt_challenge(id, "watchtower").unwrap();
         assert_eq!(deserter, "colluder");
@@ -1248,7 +1202,9 @@ mod tests {
         c.fund("prop", 1_000);
         c.fund("chal", 100);
         c.fund("poor", 1);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         // Not disputed yet.
         assert!(c.adopt_challenge(id, "watchtower").is_err());
         c.open_challenge(id, "chal").unwrap();
@@ -1277,8 +1233,12 @@ mod tests {
             s.fund(acct, 1_000);
             c.fund(acct, 1_000);
         }
-        let sid = s.submit_claim("prop", commitment(), &meta()).unwrap();
-        let cid = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let sid = s
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
+        let cid = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         s.open_challenge(sid, "colluder").unwrap();
         c.open_challenge(cid, "colluder").unwrap();
         assert_eq!(
@@ -1303,7 +1263,9 @@ mod tests {
         let c = coordinator();
         c.fund("prop", 1_000);
         c.fund("chal", 100);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         c.advance(11);
         assert!(matches!(
             c.open_challenge(id, "chal"),
@@ -1315,7 +1277,9 @@ mod tests {
     fn insufficient_deposit_rejected() {
         let c = coordinator();
         c.fund("poor", 1);
-        let err = c.submit_claim("poor", commitment(), &meta()).unwrap_err();
+        let err = c
+            .submit_claim_quoted("poor", commitment(), &meta(), report())
+            .unwrap_err();
         match err {
             ProtocolError::InsufficientFunds {
                 account,
@@ -1337,7 +1301,9 @@ mod tests {
         let c = coordinator();
         c.fund("prop", 1_000);
         c.fund("chal", 100);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         c.open_challenge(id, "chal").unwrap();
         c.timeout(id, Party::Proposer).unwrap();
         assert!(matches!(
@@ -1356,10 +1322,11 @@ mod tests {
         let n = 400;
         for i in 0..n {
             let id = c
-                .submit_claim(
+                .submit_claim_quoted(
                     "prop",
                     tao_merkle::sha256(format!("c{i}").as_bytes()),
                     &meta(),
+                    report(),
                 )
                 .unwrap();
             assert_eq!(
@@ -1381,7 +1348,9 @@ mod tests {
     fn audit_freezes_without_challenger_deposit() {
         let c = coordinator();
         c.fund("prop", 1_000);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         c.open_audit(id).unwrap();
         assert!(matches!(
             c.claim(id).unwrap().status,
@@ -1417,7 +1386,9 @@ mod tests {
         // The 1-shard layout still runs the full lifecycle.
         serial.fund("prop", 1_000);
         serial.fund("chal", 100);
-        let id = serial.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = serial
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         serial.open_challenge(id, "chal").unwrap();
         serial.settle(id, Party::Challenger, 3).unwrap();
         assert!(matches!(
@@ -1435,7 +1406,9 @@ mod tests {
         let c = coordinator();
         c.fund("prop", 1_000);
         let before = c.gas().total;
-        let _ = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let _ = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         assert!(c.gas().total > before);
     }
 
@@ -1444,7 +1417,9 @@ mod tests {
         let c = coordinator();
         c.fund("prop", 1_000);
         c.fund("chal", 100);
-        let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
         c.open_challenge(id, "chal").unwrap();
         c.settle(id, Party::Challenger, 3).unwrap();
         let total_before = c.gas().total;
@@ -1470,11 +1445,18 @@ mod tests {
             let c = coordinator();
             c.fund("prop", 100_000);
             c.fund("chal", 10_000);
-            let id = c.submit_claim("prop", commitment(), &meta()).unwrap();
+            let id = c
+                .submit_claim_quoted("prop", commitment(), &meta(), report())
+                .unwrap();
             c.open_challenge(id, "chal").unwrap();
             for i in 0..extra_claims {
                 let extra = c
-                    .submit_claim("prop", tao_merkle::sha256(&i.to_le_bytes()), &meta())
+                    .submit_claim_quoted(
+                        "prop",
+                        tao_merkle::sha256(&i.to_le_bytes()),
+                        &meta(),
+                        report(),
+                    )
                     .unwrap();
                 c.open_challenge(extra, "chal").unwrap();
             }
@@ -1490,6 +1472,12 @@ mod tests {
         // normalize by adding them back.
         let d_ch = coordinator().amounts().d_ch;
         assert_eq!(chal_a, chal_b + d_ch * 8);
+    }
+
+    /// The admission quote every test claim posts under.
+    fn report() -> &'static tao_analysis::StaticReport {
+        static REPORT: std::sync::OnceLock<tao_analysis::StaticReport> = std::sync::OnceLock::new();
+        REPORT.get_or_init(report_for_tiny_graph)
     }
 
     fn report_for_tiny_graph() -> tao_analysis::StaticReport {
@@ -1576,10 +1564,11 @@ mod tests {
                     scope.spawn(move || {
                         (0..16)
                             .map(|i| {
-                                c.submit_claim(
+                                c.submit_claim_quoted(
                                     "prop",
                                     tao_merkle::sha256(format!("{t}-{i}").as_bytes()),
                                     &meta(),
+                                    report(),
                                 )
                                 .unwrap()
                             })
@@ -1613,7 +1602,12 @@ mod tests {
             s.fund("chal", 10_000);
             for i in 0..32u64 {
                 let id = s
-                    .submit_claim("prop", tao_merkle::sha256(&i.to_le_bytes()), &meta())
+                    .submit_claim_quoted(
+                        "prop",
+                        tao_merkle::sha256(&i.to_le_bytes()),
+                        &meta(),
+                        report(),
+                    )
                     .unwrap();
                 s.open_challenge(id, "chal").unwrap();
                 let winner = if i % 3 == 0 {
@@ -1631,7 +1625,12 @@ mod tests {
         let ids: Vec<u64> = (0..32u64)
             .map(|i| {
                 let id = c
-                    .submit_claim("prop", tao_merkle::sha256(&i.to_le_bytes()), &meta())
+                    .submit_claim_quoted(
+                        "prop",
+                        tao_merkle::sha256(&i.to_le_bytes()),
+                        &meta(),
+                        report(),
+                    )
                     .unwrap();
                 c.open_challenge(id, "chal").unwrap();
                 id

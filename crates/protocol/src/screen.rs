@@ -115,10 +115,9 @@ pub fn screen_claim(
 }
 
 /// [`screen_claim`] with the trace commitment streamed *through* the
-/// forward pass: a [`StreamingCommitter`] observes every node value as the
-/// executor produces it, so on multi-core hosts the hashing overlaps the
-/// remaining compute instead of running as a post-hoc pass over the
-/// finished trace (the `screen_throughput` flagged-path surcharge). The
+/// forward pass: a [`StreamingCommitter`] hashes every node value as the
+/// executor produces it, instead of in a post-hoc pass over the finished
+/// trace (the `screen_throughput` flagged-path surcharge). The
 /// commitment is always present — this is the path for a challenger that
 /// intends to dispute (e.g. [`crate::ChallengerView::from_screening`]
 /// after an adopted abandonment), where the digests are consumed whether

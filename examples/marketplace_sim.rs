@@ -126,12 +126,12 @@ fn main() {
     );
     println!(
         "coordinator gas ledger: {:.1} kgas across all interactions",
-        coordinator.lock().gas().kgas()
+        coordinator.coordinator().gas().kgas()
     );
     assert_eq!(caught, cheated, "every cheat must be caught");
     // Value conservation: whatever the settlement interleaving, the
     // fixed-point ledger balances out against its injected supply exactly.
-    let ledger = coordinator.lock().ledger();
+    let ledger = coordinator.coordinator().ledger();
     assert_eq!(
         ledger.total_value(),
         ledger.injected(),

@@ -15,7 +15,11 @@ use tao_analysis::{
     analyze, analyze_with, LintConfig, LintRule, Severity, StaticReport, BYTES_PER_GAS,
     FLOPS_PER_GAS, GAS_BASE,
 };
-use tao_graph::{execute_with_stats, Graph, GraphBuilder, NodeId, OpKind};
+use tao_graph::{
+    execute, execute_observed, execute_with_stats, forward_observed, BufferPool, Graph,
+    GraphBuilder, NodeId, OpKind,
+};
+use tao_merkle::{StreamingCommitter, TraceCommitment};
 use tao_models::{
     bert, data, diffusion, qwen, resnet, transformer, BertConfig, DiffusionConfig, Model,
     QwenConfig, ResNetConfig, TransformerConfig,
@@ -304,6 +308,52 @@ fn op_zoo_covers_every_kind_and_matches_measured_execution() {
     // coverage shows up as a count mismatch here.
     assert_eq!(seen.len(), 53, "zoo must exercise every OpKind exactly");
     assert_static_matches_measured(&graph, &inputs, "op-zoo");
+}
+
+#[test]
+fn op_zoo_is_bit_identical_under_every_retention_policy() {
+    // One executor loop, two retention policies: the traced pass (every
+    // value kept), a cold pooled pass and a warm pooled pass must produce
+    // the same value at every node — pinned through the streamed per-node
+    // digests against the scalar oracle — and the same graph outputs.
+    let (graph, inputs) = op_zoo();
+    let cfg = KernelConfig::reference();
+    let trace = execute(&graph, &inputs, &cfg, None).unwrap();
+    let oracle = TraceCommitment::reference(&trace.values);
+    let mut committer = StreamingCommitter::new(graph.len());
+    execute_observed(&graph, &inputs, &cfg, None, &mut committer).unwrap();
+    assert_eq!(committer.finish(), oracle, "KeepAll");
+    let want = trace.outputs(&graph);
+    let mut pool = BufferPool::new();
+    for label in ["cold LastUse", "warm LastUse"] {
+        // Most zoo nodes are outputs or read a shared input, so little is
+        // recycled on its own: warm the pool with stale, NaN-filled buffers
+        // of every traced size, which the pooled kernels must overwrite.
+        let primed = if label == "warm LastUse" {
+            for v in &trace.values {
+                pool.give(vec![f32::NAN; v.len()]);
+            }
+            pool.len()
+        } else {
+            0
+        };
+        let mut committer = StreamingCommitter::new(graph.len());
+        let outputs = forward_observed(&graph, &inputs, &cfg, &mut pool, &mut committer).unwrap();
+        assert_eq!(committer.finish(), oracle, "{label}");
+        assert_eq!(outputs.len(), want.len());
+        for (got, want) in outputs.iter().zip(&want) {
+            assert_eq!(got.dims(), want.dims(), "{label}");
+            let same = got
+                .data()
+                .iter()
+                .zip(want.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{label}: output drifted from the trace");
+        }
+        if primed > 0 {
+            assert!(pool.len() < primed, "{label}: no op drew from the pool");
+        }
+    }
 }
 
 /// Deterministically grows a random-but-valid op chain over a base shape,

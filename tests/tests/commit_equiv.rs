@@ -131,10 +131,10 @@ proptest! {
         }
     }
 
-    /// Streamed commitments (digests hashed as the executor retires each
-    /// node, in retirement order) are bit-identical to the post-hoc oracle
-    /// over the finished trace — for both executors, both committer modes,
-    /// and any chain depth/width/seed.
+    /// Streamed commitments (digests hashed as the executor produces each
+    /// node) are bit-identical to the post-hoc oracle over the finished
+    /// trace — under both retention policies and for any chain
+    /// depth/width/seed.
     #[test]
     fn streamed_commitment_equals_post_hoc_for_any_graph(
         depth in 1usize..4,
@@ -156,28 +156,20 @@ proptest! {
         let inputs = vec![Tensor::<f32>::rand_uniform(&[3, width], -1.0, 1.0, seed + 99)];
         let k = KernelConfig::reference();
         // Post-hoc oracle over the trace executor's kept-alive values.
-        let mut probe = StreamingCommitter::inline(g.len());
+        let mut probe = StreamingCommitter::new(g.len());
         let trace = execute_observed(&g, &inputs, &k, None, &mut probe).unwrap();
         let oracle = TraceCommitment::build(&trace.values);
-        prop_assert_eq!(probe.finish().root(), oracle.root(), "trace inline");
-        let mut bg = StreamingCommitter::background(g.len());
-        execute_observed(&g, &inputs, &k, None, &mut bg).unwrap();
-        prop_assert_eq!(bg.finish().root(), oracle.root(), "trace background");
-        // The pooled executor observes in retirement order, not id order;
-        // the commitment must not care.
-        for mode in 0..2usize {
-            let mut committer = if mode == 0 {
-                StreamingCommitter::inline(g.len())
-            } else {
-                StreamingCommitter::background(g.len())
-            };
-            let mut pool = BufferPool::new();
+        prop_assert_eq!(probe.finish().root(), oracle.root(), "trace");
+        // Pooled passes, cold and then warm on the same pool.
+        let mut pool = BufferPool::new();
+        for pass in 0..2usize {
+            let mut committer = StreamingCommitter::new(g.len());
             forward_observed(&g, &inputs, &k, &mut pool, &mut committer).unwrap();
             prop_assert_eq!(
                 committer.finish().root(),
                 oracle.root(),
-                "pooled mode {}",
-                mode
+                "pooled pass {}",
+                pass
             );
         }
     }

@@ -4,11 +4,14 @@
 //! Cargo skips subdirectories of `tests/`, so this compiles only as a
 //! module of each test binary that declares `mod common;`.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 use std::time::Duration;
 
+use tao_analysis::StaticReport;
+use tao_graph::{GraphBuilder, OpKind};
 use tao_merkle::ClaimMeta;
 use tao_protocol::EconParams;
+use tao_tensor::Tensor;
 
 /// Challenge-window length used by every generated claim.
 pub const WINDOW: u64 = 10;
@@ -44,6 +47,22 @@ pub fn meta() -> ClaimMeta {
         dtype: "f32".into(),
         challenge_window: WINDOW,
     }
+}
+
+/// The admission quote every generated claim posts under: the static
+/// report of a one-matmul graph, whose deposit bound is far below `D_p`,
+/// so every claim escrows exactly `D_p`.
+pub fn claim_report() -> &'static StaticReport {
+    static REPORT: OnceLock<StaticReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let mut b = GraphBuilder::new(1);
+        let x = b.input(0, "x");
+        let w = b.parameter("w", Tensor::<f32>::eye(8));
+        let y = b.op("y", OpKind::MatMul, &[x, w]);
+        let s = b.op("s", OpKind::Softmax, &[y]);
+        let graph = b.finish(vec![s]).expect("well-formed graph");
+        tao_analysis::analyze(&graph, &[vec![4, 8]])
+    })
 }
 
 /// Default market economics with a mid-region slash.

@@ -31,8 +31,8 @@ mod common;
 use std::sync::Arc;
 
 use common::{
-    commitment as tagged_commitment, econ_and_slash, meta, with_deadlock_watchdog, worker_counts,
-    COMMITTEE, WINDOW,
+    claim_report, commitment as tagged_commitment, econ_and_slash, meta, with_deadlock_watchdog,
+    worker_counts, COMMITTEE, WINDOW,
 };
 use proptest::prelude::*;
 use tao_protocol::{
@@ -118,7 +118,11 @@ fn run_serial_oracle(specs: &[Spec], oracle: &mut SerialCoordinator) -> Vec<Opti
     let ids: Vec<Option<u64>> = specs
         .iter()
         .enumerate()
-        .map(|(i, s)| oracle.submit_claim(s.proposer, commitment(i), &meta()).ok())
+        .map(|(i, s)| {
+            oracle
+                .submit_claim_quoted(s.proposer, commitment(i), &meta(), claim_report())
+                .ok()
+        })
         .collect();
     for (s, id) in specs.iter().zip(&ids) {
         if let Some(id) = id {
@@ -154,7 +158,7 @@ fn run_sharded_parallel(
         .enumerate()
         .map(|(i, s)| {
             coordinator
-                .submit_claim(s.proposer, commitment(i), &meta())
+                .submit_claim_quoted(s.proposer, commitment(i), &meta(), claim_report())
                 .ok()
         })
         .collect();
@@ -377,7 +381,9 @@ fn audit_lifecycle_settles_and_conserves_on_shards() {
     let sharded = Coordinator::new(econ, slash).unwrap();
     sharded.fund("prop", 5_000);
 
-    let id = sharded.submit_claim("prop", commitment(0), &meta()).unwrap();
+    let id = sharded
+        .submit_claim_quoted("prop", commitment(0), &meta(), claim_report())
+        .unwrap();
     sharded.open_audit(id).unwrap();
     sharded.settle(id, Party::Proposer, COMMITTEE).unwrap();
     assert!(matches!(

@@ -19,8 +19,8 @@ mod common;
 use std::sync::Arc;
 
 use common::{
-    commitment as tagged_commitment, econ_and_slash, meta, with_deadlock_watchdog, worker_counts,
-    COMMITTEE, WINDOW,
+    claim_report, commitment as tagged_commitment, econ_and_slash, meta, with_deadlock_watchdog,
+    worker_counts, COMMITTEE, WINDOW,
 };
 use tao_protocol::{parallel_map, ClaimStatus, Coordinator, Money, Party, SerialCoordinator};
 
@@ -101,7 +101,7 @@ fn overlapping_pair_settlement_conserves_and_matches_serial() {
     }
     for (i, lane) in lanes.iter().enumerate() {
         let id = oracle
-            .submit_claim(lane.proposer, commitment(i), &meta())
+            .submit_claim_quoted(lane.proposer, commitment(i), &meta(), claim_report())
             .unwrap();
         assert_eq!(id, i as u64);
     }
@@ -122,7 +122,7 @@ fn overlapping_pair_settlement_conserves_and_matches_serial() {
         // Serial submit (deterministic ids), as the scheduler does.
         for (i, lane) in lanes.iter().enumerate() {
             let id = coordinator
-                .submit_claim(lane.proposer, commitment(i), &meta())
+                .submit_claim_quoted(lane.proposer, commitment(i), &meta(), claim_report())
                 .unwrap();
             assert_eq!(id, i as u64, "dense deterministic claim ids");
         }
@@ -203,7 +203,7 @@ fn concurrent_advances_finalize_each_claim_exactly_once() {
         let n = 64u64;
         for i in 0..n {
             coordinator
-                .submit_claim("prop", commitment(i as usize), &meta())
+                .submit_claim_quoted("prop", commitment(i as usize), &meta(), claim_report())
                 .unwrap();
         }
         let coord = coordinator.clone();

@@ -200,7 +200,7 @@ fn coordinator_pays_and_slashes_consistently() {
         .unwrap();
     assert!(coord.balance("proposer") < mid);
     assert!(coord.balance("challenger") > c0);
-    assert!(coord.lock().gas().total > 0);
+    assert!(coord.coordinator().gas().total > 0);
 }
 
 /// Disputes raised *inside a concurrent campaign* must still reuse the

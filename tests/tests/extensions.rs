@@ -3,7 +3,7 @@
 //! audit channel.
 
 use tao_device::Device;
-use tao_graph::execute;
+use tao_graph::{execute, GraphBuilder, OpKind};
 use tao_merkle::{sha256, ClaimMeta};
 use tao_models::{diffusion, qwen, DiffusionConfig, QwenConfig};
 use tao_protocol::{
@@ -102,11 +102,25 @@ fn randomized_audit_channel_enforces_like_a_challenge() {
         dtype: "f32".into(),
         challenge_window: 10,
     };
+    // Every claim posts under the static quote of a one-matmul graph.
+    let report = {
+        let mut b = GraphBuilder::new(1);
+        let x = b.input(0, "x");
+        let w = b.parameter("w", Tensor::<f32>::eye(8));
+        let y = b.op("y", OpKind::MatMul, &[x, w]);
+        let s = b.op("s", OpKind::Softmax, &[y]);
+        tao_analysis::analyze(&b.finish(vec![s]).expect("graph"), &[vec![4, 8]])
+    };
     // Submit many claims; audit-selected ones get frozen and adjudicated.
     let mut audited = 0;
     for i in 0..200u32 {
         let id = coord
-            .submit_claim("prop", sha256(format!("claim-{i}").as_bytes()), &meta)
+            .submit_claim_quoted(
+                "prop",
+                sha256(format!("claim-{i}").as_bytes()),
+                &meta,
+                &report,
+            )
             .expect("funded");
         if coord.audit_selected(id, 42).expect("known claim") {
             coord.open_audit(id).expect("pending claim");

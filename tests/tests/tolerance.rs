@@ -5,7 +5,7 @@
 use tao_bounds::{check_within_bound, BoundEngine};
 use tao_calib::{calibrate, error_profile, DEFAULT_EPS};
 use tao_device::{Device, Fleet};
-use tao_graph::{eval_node, execute};
+use tao_graph::{eval_node, execute, BufferPool};
 use tao_models::{bert, data, qwen, resnet, BertConfig, QwenConfig, ResNetConfig};
 use tao_tensor::KernelConfig;
 
@@ -49,8 +49,15 @@ fn theoretical_bounds_cover_every_operator_of_every_model() {
             for node in model.graph.nodes() {
                 // Re-execute this single operator from the reference trace
                 // inputs under the device's kernels (operator-local check).
-                let device_out =
-                    eval_node(&model.graph, node, &reference.values, input, dev.config()).unwrap();
+                let device_out = eval_node(
+                    &model.graph,
+                    node,
+                    &reference.values,
+                    input,
+                    dev.config(),
+                    &mut BufferPool::new(),
+                )
+                .unwrap();
                 let report = check_within_bound(
                     &device_out,
                     &reference.values[node.id.0],
