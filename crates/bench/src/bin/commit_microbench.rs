@@ -17,6 +17,10 @@
 //!    1 MiB leaf set, swept across forced thread counts (bit-identical at
 //!    every count; the speedup column is only interesting on multi-core
 //!    hosts).
+//! 4. **Inclusion-proof verification** — every proof of a 4096-leaf tree
+//!    checked against cached leaf digests (the dispute challenger's path)
+//!    on the seed scalar path walk vs the auto backend, with the valid and
+//!    the tampered verdicts bit-compared.
 //!
 //! Run with `cargo run --release -p tao-bench --bin commit_microbench`.
 //! Pass `--smoke` for a seconds-scale CI variant. Set
@@ -28,7 +32,8 @@ use std::time::Instant;
 
 use tao_bench::print_table;
 use tao_merkle::{
-    sha256, sha256_batch_with, Backend, MerkleTree, TraceCommitment, MAX_HASH_THREADS,
+    sha256, sha256_batch_with, verify_inclusion_digest, verify_inclusion_digest_reference, Backend,
+    Digest, InclusionProof, MerkleTree, TraceCommitment, MAX_HASH_THREADS,
 };
 use tao_tensor::Tensor;
 
@@ -202,6 +207,72 @@ fn main() {
             Backend::auto().name()
         ),
         &["threads", "interior build", "speedup"],
+        &rows,
+    );
+
+    // --- 4. inclusion-proof verification against cached leaf digests ----
+    let proof_leaves: Vec<Vec<u8>> = (0..4096u32).map(|i| i.to_le_bytes().to_vec()).collect();
+    let proof_tree = MerkleTree::from_leaves(&proof_leaves);
+    let proof_root = proof_tree.root();
+    let valid: Vec<InclusionProof> = (0..proof_tree.len())
+        .map(|i| proof_tree.prove(i).expect("index in range"))
+        .collect();
+    let tampered: Vec<InclusionProof> = valid
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let mut p = p.clone();
+            let level = i % p.siblings.len();
+            if let Some(s) = p.siblings.get_mut(level).and_then(Option::as_mut) {
+                s[i % 32] ^= 1 << (i % 8);
+            }
+            p
+        })
+        .collect();
+    type Verify = fn(&Digest, Digest, &InclusionProof) -> bool;
+    let verdicts = |verify: Verify, proofs: &[InclusionProof]| -> Vec<bool> {
+        proofs
+            .iter()
+            .zip(proof_tree.leaf_digests())
+            .map(|(p, &leaf)| verify(&proof_root, leaf, p))
+            .collect()
+    };
+    let paths: [(&str, Verify); 2] = [
+        ("seed-scalar", verify_inclusion_digest_reference),
+        (Backend::auto().name(), verify_inclusion_digest),
+    ];
+    let mut rows = Vec::new();
+    let mut t_verify_seed = 0.0;
+    for (name, verify) in paths {
+        assert!(verdicts(verify, &valid).iter().all(|&ok| ok), "{name}: valid proof rejected");
+        assert_eq!(
+            verdicts(verify, &tampered),
+            verdicts(verify_inclusion_digest_reference, &tampered),
+            "{name}: tampered verdicts drifted from the scalar path"
+        );
+        let t = median_secs(samples, || verdicts(verify, &valid));
+        if name == "seed-scalar" {
+            t_verify_seed = t;
+        }
+        export_csv(
+            &format!("commit/inclusion_verify/{name}"),
+            t,
+            (32 * valid.len()) as u64,
+        );
+        rows.push(vec![
+            name.to_string(),
+            format!("{:.3}ms", 1e3 * t),
+            format!("{:.0}ns", 1e9 * t / valid.len() as f64),
+            format!("{:.2}x", t_verify_seed / t),
+        ]);
+    }
+    print_table(
+        &format!(
+            "Inclusion-proof verification — all {} proofs of a {}-leaf tree against cached leaf digests, {cores} cores (valid and tampered verdicts bit-compared)",
+            valid.len(),
+            proof_tree.len()
+        ),
+        &["path hashing", "all proofs", "per proof", "speedup"],
         &rows,
     );
 

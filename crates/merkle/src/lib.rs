@@ -40,6 +40,6 @@ pub use multiway::{
 pub use sha256::{sha256, to_hex, Digest, Sha256};
 pub use stream::{StreamingCommitter, TokenChain};
 pub use tree::{
-    hash_leaves, verify_inclusion, verify_inclusion_digest, InclusionProof, MerkleTree,
-    MAX_HASH_THREADS,
+    hash_leaves, verify_inclusion, verify_inclusion_digest, verify_inclusion_digest_reference,
+    InclusionProof, MerkleTree, MAX_HASH_THREADS,
 };

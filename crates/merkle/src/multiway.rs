@@ -24,7 +24,7 @@
 //! length and falls back to single-stream hashing for ragged remainders,
 //! which keeps its result equal to `msgs.map(sha256)` for *any* input mix.
 
-use crate::sha256::{compress_scalar, sha256, Digest, H0};
+use crate::sha256::{compress_scalar, padding, sha256, state_digest, Digest, H0};
 
 /// A SHA-256 compressor implementation, selected at runtime.
 ///
@@ -211,21 +211,13 @@ impl FastSha256 {
         }
     }
 
-    /// Finishes and returns the digest.
+    /// Finishes and returns the digest. The whole padding tail is absorbed
+    /// in one `update`, which ends on a block boundary.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        compress_blocks(self.backend, &mut self.state, &block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        let (pad, len) = padding(self.buffered, self.total_len);
+        self.update(&pad[..len]);
+        debug_assert_eq!(self.buffered, 0);
+        state_digest(&self.state)
     }
 }
 
@@ -316,26 +308,14 @@ impl<const N: usize> MultiSha256<N> {
         self.update([data; N]);
     }
 
-    /// Finishes all lanes and returns their digests.
+    /// Finishes all lanes and returns their digests. The lanes share one
+    /// length, so one padding tail, absorbed in one `update_all`, closes
+    /// every lane on a block boundary.
     pub fn finalize(mut self) -> [Digest; N] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update_all(&[0x80]);
-        while self.buffered != 56 {
-            self.update_all(&[0]);
-        }
-        for buf in self.buffers.iter_mut() {
-            buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        }
-        let buffers = self.buffers;
-        let blocks: [&[u8]; N] = std::array::from_fn(|j| &buffers[j][..]);
-        compress_lanes(self.backend, &mut self.states, blocks);
-        std::array::from_fn(|j| {
-            let mut out = [0u8; 32];
-            for (i, word) in self.states[j].iter().enumerate() {
-                out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-            }
-            out
-        })
+        let (pad, len) = padding(self.buffered, self.total_len);
+        self.update_all(&pad[..len]);
+        debug_assert!(N == 0 || self.buffered == 0);
+        std::array::from_fn(|j| state_digest(&self.states[j]))
     }
 }
 

@@ -77,6 +77,28 @@ pub(crate) fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// The big-endian digest bytes of a final compression state.
+pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The padding tail of a message whose byte length is `total_len` and
+/// whose last partial block holds `buffered` bytes: `0x80`, zeros, then
+/// the 64-bit big-endian bit length, sized so that absorbing the first
+/// `len` bytes of the returned buffer ends exactly on a block boundary.
+pub(crate) fn padding(buffered: usize, total_len: u64) -> ([u8; 72], usize) {
+    // 1..=64 bytes of 0x80 + zeros bring the buffer to 56 mod 64.
+    let zeros_end = 1 + (119 - buffered) % 64;
+    let mut pad = [0u8; 72];
+    pad[0] = 0x80;
+    pad[zeros_end..zeros_end + 8].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    (pad, zeros_end + 8)
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Debug, Clone)]
 pub struct Sha256 {
@@ -141,11 +163,7 @@ impl Sha256 {
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        state_digest(&self.state)
     }
 
     fn compress(&mut self, block: &[u8; 64]) {

@@ -9,8 +9,8 @@
 //! children, so row-banding a level cannot change any bit regardless of
 //! the thread count (the same argument as the tensor kernels' row bands).
 
-use crate::multiway::{sha256_many_equal, sha256_with, Backend};
-use crate::sha256::{sha256, Digest, Sha256};
+use crate::multiway::{compress_blocks, sha256_many_equal, Backend, FastSha256};
+use crate::sha256::{sha256, state_digest, Digest, Sha256, H0};
 
 /// Domain-separation prefix for leaf hashes.
 pub(crate) const LEAF_PREFIX: u8 = 0x00;
@@ -121,6 +121,13 @@ impl MerkleTree {
             .unwrap_or_else(|| sha256(b""))
     }
 
+    /// The leaf digests (`H(LEAF_PREFIX || leaf)`), in leaf order. A
+    /// verifier holding its own tree checks inclusion proofs against these
+    /// instead of re-serializing and rehashing each leaf.
+    pub fn leaf_digests(&self) -> &[Digest] {
+        self.levels.first().map_or(&[], Vec::as_slice)
+    }
+
     /// Number of leaves.
     pub fn len(&self) -> usize {
         self.levels.first().map(Vec::len).unwrap_or(0)
@@ -154,12 +161,31 @@ impl MerkleTree {
     }
 }
 
+/// Seed interior-node hash on the scalar oracle: the reference for
+/// [`pair_digest`].
 fn hash_pair(l: &Digest, r: &Digest) -> Digest {
     let mut h = Sha256::new();
     h.update(&[NODE_PREFIX]);
     h.update(l);
     h.update(r);
     h.finalize()
+}
+
+/// Interior-node hash `H(NODE_PREFIX || l || r)` on `backend`. The
+/// 65-byte message and its padding (`0x80`, zeros, the 520-bit length)
+/// fill exactly two blocks, staged once and compressed in one call.
+/// Bit-identical to [`hash_pair`].
+#[inline]
+pub(crate) fn pair_digest(backend: Backend, l: &Digest, r: &Digest) -> Digest {
+    let mut blocks = [0u8; 128];
+    blocks[0] = NODE_PREFIX;
+    blocks[1..33].copy_from_slice(l);
+    blocks[33..65].copy_from_slice(r);
+    blocks[65] = 0x80;
+    blocks[120..].copy_from_slice(&(65u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress_blocks(backend, &mut state, &blocks);
+    state_digest(&state)
 }
 
 /// Worker count for a level of `pairs` pair hashes.
@@ -209,11 +235,7 @@ fn fill_parents(backend: Backend, prev: &[Digest], o0: usize, out: &mut [Digest]
             out[o..o + 8].copy_from_slice(&sha256_many_equal(backend, refs));
             o += 8;
         } else {
-            let msg = pair_message(&prev[2 * global], &prev[2 * global + 1]);
-            out[o] = match backend {
-                Backend::Scalar => sha256(&msg),
-                _ => sha256_with(backend, &msg),
-            };
+            out[o] = pair_digest(backend, &prev[2 * global], &prev[2 * global + 1]);
             o += 1;
         }
     }
@@ -248,7 +270,7 @@ pub fn hash_leaves<B: AsRef<[u8]>>(backend: Backend, leaves: &[B]) -> Vec<Digest
         return leaves
             .iter()
             .map(|l| {
-                let mut h = crate::multiway::FastSha256::with_backend(backend);
+                let mut h = FastSha256::with_backend(backend);
                 h.update(&[LEAF_PREFIX]);
                 h.update(l.as_ref());
                 h.finalize()
@@ -268,7 +290,7 @@ pub fn hash_leaves<B: AsRef<[u8]>>(backend: Backend, leaves: &[B]) -> Vec<Digest
             }
         }
         for &i in chunks.remainder() {
-            let mut h = crate::multiway::FastSha256::with_backend(backend);
+            let mut h = FastSha256::with_backend(backend);
             h.update(&[LEAF_PREFIX]);
             h.update(leaves[i].as_ref());
             out[i] = h.finalize();
@@ -279,32 +301,51 @@ pub fn hash_leaves<B: AsRef<[u8]>>(backend: Backend, leaves: &[B]) -> Vec<Digest
 
 /// Verifies an inclusion proof for raw leaf bytes against a root.
 pub fn verify_inclusion(root: &Digest, leaf: &[u8], proof: &InclusionProof) -> bool {
-    let mut h = Sha256::new();
+    let mut h = FastSha256::new();
     h.update(&[LEAF_PREFIX]);
     h.update(leaf);
     verify_inclusion_digest(root, h.finalize(), proof)
 }
 
-/// Verifies an inclusion proof for a precomputed leaf digest.
+/// Verifies an inclusion proof for a precomputed leaf digest, hashing the
+/// path on the fastest supported backend.
 pub fn verify_inclusion_digest(root: &Digest, leaf_digest: Digest, proof: &InclusionProof) -> bool {
+    let backend = Backend::auto();
+    path_root(leaf_digest, proof, |l, r| pair_digest(backend, l, r)) == *root
+}
+
+/// Seed inclusion check: the same path walk, hashing each interior node
+/// on the scalar oracle [`Sha256`].
+/// The differential oracle (and microbenchmark baseline) for
+/// [`verify_inclusion_digest`].
+pub fn verify_inclusion_digest_reference(
+    root: &Digest,
+    leaf_digest: Digest,
+    proof: &InclusionProof,
+) -> bool {
+    path_root(leaf_digest, proof, hash_pair) == *root
+}
+
+/// Folds a proof's sibling path bottom-up from a leaf digest.
+fn path_root(
+    leaf_digest: Digest,
+    proof: &InclusionProof,
+    pair: impl Fn(&Digest, &Digest) -> Digest,
+) -> Digest {
     let mut acc = leaf_digest;
     let mut idx = proof.index;
     for sib in &proof.siblings {
-        match sib {
-            Some(s) => {
-                acc = if idx.is_multiple_of(2) {
-                    hash_pair(&acc, s)
-                } else {
-                    hash_pair(s, &acc)
-                };
-            }
-            None => {
-                // Promoted without sibling: digest unchanged.
-            }
+        // A `None` sibling is a node promoted unchanged.
+        if let Some(s) = sib {
+            acc = if idx.is_multiple_of(2) {
+                pair(&acc, s)
+            } else {
+                pair(s, &acc)
+            };
         }
         idx /= 2;
     }
-    &acc == root
+    acc
 }
 
 #[cfg(test)]
@@ -431,6 +472,38 @@ mod tests {
             assert_eq!(fast.root(), oracle.root(), "threads={threads}");
             assert_eq!(fast, oracle);
         }
+    }
+
+    #[test]
+    fn pair_digest_matches_scalar_oracle_on_every_backend() {
+        let digests: Vec<Digest> = (0..6u8).map(|i| sha256(&[i])).collect();
+        for backend in Backend::available() {
+            for l in &digests {
+                for r in &digests {
+                    assert_eq!(pair_digest(backend, l, r), hash_pair(l, r), "{backend:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_and_reference_inclusion_verdicts_agree() {
+        for n in [1usize, 2, 3, 7, 33] {
+            let t = MerkleTree::from_leaves(&leaves(n));
+            assert_eq!(t.leaf_digests().len(), n);
+            for (i, &leaf) in t.leaf_digests().iter().enumerate() {
+                let mut p = t.prove(i).unwrap();
+                assert!(verify_inclusion_digest(&t.root(), leaf, &p));
+                assert!(verify_inclusion_digest_reference(&t.root(), leaf, &p));
+                p.index ^= 1;
+                assert_eq!(
+                    verify_inclusion_digest(&t.root(), leaf, &p),
+                    verify_inclusion_digest_reference(&t.root(), leaf, &p),
+                    "n={n} i={i}"
+                );
+            }
+        }
+        assert!(MerkleTree::from_leaves::<Vec<u8>>(&[]).leaf_digests().is_empty());
     }
 
     #[test]

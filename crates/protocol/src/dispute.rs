@@ -10,7 +10,7 @@ use tao_tensor::Tensor;
 
 use crate::error::ProtocolError;
 use crate::gas::{self, GasMeter};
-use crate::record::{make_record_with, verify_record_anchored, TraceDigestCache};
+use crate::record::{make_record_with, verify_record_anchored, ParamIndex, TraceDigestCache};
 use crate::screen::Screening;
 use crate::Result;
 
@@ -41,6 +41,18 @@ const LIVE_IN_SLACK: f64 = 16.0;
 /// The Phase 0 commitment artifacts a dispute is anchored to: the Merkle
 /// trees the proposer proves records against and the on-coordinator roots
 /// the challenger verifies them with.
+///
+/// # Soundness precondition
+///
+/// The challenger verifies each posted op and parameter proof against the
+/// leaf digest its own tree holds instead of re-serializing and rehashing
+/// the node signature or parameter tensor. That is equivalent to the
+/// rehashing oracle ([`crate::verify_record`]) only when both trees are
+/// the verifier's own, built from the same `graph` passed to
+/// [`run_dispute`] (as `deploy` builds them). [`run_dispute`] checks each
+/// tree's root against its committed root once per dispute and refuses a
+/// mismatch with [`ProtocolError::AnchorMismatch`]; whether the trees were
+/// built from `graph` is the caller's responsibility.
 #[derive(Debug, Clone, Copy)]
 pub struct DisputeAnchors<'a> {
     /// Graph-structure Merkle tree `T_g`.
@@ -66,6 +78,22 @@ impl<'a> DisputeAnchors<'a> {
     pub fn with_trace_root(mut self, root: &'a Digest) -> Self {
         self.trace_root = Some(root);
         self
+    }
+
+    /// Checks that each tree has its committed root.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::AnchorMismatch`] naming the first tree
+    /// whose root differs.
+    pub(crate) fn check_roots(&self) -> Result<()> {
+        if self.graph_tree.root() != *self.graph_root {
+            return Err(ProtocolError::AnchorMismatch { tree: "graph" });
+        }
+        if self.weight_tree.root() != *self.weight_root {
+            return Err(ProtocolError::AnchorMismatch { tree: "weight" });
+        }
+        Ok(())
     }
 }
 
@@ -262,8 +290,9 @@ impl DisputeOutcome {
 ///
 /// # Errors
 ///
-/// Returns an error if record construction/verification fails or a
-/// re-execution hits a kernel error.
+/// Returns [`ProtocolError::AnchorMismatch`] when an anchor tree does not
+/// have its committed root, and an error if record construction or
+/// verification fails or a re-execution hits a kernel error.
 pub fn run_dispute(
     graph: &Graph,
     anchors: DisputeAnchors<'_>,
@@ -273,6 +302,8 @@ pub fn run_dispute(
     thresholds: &ThresholdBundle,
     cfg: DisputeConfig,
 ) -> Result<DisputeOutcome> {
+    anchors.check_roots()?;
+    let params = ParamIndex::new(graph);
     let proposer_trace = proposer.trace;
     // Interface hashes derive from this cache: zero tensor rehashing when
     // the proposer's TraceCommitment was supplied, memoized otherwise. A
@@ -317,9 +348,9 @@ pub fn run_dispute(
         for &(s, e) in &slices {
             let sub = extract(graph, s, e)?;
             let rec = make_record_with(
-                graph,
                 anchors.graph_tree,
                 anchors.weight_tree,
+                &params,
                 &sub,
                 proposer_trace,
                 &mut digest_cache,
@@ -340,13 +371,7 @@ pub fn run_dispute(
         let mut merkle_checks = 0u64;
         let mut breach: Option<NodeId> = None;
         for rec in &records {
-            match verify_record_anchored(
-                graph,
-                anchors.graph_root,
-                anchors.weight_root,
-                anchors.trace_root,
-                rec,
-            ) {
+            match verify_record_anchored(graph, &anchors, &params, rec) {
                 Ok((checks, reveals)) => {
                     merkle_checks += checks;
                     total_reveals += reveals;

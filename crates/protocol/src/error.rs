@@ -59,6 +59,15 @@ pub enum ProtocolError {
     /// over the wrong graph), not evidence of fraud, so it surfaces as an
     /// error instead of an infinite exceedance.
     MissingThreshold(tao_graph::NodeId),
+    /// A dispute anchor's Merkle tree does not have the committed root
+    /// (`"graph"` or `"weight"` names the tree). The challenger verifies
+    /// records against its trees' cached leaf digests, so a tree that does
+    /// not match its root is refused outright, never worked around by
+    /// rehashing.
+    AnchorMismatch {
+        /// Which tree disagrees with its committed root.
+        tree: &'static str,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -92,6 +101,9 @@ impl fmt::Display for ProtocolError {
             ProtocolError::BadCommittee(m) => write!(f, "bad committee: {m}"),
             ProtocolError::MissingThreshold(node) => {
                 write!(f, "no committed threshold for operator {node}")
+            }
+            ProtocolError::AnchorMismatch { tree } => {
+                write!(f, "the {tree} tree does not have the committed {tree} root")
             }
         }
     }

@@ -41,7 +41,7 @@ pub use gas::{GasEvent, GasMeter};
 pub use tao_money::{Money, Ppm};
 pub use par::{parallel_map, MAX_PAR_THREADS, MAX_WORKERS};
 pub use record::{
-    make_record, make_record_with, verify_record, verify_record_anchored, SubgraphRecord,
+    make_record, make_record_with, verify_record, verify_record_anchored, ParamIndex, SubgraphRecord,
     TraceDigestCache,
 };
 pub use screen::{screen_batch, screen_claim, screen_claim_committed, ClaimCheck, Screening};

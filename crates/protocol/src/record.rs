@@ -15,10 +15,11 @@ use std::collections::HashMap;
 
 use tao_graph::{Execution, Graph, NodeId, Subgraph};
 use tao_merkle::{
-    tensor_hash, verify_graph_leaf, verify_inclusion, verify_weight_leaf, Digest, InclusionProof,
-    MerkleTree, Sha256, TraceCommitment,
+    tensor_hash, verify_graph_leaf, verify_inclusion, verify_inclusion_digest, verify_weight_leaf,
+    Digest, FastSha256, InclusionProof, MerkleTree, TraceCommitment,
 };
 
+use crate::dispute::DisputeAnchors;
 use crate::error::ProtocolError;
 use crate::Result;
 
@@ -71,7 +72,7 @@ impl<'a> TraceDigestCache<'a> {
     ///
     /// Returns an error for an out-of-range node id.
     pub fn list_hash(&mut self, trace: &Execution, ids: &[NodeId]) -> Result<Digest> {
-        let mut h = Sha256::new();
+        let mut h = FastSha256::new();
         for &id in ids {
             h.update(&self.digest(trace, id)?);
         }
@@ -143,6 +144,33 @@ impl SubgraphRecord {
     }
 }
 
+/// Leaf position of every parameter name in the weight tree (the state
+/// dict's sorted key order). Built once per dispute and shared by record
+/// construction and verification.
+#[derive(Debug, Clone)]
+pub struct ParamIndex<'g> {
+    positions: HashMap<&'g str, usize>,
+}
+
+impl<'g> ParamIndex<'g> {
+    /// Indexes `graph`'s parameters in weight-tree leaf order.
+    pub fn new(graph: &'g Graph) -> Self {
+        ParamIndex {
+            positions: graph
+                .params()
+                .keys()
+                .enumerate()
+                .map(|(i, k)| (k.as_str(), i))
+                .collect(),
+        }
+    }
+
+    /// The weight-tree leaf index of parameter `name`.
+    pub(crate) fn get(&self, name: &str) -> Option<usize> {
+        self.positions.get(name).copied()
+    }
+}
+
 /// Builds a record for a slice from the proposer's trace (proposer side),
 /// rehashing both interface tensor lists from scratch. Convenience wrapper
 /// over [`make_record_with`] with a fresh digest cache.
@@ -158,20 +186,21 @@ pub fn make_record(
     trace: &Execution,
 ) -> Result<SubgraphRecord> {
     let mut cache = TraceDigestCache::new(None);
-    make_record_with(graph, graph_tree, weight_tree, sub, trace, &mut cache)
+    let params = ParamIndex::new(graph);
+    make_record_with(graph_tree, weight_tree, &params, sub, trace, &mut cache)
 }
 
 /// Builds a record for a slice, deriving the interface hashes from the
 /// digest cache (zero tensor rehashing when the cache is backed by a
-/// [`TraceCommitment`]).
+/// [`TraceCommitment`]) and locating parameter leaves through `params`.
 ///
 /// # Errors
 ///
 /// Returns an error when a proof index is out of range.
 pub fn make_record_with(
-    graph: &Graph,
     graph_tree: &MerkleTree,
     weight_tree: &MerkleTree,
+    params: &ParamIndex<'_>,
     sub: &Subgraph,
     trace: &Execution,
     cache: &mut TraceDigestCache<'_>,
@@ -202,10 +231,8 @@ pub fn make_record_with(
     }
     let mut param_proofs = Vec::new();
     for name in &sub.param_refs {
-        let leaf_index = graph
-            .params()
-            .keys()
-            .position(|k| k == name)
+        let leaf_index = params
+            .get(name)
             .ok_or_else(|| ProtocolError::BadRecord(format!("unknown parameter {name:?}")))?;
         let proof = weight_tree
             .prove(leaf_index)
@@ -222,50 +249,108 @@ pub fn make_record_with(
     })
 }
 
-/// Verifies a record against the committed roots (challenger side).
-///
-/// Returns the number of Merkle proof verifications performed (the
-/// paper's "Merkle checks" metric).
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::BadRecord`] on any failed proof.
-pub fn verify_record(
-    graph: &Graph,
-    graph_root: &Digest,
-    weight_root: &Digest,
-    record: &SubgraphRecord,
-) -> Result<u64> {
-    verify_record_anchored(graph, graph_root, weight_root, None, record).map(|(checks, _)| checks)
+/// Where a verifier takes each proven leaf's digest from.
+enum LeafSource<'a> {
+    /// Re-serialize the graph's node or parameter and hash it: the oracle.
+    Rehash,
+    /// The leaf digests of the verifier's own trees, built from the graph.
+    Cached {
+        graph_leaves: &'a [Digest],
+        weight_leaves: &'a [Digest],
+        params: &'a ParamIndex<'a>,
+    },
 }
 
-/// [`verify_record`] with the reveal-verification rule: when `trace_root`
-/// is the root bound into `C0`, **every** live-in and live-out node must
-/// carry a revealed digest that opens against it via a Merkle path, and
-/// the record's interface hashes must re-derive from exactly those
-/// revealed digests. A tampered or stale digest cache therefore cannot
-/// steer the round — it fails here, attributably.
+/// Verifies a record against the committed roots by re-serializing and
+/// rehashing every proven leaf (challenger side, no trees needed). This is
+/// the oracle for [`verify_record_anchored`]: both return the same counts
+/// or the same error for any record.
+///
+/// With `trace_root`, the reveal rule of [`verify_record_anchored`]
+/// applies too.
 ///
 /// Returns `(merkle_checks, reveal_checks)`.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError::BadRecord`] on any failed provenance proof and
-/// [`ProtocolError::RevealMismatch`] (naming the first offending node) on
-/// a missing, mis-indexed, or non-opening reveal, or interface hashes that
-/// do not re-derive from the revealed digests.
-pub fn verify_record_anchored(
+/// As [`verify_record_anchored`], except [`ProtocolError::AnchorMismatch`]:
+/// there are no trees to check.
+pub fn verify_record(
     graph: &Graph,
     graph_root: &Digest,
     weight_root: &Digest,
     trace_root: Option<&Digest>,
     record: &SubgraphRecord,
 ) -> Result<(u64, u64)> {
+    verify_with(graph, graph_root, weight_root, trace_root, record, LeafSource::Rehash)
+}
+
+/// Verifies a record against the dispute's anchors (challenger side):
+/// every op and parameter proof is checked against the leaf digest the
+/// challenger's own tree already holds, so no node signature or parameter
+/// tensor is serialized or hashed. Only the proof paths are hashed.
+///
+/// The reveal rule: when the anchors carry the trace root bound into `C0`,
+/// **every** live-in and live-out node must carry a revealed digest that
+/// opens against it via a Merkle path, and the record's interface hashes
+/// must re-derive from exactly those revealed digests. A tampered or stale
+/// digest cache therefore cannot steer the round. It fails here,
+/// attributably.
+///
+/// Sound under the precondition documented on [`DisputeAnchors`]: the
+/// trees are the verifier's own, built from `graph`.
+///
+/// Returns `(merkle_checks, reveal_checks)`.
+///
+/// # Errors
+///
+/// Returns [`ProtocolError::AnchorMismatch`] when a tree's root differs
+/// from its committed root, a graph error for an op index or parameter
+/// name the graph does not have, [`ProtocolError::BadRecord`] on any
+/// failed provenance proof, and [`ProtocolError::RevealMismatch`] (naming
+/// the first offending node) on a missing, mis-indexed, or non-opening
+/// reveal, or interface hashes that do not re-derive from the revealed
+/// digests.
+pub fn verify_record_anchored(
+    graph: &Graph,
+    anchors: &DisputeAnchors<'_>,
+    params: &ParamIndex<'_>,
+    record: &SubgraphRecord,
+) -> Result<(u64, u64)> {
+    anchors.check_roots()?;
+    verify_with(
+        graph,
+        anchors.graph_root,
+        anchors.weight_root,
+        anchors.trace_root,
+        record,
+        LeafSource::Cached {
+            graph_leaves: anchors.graph_tree.leaf_digests(),
+            weight_leaves: anchors.weight_tree.leaf_digests(),
+            params,
+        },
+    )
+}
+
+fn verify_with(
+    graph: &Graph,
+    graph_root: &Digest,
+    weight_root: &Digest,
+    trace_root: Option<&Digest>,
+    record: &SubgraphRecord,
+    leaves: LeafSource<'_>,
+) -> Result<(u64, u64)> {
     let mut checks = 0u64;
     for (idx, proof) in &record.op_proofs {
-        let node = graph.node(tao_graph::NodeId(*idx))?;
+        let node = graph.node(NodeId(*idx))?;
         checks += 1;
-        if !verify_graph_leaf(graph_root, node, proof) {
+        let ok = match &leaves {
+            LeafSource::Rehash => verify_graph_leaf(graph_root, node, proof),
+            LeafSource::Cached { graph_leaves, .. } => graph_leaves
+                .get(*idx)
+                .is_some_and(|&leaf| verify_inclusion_digest(graph_root, leaf, proof)),
+        };
+        if !ok {
             return Err(ProtocolError::BadRecord(format!(
                 "graph proof for node {idx} invalid"
             )));
@@ -274,49 +359,68 @@ pub fn verify_record_anchored(
     for (name, proof) in &record.param_proofs {
         let tensor = graph.param(name)?;
         checks += 1;
-        if !verify_weight_leaf(weight_root, name, tensor, proof) {
+        let ok = match &leaves {
+            LeafSource::Rehash => verify_weight_leaf(weight_root, name, tensor, proof),
+            LeafSource::Cached {
+                weight_leaves,
+                params,
+                ..
+            } => params
+                .get(name)
+                .and_then(|k| weight_leaves.get(k))
+                .is_some_and(|&leaf| verify_inclusion_digest(weight_root, leaf, proof)),
+        };
+        if !ok {
             return Err(ProtocolError::BadRecord(format!(
                 "weight proof for {name:?} invalid"
             )));
         }
     }
+    let reveal_checks = match trace_root {
+        Some(root) => verify_reveals(root, record)?,
+        None => 0,
+    };
+    Ok((checks, reveal_checks))
+}
+
+/// The reveal rule shared by both verifiers; returns the reveal count.
+fn verify_reveals(root: &Digest, record: &SubgraphRecord) -> Result<u64> {
+    let revealed: HashMap<usize, (&Digest, &InclusionProof)> = record
+        .trace_reveals
+        .iter()
+        .map(|(id, d, p)| (*id, (d, p)))
+        .collect();
     let mut reveal_checks = 0u64;
-    if let Some(root) = trace_root {
-        let revealed: HashMap<usize, (&Digest, &InclusionProof)> = record
-            .trace_reveals
-            .iter()
-            .map(|(id, d, p)| (*id, (d, p)))
-            .collect();
-        for (ids, want, side) in [
-            (&record.sub.live_in, &record.live_in_hash, "live-in"),
-            (&record.sub.live_out, &record.live_out_hash, "live-out"),
-        ] {
-            let mut h = Sha256::new();
-            for &id in ids.iter() {
-                let (digest, proof) = revealed.get(&id.0).ok_or_else(|| {
-                    ProtocolError::RevealMismatch {
+    for (ids, want, side) in [
+        (&record.sub.live_in, &record.live_in_hash, "live-in"),
+        (&record.sub.live_out, &record.live_out_hash, "live-out"),
+    ] {
+        let mut h = FastSha256::new();
+        for &id in ids.iter() {
+            let (digest, proof) =
+                revealed
+                    .get(&id.0)
+                    .ok_or_else(|| ProtocolError::RevealMismatch {
                         node: id,
                         detail: format!("{side} digest never revealed"),
-                    }
-                })?;
-                reveal_checks += 1;
-                if proof.index != id.0 || !verify_inclusion(root, &digest[..], proof) {
-                    return Err(ProtocolError::RevealMismatch {
-                        node: id,
-                        detail: format!("{side} reveal does not open against the committed root"),
-                    });
-                }
-                h.update(&digest[..]);
-            }
-            if h.finalize() != *want {
+                    })?;
+            reveal_checks += 1;
+            if proof.index != id.0 || !verify_inclusion(root, &digest[..], proof) {
                 return Err(ProtocolError::RevealMismatch {
-                    node: *ids.first().unwrap_or(&NodeId(record.sub.start)),
-                    detail: format!("{side} hash does not re-derive from the revealed digests"),
+                    node: id,
+                    detail: format!("{side} reveal does not open against the committed root"),
                 });
             }
+            h.update(&digest[..]);
+        }
+        if h.finalize() != *want {
+            return Err(ProtocolError::RevealMismatch {
+                node: *ids.first().unwrap_or(&NodeId(record.sub.start)),
+                detail: format!("{side} hash does not re-derive from the revealed digests"),
+            });
         }
     }
-    Ok((checks, reveal_checks))
+    Ok(reveal_checks)
 }
 
 #[cfg(test)]
@@ -346,7 +450,8 @@ mod tests {
         let (g, exec, gt, wt) = setup();
         let sub = extract(&g, 2, 4).unwrap();
         let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
-        let checks = verify_record(&g, &gt.root(), &wt.root(), &rec).unwrap();
+        let (checks, reveals) = verify_record(&g, &gt.root(), &wt.root(), None, &rec).unwrap();
+        assert_eq!(reveals, 0);
         assert_eq!(
             checks as usize,
             rec.op_proofs.len() + rec.param_proofs.len()
@@ -361,7 +466,7 @@ mod tests {
         let sub = extract(&g, 2, 3).unwrap();
         let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
         assert_eq!(rec.param_proofs.len(), 1);
-        assert!(verify_record(&g, &gt.root(), &wt.root(), &rec).is_ok());
+        assert!(verify_record(&g, &gt.root(), &wt.root(), None, &rec).is_ok());
     }
 
     #[test]
@@ -371,7 +476,7 @@ mod tests {
         let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
         let mut bad_root = gt.root();
         bad_root[0] ^= 0xff;
-        assert!(verify_record(&g, &bad_root, &wt.root(), &rec).is_err());
+        assert!(verify_record(&g, &bad_root, &wt.root(), None, &rec).is_err());
     }
 
     #[test]
@@ -380,7 +485,7 @@ mod tests {
         let sub = extract(&g, 2, 4).unwrap();
         let mut rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
         rec.op_proofs[0].0 = 0; // Claim the slice starts at a different op.
-        assert!(verify_record(&g, &gt.root(), &wt.root(), &rec).is_err());
+        assert!(verify_record(&g, &gt.root(), &wt.root(), None, &rec).is_err());
     }
 
     #[test]
@@ -394,7 +499,8 @@ mod tests {
         // zero rehashed leaves, and the reveals open against the root.
         let commitment = tao_merkle::TraceCommitment::build(&exec.values);
         let mut cache = TraceDigestCache::new(Some(&commitment));
-        let cached = make_record_with(&g, &gt, &wt, &sub, &exec, &mut cache).unwrap();
+        let params = ParamIndex::new(&g);
+        let cached = make_record_with(&gt, &wt, &params, &sub, &exec, &mut cache).unwrap();
         assert_eq!(cached.live_in_hash, plain.live_in_hash);
         assert_eq!(cached.live_out_hash, plain.live_out_hash);
         assert_eq!(cached.op_proofs, plain.op_proofs);
@@ -406,32 +512,64 @@ mod tests {
         assert!(cached.byte_size() > plain.byte_size());
         assert_eq!(cache.rehashed_leaves(), 0);
         let root = commitment.root();
-        let (_, reveal_checks) =
-            verify_record_anchored(&g, &gt.root(), &wt.root(), Some(&root), &cached).unwrap();
+        let (gr, wr) = (gt.root(), wt.root());
+        let anchors = DisputeAnchors {
+            graph_tree: &gt,
+            weight_tree: &wt,
+            graph_root: &gr,
+            weight_root: &wr,
+            trace_root: Some(&root),
+        };
+        let (_, reveal_checks) = verify_record_anchored(&g, &anchors, &params, &cached).unwrap();
         assert_eq!(reveal_checks as usize, cached.trace_reveals.len());
+        assert_eq!(
+            verify_record(&g, &gr, &wr, Some(&root), &cached),
+            verify_record_anchored(&g, &anchors, &params, &cached)
+        );
         // The plain record carries no reveals, so anchored verification
         // must reject it: reveals are mandatory once a root is committed.
         assert!(matches!(
-            verify_record_anchored(&g, &gt.root(), &wt.root(), Some(&root), &plain),
+            verify_record_anchored(&g, &anchors, &params, &plain),
             Err(ProtocolError::RevealMismatch { .. })
         ));
         // A tampered revealed digest fails to open against the root.
         let mut tampered = cached.clone();
         tampered.trace_reveals[0].1[0] ^= 0x01;
         assert!(matches!(
-            verify_record_anchored(&g, &gt.root(), &wt.root(), Some(&root), &tampered),
+            verify_record_anchored(&g, &anchors, &params, &tampered),
             Err(ProtocolError::RevealMismatch { .. })
         ));
 
         // Lazy cache: same record, rehashes each node once then memoizes.
         let mut lazy = TraceDigestCache::new(None);
-        let first = make_record_with(&g, &gt, &wt, &sub, &exec, &mut lazy).unwrap();
+        let first = make_record_with(&gt, &wt, &params, &sub, &exec, &mut lazy).unwrap();
         assert_eq!(first, plain);
         let after_first = lazy.rehashed_leaves();
         assert!(after_first > 0);
-        let second = make_record_with(&g, &gt, &wt, &sub, &exec, &mut lazy).unwrap();
+        let second = make_record_with(&gt, &wt, &params, &sub, &exec, &mut lazy).unwrap();
         assert_eq!(second, plain);
         assert_eq!(lazy.rehashed_leaves(), after_first, "memoized across rounds");
+    }
+
+    #[test]
+    fn anchored_verification_refuses_a_tree_off_its_root() {
+        let (g, exec, gt, wt) = setup();
+        let sub = extract(&g, 2, 4).unwrap();
+        let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
+        let params = ParamIndex::new(&g);
+        let (gr, mut wr) = (gt.root(), wt.root());
+        wr[0] ^= 0x01;
+        let anchors = DisputeAnchors {
+            graph_tree: &gt,
+            weight_tree: &wt,
+            graph_root: &gr,
+            weight_root: &wr,
+            trace_root: None,
+        };
+        assert_eq!(
+            verify_record_anchored(&g, &anchors, &params, &rec),
+            Err(ProtocolError::AnchorMismatch { tree: "weight" })
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use tao_graph::{execute_observed, forward_observed, BufferPool, GraphBuilder, OpKind};
 use tao_merkle::{
     canon_tensor, sha256, sha256_batch_with, sha256_with, tensor_hash, tensor_hash_reference,
-    Backend, Digest, FastSha256, MerkleTree, Sha256, StreamingCommitter, TokenChain,
-    TraceCommitment,
+    verify_inclusion_digest, verify_inclusion_digest_reference, Backend, Digest, FastSha256,
+    MerkleTree, MultiSha256, Sha256, StreamingCommitter, TokenChain, TraceCommitment,
 };
 use tao_tensor::{KernelConfig, Tensor};
 
@@ -91,6 +91,44 @@ proptest! {
                 let fast = MerkleTree::from_leaf_digests_with(digests.clone(), backend, threads);
                 prop_assert_eq!(&fast, &oracle, "{:?} threads={}", backend, threads);
             }
+        }
+    }
+
+    /// Inclusion verdicts on the fast path-hashing backend equal the seed
+    /// scalar path walk for every proof of a tree: valid proofs, and
+    /// proofs with a flipped sibling bit, a shifted index or a different
+    /// leaf.
+    #[test]
+    fn inclusion_verdicts_equal_reference_for_valid_and_tampered_proofs(
+        n in 1usize..70,
+        seed in 0u8..255,
+        tamper in 0usize..4,
+        bit in 0usize..256,
+    ) {
+        let leaves: Vec<Vec<u8>> = (0..n)
+            .map(|i| message(9 + i % 5, (i as u8).wrapping_mul(seed)))
+            .collect();
+        let tree = MerkleTree::from_leaves(&leaves);
+        let root = tree.root();
+        for (idx, &leaf) in tree.leaf_digests().iter().enumerate() {
+            let mut leaf = leaf;
+            let mut proof = tree.prove(idx).unwrap();
+            prop_assert!(verify_inclusion_digest(&root, leaf, &proof), "leaf {}", idx);
+            match tamper {
+                0 => {
+                    if let Some(s) = proof.siblings.iter_mut().flatten().next() {
+                        s[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                1 => proof.index ^= 1 << (bit % 7),
+                2 => leaf[bit / 8] ^= 1 << (bit % 8),
+                _ => {}
+            }
+            prop_assert_eq!(
+                verify_inclusion_digest(&root, leaf, &proof),
+                verify_inclusion_digest_reference(&root, leaf, &proof),
+                "leaf {}", idx
+            );
         }
     }
 
@@ -208,6 +246,28 @@ fn padding_boundaries_on_every_backend() {
         let want = sha256(&data);
         for backend in Backend::available() {
             assert_eq!(sha256_with(backend, &data), want, "{backend:?} len {len}");
+        }
+    }
+}
+
+/// One-shot finalization padding: every message length 0..=300 (every
+/// padding branch, 55/56/63/64/119/120 included) hashed one-shot, split and
+/// eight lanes wide on every backend equals the scalar oracle.
+#[test]
+fn one_update_padding_equals_oracle_for_every_length() {
+    for len in 0..=300usize {
+        let msgs: Vec<Vec<u8>> = (0..8).map(|j| message(len, j as u8)).collect();
+        let want: Vec<Digest> = msgs.iter().map(|m| sha256(m)).collect();
+        for backend in Backend::available() {
+            let mut h = FastSha256::with_backend(backend);
+            h.update(&msgs[0][..len / 3]);
+            h.update(&msgs[0][len / 3..]);
+            assert_eq!(h.finalize(), want[0], "{backend:?} split len {len}");
+            assert_eq!(sha256_with(backend, &msgs[1]), want[1], "{backend:?} len {len}");
+            let mut lanes = MultiSha256::<8>::new(backend);
+            lanes.update(std::array::from_fn(|j| &msgs[j][..len / 2]));
+            lanes.update(std::array::from_fn(|j| &msgs[j][len / 2..]));
+            assert_eq!(lanes.finalize().to_vec(), want, "{backend:?} lanes len {len}");
         }
     }
 }

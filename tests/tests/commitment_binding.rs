@@ -7,10 +7,11 @@
 use tao::{deploy, Deployment};
 use tao_device::{Device, Fleet};
 use tao_graph::{execute, execute_observed, Perturbations};
-use tao_merkle::{StreamingCommitter, TraceCommitment};
+use tao_merkle::{MerkleTree, StreamingCommitter, TraceCommitment};
 use tao_models::{bert, data, BertConfig};
 use tao_protocol::{
     run_dispute, ChallengerView, DisputeConfig, DisputeOutcome, DisputeResult, ProposerView,
+    ProtocolError,
 };
 use tao_tensor::Tensor;
 
@@ -176,4 +177,34 @@ fn dropping_the_commitment_is_no_escape_hatch() {
         "withheld commitment must be a breach: {:?}",
         outcome.result
     );
+}
+
+#[test]
+fn anchor_tree_off_its_committed_root_is_refused() {
+    let (d, inputs, _) = deployment();
+    let graph = &d.model.graph;
+    let trace = execute(graph, &inputs, Device::rtx4090_like().config(), None).unwrap();
+    let challenger = Device::h100_like();
+    // A tree whose root differs from the committed one would have the
+    // challenger check proofs against the wrong leaf digests, so the
+    // dispute is refused with a typed error before any record is posted.
+    let foreign = MerkleTree::from_leaves(&[b"not the committed tree".to_vec()]);
+    for tree in ["graph", "weight"] {
+        let mut anchors = d.dispute_anchors();
+        if tree == "graph" {
+            anchors.graph_tree = &foreign;
+        } else {
+            anchors.weight_tree = &foreign;
+        }
+        let got = run_dispute(
+            graph,
+            anchors,
+            ProposerView::new(&trace),
+            &inputs,
+            ChallengerView::fresh(&challenger),
+            &d.thresholds,
+            DisputeConfig { n_way: 2 },
+        );
+        assert_eq!(got.unwrap_err(), ProtocolError::AnchorMismatch { tree });
+    }
 }

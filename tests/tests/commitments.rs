@@ -86,7 +86,7 @@ fn subgraph_records_bind_interfaces_across_whole_model() {
     for (s, e) in quarters {
         let sub = extract(&m.graph, s, e).unwrap();
         let rec = make_record(&m.graph, &gt, &wt, &sub, &exec).unwrap();
-        let checks = verify_record(&m.graph, &gt.root(), &wt.root(), &rec).unwrap();
+        let (checks, _) = verify_record(&m.graph, &gt.root(), &wt.root(), None, &rec).unwrap();
         assert!(checks > 0);
         if let Some(&out_node) = sub.live_out.first() {
             let mut tampered = exec.clone();
