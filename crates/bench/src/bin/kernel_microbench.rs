@@ -22,7 +22,7 @@ use std::time::Instant;
 use tao_bench::print_table;
 use tao_tensor::kernel::{gemm, gemm_into, gemm_packed_into, PackedLhs, PackedRhs};
 use tao_tensor::quant::{quant_gemm_into, quant_gemm_reference, quantize_symmetric};
-use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathLib, Tensor};
+use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathElement, MathLib, Shape, Tensor};
 
 /// Median wall-clock seconds of `samples` runs of `f` (one warm-up run).
 fn median_secs<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -77,6 +77,157 @@ fn export_csv(id: &str, secs: f64, flops: u64) {
         file,
         "{},1,{ns},{ns},{ns},0,flops,{flops},0",
         id.replace(',', ";")
+    );
+}
+
+/// Median wall-clock seconds per call of `f`, timing `reps` calls per
+/// sample so microsecond-scale ops rise above the timer resolution.
+fn median_secs_per_call<R>(samples: usize, reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    median_secs(samples, || {
+        for _ in 0..reps {
+            std::hint::black_box(f());
+        }
+    }) / reps as f64
+}
+
+/// Per-element oracle for the strided layout ops: output element `flat`
+/// reads `src` at the offset `at` computes from its multi-index.
+fn per_element_gather(src: &[f32], out_dims: &[usize], at: impl Fn(&[usize]) -> usize) -> Vec<f32> {
+    let shape = Shape::new(out_dims);
+    (0..shape.volume())
+        .map(|flat| src[at(&shape.unravel(flat))])
+        .collect()
+}
+
+/// Per-op overhead table: the small, per-element-bound ops of a forward
+/// pass at the shapes the bundled models run them, each timed against
+/// its per-element oracle and bit-compared.
+fn per_op_overhead_table(samples: usize, reps: usize) {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut row = |op: String, fast: &[f32], slow: &[f32], t_fast: f64, t_slow: f64| {
+        assert_bits_eq(fast, slow, &op);
+        rows.push(vec![
+            op,
+            format!("{:.2}us", 1e6 * t_slow),
+            format!("{:.2}us", 1e6 * t_fast),
+            format!("{:.2}x", t_slow / t_fast),
+        ]);
+    };
+
+    // permute [8,4,8] -> [4,8,8]: the attention head split.
+    let x = Tensor::<f32>::rand_uniform(&[8, 4, 8], -1.0, 1.0, 11);
+    let perm = [1usize, 0, 2];
+    let strides = x.shape().strides();
+    let oracle = || {
+        per_element_gather(x.data(), &[4, 8, 8], |i| {
+            i.iter().zip(&perm).map(|(&ix, &p)| ix * strides[p]).sum()
+        })
+    };
+    row(
+        "permute [8,4,8]->[4,8,8]".into(),
+        x.permute(&perm).unwrap().data(),
+        &oracle(),
+        median_secs_per_call(samples, reps, || x.permute(&perm).unwrap()),
+        median_secs_per_call(samples, reps, oracle),
+    );
+
+    // masked_fill: an [8,8] causal mask broadcast over [4,8,8] scores.
+    let scores = Tensor::<f32>::rand_uniform(&[4, 8, 8], -1.0, 1.0, 12);
+    let mask_data: Vec<f32> = (0..64)
+        .map(|i| if i % 8 > i / 8 { 1.0 } else { 0.0 })
+        .collect();
+    let mask = Tensor::from_vec(mask_data, &[8, 8]).unwrap();
+    let oracle = || -> Vec<f32> {
+        let picked = per_element_gather(mask.data(), &[4, 8, 8], |i| i[1] * 8 + i[2]);
+        scores
+            .data()
+            .iter()
+            .zip(&picked)
+            .map(|(&v, &m)| if m != 0.0 { -1e9 } else { v })
+            .collect()
+    };
+    row(
+        "masked_fill [8,8] over [4,8,8]".into(),
+        scores.masked_fill(&mask, -1e9).unwrap().data(),
+        &oracle(),
+        median_secs_per_call(samples, reps, || scores.masked_fill(&mask, -1e9).unwrap()),
+        median_secs_per_call(samples, reps, oracle),
+    );
+
+    // silu [8,96] under every intrinsic family, against the plain
+    // per-element loop over the same `sigmoid_with` call.
+    let act = Tensor::<f32>::rand_uniform(&[8, 96], -6.0, 6.0, 13);
+    for math in [MathLib::Reference, MathLib::VariantA, MathLib::VariantB] {
+        let cfg = KernelConfig {
+            math,
+            ..KernelConfig::reference()
+        };
+        let oracle = || -> Vec<f32> {
+            act.data()
+                .iter()
+                .map(|&v| v * v.sigmoid_with(math))
+                .collect()
+        };
+        row(
+            format!("silu [8,96] {math:?}"),
+            act.silu(&cfg).data(),
+            &oracle(),
+            median_secs_per_call(samples, reps, || act.silu(&cfg)),
+            median_secs_per_call(samples, reps, oracle),
+        );
+    }
+
+    // A ResNet-small 3x3 conv: 8 -> 8 channels on 8x8, padding 1.
+    let cfg = KernelConfig {
+        accum: AccumMode::Blocked(32),
+        fma: true,
+        math: MathLib::VariantA,
+    };
+    let img = Tensor::<f32>::rand_uniform(&[1, 8, 8, 8], -1.0, 1.0, 14);
+    let w = Tensor::<f32>::rand_uniform(&[8, 8, 3, 3], -0.3, 0.3, 15);
+    let params = Conv2dParams {
+        stride: 1,
+        padding: 1,
+    };
+    row(
+        "conv2d 8x8x3x3 on 8x8, blocked(32)+fma".into(),
+        img.conv2d(&w, None, params, &cfg).unwrap().data(),
+        img.conv2d_reference(&w, None, params, &cfg).unwrap().data(),
+        median_secs_per_call(samples, reps, || {
+            img.conv2d(&w, None, params, &cfg).unwrap()
+        }),
+        median_secs_per_call(samples, reps, || {
+            img.conv2d_reference(&w, None, params, &cfg).unwrap()
+        }),
+    );
+
+    // The challenger's pairwise Linear: 8 rows, 32 -> 32 features.
+    let cfg = KernelConfig {
+        accum: AccumMode::Pairwise,
+        fma: true,
+        math: MathLib::VariantA,
+    };
+    let xs = Tensor::<f32>::rand_uniform(&[8, 32], -1.0, 1.0, 16);
+    let lw = Tensor::<f32>::rand_uniform(&[32, 32], -0.3, 0.3, 17);
+    row(
+        "linear 8x32x32, pairwise+fma".into(),
+        xs.linear(&lw, None, &cfg).unwrap().data(),
+        xs.linear_reference(&lw, None, &cfg).unwrap().data(),
+        median_secs_per_call(samples, reps, || xs.linear(&lw, None, &cfg).unwrap()),
+        median_secs_per_call(samples, reps, || {
+            xs.linear_reference(&lw, None, &cfg).unwrap()
+        }),
+    );
+
+    print_table(
+        &format!(
+            "Kernel microbench — per-op overhead, fast path vs per-element oracle ({cores} cores)"
+        ),
+        &["op", "oracle", "fast path", "speedup"],
+        &rows,
     );
 }
 
@@ -285,16 +436,15 @@ fn main() {
     let gemm_flops = 2 * (dim as u64).pow(3);
     export_csv(&format!("int8_gemm_{dim}"), t_i8, gemm_flops);
     export_csv(&format!("int8_gemm_oracle_{dim}"), t_i8_oracle, gemm_flops);
-    export_csv(&format!("f32_gemm_blocked_{dim}"), t_f32_blocked, gemm_flops);
+    export_csv(
+        &format!("f32_gemm_blocked_{dim}"),
+        t_f32_blocked,
+        gemm_flops,
+    );
     let int8_vs_f32 = t_f32_blocked / t_i8;
     print_table(
         &format!("Kernel microbench — int8 GEMM {dim}x{dim}x{dim} vs blocked f32 (avx2: {avx2})"),
-        &[
-            "kernel",
-            "time",
-            "vs blocked f32",
-            "vs int8 scalar oracle",
-        ],
+        &["kernel", "time", "vs blocked f32", "vs int8 scalar oracle"],
         &[
             vec![
                 "blocked f32 + fma".into(),
@@ -364,8 +514,16 @@ fn main() {
         assert_bits_eq(&scores, &unpacked, "packed-lhs attention gemm");
     }
     let att_flops = 2 * (heads * seq * hd * seq) as u64;
-    export_csv(&format!("attention_gemm_unpacked_{heads}x{seq}x{hd}"), t_unpacked, att_flops);
-    export_csv(&format!("attention_gemm_packed_lhs_{heads}x{seq}x{hd}"), t_packed, att_flops);
+    export_csv(
+        &format!("attention_gemm_unpacked_{heads}x{seq}x{hd}"),
+        t_unpacked,
+        att_flops,
+    );
+    export_csv(
+        &format!("attention_gemm_packed_lhs_{heads}x{seq}x{hd}"),
+        t_packed,
+        att_flops,
+    );
     let lhs_speedup = t_unpacked / t_packed;
     print_table(
         &format!(
@@ -393,6 +551,9 @@ fn main() {
             "packed-lhs attention matmul ran at {lhs_speedup:.2}x unpacked, below the 1.2x floor"
         );
     }
+
+    // --- per-op overhead: the forward pass's small ops ------------------
+    per_op_overhead_table(samples, if smoke { 20 } else { 200 });
 
     println!(
         "\nAll timed pairs bit-compared against the scalar oracles: OK.\n\

@@ -70,8 +70,8 @@ impl<T: Scalar> PackedRhs<T> {
     /// output column `col` is produced by `at(kk, col)`.
     ///
     /// This closure form lets callers pack straight from their natural
-    /// layout — row-major matrices, transposed weight matrices, or im2col
-    /// gathers — without materializing an intermediate matrix.
+    /// layout — row-major or transposed matrices — without materializing
+    /// an intermediate matrix.
     pub fn pack_with(k: usize, n: usize, at: impl Fn(usize, usize) -> T) -> Self {
         let num_panels = n.div_ceil(PANEL);
         let mut panels = vec![T::ZERO; num_panels * k * PANEL];
@@ -245,6 +245,9 @@ fn dot_tile<T: Element>(cfg: &KernelConfig, a: &[T], panel: &[T]) -> [T; PANEL] 
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+pub(crate) use x86::have_fma_simd;
+
 /// AVX2/FMA register-tile specialization for `f32`.
 ///
 /// Each 256-bit vector holds the [`PANEL`] independent accumulator lanes;
@@ -261,7 +264,7 @@ mod x86 {
     use std::sync::OnceLock;
 
     /// Runtime AVX2+FMA detection, cached after the first call.
-    pub(super) fn have_fma_simd() -> bool {
+    pub(crate) fn have_fma_simd() -> bool {
         static HAVE: OnceLock<bool> = OnceLock::new();
         *HAVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
     }
@@ -306,28 +309,62 @@ mod x86 {
         acc
     }
 
+    /// Pairwise tile: recursion splits at the scalar midpoints down to
+    /// four terms, whose subtrees [`pairwise_leaf`] evaluates inline.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA and `panel.len() >= a.len() * PANEL`.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn pairwise_v(a: &[f32], panel: &[f32], fma: bool) -> __m256 {
-        let p = panel.as_ptr();
-        match a.len() {
-            0 => _mm256_setzero_ps(),
-            1 => _mm256_mul_ps(_mm256_set1_ps(a[0]), _mm256_loadu_ps(p)),
-            2 => {
-                let m0 = _mm256_mul_ps(_mm256_set1_ps(a[0]), _mm256_loadu_ps(p));
-                let r1 = _mm256_loadu_ps(p.add(PANEL));
-                if fma {
-                    _mm256_fmadd_ps(_mm256_set1_ps(a[1]), r1, m0)
-                } else {
-                    _mm256_add_ps(m0, _mm256_mul_ps(_mm256_set1_ps(a[1]), r1))
-                }
-            }
-            n => {
-                let mid = n / 2;
-                let left = pairwise_v(&a[..mid], &panel[..mid * PANEL], fma);
-                let right = pairwise_v(&a[mid..], &panel[mid * PANEL..], fma);
-                _mm256_add_ps(left, right)
-            }
+        if a.len() <= 4 {
+            return pairwise_leaf::<1>(a, panel, fma)[0];
         }
+        let mid = a.len() / 2;
+        let left = pairwise_v(&a[..mid], &panel[..mid * PANEL], fma);
+        let right = pairwise_v(&a[mid..], &panel[mid * PANEL..], fma);
+        _mm256_add_ps(left, right)
+    }
+
+    /// The scalar `pairwise_dot` tree for `k <= 4` terms, unrolled, for
+    /// `R` interleaved rows (`a[kk * R + r]` is term `kk` of row `r`):
+    /// `k = 3` splits as `[0] + [1, 2]`, `k = 4` as `[0, 1] + [2, 3]`, and
+    /// a two-term pair is `a0*b0 + a1*b1` (or `fma(a1, b1, a0*b0)`).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA, `a.len() / R <= 4`, and
+    /// `panel.len() >= (a.len() / R) * PANEL`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn pairwise_leaf<const R: usize>(a: &[f32], panel: &[f32], fma: bool) -> [__m256; R] {
+        let p = panel.as_ptr();
+        let prod = |kk: usize, r: usize| {
+            _mm256_mul_ps(
+                _mm256_set1_ps(a[kk * R + r]),
+                _mm256_loadu_ps(p.add(kk * PANEL)),
+            )
+        };
+        let pair = |kk: usize, r: usize| {
+            let row = _mm256_loadu_ps(p.add((kk + 1) * PANEL));
+            let av = _mm256_set1_ps(a[(kk + 1) * R + r]);
+            if fma {
+                _mm256_fmadd_ps(av, row, prod(kk, r))
+            } else {
+                _mm256_add_ps(prod(kk, r), _mm256_mul_ps(av, row))
+            }
+        };
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (r, lane) in acc.iter_mut().enumerate() {
+            *lane = match a.len() / R {
+                0 => _mm256_setzero_ps(),
+                1 => prod(0, r),
+                2 => pair(0, r),
+                3 => _mm256_add_ps(prod(0, r), pair(1, r)),
+                _ => _mm256_add_ps(pair(0, r), pair(2, r)),
+            };
+        }
+        acc
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -354,8 +391,8 @@ mod x86 {
     /// # Safety
     ///
     /// Requires AVX2+FMA (checked by [`have_fma_simd`]),
-    /// `panel.len() == (block.len() / MR) * PANEL`, and a sequential or
-    /// blocked accumulation mode in `cfg`.
+    /// `panel.len() == (block.len() / MR) * PANEL`, and an accumulation
+    /// mode in `cfg` that [`super::lhs_pack_applies`] admits.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn mr_tile_f32(
         cfg: &KernelConfig,
@@ -367,7 +404,8 @@ mod x86 {
         let acc = match cfg.accum {
             AccumMode::Sequential => seq_mr_v(block, panel, cfg.fma),
             AccumMode::Blocked(kblock) => blocked_mr_v(kblock, block, panel, cfg.fma),
-            _ => unreachable!("lhs_pack_applies gates the packed-lhs path"),
+            AccumMode::Pairwise => pairwise_mr_v(block, panel, cfg.fma),
+            AccumMode::Kahan => unreachable!("lhs_pack_applies gates the packed-lhs path"),
         };
         let mut out = [[0f32; PANEL]; MR];
         for (slot, lane) in out.iter_mut().zip(&acc) {
@@ -419,6 +457,28 @@ mod x86 {
                 *lane = _mm256_add_ps(*lane, *part);
             }
             i = end;
+        }
+        acc
+    }
+
+    /// [`MR`]-row mirror of [`pairwise_v`]: the recursion splits `k` at the
+    /// same midpoints, and each level handles all [`MR`] rows at once.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA and `panel.len() >= (block.len() / MR) * PANEL`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn pairwise_mr_v(block: &[f32], panel: &[f32], fma: bool) -> [__m256; MR] {
+        let k = block.len() / MR;
+        if k <= 4 {
+            return pairwise_leaf::<MR>(block, panel, fma);
+        }
+        let mid = k / 2;
+        let left = pairwise_mr_v(&block[..mid * MR], &panel[..mid * PANEL], fma);
+        let right = pairwise_mr_v(&block[mid * MR..], &panel[mid * PANEL..], fma);
+        let mut acc = left;
+        for (lane, r) in acc.iter_mut().zip(right) {
+            *lane = _mm256_add_ps(*lane, r);
         }
         acc
     }
@@ -598,10 +658,11 @@ impl<T: Scalar> PackedLhs<T> {
 
 /// Whether `cfg` has a packed-lhs [`MR`]-row micro-kernel. Sequential and
 /// blocked accumulation tile directly (their per-row chains are plain
-/// left-to-right folds the block kernel replays verbatim); pairwise and
-/// Kahan configs keep the row-at-a-time path.
+/// left-to-right folds the block kernel replays verbatim), and pairwise
+/// tiles recurse over `k` with the same midpoints for all [`MR`] rows at
+/// once; Kahan configs keep the row-at-a-time path.
 pub fn lhs_pack_applies(cfg: &KernelConfig) -> bool {
-    matches!(cfg.accum, AccumMode::Sequential | AccumMode::Blocked(_))
+    !matches!(cfg.accum, AccumMode::Kahan)
 }
 
 /// One [`MR`]x[`PANEL`] sequential register block: `rows` dot products per
@@ -663,8 +724,54 @@ fn blocked_mr_tile<T: Element>(
     acc
 }
 
-/// Dispatches one [`MR`]-row register block under `cfg` (sequential or
-/// blocked accumulation only; see [`lhs_pack_applies`]). `f32` blocks use
+/// Pairwise variant of [`seq_mr_tile`]: the recursion splits `k` at the
+/// same midpoints as the scalar `pairwise_dot`, so each of the `rows`
+/// rows reduces its products in the identical tree shape.
+fn pairwise_mr_tile<T: Element>(
+    block: &[T],
+    rows: usize,
+    panel: &[T],
+    fma: bool,
+) -> [[T; PANEL]; MR] {
+    let mut acc = [[T::ZERO; PANEL]; MR];
+    match block.len() / MR {
+        0 => {}
+        1 => {
+            for (accr, &av) in acc.iter_mut().zip(&block[..rows]) {
+                for (lane, &bv) in accr.iter_mut().zip(&panel[..PANEL]) {
+                    *lane = av * bv;
+                }
+            }
+        }
+        2 => {
+            let (r0, r1) = panel[..2 * PANEL].split_at(PANEL);
+            for (r, accr) in acc.iter_mut().enumerate().take(rows) {
+                let (a0, a1) = (block[r], block[MR + r]);
+                for ((lane, &b0), &b1) in accr.iter_mut().zip(r0).zip(r1) {
+                    *lane = if fma {
+                        a1.mul_add(b1, a0 * b0)
+                    } else {
+                        a0 * b0 + a1 * b1
+                    };
+                }
+            }
+        }
+        k => {
+            let mid = k / 2;
+            let left = pairwise_mr_tile(&block[..mid * MR], rows, &panel[..mid * PANEL], fma);
+            let right = pairwise_mr_tile(&block[mid * MR..], rows, &panel[mid * PANEL..], fma);
+            for ((accr, l), r) in acc.iter_mut().zip(&left).zip(&right).take(rows) {
+                for ((lane, &lv), &rv) in accr.iter_mut().zip(l).zip(r) {
+                    *lane = lv + rv;
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Dispatches one [`MR`]-row register block under `cfg` (every
+/// accumulation mode but Kahan; see [`lhs_pack_applies`]). `f32` blocks use
 /// the AVX2/FMA vector micro-kernel when the host supports it, under the
 /// same per-lane IEEE-754-equivalence argument as [`dot_tile`].
 fn mr_tile<T: Element>(
@@ -692,7 +799,8 @@ fn mr_tile<T: Element>(
             acc
         }
         AccumMode::Blocked(kblock) => blocked_mr_tile(kblock, lhs_block, rows, panel, cfg.fma),
-        _ => unreachable!("lhs_pack_applies gates the packed-lhs path"),
+        AccumMode::Pairwise => pairwise_mr_tile(lhs_block, rows, panel, cfg.fma),
+        AccumMode::Kahan => unreachable!("lhs_pack_applies gates the packed-lhs path"),
     }
 }
 

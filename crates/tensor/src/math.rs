@@ -107,6 +107,7 @@ pub trait MathElement: Element {
     /// Reciprocal square root under the selected intrinsic family.
     fn rsqrt_with(self, lib: MathLib) -> Self;
     /// Logistic sigmoid under the selected intrinsic family.
+    #[inline(always)]
     fn sigmoid_with(self, lib: MathLib) -> Self {
         let one = Self::ONE;
         one / (one + (-self).exp_with(lib))
@@ -114,26 +115,26 @@ pub trait MathElement: Element {
 }
 
 impl MathElement for f64 {
-    #[inline]
+    #[inline(always)]
     fn exp_with(self, _lib: MathLib) -> Self {
         self.exp()
     }
-    #[inline]
+    #[inline(always)]
     fn ln_with(self, _lib: MathLib) -> Self {
         self.ln()
     }
-    #[inline]
+    #[inline(always)]
     fn tanh_with(self, _lib: MathLib) -> Self {
         self.tanh()
     }
-    #[inline]
+    #[inline(always)]
     fn rsqrt_with(self, _lib: MathLib) -> Self {
         1.0 / self.sqrt()
     }
 }
 
 impl MathElement for f32 {
-    #[inline]
+    #[inline(always)]
     fn exp_with(self, lib: MathLib) -> Self {
         match lib {
             MathLib::Reference => self.exp(),
@@ -142,7 +143,7 @@ impl MathElement for f32 {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn ln_with(self, lib: MathLib) -> Self {
         match lib {
             MathLib::Reference => self.ln(),
@@ -151,7 +152,7 @@ impl MathElement for f32 {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn tanh_with(self, lib: MathLib) -> Self {
         match lib {
             MathLib::Reference => self.tanh(),
@@ -160,7 +161,7 @@ impl MathElement for f32 {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn rsqrt_with(self, lib: MathLib) -> Self {
         match lib {
             MathLib::Reference => (1.0 / (self as f64).sqrt()) as f32,
@@ -170,11 +171,57 @@ impl MathElement for f32 {
     }
 }
 
+/// Writes `f(src[i])` to `dst[i]` for every `i < dst.len()`.
+///
+/// This is the one elementwise loop the unary tensor ops and the
+/// softmax lanes run. The crate builds for baseline x86-64, where the
+/// `mul_add`, `floor` and `round` calls inside the [`MathLib`] kernels
+/// are libm calls; on hosts with AVX2 and FMA (detected at run time) the
+/// same loop is compiled with those features enabled, so they become
+/// `vfmadd`/`vroundss` instructions. Those compute the identical IEEE-754
+/// operations (`fmaf` is correctly rounded, `floorf` exact), and Rust
+/// emits no FP contraction, so the output is bit-identical either way.
+/// The loop is an explicit index loop on purpose: iterator adapters such
+/// as `collect` are compiled outside the feature-enabled function and
+/// keep the libm calls.
+///
+/// # Panics
+///
+/// Panics if `src` is shorter than `dst`.
+#[inline]
+pub(crate) fn map_slice<T: Copy, U, F: Fn(T) -> U>(src: &[T], dst: &mut [U], f: F) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::kernel::have_fma_simd() {
+        // SAFETY: AVX2 and FMA were detected at run time.
+        unsafe { map_slice_fma(src, dst, &f) };
+        return;
+    }
+    map_loop(src, dst, &f);
+}
+
+#[inline(always)]
+fn map_loop<T: Copy, U, F: Fn(T) -> U>(src: &[T], dst: &mut [U], f: &F) {
+    let src = &src[..dst.len()];
+    for i in 0..dst.len() {
+        dst[i] = f(src[i]);
+    }
+}
+
+/// # Safety
+///
+/// Requires AVX2 and FMA (checked by `kernel::have_fma_simd`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn map_slice_fma<T: Copy, U, F: Fn(T) -> U>(src: &[T], dst: &mut [U], f: &F) {
+    map_loop(src, dst, f);
+}
+
 /// Cephes `expf`: base-e range reduction with a degree-5 minimax polynomial
 /// and FMA-contracted Horner evaluation.
 // The decimal literals are Cephes' exact Cody–Waite split constants; keep
 // them verbatim (LOG2EF deliberately *is* log2(e) rounded to f32).
 #[allow(clippy::excessive_precision, clippy::approx_constant)]
+#[inline(always)]
 fn exp_cephes(x: f32) -> f32 {
     const LOG2EF: f32 = 1.442_695_04;
     const C1: f32 = 0.693_359_375;
@@ -205,6 +252,7 @@ fn exp_cephes(x: f32) -> f32 {
 /// `2^f` evaluated without FMA contraction.
 // LN2_HI below is the exact high part of the Cody–Waite ln2 split.
 #[allow(clippy::excessive_precision)]
+#[inline(always)]
 fn exp_base2(x: f32) -> f32 {
     const LOG2E: f32 = core::f32::consts::LOG2_E;
     if x > 88.0 {
@@ -231,6 +279,7 @@ fn exp_base2(x: f32) -> f32 {
 }
 
 /// Cephes `tanhf`: odd polynomial below 0.625, exponential form above.
+#[inline(always)]
 fn tanh_cephes(x: f32) -> f32 {
     let z = x.abs();
     let r = if z >= 8.0 {
@@ -256,6 +305,7 @@ fn tanh_cephes(x: f32) -> f32 {
 
 /// Exponential-form `tanhf` built on the base-2 exponential, with an odd
 /// Taylor kernel below 0.25 where the exponential form cancels badly.
+#[inline(always)]
 fn tanh_expform(x: f32) -> f32 {
     let z = x.abs();
     if z >= 9.0 {
@@ -277,6 +327,7 @@ fn tanh_expform(x: f32) -> f32 {
 }
 
 /// Bit-hack seeded Newton reciprocal square root (three refinements).
+#[inline(always)]
 fn rsqrt_newton(x: f32) -> f32 {
     if x <= 0.0 {
         return if x == 0.0 { f32::INFINITY } else { f32::NAN };
@@ -290,6 +341,7 @@ fn rsqrt_newton(x: f32) -> f32 {
 }
 
 /// Exact scaling by a power of two (`y * 2^n`), with graceful saturation.
+#[inline(always)]
 fn ldexp_f32(y: f32, n: i32) -> f32 {
     // Split the scale to avoid intermediate overflow for extreme n.
     if !(-252..=252).contains(&n) {
@@ -300,6 +352,7 @@ fn ldexp_f32(y: f32, n: i32) -> f32 {
     y * pow2i(half) * pow2i(rest)
 }
 
+#[inline(always)]
 fn pow2i(n: i32) -> f32 {
     f32::from_bits((((n + 127) as u32) & 0xff) << 23)
 }

@@ -1,6 +1,6 @@
 //! 2-D convolution over NCHW tensors.
 //!
-//! The hot path lowers each image to an im2col operand packed directly
+//! The hot path lowers each image to a row-major im2col matrix, packs it
 //! into the blocked-GEMM panel layout of [`crate::kernel`] and reuses the
 //! register-tiled matmul core; [`Tensor::conv2d_reference`] keeps the
 //! original gather-per-output scalar loop as the bit-exactness oracle.
@@ -8,7 +8,9 @@
 use crate::accum::KernelConfig;
 use crate::element::Element;
 use crate::error::TensorError;
-use crate::kernel::{auto_threads, gemm_into, par_bands, PackedRhs};
+use crate::kernel::{
+    auto_threads, gemm_into, gemm_packed_into, lhs_pack_applies, par_bands, PackedLhs, PackedRhs,
+};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -84,11 +86,10 @@ impl<T: Element> Tensor<T> {
             h,
             w,
             c_out,
-            kh,
-            kw,
             oh,
             ow,
             patch,
+            ..
         } = geo;
         let ohow = oh * ow;
         let mut out = buf;
@@ -97,33 +98,24 @@ impl<T: Element> Tensor<T> {
         if out.is_empty() {
             return Tensor::from_vec(out, &[n, c_out, oh, ow]);
         }
-        let pad = params.padding as isize;
         // Images fan out over workers; leftover workers go to row bands
         // inside each image's GEMM (both axes are bit-exact at any thread
         // count, mirroring the batched-matmul split).
         let threads = auto_threads((n * c_out * ohow * patch) as u64);
         let inner_threads = (threads / n.max(1)).max(1);
+        let lhs =
+            lhs_pack_applies(cfg).then(|| PackedLhs::from_row_major(weight.data(), c_out, patch));
         par_bands(&mut out, c_out * ohow, threads, |img0, band| {
+            let mut cols = vec![T::ZERO; patch * ohow];
             for (i, image) in band.chunks_mut(c_out * ohow).enumerate() {
                 let ni = img0 + i;
-                // im2col: receptive fields gathered in canonical (channel,
-                // row, column) order — the same element sequence the
-                // oracle's inner gather produces — packed straight into
-                // GEMM panels.
-                let rhs = PackedRhs::pack_with(patch, ohow, |kk, col| {
-                    let ic = kk / (kh * kw);
-                    let rest = kk % (kh * kw);
-                    let (ky, kx) = (rest / kw, rest % kw);
-                    let (oy, ox) = (col / ow, col % ow);
-                    let iy = (oy * params.stride + ky) as isize - pad;
-                    let ix = (ox * params.stride + kx) as isize - pad;
-                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                        T::ZERO
-                    } else {
-                        self.data()[((ni * c_in + ic) * h + iy as usize) * w + ix as usize]
-                    }
-                });
-                gemm_into(cfg, weight.data(), c_out, &rhs, image, inner_threads);
+                let img = &self.data()[ni * c_in * h * w..(ni + 1) * c_in * h * w];
+                im2col(img, &geo, params, &mut cols);
+                let rhs = PackedRhs::from_row_major(&cols, patch, ohow);
+                match &lhs {
+                    Some(lhs) => gemm_packed_into(cfg, lhs, &rhs, image, inner_threads),
+                    None => gemm_into(cfg, weight.data(), c_out, &rhs, image, inner_threads),
+                }
                 if let Some(b) = bias {
                     for (oc, row) in image.chunks_mut(ohow).enumerate() {
                         let bv = b.data()[oc];
@@ -271,6 +263,57 @@ impl<T: Element> Tensor<T> {
             ow,
             patch: c_in * kh * kw,
         })
+    }
+}
+
+/// Gathers one `[c_in, h, w]` image into its row-major `[patch, oh*ow]`
+/// im2col matrix: row `(ic*kh + ky)*kw + kx`, column `oy*ow + ox` holds
+/// input `(ic, oy*stride + ky - pad, ox*stride + kx - pad)`, or zero in
+/// the padding. Column `col` therefore lists the receptive field in the
+/// same canonical (channel, row, column) order the oracle gathers.
+///
+/// The loops run over `ic/ky/kx/oy/ox` directly: the in-image `ox` range
+/// of each row is computed once, so no per-element index division or
+/// bounds test remains, and unit strides copy whole input rows.
+fn im2col<T: Element>(img: &[T], geo: &ConvGeometry, params: Conv2dParams, cols: &mut [T]) {
+    let (s, pad) = (params.stride, params.padding);
+    let (h, w, ow) = (geo.h, geo.w, geo.ow);
+    if h * w == 0 {
+        // An empty image under padding: every receptive field is padding.
+        cols.fill(T::ZERO);
+        return;
+    }
+    let mut rows = cols.chunks_exact_mut(geo.oh * ow);
+    for plane in img.chunks_exact(h * w) {
+        for ky in 0..geo.kh {
+            for kx in 0..geo.kw {
+                let row = rows.next().expect("cols holds patch rows");
+                // ix = ox*s + kx - pad lies in 0..w exactly for ox in lo..hi.
+                let lo = pad.saturating_sub(kx).div_ceil(s).min(ow);
+                let hi = (w + pad).saturating_sub(kx).div_ceil(s).clamp(lo, ow);
+                for (oy, out) in row.chunks_exact_mut(ow).enumerate() {
+                    let iy = (oy * s + ky).wrapping_sub(pad);
+                    if iy >= h {
+                        out.fill(T::ZERO);
+                        continue;
+                    }
+                    let src = &plane[iy * w..(iy + 1) * w];
+                    out[..lo].fill(T::ZERO);
+                    out[hi..].fill(T::ZERO);
+                    if lo == hi {
+                        continue;
+                    }
+                    let ix0 = lo * s + kx - pad;
+                    if s == 1 {
+                        out[lo..hi].copy_from_slice(&src[ix0..ix0 + (hi - lo)]);
+                    } else {
+                        for (j, slot) in out[lo..hi].iter_mut().enumerate() {
+                            *slot = src[ix0 + j * s];
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

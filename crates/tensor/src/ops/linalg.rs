@@ -260,14 +260,15 @@ impl<T: Element> Tensor<T> {
         let mut out = buf;
         out.clear();
         out.resize(rows * out_f, T::ZERO);
-        gemm_into(
-            cfg,
-            self.data(),
-            rows,
-            &rhs,
-            &mut out,
-            auto_threads((rows * in_f * out_f) as u64),
-        );
+        let threads = auto_threads((rows * in_f * out_f) as u64);
+        // One row gains nothing from MR-row tiles and would pay for the
+        // padded rows, so it keeps the row-at-a-time path.
+        if rows > 1 && lhs_pack_applies(cfg) {
+            let lhs = PackedLhs::from_row_major(self.data(), rows, in_f);
+            gemm_packed_into(cfg, &lhs, &rhs, &mut out, threads);
+        } else {
+            gemm_into(cfg, self.data(), rows, &rhs, &mut out, threads);
+        }
         if let Some(b) = bias {
             for row in out.chunks_mut(out_f) {
                 for (v, &bv) in row.iter_mut().zip(b.data()) {
@@ -348,7 +349,8 @@ impl<T: Element> Tensor<T> {
                 });
             }
         }
-        Ok((self.len() / in_f.max(1), in_f, out_f))
+        let rows = self.dims()[..self.rank() - 1].iter().product();
+        Ok((rows, in_f, out_f))
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::accum::KernelConfig;
 use crate::error::TensorError;
 use crate::kernel::{auto_threads, par_bands};
-use crate::math::MathElement;
+use crate::math::{map_slice, MathElement};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -46,13 +46,9 @@ impl<T: MathElement> Tensor<T> {
             for (i, out_lane) in band.chunks_mut(d).enumerate() {
                 let lane = &self.data()[(lane0 + i) * d..(lane0 + i + 1) * d];
                 let m = lane.iter().copied().fold(lane[0], |a, b| a.maximum(b));
-                for (slot, &x) in e.iter_mut().zip(lane) {
-                    *slot = (x - m).exp_with(cfg.math);
-                }
+                map_slice(lane, &mut e, |x| (x - m).exp_with(cfg.math));
                 let s = cfg.sum(&e);
-                for (slot, &ei) in out_lane.iter_mut().zip(&e) {
-                    *slot = ei / s;
-                }
+                map_slice(&e, out_lane, |ei| ei / s);
             }
         });
         Tensor::from_vec(out, self.dims())
@@ -144,10 +140,8 @@ impl<T: MathElement> Tensor<T> {
             for (i, out_lane) in band.chunks_mut(d).enumerate() {
                 let lane = &self.data()[(lane0 + i) * d..(lane0 + i + 1) * d];
                 let mean = cfg.sum(lane) / nd;
-                for ((cen, s), &x) in centered.iter_mut().zip(sq.iter_mut()).zip(lane) {
-                    *cen = x - mean;
-                    *s = *cen * *cen;
-                }
+                map_slice(lane, &mut centered, |x| x - mean);
+                map_slice(&centered, &mut sq, |c| c * c);
                 let var = cfg.sum(&sq) / nd;
                 let inv = (var + epsd).rsqrt_with(cfg.math);
                 for (((slot, &c), &g), &b) in out_lane
@@ -244,9 +238,7 @@ impl<T: MathElement> Tensor<T> {
             let mut sq = vec![T::ZERO; d];
             for (i, out_lane) in band.chunks_mut(d).enumerate() {
                 let lane = &self.data()[(lane0 + i) * d..(lane0 + i + 1) * d];
-                for (s, &x) in sq.iter_mut().zip(lane) {
-                    *s = x * x;
-                }
+                map_slice(lane, &mut sq, |x| x * x);
                 let ms = cfg.sum(&sq) / nd;
                 let inv = (ms + epsd).rsqrt_with(cfg.math);
                 for ((slot, &x), &g) in out_lane.iter_mut().zip(lane).zip(gamma.data()) {

@@ -173,49 +173,78 @@ impl From<Vec<usize>> for Shape {
     }
 }
 
-/// Iterator over all multi-indices of a shape in row-major order.
-pub struct IndexIter {
-    shape: Vec<usize>,
-    next: Option<Vec<usize>>,
-}
-
-impl IndexIter {
-    /// Creates an iterator over every multi-index of `shape`.
-    pub fn new(shape: &Shape) -> Self {
-        let start = if shape.volume() == 0 {
-            None
-        } else {
-            Some(vec![0; shape.rank()])
-        };
-        IndexIter {
-            shape: shape.0.clone(),
-            next: start,
+/// Appends to `out` the strided view of `src` whose element at multi-index
+/// `idx` of `dims` is `src[base + Σ idx[a] * strides[a]]`, in row-major
+/// order of `dims`.
+///
+/// This is the one gather behind the layout ops: `permute` passes permuted
+/// strides, `slice` an offset `base`, and `broadcast_to` zero strides on
+/// broadcast axes. Unit axes are dropped and axes that are contiguous in
+/// `src` are merged first, so the innermost run is as long as possible; a
+/// single odometer over the outer axes then copies each run with
+/// `extend_from_slice` (unit stride), a fill (zero stride) or a strided
+/// loop. It only moves elements, so the output is the same as indexing
+/// `src` element by element.
+///
+/// # Panics
+///
+/// Panics if `dims` and `strides` differ in length or if any addressed
+/// element lies outside `src`.
+pub(crate) fn strided_gather<T: Copy>(
+    src: &[T],
+    base: usize,
+    dims: &[usize],
+    strides: &[usize],
+    out: &mut Vec<T>,
+) {
+    assert_eq!(dims.len(), strides.len(), "strided_gather: rank mismatch");
+    let total: usize = dims.iter().product();
+    if total == 0 {
+        return;
+    }
+    out.reserve(total);
+    // (extent, stride) per axis after dropping unit axes and merging each
+    // axis into its outer neighbour when the pair is contiguous in `src`.
+    let mut axes: Vec<(usize, usize)> = Vec::with_capacity(dims.len());
+    for (&d, &s) in dims.iter().zip(strides) {
+        if d == 1 {
+            continue;
+        }
+        match axes.last_mut() {
+            Some(outer) if outer.1 == s * d => *outer = (outer.0 * d, s),
+            _ => axes.push((d, s)),
         }
     }
-}
-
-impl Iterator for IndexIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        let current = self.next.clone()?;
-        // Advance like an odometer.
-        let mut nxt = current.clone();
-        let mut axis = self.shape.len();
-        loop {
-            if axis == 0 {
-                self.next = None;
-                break;
-            }
-            axis -= 1;
-            nxt[axis] += 1;
-            if nxt[axis] < self.shape[axis] {
-                self.next = Some(nxt);
-                break;
-            }
-            nxt[axis] = 0;
+    let (run, step) = axes.pop().unwrap_or((1, 1));
+    let mut idx = vec![0usize; axes.len()];
+    let mut off = base;
+    loop {
+        match step {
+            1 => out.extend_from_slice(&src[off..off + run]),
+            0 => out.resize(out.len() + run, src[off]),
+            _ => out.extend(
+                src[off..=off + (run - 1) * step]
+                    .iter()
+                    .step_by(step)
+                    .copied(),
+            ),
         }
-        Some(current)
+        // Odometer over the outer axes, tracking the source offset.
+        let mut a = axes.len();
+        loop {
+            if a == 0 {
+                return;
+            }
+            a -= 1;
+            let (extent, stride) = axes[a];
+            idx[a] += 1;
+            off += stride;
+            if idx[a] < extent {
+                break;
+            }
+            idx[a] = 0;
+            off -= stride * extent;
+        }
     }
 }
 
@@ -289,17 +318,42 @@ mod tests {
     }
 
     #[test]
-    fn index_iter_covers_all() {
-        let s = Shape::new(&[2, 3]);
-        let all: Vec<_> = IndexIter::new(&s).collect();
-        assert_eq!(all.len(), 6);
-        assert_eq!(all[0], vec![0, 0]);
-        assert_eq!(all[5], vec![1, 2]);
+    fn strided_gather_rank0_copies_the_base_element() {
+        let mut out = vec![9.0f32];
+        strided_gather(&[1.0f32, 2.0, 3.0], 2, &[], &[], &mut out);
+        assert_eq!(out, vec![9.0, 3.0]);
     }
 
     #[test]
-    fn index_iter_empty_shape() {
-        let s = Shape::new(&[0, 3]);
-        assert_eq!(IndexIter::new(&s).count(), 0);
+    fn strided_gather_empty_shape_appends_nothing() {
+        for dims in [[0usize, 3], [3, 0]] {
+            let mut out = vec![7.0f32];
+            strided_gather(&[1.0f32; 6], 0, &dims, &[1, 2], &mut out);
+            assert_eq!(out, vec![7.0]);
+        }
+    }
+
+    #[test]
+    fn strided_gather_matches_per_element_indexing() {
+        let src: Vec<u32> = (0..60).collect();
+        // Transposed, broadcast (zero stride), unit-axis and offset views.
+        let cases: [(usize, &[usize], &[usize]); 4] = [
+            (0, &[5, 3, 4], &[1, 20, 5]),
+            (0, &[2, 3, 4], &[0, 4, 1]),
+            (7, &[1, 3, 1, 4], &[60, 12, 60, 2]),
+            (12, &[2, 2, 6], &[24, 6, 1]),
+        ];
+        for (base, dims, strides) in cases {
+            let mut out = Vec::new();
+            strided_gather(&src, base, dims, strides, &mut out);
+            let shape = Shape::new(dims);
+            let naive: Vec<u32> = (0..shape.volume())
+                .map(|flat| {
+                    let idx = shape.unravel(flat);
+                    src[base + idx.iter().zip(strides).map(|(i, s)| i * s).sum::<usize>()]
+                })
+                .collect();
+            assert_eq!(out, naive, "dims {dims:?} strides {strides:?}");
+        }
     }
 }

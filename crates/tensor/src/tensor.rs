@@ -4,7 +4,8 @@ use std::sync::Arc;
 
 use crate::element::Element;
 use crate::error::TensorError;
-use crate::shape::{IndexIter, Shape};
+use crate::math::map_slice;
+use crate::shape::{strided_gather, Shape};
 use crate::Result;
 
 use rand::Rng;
@@ -234,24 +235,26 @@ impl<T: Element> Tensor<T> {
     }
 
     /// Applies a unary function to every element, yielding a new tensor.
+    ///
+    /// The loop runs through the crate's ISA-dispatched `map_slice`, so on
+    /// hosts with AVX2 and FMA the transcendental kernels inside `f` use
+    /// the hardware instructions in place of libm calls, with
+    /// bit-identical results.
     pub fn map(&self, f: impl Fn(T) -> T) -> Tensor<T> {
-        Tensor {
-            data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
-            shape: self.shape.clone(),
-        }
+        self.map_with_buf(Vec::new(), f)
     }
 
     /// [`map`](Self::map) into a recycled buffer: identical output, but the
     /// result reuses `buf`'s allocation when its capacity suffices.
     pub fn map_with_buf(&self, mut buf: Vec<T>, f: impl Fn(T) -> T) -> Tensor<T> {
         buf.clear();
-        buf.extend(self.data.iter().map(|&x| f(x)));
+        buf.resize(self.len(), T::ZERO);
+        map_slice(&self.data, &mut buf, f);
         Tensor {
             data: Arc::new(buf),
             shape: self.shape.clone(),
         }
     }
-
 
     /// Reshapes to a new shape of the same volume.
     ///
@@ -322,19 +325,13 @@ impl<T: Element> Tensor<T> {
             seen[p] = true;
         }
         let out_dims: Vec<usize> = perm.iter().map(|&p| self.shape.0[p]).collect();
-        let out_shape = Shape::new(&out_dims);
         let in_strides = self.shape.strides();
-        let mut out = Vec::with_capacity(self.len());
-        for idx in IndexIter::new(&out_shape) {
-            let mut off = 0;
-            for (o_axis, &p) in perm.iter().enumerate() {
-                off += idx[o_axis] * in_strides[p];
-            }
-            out.push(self.data[off]);
-        }
+        let strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+        let mut out = Vec::new();
+        strided_gather(&self.data, 0, &out_dims, &strides, &mut out);
         Ok(Tensor {
             data: Arc::new(out),
-            shape: out_shape,
+            shape: Shape(out_dims),
         })
     }
 
@@ -352,20 +349,18 @@ impl<T: Element> Tensor<T> {
         }
         let mut out_dims = self.shape.0.clone();
         out_dims[axis] = end - start;
-        let out_shape = Shape::new(&out_dims);
         let in_strides = self.shape.strides();
-        let mut out = Vec::with_capacity(out_shape.volume());
-        for mut idx in IndexIter::new(&out_shape) {
-            idx[axis] += start;
-            let mut off = 0;
-            for (a, &i) in idx.iter().enumerate() {
-                off += i * in_strides[a];
-            }
-            out.push(self.data[off]);
-        }
+        let mut out = Vec::new();
+        strided_gather(
+            &self.data,
+            start * in_strides[axis],
+            &out_dims,
+            &in_strides,
+            &mut out,
+        );
         Ok(Tensor {
             data: Arc::new(out),
-            shape: out_shape,
+            shape: Shape(out_dims),
         })
     }
 
@@ -511,21 +506,18 @@ impl<T: Element> Tensor<T> {
         if &self.shape == target {
             return Ok(self.clone());
         }
+        // Padded leading axes and size-1 axes broadcast with stride 0.
         let pad = target.rank() - self.rank();
-        let in_strides = self.shape.strides();
-        let mut out = Vec::with_capacity(target.volume());
-        for idx in IndexIter::new(target) {
-            let mut off = 0;
-            for (a, &stride) in in_strides.iter().enumerate() {
-                let i = if self.shape.0[a] == 1 {
-                    0
-                } else {
-                    idx[a + pad]
-                };
-                off += i * stride;
-            }
-            out.push(self.data[off]);
+        let mut strides = vec![0usize; target.rank()];
+        for ((slot, stride), &d) in strides[pad..]
+            .iter_mut()
+            .zip(self.shape.strides())
+            .zip(&self.shape.0)
+        {
+            *slot = if d == 1 { 0 } else { stride };
         }
+        let mut out = Vec::new();
+        strided_gather(&self.data, 0, &target.0, &strides, &mut out);
         Ok(Tensor {
             data: Arc::new(out),
             shape: target.clone(),
