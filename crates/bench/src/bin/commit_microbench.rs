@@ -1,7 +1,7 @@
 //! Commitment-layer microbenchmark: multi-way SHA-256 and the streaming,
 //! level-parallel trace committer vs the seed scalar paths.
 //!
-//! Three sections, every timed pair also bit-compared (digests and roots),
+//! Five sections, every timed pair also bit-compared (digests and roots),
 //! so this doubles as a fast regression check of the commitment
 //! equivalence contract (`cargo test --test commit_equiv` is the
 //! exhaustive version):
@@ -13,14 +13,19 @@
 //!    activation trace (leaf hash + tree build) on the fast path vs the
 //!    seed path (materialize canon bytes, scalar SHA-256, serial tree).
 //!    Asserted ≥ 4x outside smoke mode; roots must match bit-for-bit.
-//! 3. **Tree build** — parallel vs serial interior construction over a
-//!    1 MiB leaf set, swept across forced thread counts (bit-identical at
-//!    every count; the speedup column is only interesting on multi-core
-//!    hosts).
+//! 3. **Tree build** — parallel vs serial interior construction over leaf
+//!    sets of 16384 to 65536 leaves, swept across forced thread counts
+//!    (bit-identical at every count). This is the table the tree builder's
+//!    fan-out threshold (`PAR_MIN_PAIRS`) is set from; the thread columns
+//!    are only interesting on multi-core hosts.
 //! 4. **Inclusion-proof verification** — every proof of a 4096-leaf tree
 //!    checked against cached leaf digests (the dispute challenger's path)
 //!    on the seed scalar path walk vs the auto backend, with the valid and
 //!    the tampered verdicts bit-compared.
+//! 5. **Streamed commitment per forward pass** — for each bundled model,
+//!    one pass's node values streamed through a `StreamingCommitter` with
+//!    and without the deployment's `ParamDigests` table: bytes hashed, time
+//!    and the two roots bit-compared.
 //!
 //! Run with `cargo run --release -p tao-bench --bin commit_microbench`.
 //! Pass `--smoke` for a seconds-scale CI variant. Set
@@ -31,11 +36,17 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use tao_bench::print_table;
+use tao_graph::{execute, NodeId, ValueObserver};
 use tao_merkle::{
-    sha256, sha256_batch_with, verify_inclusion_digest, verify_inclusion_digest_reference, Backend,
-    Digest, InclusionProof, MerkleTree, TraceCommitment, MAX_HASH_THREADS,
+    canon_tensor_len, sha256, sha256_batch_with, verify_inclusion_digest,
+    verify_inclusion_digest_reference, Backend, Digest, InclusionProof, MerkleTree, ParamDigests,
+    StreamingCommitter, TraceCommitment, MAX_HASH_THREADS,
 };
-use tao_tensor::Tensor;
+use tao_models::{
+    bert, data, quantize_linears, qwen, resnet, transformer, BertConfig, Model, QwenConfig,
+    ResNetConfig, TransformerConfig,
+};
+use tao_tensor::{KernelConfig, Tensor};
 
 /// Median wall-clock seconds of `samples` runs of `f` (one warm-up run).
 fn median_secs<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -82,9 +93,7 @@ fn export_csv(id: &str, secs: f64, bytes: u64) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let backends = Backend::available();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = tao_tensor::kernel::host_threads();
     println!(
         "commit_microbench — {cores} cores; backends on this host: {}  (auto: {})",
         backends
@@ -170,43 +179,56 @@ fn main() {
         &rows,
     );
 
-    // --- 3. parallel vs serial tree build over a 1 MiB leaf set ----------
-    let (leaf_count, leaf_len) = if smoke { (2048, 64) } else { (16384, 64) };
-    let leaves: Vec<Vec<u8>> = (0..leaf_count)
-        .map(|i| (0..leaf_len).map(|j| ((i * 7 + j) % 256) as u8).collect())
-        .collect();
-    let tree_oracle = MerkleTree::from_leaves_reference(&leaves);
-    let t_tree_seed = median_secs(samples, || MerkleTree::from_leaves_reference(&leaves));
-    export_csv("commit/tree_build/seed-serial", t_tree_seed, (leaf_count * leaf_len) as u64);
-    let digests = tao_merkle::hash_leaves(Backend::auto(), &leaves);
+    // --- 3. parallel vs serial tree build, swept over leaf counts -------
+    let leaf_len = 64;
+    let leaf_counts: &[usize] = if smoke { &[2048] } else { &[16384, 32768, 65536] };
     let mut rows = Vec::new();
-    for threads in [1usize, 2, MAX_HASH_THREADS] {
-        let got = MerkleTree::from_leaf_digests_with(digests.clone(), Backend::auto(), threads);
-        assert_eq!(
-            got.root(),
-            tree_oracle.root(),
-            "threads={threads}: tree root drifted"
-        );
-        let t = median_secs(samples, || {
-            MerkleTree::from_leaf_digests_with(digests.clone(), Backend::auto(), threads)
-        });
+    for &leaf_count in leaf_counts {
+        let leaves: Vec<Vec<u8>> = (0..leaf_count)
+            .map(|i| (0..leaf_len).map(|j| ((i * 7 + j) % 256) as u8).collect())
+            .collect();
+        let tree_oracle = MerkleTree::from_leaves_reference(&leaves);
+        let t_tree_seed = median_secs(samples, || MerkleTree::from_leaves_reference(&leaves));
         export_csv(
-            &format!("commit/tree_build/{}threads", threads),
-            t,
+            &format!("commit/tree_build/{leaf_count}/seed-serial"),
+            t_tree_seed,
             (leaf_count * leaf_len) as u64,
         );
-        rows.push(vec![
-            format!("{threads}"),
-            format!("{:.3}ms", 1e3 * t),
-            format!("{:.2}x vs seed", t_tree_seed / t),
-        ]);
+        let digests = tao_merkle::hash_leaves(Backend::auto(), &leaves);
+        let mut t_one = 0.0;
+        for threads in [1usize, 2, MAX_HASH_THREADS] {
+            let got = MerkleTree::from_leaf_digests_with(digests.clone(), Backend::auto(), threads);
+            assert_eq!(
+                got.root(),
+                tree_oracle.root(),
+                "{leaf_count} leaves, threads={threads}: tree root drifted"
+            );
+            let t = median_secs(samples, || {
+                MerkleTree::from_leaf_digests_with(digests.clone(), Backend::auto(), threads)
+            });
+            if threads == 1 {
+                t_one = t;
+            }
+            export_csv(
+                &format!("commit/tree_build/{leaf_count}/{threads}threads"),
+                t,
+                (leaf_count * leaf_len) as u64,
+            );
+            rows.push(vec![
+                format!("{leaf_count}"),
+                format!("{threads}"),
+                format!("{:.3}ms", 1e3 * t),
+                format!("{:.2}x", t_one / t),
+                format!("{:.2}x", t_tree_seed / t),
+            ]);
+        }
     }
     print_table(
         &format!(
-            "Tree build — {leaf_count} leaves x {leaf_len} B, {} backend, forced thread counts, {cores} cores (roots bit-identical; thread speedup needs a multi-core host)",
+            "Tree build — {leaf_len} B leaves, {} backend, forced thread counts, {cores} cores (roots bit-identical; thread speedup needs a multi-core host)",
             Backend::auto().name()
         ),
-        &["threads", "interior build", "speedup"],
+        &["leaves", "threads", "interior build", "vs 1 thread", "vs seed"],
         &rows,
     );
 
@@ -276,6 +298,57 @@ fn main() {
         &rows,
     );
 
+    // --- 5. streamed commitment per forward pass, with and without the
+    // parameter table -----------------------------------------------------
+    let mut rows = Vec::new();
+    for (name, model, inputs) in bundled_models() {
+        let graph = &model.graph;
+        let trace = execute(graph, &inputs, &KernelConfig::reference(), None).expect("forward");
+        let table = ParamDigests::new(graph);
+        let stream = |params: &ParamDigests| {
+            let mut c = StreamingCommitter::with_params(graph.len(), params);
+            for (i, v) in trace.values.iter().enumerate() {
+                c.observe(NodeId(i), v);
+            }
+            c.finish()
+        };
+        let empty = ParamDigests::default();
+        let oracle = TraceCommitment::build(&trace.values);
+        assert_eq!(stream(&empty), oracle, "{name}: streamed root drifted");
+        assert_eq!(stream(&table), oracle, "{name}: table-backed root drifted");
+        let bytes_all: usize = trace.values.iter().map(canon_tensor_len).sum();
+        let bytes_missed: usize = trace
+            .values
+            .iter()
+            .enumerate()
+            .filter(|(i, v)| table.get(*i, v).is_none())
+            .map(|(_, v)| canon_tensor_len(v))
+            .sum();
+        let pass_samples = if smoke { 11 } else { 201 };
+        let t_all = median_secs(pass_samples, || stream(&empty));
+        let t_table = median_secs(pass_samples, || stream(&table));
+        export_csv(&format!("commit/streamed_pass/{name}/no-table"), t_all, bytes_all as u64);
+        export_csv(&format!("commit/streamed_pass/{name}/table"), t_table, bytes_missed as u64);
+        rows.push(vec![
+            name.to_string(),
+            format!("{}", graph.len()),
+            format!("{bytes_all}"),
+            format!("{bytes_missed}"),
+            format!("{:.0}%", 100.0 * (1.0 - bytes_missed as f64 / bytes_all as f64)),
+            format!("{:.1}us", 1e6 * t_all),
+            format!("{:.1}us", 1e6 * t_table),
+            format!("{:.2}x", t_all / t_table),
+        ]);
+    }
+    print_table(
+        &format!(
+            "Streamed commitment per forward pass — one pass's node values through a StreamingCommitter without / with the ParamDigests table, {} backend, {cores} cores (roots bit-identical)",
+            Backend::auto().name()
+        ),
+        &["model", "nodes", "bytes (all)", "bytes (table)", "saved", "no table", "table", "speedup"],
+        &rows,
+    );
+
     println!(
         "\nAll timed pairs bit-compared against the seed scalar paths: OK.\n\
          Auto-backend 1 MiB trace-commitment speedup vs seed: {auto_speedup:.2}x"
@@ -288,4 +361,29 @@ fn main() {
             "trace-commitment speedup {auto_speedup:.2}x fell below the 4x floor"
         );
     }
+}
+
+/// The bundled model families at their small configurations (plus the
+/// 8-layer Qwen and the int8 transformer), each with one valid input.
+fn bundled_models() -> Vec<(&'static str, Model, Vec<Tensor<f32>>)> {
+    let bert_cfg = BertConfig::small();
+    let qwen_cfg = QwenConfig::small();
+    let deep_cfg = QwenConfig::deep(8);
+    let resnet_cfg = ResNetConfig::small();
+    let int8_cfg = TransformerConfig::small();
+    vec![
+        ("bert-small", bert::build(bert_cfg, 1), vec![bert::sample_ids(bert_cfg, 7)]),
+        ("qwen-small", qwen::build(qwen_cfg, 1), vec![qwen::sample_ids(qwen_cfg, 7)]),
+        ("qwen-deep8", qwen::build(deep_cfg, 1), vec![qwen::sample_ids(deep_cfg, 7)]),
+        (
+            "resnet-small",
+            resnet::build(resnet_cfg, 1),
+            vec![data::class_image(resnet_cfg.in_channels, resnet_cfg.image, 1, 7)],
+        ),
+        (
+            "transformer-int8",
+            quantize_linears(&transformer::build(int8_cfg, 1)),
+            vec![transformer::sample_ids(int8_cfg, 7)],
+        ),
+    ]
 }

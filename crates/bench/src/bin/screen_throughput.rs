@@ -7,12 +7,14 @@
 //! flagged-path cost (screening plus a separate trace-commitment pass over
 //! the finished trace), and the streamed flagged path
 //! (`screen_claim_committed`, which hashes each node's value as the forward
-//! pass produces it). Batched and committed results are asserted identical
-//! to serial, streamed commitments are asserted bit-identical to the
-//! post-hoc oracle, and two conservative floors catch pathological
-//! regressions without being sensitive to host speed: batch throughput at
-//! least half of serial, and streamed flagged-path throughput at least a
-//! quarter of serial (on a 2-core host it measured 0.38–0.69x).
+//! pass produces it). Both flagged paths take the weights' digests from
+//! the deployment's `ParamDigests`, as sessions do. Batched and committed
+//! results are asserted identical to serial, streamed commitments are
+//! asserted bit-identical to the post-hoc oracle, and two conservative
+//! floors catch pathological regressions without being sensitive to host
+//! speed: batch throughput at least half of serial, and streamed
+//! flagged-path throughput at least a quarter of serial (on a 2-core host
+//! it measured 0.38–0.77x).
 //!
 //! Run with `cargo run --release -p tao-bench --bin screen_throughput`.
 //! Pass `--smoke` for a seconds-scale CI variant. Set
@@ -128,7 +130,10 @@ fn main() {
     // commitment pass over the finished trace (the differential oracle).
     let t0 = Instant::now();
     for screening in &batched {
-        std::hint::black_box(TraceCommitment::build(&screening.trace.values));
+        std::hint::black_box(TraceCommitment::build_with_params(
+            &screening.trace.values,
+            &w.deployment.param_digests,
+        ));
     }
     let commit_secs = t0.elapsed().as_secs_f64();
 
@@ -140,8 +145,15 @@ fn main() {
         committed = claim_checks
             .iter()
             .map(|c| {
-                screen_claim_committed(graph, logits, &w.deployment.thresholds, *c, &challenger)
-                    .expect("committed screen")
+                screen_claim_committed(
+                    graph,
+                    &w.deployment.param_digests,
+                    logits,
+                    &w.deployment.thresholds,
+                    *c,
+                    &challenger,
+                )
+                .expect("committed screen")
             })
             .collect();
     }

@@ -113,10 +113,7 @@ pub fn calibrate(
         .collect::<core::result::Result<_, _>>()
         .map_err(|e| CalibError::Graph(e.to_string()))?;
 
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
+    let threads = tao_tensor::kernel::host_threads().min(8);
     let chunk = samples.len().div_ceil(threads);
     // Joining every handle inside the scope keeps a worker panic from
     // propagating; it surfaces as `CalibError::Worker` below.

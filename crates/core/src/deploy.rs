@@ -6,7 +6,7 @@ use std::sync::Arc;
 use tao_analysis::StaticReport;
 use tao_calib::{calibrate, CalibrationRecord, TailEstimator, ThresholdBundle};
 use tao_device::Fleet;
-use tao_merkle::{commit_model, graph_tree, weight_tree, MerkleTree, ModelCommitment};
+use tao_merkle::{graph_tree, weight_tree, MerkleTree, ModelCommitment, ParamDigests};
 use tao_models::Model;
 use tao_protocol::DisputeAnchors;
 use tao_tensor::Tensor;
@@ -33,6 +33,9 @@ pub struct DeploymentArtifacts {
     pub graph_tree: MerkleTree,
     /// The Phase 0 commitment `(r_w, r_g, r_e)`.
     pub commitment: ModelCommitment,
+    /// Each parameter node's tensor digest, hashed once here so every
+    /// trace commitment over this deployment skips rehashing the weights.
+    pub param_digests: ParamDigests,
     /// Static analysis of the committed graph: shapes, costs, gas quote,
     /// deposit bound and lint findings. Claim admission
     /// ([`crate::PendingSession::submit`]) prices claims from this report.
@@ -143,9 +146,16 @@ pub fn deploy_with(
     }
     let calibration = calibrate(&model.graph, samples, &fleet)?;
     let thresholds = calibration.clone().into_thresholds_with(alpha, estimator);
+    // `r_w` and `r_g` are the roots of the trees the deployment keeps
+    // (`commit_model` would build both again).
     let wt = weight_tree(&model.graph);
     let gt = graph_tree(&model.graph);
-    let commitment = commit_model(&model.graph, &thresholds.to_leaves());
+    let commitment = ModelCommitment {
+        weight_root: wt.root(),
+        graph_root: gt.root(),
+        threshold_root: MerkleTree::from_leaves(&thresholds.to_leaves()).root(),
+    };
+    let param_digests = ParamDigests::new(&model.graph);
     Ok(Deployment::new(DeploymentArtifacts {
         model,
         fleet,
@@ -154,6 +164,7 @@ pub fn deploy_with(
         weight_tree: wt,
         graph_tree: gt,
         commitment,
+        param_digests,
         static_report,
     }))
 }
@@ -175,6 +186,12 @@ mod tests {
         let d = deploy(model, Fleet::standard(), &samples, DEFAULT_ALPHA).unwrap();
         assert_eq!(d.commitment.weight_root, d.weight_tree.root());
         assert_eq!(d.commitment.graph_root, d.graph_tree.root());
+        // The roots taken from the kept trees equal a from-scratch commit.
+        assert_eq!(
+            d.commitment,
+            tao_merkle::commit_model(&d.model.graph, &d.thresholds.to_leaves())
+        );
+        assert_eq!(d.param_digests.len(), d.model.graph.len());
         assert_eq!(d.thresholds.alpha, DEFAULT_ALPHA);
         assert!(!d.thresholds.operators.is_empty());
     }

@@ -67,10 +67,7 @@ impl Scheduler {
     /// A scheduler sized to the host's available parallelism (bounded by
     /// [`MAX_WORKERS`]).
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(MAX_WORKERS);
+        let threads = tao_tensor::kernel::host_threads().min(MAX_WORKERS);
         Scheduler { threads }
     }
 

@@ -30,9 +30,10 @@ use tao_merkle::{
     TraceCommitment,
 };
 use tao_protocol::{
-    adjudicate, leaf_case, run_dispute, sample_committee, screen_claim, screen_claim_committed,
-    AdjudicationPath, ChallengerView, ClaimCheck, ClaimStatus, Coordinator, DisputeConfig,
-    DisputeOutcome, DisputeResult, LeafVerdict, Money, Party, ProposerView, Screening,
+    adjudicate, leaf_case, run_dispute, sample_committee, screen_claim_committed,
+    screen_claim_with_params, AdjudicationPath, ChallengerView, ClaimCheck, ClaimStatus,
+    Coordinator, DisputeConfig, DisputeOutcome, DisputeResult, LeafVerdict, Money, Party,
+    ProposerView, Screening,
 };
 use tao_tensor::Tensor;
 
@@ -209,7 +210,10 @@ impl SessionBuilder {
         // node's value is hashed as it is produced instead of in a post-hoc
         // pass over the finished trace. Built exactly once, here — the
         // dispute reuses it, never rebuilds.
-        let mut committer = StreamingCommitter::new(deployment.model.graph.len());
+        let mut committer = StreamingCommitter::with_params(
+            deployment.model.graph.len(),
+            &deployment.param_digests,
+        );
         let trace = execute_observed(
             &deployment.model.graph,
             &inputs,
@@ -396,8 +400,9 @@ impl Session {
     /// no committed threshold (a deployment bug, not fraud).
     pub fn screen(&mut self) -> Result<bool> {
         if self.screening.is_none() {
-            let screening = screen_claim(
+            let screening = screen_claim_with_params(
                 &self.deployment.model.graph,
+                &self.deployment.param_digests,
                 self.deployment.model.logits,
                 &self.deployment.thresholds,
                 ClaimCheck {
@@ -526,6 +531,7 @@ impl Session {
         // at the dispute with its commitment already assembled.
         self.screening = Some(screen_claim_committed(
             &self.deployment.model.graph,
+            &self.deployment.param_digests,
             self.deployment.model.logits,
             &self.deployment.thresholds,
             ClaimCheck {

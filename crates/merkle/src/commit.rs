@@ -15,6 +15,7 @@ use tao_tensor::Tensor;
 
 use crate::canon::{canon_param, canon_param_sink, canon_signature, canon_tensor, canon_tensor_sink};
 use crate::multiway::{Backend, FastSha256, MultiSha256};
+use crate::params::ParamDigests;
 use crate::sha256::{sha256, Digest, Sha256};
 use crate::tree::{verify_inclusion, InclusionProof, MerkleTree};
 
@@ -150,6 +151,30 @@ impl TraceCommitment {
         Self::from_digests_with(tensor_digests(values, backend), backend)
     }
 
+    /// [`TraceCommitment::build`] with parameter values' digests taken
+    /// from `params` (see [`ParamDigests`]); every other value is hashed.
+    /// Bit-identical to [`TraceCommitment::build`] for any table.
+    pub fn build_with_params(values: &[Tensor<f32>], params: &ParamDigests) -> Self {
+        let backend = Backend::auto();
+        let cached: Vec<Option<Digest>> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| params.get(i, v))
+            .collect();
+        let missed: Vec<Tensor<f32>> = values
+            .iter()
+            .zip(&cached)
+            .filter(|(_, c)| c.is_none())
+            .map(|(v, _)| v.clone())
+            .collect();
+        let mut hashed = tensor_digests(&missed, backend).into_iter();
+        let digests = cached
+            .into_iter()
+            .map(|c| c.unwrap_or_else(|| hashed.next().expect("one digest per missed value")))
+            .collect();
+        Self::from_digests_with(digests, backend)
+    }
+
     /// Assembles a commitment from already-computed per-node digests on
     /// the fastest supported backend. This is the streamed-hashing entry
     /// point: the executor's observer hashes each node's value as it is
@@ -163,11 +188,8 @@ impl TraceCommitment {
     /// [`TraceCommitment::from_digests`] on a pinned backend.
     pub fn from_digests_with(digests: Vec<Digest>, backend: Backend) -> Self {
         let leaf_digests = crate::tree::hash_leaves(backend, &digests);
-        // Small levels stay serial inside the builder's work threshold.
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(crate::tree::MAX_HASH_THREADS);
+        // Traces below the fan-out threshold never query the host.
+        let threads = crate::tree::auto_threads(digests.len());
         TraceCommitment {
             tree: MerkleTree::from_leaf_digests_with(leaf_digests, backend, threads),
             digests,

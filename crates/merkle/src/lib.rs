@@ -20,6 +20,7 @@
 pub mod canon;
 pub mod commit;
 pub mod multiway;
+pub mod params;
 pub mod sha256;
 pub mod stream;
 pub mod tree;
@@ -37,6 +38,7 @@ pub use multiway::{
     sha256_batch, sha256_batch_with, sha256_many_equal, sha256_with, Backend, FastSha256,
     MultiSha256,
 };
+pub use params::ParamDigests;
 pub use sha256::{sha256, to_hex, Digest, Sha256};
 pub use stream::{StreamingCommitter, TokenChain};
 pub use tree::{

@@ -7,7 +7,9 @@
 //! each node's final value exactly once, in node order. It hashes the value
 //! inline at the observation point, which skips the second traversal of
 //! the trace, and finishes by assembling the [`TraceCommitment`] via
-//! [`TraceCommitment::from_digests`]. The digests are **bit-identical** to
+//! [`TraceCommitment::from_digests`]. Given a deployment's
+//! [`ParamDigests`], it skips rehashing the weights: parameter nodes take
+//! their digests from the table. The digests are **bit-identical** to
 //! the post-hoc [`TraceCommitment::build`] oracle by contract, asserted by
 //! the `commit_equiv` differential suite.
 //!
@@ -22,19 +24,31 @@ use tao_graph::{NodeId, ValueObserver};
 use tao_tensor::Tensor;
 
 use crate::commit::{tensor_hash, TraceCommitment};
+use crate::params::ParamDigests;
 use crate::sha256::{Digest, Sha256};
 
-/// Hashes each observed node value with [`tensor_hash`] and assembles the
+/// Hashes each observed node value with [`tensor_hash`] (parameter
+/// values served from a [`ParamDigests`] table) and assembles the
 /// [`TraceCommitment`] at the end of the pass.
 pub struct StreamingCommitter {
     slots: Vec<Option<Digest>>,
+    params: ParamDigests,
 }
 
 impl StreamingCommitter {
-    /// A committer for a graph of `len` nodes.
+    /// A committer for a graph of `len` nodes that hashes every value,
+    /// parameters included.
     pub fn new(len: usize) -> Self {
+        Self::with_params(len, &ParamDigests::default())
+    }
+
+    /// A committer for a graph of `len` nodes that takes parameter digests
+    /// from `params` instead of rehashing the weights. Roots are
+    /// bit-identical to [`StreamingCommitter::new`]'s for any table.
+    pub fn with_params(len: usize, params: &ParamDigests) -> Self {
         StreamingCommitter {
             slots: vec![None; len],
+            params: params.clone(),
         }
     }
 
@@ -68,7 +82,11 @@ impl StreamingCommitter {
 
 impl ValueObserver for StreamingCommitter {
     fn observe(&mut self, id: NodeId, value: &Tensor<f32>) {
-        self.slots[id.0] = Some(tensor_hash(value));
+        let digest = self
+            .params
+            .get(id.0, value)
+            .unwrap_or_else(|| tensor_hash(value));
+        self.slots[id.0] = Some(digest);
     }
 }
 

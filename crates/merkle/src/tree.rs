@@ -22,8 +22,12 @@ pub(crate) const NODE_PREFIX: u8 = 0x01;
 pub const MAX_HASH_THREADS: usize = 8;
 
 /// Minimum pair hashes in a level before it fans out to threads; below
-/// this the spawn cost dominates.
-const PAR_MIN_PAIRS: usize = 2048;
+/// this the spawn cost dominates. In `commit_microbench`'s forced-thread
+/// table on a 2-core SHA-NI host, fanning a first level of 8192 pairs out
+/// to 2 threads read 0.96–1.10x, within the 0.82–1.03x that builds which
+/// never fan out read from run to run, while 16384 pairs read 1.09–1.35x
+/// (BENCH.md, commitment section).
+const PAR_MIN_PAIRS: usize = 16384;
 
 /// A binary Merkle tree over a fixed leaf list.
 ///
@@ -188,15 +192,13 @@ pub(crate) fn pair_digest(backend: Backend, l: &Digest, r: &Digest) -> Digest {
     state_digest(&state)
 }
 
-/// Worker count for a level of `pairs` pair hashes.
-fn auto_threads(pairs: usize) -> usize {
+/// Worker count for a level of `pairs` pair hashes: 1 below the fan-out
+/// threshold (no host query), else the cached host parallelism.
+pub(crate) fn auto_threads(pairs: usize) -> usize {
     if pairs < PAR_MIN_PAIRS {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, MAX_HASH_THREADS)
+    tao_tensor::kernel::host_threads().min(MAX_HASH_THREADS)
 }
 
 /// The 65-byte interior-node message `NODE_PREFIX || l || r` on the stack.

@@ -8,7 +8,7 @@
 //! numerical noise into divergent generations.
 
 use tao_graph::{execute, execute_observed, forward, forward_observed, BufferPool};
-use tao_merkle::{Digest, StreamingCommitter, TokenChain};
+use tao_merkle::{Digest, ParamDigests, StreamingCommitter, TokenChain};
 use tao_tensor::{KernelConfig, Tensor};
 
 use crate::common::Model;
@@ -148,10 +148,12 @@ pub fn greedy_decode_committed(
         .iter()
         .position(|&id| id == model.logits);
     let mut pool = BufferPool::new();
+    // The weights are hashed once per call, not once per token.
+    let params = ParamDigests::new(&model.graph);
     for step in 0..steps {
         // A fresh committer per step: each token's forward pass gets its
         // own trace root, so disputes land on one step, not the session.
-        let mut committer = StreamingCommitter::new(model.graph.len());
+        let mut committer = StreamingCommitter::with_params(model.graph.len(), &params);
         let logits_value;
         let logits = match logits_pos {
             Some(pos) => {

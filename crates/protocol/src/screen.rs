@@ -13,7 +13,7 @@
 use tao_calib::{error_profile, ThresholdBundle, DEFAULT_EPS};
 use tao_device::Device;
 use tao_graph::{execute, execute_observed, Execution, Graph, NodeId};
-use tao_merkle::{StreamingCommitter, TraceCommitment};
+use tao_merkle::{ParamDigests, StreamingCommitter, TraceCommitment};
 use tao_tensor::Tensor;
 
 use crate::error::ProtocolError;
@@ -97,6 +97,31 @@ pub fn screen_claim(
     claim: ClaimCheck<'_>,
     device: &Device,
 ) -> Result<Screening> {
+    screen_claim_with_params(
+        graph,
+        &ParamDigests::default(),
+        output_node,
+        thresholds,
+        claim,
+        device,
+    )
+}
+
+/// [`screen_claim`] whose flagged-trace commitment takes parameter digests
+/// from `params` (a deployment's [`ParamDigests`]) instead of rehashing the
+/// weights. The commitment is bit-identical for any table.
+///
+/// # Errors
+///
+/// Same error conditions as [`screen_claim`].
+pub fn screen_claim_with_params(
+    graph: &Graph,
+    params: &ParamDigests,
+    output_node: NodeId,
+    thresholds: &ThresholdBundle,
+    claim: ClaimCheck<'_>,
+    device: &Device,
+) -> Result<Screening> {
     let trace = execute(graph, claim.inputs, device.config(), None)?;
     let prof = error_profile(claim.claimed_output, trace.value(output_node)?, DEFAULT_EPS);
     let exceedance = thresholds
@@ -105,7 +130,7 @@ pub fn screen_claim(
     let flagged = exceedance > 1.0;
     // A flagged screening feeds a dispute; commit to the trace now (the
     // multi-way hashers make this cheap) so the descent never rehashes it.
-    let commitment = flagged.then(|| TraceCommitment::build(&trace.values));
+    let commitment = flagged.then(|| TraceCommitment::build_with_params(&trace.values, params));
     Ok(Screening {
         exceedance,
         flagged,
@@ -123,20 +148,23 @@ pub fn screen_claim(
 /// after an adopted abandonment), where the digests are consumed whether
 /// or not the exceedance flags.
 ///
-/// Digests are bit-identical to [`TraceCommitment::build`] over the same
-/// trace; the `commit_equiv` suite asserts the equivalence.
+/// Parameter digests come from `params` (a deployment's [`ParamDigests`];
+/// an empty table hashes every value). Digests are bit-identical to
+/// [`TraceCommitment::build`] over the same trace; the `commit_equiv`
+/// suite asserts the equivalence.
 ///
 /// # Errors
 ///
 /// Same error conditions as [`screen_claim`].
 pub fn screen_claim_committed(
     graph: &Graph,
+    params: &ParamDigests,
     output_node: NodeId,
     thresholds: &ThresholdBundle,
     claim: ClaimCheck<'_>,
     device: &Device,
 ) -> Result<Screening> {
-    let mut committer = StreamingCommitter::new(graph.len());
+    let mut committer = StreamingCommitter::with_params(graph.len(), params);
     let trace = execute_observed(graph, claim.inputs, device.config(), None, &mut committer)?;
     let commitment = committer.finish();
     let prof = error_profile(claim.claimed_output, trace.value(output_node)?, DEFAULT_EPS);
@@ -303,18 +331,27 @@ mod tests {
                 claimed_output: &claimed,
             };
             let plain = screen_claim(&g, out, &bundle, claim, &challenger).unwrap();
-            let committed = screen_claim_committed(&g, out, &bundle, claim, &challenger).unwrap();
-            assert_eq!(committed.exceedance, plain.exceedance, "tamper={tamper}");
-            assert_eq!(committed.flagged, plain.flagged);
-            assert_eq!(committed.flagged, tamper);
-            // The streamed commitment is always present and bit-identical
-            // to the post-hoc oracle over the same trace.
-            let oracle = TraceCommitment::build(&committed.trace.values);
-            assert_eq!(committed.commitment(), Some(&oracle), "tamper={tamper}");
-            if tamper {
-                assert_eq!(plain.commitment(), Some(&oracle), "same trace, same digests");
-            } else {
-                assert!(plain.commitment().is_none(), "plain path skips hashing");
+            let table = ParamDigests::new(&g);
+            let cached =
+                screen_claim_with_params(&g, &table, out, &bundle, claim, &challenger).unwrap();
+            assert_eq!(cached.exceedance, plain.exceedance, "tamper={tamper}");
+            assert_eq!(cached.commitment(), plain.commitment(), "tamper={tamper}");
+            for params in [ParamDigests::default(), table] {
+                let committed =
+                    screen_claim_committed(&g, &params, out, &bundle, claim, &challenger)
+                        .unwrap();
+                assert_eq!(committed.exceedance, plain.exceedance, "tamper={tamper}");
+                assert_eq!(committed.flagged, plain.flagged);
+                assert_eq!(committed.flagged, tamper);
+                // The streamed commitment is always present and
+                // bit-identical to the post-hoc oracle over the same trace.
+                let oracle = TraceCommitment::build(&committed.trace.values);
+                assert_eq!(committed.commitment(), Some(&oracle), "tamper={tamper}");
+                if tamper {
+                    assert_eq!(plain.commitment(), Some(&oracle), "same trace, same digests");
+                } else {
+                    assert!(plain.commitment().is_none(), "plain path skips hashing");
+                }
             }
         }
     }

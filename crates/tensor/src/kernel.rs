@@ -521,10 +521,17 @@ pub fn auto_threads(flops: u64) -> usize {
     if flops < PAR_MIN_FLOPS {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, MAX_KERNEL_THREADS)
+    host_threads().min(MAX_KERNEL_THREADS)
+}
+
+/// The host's available parallelism (at least 1), queried once per
+/// process. `std::thread::available_parallelism` reads cgroup files on
+/// every call, which costs tens of microseconds; every auto-threaded site
+/// (kernels, Merkle trees, calibration, the scheduler) reads this cached
+/// value instead.
+pub fn host_threads() -> usize {
+    static HOST_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Splits `out` into contiguous bands of whole `unit`-element chunks and
@@ -1040,5 +1047,7 @@ mod tests {
         assert_eq!(auto_threads(PAR_MIN_FLOPS - 1), 1);
         assert!(auto_threads(1 << 24) >= 1);
         assert!(auto_threads(u64::MAX) <= MAX_KERNEL_THREADS);
+        assert!(host_threads() >= 1);
+        assert_eq!(host_threads(), host_threads());
     }
 }

@@ -6,12 +6,17 @@
 //! leaf counts, and any forced thread count.
 
 use proptest::prelude::*;
-use tao_graph::{execute_observed, forward_observed, BufferPool, GraphBuilder, OpKind};
+use tao_graph::{
+    execute_observed, forward_observed, BufferPool, GraphBuilder, NodeId, OpKind, Perturbations,
+    ValueObserver,
+};
 use tao_merkle::{
     canon_tensor, sha256, sha256_batch_with, sha256_with, tensor_hash, tensor_hash_reference,
     verify_inclusion_digest, verify_inclusion_digest_reference, Backend, Digest, FastSha256,
-    MerkleTree, MultiSha256, Sha256, StreamingCommitter, TokenChain, TraceCommitment,
+    MerkleTree, MultiSha256, ParamDigests, Sha256, StreamingCommitter, TokenChain,
+    TraceCommitment,
 };
+use tao_models::Model;
 use tao_tensor::{KernelConfig, Tensor};
 
 fn message(len: usize, seed: u8) -> Vec<u8> {
@@ -73,7 +78,7 @@ proptest! {
         // `boost` occasionally pushes the leaf count past the parallel
         // fan-out threshold so the banded path is exercised, not just the
         // serial small-level path.
-        let n = if boost == 1 { n * 64 } else { n };
+        let n = if boost == 1 { n * 512 } else { n };
         let leaves: Vec<Vec<u8>> = (0..n).map(|i| message(leaf_len, i as u8)).collect();
         let oracle = MerkleTree::from_leaves_reference(&leaves);
         prop_assert_eq!(&MerkleTree::from_leaves(&leaves), &oracle, "auto path");
@@ -288,4 +293,174 @@ fn weight_tree_streaming_equals_reference() {
     let oracle = tao_merkle::weight_tree_reference(&model.graph);
     assert_eq!(fast, oracle);
     assert_eq!(fast.root(), oracle.root());
+}
+
+/// Each bundled model family at a small configuration plus the int8
+/// transformer: the model, the same topology with different weights, and
+/// valid inputs.
+fn bundled_pairs() -> Vec<(&'static str, Model, Model, Vec<Tensor<f32>>)> {
+    use tao_models::{
+        bert, data, diffusion, qwen, quantize_linears, resnet, transformer, BertConfig,
+        DiffusionConfig, QwenConfig, ResNetConfig, TransformerConfig,
+    };
+    let bert_cfg = BertConfig {
+        layers: 1,
+        ..BertConfig::small()
+    };
+    let qwen_cfg = QwenConfig {
+        layers: 1,
+        ..QwenConfig::small()
+    };
+    let resnet_cfg = ResNetConfig {
+        blocks: 1,
+        ..ResNetConfig::small()
+    };
+    let diffusion_cfg = DiffusionConfig::small();
+    let int8_cfg = TransformerConfig {
+        layers: 1,
+        ..TransformerConfig::small()
+    };
+    let diffusion_model = diffusion::build(diffusion_cfg, 1);
+    let diffusion_inputs = vec![
+        Tensor::<f32>::randn(&diffusion_model.input_shapes[0], 42),
+        diffusion::time_embedding(5, diffusion_cfg.temb),
+    ];
+    vec![
+        (
+            "bert",
+            bert::build(bert_cfg, 1),
+            bert::build(bert_cfg, 2),
+            vec![bert::sample_ids(bert_cfg, 123)],
+        ),
+        (
+            "qwen",
+            qwen::build(qwen_cfg, 1),
+            qwen::build(qwen_cfg, 2),
+            vec![qwen::sample_ids(qwen_cfg, 55)],
+        ),
+        (
+            "resnet",
+            resnet::build(resnet_cfg, 1),
+            resnet::build(resnet_cfg, 2),
+            vec![data::class_image(
+                resnet_cfg.in_channels,
+                resnet_cfg.image,
+                1,
+                777,
+            )],
+        ),
+        (
+            "diffusion",
+            diffusion_model,
+            diffusion::build(diffusion_cfg, 2),
+            diffusion_inputs,
+        ),
+        (
+            "int8-transformer",
+            quantize_linears(&transformer::build(int8_cfg, 3)),
+            quantize_linears(&transformer::build(int8_cfg, 4)),
+            vec![transformer::sample_ids(int8_cfg, 44)],
+        ),
+    ]
+}
+
+/// Streams `values` through a table-backed committer in node order.
+fn streamed_over(values: &[Tensor<f32>], params: &ParamDigests) -> TraceCommitment {
+    let mut c = StreamingCommitter::with_params(values.len(), params);
+    for (i, v) in values.iter().enumerate() {
+        c.observe(NodeId(i), v);
+    }
+    c.finish()
+}
+
+/// The parameter table never changes a digest: on every bundled model the
+/// table-backed streamed and post-hoc commitments equal the
+/// `TraceCommitment::build` oracle on an honest pass (traced, and pooled
+/// cold and warm), with each parameter node perturbed in turn, with a
+/// reshaped view of a parameter (same buffer, other shape), and with a
+/// table built from the same topology under different weights.
+#[test]
+fn param_table_commitments_equal_oracle_on_every_bundled_model() {
+    let k = KernelConfig::reference();
+    for (name, model, other, inputs) in bundled_pairs() {
+        let g = &model.graph;
+        let table = ParamDigests::new(g);
+        let param_ids: Vec<NodeId> = g
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.kind, OpKind::Parameter(_)))
+            .map(|n| n.id)
+            .collect();
+        assert!(!param_ids.is_empty(), "{name}: no parameters");
+
+        // Honest pass: every parameter node hits the table.
+        let mut c = StreamingCommitter::with_params(g.len(), &table);
+        let trace = execute_observed(g, &inputs, &k, None, &mut c).unwrap();
+        let oracle = TraceCommitment::build(&trace.values);
+        assert_eq!(c.finish(), oracle, "{name}: honest traced");
+        assert_eq!(
+            TraceCommitment::build_with_params(&trace.values, &table),
+            oracle,
+            "{name}: honest post-hoc"
+        );
+        let hits = (0..g.len())
+            .filter(|&i| table.get(i, &trace.values[i]).is_some())
+            .count();
+        assert_eq!(hits, param_ids.len(), "{name}: every parameter hits");
+        let mut pool = BufferPool::new();
+        for pass in 0..2 {
+            let mut c = StreamingCommitter::with_params(g.len(), &table);
+            forward_observed(g, &inputs, &k, &mut pool, &mut c).unwrap();
+            assert_eq!(c.finish(), oracle, "{name}: pooled pass {pass}");
+        }
+
+        // A perturbed parameter is a fresh buffer: it must miss.
+        for (j, &id) in param_ids.iter().enumerate() {
+            let dims = trace.values[id.0].dims().to_vec();
+            let mut p = Perturbations::new();
+            p.insert(id, Tensor::<f32>::randn(&dims, 900 + j as u64).mul_scalar(0.01));
+            let mut c = StreamingCommitter::with_params(g.len(), &table);
+            let cheat = execute_observed(g, &inputs, &k, Some(&p), &mut c).unwrap();
+            assert!(table.get(id.0, &cheat.values[id.0]).is_none(), "{name}: {id} hit");
+            let want = TraceCommitment::build(&cheat.values);
+            assert_ne!(want.root(), oracle.root(), "{name}: {id} perturbation invisible");
+            assert_eq!(c.finish(), want, "{name}: perturbed {id} streamed");
+            assert_eq!(
+                TraceCommitment::build_with_params(&cheat.values, &table),
+                want,
+                "{name}: perturbed {id} post-hoc"
+            );
+        }
+
+        // A reshaped view shares the buffer but not the canonical header.
+        let id = param_ids[0];
+        let mut values = trace.values.clone();
+        let w = &values[id.0];
+        let view = if w.rank() == 1 {
+            w.reshape(&[1, w.len()]).unwrap()
+        } else {
+            w.reshape(&[w.len()]).unwrap()
+        };
+        assert!(view.shares_buffer(w));
+        values[id.0] = view;
+        let want = TraceCommitment::build(&values);
+        assert_ne!(want.root(), oracle.root(), "{name}: reshape invisible");
+        assert_eq!(streamed_over(&values, &table), want, "{name}: reshape streamed");
+        assert_eq!(
+            TraceCommitment::build_with_params(&values, &table),
+            want,
+            "{name}: reshape post-hoc"
+        );
+
+        // Same topology, different weights: the foreign table never hits.
+        let foreign = ParamDigests::new(&other.graph);
+        assert_eq!(foreign.len(), g.len(), "{name}: same topology");
+        assert!((0..g.len()).all(|i| foreign.get(i, &trace.values[i]).is_none()));
+        assert_eq!(streamed_over(&trace.values, &foreign), oracle, "{name}: foreign");
+        assert_eq!(
+            TraceCommitment::build_with_params(&trace.values, &foreign),
+            oracle,
+            "{name}: foreign post-hoc"
+        );
+    }
 }

@@ -4,9 +4,9 @@
 //! and attributed* — a tampered or stale digest cache can no longer
 //! silently steer the bisection.
 
-use tao::{deploy, Deployment};
+use tao::{deploy, Deployment, ProposerBehavior, SessionBuilder, SessionConfig};
 use tao_device::{Device, Fleet};
-use tao_graph::{execute, execute_observed, Perturbations};
+use tao_graph::{execute, execute_observed, OpKind, Perturbations};
 use tao_merkle::{MerkleTree, StreamingCommitter, TraceCommitment};
 use tao_models::{bert, data, BertConfig};
 use tao_protocol::{
@@ -207,4 +207,50 @@ fn anchor_tree_off_its_committed_root_is_refused() {
         );
         assert_eq!(got.unwrap_err(), ProtocolError::AnchorMismatch { tree });
     }
+}
+
+/// A session's `C0` trace root comes from the deployment's parameter
+/// table; a cheat planted on a parameter node (a fresh buffer, so a table
+/// miss) must still commit exactly the oracle's root over the cheating
+/// trace, and an honest session the oracle's root over the honest one.
+#[test]
+fn parameter_cheat_session_root_equals_oracle() {
+    let (d, inputs, _) = deployment();
+    let graph = &d.model.graph;
+    let cfg = SessionConfig::default();
+    let (param, name) = graph
+        .nodes()
+        .iter()
+        .find_map(|n| match &n.kind {
+            OpKind::Parameter(name) => Some((n.id, name.clone())),
+            _ => None,
+        })
+        .unwrap();
+    let shape = graph.param(&name).unwrap().dims().to_vec();
+    let mut p = Perturbations::new();
+    p.insert(param, Tensor::<f32>::randn(&shape, 77).mul_scalar(0.05));
+    let mut roots = Vec::new();
+    for (label, behavior) in [
+        ("honest", ProposerBehavior::Honest),
+        ("parameter cheat", ProposerBehavior::Malicious(p)),
+    ] {
+        let perturb = match &behavior {
+            ProposerBehavior::Malicious(p) => Some(p),
+            ProposerBehavior::Honest => None,
+        };
+        let oracle = TraceCommitment::build(
+            &execute(graph, &inputs, cfg.proposer.config(), perturb)
+                .unwrap()
+                .values,
+        )
+        .root();
+        let pending = SessionBuilder::new(&d, inputs.clone())
+            .config(cfg.clone())
+            .behavior(behavior)
+            .prepare()
+            .unwrap();
+        assert_eq!(pending.trace_root(), oracle, "{label}");
+        roots.push(oracle);
+    }
+    assert_ne!(roots[0], roots[1], "the parameter cheat must reach the root");
 }

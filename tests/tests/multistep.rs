@@ -5,7 +5,7 @@
 use tao_calib::{calibrate, error_profile, DEFAULT_EPS};
 use tao_device::{Device, Fleet};
 use tao_graph::execute;
-use tao_merkle::{tensor_hash, MerkleTree, TokenChain};
+use tao_merkle::{tensor_hash, MerkleTree, TokenChain, TraceCommitment};
 use tao_models::{diffusion, greedy_decode, greedy_decode_committed, qwen, Argmax, DiffusionConfig, QwenConfig};
 use tao_tensor::{KernelConfig, Tensor};
 
@@ -172,6 +172,20 @@ fn decode_sessions_are_disputable_at_token_granularity() {
     assert_eq!(&longer.step_roots[..6], &commit.step_roots[..]);
     for t in 0..6 {
         assert_eq!(longer.chain.root_at(t), commit.chain.root_at(t), "t={t}");
+    }
+    // Every step root equals the post-hoc oracle over a traced execution
+    // of that step's window (the prompt shifted left by the tokens so far).
+    let mut window = prompt.clone();
+    for (t, step) in steps.iter().enumerate() {
+        let trace = execute(&model.graph, std::slice::from_ref(&window), &k, None).unwrap();
+        assert_eq!(
+            commit.step_roots[t],
+            TraceCommitment::build(&trace.values).root(),
+            "step {t}"
+        );
+        let mut ids = window.data()[1..].to_vec();
+        ids.push(step.token as f32);
+        window = Tensor::from_vec(ids, &[cfg.seq]).unwrap();
     }
     // Tampering one step's root breaks the chain from that point on while
     // the prefix stays final — the temporal-bisection property at token
