@@ -191,7 +191,10 @@ impl Value {
                     .unwrap_or(s.len());
                 let v = s[..end]
                     .parse::<f64>()
-                    .map_err(|_| err(format!("bad number: {:?}", &s[..end.min(24)])))?;
+                    .ok()
+                    // `1e999` parses as `inf`, which the encoder refuses.
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| err(format!("bad number: {:?}", &s[..end.min(24)])))?;
                 Ok((Value::Number(v), &s[end..]))
             }
             None => Err(err("unexpected end of input")),
@@ -263,8 +266,12 @@ fn parse_string(s: &str) -> crate::Result<(String, &str)> {
                     let hex: String = (0..4)
                         .filter_map(|_| chars.next().map(|(_, h)| h))
                         .collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| err(format!("bad \\u escape: {hex:?}")))?;
+                    // Exactly four hex digits: `from_str_radix` alone would
+                    // also take a sign (`\\u+041`).
+                    if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                        return Err(err(format!("bad \\u escape: {hex:?}")));
+                    }
+                    let code = u32::from_str_radix(&hex, 16).expect("four hex digits");
                     out.push(char::from_u32(code).ok_or_else(|| err("invalid \\u code point"))?);
                 }
                 other => return Err(err(format!("bad escape: {other:?}"))),
@@ -324,5 +331,27 @@ mod tests {
         assert!(threshold_from_json(b"{}").is_err());
         assert!(threshold_from_json(b"[1,2]").is_err());
         assert!(threshold_from_json(b"{\"node\":1.5}").is_err());
+        // Non-finite numbers and non-hex or short `\u` escapes are typed
+        // errors, never a panic in the encoder or a silent accept.
+        let good = String::from_utf8(threshold_to_json(&sample())).unwrap();
+        let mae = good.replace("5.5e-9", "1e999");
+        let abs = good.replace("0.00025", "-1e999");
+        let plus = good.replace("soft", "\\u+041");
+        let short = format!("{}\\u04", &good[..good.find("soft").unwrap()]);
+        for bad in [mae, abs, plus, short] {
+            assert_ne!(bad, good);
+            assert!(
+                matches!(
+                    threshold_from_json(bad.as_bytes()),
+                    Err(CalibError::Json(_))
+                ),
+                "{bad}"
+            );
+        }
+        let escaped = good.replace("soft", "\\u0041");
+        assert_eq!(
+            threshold_from_json(escaped.as_bytes()).unwrap().mnemonic,
+            "A\"max\\\n"
+        );
     }
 }

@@ -33,7 +33,7 @@ impl CanonSink for crate::sha256::Sha256 {
     }
 }
 
-impl CanonSink for crate::multiway::FastSha256 {
+impl CanonSink for crate::sha256::FastSha256 {
     fn put(&mut self, bytes: &[u8]) {
         self.update(bytes);
     }
@@ -76,11 +76,10 @@ pub fn canon_tensor_len<T: Element>(t: &Tensor<T>) -> usize {
     8 + T::DTYPE.len() + 8 + 16 * t.rank() + core::mem::size_of::<T>() * t.len()
 }
 
-/// Streams the canonical header (everything before the element bytes):
-/// dtype tag, rank, shape, row-major strides. Identical for equal-shaped
-/// tensors of one element type, which is what lets the trace committer
-/// hash a shape group through the multi-lane compressor.
-pub(crate) fn canon_header_sink<T: Element>(t: &Tensor<T>, sink: &mut impl CanonSink) {
+/// Streams [`canon_tensor`]'s exact byte sequence into `sink` without
+/// allocating: dtype tag, shape, row-major strides, then raw little-endian
+/// element bytes.
+pub fn canon_tensor_sink<T: Element>(t: &Tensor<T>, sink: &mut impl CanonSink) {
     put_str(sink, T::DTYPE);
     sink.put(&(t.rank() as u64).to_le_bytes());
     for &d in t.dims() {
@@ -89,13 +88,6 @@ pub(crate) fn canon_header_sink<T: Element>(t: &Tensor<T>, sink: &mut impl Canon
     for s in t.shape().strides() {
         sink.put(&(s as u64).to_le_bytes());
     }
-}
-
-/// Streams [`canon_tensor`]'s exact byte sequence into `sink` without
-/// allocating: dtype tag, shape, row-major strides, then raw little-endian
-/// element bytes.
-pub fn canon_tensor_sink<T: Element>(t: &Tensor<T>, sink: &mut impl CanonSink) {
-    canon_header_sink(t, sink);
     put_element_bytes(sink, t.data());
 }
 

@@ -2,22 +2,19 @@
 //! [`TraceCommitment`] — per-node digests of an execution trace.
 //!
 //! The commitment hot path is allocation-free: tensors are canonicalized
-//! row-by-row straight into the runtime-dispatched hashers of
-//! [`crate::multiway`] (no per-leaf byte buffers), equal-shaped tensors are
-//! hashed several lanes at a time, and trees build level-parallel. The
-//! seed materializing paths ([`tensor_hash_reference`],
-//! [`TraceCommitment::reference`]) stay in-tree as the differential
-//! oracles and microbenchmark baselines; all digests and roots are
-//! bit-identical by contract.
+//! straight into a [`FastSha256`] (no per-leaf byte buffers) and trees
+//! build with [`MerkleTree::from_leaf_digests`]. The seed materializing
+//! paths ([`tensor_hash_reference`], [`TraceCommitment::reference`]) stay
+//! in-tree as the differential oracles and microbenchmark baselines; all
+//! digests and roots are bit-identical by contract.
 
 use tao_graph::Graph;
 use tao_tensor::Tensor;
 
 use crate::canon::{canon_param, canon_param_sink, canon_signature, canon_tensor, canon_tensor_sink};
-use crate::multiway::{Backend, FastSha256, MultiSha256};
 use crate::params::ParamDigests;
-use crate::sha256::{sha256, Digest, Sha256};
-use crate::tree::{verify_inclusion, InclusionProof, MerkleTree};
+use crate::sha256::{sha256, Digest, FastSha256, Sha256};
+use crate::tree::{hash_leaves, verify_inclusion, InclusionProof, MerkleTree};
 
 /// Execution metadata bound into a claim commitment (the paper's "meta":
 /// device type, kernel versions, dtypes, and the challenge window Δ).
@@ -64,12 +61,11 @@ pub struct ModelCommitment {
 /// Each leaf's canonical bytes stream straight into the hasher (no
 /// per-leaf buffer); bit-identical to [`weight_tree_reference`].
 pub fn weight_tree(graph: &Graph) -> MerkleTree {
-    let backend = Backend::auto();
     let leaf_digests: Vec<Digest> = graph
         .params()
         .iter()
         .map(|(name, t)| {
-            let mut h = FastSha256::with_backend(backend);
+            let mut h = FastSha256::new();
             h.update(&[crate::tree::LEAF_PREFIX]);
             canon_param_sink(name, t, &mut h);
             h.finalize()
@@ -109,8 +105,8 @@ pub fn commit_model<B: AsRef<[u8]>>(graph: &Graph, threshold_leaves: &[B]) -> Mo
 
 /// Hash of a tensor's canonical serialization (`H(x)`, `H(y)`).
 ///
-/// Streams the canonical bytes into the fastest supported hasher without
-/// materializing them; bit-identical to [`tensor_hash_reference`].
+/// Streams the canonical bytes into a [`FastSha256`] without materializing
+/// them; bit-identical to [`tensor_hash_reference`].
 pub fn tensor_hash(t: &Tensor<f32>) -> Digest {
     let mut h = FastSha256::new();
     canon_tensor_sink(t, &mut h);
@@ -131,8 +127,7 @@ pub fn tensor_hash_reference(t: &Tensor<f32>) -> Digest {
 /// dispute: child interface hashes (`h_In`/`h_Out`) re-derive from the
 /// cached per-node digests instead of rehashing full activation tensors
 /// every round, and the tree's root is a compact binding of the whole
-/// trace. Equal-shaped tensors are hashed through the multi-way
-/// compressor several lanes at a time.
+/// trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceCommitment {
     digests: Vec<Digest>,
@@ -140,58 +135,33 @@ pub struct TraceCommitment {
 }
 
 impl TraceCommitment {
-    /// Commits a trace on the fastest supported backend.
+    /// Commits a trace: one [`tensor_hash`] per value.
     pub fn build(values: &[Tensor<f32>]) -> Self {
-        Self::build_with(values, Backend::auto())
-    }
-
-    /// Commits a trace on a pinned backend (equivalence tests and
-    /// microbenchmarks sweep every supported one).
-    pub fn build_with(values: &[Tensor<f32>], backend: Backend) -> Self {
-        Self::from_digests_with(tensor_digests(values, backend), backend)
+        Self::from_digests(values.iter().map(tensor_hash).collect())
     }
 
     /// [`TraceCommitment::build`] with parameter values' digests taken
     /// from `params` (see [`ParamDigests`]); every other value is hashed.
     /// Bit-identical to [`TraceCommitment::build`] for any table.
     pub fn build_with_params(values: &[Tensor<f32>], params: &ParamDigests) -> Self {
-        let backend = Backend::auto();
-        let cached: Vec<Option<Digest>> = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| params.get(i, v))
-            .collect();
-        let missed: Vec<Tensor<f32>> = values
-            .iter()
-            .zip(&cached)
-            .filter(|(_, c)| c.is_none())
-            .map(|(v, _)| v.clone())
-            .collect();
-        let mut hashed = tensor_digests(&missed, backend).into_iter();
-        let digests = cached
-            .into_iter()
-            .map(|c| c.unwrap_or_else(|| hashed.next().expect("one digest per missed value")))
-            .collect();
-        Self::from_digests_with(digests, backend)
+        Self::from_digests(
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| params.get(i, v).unwrap_or_else(|| tensor_hash(v)))
+                .collect(),
+        )
     }
 
-    /// Assembles a commitment from already-computed per-node digests on
-    /// the fastest supported backend. This is the streamed-hashing entry
-    /// point: the executor's observer hashes each node's value as it is
-    /// produced, and only the tree assembly remains at the end of the
-    /// pass. Bit-identical to [`TraceCommitment::build`] when
-    /// the digests equal `values.iter().map(tensor_hash)`.
+    /// Assembles a commitment from already-computed per-node digests. This
+    /// is the streamed-hashing entry point: the executor's observer hashes
+    /// each node's value as it is produced, and only the tree assembly
+    /// remains at the end of the pass. Bit-identical to
+    /// [`TraceCommitment::build`] when the digests equal
+    /// `values.iter().map(tensor_hash)`.
     pub fn from_digests(digests: Vec<Digest>) -> Self {
-        Self::from_digests_with(digests, Backend::auto())
-    }
-
-    /// [`TraceCommitment::from_digests`] on a pinned backend.
-    pub fn from_digests_with(digests: Vec<Digest>, backend: Backend) -> Self {
-        let leaf_digests = crate::tree::hash_leaves(backend, &digests);
-        // Traces below the fan-out threshold never query the host.
-        let threads = crate::tree::auto_threads(digests.len());
         TraceCommitment {
-            tree: MerkleTree::from_leaf_digests_with(leaf_digests, backend, threads),
+            tree: MerkleTree::from_leaf_digests(hash_leaves(&digests)),
             digests,
         }
     }
@@ -235,124 +205,6 @@ impl TraceCommitment {
     /// True when no values were committed.
     pub fn is_empty(&self) -> bool {
         self.digests.is_empty()
-    }
-}
-
-/// Hashes every tensor's canonical serialization, batching equal-shaped
-/// tensors through the 8-lane compressor (their canonical headers and
-/// data lengths are identical, so the lanes stay in lockstep). Equal to
-/// `values.iter().map(tensor_hash)` for any input.
-#[cfg(target_endian = "little")]
-pub fn tensor_digests(values: &[Tensor<f32>], backend: Backend) -> Vec<Digest> {
-    let lanes = backend.lanes();
-    let mut out = vec![[0u8; 32]; values.len()];
-    if lanes <= 1 {
-        for (o, t) in out.iter_mut().zip(values) {
-            let mut h = FastSha256::with_backend(backend);
-            canon_tensor_sink(t, &mut h);
-            *o = h.finalize();
-        }
-        return out;
-    }
-    // Group by shape: identical dims mean identical header bytes and data
-    // lengths, the lockstep precondition for multi-lane hashing.
-    let groups = crate::multiway::group_indices_by(values.len(), |i| values[i].dims());
-    for (dims, idxs) in &groups {
-        // Headers beyond the stack staging buffer (absurd ranks) take the
-        // single-stream path; correctness never depends on batching.
-        let batchable = 27 + 16 * dims.len() <= 512;
-        let mut chunks = idxs.chunks_exact(if batchable { lanes } else { usize::MAX });
-        for chunk in &mut chunks {
-            let batch: [&Tensor<f32>; 8] = std::array::from_fn(|j| &values[chunk[j]]);
-            for (j, d) in tensor_digests_equal(backend, batch).into_iter().enumerate() {
-                out[chunk[j]] = d;
-            }
-        }
-        for &i in chunks.remainder() {
-            let mut h = FastSha256::with_backend(backend);
-            canon_tensor_sink(&values[i], &mut h);
-            out[i] = h.finalize();
-        }
-    }
-    out
-}
-
-/// Big-endian fallback: single-stream hashing (the multi-lane lockstep
-/// path relies on the little-endian byte view of the element data).
-#[cfg(not(target_endian = "little"))]
-pub fn tensor_digests(values: &[Tensor<f32>], backend: Backend) -> Vec<Digest> {
-    values
-        .iter()
-        .map(|t| {
-            let mut h = FastSha256::with_backend(backend);
-            canon_tensor_sink(t, &mut h);
-            h.finalize()
-        })
-        .collect()
-}
-
-/// Hashes `N` equal-shaped tensors in one multi-lane pass: the shared
-/// canonical header goes to every lane, then the element bytes advance in
-/// lockstep. The header is staged in a fixed stack buffer, so the whole
-/// pass performs no per-leaf heap allocation.
-#[cfg(target_endian = "little")]
-fn tensor_digests_equal<const N: usize>(
-    backend: Backend,
-    tensors: [&Tensor<f32>; N],
-) -> [Digest; N] {
-    let mut h = MultiSha256::<N>::new(backend);
-    let t0 = tensors[0];
-    let mut header = StackSink::<512>::new();
-    crate::canon::canon_header_sink(t0, &mut header);
-    h.update_all(header.bytes());
-    const CHUNK_ELEMS: usize = 4096;
-    let len = t0.len();
-    let mut off = 0;
-    while off < len {
-        let end = (off + CHUNK_ELEMS).min(len);
-        let parts: [&[u8]; N] = std::array::from_fn(|j| element_bytes(&tensors[j].data()[off..end]));
-        h.update(parts);
-        off = end;
-    }
-    h.finalize()
-}
-
-/// Little-endian byte view of a data slice (the canonical element
-/// encoding on little-endian targets).
-#[cfg(target_endian = "little")]
-fn element_bytes(data: &[f32]) -> &[u8] {
-    // SAFETY: f32 is plain-old-data; its LE memory layout equals the
-    // canonical encoding on this target.
-    unsafe { core::slice::from_raw_parts(data.as_ptr().cast::<u8>(), core::mem::size_of_val(data)) }
-}
-
-/// A fixed-capacity stack byte sink for small canonical fragments
-/// (tensor headers are `19 + 16 * rank` bytes plus the dtype tag).
-#[cfg(target_endian = "little")]
-struct StackSink<const CAP: usize> {
-    buf: [u8; CAP],
-    len: usize,
-}
-
-#[cfg(target_endian = "little")]
-impl<const CAP: usize> StackSink<CAP> {
-    fn new() -> Self {
-        StackSink {
-            buf: [0u8; CAP],
-            len: 0,
-        }
-    }
-
-    fn bytes(&self) -> &[u8] {
-        &self.buf[..self.len]
-    }
-}
-
-#[cfg(target_endian = "little")]
-impl<const CAP: usize> crate::canon::CanonSink for StackSink<CAP> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
     }
 }
 
@@ -578,28 +430,18 @@ mod tests {
     fn trace_commitment_matches_reference_on_every_backend() {
         let values: Vec<Tensor<f32>> = (0..13)
             .map(|i| {
-                let dims: &[usize] = match i % 3 {
-                    0 => &[4, 8],
-                    1 => &[4, 8], // same shape: exercises the lane batcher
-                    _ => &[2, 3, 3],
-                };
+                let dims: &[usize] = if i % 3 == 2 { &[2, 3, 3] } else { &[4, 8] };
                 Tensor::<f32>::rand_uniform(dims, -1.0, 1.0, 100 + i)
             })
             .collect();
         let oracle = TraceCommitment::reference(&values);
-        assert_eq!(TraceCommitment::build(&values), oracle);
-        for backend in Backend::available() {
-            let got = TraceCommitment::build_with(&values, backend);
-            assert_eq!(got, oracle, "{backend:?}");
-            // Pre-computed digests assemble to the identical commitment.
-            let streamed = TraceCommitment::from_digests_with(
-                values.iter().map(tensor_hash).collect(),
-                backend,
-            );
-            assert_eq!(streamed, oracle, "{backend:?} from_digests");
-            for (i, v) in values.iter().enumerate() {
-                assert_eq!(got.digest(i), Some(&tensor_hash(v)), "{backend:?} node {i}");
-            }
+        let got = TraceCommitment::build(&values);
+        assert_eq!(got, oracle);
+        // Pre-computed digests assemble to the identical commitment.
+        let streamed = TraceCommitment::from_digests(values.iter().map(tensor_hash).collect());
+        assert_eq!(streamed, oracle, "from_digests");
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(got.digest(i), Some(&tensor_hash(v)), "node {i}");
         }
         assert_eq!(oracle.len(), values.len());
         assert!(!oracle.is_empty());

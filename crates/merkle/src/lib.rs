@@ -19,7 +19,6 @@
 
 pub mod canon;
 pub mod commit;
-pub mod multiway;
 pub mod params;
 pub mod sha256;
 pub mod stream;
@@ -30,18 +29,14 @@ pub use canon::{
     canon_tensor_sink, CanonSink,
 };
 pub use commit::{
-    claim_commitment, commit_model, graph_tree, inputs_hash, tensor_digests, tensor_hash,
-    tensor_hash_reference, tensor_list_hash, verify_graph_leaf, verify_weight_leaf, weight_tree,
-    weight_tree_reference, ClaimMeta, ModelCommitment, TraceCommitment,
-};
-pub use multiway::{
-    sha256_batch, sha256_batch_with, sha256_many_equal, sha256_with, Backend, FastSha256,
-    MultiSha256,
+    claim_commitment, commit_model, graph_tree, inputs_hash, tensor_hash, tensor_hash_reference,
+    tensor_list_hash, verify_graph_leaf, verify_weight_leaf, weight_tree, weight_tree_reference,
+    ClaimMeta, ModelCommitment, TraceCommitment,
 };
 pub use params::ParamDigests;
-pub use sha256::{sha256, to_hex, Digest, Sha256};
+pub use sha256::{sha256, to_hex, Digest, FastSha256, Sha256};
 pub use stream::{StreamingCommitter, TokenChain};
 pub use tree::{
     hash_leaves, verify_inclusion, verify_inclusion_digest, verify_inclusion_digest_reference,
-    InclusionProof, MerkleTree, MAX_HASH_THREADS,
+    InclusionProof, MerkleTree,
 };

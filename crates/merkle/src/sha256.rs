@@ -7,15 +7,19 @@
 //!
 //! [`Sha256`] is the portable **scalar oracle**: one message, one block at
 //! a time, exactly the seed implementation. It stays in-tree permanently as
-//! the differential reference (the kernel-oracle idiom) for the fast paths
-//! in [`crate::multiway`] — the runtime-dispatched single-stream
-//! [`crate::multiway::FastSha256`] and the 4/8-lane interleaved multi-block
-//! compressors — all of which must produce bit-identical digests.
+//! the differential reference (the kernel-oracle idiom) for
+//! [`FastSha256`], the hasher every commitment path uses, whose digests
+//! must be bit-identical.
+//!
+//! [`FastSha256`] compresses whole blocks straight from the caller's slice
+//! through one dispatch, `compress_blocks`: the Intel SHA extension rounds
+//! when a once-cached CPU feature check passes, the scalar rounds
+//! otherwise. Nothing else in the crate knows which compressor runs.
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
 
-pub(crate) const K: [u32; 64] = [
+const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -31,9 +35,9 @@ pub(crate) const H0: [u32; 8] = [
 ];
 
 /// One scalar compression round sequence over a 64-byte block (FIPS 180-4
-/// §6.2.2), exposed crate-internally as the reference the multiway
-/// backends are tested against and as their portable fallback.
-pub(crate) fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+/// §6.2.2): the oracle's compressor and the portable arm of
+/// [`compress_blocks`].
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -90,7 +94,7 @@ pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
 /// whose last partial block holds `buffered` bytes: `0x80`, zeros, then
 /// the 64-bit big-endian bit length, sized so that absorbing the first
 /// `len` bytes of the returned buffer ends exactly on a block boundary.
-pub(crate) fn padding(buffered: usize, total_len: u64) -> ([u8; 72], usize) {
+fn padding(buffered: usize, total_len: u64) -> ([u8; 72], usize) {
     // 1..=64 bytes of 0x80 + zeros bring the buffer to 56 mod 64.
     let zeros_end = 1 + (119 - buffered) % 64;
     let mut pad = [0u8; 72];
@@ -187,9 +191,200 @@ pub fn to_hex(d: &Digest) -> String {
     s
 }
 
+/// Compresses `data` (a whole number of 64-byte blocks) into `state`: the
+/// SHA extension rounds when the host has them, the scalar rounds
+/// otherwise. Both arms implement the FIPS 180-4 round function, so the
+/// state is the same on every host.
+pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    debug_assert_eq!(data.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if ni::supported() {
+        // SAFETY: `ni::supported` checked every feature the rounds need;
+        // the rounds walk `data.chunks_exact(64)`, so every load is in
+        // bounds whatever the length.
+        unsafe { ni::compress_blocks(state, data) };
+        return;
+    }
+    compress_blocks_scalar(state, data);
+}
+
+/// The portable arm of [`compress_blocks`].
+fn compress_blocks_scalar(state: &mut [u32; 8], data: &[u8]) {
+    for block in data.chunks_exact(64) {
+        compress_scalar(state, block.try_into().expect("64-byte chunk"));
+    }
+}
+
+/// Incremental SHA-256 on the host's fastest compressor (SHA-NI rounds
+/// when the CPU has them, scalar rounds otherwise): the hasher every
+/// commitment path uses.
+///
+/// Same `update`/`finalize` surface and identical digests as the scalar
+/// [`Sha256`]; bulk input (whole 64-byte blocks) bypasses the staging
+/// buffer and compresses straight from the caller's slice.
+#[derive(Debug, Clone)]
+pub struct FastSha256 {
+    state: [u32; 8],
+    buffer: [u8; 64],
+    buffered: usize,
+    total_len: u64,
+}
+
+impl Default for FastSha256 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FastSha256 {
+    /// Creates a fresh hasher.
+    pub fn new() -> Self {
+        FastSha256 {
+            state: H0,
+            buffer: [0u8; 64],
+            buffered: 0,
+            total_len: 0,
+        }
+    }
+
+    /// Absorbs bytes.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        if self.buffered > 0 {
+            let take = (64 - self.buffered).min(data.len());
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered == 64 {
+                let block = self.buffer;
+                compress_blocks(&mut self.state, &block);
+                self.buffered = 0;
+            }
+        }
+        let bulk = data.len() - data.len() % 64;
+        if bulk > 0 {
+            compress_blocks(&mut self.state, &data[..bulk]);
+            data = &data[bulk..];
+        }
+        if !data.is_empty() {
+            self.buffer[..data.len()].copy_from_slice(data);
+            self.buffered = data.len();
+        }
+    }
+
+    /// Finishes and returns the digest. The whole padding tail is absorbed
+    /// in one `update`, which ends on a block boundary.
+    pub fn finalize(mut self) -> Digest {
+        let (pad, len) = padding(self.buffered, self.total_len);
+        self.update(&pad[..len]);
+        debug_assert_eq!(self.buffered, 0);
+        state_digest(&self.state)
+    }
+}
+
+/// Intel SHA extensions single-stream compressor.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use super::K;
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// True when the host has `sha`, `sse2`, `ssse3` and `sse4.1`; detected
+    /// once per process.
+    pub(super) fn supported() -> bool {
+        static SUPPORTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *SUPPORTED.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("sha")
+                && std::arch::is_x86_feature_detected!("sse2")
+                && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        })
+    }
+
+    /// Compresses every 64-byte block of `data` into `state` with the SHA
+    /// extension instructions. Bit-identical to the scalar rounds: the
+    /// instructions implement the FIPS 180-4 round function directly.
+    ///
+    /// # Safety
+    ///
+    /// Requires runtime support for `sha`, `sse2`, `ssse3` and `sse4.1`,
+    /// and `data.len() % 64 == 0`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+        debug_assert_eq!(data.len() % 64, 0);
+        // Big-endian 32-bit word loads.
+        let shuf = _mm_set_epi64x(
+            0x0c0d_0e0f_0809_0a0bu64 as i64,
+            0x0405_0607_0001_0203u64 as i64,
+        );
+        // Repack [a,b,c,d|e,f,g,h] into the ABEF/CDGH layout the
+        // sha256rnds2 instruction consumes.
+        let abcd = _mm_loadu_si128(state.as_ptr().cast::<__m128i>());
+        let efgh = _mm_loadu_si128(state.as_ptr().add(4).cast::<__m128i>());
+        let tmp = _mm_shuffle_epi32::<0xB1>(abcd);
+        let efgh = _mm_shuffle_epi32::<0x1B>(efgh);
+        let mut state0 = _mm_alignr_epi8::<8>(tmp, efgh); // ABEF
+        let mut state1 = _mm_blend_epi16::<0xF0>(efgh, tmp); // CDGH
+        for block in data.chunks_exact(64) {
+            let save0 = state0;
+            let save1 = state1;
+            let p = block.as_ptr();
+            let mut w = [
+                _mm_shuffle_epi8(_mm_loadu_si128(p.cast::<__m128i>()), shuf),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast::<__m128i>()), shuf),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast::<__m128i>()), shuf),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast::<__m128i>()), shuf),
+            ];
+            for i in 0..16 {
+                let wi = if i < 4 {
+                    w[i]
+                } else {
+                    // W(i) = msg2(msg1(W(i-4), W(i-3)) + alignr(W(i-1),
+                    // W(i-2), 4), W(i-1)) — the 4-word schedule step.
+                    let wn = _mm_sha256msg2_epu32(
+                        _mm_add_epi32(
+                            _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]),
+                            _mm_alignr_epi8::<4>(w[(i + 3) % 4], w[(i + 2) % 4]),
+                        ),
+                        w[(i + 3) % 4],
+                    );
+                    w[i % 4] = wn;
+                    wn
+                };
+                let msg = _mm_add_epi32(wi, _mm_loadu_si128(K.as_ptr().add(4 * i).cast()));
+                state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
+                state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32::<0x0E>(msg));
+            }
+            state0 = _mm_add_epi32(state0, save0);
+            state1 = _mm_add_epi32(state1, save1);
+        }
+        let tmp = _mm_shuffle_epi32::<0x1B>(state0); // FEBA
+        let st1 = _mm_shuffle_epi32::<0xB1>(state1); // DCHG
+        let abcd = _mm_blend_epi16::<0xF0>(tmp, st1); // DCBA
+        let efgh = _mm_alignr_epi8::<8>(st1, tmp); // HGFE
+        _mm_storeu_si128(state.as_mut_ptr().cast::<__m128i>(), abcd);
+        _mm_storeu_si128(state.as_mut_ptr().add(4).cast::<__m128i>(), efgh);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fast_sha256(data: &[u8]) -> Digest {
+        let mut h = FastSha256::new();
+        h.update(data);
+        h.finalize()
+    }
+
+    fn msg(len: usize, seed: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31) ^ seed)
+            .collect()
+    }
 
     // NIST FIPS 180-4 / well-known reference vectors.
     #[test]
@@ -231,6 +426,33 @@ mod tests {
         );
     }
 
+    /// The same vectors through [`FastSha256`] (SHA-NI where the host has
+    /// it, else the portable compressor).
+    #[test]
+    fn fast_hasher_nist_vectors() {
+        assert_eq!(
+            to_hex(&fast_sha256(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            to_hex(&fast_sha256(b"")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        );
+    }
+
+    #[test]
+    fn fast_hasher_million_a() {
+        let chunk = [b'a'; 1000];
+        let mut h = FastSha256::new();
+        for _ in 0..1000 {
+            h.update(&chunk);
+        }
+        assert_eq!(
+            to_hex(&h.finalize()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
     #[test]
     fn incremental_matches_oneshot() {
         let data: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
@@ -260,5 +482,40 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(sha256(b"tao"), sha256(b"oat"));
+    }
+
+    #[test]
+    fn fast_hasher_matches_scalar_oracle() {
+        for len in [0usize, 1, 3, 55, 56, 63, 64, 65, 119, 127, 128, 1000, 4096] {
+            let data = msg(len, 7);
+            assert_eq!(fast_sha256(&data), sha256(&data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn fast_hasher_incremental_split_points() {
+        let data = msg(1_000, 3);
+        let want = sha256(&data);
+        for split in [1usize, 17, 63, 64, 65, 500] {
+            let mut h = FastSha256::new();
+            for chunk in data.chunks(split) {
+                h.update(chunk);
+            }
+            assert_eq!(h.finalize(), want, "split {split}");
+        }
+    }
+
+    /// The dispatched compressor equals its portable arm, so the scalar
+    /// fallback is checked on hosts that dispatch to SHA-NI too.
+    #[test]
+    fn compress_blocks_matches_scalar_arm() {
+        for blocks in [1usize, 2, 3, 16] {
+            let data = msg(64 * blocks, blocks as u8);
+            let mut fast = H0;
+            compress_blocks(&mut fast, &data);
+            let mut scalar = H0;
+            compress_blocks_scalar(&mut scalar, &data);
+            assert_eq!(fast, scalar, "{blocks} blocks");
+        }
     }
 }

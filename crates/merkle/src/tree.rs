@@ -1,33 +1,19 @@
 //! Merkle trees with domain separation and inclusion proofs.
 //!
 //! Tree construction has two implementations with bit-identical output:
-//! the seed serial builder ([`MerkleTree::from_leaf_digests_reference`]),
-//! kept in-tree permanently as the differential oracle, and the default
-//! fast builder, which hashes interior levels with the multi-way SHA-256
-//! backends of [`crate::multiway`] and fans large levels out over scoped
-//! worker threads. Every interior digest is a pure function of its two
-//! children, so row-banding a level cannot change any bit regardless of
-//! the thread count (the same argument as the tensor kernels' row bands).
+//! the seed builder ([`MerkleTree::from_leaf_digests_reference`]), kept
+//! in-tree permanently as the differential oracle, and the default builder
+//! ([`MerkleTree::from_leaf_digests`]), which walks the same levels
+//! serially but hashes each interior node as two pre-padded blocks through
+//! [`FastSha256`]'s compressor. Both run on the calling thread: the largest
+//! tree a protocol session builds has a few hundred leaves.
 
-use crate::multiway::{compress_blocks, sha256_many_equal, Backend, FastSha256};
-use crate::sha256::{sha256, state_digest, Digest, Sha256, H0};
+use crate::sha256::{compress_blocks, sha256, state_digest, Digest, FastSha256, Sha256, H0};
 
 /// Domain-separation prefix for leaf hashes.
 pub(crate) const LEAF_PREFIX: u8 = 0x00;
 /// Domain-separation prefix for interior hashes.
 pub(crate) const NODE_PREFIX: u8 = 0x01;
-
-/// Upper bound on tree-builder worker threads (matches the kernel cap so
-/// nested parallelism stays bounded).
-pub const MAX_HASH_THREADS: usize = 8;
-
-/// Minimum pair hashes in a level before it fans out to threads; below
-/// this the spawn cost dominates. In `commit_microbench`'s forced-thread
-/// table on a 2-core SHA-NI host, fanning a first level of 8192 pairs out
-/// to 2 threads read 0.96–1.10x, within the 0.82–1.03x that builds which
-/// never fan out read from run to run, while 16384 pairs read 1.09–1.35x
-/// (BENCH.md, commitment section).
-const PAR_MIN_PAIRS: usize = 16384;
 
 /// A binary Merkle tree over a fixed leaf list.
 ///
@@ -51,13 +37,10 @@ pub struct InclusionProof {
 }
 
 impl MerkleTree {
-    /// Builds a tree from raw leaf byte strings (multi-way leaf hashing,
-    /// level-parallel interior build; bit-identical to
-    /// [`MerkleTree::from_leaves_reference`]).
+    /// Builds a tree from raw leaf byte strings; bit-identical to
+    /// [`MerkleTree::from_leaves_reference`].
     pub fn from_leaves<B: AsRef<[u8]>>(leaves: &[B]) -> Self {
-        let backend = Backend::auto();
-        let leaf_digests = hash_leaves(backend, leaves);
-        Self::from_leaf_digests_with(leaf_digests, backend, auto_threads(leaves.len()))
+        Self::from_leaf_digests(hash_leaves(leaves))
     }
 
     /// Seed serial tree construction over raw leaves: scalar leaf hashing
@@ -77,20 +60,22 @@ impl MerkleTree {
     }
 
     /// Builds a tree from precomputed (already domain-separated) leaf
-    /// digests on the fastest supported backend.
+    /// digests, hashing each interior node as two pre-padded blocks in one
+    /// compressor call; bit-identical to
+    /// [`MerkleTree::from_leaf_digests_reference`].
     pub fn from_leaf_digests(leaf_digests: Vec<Digest>) -> Self {
-        let threads = auto_threads(leaf_digests.len());
-        Self::from_leaf_digests_with(leaf_digests, Backend::auto(), threads)
-    }
-
-    /// Builds a tree from leaf digests with a pinned hash backend and
-    /// worker count (the equivalence tests sweep both; results are
-    /// independent of `threads`).
-    pub fn from_leaf_digests_with(leaf_digests: Vec<Digest>, backend: Backend, threads: usize) -> Self {
         let mut levels = vec![leaf_digests];
         while levels.last().map(|l| l.len() > 1).unwrap_or(false) {
             let prev = levels.last().expect("non-empty by loop condition");
-            levels.push(level_up(prev, backend, threads));
+            let next = prev
+                .chunks(2)
+                .map(|pair| match pair {
+                    [l, r] => pair_digest(l, r),
+                    // Odd node promoted unchanged.
+                    _ => pair[0],
+                })
+                .collect();
+            levels.push(next);
         }
         MerkleTree { levels }
     }
@@ -175,12 +160,12 @@ fn hash_pair(l: &Digest, r: &Digest) -> Digest {
     h.finalize()
 }
 
-/// Interior-node hash `H(NODE_PREFIX || l || r)` on `backend`. The
-/// 65-byte message and its padding (`0x80`, zeros, the 520-bit length)
-/// fill exactly two blocks, staged once and compressed in one call.
-/// Bit-identical to [`hash_pair`].
+/// Interior-node hash `H(NODE_PREFIX || l || r)`. The 65-byte message and
+/// its padding (`0x80`, zeros, the 520-bit length) fill exactly two
+/// blocks, staged once and compressed in one call. Bit-identical to
+/// [`hash_pair`].
 #[inline]
-pub(crate) fn pair_digest(backend: Backend, l: &Digest, r: &Digest) -> Digest {
+pub(crate) fn pair_digest(l: &Digest, r: &Digest) -> Digest {
     let mut blocks = [0u8; 128];
     blocks[0] = NODE_PREFIX;
     blocks[1..33].copy_from_slice(l);
@@ -188,132 +173,33 @@ pub(crate) fn pair_digest(backend: Backend, l: &Digest, r: &Digest) -> Digest {
     blocks[65] = 0x80;
     blocks[120..].copy_from_slice(&(65u64 * 8).to_be_bytes());
     let mut state = H0;
-    compress_blocks(backend, &mut state, &blocks);
+    compress_blocks(&mut state, &blocks);
     state_digest(&state)
 }
 
-/// Worker count for a level of `pairs` pair hashes: 1 below the fan-out
-/// threshold (no host query), else the cached host parallelism.
-pub(crate) fn auto_threads(pairs: usize) -> usize {
-    if pairs < PAR_MIN_PAIRS {
-        return 1;
-    }
-    tao_tensor::kernel::host_threads().min(MAX_HASH_THREADS)
+/// The leaf digest `H(LEAF_PREFIX || leaf)`.
+fn leaf_digest(leaf: &[u8]) -> Digest {
+    let mut h = FastSha256::new();
+    h.update(&[LEAF_PREFIX]);
+    h.update(leaf);
+    h.finalize()
 }
 
-/// The 65-byte interior-node message `NODE_PREFIX || l || r` on the stack.
-#[inline]
-fn pair_message(l: &Digest, r: &Digest) -> [u8; 65] {
-    let mut msg = [0u8; 65];
-    msg[0] = NODE_PREFIX;
-    msg[1..33].copy_from_slice(l);
-    msg[33..65].copy_from_slice(r);
-    msg
-}
-
-/// Fills `out[o]` with the parent of leaves `2(o0+o)` and `2(o0+o)+1` of
-/// `prev` for every `o`, batching full pairs through the 8-lane
-/// compressor when the backend has one. Pure per-output, so any band
-/// decomposition yields identical digests.
-fn fill_parents(backend: Backend, prev: &[Digest], o0: usize, out: &mut [Digest]) {
-    let lanes = backend.lanes();
-    let mut o = 0;
-    while o < out.len() {
-        let global = o0 + o;
-        if 2 * global + 1 >= prev.len() {
-            // Odd node promoted unchanged (always the last output).
-            out[o] = prev[2 * global];
-            o += 1;
-            continue;
-        }
-        // Number of consecutive full pairs from here.
-        let full = out.len() - o - usize::from(2 * (o0 + out.len() - 1) + 1 >= prev.len());
-        if lanes == 8 && full >= 8 {
-            let msgs: [[u8; 65]; 8] = std::array::from_fn(|j| {
-                let g = global + j;
-                pair_message(&prev[2 * g], &prev[2 * g + 1])
-            });
-            let refs: [&[u8]; 8] = std::array::from_fn(|j| msgs[j].as_slice());
-            out[o..o + 8].copy_from_slice(&sha256_many_equal(backend, refs));
-            o += 8;
-        } else {
-            out[o] = pair_digest(backend, &prev[2 * global], &prev[2 * global + 1]);
-            o += 1;
-        }
-    }
-}
-
-/// Computes one interior level from the previous one, fanning bands of
-/// parents out over scoped worker threads when the level is large enough.
-fn level_up(prev: &[Digest], backend: Backend, threads: usize) -> Vec<Digest> {
-    let n_out = prev.len().div_ceil(2);
-    let mut next = vec![[0u8; 32]; n_out];
-    let workers = threads.clamp(1, MAX_HASH_THREADS).min(n_out.max(1));
-    if workers <= 1 || n_out < PAR_MIN_PAIRS {
-        fill_parents(backend, prev, 0, &mut next);
-        return next;
-    }
-    let per = n_out.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (wi, band) in next.chunks_mut(per).enumerate() {
-            scope.spawn(move || fill_parents(backend, prev, wi * per, band));
-        }
-    });
-    next
-}
-
-/// Hashes raw leaves (`LEAF_PREFIX || leaf`) into leaf digests, batching
-/// equal-length leaves through the 8-lane compressor when the backend has
-/// one. Equal to the
-/// scalar per-leaf hashing of [`MerkleTree::from_leaves_reference`].
-pub fn hash_leaves<B: AsRef<[u8]>>(backend: Backend, leaves: &[B]) -> Vec<Digest> {
-    let lanes = backend.lanes();
-    if lanes == 1 {
-        return leaves
-            .iter()
-            .map(|l| {
-                let mut h = FastSha256::with_backend(backend);
-                h.update(&[LEAF_PREFIX]);
-                h.update(l.as_ref());
-                h.finalize()
-            })
-            .collect();
-    }
-    let mut out = vec![[0u8; 32]; leaves.len()];
-    let groups = crate::multiway::group_indices_by(leaves.len(), |i| leaves[i].as_ref().len());
-    for (_, idxs) in &groups {
-        let mut chunks = idxs.chunks_exact(lanes);
-        for chunk in &mut chunks {
-            let mut h = crate::multiway::MultiSha256::<8>::new(backend);
-            h.update_all(&[LEAF_PREFIX]);
-            h.update(std::array::from_fn(|j| leaves[chunk[j]].as_ref()));
-            for (j, d) in h.finalize().into_iter().enumerate() {
-                out[chunk[j]] = d;
-            }
-        }
-        for &i in chunks.remainder() {
-            let mut h = FastSha256::with_backend(backend);
-            h.update(&[LEAF_PREFIX]);
-            h.update(leaves[i].as_ref());
-            out[i] = h.finalize();
-        }
-    }
-    out
+/// Hashes raw leaves (`LEAF_PREFIX || leaf`) into leaf digests. Equal to
+/// the scalar per-leaf hashing of [`MerkleTree::from_leaves_reference`].
+pub fn hash_leaves<B: AsRef<[u8]>>(leaves: &[B]) -> Vec<Digest> {
+    leaves.iter().map(|l| leaf_digest(l.as_ref())).collect()
 }
 
 /// Verifies an inclusion proof for raw leaf bytes against a root.
 pub fn verify_inclusion(root: &Digest, leaf: &[u8], proof: &InclusionProof) -> bool {
-    let mut h = FastSha256::new();
-    h.update(&[LEAF_PREFIX]);
-    h.update(leaf);
-    verify_inclusion_digest(root, h.finalize(), proof)
+    verify_inclusion_digest(root, leaf_digest(leaf), proof)
 }
 
 /// Verifies an inclusion proof for a precomputed leaf digest, hashing the
-/// path on the fastest supported backend.
+/// path as [`MerkleTree::from_leaf_digests`] hashes interior nodes.
 pub fn verify_inclusion_digest(root: &Digest, leaf_digest: Digest, proof: &InclusionProof) -> bool {
-    let backend = Backend::auto();
-    path_root(leaf_digest, proof, |l, r| pair_digest(backend, l, r)) == *root
+    path_root(leaf_digest, proof, pair_digest) == *root
 }
 
 /// Seed inclusion check: the same path walk, hashing each interior node
@@ -353,7 +239,6 @@ fn path_root(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiway::Backend;
 
     fn leaves(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("leaf-{i}").into_bytes()).collect()
@@ -451,39 +336,45 @@ mod tests {
         for n in [0usize, 1, 2, 3, 5, 8, 9, 33, 64, 65, 257] {
             let ls = leaves(n);
             let oracle = MerkleTree::from_leaves_reference(&ls);
-            assert_eq!(MerkleTree::from_leaves(&ls), oracle, "auto n={n}");
-            let digests = oracle.levels.first().cloned().unwrap_or_default();
-            for backend in Backend::available() {
-                for threads in [1usize, 2, 3, 8] {
-                    let fast =
-                        MerkleTree::from_leaf_digests_with(digests.clone(), backend, threads);
-                    assert_eq!(fast, oracle, "{backend:?} threads={threads} n={n}");
-                }
-            }
+            assert_eq!(MerkleTree::from_leaves(&ls), oracle, "n={n}");
+            let digests = oracle.leaf_digests().to_vec();
+            assert_eq!(
+                MerkleTree::from_leaf_digests(digests),
+                oracle,
+                "digests n={n}"
+            );
         }
     }
 
+    /// Trees with a first level of 16385 pairs (where level fan-out used
+    /// to start) equal the seed oracle, also when several threads build
+    /// at once.
     #[test]
     fn parallel_build_crosses_the_fanout_threshold() {
-        // Enough leaves that the first level actually fans out.
-        let ls = leaves(2 * PAR_MIN_PAIRS + 3);
+        let ls = leaves(2 * 16384 + 3);
         let oracle = MerkleTree::from_leaves_reference(&ls);
-        for threads in [2usize, 8] {
-            let digests = oracle.levels[0].clone();
-            let fast = MerkleTree::from_leaf_digests_with(digests, Backend::auto(), threads);
-            assert_eq!(fast.root(), oracle.root(), "threads={threads}");
-            assert_eq!(fast, oracle);
-        }
+        assert_eq!(
+            MerkleTree::from_leaf_digests(oracle.leaf_digests().to_vec()),
+            oracle
+        );
+        std::thread::scope(|scope| {
+            let builds: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| MerkleTree::from_leaves(&ls)))
+                .collect();
+            for b in builds {
+                let fast = b.join().unwrap();
+                assert_eq!(fast.root(), oracle.root());
+                assert_eq!(fast, oracle);
+            }
+        });
     }
 
     #[test]
     fn pair_digest_matches_scalar_oracle_on_every_backend() {
         let digests: Vec<Digest> = (0..6u8).map(|i| sha256(&[i])).collect();
-        for backend in Backend::available() {
-            for l in &digests {
-                for r in &digests {
-                    assert_eq!(pair_digest(backend, l, r), hash_pair(l, r), "{backend:?}");
-                }
+        for l in &digests {
+            for r in &digests {
+                assert_eq!(pair_digest(l, r), hash_pair(l, r));
             }
         }
     }

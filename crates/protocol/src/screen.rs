@@ -129,7 +129,8 @@ pub fn screen_claim_with_params(
         .ok_or(ProtocolError::MissingThreshold(output_node))?;
     let flagged = exceedance > 1.0;
     // A flagged screening feeds a dispute; commit to the trace now (the
-    // multi-way hashers make this cheap) so the descent never rehashes it.
+    // parameter table and SHA-NI hashing make this cheap) so the descent
+    // never rehashes it.
     let commitment = flagged.then(|| TraceCommitment::build_with_params(&trace.values, params));
     Ok(Screening {
         exceedance,

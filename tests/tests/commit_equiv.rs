@@ -1,9 +1,10 @@
 //! Differential equivalence harness for the commitment layer — the
-//! `kernel_equiv` idiom applied to hashing: every fast path (multi-way
-//! SHA-256 backends, streaming canonical encoders, level-parallel tree
-//! builds, the trace committer) must be **bit-identical** to the seed
-//! scalar oracles, for every supported backend, any message mix, ragged
-//! leaf counts, and any forced thread count.
+//! `kernel_equiv` idiom applied to hashing: every fast path
+//! ([`FastSha256`] on whichever compressor the host dispatches to, the
+//! streaming canonical encoders, the tree builder, the trace committer
+//! with and without a parameter table) must be **bit-identical** to the
+//! seed scalar oracles, for any message length and chunking, ragged leaf
+//! counts (past 32k leaves included) and any mix of tensor shapes.
 
 use proptest::prelude::*;
 use tao_graph::{
@@ -11,10 +12,9 @@ use tao_graph::{
     ValueObserver,
 };
 use tao_merkle::{
-    canon_tensor, sha256, sha256_batch_with, sha256_with, tensor_hash, tensor_hash_reference,
-    verify_inclusion_digest, verify_inclusion_digest_reference, Backend, Digest, FastSha256,
-    MerkleTree, MultiSha256, ParamDigests, Sha256, StreamingCommitter, TokenChain,
-    TraceCommitment,
+    canon_tensor, sha256, tensor_hash, tensor_hash_reference, verify_inclusion_digest,
+    verify_inclusion_digest_reference, Digest, FastSha256, MerkleTree, ParamDigests, Sha256,
+    StreamingCommitter, TokenChain, TraceCommitment,
 };
 use tao_models::Model;
 use tao_tensor::{KernelConfig, Tensor};
@@ -25,28 +25,17 @@ fn message(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
+fn fast_sha256(data: &[u8]) -> Digest {
+    let mut h = FastSha256::new();
+    h.update(data);
+    h.finalize()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Multi-way batches equal the scalar map for any message count and
-    /// any length mix (padding boundaries included), on every backend.
-    #[test]
-    fn sha256_batch_equals_scalar_for_any_count_and_lengths(
-        lens in prop::collection::vec(0usize..300, 0..40),
-    ) {
-        let msgs: Vec<Vec<u8>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| message(len, i as u8))
-            .collect();
-        let want: Vec<_> = msgs.iter().map(|m| sha256(m)).collect();
-        for backend in Backend::available() {
-            prop_assert_eq!(&sha256_batch_with(backend, &msgs), &want, "{:?}", backend);
-        }
-    }
-
     /// The streaming hasher equals the scalar oracle for any chunking of
-    /// any message, on every backend.
+    /// any message, and one-shot.
     #[test]
     fn fast_hasher_equals_oracle_for_any_chunking(
         len in 0usize..2048,
@@ -55,29 +44,25 @@ proptest! {
     ) {
         let data = message(len, seed);
         let want = sha256(&data);
-        for backend in Backend::available() {
-            let mut h = FastSha256::with_backend(backend);
-            for chunk in data.chunks(split) {
-                h.update(chunk);
-            }
-            prop_assert_eq!(h.finalize(), want, "{:?} split {}", backend, split);
-            prop_assert_eq!(sha256_with(backend, &data), want, "{:?} one-shot", backend);
+        let mut h = FastSha256::new();
+        for chunk in data.chunks(split) {
+            h.update(chunk);
         }
+        prop_assert_eq!(h.finalize(), want, "split {}", split);
+        prop_assert_eq!(fast_sha256(&data), want, "one-shot");
     }
 
-    /// Fast tree builds (multi-way leaves + level-parallel interior) equal
-    /// the seed serial builder for ragged leaf counts, on every backend
-    /// and forced thread count — including counts past the fan-out
-    /// threshold when the leaf set is large.
+    /// Tree builds from raw leaves and from leaf digests equal the seed
+    /// builder for ragged leaf counts, also when several threads build the
+    /// same tree at once.
     #[test]
     fn tree_builds_equal_reference_for_ragged_counts_and_threads(
         n in 0usize..90,
         leaf_len in 1usize..80,
         boost in 0usize..2,
     ) {
-        // `boost` occasionally pushes the leaf count past the parallel
-        // fan-out threshold so the banded path is exercised, not just the
-        // serial small-level path.
+        // `boost` occasionally pushes the leaf count past 32k leaves, far
+        // beyond any tree a protocol session builds.
         let n = if boost == 1 { n * 512 } else { n };
         let leaves: Vec<Vec<u8>> = (0..n).map(|i| message(leaf_len, i as u8)).collect();
         let oracle = MerkleTree::from_leaves_reference(&leaves);
@@ -91,11 +76,15 @@ proptest! {
                 h.finalize()
             })
             .collect();
-        for backend in Backend::available() {
-            for threads in [1usize, 2, 3, 8] {
-                let fast = MerkleTree::from_leaf_digests_with(digests.clone(), backend, threads);
-                prop_assert_eq!(&fast, &oracle, "{:?} threads={}", backend, threads);
-            }
+        prop_assert_eq!(&MerkleTree::from_leaf_digests(digests.clone()), &oracle, "digests");
+        let concurrent: Vec<MerkleTree> = std::thread::scope(|scope| {
+            let builds: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| MerkleTree::from_leaf_digests(digests.clone())))
+                .collect();
+            builds.into_iter().map(|b| b.join().unwrap()).collect()
+        });
+        for (i, tree) in concurrent.iter().enumerate() {
+            prop_assert_eq!(tree, &oracle, "concurrent build {}", i);
         }
     }
 
@@ -138,8 +127,9 @@ proptest! {
     }
 
     /// The streaming tensor digest equals hashing the materialized
-    /// canonical bytes, and the trace committer equals the seed
-    /// materializing path, for any mix of tensor shapes.
+    /// canonical bytes, and the trace committer (with and without a
+    /// parameter table) equals the seed materializing path, for any mix
+    /// of tensor shapes.
     #[test]
     fn trace_commitments_equal_reference_for_any_shape_mix(
         shapes in prop::collection::vec(0usize..6, 0..24),
@@ -152,7 +142,7 @@ proptest! {
                     0 => &[1],
                     1 => &[17],
                     2 => &[4, 4],
-                    3 => &[4, 4], // repeated shape: exercises lane batching
+                    3 => &[4, 4],
                     4 => &[2, 3, 5],
                     _ => &[],     // rank-0 scalar
                 };
@@ -164,14 +154,11 @@ proptest! {
             prop_assert_eq!(tensor_hash(t), sha256(&canon_tensor(t)));
         }
         let oracle = TraceCommitment::reference(&values);
-        for backend in Backend::available() {
-            prop_assert_eq!(
-                &TraceCommitment::build_with(&values, backend),
-                &oracle,
-                "{:?}",
-                backend
-            );
-        }
+        prop_assert_eq!(&TraceCommitment::build(&values), &oracle);
+        prop_assert_eq!(
+            &TraceCommitment::build_with_params(&values, &ParamDigests::default()),
+            &oracle
+        );
     }
 
     /// Streamed commitments (digests hashed as the executor produces each
@@ -242,38 +229,29 @@ proptest! {
     }
 }
 
-/// Non-prop boundary sweep: every padding-relevant message length on every
-/// backend (cheap, exhaustive, deterministic).
+/// Non-prop boundary sweep: every padding-relevant message length on the
+/// compressor this host dispatches to (cheap, exhaustive, deterministic).
 #[test]
 fn padding_boundaries_on_every_backend() {
     for len in [0usize, 1, 54, 55, 56, 57, 63, 64, 65, 118, 119, 120, 127, 128, 129] {
         let data = message(len, 9);
-        let want = sha256(&data);
-        for backend in Backend::available() {
-            assert_eq!(sha256_with(backend, &data), want, "{backend:?} len {len}");
-        }
+        assert_eq!(fast_sha256(&data), sha256(&data), "len {len}");
     }
 }
 
 /// One-shot finalization padding: every message length 0..=300 (every
-/// padding branch, 55/56/63/64/119/120 included) hashed one-shot, split and
-/// eight lanes wide on every backend equals the scalar oracle.
+/// padding branch, 55/56/63/64/119/120 included) hashed one-shot and split
+/// equals the scalar oracle.
 #[test]
 fn one_update_padding_equals_oracle_for_every_length() {
     for len in 0..=300usize {
-        let msgs: Vec<Vec<u8>> = (0..8).map(|j| message(len, j as u8)).collect();
-        let want: Vec<Digest> = msgs.iter().map(|m| sha256(m)).collect();
-        for backend in Backend::available() {
-            let mut h = FastSha256::with_backend(backend);
-            h.update(&msgs[0][..len / 3]);
-            h.update(&msgs[0][len / 3..]);
-            assert_eq!(h.finalize(), want[0], "{backend:?} split len {len}");
-            assert_eq!(sha256_with(backend, &msgs[1]), want[1], "{backend:?} len {len}");
-            let mut lanes = MultiSha256::<8>::new(backend);
-            lanes.update(std::array::from_fn(|j| &msgs[j][..len / 2]));
-            lanes.update(std::array::from_fn(|j| &msgs[j][len / 2..]));
-            assert_eq!(lanes.finalize().to_vec(), want, "{backend:?} lanes len {len}");
-        }
+        let data = message(len, len as u8);
+        let want = sha256(&data);
+        let mut h = FastSha256::new();
+        h.update(&data[..len / 3]);
+        h.update(&data[len / 3..]);
+        assert_eq!(h.finalize(), want, "split len {len}");
+        assert_eq!(fast_sha256(&data), want, "one-shot len {len}");
     }
 }
 
@@ -397,6 +375,11 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
         let mut c = StreamingCommitter::with_params(g.len(), &table);
         let trace = execute_observed(g, &inputs, &k, None, &mut c).unwrap();
         let oracle = TraceCommitment::build(&trace.values);
+        assert_eq!(
+            oracle,
+            TraceCommitment::reference(&trace.values),
+            "{name}: seed oracle"
+        );
         assert_eq!(c.finish(), oracle, "{name}: honest traced");
         assert_eq!(
             TraceCommitment::build_with_params(&trace.values, &table),

@@ -123,6 +123,40 @@ proptest! {
         prop_assert!(e_big >= e_small);
         prop_assert!((e_big / e_small - scale).abs() < 1e-9);
     }
+
+    /// The canonical threshold JSON decodes every finite threshold back to
+    /// itself and re-encodes it byte for byte: any bit pattern (subnormals
+    /// and -0.0 included) and any mnemonic (quotes, backslashes, control
+    /// characters, non-ASCII).
+    #[test]
+    fn threshold_json_roundtrips_any_finite_threshold(
+        node in 0usize..1_000_000,
+        codes in prop::collection::vec(0u32..0x11_0000, 0..12),
+        abs in prop::collection::vec(0u64..u64::MAX, 0..8),
+        rel in prop::collection::vec(0u64..u64::MAX, 0..8),
+        mae in 0u64..u64::MAX,
+    ) {
+        use tao_calib::{threshold_from_json, threshold_to_json, OperatorThreshold};
+        use tao_graph::NodeId;
+        // Flipping the top exponent bit of an inf/NaN pattern makes it finite.
+        let finite = |bits: u64| {
+            let v = f64::from_bits(bits);
+            if v.is_finite() { v } else { f64::from_bits(bits ^ (1 << 62)) }
+        };
+        let o = OperatorThreshold {
+            node: NodeId(node),
+            mnemonic: codes.iter().filter_map(|&c| char::from_u32(c)).collect(),
+            thresholds: PercentilePair {
+                abs: abs.iter().map(|&b| finite(b)).collect(),
+                rel: rel.iter().map(|&b| finite(b)).collect(),
+            },
+            mean_abs_error: finite(mae),
+        };
+        let bytes = threshold_to_json(&o);
+        let back = threshold_from_json(&bytes).unwrap();
+        prop_assert_eq!(&threshold_to_json(&back), &bytes);
+        prop_assert_eq!(back, o);
+    }
 }
 
 mod dispute_localization {
