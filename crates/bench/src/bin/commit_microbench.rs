@@ -33,9 +33,8 @@
 //! the criterion stub's writer).
 
 use std::io::Write as _;
-use std::time::Instant;
 
-use tao_bench::print_table;
+use tao_bench::{paired, print_table, Paired};
 use tao_graph::{execute, NodeId, ValueObserver};
 use tao_merkle::{
     canon_tensor_len, hash_leaves, sha256, verify_inclusion_digest,
@@ -47,54 +46,6 @@ use tao_models::{
     ResNetConfig, TransformerConfig,
 };
 use tao_tensor::{KernelConfig, Tensor};
-
-/// Seconds of one run of `f`.
-fn secs<R>(f: &mut impl FnMut() -> R) -> f64 {
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    t0.elapsed().as_secs_f64()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_unstable_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// A seed-vs-fast pair timed as `samples` alternating repetitions (one
-/// warm-up run of each side first; the side that runs first alternates).
-struct Paired {
-    /// Median seconds of the seed side.
-    seed: f64,
-    /// Median seconds of the fast side.
-    fast: f64,
-    /// Median of the per-repetition `seed / fast` ratios.
-    speedup: f64,
-}
-
-fn paired<A, B>(
-    samples: usize,
-    mut seed: impl FnMut() -> A,
-    mut fast: impl FnMut() -> B,
-) -> Paired {
-    std::hint::black_box(seed());
-    std::hint::black_box(fast());
-    let reps: Vec<(f64, f64)> = (0..samples)
-        .map(|i| {
-            if i % 2 == 0 {
-                let s = secs(&mut seed);
-                (s, secs(&mut fast))
-            } else {
-                let f = secs(&mut fast);
-                (secs(&mut seed), f)
-            }
-        })
-        .collect();
-    Paired {
-        seed: median(reps.iter().map(|r| r.0).collect()),
-        fast: median(reps.iter().map(|r| r.1).collect()),
-        speedup: median(reps.iter().map(|r| r.0 / r.1).collect()),
-    }
-}
 
 /// The two rows ("seed-scalar", "fast") of a seed-vs-fast table: time,
 /// speedup and throughput over `bytes`.

@@ -14,12 +14,15 @@
 //!
 //! The headline number — single-thread 256x256 f32 matmul speedup over the
 //! seed scalar loop under the reference config — is recorded in BENCH.md
-//! and asserted ≥ 4x here (outside smoke mode).
+//! and asserted ≥ 4x here (outside smoke mode). The last table times the
+//! percentile profile's integer-key sort against the seed float sort
+//! (asserted ≥ 1.5x at every size outside smoke mode).
 
 use std::io::Write as _;
 use std::time::Instant;
 
-use tao_bench::print_table;
+use tao_bench::{paired, print_table};
+use tao_calib::{grid_profile, grid_profile_reference};
 use tao_tensor::kernel::{gemm, gemm_into, gemm_packed_into, PackedLhs, PackedRhs};
 use tao_tensor::quant::{quant_gemm_into, quant_gemm_reference, quantize_symmetric};
 use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathElement, MathLib, Shape, Tensor};
@@ -229,6 +232,59 @@ fn per_op_overhead_table(samples: usize, reps: usize) {
         &["op", "oracle", "fast path", "speedup"],
         &rows,
     );
+}
+
+/// Percentile-profile table: `grid_profile` (integer-key sort) against
+/// `grid_profile_reference` (the seed's stable float sort) on uniform
+/// non-negative samples, the shape of every profiled error. Each size is
+/// timed as alternating repetitions and bit-compared; the floor (outside
+/// smoke mode) is 1.5x on the median per-repetition ratio at every size.
+fn profile_table(samples: usize, smoke: bool) {
+    let mut rows = Vec::new();
+    let mut worst = f64::INFINITY;
+    for n in [64usize, 512, 4096, 32768] {
+        let values: Vec<f64> = Tensor::<f32>::rand_uniform(&[n], 0.0, 1.0, 20 + n as u64)
+            .data()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        let fast = grid_profile(&values);
+        let oracle = grid_profile_reference(&values);
+        assert!(
+            fast.iter().zip(&oracle).all(|(f, o)| f.to_bits() == o.to_bits()),
+            "grid_profile drifted from the reference at {n} values"
+        );
+        let reps = (if smoke { 4096 } else { 65536 } / n).max(1);
+        let values = &values;
+        let repeat = |f: fn(&[f64]) -> Vec<f64>| {
+            move || {
+                for _ in 0..reps {
+                    std::hint::black_box(f(std::hint::black_box(values)));
+                }
+            }
+        };
+        let p = paired(samples, repeat(grid_profile_reference), repeat(grid_profile));
+        worst = worst.min(p.speedup);
+        rows.push(vec![
+            n.to_string(),
+            format!("{:.2}us", 1e6 * p.seed / reps as f64),
+            format!("{:.2}us", 1e6 * p.fast / reps as f64),
+            format!("{:.2}x", p.speedup),
+        ]);
+    }
+    print_table(
+        "Kernel microbench — percentile profile, integer-key sort vs stable float sort (median of paired ratios)",
+        &["values", "float sort", "key sort", "speedup"],
+        &rows,
+    );
+    if smoke {
+        println!("(smoke mode: 1.5x profile floor not asserted)");
+    } else {
+        assert!(
+            worst >= 1.5,
+            "integer-key grid_profile ran at {worst:.2}x the float sort, below the 1.5x floor"
+        );
+    }
 }
 
 fn fleet_configs() -> Vec<(&'static str, KernelConfig)> {
@@ -554,6 +610,9 @@ fn main() {
 
     // --- per-op overhead: the forward pass's small ops ------------------
     per_op_overhead_table(samples, if smoke { 20 } else { 200 });
+
+    // --- percentile profiles: calibration's, screening's and disputes' sort
+    profile_table(if smoke { 5 } else { 21 }, smoke);
 
     println!(
         "\nAll timed pairs bit-compared against the scalar oracles: OK.\n\

@@ -191,6 +191,56 @@ pub fn deep_resnet_workload(blocks: usize, calib_n: usize, test_n: usize) -> Wor
     }
 }
 
+/// Seconds of one run of `f`.
+fn secs<R>(f: &mut impl FnMut() -> R) -> f64 {
+    let t0 = std::time::Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_secs_f64()
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// A seed-vs-fast pair timed as alternating repetitions (see [`paired`]).
+pub struct Paired {
+    /// Median seconds of the seed side.
+    pub seed: f64,
+    /// Median seconds of the fast side.
+    pub fast: f64,
+    /// Median of the per-repetition `seed / fast` ratios.
+    pub speedup: f64,
+}
+
+/// Times `seed` against `fast` as `samples` alternating repetitions (one
+/// warm-up run of each side first; the side that runs first alternates),
+/// so a drift in host speed moves both sides of a ratio together.
+pub fn paired<A, B>(
+    samples: usize,
+    mut seed: impl FnMut() -> A,
+    mut fast: impl FnMut() -> B,
+) -> Paired {
+    std::hint::black_box(seed());
+    std::hint::black_box(fast());
+    let reps: Vec<(f64, f64)> = (0..samples)
+        .map(|i| {
+            if i % 2 == 0 {
+                let s = secs(&mut seed);
+                (s, secs(&mut fast))
+            } else {
+                let f = secs(&mut fast);
+                (secs(&mut seed), f)
+            }
+        })
+        .collect();
+    Paired {
+        seed: median(reps.iter().map(|r| r.0).collect()),
+        fast: median(reps.iter().map(|r| r.1).collect()),
+        speedup: median(reps.iter().map(|r| r.0 / r.1).collect()),
+    }
+}
+
 /// Prints a simple aligned text table.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");

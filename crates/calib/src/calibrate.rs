@@ -7,7 +7,10 @@ use tao_graph::{execute, Graph, NodeId};
 use tao_tensor::Tensor;
 
 use crate::error::CalibError;
-use crate::profile::{OperatorThreshold, PercentilePair, ThresholdBundle, DEFAULT_EPS};
+use crate::percentile::grid_profile_keys;
+use crate::profile::{
+    error_keys_into, OperatorThreshold, PercentilePair, ThresholdBundle, DEFAULT_EPS,
+};
 use crate::Result;
 
 /// Raw calibration output: per-operator envelopes, per-sample sequences
@@ -170,7 +173,8 @@ pub fn calibrate(
 type SampleErrors = Vec<(PercentilePair, (f64, u64))>;
 
 /// Executes one sample on every fleet device and folds the per-node error
-/// profiles over all device pairs.
+/// profiles over all device pairs. One pair of key buffers serves every
+/// device pair and node.
 fn sample_errors(
     graph: &Graph,
     sample: &[Tensor<f32>],
@@ -190,13 +194,20 @@ fn sample_errors(
             for (slot, &node) in out.iter_mut().zip(compute_nodes) {
                 let a = &traces[j].values[node.0];
                 let b = &traces[k].values[node.0];
-                crate::profile::elementwise_errors_into(a, b, DEFAULT_EPS, &mut abs, &mut rel);
+                let sum =
+                    error_keys_into(a, b, DEFAULT_EPS, &mut abs, &mut rel).ok_or_else(|| {
+                        CalibError::Graph(format!(
+                            "node {node}: devices disagree on its shape ({:?} vs {:?})",
+                            a.dims(),
+                            b.dims()
+                        ))
+                    })?;
                 slot.0.envelope(&PercentilePair {
-                    abs: crate::percentile::grid_profile(&abs),
-                    rel: crate::percentile::grid_profile(&rel),
+                    abs: grid_profile_keys(&mut abs),
+                    rel: grid_profile_keys(&mut rel),
                 });
-                slot.1 .0 += abs.iter().sum::<f64>();
-                slot.1 .1 += abs.len() as u64;
+                slot.1 .0 += sum;
+                slot.1 .1 += a.len() as u64;
             }
         }
     }

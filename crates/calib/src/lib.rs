@@ -22,7 +22,9 @@ pub use cap::CapCurve;
 pub use error::CalibError;
 pub use estimator::{smoothed_envelope, TailEstimator};
 pub use json::{bundle_to_json_pretty, threshold_from_json, threshold_to_json};
-pub use percentile::{grid_index, grid_profile, median, percentile, PERCENTILE_GRID};
+pub use percentile::{
+    grid_index, grid_profile, grid_profile_reference, median, percentile, PERCENTILE_GRID,
+};
 pub use profile::{
     elementwise_errors, error_profile, OperatorThreshold, PercentilePair, ThresholdBundle,
     DEFAULT_ALPHA, DEFAULT_EPS,

@@ -27,26 +27,67 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 
 /// Percentile of an already-sorted, finite sample.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    let n = sorted.len();
+    interpolate(sorted.len(), p, |i| sorted[i])
+}
+
+/// The linear-interpolation arithmetic of [`percentile_sorted`] over `n`
+/// sorted values read through `at`, so the float and the integer-key
+/// sorts share one formula.
+fn interpolate(n: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
     if n == 0 {
         return 0.0;
     }
     if n == 1 {
-        return sorted[0];
+        return at(0);
     }
     let rank = (p.clamp(0.0, 100.0) / 100.0) * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 
 /// Percentile-value vector over the committed grid.
+///
+/// Bit-identical to [`grid_profile_reference`]: the finite values are
+/// sorted as `u64` keys ([`grid_profile_keys`]).
 pub fn grid_profile(values: &[f64]) -> Vec<f64> {
+    let mut keys = Vec::with_capacity(values.len());
+    keys.extend(values.iter().filter(|x| x.is_finite()).map(|x| x.to_bits()));
+    grid_profile_keys(&mut keys)
+}
+
+/// [`grid_profile`] over the `to_bits()` keys of the *finite* values of a
+/// sample, in sample order; sorts `keys` in place.
+///
+/// Finite doubles with the sign bit clear order exactly like their bit
+/// patterns, and equal values have equal bits, so an unstable `u64` sort
+/// yields the bit-for-bit sequence the stable float sort does. Every
+/// profiled error (`|x−y|`, `|x−y|/(|x|+eps)` with `eps ≥ 0`) is such a
+/// value. A key with the sign bit set (a negative value or `-0.0`, which
+/// the stable float sort keeps in input order next to `+0.0`) sends the
+/// whole sample through [`grid_profile_reference`] instead.
+pub fn grid_profile_keys(keys: &mut [u64]) -> Vec<f64> {
+    if keys.iter().fold(0, |acc, &k| acc | k) >> 63 != 0 {
+        let values: Vec<f64> = keys.iter().map(|&k| f64::from_bits(k)).collect();
+        return grid_profile_reference(&values);
+    }
+    keys.sort_unstable();
+    let keys = &*keys;
+    PERCENTILE_GRID
+        .iter()
+        .map(|&p| interpolate(keys.len(), p, |i| f64::from_bits(keys[i])))
+        .collect()
+}
+
+/// The seed body of [`grid_profile`]: a stable `partial_cmp` sort of the
+/// finite values. The oracle the key sort is tested against, and the path
+/// for samples holding a negative value or `-0.0`.
+pub fn grid_profile_reference(values: &[f64]) -> Vec<f64> {
     let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
     PERCENTILE_GRID

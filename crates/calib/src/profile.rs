@@ -3,7 +3,7 @@
 use tao_graph::NodeId;
 use tao_tensor::Tensor;
 
-use crate::percentile::{grid_profile, PERCENTILE_GRID};
+use crate::percentile::{grid_profile_keys, PERCENTILE_GRID};
 
 /// Default division-by-zero guard for relative errors.
 pub const DEFAULT_EPS: f64 = 1e-12;
@@ -51,44 +51,74 @@ impl PercentilePair {
 /// Element-wise absolute and relative errors between two executions of the
 /// same operator (Eq. 1–2), flattened to 1-D.
 pub fn elementwise_errors(a: &Tensor<f32>, b: &Tensor<f32>, eps: f64) -> (Vec<f64>, Vec<f64>) {
-    let mut abs = Vec::new();
-    let mut rel = Vec::new();
-    elementwise_errors_into(a, b, eps, &mut abs, &mut rel);
-    (abs, rel)
+    a.data()
+        .iter()
+        .zip(b.data())
+        .map(|(&x, &y)| {
+            let (x, y) = (x as f64, y as f64);
+            let d = (x - y).abs();
+            (d, d / (x.abs() + eps))
+        })
+        .unzip()
 }
 
-/// Allocation-free variant of [`elementwise_errors`]: clears `abs`/`rel` and
-/// writes into them, reusing their capacity. The calibration loop reuses
-/// one pair of scratch vectors across every device pair and node of a
-/// sample.
-pub fn elementwise_errors_into(
+/// The error kernel behind every profile: writes the `to_bits()` keys of
+/// the finite absolute and relative errors of `a` against `b` (Eq. 1–2)
+/// into `abs`/`rel` in element order, as [`grid_profile_keys`] takes them.
+/// Both buffers are cleared first and keep their capacity, so a
+/// calibration worker reuses one pair across every device pair and node.
+///
+/// Returns the sum of all `n` absolute errors, non-finite ones included,
+/// added in element order (the numerator of the committed mean error), or
+/// `None` when the shapes differ.
+pub fn error_keys_into(
     a: &Tensor<f32>,
     b: &Tensor<f32>,
     eps: f64,
-    abs: &mut Vec<f64>,
-    rel: &mut Vec<f64>,
-) {
-    let n = a.len().min(b.len());
+    abs: &mut Vec<u64>,
+    rel: &mut Vec<u64>,
+) -> Option<f64> {
+    if a.dims() != b.dims() {
+        return None;
+    }
     abs.clear();
     rel.clear();
-    abs.reserve(n);
-    rel.reserve(n);
-    for i in 0..n {
-        let x = a.data()[i] as f64;
-        let y = b.data()[i] as f64;
+    abs.reserve(a.len());
+    rel.reserve(a.len());
+    let mut sum = 0.0;
+    for (&x, &y) in a.data().iter().zip(b.data()) {
+        let (x, y) = (x as f64, y as f64);
         let d = (x - y).abs();
-        abs.push(d);
-        rel.push(d / (x.abs() + eps));
+        let r = d / (x.abs() + eps);
+        sum += d;
+        if d.is_finite() {
+            abs.push(d.to_bits());
+        }
+        if r.is_finite() {
+            rel.push(r.to_bits());
+        }
     }
+    Some(sum)
 }
 
 /// Percentile profiles of the element-wise errors between two outputs
 /// (Eq. 3–4).
+///
+/// Outputs of different shapes get an all-`+inf` profile: the claimed
+/// value is not the operator's output at all, so it exceeds every
+/// threshold ([`ThresholdBundle::exceedance`] returns `+inf`) rather than
+/// being compared over some overlap of the two buffers.
 pub fn error_profile(a: &Tensor<f32>, b: &Tensor<f32>, eps: f64) -> PercentilePair {
-    let (abs, rel) = elementwise_errors(a, b, eps);
-    PercentilePair {
-        abs: grid_profile(&abs),
-        rel: grid_profile(&rel),
+    let (mut abs, mut rel) = (Vec::new(), Vec::new());
+    match error_keys_into(a, b, eps, &mut abs, &mut rel) {
+        Some(_) => PercentilePair {
+            abs: grid_profile_keys(&mut abs),
+            rel: grid_profile_keys(&mut rel),
+        },
+        None => PercentilePair {
+            abs: vec![f64::INFINITY; PERCENTILE_GRID.len()],
+            rel: vec![f64::INFINITY; PERCENTILE_GRID.len()],
+        },
     }
 }
 

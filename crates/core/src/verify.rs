@@ -197,4 +197,20 @@ mod tests {
         assert!(bad.should_challenge);
         assert!(bad.exceedance > ok.exceedance);
     }
+
+    #[test]
+    fn screening_challenges_outputs_of_the_wrong_shape() {
+        let (d, inputs, output, _) = setup();
+        let device = Device::h100_like();
+        let n = output.len();
+        for claimed in [
+            Tensor::from_vec(output.data()[..n / 2].to_vec(), &[n / 2]).unwrap(),
+            Tensor::<f32>::zeros(&[0]),
+            output.reshape(&[n]).unwrap(),
+        ] {
+            let report = screen_output(&d, &inputs, &claimed, &device).unwrap();
+            assert!(report.should_challenge, "{:?}", claimed.dims());
+            assert_eq!(report.exceedance, f64::INFINITY);
+        }
+    }
 }

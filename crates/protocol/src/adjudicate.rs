@@ -157,7 +157,7 @@ pub fn committee_vote(
                 .unwrap_or(f64::INFINITY)
                 <= 1.0
         } else {
-            claimed.data() == reference.data()
+            claimed == &reference
         };
         let flipped = dishonest.get(i).copied().unwrap_or(false);
         votes.push(honest_vote != flipped);

@@ -441,7 +441,8 @@ pub fn run_dispute(
                     challenger_commitment.and_then(|c| c.digest(id.0)),
                 ) {
                     (Some(p), Some(c)) => p == c,
-                    _ => claimed.data() == own.data(),
+                    // Whole-tensor compare: shape and elements.
+                    _ => claimed == own,
                 };
                 if agree {
                     0.0
@@ -520,8 +521,9 @@ pub fn run_dispute(
                     let exc = if thresholds.for_node(id).is_some() {
                         let prof = error_profile(claimed, recomputed, DEFAULT_EPS);
                         thresholds.exceedance(id, &prof).unwrap_or(f64::INFINITY)
-                    } else if claimed.data() != recomputed.data() {
-                        // Structural live-out must match bit-for-bit.
+                    } else if claimed != recomputed {
+                        // Structural live-out must match bit-for-bit, shape
+                        // included.
                         f64::INFINITY
                     } else {
                         0.0

@@ -358,6 +358,64 @@ mod tests {
     }
 
     #[test]
+    fn wrong_shape_claims_are_flagged_at_every_entry_point() {
+        let (g, bundle, out) = setup();
+        let challenger = Device::h100_like();
+        let input = vec![Tensor::<f32>::rand_uniform(&[2, 16], -1.0, 1.0, 91)];
+        let honest = execute(&g, &input, Device::rtx4090_like().config(), None)
+            .unwrap()
+            .value(out)
+            .unwrap()
+            .clone();
+        let malformed = [
+            Tensor::from_vec(honest.data()[..16].to_vec(), &[1, 16]).unwrap(),
+            Tensor::<f32>::zeros(&[0]),
+            honest.reshape(&[32]).unwrap(),
+        ];
+        let table = ParamDigests::new(&g);
+        for claimed in &malformed {
+            let claim = ClaimCheck {
+                inputs: &input,
+                claimed_output: claimed,
+            };
+            let dims = claimed.dims();
+            let screenings = [
+                screen_claim(&g, out, &bundle, claim, &challenger).unwrap(),
+                screen_claim_with_params(&g, &table, out, &bundle, claim, &challenger).unwrap(),
+                screen_claim_committed(&g, &table, out, &bundle, claim, &challenger).unwrap(),
+                screen_batch(&g, out, &bundle, &[claim], &challenger)
+                    .unwrap()
+                    .remove(0),
+            ];
+            for s in &screenings {
+                assert!(s.flagged, "{dims:?}: exceedance {}", s.exceedance);
+                assert_eq!(s.exceedance, f64::INFINITY, "{dims:?}");
+            }
+            // Re-scoring the honest screening's trace against the
+            // malformed claim rejects it too.
+            let honest_screening = screen_claim(
+                &g,
+                out,
+                &bundle,
+                ClaimCheck {
+                    inputs: &input,
+                    claimed_output: &honest,
+                },
+                &challenger,
+            )
+            .unwrap();
+            assert!(!honest_screening.flagged);
+            assert_eq!(
+                honest_screening
+                    .exceedance_under(&bundle, out, claimed)
+                    .unwrap(),
+                f64::INFINITY,
+                "{dims:?}"
+            );
+        }
+    }
+
+    #[test]
     fn empty_batch_screens_to_nothing() {
         let (g, bundle, out) = setup();
         let screenings = screen_batch(&g, out, &bundle, &[], &Device::h100_like()).unwrap();
