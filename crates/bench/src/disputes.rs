@@ -98,7 +98,7 @@ pub fn run_perturbed_dispute(
     );
     assert_eq!(
         outcome.rehashed_leaves, 0,
-        "bench disputes must reuse the screening trace's subtree digests"
+        "bench disputes must reuse the proposer's subtree digests"
     );
     assert!(
         outcome.reveal_checks > 0,

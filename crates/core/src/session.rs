@@ -30,10 +30,9 @@ use tao_merkle::{
     TraceCommitment,
 };
 use tao_protocol::{
-    adjudicate, leaf_case, run_dispute, sample_committee, screen_claim_committed,
-    screen_claim_with_params, AdjudicationPath, ChallengerView, ClaimCheck, ClaimStatus,
-    Coordinator, DisputeConfig, DisputeOutcome, DisputeResult, LeafVerdict, Money, Party,
-    ProposerView, Screening,
+    adjudicate, leaf_case, run_dispute, sample_committee, screen_claim, AdjudicationPath,
+    ChallengerView, ClaimCheck, ClaimStatus, Coordinator, DisputeConfig, DisputeOutcome,
+    DisputeResult, LeafVerdict, Money, Party, ProposerView, Screening,
 };
 use tao_tensor::Tensor;
 
@@ -400,9 +399,8 @@ impl Session {
     /// no committed threshold (a deployment bug, not fraud).
     pub fn screen(&mut self) -> Result<bool> {
         if self.screening.is_none() {
-            let screening = screen_claim_with_params(
+            let screening = screen_claim(
                 &self.deployment.model.graph,
-                &self.deployment.param_digests,
                 self.deployment.model.logits,
                 &self.deployment.thresholds,
                 ClaimCheck {
@@ -524,14 +522,11 @@ impl Session {
             .adopt_challenge(self.claim_id, account)?;
         self.cfg.challenger = device.clone();
         self.cfg.challenger_account = account.to_string();
-        // The adopter screens for itself: its own trace (and flagged-trace
-        // commitment) replaces the deserter's, and the dispute below reuses
-        // it — the adopter pays one forward pass, never more. The committed
-        // variant streams digests through that pass, so the adopter arrives
-        // at the dispute with its commitment already assembled.
-        self.screening = Some(screen_claim_committed(
+        // The adopter screens for itself: its own trace replaces the
+        // deserter's, and the dispute below reuses it — the adopter pays one
+        // forward pass, never more.
+        self.screening = Some(screen_claim(
             &self.deployment.model.graph,
-            &self.deployment.param_digests,
             self.deployment.model.logits,
             &self.deployment.thresholds,
             ClaimCheck {

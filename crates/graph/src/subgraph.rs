@@ -10,7 +10,7 @@ use crate::error::GraphError;
 use crate::exec::eval_node;
 use crate::graph::{Graph, NodeId};
 use crate::op::OpKind;
-use crate::pool::BufferPool;
+use crate::pool::{last_uses, BufferPool};
 use crate::Result;
 
 /// A contiguous slice `[start, end)` of a graph's canonical topological
@@ -88,18 +88,14 @@ pub fn extract(graph: &Graph, start: usize, end: usize) -> Result<Subgraph> {
             }
         }
     }
-    let mut live_out = Vec::new();
-    for node in &graph.nodes()[start..end] {
-        let id = node.id;
-        let used_outside = graph.nodes()[end..]
-            .iter()
-            .any(|later| later.inputs.contains(&id));
-        if used_outside || graph.outputs().contains(&id) {
-            live_out.push(id);
-        }
-    }
+    // A slice node is visible outside iff its last use (pinned to the end
+    // for graph outputs) lies at or beyond `end`.
+    let last = last_uses(graph);
+    let live_out = (start..end)
+        .filter(|&i| last[i] >= end)
+        .map(NodeId)
+        .collect();
     live_in.sort();
-    live_out.sort();
     param_refs.sort();
     param_refs.dedup();
     Ok(Subgraph {
@@ -148,30 +144,23 @@ pub fn execute_subgraph(
     inputs: &[Tensor<f32>],
     cfg: &KernelConfig,
 ) -> Result<HashMap<NodeId, Tensor<f32>>> {
-    // Sparse value store indexed by node id; pre-seed the boundary.
-    let mut values: Vec<Option<Tensor<f32>>> = vec![None; graph.len()];
+    // Dense value store indexed by node id (`eval_node` reads predecessors
+    // from a plain slice), seeded with the boundary and the parameters
+    // outside the slice that it references.
+    let mut dense: Vec<Tensor<f32>> = vec![Tensor::zeros(&[0]); graph.len()];
     for &id in &sub.live_in {
         let v = boundary
             .get(&id)
             .ok_or_else(|| GraphError::Malformed(format!("missing boundary value for {id}")))?;
-        values[id.0] = Some(v.clone());
+        dense[id.0] = v.clone();
     }
-    // Parameters outside the slice referenced by it.
     for node in &graph.nodes()[sub.start..sub.end] {
         for &input in &node.inputs {
             if input.0 < sub.start {
                 if let OpKind::Parameter(name) = &graph.node(input)?.kind {
-                    values[input.0] = Some(graph.param(name)?.clone());
+                    dense[input.0] = graph.param(name)?.clone();
                 }
             }
-        }
-    }
-    // Dense evaluation within the slice. `eval_node` reads predecessors
-    // from a plain slice, so materialize a dense view lazily.
-    let mut dense: Vec<Tensor<f32>> = vec![Tensor::zeros(&[0]); graph.len()];
-    for (i, v) in values.iter().enumerate() {
-        if let Some(t) = v {
-            dense[i] = t.clone();
         }
     }
     let mut out = HashMap::new();

@@ -12,7 +12,6 @@ use tao_graph::Graph;
 use tao_tensor::Tensor;
 
 use crate::canon::{canon_param, canon_param_sink, canon_signature, canon_tensor, canon_tensor_sink};
-use crate::params::ParamDigests;
 use crate::sha256::{sha256, Digest, FastSha256, Sha256};
 use crate::tree::{hash_leaves, verify_inclusion, InclusionProof, MerkleTree};
 
@@ -138,19 +137,6 @@ impl TraceCommitment {
     /// Commits a trace: one [`tensor_hash`] per value.
     pub fn build(values: &[Tensor<f32>]) -> Self {
         Self::from_digests(values.iter().map(tensor_hash).collect())
-    }
-
-    /// [`TraceCommitment::build`] with parameter values' digests taken
-    /// from `params` (see [`ParamDigests`]); every other value is hashed.
-    /// Bit-identical to [`TraceCommitment::build`] for any table.
-    pub fn build_with_params(values: &[Tensor<f32>], params: &ParamDigests) -> Self {
-        Self::from_digests(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| params.get(i, v).unwrap_or_else(|| tensor_hash(v)))
-                .collect(),
-        )
     }
 
     /// Assembles a commitment from already-computed per-node digests. This

@@ -4,9 +4,8 @@
 //! A `Parameter` node's traced value is the graph's own weight tensor (an
 //! `Arc` clone, never a copy), so its [`tensor_hash`] is the same on every
 //! pass. [`ParamDigests`] hashes each parameter node's tensor once and
-//! serves that digest to every trace commitment
-//! ([`crate::StreamingCommitter::with_params`],
-//! [`crate::TraceCommitment::build_with_params`]).
+//! serves that digest to every streamed trace commitment
+//! ([`crate::StreamingCommitter::with_params`]).
 //!
 //! A lookup hits only when the observed value shares the cached tensor's
 //! buffer *and* has its shape; anything else (a perturbed weight, a

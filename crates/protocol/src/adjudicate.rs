@@ -126,8 +126,8 @@ pub fn theoretical_verdict(report: &CheckReport) -> LeafVerdict {
 /// Path (ii): committee vote against the committed empirical thresholds.
 /// Each member re-executes the leaf on its own device, forms the error
 /// percentile profile versus the claimed output, and votes "within" iff
-/// the profile stays under the thresholds (structural leaves require exact
-/// match). `dishonest[i]` flips member `i`'s vote, for fault-injection
+/// the profile stays under the thresholds (structural leaves require a
+/// bit-for-bit match). `dishonest[i]` flips member `i`'s vote, for fault-injection
 /// tests of the honest-majority assumption.
 ///
 /// # Errors
@@ -157,7 +157,7 @@ pub fn committee_vote(
                 .unwrap_or(f64::INFINITY)
                 <= 1.0
         } else {
-            claimed == &reference
+            bit_identical(claimed, &reference)
         };
         let flipped = dishonest.get(i).copied().unwrap_or(false);
         votes.push(honest_vote != flipped);
@@ -169,6 +169,19 @@ pub fn committee_vote(
         LeafVerdict::Fraud
     };
     Ok(VoteOutcome { votes, verdict })
+}
+
+/// Structural agreement, the one rule for nodes without a threshold
+/// (inputs and parameters) in both the dispute descent and the committee
+/// vote: equal dims and equal element bits. Unlike `==`, `-0.0` differs
+/// from `+0.0` and a NaN equals its own bit pattern, which is exactly what
+/// equal canonical serializations (equal trace digests) mean.
+pub(crate) fn bit_identical(a: &Tensor<f32>, b: &Tensor<f32>) -> bool {
+    a.dims() == b.dims()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Samples an odd committee of size `n` from a pool, seeded (the

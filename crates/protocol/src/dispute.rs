@@ -8,6 +8,7 @@ use tao_graph::{execute_subgraph, extract, partition, Execution, Graph, NodeId};
 use tao_merkle::{Digest, MerkleTree, TraceCommitment};
 use tao_tensor::Tensor;
 
+use crate::adjudicate::bit_identical;
 use crate::error::ProtocolError;
 use crate::gas::{self, GasMeter};
 use crate::record::{make_record_with, verify_record_anchored, ParamIndex, TraceDigestCache};
@@ -135,8 +136,7 @@ impl<'a> ProposerView<'a> {
 }
 
 /// The challenger's side of a dispute: its device, plus (optionally) the
-/// execution trace — and the subtree digests over it — it already produced
-/// when it screened the claim.
+/// execution trace it already produced when it screened the claim.
 ///
 /// Screening necessarily runs a full forward pass on the challenger's
 /// device; carrying that trace into the dispute lets the game clear
@@ -148,7 +148,6 @@ impl<'a> ProposerView<'a> {
 pub struct ChallengerView<'a> {
     device: &'a Device,
     screening: Option<&'a Execution>,
-    commitment: Option<&'a TraceCommitment>,
 }
 
 impl<'a> ChallengerView<'a> {
@@ -158,7 +157,6 @@ impl<'a> ChallengerView<'a> {
         ChallengerView {
             device,
             screening: None,
-            commitment: None,
         }
     }
 
@@ -167,18 +165,12 @@ impl<'a> ChallengerView<'a> {
         ChallengerView {
             device,
             screening: Some(trace),
-            commitment: None,
         }
     }
 
-    /// A challenger reusing a [`Screening`] wholesale: its trace and, when
-    /// the screening was flagged, the subtree digests it carries.
+    /// A challenger reusing a [`Screening`]'s trace.
     pub fn from_screening(device: &'a Device, screening: &'a Screening) -> Self {
-        ChallengerView {
-            device,
-            screening: Some(&screening.trace),
-            commitment: screening.commitment(),
-        }
+        Self::with_screening(device, &screening.trace)
     }
 
     /// The challenger's device.
@@ -427,28 +419,12 @@ pub fn run_dispute(
                 thresholds
                     .exceedance(id, &prof)
                     .expect("threshold entry checked above")
+            } else if bit_identical(claimed, own) {
+                // Structural nodes (inputs and parameters) must match
+                // bit-for-bit.
+                0.0
             } else {
-                // Structural nodes must match bit-for-bit; with both
-                // sides' subtree digests cached, agreement is a 32-byte
-                // compare instead of a whole-tensor scan (equivalent by
-                // collision resistance — both commitments bind canonical
-                // serializations).
-                let challenger_commitment = challenger
-                    .commitment
-                    .filter(|c| c.len() == own_trace.values.len());
-                let agree = match (
-                    proposer_commitment.and_then(|c| c.digest(id.0)),
-                    challenger_commitment.and_then(|c| c.digest(id.0)),
-                ) {
-                    (Some(p), Some(c)) => p == c,
-                    // Whole-tensor compare: shape and elements.
-                    _ => claimed == own,
-                };
-                if agree {
-                    0.0
-                } else {
-                    f64::INFINITY
-                }
+                f64::INFINITY
             };
             cache.insert(id, exc);
             Ok(exc)
@@ -521,12 +497,12 @@ pub fn run_dispute(
                     let exc = if thresholds.for_node(id).is_some() {
                         let prof = error_profile(claimed, recomputed, DEFAULT_EPS);
                         thresholds.exceedance(id, &prof).unwrap_or(f64::INFINITY)
-                    } else if claimed != recomputed {
+                    } else if bit_identical(claimed, recomputed) {
+                        0.0
+                    } else {
                         // Structural live-out must match bit-for-bit, shape
                         // included.
                         f64::INFINITY
-                    } else {
-                        0.0
                     };
                     child_exceedance = child_exceedance.max(exc);
                 }
@@ -591,7 +567,7 @@ pub fn run_dispute(
 
     gas.charge(
         "leaf_adjudication",
-        gas::leaf_adjudication(3, proof_depth(graph.len())),
+        gas::leaf_adjudication(3, anchors.graph_tree.proof_len(start)),
     );
     gas.charge("settlement", gas::settlement());
     Ok(DisputeOutcome {
@@ -604,10 +580,6 @@ pub fn run_dispute(
         rehashed_leaves: digest_cache.rehashed_leaves(),
         gas,
     })
-}
-
-fn proof_depth(n: usize) -> usize {
-    (usize::BITS - n.next_power_of_two().trailing_zeros() as usize as u32) as usize
 }
 
 #[cfg(test)]
@@ -836,6 +808,45 @@ mod tests {
         let outcome = dispute_against(&g, &bundle, &inputs, Some(&p), 2);
         let kgas = outcome.gas.kgas();
         assert!((300.0..3_000.0).contains(&kgas), "kgas {kgas}");
+    }
+
+    /// Leaf adjudication verifies three graph-tree proofs for the leaf, so
+    /// its charge is priced by that leaf's proof length: pinned on the
+    /// 8-layer chain, and never falling as the graph grows.
+    #[test]
+    fn leaf_adjudication_gas_is_priced_by_the_leafs_proof_length() {
+        let mut last = 0u64;
+        // From depth 2, so a matmul (not the shift-invariant softmax)
+        // consumes the constant perturbation.
+        for depth in 2..=8 {
+            let (g, bundle, inputs) = setup(depth);
+            let target = g.nodes().iter().find(|n| n.name == "act0").unwrap().id;
+            let ref_exec = execute(&g, &inputs, Device::rtx4090_like().config(), None).unwrap();
+            let mut p = Perturbations::new();
+            p.insert(target, Tensor::full(ref_exec.values[target.0].dims(), 0.05));
+            let outcome = dispute_against(&g, &bundle, &inputs, Some(&p), 2);
+            assert_eq!(outcome.result, DisputeResult::Leaf(target), "depth {depth}");
+            let charged: Vec<u64> = outcome
+                .gas
+                .log
+                .iter()
+                .filter(|e| e.action == "leaf_adjudication")
+                .map(|e| e.gas)
+                .collect();
+            let proof_len = build_gt(&g).proof_len(target.0);
+            assert_eq!(
+                charged,
+                vec![gas::leaf_adjudication(3, proof_len)],
+                "depth {depth}"
+            );
+            if depth == 8 {
+                // 26 nodes: a 5-level tree, and leaf 3 has a sibling on each.
+                assert_eq!((g.len(), proof_len), (26, 5));
+                assert_eq!(charged[0], 110_436);
+            }
+            assert!(charged[0] >= last, "depth {depth}: {} < {last}", charged[0]);
+            last = charged[0];
+        }
     }
 
     #[test]

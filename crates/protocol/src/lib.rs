@@ -44,10 +44,7 @@ pub use record::{
     make_record, make_record_with, verify_record, verify_record_anchored, ParamIndex, SubgraphRecord,
     TraceDigestCache,
 };
-pub use screen::{
-    screen_batch, screen_claim, screen_claim_committed, screen_claim_with_params, ClaimCheck,
-    Screening,
-};
+pub use screen::{screen_batch, screen_claim, ClaimCheck, Screening};
 pub use temporal::{earliest_offense, states_agree, TemporalCommitment, TemporalVerdict};
 pub use tiebreak::{tie_seed, TieBreakRule};
 

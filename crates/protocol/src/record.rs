@@ -3,8 +3,8 @@
 //!
 //! Interface hashes (`h_In`/`h_Out`) are derived through a
 //! [`TraceDigestCache`]: when the trace carries a
-//! [`TraceCommitment`] (per-node tensor digests computed once, at
-//! screening/claim time), every round's child commitments re-derive from
+//! [`TraceCommitment`] (per-node tensor digests computed once, at claim
+//! time), every round's child commitments re-derive from
 //! the cached digests and **zero** activation tensors are rehashed inside
 //! the dispute. Without one, the cache memoizes each node's digest across
 //! rounds and reports how many leaf hashes it had to compute

@@ -12,8 +12,8 @@
 
 use tao_calib::{error_profile, ThresholdBundle, DEFAULT_EPS};
 use tao_device::Device;
-use tao_graph::{execute, execute_observed, Execution, Graph, NodeId};
-use tao_merkle::{ParamDigests, StreamingCommitter, TraceCommitment};
+use tao_graph::{execute, Execution, Graph, NodeId};
+use tao_merkle::TraceCommitment;
 use tao_tensor::Tensor;
 
 use crate::error::ProtocolError;
@@ -32,11 +32,8 @@ pub struct ClaimCheck<'a> {
 /// The outcome of screening one claim, including the challenger's own
 /// execution trace (reusable in a dispute at zero extra forward cost).
 ///
-/// Flagged screenings additionally carry a [`TraceCommitment`] — subtree
-/// digests over the trace — so the dispute that follows can clear
-/// structural agreements by digest compare and never rehashes the
-/// challenger's activations. Unflagged screenings skip the hashing (no
-/// dispute will consume it).
+/// Only the proposer commits to a trace: the challenger re-executes and
+/// compares, so a screening carries no commitment of its own.
 #[derive(Debug, Clone)]
 pub struct Screening {
     /// The Eq. 15 exceedance of the claimed output versus the challenger's
@@ -46,15 +43,14 @@ pub struct Screening {
     pub flagged: bool,
     /// The challenger's full execution trace of the claimed inputs.
     pub trace: Execution,
-    /// Subtree digests over the trace, present when `flagged`.
-    commitment: Option<TraceCommitment>,
 }
 
 impl Screening {
-    /// The subtree digests over [`Screening::trace`] (present for flagged
-    /// screenings).
+    /// Always `None`: the challenger builds no trace commitment. Kept only
+    /// because the benchmark's traced replica still reads it; the next
+    /// benchmark change deletes it.
     pub fn commitment(&self) -> Option<&TraceCommitment> {
-        self.commitment.as_ref()
+        None
     }
 
     /// Re-evaluates this screening's claim under an *alternative* threshold
@@ -97,77 +93,7 @@ pub fn screen_claim(
     claim: ClaimCheck<'_>,
     device: &Device,
 ) -> Result<Screening> {
-    screen_claim_with_params(
-        graph,
-        &ParamDigests::default(),
-        output_node,
-        thresholds,
-        claim,
-        device,
-    )
-}
-
-/// [`screen_claim`] whose flagged-trace commitment takes parameter digests
-/// from `params` (a deployment's [`ParamDigests`]) instead of rehashing the
-/// weights. The commitment is bit-identical for any table.
-///
-/// # Errors
-///
-/// Same error conditions as [`screen_claim`].
-pub fn screen_claim_with_params(
-    graph: &Graph,
-    params: &ParamDigests,
-    output_node: NodeId,
-    thresholds: &ThresholdBundle,
-    claim: ClaimCheck<'_>,
-    device: &Device,
-) -> Result<Screening> {
     let trace = execute(graph, claim.inputs, device.config(), None)?;
-    let prof = error_profile(claim.claimed_output, trace.value(output_node)?, DEFAULT_EPS);
-    let exceedance = thresholds
-        .exceedance(output_node, &prof)
-        .ok_or(ProtocolError::MissingThreshold(output_node))?;
-    let flagged = exceedance > 1.0;
-    // A flagged screening feeds a dispute; commit to the trace now (the
-    // parameter table and SHA-NI hashing make this cheap) so the descent
-    // never rehashes it.
-    let commitment = flagged.then(|| TraceCommitment::build_with_params(&trace.values, params));
-    Ok(Screening {
-        exceedance,
-        flagged,
-        trace,
-        commitment,
-    })
-}
-
-/// [`screen_claim`] with the trace commitment streamed *through* the
-/// forward pass: a [`StreamingCommitter`] hashes every node value as the
-/// executor produces it, instead of in a post-hoc pass over the finished
-/// trace (the `screen_throughput` flagged-path surcharge). The
-/// commitment is always present — this is the path for a challenger that
-/// intends to dispute (e.g. [`crate::ChallengerView::from_screening`]
-/// after an adopted abandonment), where the digests are consumed whether
-/// or not the exceedance flags.
-///
-/// Parameter digests come from `params` (a deployment's [`ParamDigests`];
-/// an empty table hashes every value). Digests are bit-identical to
-/// [`TraceCommitment::build`] over the same trace; the `commit_equiv`
-/// suite asserts the equivalence.
-///
-/// # Errors
-///
-/// Same error conditions as [`screen_claim`].
-pub fn screen_claim_committed(
-    graph: &Graph,
-    params: &ParamDigests,
-    output_node: NodeId,
-    thresholds: &ThresholdBundle,
-    claim: ClaimCheck<'_>,
-    device: &Device,
-) -> Result<Screening> {
-    let mut committer = StreamingCommitter::with_params(graph.len(), params);
-    let trace = execute_observed(graph, claim.inputs, device.config(), None, &mut committer)?;
-    let commitment = committer.finish();
     let prof = error_profile(claim.claimed_output, trace.value(output_node)?, DEFAULT_EPS);
     let exceedance = thresholds
         .exceedance(output_node, &prof)
@@ -176,7 +102,6 @@ pub fn screen_claim_committed(
         exceedance,
         flagged: exceedance > 1.0,
         trace,
-        commitment: Some(commitment),
     })
 }
 
@@ -311,53 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn committed_screening_matches_plain_and_streams_identical_digests() {
-        let (g, bundle, out) = setup();
-        let proposer = Device::rtx4090_like();
-        let challenger = Device::h100_like();
-        let input = vec![Tensor::<f32>::rand_uniform(&[2, 16], -1.0, 1.0, 91)];
-        let honest = execute(&g, &input, proposer.config(), None)
-            .unwrap()
-            .value(out)
-            .unwrap()
-            .clone();
-        for tamper in [false, true] {
-            let claimed = if tamper {
-                honest.add_scalar(0.05)
-            } else {
-                honest.clone()
-            };
-            let claim = ClaimCheck {
-                inputs: &input,
-                claimed_output: &claimed,
-            };
-            let plain = screen_claim(&g, out, &bundle, claim, &challenger).unwrap();
-            let table = ParamDigests::new(&g);
-            let cached =
-                screen_claim_with_params(&g, &table, out, &bundle, claim, &challenger).unwrap();
-            assert_eq!(cached.exceedance, plain.exceedance, "tamper={tamper}");
-            assert_eq!(cached.commitment(), plain.commitment(), "tamper={tamper}");
-            for params in [ParamDigests::default(), table] {
-                let committed =
-                    screen_claim_committed(&g, &params, out, &bundle, claim, &challenger)
-                        .unwrap();
-                assert_eq!(committed.exceedance, plain.exceedance, "tamper={tamper}");
-                assert_eq!(committed.flagged, plain.flagged);
-                assert_eq!(committed.flagged, tamper);
-                // The streamed commitment is always present and
-                // bit-identical to the post-hoc oracle over the same trace.
-                let oracle = TraceCommitment::build(&committed.trace.values);
-                assert_eq!(committed.commitment(), Some(&oracle), "tamper={tamper}");
-                if tamper {
-                    assert_eq!(plain.commitment(), Some(&oracle), "same trace, same digests");
-                } else {
-                    assert!(plain.commitment().is_none(), "plain path skips hashing");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn wrong_shape_claims_are_flagged_at_every_entry_point() {
         let (g, bundle, out) = setup();
         let challenger = Device::h100_like();
@@ -372,7 +250,6 @@ mod tests {
             Tensor::<f32>::zeros(&[0]),
             honest.reshape(&[32]).unwrap(),
         ];
-        let table = ParamDigests::new(&g);
         for claimed in &malformed {
             let claim = ClaimCheck {
                 inputs: &input,
@@ -381,8 +258,6 @@ mod tests {
             let dims = claimed.dims();
             let screenings = [
                 screen_claim(&g, out, &bundle, claim, &challenger).unwrap(),
-                screen_claim_with_params(&g, &table, out, &bundle, claim, &challenger).unwrap(),
-                screen_claim_committed(&g, &table, out, &bundle, claim, &challenger).unwrap(),
                 screen_batch(&g, out, &bundle, &[claim], &challenger)
                     .unwrap()
                     .remove(0),

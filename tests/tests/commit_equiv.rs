@@ -155,10 +155,6 @@ proptest! {
         }
         let oracle = TraceCommitment::reference(&values);
         prop_assert_eq!(&TraceCommitment::build(&values), &oracle);
-        prop_assert_eq!(
-            &TraceCommitment::build_with_params(&values, &ParamDigests::default()),
-            &oracle
-        );
     }
 
     /// Streamed commitments (digests hashed as the executor produces each
@@ -352,7 +348,7 @@ fn streamed_over(values: &[Tensor<f32>], params: &ParamDigests) -> TraceCommitme
 }
 
 /// The parameter table never changes a digest: on every bundled model the
-/// table-backed streamed and post-hoc commitments equal the
+/// table-backed streamed commitments equal the
 /// `TraceCommitment::build` oracle on an honest pass (traced, and pooled
 /// cold and warm), with each parameter node perturbed in turn, with a
 /// reshaped view of a parameter (same buffer, other shape), and with a
@@ -381,11 +377,6 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
             "{name}: seed oracle"
         );
         assert_eq!(c.finish(), oracle, "{name}: honest traced");
-        assert_eq!(
-            TraceCommitment::build_with_params(&trace.values, &table),
-            oracle,
-            "{name}: honest post-hoc"
-        );
         let hits = (0..g.len())
             .filter(|&i| table.get(i, &trace.values[i]).is_some())
             .count();
@@ -408,11 +399,6 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
             let want = TraceCommitment::build(&cheat.values);
             assert_ne!(want.root(), oracle.root(), "{name}: {id} perturbation invisible");
             assert_eq!(c.finish(), want, "{name}: perturbed {id} streamed");
-            assert_eq!(
-                TraceCommitment::build_with_params(&cheat.values, &table),
-                want,
-                "{name}: perturbed {id} post-hoc"
-            );
         }
 
         // A reshaped view shares the buffer but not the canonical header.
@@ -429,21 +415,11 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
         let want = TraceCommitment::build(&values);
         assert_ne!(want.root(), oracle.root(), "{name}: reshape invisible");
         assert_eq!(streamed_over(&values, &table), want, "{name}: reshape streamed");
-        assert_eq!(
-            TraceCommitment::build_with_params(&values, &table),
-            want,
-            "{name}: reshape post-hoc"
-        );
 
         // Same topology, different weights: the foreign table never hits.
         let foreign = ParamDigests::new(&other.graph);
         assert_eq!(foreign.len(), g.len(), "{name}: same topology");
         assert!((0..g.len()).all(|i| foreign.get(i, &trace.values[i]).is_none()));
         assert_eq!(streamed_over(&trace.values, &foreign), oracle, "{name}: foreign");
-        assert_eq!(
-            TraceCommitment::build_with_params(&trace.values, &foreign),
-            oracle,
-            "{name}: foreign post-hoc"
-        );
     }
 }
