@@ -19,9 +19,11 @@
 //!    seed builder over 16384 to 65536 leaves, far past the few hundred
 //!    leaves of any tree a protocol session builds.
 //! 4. **Inclusion-proof verification** — every proof of a 4096-leaf tree
-//!    checked against cached leaf digests (the dispute challenger's path)
-//!    on the seed scalar path walk vs the fast one, with the valid and the
-//!    tampered verdicts bit-compared.
+//!    checked against cached leaf digests on the seed scalar path walk vs
+//!    the fast one, and by comparison with the verifier's own tree path
+//!    (`MerkleTree::matches_path`, the dispute challenger's check), with
+//!    the valid and the tampered verdicts of all three bit-compared. Path
+//!    comparison is asserted ≥ 8x the fast path walk outside smoke mode.
 //! 5. **Streamed commitment per forward pass** — for each bundled model,
 //!    one pass's node values streamed through a `StreamingCommitter` with
 //!    and without the deployment's `ParamDigests` table: bytes hashed, time
@@ -263,12 +265,32 @@ fn main() {
         verdicts(verify_inclusion_digest_reference, &tampered),
         "tampered verdicts drifted from the scalar path"
     );
+    let compared = |proofs: &[InclusionProof]| -> Vec<bool> {
+        proofs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| proof_tree.matches_path(i, p))
+            .collect()
+    };
+    for (set, proofs) in [("valid", &valid), ("tampered", &tampered)] {
+        assert_eq!(
+            compared(proofs),
+            verdicts(verify_inclusion_digest, proofs),
+            "{set} path-comparison verdicts drifted from path hashing"
+        );
+    }
     let p = paired(
         samples,
         || verdicts(verify_inclusion_digest_reference, &valid),
         || verdicts(verify_inclusion_digest, &valid),
     );
     export_pair("commit/inclusion_verify", &p, (32 * valid.len()) as u64);
+    let path = paired(
+        samples,
+        || verdicts(verify_inclusion_digest, &valid),
+        || compared(&valid),
+    );
+    export_csv("commit/inclusion_verify/path-compare", path.fast, (32 * valid.len()) as u64);
     let per_proof = |t: f64| format!("{:.0}ns", 1e9 * t / valid.len() as f64);
     print_table(
         &format!(
@@ -276,10 +298,16 @@ fn main() {
             valid.len(),
             proof_tree.len()
         ),
-        &["path hashing", "all proofs", "per proof", "speedup"],
+        &["check", "all proofs", "per proof", "speedup"],
         &[
-            vec!["seed-scalar".into(), format!("{:.3}ms", 1e3 * p.seed), per_proof(p.seed), "1.00x".into()],
-            vec!["fast".into(), format!("{:.3}ms", 1e3 * p.fast), per_proof(p.fast), format!("{:.2}x", p.speedup)],
+            vec!["seed-scalar path hashing".into(), format!("{:.3}ms", 1e3 * p.seed), per_proof(p.seed), "1.00x".into()],
+            vec!["fast path hashing".into(), format!("{:.3}ms", 1e3 * p.fast), per_proof(p.fast), format!("{:.2}x", p.speedup)],
+            vec![
+                "path comparison".into(),
+                format!("{:.3}ms", 1e3 * path.fast),
+                per_proof(path.fast),
+                format!("{:.2}x vs fast", path.speedup),
+            ],
         ],
     );
 
@@ -338,13 +366,22 @@ fn main() {
         trace_bytes / 1024,
         trace.speedup
     );
+    println!(
+        "Inclusion-proof path comparison vs fast path hashing (median of {samples} paired ratios): {:.2}x",
+        path.speedup
+    );
     if smoke {
-        println!("(smoke mode: speedup floor not asserted)");
+        println!("(smoke mode: speedup floors not asserted)");
     } else {
         assert!(
             trace.speedup >= 4.0,
             "trace-commitment speedup {:.2}x fell below the 4x floor",
             trace.speedup
+        );
+        assert!(
+            path.speedup >= 8.0,
+            "path-comparison speedup {:.2}x fell below the 8x floor",
+            path.speedup
         );
     }
 }

@@ -16,7 +16,7 @@ use tao_tensor::{Conv2dParams, KernelConfig, Tensor};
 use crate::error::GraphError;
 use crate::graph::{Graph, Node, NodeId};
 use crate::op::OpKind;
-use crate::pool::{last_uses, pooled_len_estimate, BufferPool, ExecStats, ResidentSet};
+use crate::pool::{pooled_len_estimate, BufferPool, ExecStats, ResidentSet};
 use crate::Result;
 
 /// A complete execution trace: every node's output tensor plus FLOP counts.
@@ -190,7 +190,7 @@ pub(crate) fn run(
     // Which value ids die right after node i.
     let mut free_at: Vec<Vec<usize>> = vec![Vec::new(); if keep_all { 0 } else { graph.len() }];
     if !keep_all {
-        for (id, &l) in last_uses(graph).iter().enumerate() {
+        for (id, &l) in graph.last_uses().iter().enumerate() {
             if l != usize::MAX && l != id {
                 free_at[l].push(id);
             }

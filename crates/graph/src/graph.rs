@@ -44,6 +44,8 @@ pub struct Graph {
     params: BTreeMap<String, Tensor<f32>>,
     num_inputs: usize,
     outputs: Vec<NodeId>,
+    // Derived in `new` (the graph is immutable afterwards).
+    last_use: Vec<usize>,
 }
 
 impl Graph {
@@ -96,11 +98,21 @@ impl Graph {
         if outputs.is_empty() {
             return Err(GraphError::Malformed("graph has no outputs".into()));
         }
+        let mut last_use: Vec<usize> = (0..nodes.len()).collect();
+        for node in &nodes {
+            for &input in &node.inputs {
+                last_use[input.0] = node.id.0;
+            }
+        }
+        for &out in &outputs {
+            last_use[out.0] = usize::MAX;
+        }
         Ok(Graph {
             nodes,
             params,
             num_inputs,
             outputs,
+            last_use,
         })
     }
 
@@ -152,6 +164,13 @@ impl Graph {
     /// Output node ids.
     pub fn outputs(&self) -> &[NodeId] {
         &self.outputs
+    }
+
+    /// Last node index at which each value is read (its own index when
+    /// never read); graph outputs are pinned live to the end
+    /// (`usize::MAX`). Computed once, when the graph is built.
+    pub fn last_uses(&self) -> &[usize] {
+        &self.last_use
     }
 
     /// Ids of all non-structural ("compute") nodes, in canonical order.

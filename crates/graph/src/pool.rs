@@ -140,21 +140,6 @@ impl BufferPool {
     }
 }
 
-/// Last node index at which each value is read (its own index when never
-/// read); graph outputs are pinned live to the end.
-pub(crate) fn last_uses(graph: &Graph) -> Vec<usize> {
-    let mut last = (0..graph.len()).collect::<Vec<usize>>();
-    for node in graph.nodes() {
-        for &input in &node.inputs {
-            last[input.0] = node.id.0;
-        }
-    }
-    for &out in graph.outputs() {
-        last[out.0] = usize::MAX;
-    }
-    last
-}
-
 /// Output-length estimate for the pooled kernels (a heuristic for pool
 /// sizing only — the `_with_buf` kernels resize as needed, so a wrong
 /// estimate can never affect results).
@@ -339,7 +324,7 @@ mod tests {
     #[test]
     fn last_use_analysis_pins_outputs() {
         let (g, _) = mlp();
-        let last = last_uses(&g);
+        let last = g.last_uses();
         for &out in g.outputs() {
             assert_eq!(last[out.0], usize::MAX);
         }

@@ -10,7 +10,7 @@ use crate::error::GraphError;
 use crate::exec::eval_node;
 use crate::graph::{Graph, NodeId};
 use crate::op::OpKind;
-use crate::pool::{last_uses, BufferPool};
+use crate::pool::BufferPool;
 use crate::Result;
 
 /// A contiguous slice `[start, end)` of a graph's canonical topological
@@ -90,7 +90,7 @@ pub fn extract(graph: &Graph, start: usize, end: usize) -> Result<Subgraph> {
     }
     // A slice node is visible outside iff its last use (pinned to the end
     // for graph outputs) lies at or beyond `end`.
-    let last = last_uses(graph);
+    let last = graph.last_uses();
     let live_out = (start..end)
         .filter(|&i| last[i] >= end)
         .map(NodeId)

@@ -110,9 +110,8 @@ impl MerkleTree {
             .unwrap_or_else(|| sha256(b""))
     }
 
-    /// The leaf digests (`H(LEAF_PREFIX || leaf)`), in leaf order. A
-    /// verifier holding its own tree checks inclusion proofs against these
-    /// instead of re-serializing and rehashing each leaf.
+    /// The leaf digests (`H(LEAF_PREFIX || leaf)`), in leaf order: what
+    /// [`verify_inclusion_digest`] takes for a leaf of this tree.
     pub fn leaf_digests(&self) -> &[Digest] {
         self.levels.first().map_or(&[], Vec::as_slice)
     }
@@ -140,6 +139,48 @@ impl MerkleTree {
             idx /= 2;
         }
         Some(InclusionProof { index, siblings })
+    }
+
+    /// True when `proof` opens leaf `leaf` of this tree, decided by
+    /// comparing the proof with the tree's own nodes instead of hashing its
+    /// path. The verdict equals
+    /// `verify_inclusion_digest(&self.root(), self.leaf_digests()[leaf], proof)`
+    /// unless SHA-256 has a collision; an out-of-range `leaf` is rejected.
+    ///
+    /// The walk starts at the root and consumes the proof's present
+    /// siblings from the top: each must equal the child of the current
+    /// node on the side the proof's index bit names, and the walk moves to
+    /// the other child (through nodes promoted unchanged from the level
+    /// below). Once the siblings are used up, the node reached must be the
+    /// leaf's digest. `None` slots and index bits at `None` levels (or past
+    /// the tree's depth) are skipped, as the hashing walk skips them. Where
+    /// both children are equal, as in duplicate-leaf subtrees, either
+    /// index bit compares equal. See ARCHITECTURE.md for the argument.
+    pub fn matches_path(&self, leaf: usize, proof: &InclusionProof) -> bool {
+        let Some(want) = self.leaf_digests().get(leaf) else {
+            return false;
+        };
+        let (mut level, mut pos) = (self.levels.len() - 1, 0usize);
+        for (k, sib) in proof.siblings.iter().enumerate().rev() {
+            let Some(sib) = sib else { continue };
+            // Descend to the level where the current node is a pair hash.
+            while level > 0 && 2 * pos + 1 >= self.levels[level - 1].len() {
+                level -= 1;
+                pos *= 2;
+            }
+            // A leaf digest is never a pair hash (domain separation).
+            if level == 0 {
+                return false;
+            }
+            // The hashing walk halves the index once per level.
+            let bit = if k < usize::BITS as usize { (proof.index >> k) & 1 } else { 0 };
+            if self.levels[level - 1][2 * pos + (1 - bit)] != *sib {
+                return false;
+            }
+            level -= 1;
+            pos = 2 * pos + bit;
+        }
+        self.levels[level][pos] == *want
     }
 
     /// Proof-size statistic: the number of digests in a proof for `index`.

@@ -45,15 +45,19 @@ const LIVE_IN_SLACK: f64 = 16.0;
 ///
 /// # Soundness precondition
 ///
-/// The challenger verifies each posted op and parameter proof against the
-/// leaf digest its own tree holds instead of re-serializing and rehashing
-/// the node signature or parameter tensor. That is equivalent to the
-/// rehashing oracle ([`crate::verify_record`]) only when both trees are
-/// the verifier's own, built from the same `graph` passed to
-/// [`run_dispute`] (as `deploy` builds them). [`run_dispute`] checks each
-/// tree's root against its committed root once per dispute and refuses a
-/// mismatch with [`ProtocolError::AnchorMismatch`]; whether the trees were
-/// built from `graph` is the caller's responsibility.
+/// The challenger verifies each posted op and parameter proof by comparing
+/// it with the path of its own tree ([`MerkleTree::matches_path`]) instead
+/// of re-serializing the node signature or parameter tensor and hashing
+/// the proof's path. That is equivalent to the rehashing oracle
+/// ([`crate::verify_record`]) only when both trees are the verifier's own,
+/// built from the same `graph` passed to [`run_dispute`] (as `deploy`
+/// builds them), and on their committed roots; then a proof opens the
+/// root exactly when it matches the tree's path, unless SHA-256 has a
+/// collision. [`run_dispute`] checks each tree's root against its
+/// committed root once per dispute (and every anchored record check
+/// again) and refuses a mismatch with [`ProtocolError::AnchorMismatch`];
+/// whether the trees were built from `graph` is the caller's
+/// responsibility.
 #[derive(Debug, Clone, Copy)]
 pub struct DisputeAnchors<'a> {
     /// Graph-structure Merkle tree `T_g`.
@@ -325,6 +329,36 @@ pub fn run_dispute(
         }
     };
 
+    // Cheap screen against the challenger's own trace: exceedance of a
+    // committed node value vs the challenger's own (structural nodes are
+    // bit-strict). It depends only on the two values and the thresholds,
+    // so it is memoized per node for the whole dispute: a node is one
+    // child's live-out, the next child's live-in, again in the ungated
+    // second pass and again in later rounds, and each profile is a
+    // whole-tensor scan.
+    let mut screen_cache: HashMap<NodeId, f64> = HashMap::new();
+    let mut screen_exc = |id: NodeId| -> Result<f64> {
+        if let Some(&exc) = screen_cache.get(&id) {
+            return Ok(exc);
+        }
+        let claimed = proposer_trace.value(id)?;
+        let own = own_trace.value(id)?;
+        let exc = if thresholds.for_node(id).is_some() {
+            let prof = error_profile(claimed, own, DEFAULT_EPS);
+            thresholds
+                .exceedance(id, &prof)
+                .expect("threshold entry checked above")
+        } else if bit_identical(claimed, own) {
+            // Structural nodes (inputs and parameters) must match
+            // bit-for-bit.
+            0.0
+        } else {
+            f64::INFINITY
+        };
+        screen_cache.insert(id, exc);
+        Ok(exc)
+    };
+
     let mut rounds = Vec::new();
     let mut total_flops = 0u64;
     let mut total_checks = 0u64;
@@ -401,34 +435,6 @@ pub fn run_dispute(
                 gas,
             });
         }
-        // Cheap screen against the challenger's own screening trace:
-        // exceedance of a committed node value vs the challenger's own
-        // (structural nodes are bit-strict). Memoized per node for the
-        // round — the same node appears as one child's live-out, the next
-        // child's live-in, and again in the ungated second pass, and each
-        // profile is a whole-tensor scan.
-        let mut screen_cache: HashMap<NodeId, f64> = HashMap::new();
-        let screen_exc = |cache: &mut HashMap<NodeId, f64>, id: NodeId| -> Result<f64> {
-            if let Some(&exc) = cache.get(&id) {
-                return Ok(exc);
-            }
-            let claimed = proposer_trace.value(id)?;
-            let own = own_trace.value(id)?;
-            let exc = if thresholds.for_node(id).is_some() {
-                let prof = error_profile(claimed, own, DEFAULT_EPS);
-                thresholds
-                    .exceedance(id, &prof)
-                    .expect("threshold entry checked above")
-            } else if bit_identical(claimed, own) {
-                // Structural nodes (inputs and parameters) must match
-                // bit-for-bit.
-                0.0
-            } else {
-                f64::INFINITY
-            };
-            cache.insert(id, exc);
-            Ok(exc)
-        };
         let mut selection_flops = 0u64;
         let mut examined = vec![false; records.len()];
         // (child index, confirmed exceedance) of every confirmed offender.
@@ -440,7 +446,7 @@ pub fn run_dispute(
                 }
                 let mut suspect = false;
                 for &id in &rec.sub.live_out {
-                    if screen_exc(&mut screen_cache, id)? > 1.0 {
+                    if screen_exc(id)? > 1.0 {
                         suspect = true;
                         break;
                     }
@@ -461,7 +467,7 @@ pub fn run_dispute(
                     // cost optimization, never a soundness assumption.
                     let mut gated = false;
                     for &id in &rec.sub.live_in {
-                        if screen_exc(&mut screen_cache, id)? > LIVE_IN_SLACK {
+                        if screen_exc(id)? > LIVE_IN_SLACK {
                             gated = true;
                             break;
                         }

@@ -61,9 +61,9 @@ pub enum ProtocolError {
     MissingThreshold(tao_graph::NodeId),
     /// A dispute anchor's Merkle tree does not have the committed root
     /// (`"graph"` or `"weight"` names the tree). The challenger verifies
-    /// records against its trees' cached leaf digests, so a tree that does
-    /// not match its root is refused outright, never worked around by
-    /// rehashing.
+    /// records by comparing their proofs with its trees' own paths, so a
+    /// tree that does not match its root is refused outright, never
+    /// worked around by rehashing.
     AnchorMismatch {
         /// Which tree disagrees with its committed root.
         tree: &'static str,

@@ -13,10 +13,10 @@
 
 use std::collections::HashMap;
 
-use tao_graph::{Execution, Graph, NodeId, Subgraph};
+use tao_graph::{extract, Execution, Graph, NodeId, Subgraph};
 use tao_merkle::{
-    tensor_hash, verify_graph_leaf, verify_inclusion, verify_inclusion_digest, verify_weight_leaf,
-    Digest, FastSha256, InclusionProof, MerkleTree, TraceCommitment,
+    tensor_hash, verify_graph_leaf, verify_inclusion, verify_weight_leaf, Digest, FastSha256,
+    InclusionProof, MerkleTree, TraceCommitment,
 };
 
 use crate::dispute::DisputeAnchors;
@@ -249,14 +249,16 @@ pub fn make_record_with(
     })
 }
 
-/// Where a verifier takes each proven leaf's digest from.
+/// How a verifier checks each op and parameter proof.
 enum LeafSource<'a> {
-    /// Re-serialize the graph's node or parameter and hash it: the oracle.
+    /// Re-serialize the graph's node or parameter, hash it and hash the
+    /// proof's path up to the committed root: the oracle.
     Rehash,
-    /// The leaf digests of the verifier's own trees, built from the graph.
+    /// Compare the proof with the path of the verifier's own tree, built
+    /// from the graph and checked to be on the committed root.
     Cached {
-        graph_leaves: &'a [Digest],
-        weight_leaves: &'a [Digest],
+        graph_tree: &'a MerkleTree,
+        weight_tree: &'a MerkleTree,
         params: &'a ParamIndex<'a>,
     },
 }
@@ -286,9 +288,17 @@ pub fn verify_record(
 }
 
 /// Verifies a record against the dispute's anchors (challenger side):
-/// every op and parameter proof is checked against the leaf digest the
-/// challenger's own tree already holds, so no node signature or parameter
-/// tensor is serialized or hashed. Only the proof paths are hashed.
+/// every op and parameter proof is compared with the path of the
+/// challenger's own tree ([`MerkleTree::matches_path`]), so no node
+/// signature, parameter tensor or proof path is serialized or hashed. Only
+/// the trace reveals are hashed: the challenger does not hold the
+/// proposer's trace tree.
+///
+/// The coverage rule: a record must prove exactly its slice. Its op
+/// proofs are for `sub.start..sub.end` in order, its parameter proofs name
+/// exactly `sub.param_refs`, and `sub` (frontiers included) equals
+/// [`extract`] of its range, because the challenger screens and
+/// re-executes the child from those frontiers.
 ///
 /// The reveal rule: when the anchors carry the trace root bound into `C0`,
 /// **every** live-in and live-out node must carry a revealed digest that
@@ -305,9 +315,9 @@ pub fn verify_record(
 /// # Errors
 ///
 /// Returns [`ProtocolError::AnchorMismatch`] when a tree's root differs
-/// from its committed root, a graph error for an op index or parameter
-/// name the graph does not have, [`ProtocolError::BadRecord`] on any
-/// failed provenance proof, and [`ProtocolError::RevealMismatch`] (naming
+/// from its committed root, [`ProtocolError::BadRecord`] when the record
+/// breaks the coverage rule or any provenance proof fails, and
+/// [`ProtocolError::RevealMismatch`] (naming
 /// the first offending node) on a missing, mis-indexed, or non-opening
 /// reveal, or interface hashes that do not re-derive from the revealed
 /// digests.
@@ -325,8 +335,8 @@ pub fn verify_record_anchored(
         anchors.trace_root,
         record,
         LeafSource::Cached {
-            graph_leaves: anchors.graph_tree.leaf_digests(),
-            weight_leaves: anchors.weight_tree.leaf_digests(),
+            graph_tree: anchors.graph_tree,
+            weight_tree: anchors.weight_tree,
             params,
         },
     )
@@ -340,15 +350,30 @@ fn verify_with(
     record: &SubgraphRecord,
     leaves: LeafSource<'_>,
 ) -> Result<(u64, u64)> {
+    let sub = &record.sub;
+    if !record.op_proofs.iter().map(|(i, _)| *i).eq(sub.start..sub.end) {
+        return Err(ProtocolError::BadRecord(format!(
+            "op proofs do not cover [{}, {}) in order",
+            sub.start, sub.end
+        )));
+    }
+    if !record.param_proofs.iter().map(|(n, _)| n).eq(&sub.param_refs) {
+        return Err(ProtocolError::BadRecord(
+            "parameter proofs do not name exactly the slice's parameters".into(),
+        ));
+    }
+    if extract(graph, sub.start, sub.end).ok().as_ref() != Some(sub) {
+        return Err(ProtocolError::BadRecord(format!(
+            "slice [{}, {}) does not carry the graph's frontiers",
+            sub.start, sub.end
+        )));
+    }
     let mut checks = 0u64;
     for (idx, proof) in &record.op_proofs {
-        let node = graph.node(NodeId(*idx))?;
         checks += 1;
         let ok = match &leaves {
-            LeafSource::Rehash => verify_graph_leaf(graph_root, node, proof),
-            LeafSource::Cached { graph_leaves, .. } => graph_leaves
-                .get(*idx)
-                .is_some_and(|&leaf| verify_inclusion_digest(graph_root, leaf, proof)),
+            LeafSource::Rehash => verify_graph_leaf(graph_root, graph.node(NodeId(*idx))?, proof),
+            LeafSource::Cached { graph_tree, .. } => graph_tree.matches_path(*idx, proof),
         };
         if !ok {
             return Err(ProtocolError::BadRecord(format!(
@@ -357,18 +382,16 @@ fn verify_with(
         }
     }
     for (name, proof) in &record.param_proofs {
-        let tensor = graph.param(name)?;
         checks += 1;
         let ok = match &leaves {
-            LeafSource::Rehash => verify_weight_leaf(weight_root, name, tensor, proof),
+            LeafSource::Rehash => verify_weight_leaf(weight_root, name, graph.param(name)?, proof),
             LeafSource::Cached {
-                weight_leaves,
+                weight_tree,
                 params,
                 ..
             } => params
                 .get(name)
-                .and_then(|k| weight_leaves.get(k))
-                .is_some_and(|&leaf| verify_inclusion_digest(weight_root, leaf, proof)),
+                .is_some_and(|k| weight_tree.matches_path(k, proof)),
         };
         if !ok {
             return Err(ProtocolError::BadRecord(format!(

@@ -13,8 +13,8 @@ use tao_graph::{
 };
 use tao_merkle::{
     canon_tensor, sha256, tensor_hash, tensor_hash_reference, verify_inclusion_digest,
-    verify_inclusion_digest_reference, Digest, FastSha256, MerkleTree, ParamDigests, Sha256,
-    StreamingCommitter, TokenChain, TraceCommitment,
+    verify_inclusion_digest_reference, Digest, FastSha256, InclusionProof, MerkleTree,
+    ParamDigests, Sha256, StreamingCommitter, TokenChain, TraceCommitment,
 };
 use tao_models::Model;
 use tao_tensor::{KernelConfig, Tensor};
@@ -29,6 +29,70 @@ fn fast_sha256(data: &[u8]) -> Digest {
     let mut h = FastSha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// The hashing verdict for leaf `leaf` of `tree` (false out of range).
+fn hashed_verdict(tree: &MerkleTree, leaf: usize, proof: &InclusionProof) -> bool {
+    tree.leaf_digests()
+        .get(leaf)
+        .is_some_and(|&d| verify_inclusion_digest(&tree.root(), d, proof))
+}
+
+/// Mutants of a valid proof, each labelled: a tampered sibling byte, a
+/// flipped index bit at every level (`None` levels and two levels past
+/// the depth included), indices past `len` or with high bits set, a
+/// truncated proof, an extra trailing `None` or `Some`, a `Some`<->`None`
+/// swap at every level, and the proof reshaped with its `None` slots
+/// dropped or with a leading `None` slot inserted.
+fn proof_mutants(
+    proof: &InclusionProof,
+    len: usize,
+    bit: usize,
+    foreign: Digest,
+) -> Vec<(String, InclusionProof)> {
+    let mut out = Vec::new();
+    let mut push = |label: String, f: &dyn Fn(&mut InclusionProof)| {
+        let mut m = proof.clone();
+        f(&mut m);
+        out.push((label, m));
+    };
+    push("sibling byte".into(), &|m| {
+        if let Some(s) = m.siblings.iter_mut().flatten().nth(bit % 3) {
+            s[bit / 8] ^= 1 << (bit % 8);
+        }
+    });
+    for k in 0..proof.siblings.len() + 2 {
+        push(format!("index bit {k}"), &|m| m.index ^= 1 << k);
+        push(format!("swap {k}"), &|m| {
+            if let Some(s) = m.siblings.get_mut(k) {
+                *s = if s.is_some() { None } else { Some(foreign) };
+            }
+        });
+    }
+    push("index + len".into(), &|m| m.index += len);
+    push("index past len".into(), &|m| m.index = len + bit);
+    push("high bits".into(), &|m| m.index |= usize::MAX << 40);
+    push("top bit".into(), &|m| m.index |= 1 << (usize::BITS - 1));
+    push("truncated".into(), &|m| {
+        m.siblings.pop();
+    });
+    push("trailing None".into(), &|m| m.siblings.push(None));
+    push("trailing Some".into(), &|m| m.siblings.push(Some(foreign)));
+    push("leading None".into(), &|m| {
+        m.siblings.insert(0, None);
+        m.index <<= 1;
+    });
+    push("None slots dropped".into(), &|m| {
+        let (mut index, mut siblings) = (0, Vec::new());
+        for (k, s) in m.siblings.iter().enumerate() {
+            if s.is_some() {
+                index |= ((m.index >> k) & 1) << siblings.len();
+                siblings.push(*s);
+            }
+        }
+        *m = InclusionProof { index, siblings };
+    });
+    out
 }
 
 proptest! {
@@ -123,6 +187,45 @@ proptest! {
                 verify_inclusion_digest_reference(&root, leaf, &proof),
                 "leaf {}", idx
             );
+        }
+    }
+
+    /// Path comparison against the verifier's own tree returns the
+    /// hashing verdict on every valid proof and every mutant of it, for
+    /// trees of 1–300 leaves with and without duplicate leaves; also for
+    /// each proof checked against another occurrence of its leaf (when
+    /// leaves repeat), the neighbouring leaf and out-of-range leaves.
+    #[test]
+    fn path_comparison_equals_hashing_for_valid_and_mutated_proofs(
+        n in 1usize..301,
+        distinct in 1usize..301,
+        bit in 0usize..256,
+    ) {
+        // Leaf bytes repeat with period `distinct`: duplicate leaves (and
+        // duplicate subtrees) whenever `distinct < n`.
+        let leaves: Vec<Vec<u8>> = (0..n)
+            .map(|i| ((i % distinct) as u32).to_le_bytes().to_vec())
+            .collect();
+        let tree = MerkleTree::from_leaves(&leaves);
+        let foreign = tree.root();
+        for i in 0..n {
+            let proof = tree.prove(i).unwrap();
+            prop_assert!(tree.matches_path(i, &proof), "leaf {}", i);
+            prop_assert!(hashed_verdict(&tree, i, &proof), "leaf {}", i);
+            for (label, m) in proof_mutants(&proof, n, bit, foreign) {
+                prop_assert_eq!(
+                    tree.matches_path(i, &m),
+                    hashed_verdict(&tree, i, &m),
+                    "leaf {}: {}", i, label
+                );
+            }
+            for leaf in [i ^ 1, n, n + bit, usize::MAX, (i + distinct) % n] {
+                prop_assert_eq!(
+                    tree.matches_path(leaf, &proof),
+                    hashed_verdict(&tree, leaf, &proof),
+                    "proof {} against leaf {}", i, leaf
+                );
+            }
         }
     }
 

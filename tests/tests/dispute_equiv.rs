@@ -10,7 +10,8 @@
 //!   of a `+0.0` input element in its committed trace is still convicted.
 //! - `extract`'s live-outs, derived from each node's last use, equal the
 //!   seed scan over every later node's inputs on every slice of each
-//!   bundled model's N=2 bisection.
+//!   bundled model's N=2 bisection, and the last-use index `Graph::new`
+//!   stores equals a fresh scan on every bundled model.
 
 use tao::{
     default_coordinator, deploy, Deployment, ProposerBehavior, SessionBuilder, SessionConfig,
@@ -281,23 +282,52 @@ fn live_out_by_scan(graph: &Graph, start: usize, end: usize) -> Vec<NodeId> {
         .collect()
 }
 
-#[test]
-fn extract_live_outs_equal_the_seed_scan_on_every_bisection_slice() {
+/// The seed last-use scan the executor and `extract` ran per call: each
+/// value's last reader (itself when never read), outputs pinned to the end.
+fn last_uses_by_scan(graph: &Graph) -> Vec<usize> {
+    let mut last: Vec<usize> = (0..graph.len()).collect();
+    for node in graph.nodes() {
+        for &input in &node.inputs {
+            last[input.0] = node.id.0;
+        }
+    }
+    for &out in graph.outputs() {
+        last[out.0] = usize::MAX;
+    }
+    last
+}
+
+/// Every bundled model family at a small configuration.
+fn bundled_models() -> Vec<(&'static str, Model)> {
     let transformer_cfg = TransformerConfig {
         layers: 1,
         ..TransformerConfig::small()
     };
-    let models = [
+    vec![
         ("bert", bert::build(bert_cfg(), 1)),
         ("qwen", qwen::build(qwen_cfg(), 2)),
+        ("qwen-deep8", qwen::build(QwenConfig::deep(8), 1)),
         ("resnet", resnet::build(resnet_cfg(), 3)),
         ("diffusion", diffusion::build(DiffusionConfig::small(), 1)),
+        ("transformer", transformer::build(transformer_cfg, 3)),
         (
             "int8-transformer",
             quantize_linears(&transformer::build(transformer_cfg, 3)),
         ),
-    ];
-    for (name, model) in models {
+    ]
+}
+
+#[test]
+fn the_graphs_last_use_index_equals_a_fresh_scan_on_every_bundled_model() {
+    for (name, model) in bundled_models() {
+        let graph = &model.graph;
+        assert_eq!(graph.last_uses(), last_uses_by_scan(graph), "{name}");
+    }
+}
+
+#[test]
+fn extract_live_outs_equal_the_seed_scan_on_every_bisection_slice() {
+    for (name, model) in bundled_models() {
         let graph = &model.graph;
         let mut pending = vec![(0, graph.len())];
         let mut slices = 0;

@@ -7,12 +7,15 @@
 //! return the identical `Ok((merkle_checks, reveal_checks))` or the
 //! identical typed error, and neither may panic. Mutations that break a
 //! binding (a flipped digest bit, a dropped reveal, a foreign parameter
-//! name) must be rejected.
+//! name) must be rejected, and so must records that do not prove exactly
+//! their slice: op proofs dropped, reordered or duplicated, a parameter
+//! proof omitted, or a live-in/live-out frontier truncated with its
+//! interface hash re-derived to match.
 
 use tao::{deploy, Deployment};
 use tao_device::{Device, Fleet};
-use tao_graph::{execute, extract, partition, Execution, Perturbations};
-use tao_merkle::{InclusionProof, TraceCommitment};
+use tao_graph::{execute, extract, partition, Execution, NodeId, Perturbations};
+use tao_merkle::{Digest, FastSha256, InclusionProof, TraceCommitment};
 use tao_models::{bert, data, qwen, resnet, BertConfig, Model, QwenConfig, ResNetConfig};
 use tao_protocol::{
     make_record_with, run_dispute, verify_record, verify_record_anchored, ChallengerView,
@@ -151,6 +154,21 @@ fn probes(len: usize) -> Vec<usize> {
     v
 }
 
+/// The interface hash of `ids` re-derived from `rec`'s revealed digests,
+/// as a proposer posting a doctored frontier would compute it.
+fn rederived_hash(rec: &SubgraphRecord, ids: &[NodeId]) -> Digest {
+    let mut h = FastSha256::new();
+    for id in ids {
+        let (_, digest, _) = rec
+            .trace_reveals
+            .iter()
+            .find(|(n, _, _)| *n == id.0)
+            .expect("every frontier node is revealed");
+        h.update(digest);
+    }
+    h.finalize()
+}
+
 /// Single-field and single-bit mutants of `rec`, each tagged with whether
 /// it must be rejected.
 fn mutants(rec: &SubgraphRecord, graph_len: usize) -> Vec<(String, SubgraphRecord, bool)> {
@@ -177,6 +195,21 @@ fn mutants(rec: &SubgraphRecord, graph_len: usize) -> Vec<(String, SubgraphRecor
             m.op_proofs[i].1.index ^= 1
         });
     }
+    // Coverage: the op proofs must be exactly `start..end`, in order.
+    for i in probes(rec.op_proofs.len()) {
+        push(format!("op {i} proof dropped"), true, &|m| {
+            m.op_proofs.remove(i);
+        });
+        push(format!("op {i} proof duplicated"), true, &|m| {
+            m.op_proofs.insert(i, m.op_proofs[i].clone())
+        });
+    }
+    if rec.op_proofs.len() > 1 {
+        push("op proofs reordered".into(), true, &|m| {
+            let last = m.op_proofs.len() - 1;
+            m.op_proofs.swap(0, last)
+        });
+    }
     let names: Vec<String> = rec.param_proofs.iter().map(|(n, _)| n.clone()).collect();
     for i in probes(rec.param_proofs.len()) {
         push(format!("param {i} sibling bit"), false, &|m| {
@@ -193,6 +226,23 @@ fn mutants(rec: &SubgraphRecord, graph_len: usize) -> Vec<(String, SubgraphRecor
                 m.param_proofs[i].0 = other.clone()
             });
         }
+        push(format!("param {i} proof omitted"), true, &|m| {
+            m.param_proofs.remove(i);
+        });
+    }
+    // Truncated frontiers whose interface hash still re-derives from the
+    // reveals: only the coverage rule catches these.
+    if !rec.sub.live_in.is_empty() {
+        push("live-in truncated, hash re-derived".into(), true, &|m| {
+            m.sub.live_in.pop();
+            m.live_in_hash = rederived_hash(m, &m.sub.live_in);
+        });
+    }
+    if !rec.sub.live_out.is_empty() {
+        push("live-out truncated, hash re-derived".into(), true, &|m| {
+            m.sub.live_out.pop();
+            m.live_out_hash = rederived_hash(m, &m.sub.live_out);
+        });
     }
     for i in probes(rec.trace_reveals.len()) {
         push(format!("reveal {i} digest bit"), true, &|m| {
