@@ -280,13 +280,28 @@ pub fn eval_node(
     cfg: &KernelConfig,
     pool: &mut BufferPool,
 ) -> Result<Tensor<f32>> {
+    eval_node_with(graph, node, |id| values.get(id.0), inputs, cfg, pool)
+}
+
+/// [`eval_node`] reading each predecessor through `value` instead of a
+/// store indexed by node id, so a slice can be evaluated from a store of
+/// its own size ([`crate::execute_subgraph`]). A predecessor for which
+/// `value` returns `None` is a [`GraphError::UnknownNode`].
+pub(crate) fn eval_node_with<'v>(
+    graph: &Graph,
+    node: &Node,
+    value: impl Fn(NodeId) -> Option<&'v Tensor<f32>>,
+    inputs: &[Tensor<f32>],
+    cfg: &KernelConfig,
+    pool: &mut BufferPool,
+) -> Result<Tensor<f32>> {
     let arg = |k: usize| -> Result<&Tensor<f32>> {
         let id = *node.inputs.get(k).ok_or(GraphError::Arity {
             node: node.id,
             expected: k + 1,
             got: node.inputs.len(),
         })?;
-        values.get(id.0).ok_or(GraphError::UnknownNode(id))
+        value(id).ok_or(GraphError::UnknownNode(id))
     };
     let need = |n: usize| -> Result<()> {
         if node.inputs.len() != n {
@@ -524,7 +539,9 @@ pub fn eval_node(
                     got: 0,
                 });
             }
-            let tensors: Vec<&Tensor<f32>> = node.inputs.iter().map(|&i| &values[i.0]).collect();
+            let tensors = (0..node.inputs.len())
+                .map(arg)
+                .collect::<Result<Vec<_>>>()?;
             Tensor::cat(&tensors, *axis)?
         }
         OpKind::Embedding => {

@@ -2,12 +2,10 @@
 //! topological order with live-in/live-out frontiers (Eq. 13–14 of the
 //! paper) and standalone re-execution.
 
-use std::collections::HashMap;
-
 use tao_tensor::{KernelConfig, Tensor};
 
 use crate::error::GraphError;
-use crate::exec::eval_node;
+use crate::exec::eval_node_with;
 use crate::graph::{Graph, NodeId};
 use crate::op::OpKind;
 use crate::pool::BufferPool;
@@ -130,45 +128,48 @@ pub fn partition(start: usize, end: usize, n: usize) -> Vec<(usize, usize)> {
 
 /// Re-executes a subgraph slice given boundary values.
 ///
-/// `boundary` must provide the value of every `live_in` node; graph inputs
-/// and parameters inside the slice are taken from `inputs` / the graph's
-/// state dict. Returns the values of all nodes in the slice keyed by id.
+/// `boundary` holds node values indexed by node id (a committed trace, say);
+/// only the slice's `live_in` entries are read. Graph inputs and parameters
+/// are taken from `inputs` / the graph's state dict. Returns the values of
+/// the slice's nodes in node order, `sub.start..sub.end`.
+///
+/// Each node is evaluated by the executor's own dispatch
+/// ([`crate::eval_node`]) from a store the size of the slice, so a slice's
+/// values depend only on its live-in values, the inputs, the parameters and
+/// `cfg`. In particular, a slice `[s, e)` inside a re-executed range
+/// `[p, q)` whose live-ins all precede `p` reads exactly what it reads when
+/// re-executed alone: its values are the range's values at `s..e`, bit for
+/// bit.
 ///
 /// # Errors
 ///
-/// Returns an error when a boundary value is missing or a kernel fails.
+/// Returns an error when a live-in value is missing from `boundary` or a
+/// kernel fails.
 pub fn execute_subgraph(
     graph: &Graph,
     sub: &Subgraph,
-    boundary: &HashMap<NodeId, Tensor<f32>>,
+    boundary: &[Tensor<f32>],
     inputs: &[Tensor<f32>],
     cfg: &KernelConfig,
-) -> Result<HashMap<NodeId, Tensor<f32>>> {
-    // Dense value store indexed by node id (`eval_node` reads predecessors
-    // from a plain slice), seeded with the boundary and the parameters
-    // outside the slice that it references.
-    let mut dense: Vec<Tensor<f32>> = vec![Tensor::zeros(&[0]); graph.len()];
-    for &id in &sub.live_in {
-        let v = boundary
-            .get(&id)
-            .ok_or_else(|| GraphError::Malformed(format!("missing boundary value for {id}")))?;
-        dense[id.0] = v.clone();
-    }
-    for node in &graph.nodes()[sub.start..sub.end] {
-        for &input in &node.inputs {
-            if input.0 < sub.start {
-                if let OpKind::Parameter(name) = &graph.node(input)?.kind {
-                    dense[input.0] = graph.param(name)?.clone();
-                }
-            }
-        }
-    }
-    let mut out = HashMap::new();
+) -> Result<Vec<Tensor<f32>>> {
+    let nodes = graph.nodes();
+    let mut out: Vec<Tensor<f32>> = Vec::with_capacity(sub.len());
     let mut pool = BufferPool::new();
-    for node in &graph.nodes()[sub.start..sub.end] {
-        let v = eval_node(graph, node, &dense, inputs, cfg, &mut pool)?;
-        dense[node.id.0] = v.clone();
-        out.insert(node.id, v);
+    for node in &nodes[sub.start..sub.end] {
+        // A predecessor is a slice node, a parameter, or a live-in.
+        let value = |id: NodeId| {
+            if id.0 >= sub.start {
+                out.get(id.0 - sub.start)
+            } else if let OpKind::Parameter(name) = &nodes.get(id.0)?.kind {
+                graph.param(name).ok()
+            } else if sub.live_in.binary_search(&id).is_ok() {
+                boundary.get(id.0)
+            } else {
+                None
+            }
+        };
+        let v = eval_node_with(graph, node, value, inputs, cfg, &mut pool)?;
+        out.push(v);
     }
     Ok(out)
 }
@@ -257,13 +258,47 @@ mod tests {
         let cfg = KernelConfig::reference();
         let full = execute(&g, std::slice::from_ref(&input), &cfg, None).unwrap();
         let sub = extract(&g, 2, 4).unwrap();
-        let mut boundary = HashMap::new();
-        for &id in &sub.live_in {
-            boundary.insert(id, full.values[id.0].clone());
+        let got = execute_subgraph(&g, &sub, &full.values, &[input], &cfg).unwrap();
+        assert_eq!(got.len(), sub.len());
+        for (v, want) in got.iter().zip(&full.values[2..4]) {
+            assert_eq!(v.data(), want.data());
         }
-        let got = execute_subgraph(&g, &sub, &boundary, &[input], &cfg).unwrap();
-        for &id in &sub.live_out {
-            assert_eq!(got[&id].data(), full.values[id.0].data());
+    }
+
+    #[test]
+    fn a_child_reading_only_its_parents_live_ins_equals_the_parents_values() {
+        // x → matmul → relu → neg, and x → ×2 → +1: in the slice [3, 7)
+        // both children, [3, 5) and [5, 7), read only the slice's live-ins
+        // (the matmul and x).
+        let mut b = GraphBuilder::new(1);
+        let x = b.input(0, "x");
+        let w = b.parameter("w", Tensor::<f32>::eye(2));
+        let m = b.op("m", OpKind::MatMul, &[x, w]);
+        let r = b.op("r", OpKind::Relu, &[m]);
+        let n = b.op("n", OpKind::Neg, &[r]);
+        let d = b.op("d", OpKind::MulScalar(2.0), &[x]);
+        let a = b.op("a", OpKind::AddScalar(1.0), &[d]);
+        let g = b.finish(vec![n, a]).unwrap();
+        let input = Tensor::from_vec(vec![1.0, -2.0, 3.0, -4.0], &[2, 2]).unwrap();
+        let cfg = KernelConfig::reference();
+        // A boundary that is not any device's trace: x itself is perturbed.
+        let mut boundary = execute(&g, std::slice::from_ref(&input), &cfg, None)
+            .unwrap()
+            .values;
+        boundary[0] = boundary[0].add_scalar(0.5);
+        let run = |start, end| {
+            let sub = extract(&g, start, end).unwrap();
+            execute_subgraph(&g, &sub, &boundary, std::slice::from_ref(&input), &cfg).unwrap()
+        };
+        let parent = run(3, 7);
+        for (s, e) in [(3, 5), (5, 7)] {
+            assert!(extract(&g, s, e).unwrap().live_in.iter().all(|id| id.0 < 3));
+            for (got, want) in run(s, e).iter().zip(&parent[s - 3..e - 3]) {
+                assert_eq!(got.dims(), want.dims());
+                let bits =
+                    |t: &Tensor<f32>| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want));
+            }
         }
     }
 
@@ -274,7 +309,7 @@ mod tests {
         let r = execute_subgraph(
             &g,
             &sub,
-            &HashMap::new(),
+            &[],
             &[Tensor::zeros(&[2, 2])],
             &KernelConfig::reference(),
         );

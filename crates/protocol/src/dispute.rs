@@ -1,5 +1,6 @@
 //! The N-way, Merkle-anchored, threshold-guided dispute game (§5.3).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use tao_calib::{error_profile, ThresholdBundle, DEFAULT_EPS};
@@ -165,6 +166,13 @@ impl<'a> ChallengerView<'a> {
     }
 
     /// A challenger reusing the trace it computed during screening.
+    ///
+    /// `trace` must be `execute(graph, inputs, device.config(), None)` for
+    /// the disputed graph and inputs: the dispute clears children against
+    /// it, and round 0 takes the values of children without live-ins from
+    /// it instead of re-executing them (debug builds re-execute them too and
+    /// panic on a difference). [`screen_claim`](crate::screen_claim)
+    /// produces exactly this trace.
     pub fn with_screening(device: &'a Device, trace: &'a Execution) -> Self {
         ChallengerView {
             device,
@@ -196,8 +204,14 @@ pub struct RoundStats {
     pub chosen: usize,
     /// Proposer-side work: bytes of records built and posted.
     pub partition_bytes: u64,
-    /// Challenger-side work: FLOPs re-executed during selection.
+    /// Challenger-side work: FLOPs of every child examined during
+    /// selection (the DCR accounting), whether its values were re-executed
+    /// or taken from the parent range's re-execution.
     pub selection_flops: u64,
+    /// FLOPs the challenger actually evaluated this round: those of the
+    /// examined children re-executed by [`execute_subgraph`]. Never above
+    /// `selection_flops`.
+    pub reexecuted_flops: u64,
     /// Merkle proof verifications this round.
     pub merkle_checks: u64,
 }
@@ -284,11 +298,22 @@ impl DisputeOutcome {
 /// committed boundaries. This keeps the DCR (total challenger FLOPs)
 /// around one forward pass, matching Table 3.
 ///
+/// A suspect child need not be re-executed either when its live-ins all
+/// precede the disputed range's start: it then reads nothing the range's
+/// own re-execution did not read, so its values are that re-execution's,
+/// bit for bit (see [`execute_subgraph`]). The game keeps the chosen
+/// child's values for the next round, and round 0's range, which has no
+/// live-ins, takes them from the challenger's own trace. This covers the
+/// first child of every range. Such a child is still examined and
+/// accounted in [`RoundStats::selection_flops`]; only
+/// [`RoundStats::reexecuted_flops`] omits it.
+///
 /// # Errors
 ///
-/// Returns [`ProtocolError::AnchorMismatch`] when an anchor tree does not
-/// have its committed root, and an error if record construction or
-/// verification fails or a re-execution hits a kernel error.
+/// Returns [`ProtocolError::BadWidth`] when `cfg.n_way < 2`,
+/// [`ProtocolError::AnchorMismatch`] when an anchor tree does not have its
+/// committed root, and an error if record construction or verification
+/// fails or a re-execution hits a kernel error.
 pub fn run_dispute(
     graph: &Graph,
     anchors: DisputeAnchors<'_>,
@@ -298,6 +323,9 @@ pub fn run_dispute(
     thresholds: &ThresholdBundle,
     cfg: DisputeConfig,
 ) -> Result<DisputeOutcome> {
+    if cfg.n_way < 2 {
+        return Err(ProtocolError::BadWidth { n_way: cfg.n_way });
+    }
     anchors.check_roots()?;
     let params = ParamIndex::new(graph);
     let proposer_trace = proposer.trace;
@@ -365,6 +393,12 @@ pub fn run_dispute(
     let mut total_reveals = 0u64;
     let (mut start, mut end) = (0usize, graph.len());
     let mut round = 0usize;
+    // The challenger's values of the disputed range `[start, end)`,
+    // re-executed from the proposer's committed live-ins: node `i` at
+    // `known[i - known_start]`. Round 0's range has no live-ins, so they
+    // are the challenger's own trace.
+    let mut known: Cow<'_, [Tensor<f32>]> = Cow::Borrowed(&own_trace.values);
+    let mut known_start = 0usize;
 
     while end - start > 1 {
         let slices = partition(start, end, cfg.n_way);
@@ -421,6 +455,7 @@ pub fn run_dispute(
                 chosen: usize::MAX,
                 partition_bytes,
                 selection_flops: 0,
+                reexecuted_flops: 0,
                 merkle_checks,
             });
             gas.charge("settlement", gas::settlement());
@@ -436,9 +471,13 @@ pub fn run_dispute(
             });
         }
         let mut selection_flops = 0u64;
+        let mut reexecuted_flops = 0u64;
         let mut examined = vec![false; records.len()];
         // (child index, confirmed exceedance) of every confirmed offender.
         let mut confirmed: Vec<(usize, f64)> = Vec::new();
+        // Each confirmed child's re-executed values (`None` when they are
+        // in `known`), kept for the next round.
+        let mut child_values: Vec<Option<Vec<Tensor<f32>>>> = vec![None; records.len()];
         for pass in 0..2 {
             for (ci, rec) in records.iter().enumerate() {
                 if examined[ci] {
@@ -477,29 +516,48 @@ pub fn run_dispute(
                     }
                 }
                 examined[ci] = true;
-                // Confirm by re-executing the candidate child from the
+                // Confirm with the candidate child re-executed from the
                 // proposer's committed live-in values (the agreed inputs of
-                // Eq. 15); only this costs fresh FLOPs.
-                let mut boundary = HashMap::new();
-                for &id in &rec.sub.live_in {
-                    boundary.insert(id, proposer_trace.value(id)?.clone());
+                // Eq. 15). A child whose live-ins all precede the range's
+                // start has those values in `known` already; only the
+                // others cost fresh FLOPs. Both are accounted from the
+                // proposer trace's ledger (same shapes, same operator set).
+                let (s, e) = (rec.sub.start, rec.sub.end);
+                let child_flops = proposer_trace.flops[s..e].iter().sum::<u64>();
+                selection_flops += child_flops;
+                let reexecute = || {
+                    execute_subgraph(
+                        graph,
+                        &rec.sub,
+                        &proposer_trace.values,
+                        inputs,
+                        challenger.device.config(),
+                    )
+                };
+                let reexecuted = if rec.sub.live_in.iter().all(|id| id.0 < start) {
+                    None
+                } else {
+                    reexecuted_flops += child_flops;
+                    Some(reexecute()?)
+                };
+                let local = match &reexecuted {
+                    Some(values) => values.as_slice(),
+                    None => &known[s - known_start..e - known_start],
+                };
+                // Inheritance is exact (see `execute_subgraph`): debug
+                // builds re-execute the child anyway and compare.
+                if cfg!(debug_assertions) && reexecuted.is_none() {
+                    let oracle = reexecute()?;
+                    assert!(
+                        local.len() == oracle.len()
+                            && local.iter().zip(&oracle).all(|(a, b)| bit_identical(a, b)),
+                        "inherited values of [{s}, {e}) differ from its re-execution"
+                    );
                 }
-                let local = execute_subgraph(
-                    graph,
-                    &rec.sub,
-                    &boundary,
-                    inputs,
-                    challenger.device.config(),
-                )?;
-                // Account re-execution FLOPs from the proposer trace's
-                // ledger (same shapes, same operator set).
-                selection_flops += (rec.sub.start..rec.sub.end)
-                    .map(|i| proposer_trace.flops[i])
-                    .sum::<u64>();
                 let mut child_exceedance = 0.0f64;
                 for &id in &rec.sub.live_out {
                     let claimed = proposer_trace.value(id)?;
-                    let recomputed = &local[&id];
+                    let recomputed = &local[id.0 - s];
                     let exc = if thresholds.for_node(id).is_some() {
                         let prof = error_profile(claimed, recomputed, DEFAULT_EPS);
                         thresholds.exceedance(id, &prof).unwrap_or(f64::INFINITY)
@@ -514,6 +572,7 @@ pub fn run_dispute(
                 }
                 if child_exceedance > 1.0 {
                     confirmed.push((ci, child_exceedance));
+                    child_values[ci] = reexecuted;
                 }
             }
             if !confirmed.is_empty() {
@@ -544,6 +603,7 @@ pub fn run_dispute(
                 chosen: usize::MAX,
                 partition_bytes,
                 selection_flops,
+                reexecuted_flops,
                 merkle_checks,
             });
             gas.charge("settlement", gas::settlement());
@@ -565,9 +625,16 @@ pub fn run_dispute(
             chosen: ci,
             partition_bytes,
             selection_flops,
+            reexecuted_flops,
             merkle_checks,
         });
         (start, end) = slices[ci];
+        // The chosen child's values are the next range's; an inherited
+        // child's are already in `known`.
+        if let Some(values) = child_values[ci].take() {
+            known = Cow::Owned(values);
+            known_start = start;
+        }
         round += 1;
     }
 
@@ -630,6 +697,16 @@ mod tests {
         perturb: Option<&Perturbations>,
         n_way: usize,
     ) -> DisputeOutcome {
+        try_dispute_against(g, bundle, inputs, perturb, n_way).unwrap()
+    }
+
+    fn try_dispute_against(
+        g: &Graph,
+        bundle: &ThresholdBundle,
+        inputs: &[Tensor<f32>],
+        perturb: Option<&Perturbations>,
+        n_way: usize,
+    ) -> Result<DisputeOutcome> {
         let proposer_dev = Device::rtx4090_like();
         let challenger_dev = Device::h100_like();
         let trace = execute(g, inputs, proposer_dev.config(), perturb).unwrap();
@@ -650,7 +727,38 @@ mod tests {
             bundle,
             DisputeConfig { n_way },
         )
-        .unwrap()
+    }
+
+    /// A planted 0.05 cheat on `act2` of the 4-layer chain.
+    fn planted_act2_cheat(g: &Graph, inputs: &[Tensor<f32>]) -> Perturbations {
+        let target = g.nodes().iter().find(|n| n.name == "act2").unwrap().id;
+        let ref_exec = execute(g, inputs, Device::rtx4090_like().config(), None).unwrap();
+        let mut p = Perturbations::new();
+        p.insert(target, Tensor::full(ref_exec.values[target.0].dims(), 0.05));
+        p
+    }
+
+    /// `N = 0` posts no children, so the cheat would go unlocalized.
+    #[test]
+    fn partition_width_zero_is_a_typed_error() {
+        let (g, bundle, inputs) = setup(4);
+        let p = planted_act2_cheat(&g, &inputs);
+        assert_eq!(
+            try_dispute_against(&g, &bundle, &inputs, Some(&p), 0),
+            Err(ProtocolError::BadWidth { n_way: 0 })
+        );
+    }
+
+    /// `N = 1` posts the range itself as its only child, so the descent
+    /// would never end.
+    #[test]
+    fn partition_width_one_is_a_typed_error() {
+        let (g, bundle, inputs) = setup(4);
+        let p = planted_act2_cheat(&g, &inputs);
+        assert_eq!(
+            try_dispute_against(&g, &bundle, &inputs, Some(&p), 1),
+            Err(ProtocolError::BadWidth { n_way: 1 })
+        );
     }
 
     #[test]
@@ -722,7 +830,10 @@ mod tests {
             DisputeConfig { n_way: 2 },
         )
         .unwrap();
-        assert_eq!(committed.rehashed_leaves, 0, "cached digests must be reused");
+        assert_eq!(
+            committed.rehashed_leaves, 0,
+            "cached digests must be reused"
+        );
         assert_eq!(committed.result, reused.result);
         assert_eq!(committed.challenger_flops, reused.challenger_flops);
         assert_eq!(committed.reveal_checks, 0, "unanchored: nothing to verify");

@@ -68,6 +68,13 @@ pub enum ProtocolError {
         /// Which tree disagrees with its committed root.
         tree: &'static str,
     },
+    /// A dispute's partition width `N` is below 2: no children (`N = 0`)
+    /// never localizes anything, and one child (`N = 1`) is its parent
+    /// range, so the descent would never end.
+    BadWidth {
+        /// The configured width.
+        n_way: usize,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -104,6 +111,9 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::AnchorMismatch { tree } => {
                 write!(f, "the {tree} tree does not have the committed {tree} root")
+            }
+            ProtocolError::BadWidth { n_way } => {
+                write!(f, "dispute partition width {n_way} is below 2")
             }
         }
     }

@@ -8,18 +8,29 @@
 //! - Structural equality is one bit-strict rule in the descent and at the
 //!   leaf: a proposer that pairs a real compute cheat with `-0.0` in place
 //!   of a `+0.0` input element in its committed trace is still convicted.
+//! - Every view also re-executes the same FLOPs per round, never more than
+//!   it examines, and strictly less in total than it accounts.
+//! - A partition width below 2 is a typed error, from a session too.
 //! - `extract`'s live-outs, derived from each node's last use, equal the
 //!   seed scan over every later node's inputs on every slice of each
 //!   bundled model's N=2 bisection, and the last-use index `Graph::new`
 //!   stores equals a fresh scan on every bundled model.
+//! - A dispute child whose live-ins all precede its parent's start
+//!   re-executes to exactly the parent's values at its nodes, on every
+//!   range of each bundled model's N=2 and N=4 bisection trees.
+//! - Planted- and mild-cheat disputes equal the outcomes pinned in
+//!   `golden/dispute_outcomes.txt`.
 
 use tao::{
     default_coordinator, deploy, Deployment, ProposerBehavior, SessionBuilder, SessionConfig,
-    SharedCoordinator,
+    SharedCoordinator, TaoError,
 };
 use tao_bounds::BoundEngine;
-use tao_device::Fleet;
-use tao_graph::{execute, extract, partition, Graph, NodeId, OpKind, Perturbations};
+use tao_calib::{error_profile, DEFAULT_EPS};
+use tao_device::{Device, Fleet};
+use tao_graph::{
+    execute, execute_subgraph, extract, partition, Graph, NodeId, OpKind, Perturbations,
+};
 use tao_merkle::TraceCommitment;
 use tao_models::{
     bert, data, diffusion, quantize_linears, qwen, resnet, transformer, BertConfig,
@@ -27,7 +38,7 @@ use tao_models::{
 };
 use tao_protocol::{
     adjudicate, leaf_case, run_dispute, sample_committee, screen_claim, ChallengerView, ClaimCheck,
-    DisputeConfig, DisputeOutcome, DisputeResult, LeafVerdict, ProposerView,
+    DisputeConfig, DisputeOutcome, DisputeResult, LeafVerdict, ProposerView, ProtocolError,
 };
 use tao_tensor::Tensor;
 
@@ -103,6 +114,16 @@ fn planted_cheat(d: &Deployment, inputs: &[Tensor<f32>], cfg: &SessionConfig) ->
     planted_cheat_at(d, inputs, cfg, nodes[nodes.len() / 2])
 }
 
+/// The compute nodes a quarter and halfway into a graph's compute nodes:
+/// planted-cheat targets in its first half and near its middle.
+fn cheat_targets(graph: &Graph) -> [(&'static str, NodeId); 2] {
+    let nodes = graph.compute_nodes();
+    [
+        ("quarter", nodes[nodes.len() / 4]),
+        ("middle", nodes[nodes.len() / 2]),
+    ]
+}
+
 /// A non-uniform perturbation of `target`'s output.
 fn planted_cheat_at(
     d: &Deployment,
@@ -128,71 +149,112 @@ fn every_challenger_view_reaches_the_same_outcome() {
     let cfg = SessionConfig::default();
     for (name, d, inputs) in deployed() {
         let graph = &d.model.graph;
-        let p = planted_cheat(&d, &inputs, &cfg);
-        let trace = execute(graph, &inputs, cfg.proposer.config(), Some(&p)).unwrap();
-        let commitment = TraceCommitment::build(&trace.values);
-        let root = commitment.root();
-        let screening = screen_claim(
-            graph,
-            d.model.logits,
-            &d.thresholds,
-            ClaimCheck {
-                inputs: &inputs,
-                claimed_output: trace.value(d.model.logits).unwrap(),
-            },
-            &cfg.challenger,
-        )
-        .unwrap();
-        assert!(screening.flagged, "{name}: planted cheat not flagged");
-        assert!(
-            screening.commitment().is_none(),
-            "{name}: challenger committed"
-        );
-        let dispute = |challenger: ChallengerView<'_>| {
-            run_dispute(
+        for (place, target) in cheat_targets(graph) {
+            let name = format!("{name} {place}");
+            let p = planted_cheat_at(&d, &inputs, &cfg, target);
+            let trace = execute(graph, &inputs, cfg.proposer.config(), Some(&p)).unwrap();
+            let commitment = TraceCommitment::build(&trace.values);
+            let root = commitment.root();
+            let screening = screen_claim(
                 graph,
-                d.dispute_anchors().with_trace_root(&root),
-                ProposerView::new(&trace).with_commitment(&commitment),
-                &inputs,
-                challenger,
+                d.model.logits,
                 &d.thresholds,
-                DisputeConfig { n_way: cfg.n_way },
+                ClaimCheck {
+                    inputs: &inputs,
+                    claimed_output: trace.value(d.model.logits).unwrap(),
+                },
+                &cfg.challenger,
             )
-            .unwrap()
-        };
-        let fresh = dispute(ChallengerView::fresh(&cfg.challenger));
-        let reused = dispute(ChallengerView::with_screening(
-            &cfg.challenger,
-            &screening.trace,
-        ));
-        let whole = dispute(ChallengerView::from_screening(&cfg.challenger, &screening));
-        assert_eq!(fresh.challenger_forward_passes, 1, "{name}");
-        assert_eq!(reused.challenger_forward_passes, 0, "{name}");
-        assert_eq!(whole, reused, "{name}: from_screening vs with_screening");
-        assert_eq!(
-            without_forward_passes(fresh),
-            without_forward_passes(reused),
-            "{name}: fresh vs with_screening"
-        );
-
-        // A session screens through the same entry point, keeps no
-        // challenger commitment, and plays the same dispute.
-        let coord = SharedCoordinator::new(default_coordinator().unwrap());
-        let mut session = SessionBuilder::new(&d, inputs.clone())
-            .behavior(ProposerBehavior::Malicious(p))
-            .submit(&coord)
             .unwrap();
-        assert!(session.screen().unwrap(), "{name}: session did not flag");
-        assert!(
-            session.screening().unwrap().commitment().is_none(),
-            "{name}"
-        );
-        let played = session
-            .dispute(&coord)
-            .unwrap()
-            .expect("flagged claim disputed");
-        assert_eq!(*played, whole, "{name}: session dispute");
+            assert!(screening.flagged, "{name}: planted cheat not flagged");
+            assert!(
+                screening.commitment().is_none(),
+                "{name}: challenger committed"
+            );
+            let dispute = |challenger: ChallengerView<'_>| {
+                run_dispute(
+                    graph,
+                    d.dispute_anchors().with_trace_root(&root),
+                    ProposerView::new(&trace).with_commitment(&commitment),
+                    &inputs,
+                    challenger,
+                    &d.thresholds,
+                    DisputeConfig { n_way: cfg.n_way },
+                )
+                .unwrap()
+            };
+            let fresh = dispute(ChallengerView::fresh(&cfg.challenger));
+            let reused = dispute(ChallengerView::with_screening(
+                &cfg.challenger,
+                &screening.trace,
+            ));
+            let whole = dispute(ChallengerView::from_screening(&cfg.challenger, &screening));
+            assert_eq!(fresh.challenger_forward_passes, 1, "{name}");
+            assert_eq!(reused.challenger_forward_passes, 0, "{name}");
+            // Whole-outcome equality covers each round's re-executed FLOPs.
+            assert_eq!(whole, reused, "{name}: from_screening vs with_screening");
+            assert_eq!(
+                without_forward_passes(fresh),
+                without_forward_passes(reused),
+                "{name}: fresh vs with_screening"
+            );
+            // Children are re-executed only when their values are not
+            // already the parent range's: never more than is examined, and
+            // in total strictly less than the dispute accounts.
+            for r in &whole.rounds {
+                assert!(
+                    r.reexecuted_flops <= r.selection_flops,
+                    "{name}: round {}",
+                    r.round
+                );
+            }
+            let reexecuted: u64 = whole.rounds.iter().map(|r| r.reexecuted_flops).sum();
+            assert!(
+                reexecuted < whole.challenger_flops,
+                "{name}: re-executed {reexecuted} of {}",
+                whole.challenger_flops
+            );
+
+            // A session screens through the same entry point, keeps no
+            // challenger commitment, and plays the same dispute.
+            let coord = SharedCoordinator::new(default_coordinator().unwrap());
+            let mut session = SessionBuilder::new(&d, inputs.clone())
+                .behavior(ProposerBehavior::Malicious(p))
+                .submit(&coord)
+                .unwrap();
+            assert!(session.screen().unwrap(), "{name}: session did not flag");
+            assert!(
+                session.screening().unwrap().commitment().is_none(),
+                "{name}"
+            );
+            let played = session
+                .dispute(&coord)
+                .unwrap()
+                .expect("flagged claim disputed");
+            assert_eq!(*played, whole, "{name}: session dispute");
+        }
     }
+}
+
+#[test]
+fn a_session_with_partition_width_one_surfaces_the_typed_error() {
+    let cfg = SessionConfig {
+        n_way: 1,
+        ..SessionConfig::default()
+    };
+    let (_, d, inputs) = deployed().swap_remove(0);
+    let p = planted_cheat(&d, &inputs, &cfg);
+    let coord = SharedCoordinator::new(default_coordinator().unwrap());
+    let mut session = SessionBuilder::new(&d, inputs)
+        .config(cfg)
+        .behavior(ProposerBehavior::Malicious(p))
+        .submit(&coord)
+        .unwrap();
+    assert!(session.screen().unwrap());
+    assert_eq!(
+        session.dispute(&coord).unwrap_err(),
+        TaoError::Protocol(ProtocolError::BadWidth { n_way: 1 }.to_string())
+    );
 }
 
 #[test]
@@ -297,29 +359,63 @@ fn last_uses_by_scan(graph: &Graph) -> Vec<usize> {
     last
 }
 
-/// Every bundled model family at a small configuration.
-fn bundled_models() -> Vec<(&'static str, Model)> {
+/// Every bundled model family at a small configuration, with one input.
+fn bundled_models() -> Vec<(&'static str, Model, Vec<Tensor<f32>>)> {
     let transformer_cfg = TransformerConfig {
         layers: 1,
         ..TransformerConfig::small()
     };
+    let resnet_cfg = resnet_cfg();
+    let diffusion_cfg = DiffusionConfig::small();
+    let diffusion = diffusion::build(diffusion_cfg, 1);
+    let latent = Tensor::<f32>::randn(&diffusion.input_shapes[0], 42);
     vec![
-        ("bert", bert::build(bert_cfg(), 1)),
-        ("qwen", qwen::build(qwen_cfg(), 2)),
-        ("qwen-deep8", qwen::build(QwenConfig::deep(8), 1)),
-        ("resnet", resnet::build(resnet_cfg(), 3)),
-        ("diffusion", diffusion::build(DiffusionConfig::small(), 1)),
-        ("transformer", transformer::build(transformer_cfg, 3)),
+        (
+            "bert",
+            bert::build(bert_cfg(), 1),
+            vec![bert::sample_ids(bert_cfg(), 123)],
+        ),
+        (
+            "qwen",
+            qwen::build(qwen_cfg(), 2),
+            vec![qwen::sample_ids(qwen_cfg(), 55)],
+        ),
+        (
+            "qwen-deep8",
+            qwen::build(QwenConfig::deep(8), 1),
+            vec![qwen::sample_ids(QwenConfig::deep(8), 7)],
+        ),
+        (
+            "resnet",
+            resnet::build(resnet_cfg, 3),
+            vec![data::class_image(
+                resnet_cfg.in_channels,
+                resnet_cfg.image,
+                1,
+                777,
+            )],
+        ),
+        (
+            "diffusion",
+            diffusion,
+            vec![latent, diffusion::time_embedding(5, diffusion_cfg.temb)],
+        ),
+        (
+            "transformer",
+            transformer::build(transformer_cfg, 3),
+            vec![transformer::sample_ids(transformer_cfg, 9)],
+        ),
         (
             "int8-transformer",
             quantize_linears(&transformer::build(transformer_cfg, 3)),
+            vec![transformer::sample_ids(transformer_cfg, 9)],
         ),
     ]
 }
 
 #[test]
 fn the_graphs_last_use_index_equals_a_fresh_scan_on_every_bundled_model() {
-    for (name, model) in bundled_models() {
+    for (name, model, _) in bundled_models() {
         let graph = &model.graph;
         assert_eq!(graph.last_uses(), last_uses_by_scan(graph), "{name}");
     }
@@ -327,7 +423,7 @@ fn the_graphs_last_use_index_equals_a_fresh_scan_on_every_bundled_model() {
 
 #[test]
 fn extract_live_outs_equal_the_seed_scan_on_every_bisection_slice() {
-    for (name, model) in bundled_models() {
+    for (name, model, _) in bundled_models() {
         let graph = &model.graph;
         let mut pending = vec![(0, graph.len())];
         let mut slices = 0;
@@ -346,4 +442,241 @@ fn extract_live_outs_equal_the_seed_scan_on_every_bisection_slice() {
         // A full binary bisection of n leaves has 2n - 1 slices.
         assert_eq!(slices, 2 * graph.len() - 1, "{name}");
     }
+}
+
+/// Same dims and the same element bits.
+fn bits_equal(a: &[Tensor<f32>], b: &[Tensor<f32>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.dims() == y.dims()
+                && x.data()
+                    .iter()
+                    .zip(y.data())
+                    .all(|(u, v)| u.to_bits() == v.to_bits())
+        })
+}
+
+/// The exactness argument for dispute children inheriting their parent's
+/// re-execution: a child whose live-ins all precede the parent range's
+/// start reads nothing the parent's re-execution did not, so re-executed
+/// alone from a cheating proposer's boundary values it equals the parent's
+/// re-execution at its nodes, bit for bit. And a range `[0, m)`, which has
+/// no live-ins, re-executed from an empty boundary equals the challenger's
+/// own trace: round 0's parent.
+#[test]
+fn a_child_without_live_ins_in_its_parent_inherits_the_parents_values() {
+    let (proposer, challenger) = (Device::rtx4090_like(), Device::h100_like());
+    for (name, model, inputs) in bundled_models() {
+        let graph = &model.graph;
+        let target = graph.compute_nodes()[graph.compute_nodes().len() / 2];
+        let honest = execute(graph, &inputs, proposer.config(), None).unwrap();
+        let mut p = Perturbations::new();
+        p.insert(
+            target,
+            Tensor::<f32>::randn(honest.values[target.0].dims(), 4_242).mul_scalar(0.5),
+        );
+        let trace = execute(graph, &inputs, proposer.config(), Some(&p)).unwrap();
+        let own = execute(graph, &inputs, challenger.config(), None).unwrap();
+        let reexecute = |start: usize, end: usize, boundary: &[Tensor<f32>]| {
+            let sub = extract(graph, start, end).unwrap();
+            execute_subgraph(graph, &sub, boundary, &inputs, challenger.config()).unwrap()
+        };
+        for n_way in [2, 4] {
+            let mut inherited = 0;
+            let mut pending = vec![(0, graph.len())];
+            while let Some((start, end)) = pending.pop() {
+                let parent = if start == 0 {
+                    let parent = reexecute(start, end, &[]);
+                    assert!(
+                        bits_equal(&parent, &own.values[..end]),
+                        "{name}: [0, {end}) vs the trace"
+                    );
+                    parent
+                } else {
+                    reexecute(start, end, &trace.values)
+                };
+                if end - start == 1 {
+                    continue;
+                }
+                for (s, e) in partition(start, end, n_way) {
+                    let child = extract(graph, s, e).unwrap();
+                    if child.live_in.iter().all(|id| id.0 < start) {
+                        assert!(
+                            bits_equal(
+                                &reexecute(s, e, &trace.values),
+                                &parent[s - start..e - start]
+                            ),
+                            "{name} N={n_way}: [{s}, {e}) of [{start}, {end})"
+                        );
+                        inherited += 1;
+                    }
+                    pending.push((s, e));
+                }
+            }
+            // At least the first child of every split range inherits.
+            assert!(inherited >= graph.len() / n_way, "{name} N={n_way}");
+        }
+    }
+}
+
+/// One dispute's pinned fields: the result and totals, each round's
+/// range, width, choice, record bytes, selection FLOPs and Merkle checks,
+/// and the gas log.
+fn render_outcome(label: &str, o: &DisputeOutcome) -> String {
+    let mut s = format!(
+        "{label}: {:?} flops={} merkle={} reveals={}\n",
+        o.result, o.challenger_flops, o.merkle_checks, o.reveal_checks
+    );
+    for r in &o.rounds {
+        s += &format!(
+            "  round {} [{}, {}) children={} chosen={} bytes={} flops={} merkle={}\n",
+            r.round,
+            r.range.0,
+            r.range.1,
+            r.children,
+            r.chosen,
+            r.partition_bytes,
+            r.selection_flops,
+            r.merkle_checks
+        );
+    }
+    let gas: Vec<String> = o
+        .gas
+        .log
+        .iter()
+        .map(|e| format!("{}={}", e.action, e.gas))
+        .collect();
+    s += &format!("  gas {}\n", gas.join(" "));
+    s
+}
+
+/// A perturbation of `target` along a fixed random direction, scaled so
+/// the target's own exceedance against the challenger's trace is about
+/// `exceedance`; `None` when the target has no threshold or the direction
+/// does not register. A mild cheat leaves the children downstream of the
+/// target under the live-in gate, so they are examined too: one confirmed
+/// from values it must not inherit would steer the descent off the target.
+fn mild_cheat_at(
+    d: &Deployment,
+    inputs: &[Tensor<f32>],
+    cfg: &SessionConfig,
+    target: NodeId,
+    exceedance: f64,
+) -> Option<Perturbations> {
+    let graph = &d.model.graph;
+    let honest = execute(graph, inputs, cfg.proposer.config(), None).unwrap();
+    let own = execute(graph, inputs, cfg.challenger.config(), None).unwrap();
+    let direction = Tensor::<f32>::randn(honest.values[target.0].dims(), 4_242);
+    let exceedance_at = |scale: f32| {
+        let claimed = honest.values[target.0]
+            .add(&direction.mul_scalar(scale))
+            .unwrap();
+        d.thresholds.exceedance(
+            target,
+            &error_profile(&claimed, &own.values[target.0], DEFAULT_EPS),
+        )
+    };
+    let unit = exceedance_at(1e-2).filter(|e| e.is_finite() && *e > 0.0)?;
+    let mut p = Perturbations::new();
+    p.insert(
+        target,
+        direction.mul_scalar(1e-2 * (exceedance / unit) as f32),
+    );
+    Some(p)
+}
+
+/// Whether a session's screening flags the cheat, and the disputes it
+/// plays at each width, reusing that screening.
+fn session_disputes(
+    d: &Deployment,
+    inputs: &[Tensor<f32>],
+    cfg: &SessionConfig,
+    p: &Perturbations,
+    widths: &[usize],
+) -> (bool, Vec<DisputeOutcome>) {
+    let graph = &d.model.graph;
+    let trace = execute(graph, inputs, cfg.proposer.config(), Some(p)).unwrap();
+    let commitment = TraceCommitment::build(&trace.values);
+    let root = commitment.root();
+    let screening = screen_claim(
+        graph,
+        d.model.logits,
+        &d.thresholds,
+        ClaimCheck {
+            inputs,
+            claimed_output: trace.value(d.model.logits).unwrap(),
+        },
+        &cfg.challenger,
+    )
+    .unwrap();
+    let outcomes = widths
+        .iter()
+        .map(|&n_way| {
+            run_dispute(
+                graph,
+                d.dispute_anchors().with_trace_root(&root),
+                ProposerView::new(&trace).with_commitment(&commitment),
+                inputs,
+                ChallengerView::from_screening(&cfg.challenger, &screening),
+                &d.thresholds,
+                DisputeConfig { n_way },
+            )
+            .unwrap()
+        })
+        .collect();
+    (screening.flagged, outcomes)
+}
+
+/// Disputes at N=2 and N=4 equal the outcomes captured before children
+/// inherited their parent's re-execution (`golden/dispute_outcomes.txt`):
+/// field by field for a planted cheat a quarter and halfway into each
+/// deployment's compute nodes, and by result, choices, totals and gas for
+/// a mild cheat (exceedance about 4) at every calibrated compute node,
+/// flagged by screening or not.
+#[test]
+fn disputes_match_the_golden_outcomes() {
+    let cfg = SessionConfig::default();
+    let mut rendered = String::new();
+    for (name, d, inputs) in deployed() {
+        let graph = &d.model.graph;
+        for (place, target) in cheat_targets(graph) {
+            let p = planted_cheat_at(&d, &inputs, &cfg, target);
+            let (_, outcomes) = session_disputes(&d, &inputs, &cfg, &p, &[2, 4]);
+            for (o, n_way) in outcomes.iter().zip([2, 4]) {
+                rendered += &render_outcome(&format!("{name} {place} {target:?} n={n_way}"), o);
+            }
+        }
+    }
+    for (name, d, inputs) in deployed() {
+        for &target in d.model.graph.compute_nodes().iter() {
+            let Some(p) = mild_cheat_at(&d, &inputs, &cfg, target, 4.0) else {
+                continue;
+            };
+            let (flagged, outcomes) = session_disputes(&d, &inputs, &cfg, &p, &[2, 4]);
+            for (o, n_way) in outcomes.iter().zip([2, 4]) {
+                let chosen: Vec<String> = o
+                    .rounds
+                    .iter()
+                    .map(|r| match r.chosen {
+                        usize::MAX => "none".to_string(),
+                        c => c.to_string(),
+                    })
+                    .collect();
+                rendered += &format!(
+                    "{name} mild {target:?} n={n_way} flagged={flagged}: {:?} chosen={} flops={} merkle={} reveals={} gas={}\n",
+                    o.result,
+                    chosen.join(","),
+                    o.challenger_flops,
+                    o.merkle_checks,
+                    o.reveal_checks,
+                    o.gas.total
+                );
+            }
+        }
+    }
+    let golden = include_str!("golden/dispute_outcomes.txt");
+    for (i, (got, want)) in rendered.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "line {}", i + 1);
+    }
+    assert_eq!(rendered.lines().count(), golden.lines().count());
 }
