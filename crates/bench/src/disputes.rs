@@ -92,14 +92,6 @@ pub fn run_perturbed_dispute(
         DisputeConfig { n_way },
     )
     .expect("dispute");
-    assert_eq!(
-        outcome.challenger_forward_passes, 0,
-        "bench disputes must reuse the screening trace"
-    );
-    assert_eq!(
-        outcome.rehashed_leaves, 0,
-        "bench disputes must reuse the proposer's subtree digests"
-    );
     assert!(
         outcome.reveal_checks > 0,
         "anchored disputes must verify reveals against the committed root"
@@ -127,7 +119,6 @@ mod tests {
         assert!(d.forward_flops > 0);
         assert!(d.seconds >= 0.0);
         assert!(d.screen_seconds > 0.0);
-        assert_eq!(d.outcome.challenger_forward_passes, 0);
     }
 
     #[test]

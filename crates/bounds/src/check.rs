@@ -17,7 +17,11 @@ pub struct CheckReport {
 /// theoretical-bound check with an optional diagnostic scale `α`.
 ///
 /// Tensors must have identical lengths; mismatched shapes fail the check
-/// outright (a shape change is a graph violation, not a rounding one).
+/// outright (a shape change is a graph violation, not a rounding one). An
+/// element pair whose bits differ while at least one of the two is NaN or
+/// `±inf` (two NaNs agree) is a violation with ratio `+inf`, since no
+/// finite bound covers it; `tao_calib::error_profile` applies the same
+/// rule.
 pub fn check_within_bound(
     claimed: &Tensor<f32>,
     reference: &Tensor<f32>,
@@ -34,7 +38,16 @@ pub fn check_within_bound(
     let mut violations = 0;
     let mut worst: f64 = 0.0;
     for i in 0..claimed.len() {
-        let dev = (claimed.data()[i] as f64 - reference.data()[i] as f64).abs();
+        let (c, r) = (claimed.data()[i], reference.data()[i]);
+        if !(c.is_finite() && r.is_finite())
+            && c.to_bits() != r.to_bits()
+            && !(c.is_nan() && r.is_nan())
+        {
+            violations += 1;
+            worst = f64::INFINITY;
+            continue;
+        }
+        let dev = (c as f64 - r as f64).abs();
         let limit = scale * tau.data()[i];
         let ratio = if limit > 0.0 {
             dev / limit
@@ -99,6 +112,24 @@ mod tests {
         let fail = check_within_bound(&b, &a, &tau, 1.0);
         assert!(!fail.passed);
         assert!(fail.worst_ratio.is_infinite());
+    }
+
+    #[test]
+    fn non_finite_disagreement_violates() {
+        let a = Tensor::<f32>::from_vec(vec![1.0, 2.0], &[2]).unwrap();
+        let tau = Tensor::<f64>::from_vec(vec![1e-7, 1e-7], &[2]).unwrap();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let b = Tensor::<f32>::from_vec(vec![1.0, bad], &[2]).unwrap();
+            for (x, y) in [(&b, &a), (&a, &b)] {
+                let r = check_within_bound(x, y, &tau, 1e30);
+                assert!(!r.passed, "{bad}");
+                assert_eq!((r.violations, r.worst_ratio), (1, f64::INFINITY), "{bad}");
+            }
+        }
+        // Agreeing non-finite elements are no deviation.
+        let x = Tensor::<f32>::from_vec(vec![f32::NAN, f32::INFINITY], &[2]).unwrap();
+        let y = Tensor::<f32>::from_vec(vec![-f32::NAN, f32::INFINITY], &[2]).unwrap();
+        assert!(check_within_bound(&x, &y, &tau, 1.0).passed);
     }
 
     #[test]

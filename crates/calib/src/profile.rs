@@ -107,19 +107,38 @@ pub fn error_keys_into(
 /// Outputs of different shapes get an all-`+inf` profile: the claimed
 /// value is not the operator's output at all, so it exceeds every
 /// threshold ([`ThresholdBundle::exceedance`] returns `+inf`) rather than
-/// being compared over some overlap of the two buffers.
+/// being compared over some overlap of the two buffers. So do outputs
+/// with a non-finite disagreement: an element pair whose bits differ
+/// while at least one of the two is NaN or `±inf` (two NaNs agree). Such
+/// an error has no magnitude a percentile could bound, and dropping it,
+/// as calibration does, would let an all-NaN claim profile to zeros.
 pub fn error_profile(a: &Tensor<f32>, b: &Tensor<f32>, eps: f64) -> PercentilePair {
     let (mut abs, mut rel) = (Vec::new(), Vec::new());
+    // An absolute error is dropped exactly when an element of its pair is
+    // not finite, so only then can a pair disagree non-finitely.
+    let disagree = |abs: &Vec<u64>| {
+        abs.len() < a.len()
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .any(|(&x, &y)| nonfinite_disagreement(x, y))
+    };
     match error_keys_into(a, b, eps, &mut abs, &mut rel) {
-        Some(_) => PercentilePair {
+        Some(_) if !disagree(&abs) => PercentilePair {
             abs: grid_profile_keys(&mut abs),
             rel: grid_profile_keys(&mut rel),
         },
-        None => PercentilePair {
+        _ => PercentilePair {
             abs: vec![f64::INFINITY; PERCENTILE_GRID.len()],
             rel: vec![f64::INFINITY; PERCENTILE_GRID.len()],
         },
     }
+}
+
+/// True when `x` and `y` differ in their bits and at least one is NaN or
+/// `±inf`; two NaNs agree whatever their payloads.
+fn nonfinite_disagreement(x: f32, y: f32) -> bool {
+    !(x.is_finite() && y.is_finite()) && x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan())
 }
 
 /// Calibrated thresholds for one operator: the α-inflated max-envelope.
@@ -165,7 +184,16 @@ impl ThresholdBundle {
     }
 
     /// The maximum observed-vs-threshold ratio `p^max_i` of Eq. 15 for an
-    /// observed error pair against this bundle's entry for `node`.
+    /// observed error pair against this bundle's entry for `node`
+    /// ([`OperatorThreshold::exceedance`]).
+    pub fn exceedance(&self, node: NodeId, observed: &PercentilePair) -> Option<f64> {
+        Some(self.for_node(node)?.exceedance(observed))
+    }
+}
+
+impl OperatorThreshold {
+    /// The maximum observed-vs-threshold ratio `p^max_i` of Eq. 15 for an
+    /// observed error pair against this operator's thresholds.
     ///
     /// An operator whose whole profile is zero is *exact* (structural or
     /// bit-reproducible): any nonzero observation is infinitely offending.
@@ -174,20 +202,19 @@ impl ThresholdBundle {
     /// exact agreement) are vacuous constraints and are skipped — a nonzero
     /// minimum error on a fresh honest input is not evidence of fraud, and
     /// the nonzero upper grid points still bind.
-    pub fn exceedance(&self, node: NodeId, observed: &PercentilePair) -> Option<f64> {
-        let entry = self.for_node(node)?;
-        let exact = entry
+    pub fn exceedance(&self, observed: &PercentilePair) -> f64 {
+        let exact = self
             .thresholds
             .abs
             .iter()
-            .chain(&entry.thresholds.rel)
+            .chain(&self.thresholds.rel)
             .all(|&t| t == 0.0);
         let mut worst: f64 = 0.0;
         for (obs, thr) in observed
             .abs
             .iter()
-            .zip(&entry.thresholds.abs)
-            .chain(observed.rel.iter().zip(&entry.thresholds.rel))
+            .zip(&self.thresholds.abs)
+            .chain(observed.rel.iter().zip(&self.thresholds.rel))
         {
             let r = if *thr > 0.0 {
                 obs / thr
@@ -198,7 +225,7 @@ impl ThresholdBundle {
             };
             worst = worst.max(r);
         }
-        Some(worst)
+        worst
     }
 }
 
@@ -221,6 +248,27 @@ mod tests {
         let p = error_profile(&a, &a, DEFAULT_EPS);
         assert!(p.abs.iter().all(|&v| v == 0.0));
         assert!(p.rel.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn non_finite_disagreement_profiles_to_infinity() {
+        let a = Tensor::<f32>::rand_uniform(&[8], -1.0, 1.0, 1);
+        let inf = vec![f64::INFINITY; PERCENTILE_GRID.len()];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut b = a.clone();
+            b.data_mut()[3] = bad;
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let p = error_profile(x, y, DEFAULT_EPS);
+                assert_eq!((&p.abs, &p.rel), (&inf, &inf), "{bad}");
+            }
+        }
+        // Agreeing non-finite elements (two NaNs of any payload, equal
+        // infinities) carry no error and are skipped, as in calibration.
+        let mut x = a.clone();
+        let mut y = a.clone();
+        x.data_mut()[..3].copy_from_slice(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        y.data_mut()[..3].copy_from_slice(&[-f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        assert_eq!(error_profile(&x, &y, DEFAULT_EPS), PercentilePair::zero());
     }
 
     #[test]

@@ -657,8 +657,7 @@ mod tests {
             if o.role.is_planted_cheat() {
                 assert!(matches!(o.final_status, ClaimStatus::Settled { .. }));
                 let d = o.dispute.as_ref().expect("cheats are disputed");
-                assert_eq!(d.rehashed_leaves, 0);
-                assert_eq!(d.challenger_forward_passes, 0);
+                assert!(d.reveal_checks > 0);
             }
         }
         // The CSV epoch log has one row per epoch plus a header.

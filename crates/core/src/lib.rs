@@ -49,7 +49,7 @@ pub use session::{
     default_coordinator, PendingSession, ProposerBehavior, Session, SessionBuilder, SessionConfig,
     SessionReport, SharedCoordinator,
 };
-pub use verify::{make_receipt, screen_output, verify_receipt, Receipt, ScreeningReport};
+pub use verify::{make_receipt, verify_receipt, Receipt};
 
 // Re-export the sub-crates so downstream users need a single dependency.
 pub use tao_analysis as analysis;

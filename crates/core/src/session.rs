@@ -342,6 +342,7 @@ impl PendingSession {
             cfg: self.cfg,
             inputs: self.inputs,
             trace: self.trace,
+            trace_root: self.trace_commitment.root(),
             trace_commitment: self.trace_commitment,
             output: self.output,
             claim_id,
@@ -361,6 +362,8 @@ pub struct Session {
     cfg: SessionConfig,
     inputs: Vec<Tensor<f32>>,
     trace: Execution,
+    /// The trace root bound into the posted `C0`.
+    trace_root: Digest,
     trace_commitment: TraceCommitment,
     output: Tensor<f32>,
     claim_id: u64,
@@ -558,18 +561,16 @@ impl Session {
         let graph = &self.deployment.model.graph;
         // The proposer committed to its trace when the claim was prepared
         // (streamed through the forward pass, root bound into `C0`); the
-        // dispute reuses that commitment — it is never rebuilt — and
-        // anchors every revealed digest to the committed root, so a
-        // tampered or stale digest is detected and attributed instead of
-        // silently steering the descent. Child interface hashes re-derive
-        // from the cached digests: zero activation tensors are rehashed
-        // (asserted via `rehashed_leaves`).
-        let trace_root = self.trace_commitment.root();
+        // dispute reads every record's digests from that commitment — it
+        // is never rebuilt, and no activation tensor is rehashed — and
+        // anchors every revealed digest to the root bound into `C0`, so a
+        // tampered, stale or withheld commitment is detected and attributed
+        // instead of silently steering the descent.
         let outcome = run_dispute(
             graph,
             self.deployment
                 .dispute_anchors()
-                .with_trace_root(&trace_root),
+                .with_trace_root(&self.trace_root),
             ProposerView::new(&self.trace).with_commitment(&self.trace_commitment),
             &self.inputs,
             ChallengerView::from_screening(&self.cfg.challenger, screening),
@@ -731,10 +732,6 @@ mod tests {
         assert!(report.challenged);
         let dispute = report.dispute.as_ref().unwrap();
         assert!(matches!(dispute.result, DisputeResult::Leaf(_)));
-        assert_eq!(
-            dispute.challenger_forward_passes, 0,
-            "the dispute must reuse the screening trace"
-        );
         let (_, verdict) = report.verdict.unwrap();
         assert_eq!(verdict, LeafVerdict::Fraud);
         assert!(matches!(
@@ -744,6 +741,62 @@ mod tests {
             }
         ));
         assert!(coord.balance("challenger") > Money::from_credits(1_000));
+    }
+
+    /// A proposer serving a commitment other than the one whose root it
+    /// bound into `C0` (withheld, truncated or over-long) is convicted at
+    /// round 0 of the dispute, and the session settles for the challenger
+    /// without a leaf verdict.
+    #[test]
+    fn a_doctored_commitment_settles_for_the_challenger() {
+        let (d, inputs) = deployment();
+        let target = d.model.graph.compute_nodes()[2];
+        let honest = execute(
+            &d.model.graph,
+            &inputs,
+            Device::rtx4090_like().config(),
+            None,
+        )
+        .unwrap();
+        let mut p = Perturbations::new();
+        p.insert(target, Tensor::full(honest.values[target.0].dims(), 0.02));
+        let n = honest.values.len();
+        for label in ["withheld", "truncated", "over-long"] {
+            let coord = SharedCoordinator::new(default_coordinator().unwrap());
+            let mut session = SessionBuilder::new(&d, inputs.clone())
+                .behavior(ProposerBehavior::Malicious(p.clone()))
+                .submit(&coord)
+                .unwrap();
+            assert!(session.screen().unwrap(), "{label}");
+            let all = session.trace_commitment.digests();
+            let digests = match label {
+                "withheld" => Vec::new(),
+                "truncated" => all[..all.len() / 2].to_vec(),
+                _ => [all, &all[..1]].concat(),
+            };
+            assert_ne!(digests.len(), n, "{label}");
+            session.trace_commitment = TraceCommitment::from_digests(digests);
+            let outcome = session.dispute(&coord).unwrap().unwrap();
+            assert!(
+                matches!(
+                    outcome.result,
+                    DisputeResult::CommitmentBreach { round: 0, .. }
+                ),
+                "{label}: {:?}",
+                outcome.result
+            );
+            let report = session.settle(&coord).unwrap();
+            assert_eq!(report.verdict, None, "{label}");
+            assert!(
+                matches!(
+                    report.final_status,
+                    ClaimStatus::Settled {
+                        winner: Party::Challenger
+                    }
+                ),
+                "{label}"
+            );
+        }
     }
 
     #[test]
@@ -810,7 +863,6 @@ mod tests {
             "honest claim must yield no offending child: {:?}",
             outcome.result
         );
-        assert_eq!(outcome.challenger_forward_passes, 0);
         let report = session.settle(&coord).unwrap();
         assert!(report.challenged, "a forced dispute counts as challenged");
         assert!(matches!(
@@ -874,10 +926,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(matches!(outcome.result, DisputeResult::Leaf(_)));
-        assert_eq!(
-            outcome.challenger_forward_passes, 0,
-            "adoption must reuse the adopter's screening trace"
-        );
         assert!(!session.abandoned());
         let report = session.settle(&coord).unwrap();
         assert!(matches!(

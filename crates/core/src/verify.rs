@@ -1,14 +1,12 @@
-//! User-side verification utilities: everything a result consumer can
-//! check *without* playing the dispute game — commitment binding, output
-//! screening, and receipt construction.
+//! User-side verification utilities: receipt construction and the
+//! commitment-binding check a result consumer can run *without* playing
+//! the dispute game. To screen a returned output, a consumer calls
+//! [`tao_protocol::screen_claim`] like any challenger.
 
-use tao_device::Device;
 use tao_merkle::{claim_commitment, inputs_hash, tensor_hash, ClaimMeta, Digest};
-use tao_protocol::{screen_claim, ClaimCheck};
 use tao_tensor::Tensor;
 
 use crate::deploy::Deployment;
-use crate::Result;
 
 /// A verifiable receipt the proposer hands the user alongside the output.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,54 +71,15 @@ pub fn verify_receipt(
         ) == receipt.commitment
 }
 
-/// Outcome of the user-side output screening.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScreeningReport {
-    /// The Eq. 15 exceedance of the returned output versus a local
-    /// re-execution.
-    pub exceedance: f64,
-    /// True when the output should be disputed.
-    pub should_challenge: bool,
-}
-
-/// Screens a returned output by re-executing locally on `device` and
-/// comparing error percentiles against the committed thresholds — the
-/// same check a voluntary challenger runs (§2.2 Phase 2 trigger).
-///
-/// # Errors
-///
-/// Returns an error when local re-execution fails or the output operator
-/// has no committed threshold (a deployment bug, not fraud).
-pub fn screen_output(
-    deployment: &Deployment,
-    inputs: &[Tensor<f32>],
-    claimed_output: &Tensor<f32>,
-    device: &Device,
-) -> Result<ScreeningReport> {
-    let screening = screen_claim(
-        &deployment.model.graph,
-        deployment.model.logits,
-        &deployment.thresholds,
-        ClaimCheck {
-            inputs,
-            claimed_output,
-        },
-        device,
-    )?;
-    Ok(ScreeningReport {
-        exceedance: screening.exceedance,
-        should_challenge: screening.flagged,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy::deploy;
-    use tao_device::Fleet;
+    use tao_device::{Device, Fleet};
     use tao_graph::execute;
     use tao_merkle::TraceCommitment;
     use tao_models::{bert, data, BertConfig};
+    use tao_protocol::{screen_claim, ClaimCheck};
 
     fn setup() -> (Deployment, Vec<Tensor<f32>>, Tensor<f32>, Digest) {
         let cfg = BertConfig {
@@ -186,30 +145,49 @@ mod tests {
         assert!(!verify_receipt(&d, &r, &inputs, &output));
     }
 
+    /// Screens a returned output the way a consumer does: with
+    /// [`screen_claim`] on the deployment's logits.
+    fn screen(
+        d: &Deployment,
+        inputs: &[Tensor<f32>],
+        claimed_output: &Tensor<f32>,
+    ) -> tao_protocol::Screening {
+        let claim = ClaimCheck {
+            inputs,
+            claimed_output,
+        };
+        screen_claim(
+            &d.model.graph,
+            d.model.logits,
+            &d.thresholds,
+            claim,
+            &Device::h100_like(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn screening_accepts_honest_flags_tampered() {
         let (d, inputs, output, _) = setup();
-        let device = Device::h100_like();
-        let ok = screen_output(&d, &inputs, &output, &device).unwrap();
-        assert!(!ok.should_challenge, "exceedance {}", ok.exceedance);
+        let ok = screen(&d, &inputs, &output);
+        assert!(!ok.flagged, "exceedance {}", ok.exceedance);
         let tampered = output.add_scalar(0.01);
-        let bad = screen_output(&d, &inputs, &tampered, &device).unwrap();
-        assert!(bad.should_challenge);
+        let bad = screen(&d, &inputs, &tampered);
+        assert!(bad.flagged);
         assert!(bad.exceedance > ok.exceedance);
     }
 
     #[test]
     fn screening_challenges_outputs_of_the_wrong_shape() {
         let (d, inputs, output, _) = setup();
-        let device = Device::h100_like();
         let n = output.len();
         for claimed in [
             Tensor::from_vec(output.data()[..n / 2].to_vec(), &[n / 2]).unwrap(),
             Tensor::<f32>::zeros(&[0]),
             output.reshape(&[n]).unwrap(),
         ] {
-            let report = screen_output(&d, &inputs, &claimed, &device).unwrap();
-            assert!(report.should_challenge, "{:?}", claimed.dims());
+            let report = screen(&d, &inputs, &claimed);
+            assert!(report.flagged, "{:?}", claimed.dims());
             assert_eq!(report.exceedance, f64::INFINITY);
         }
     }

@@ -150,15 +150,7 @@ pub fn committee_vote(
     let mut votes = Vec::with_capacity(committee.len());
     for (i, member) in committee.iter().enumerate() {
         let reference = case.reexecute(member)?;
-        let honest_vote = if thresholds.for_node(case.leaf).is_some() {
-            let prof = error_profile(claimed, &reference, DEFAULT_EPS);
-            thresholds
-                .exceedance(case.leaf, &prof)
-                .unwrap_or(f64::INFINITY)
-                <= 1.0
-        } else {
-            bit_identical(claimed, &reference)
-        };
+        let honest_vote = node_exceedance(thresholds, case.leaf, claimed, &reference) <= 1.0;
         let flipped = dishonest.get(i).copied().unwrap_or(false);
         votes.push(honest_vote != flipped);
     }
@@ -169,6 +161,24 @@ pub fn committee_vote(
         LeafVerdict::Fraud
     };
     Ok(VoteOutcome { votes, verdict })
+}
+
+/// The one node-exceedance rule of the dispute descent (its own-trace
+/// screen and its live-out confirmation) and the committee vote: the
+/// Eq. 15 exceedance of `claimed` over `reference` against `node`'s
+/// committed thresholds, or, for a node without one (an input or a
+/// parameter), 0 when the two are [`bit_identical`] and `+inf` otherwise.
+pub(crate) fn node_exceedance(
+    thresholds: &ThresholdBundle,
+    node: NodeId,
+    claimed: &Tensor<f32>,
+    reference: &Tensor<f32>,
+) -> f64 {
+    match thresholds.for_node(node) {
+        Some(entry) => entry.exceedance(&error_profile(claimed, reference, DEFAULT_EPS)),
+        None if bit_identical(claimed, reference) => 0.0,
+        None => f64::INFINITY,
+    }
 }
 
 /// Structural agreement, the one rule for nodes without a threshold
@@ -315,6 +325,25 @@ mod tests {
         let case = leaf_case(&g, leaf, &trace, &inputs);
         let committee = sample_committee(Fleet::standard().devices(), 3, 2);
         let outcome = committee_vote(&case, &bundle, &committee, &[false; 3]).unwrap();
+        assert_eq!(outcome.verdict, LeafVerdict::Fraud);
+    }
+
+    /// A claimed leaf with one NaN element has no finite error to bound:
+    /// both paths convict it.
+    #[test]
+    fn a_nan_leaf_is_convicted_on_both_paths() {
+        let (g, bundle, inputs) = model();
+        let leaf = NodeId(2);
+        let mut trace = execute(&g, &inputs, Device::a100_like().config(), None).unwrap();
+        trace.values[leaf.0].data_mut()[5] = f32::NAN;
+        let case = leaf_case(&g, leaf, &trace, &inputs);
+        let engine = BoundEngine::paper_default();
+        let report = theoretical_check(&case, &engine, 1.0).unwrap();
+        assert_eq!(theoretical_verdict(&report), LeafVerdict::Fraud);
+        assert_eq!(report.worst_ratio, f64::INFINITY);
+        let committee = sample_committee(Fleet::standard().devices(), 3, 2);
+        let outcome = committee_vote(&case, &bundle, &committee, &[false; 3]).unwrap();
+        assert_eq!(outcome.votes, vec![false; 3]);
         assert_eq!(outcome.verdict, LeafVerdict::Fraud);
     }
 

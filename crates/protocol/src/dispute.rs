@@ -3,16 +3,16 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use tao_calib::{error_profile, ThresholdBundle, DEFAULT_EPS};
+use tao_calib::ThresholdBundle;
 use tao_device::Device;
 use tao_graph::{execute_subgraph, extract, partition, Execution, Graph, NodeId};
 use tao_merkle::{Digest, MerkleTree, TraceCommitment};
 use tao_tensor::Tensor;
 
-use crate::adjudicate::bit_identical;
+use crate::adjudicate::{bit_identical, node_exceedance};
 use crate::error::ProtocolError;
 use crate::gas::{self, GasMeter};
-use crate::record::{make_record_with, verify_record_anchored, ParamIndex, TraceDigestCache};
+use crate::record::{make_record_with, verify_record_anchored, ParamIndex};
 use crate::screen::Screening;
 use crate::Result;
 
@@ -40,9 +40,10 @@ impl Default for DisputeConfig {
 /// deferred child is re-executed in an ungated second pass.
 const LIVE_IN_SLACK: f64 = 16.0;
 
-/// The Phase 0 commitment artifacts a dispute is anchored to: the Merkle
-/// trees the proposer proves records against and the on-coordinator roots
-/// the challenger verifies them with.
+/// The Phase 0 and claim commitments a dispute is anchored to: the Merkle
+/// trees the proposer proves records against, the on-coordinator roots
+/// the challenger verifies them with, and the trace root bound into the
+/// claim's `C0` that every revealed interface digest must open against.
 ///
 /// # Soundness precondition
 ///
@@ -70,11 +71,10 @@ pub struct DisputeAnchors<'a> {
     /// Committed weight root `r_w`.
     pub weight_root: &'a Digest,
     /// Trace root `r_t` bound into the claim commitment `C0` at prepare
-    /// time, when the claim carried one. With `Some`, every revealed
-    /// interface digest posted during descent must open against this root
-    /// via a Merkle path — a tampered or stale digest cache becomes
-    /// attributable fraud ([`DisputeResult::CommitmentBreach`]) instead of
-    /// silently steering the round.
+    /// time. It is per claim while the rest is per deployment, so a
+    /// deployment's anchors leave it out and [`Self::with_trace_root`]
+    /// attaches it; [`run_dispute`] refuses anchors without one
+    /// ([`ProtocolError::Unanchored`]).
     pub trace_root: Option<&'a Digest>,
 }
 
@@ -86,31 +86,29 @@ impl<'a> DisputeAnchors<'a> {
         self
     }
 
-    /// Checks that each tree has its committed root.
+    /// Checks that each tree has its committed root and that a trace root
+    /// is attached, and returns the trace root.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::AnchorMismatch`] naming the first tree
-    /// whose root differs.
-    pub(crate) fn check_roots(&self) -> Result<()> {
+    /// whose root differs, then [`ProtocolError::Unanchored`] without a
+    /// trace root.
+    pub(crate) fn check(&self) -> Result<&'a Digest> {
         if self.graph_tree.root() != *self.graph_root {
             return Err(ProtocolError::AnchorMismatch { tree: "graph" });
         }
         if self.weight_tree.root() != *self.weight_root {
             return Err(ProtocolError::AnchorMismatch { tree: "weight" });
         }
-        Ok(())
+        self.trace_root.ok_or(ProtocolError::Unanchored)
     }
 }
 
-/// The proposer's side of a dispute: the committed execution trace, plus
-/// (optionally) the [`TraceCommitment`] built over it at claim time.
-///
-/// The per-child interface hashes posted every round are functions of the
-/// trace's per-node digests; supplying the commitment lets the descent
-/// re-derive them from the cached digests instead of rehashing full
-/// activation tensors — [`DisputeOutcome::rehashed_leaves`] is 0 exactly
-/// when it was supplied.
+/// The proposer's side of a dispute: the committed execution trace and the
+/// [`TraceCommitment`] built over it at claim time, from which every
+/// record's interface digests and their reveals are read (no activation
+/// tensor is rehashed inside the dispute).
 #[derive(Debug, Clone, Copy)]
 pub struct ProposerView<'a> {
     trace: &'a Execution,
@@ -118,8 +116,10 @@ pub struct ProposerView<'a> {
 }
 
 impl<'a> ProposerView<'a> {
-    /// A proposer trace without cached digests (the dispute memoizes each
-    /// node's digest on first use and accounts the rehashing).
+    /// The proposer's trace, to be given its commitment with
+    /// [`Self::with_commitment`]. A proposer that withholds it reveals
+    /// nothing, which the dispute attributes to it as a
+    /// [`DisputeResult::CommitmentBreach`] at round 0.
     pub fn new(trace: &'a Execution) -> Self {
         ProposerView {
             trace,
@@ -140,49 +140,31 @@ impl<'a> ProposerView<'a> {
     }
 }
 
-/// The challenger's side of a dispute: its device, plus (optionally) the
-/// execution trace it already produced when it screened the claim.
+/// The challenger's side of a dispute: its device and the execution trace
+/// it produced when it screened the claim.
 ///
-/// Screening necessarily runs a full forward pass on the challenger's
-/// device; carrying that trace into the dispute lets the game clear
-/// agreeing children at zero re-execution cost without paying the pass a
-/// second time. When no trace is supplied (e.g. the challenge is driven by
-/// a fresh auditor), [`run_dispute`] computes one and reports it in
-/// [`DisputeOutcome::challenger_forward_passes`].
+/// Screening is the challenger's one full forward pass; the dispute clears
+/// agreeing children against that trace at zero re-execution cost and
+/// runs no forward pass of its own.
 #[derive(Debug, Clone, Copy)]
 pub struct ChallengerView<'a> {
     device: &'a Device,
-    screening: Option<&'a Execution>,
+    trace: &'a Execution,
 }
 
 impl<'a> ChallengerView<'a> {
-    /// A challenger that has not yet executed the model; the dispute will
-    /// run (and account) one full forward pass.
-    pub fn fresh(device: &'a Device) -> Self {
-        ChallengerView {
-            device,
-            screening: None,
-        }
-    }
-
-    /// A challenger reusing the trace it computed during screening.
-    ///
-    /// `trace` must be `execute(graph, inputs, device.config(), None)` for
-    /// the disputed graph and inputs: the dispute clears children against
-    /// it, and round 0 takes the values of children without live-ins from
-    /// it instead of re-executing them (debug builds re-execute them too and
-    /// panic on a difference). [`screen_claim`](crate::screen_claim)
-    /// produces exactly this trace.
-    pub fn with_screening(device: &'a Device, trace: &'a Execution) -> Self {
-        ChallengerView {
-            device,
-            screening: Some(trace),
-        }
-    }
-
     /// A challenger reusing a [`Screening`]'s trace.
+    ///
+    /// The screening must be [`screen_claim`](crate::screen_claim)'s on
+    /// `device` for the disputed graph and inputs: the dispute clears
+    /// children against its trace, and round 0 takes the values of children
+    /// without live-ins from it instead of re-executing them (debug builds
+    /// re-execute them too and panic on a difference).
     pub fn from_screening(device: &'a Device, screening: &'a Screening) -> Self {
-        Self::with_screening(device, &screening.trace)
+        ChallengerView {
+            device,
+            trace: &screening.trace,
+        }
     }
 
     /// The challenger's device.
@@ -228,8 +210,8 @@ pub enum DisputeResult {
         round: usize,
     },
     /// A revealed digest failed to open against the trace root bound into
-    /// `C0` (or a mandatory reveal was missing): the proposer's digest
-    /// cache is tampered or stale, and because only the proposer could
+    /// `C0` (or a mandatory reveal was missing): the proposer's commitment
+    /// is withheld, tampered or stale, and because only the proposer could
     /// have produced `C0`, the breach is attributed to it — the proposer
     /// loses without further descent.
     CommitmentBreach {
@@ -252,19 +234,15 @@ pub struct DisputeOutcome {
     /// Total Merkle proof verifications.
     pub merkle_checks: u64,
     /// Revealed interface digests verified against the trace root bound
-    /// into `C0` (0 when the dispute ran unanchored). When positive,
-    /// `rehashed_leaves == 0` is a *verified* property, not a convention.
+    /// into `C0`.
     pub reveal_checks: u64,
-    /// Full challenger forward passes executed *inside* the dispute: 0 when
-    /// the screening trace was reused via
-    /// [`ChallengerView::with_screening`], 1 when the game had to recompute
-    /// it for a [`ChallengerView::fresh`] challenger.
+    /// Always 0: the challenger's forward pass is its screening's, never
+    /// the dispute's. Kept only because the benchmark still builds and
+    /// reads this field; its next change deletes it.
     pub challenger_forward_passes: u64,
-    /// Activation tensors rehashed *inside* the dispute while deriving the
-    /// per-round child interface hashes: 0 when the proposer supplied its
-    /// [`TraceCommitment`] (the PR 2 trace-reuse contract extended to
-    /// hashing), otherwise one per distinct frontier node (memoized across
-    /// rounds).
+    /// Always 0: record digests are read from the proposer's trace
+    /// commitment, never rehashed. Kept only because the benchmark still
+    /// builds and reads this field; its next change deletes it.
     pub rehashed_leaves: u64,
     /// Coordinator gas consumed by the dispute interaction.
     pub gas: GasMeter,
@@ -288,15 +266,15 @@ impl DisputeOutcome {
 /// real divergence when an honest child's fresh-input tail marginally
 /// exceeds its max-envelope tau at small calibration scale. Structural
 /// operators (absent from the bundle) must reproduce exactly. The game
-/// ends at a single operator or when no child offends.
+/// ends at a single operator, when no child offends, or at the first
+/// record whose reveals do not open against the anchored trace root.
 ///
 /// The challenger already re-executed the whole model when it screened the
-/// claim, so its screening trace is reused when supplied via
-/// [`ChallengerView::with_screening`]: children whose proposer live-outs
-/// agree with the challenger's own trace are cleared at zero re-execution
-/// cost, and only suspect children are re-executed from the proposer's
-/// committed boundaries. This keeps the DCR (total challenger FLOPs)
-/// around one forward pass, matching Table 3.
+/// claim, and the dispute reuses that trace: children whose proposer
+/// live-outs agree with it are cleared at zero re-execution cost, and only
+/// suspect children are re-executed from the proposer's committed
+/// boundaries. This keeps the DCR (total challenger FLOPs) around one
+/// forward pass, matching Table 3.
 ///
 /// A suspect child need not be re-executed either when its live-ins all
 /// precede the disputed range's start: it then reads nothing the range's
@@ -312,8 +290,9 @@ impl DisputeOutcome {
 ///
 /// Returns [`ProtocolError::BadWidth`] when `cfg.n_way < 2`,
 /// [`ProtocolError::AnchorMismatch`] when an anchor tree does not have its
-/// committed root, and an error if record construction or verification
-/// fails or a re-execution hits a kernel error.
+/// committed root, [`ProtocolError::Unanchored`] when the anchors carry no
+/// trace root, and an error if record construction or verification fails
+/// or a re-execution hits a kernel error.
 pub fn run_dispute(
     graph: &Graph,
     anchors: DisputeAnchors<'_>,
@@ -326,36 +305,12 @@ pub fn run_dispute(
     if cfg.n_way < 2 {
         return Err(ProtocolError::BadWidth { n_way: cfg.n_way });
     }
-    anchors.check_roots()?;
+    anchors.check()?;
     let params = ParamIndex::new(graph);
     let proposer_trace = proposer.trace;
-    // Interface hashes derive from this cache: zero tensor rehashing when
-    // the proposer's TraceCommitment was supplied, memoized otherwise. A
-    // commitment of the wrong arity cannot bind this trace — ignore it
-    // (fall back to rehashing) rather than derive hashes from the wrong
-    // digests. When the anchors carry the C0-bound trace root, dropping
-    // the commitment is not an escape hatch: records then post no reveals
-    // and the anchored verification below convicts the proposer of a
-    // commitment breach.
-    let proposer_commitment = proposer
-        .commitment
-        .filter(|c| c.len() == proposer_trace.values.len());
-    let mut digest_cache = TraceDigestCache::new(proposer_commitment);
+    let own_trace = challenger.trace;
     let mut gas = GasMeter::new();
     gas.charge("open_challenge", gas::open_challenge());
-    // The challenger's own full-model trace: reused from screening when
-    // available (the Phase 2 trigger already paid for that forward pass,
-    // so it is not part of the DCR), recomputed only for a fresh view.
-    let mut challenger_forward_passes = 0u64;
-    let recomputed;
-    let own_trace: &Execution = match challenger.screening {
-        Some(trace) => trace,
-        None => {
-            challenger_forward_passes += 1;
-            recomputed = tao_graph::execute(graph, inputs, challenger.device.config(), None)?;
-            &recomputed
-        }
-    };
 
     // Cheap screen against the challenger's own trace: exceedance of a
     // committed node value vs the challenger's own (structural nodes are
@@ -369,20 +324,12 @@ pub fn run_dispute(
         if let Some(&exc) = screen_cache.get(&id) {
             return Ok(exc);
         }
-        let claimed = proposer_trace.value(id)?;
-        let own = own_trace.value(id)?;
-        let exc = if thresholds.for_node(id).is_some() {
-            let prof = error_profile(claimed, own, DEFAULT_EPS);
-            thresholds
-                .exceedance(id, &prof)
-                .expect("threshold entry checked above")
-        } else if bit_identical(claimed, own) {
-            // Structural nodes (inputs and parameters) must match
-            // bit-for-bit.
-            0.0
-        } else {
-            f64::INFINITY
-        };
+        let exc = node_exceedance(
+            thresholds,
+            id,
+            proposer_trace.value(id)?,
+            own_trace.value(id)?,
+        );
         screen_cache.insert(id, exc);
         Ok(exc)
     };
@@ -400,7 +347,14 @@ pub fn run_dispute(
     let mut known: Cow<'_, [Tensor<f32>]> = Cow::Borrowed(&own_trace.values);
     let mut known_start = 0usize;
 
-    while end - start > 1 {
+    let result = loop {
+        if end - start <= 1 {
+            gas.charge(
+                "leaf_adjudication",
+                gas::leaf_adjudication(3, anchors.graph_tree.proof_len(start)),
+            );
+            break DisputeResult::Leaf(NodeId(start));
+        }
         let slices = partition(start, end, cfg.n_way);
         // Proposer: build and post one record per child.
         let mut records = Vec::with_capacity(slices.len());
@@ -412,14 +366,24 @@ pub fn run_dispute(
                 anchors.weight_tree,
                 &params,
                 &sub,
-                proposer_trace,
-                &mut digest_cache,
+                proposer.commitment,
             )?;
             partition_bytes += rec.byte_size() as u64;
             records.push(rec);
         }
         gas.charge("partition_post", gas::partition_post(records.len()));
         gas.charge("round_bonds", gas::round_bonds());
+        // `chosen` stays `usize::MAX` in a round that ends the game.
+        let mut stats = RoundStats {
+            round,
+            range: (start, end),
+            children: records.len(),
+            chosen: usize::MAX,
+            partition_bytes,
+            selection_flops: 0,
+            reexecuted_flops: 0,
+            merkle_checks: 0,
+        };
 
         // Challenger: verify records, then select the *most offending*
         // candidate child (max confirmed exceedance, Eq. 15) rather than
@@ -428,12 +392,11 @@ pub fn run_dispute(
         // marginally exceed its own tau (exceedance just above 1); picking
         // the maximum keeps the descent pointed at the real divergence,
         // whose exceedance sits orders of magnitude higher.
-        let mut merkle_checks = 0u64;
         let mut breach: Option<NodeId> = None;
         for rec in &records {
             match verify_record_anchored(graph, &anchors, &params, rec) {
                 Ok((checks, reveals)) => {
-                    merkle_checks += checks;
+                    stats.merkle_checks += checks;
                     total_reveals += reveals;
                 }
                 Err(ProtocolError::RevealMismatch { node, .. }) => {
@@ -446,32 +409,11 @@ pub fn run_dispute(
                 Err(e) => return Err(e),
             }
         }
-        total_checks += merkle_checks;
+        total_checks += stats.merkle_checks;
         if let Some(node) = breach {
-            rounds.push(RoundStats {
-                round,
-                range: (start, end),
-                children: records.len(),
-                chosen: usize::MAX,
-                partition_bytes,
-                selection_flops: 0,
-                reexecuted_flops: 0,
-                merkle_checks,
-            });
-            gas.charge("settlement", gas::settlement());
-            return Ok(DisputeOutcome {
-                result: DisputeResult::CommitmentBreach { round, node },
-                rounds,
-                challenger_flops: total_flops,
-                merkle_checks: total_checks,
-                reveal_checks: total_reveals,
-                challenger_forward_passes,
-                rehashed_leaves: digest_cache.rehashed_leaves(),
-                gas,
-            });
+            rounds.push(stats);
+            break DisputeResult::CommitmentBreach { round, node };
         }
-        let mut selection_flops = 0u64;
-        let mut reexecuted_flops = 0u64;
         let mut examined = vec![false; records.len()];
         // (child index, confirmed exceedance) of every confirmed offender.
         let mut confirmed: Vec<(usize, f64)> = Vec::new();
@@ -524,7 +466,7 @@ pub fn run_dispute(
                 // proposer trace's ledger (same shapes, same operator set).
                 let (s, e) = (rec.sub.start, rec.sub.end);
                 let child_flops = proposer_trace.flops[s..e].iter().sum::<u64>();
-                selection_flops += child_flops;
+                stats.selection_flops += child_flops;
                 let reexecute = || {
                     execute_subgraph(
                         graph,
@@ -537,7 +479,7 @@ pub fn run_dispute(
                 let reexecuted = if rec.sub.live_in.iter().all(|id| id.0 < start) {
                     None
                 } else {
-                    reexecuted_flops += child_flops;
+                    stats.reexecuted_flops += child_flops;
                     Some(reexecute()?)
                 };
                 let local = match &reexecuted {
@@ -556,18 +498,12 @@ pub fn run_dispute(
                 }
                 let mut child_exceedance = 0.0f64;
                 for &id in &rec.sub.live_out {
-                    let claimed = proposer_trace.value(id)?;
-                    let recomputed = &local[id.0 - s];
-                    let exc = if thresholds.for_node(id).is_some() {
-                        let prof = error_profile(claimed, recomputed, DEFAULT_EPS);
-                        thresholds.exceedance(id, &prof).unwrap_or(f64::INFINITY)
-                    } else if bit_identical(claimed, recomputed) {
-                        0.0
-                    } else {
-                        // Structural live-out must match bit-for-bit, shape
-                        // included.
-                        f64::INFINITY
-                    };
+                    let exc = node_exceedance(
+                        thresholds,
+                        id,
+                        proposer_trace.value(id)?,
+                        &local[id.0 - s],
+                    );
                     child_exceedance = child_exceedance.max(exc);
                 }
                 if child_exceedance > 1.0 {
@@ -593,40 +529,14 @@ pub fn run_dispute(
             })
             .map(|(ci, _)| ci);
         gas.charge("selection_post", gas::selection_post());
-        total_flops += selection_flops;
-
+        total_flops += stats.selection_flops;
         let Some(ci) = chosen else {
-            rounds.push(RoundStats {
-                round,
-                range: (start, end),
-                children: records.len(),
-                chosen: usize::MAX,
-                partition_bytes,
-                selection_flops,
-                reexecuted_flops,
-                merkle_checks,
-            });
-            gas.charge("settlement", gas::settlement());
-            return Ok(DisputeOutcome {
-                result: DisputeResult::NoOffendingChild { round },
-                rounds,
-                challenger_flops: total_flops,
-                merkle_checks: total_checks,
-                reveal_checks: total_reveals,
-                challenger_forward_passes,
-                rehashed_leaves: digest_cache.rehashed_leaves(),
-                gas,
-            });
+            rounds.push(stats);
+            break DisputeResult::NoOffendingChild { round };
         };
         rounds.push(RoundStats {
-            round,
-            range: (start, end),
-            children: records.len(),
             chosen: ci,
-            partition_bytes,
-            selection_flops,
-            reexecuted_flops,
-            merkle_checks,
+            ..stats
         });
         (start, end) = slices[ci];
         // The chosen child's values are the next range's; an inherited
@@ -636,21 +546,17 @@ pub fn run_dispute(
             known_start = start;
         }
         round += 1;
-    }
+    };
 
-    gas.charge(
-        "leaf_adjudication",
-        gas::leaf_adjudication(3, anchors.graph_tree.proof_len(start)),
-    );
     gas.charge("settlement", gas::settlement());
     Ok(DisputeOutcome {
-        result: DisputeResult::Leaf(NodeId(start)),
+        result,
         rounds,
         challenger_flops: total_flops,
         merkle_checks: total_checks,
         reveal_checks: total_reveals,
-        challenger_forward_passes,
-        rehashed_leaves: digest_cache.rehashed_leaves(),
+        challenger_forward_passes: 0,
+        rehashed_leaves: 0,
         gas,
     })
 }
@@ -658,6 +564,7 @@ pub fn run_dispute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::screen::{screen_claim, ClaimCheck};
     use tao_calib::{calibrate, DEFAULT_ALPHA};
     use tao_device::Fleet;
     use tao_graph::{execute, GraphBuilder, OpKind, Perturbations};
@@ -707,9 +614,11 @@ mod tests {
         perturb: Option<&Perturbations>,
         n_way: usize,
     ) -> Result<DisputeOutcome> {
-        let proposer_dev = Device::rtx4090_like();
+        let trace = execute(g, inputs, Device::rtx4090_like().config(), perturb).unwrap();
+        let commitment = TraceCommitment::build(&trace.values);
+        let root = commitment.root();
         let challenger_dev = Device::h100_like();
-        let trace = execute(g, inputs, proposer_dev.config(), perturb).unwrap();
+        let screening = screen(g, bundle, inputs, &trace, &challenger_dev);
         let gt = build_gt(g);
         let wt = build_wt(g);
         run_dispute(
@@ -719,14 +628,30 @@ mod tests {
                 weight_tree: &wt,
                 graph_root: &gt.root(),
                 weight_root: &wt.root(),
-                trace_root: None,
+                trace_root: Some(&root),
             },
-            ProposerView::new(&trace),
+            ProposerView::new(&trace).with_commitment(&commitment),
             inputs,
-            ChallengerView::fresh(&challenger_dev),
+            ChallengerView::from_screening(&challenger_dev, &screening),
             bundle,
             DisputeConfig { n_way },
         )
+    }
+
+    /// The challenger's screening of `trace`'s claimed output.
+    fn screen(
+        g: &Graph,
+        bundle: &ThresholdBundle,
+        inputs: &[Tensor<f32>],
+        trace: &Execution,
+        device: &Device,
+    ) -> Screening {
+        let out = g.outputs()[0];
+        let claim = ClaimCheck {
+            inputs,
+            claimed_output: trace.value(out).unwrap(),
+        };
+        screen_claim(g, out, bundle, claim, device).unwrap()
     }
 
     /// A planted 0.05 cheat on `act2` of the 4-layer chain.
@@ -790,87 +715,18 @@ mod tests {
         let shape = ref_exec.values[target.0].dims().to_vec();
         let mut p = Perturbations::new();
         p.insert(target, Tensor::full(&shape, 0.05));
-        let trace = execute(&g, &inputs, Device::rtx4090_like().config(), Some(&p)).unwrap();
-        let challenger_dev = Device::h100_like();
-        let screening = execute(&g, &inputs, challenger_dev.config(), None).unwrap();
-        let gt = build_gt(&g);
-        let wt = build_wt(&g);
-        let anchors = DisputeAnchors {
-            graph_tree: &gt,
-            weight_tree: &wt,
-            graph_root: &gt.root(),
-            weight_root: &wt.root(),
-            trace_root: None,
-        };
-        let reused = run_dispute(
-            &g,
-            anchors,
-            ProposerView::new(&trace),
-            &inputs,
-            ChallengerView::with_screening(&challenger_dev, &screening),
-            &bundle,
-            DisputeConfig { n_way: 2 },
-        )
-        .unwrap();
-        assert_eq!(reused.challenger_forward_passes, 0, "trace must be reused");
+        let outcome = dispute_against(&g, &bundle, &inputs, Some(&p), 2);
+        assert_eq!(outcome.result, DisputeResult::Leaf(target));
+        // Every revealed digest opened against the anchored trace root.
+        assert!(outcome.reveal_checks > 0, "reveals must be verified");
+        // Agreeing children are cleared against the screening trace, so
+        // the dispute evaluates less than one forward pass.
+        let reexecuted: u64 = outcome.rounds.iter().map(|r| r.reexecuted_flops).sum();
         assert!(
-            reused.rehashed_leaves > 0,
-            "without a trace commitment the frontier hashes are recomputed"
+            reexecuted < ref_exec.total_flops(),
+            "re-executed {reexecuted} of {}",
+            ref_exec.total_flops()
         );
-        // Supplying the proposer's trace commitment removes every leaf
-        // rehash from the descent — and changes nothing else.
-        let commitment = tao_merkle::TraceCommitment::build(&trace.values);
-        let committed = run_dispute(
-            &g,
-            anchors,
-            ProposerView::new(&trace).with_commitment(&commitment),
-            &inputs,
-            ChallengerView::with_screening(&challenger_dev, &screening),
-            &bundle,
-            DisputeConfig { n_way: 2 },
-        )
-        .unwrap();
-        assert_eq!(
-            committed.rehashed_leaves, 0,
-            "cached digests must be reused"
-        );
-        assert_eq!(committed.result, reused.result);
-        assert_eq!(committed.challenger_flops, reused.challenger_flops);
-        assert_eq!(committed.reveal_checks, 0, "unanchored: nothing to verify");
-        // Anchoring the dispute to the C0-bound trace root turns the
-        // zero-rehash convention into a verified property: every revealed
-        // digest opens against the root, and nothing else changes.
-        let root = commitment.root();
-        let anchored = run_dispute(
-            &g,
-            anchors.with_trace_root(&root),
-            ProposerView::new(&trace).with_commitment(&commitment),
-            &inputs,
-            ChallengerView::with_screening(&challenger_dev, &screening),
-            &bundle,
-            DisputeConfig { n_way: 2 },
-        )
-        .unwrap();
-        assert_eq!(anchored.result, reused.result);
-        assert_eq!(anchored.rehashed_leaves, 0);
-        assert!(anchored.reveal_checks > 0, "reveals must be verified");
-        assert_eq!(anchored.challenger_flops, reused.challenger_flops);
-        let fresh = run_dispute(
-            &g,
-            anchors,
-            ProposerView::new(&trace),
-            &inputs,
-            ChallengerView::fresh(&challenger_dev),
-            &bundle,
-            DisputeConfig { n_way: 2 },
-        )
-        .unwrap();
-        assert_eq!(fresh.challenger_forward_passes, 1);
-        // The screening trace is exactly what a fresh challenger would
-        // recompute, so the localization is identical.
-        assert_eq!(reused.result, fresh.result);
-        assert_eq!(reused.result, DisputeResult::Leaf(target));
-        assert_eq!(reused.challenger_flops, fresh.challenger_flops);
     }
 
     #[test]

@@ -68,6 +68,11 @@ pub enum ProtocolError {
         /// Which tree disagrees with its committed root.
         tree: &'static str,
     },
+    /// A dispute's anchors carry no trace root. Every record opens its
+    /// interface digests against the trace root bound into the claim
+    /// commitment `C0`, so a dispute without one has nothing to verify
+    /// the proposer's reveals against and is refused.
+    Unanchored,
     /// A dispute's partition width `N` is below 2: no children (`N = 0`)
     /// never localizes anything, and one child (`N = 1`) is its parent
     /// range, so the descent would never end.
@@ -111,6 +116,9 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::AnchorMismatch { tree } => {
                 write!(f, "the {tree} tree does not have the committed {tree} root")
+            }
+            ProtocolError::Unanchored => {
+                write!(f, "the dispute anchors carry no committed trace root")
             }
             ProtocolError::BadWidth { n_way } => {
                 write!(f, "dispute partition width {n_way} is below 2")

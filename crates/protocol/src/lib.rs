@@ -27,8 +27,7 @@ pub use adjudicate::{
     theoretical_verdict, AdjudicationPath, LeafCase, LeafVerdict, VoteOutcome,
 };
 pub use coordinator::{
-    reference::SerialCoordinator, Claim, ClaimShards, ClaimStatus, Coordinator, Party,
-    CLAIM_SHARDS,
+    reference::SerialCoordinator, Claim, ClaimShards, ClaimStatus, Coordinator, Party, CLAIM_SHARDS,
 };
 pub use dispute::{
     run_dispute, ChallengerView, DisputeAnchors, DisputeConfig, DisputeOutcome, DisputeResult,
@@ -38,13 +37,12 @@ pub use econ::{EconAmounts, EconParams, Ledger, ACCOUNT_SHARDS};
 pub use epoch::{canonical_log, encode_event, encode_log, epoch_root, log_csv, EpochCommitment};
 pub use error::ProtocolError;
 pub use gas::{GasEvent, GasMeter};
-pub use tao_money::{Money, Ppm};
 pub use par::{parallel_map, MAX_PAR_THREADS, MAX_WORKERS};
 pub use record::{
-    make_record, make_record_with, verify_record, verify_record_anchored, ParamIndex, SubgraphRecord,
-    TraceDigestCache,
+    make_record_with, verify_record, verify_record_anchored, ParamIndex, SubgraphRecord,
 };
 pub use screen::{screen_batch, screen_claim, ClaimCheck, Screening};
+pub use tao_money::{Money, Ppm};
 pub use temporal::{earliest_offense, states_agree, TemporalCommitment, TemporalVerdict};
 pub use tiebreak::{tie_seed, TieBreakRule};
 

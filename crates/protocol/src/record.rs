@@ -1,103 +1,22 @@
 //! Subgraph records: the per-child commitments posted during dispute
 //! rounds, with Merkle provenance proofs (§5.2).
 //!
-//! Interface hashes (`h_In`/`h_Out`) are derived through a
-//! [`TraceDigestCache`]: when the trace carries a
-//! [`TraceCommitment`] (per-node tensor digests computed once, at claim
-//! time), every round's child commitments re-derive from
-//! the cached digests and **zero** activation tensors are rehashed inside
-//! the dispute. Without one, the cache memoizes each node's digest across
-//! rounds and reports how many leaf hashes it had to compute
-//! ([`TraceDigestCache::rehashed_leaves`], surfaced as
-//! `DisputeOutcome::rehashed_leaves`).
+//! A record's interface hashes (`h_In`/`h_Out`) and the reveals that open
+//! them are read from the proposer's [`TraceCommitment`] (per-node tensor
+//! digests computed once, at claim time), so no activation tensor is
+//! hashed inside a dispute.
 
 use std::collections::HashMap;
 
-use tao_graph::{extract, Execution, Graph, NodeId, Subgraph};
+use tao_graph::{extract, Graph, NodeId, Subgraph};
 use tao_merkle::{
-    tensor_hash, verify_graph_leaf, verify_inclusion, verify_weight_leaf, Digest, FastSha256,
-    InclusionProof, MerkleTree, TraceCommitment,
+    verify_graph_leaf, verify_inclusion, verify_weight_leaf, Digest, FastSha256, InclusionProof,
+    MerkleTree, TraceCommitment,
 };
 
 use crate::dispute::DisputeAnchors;
 use crate::error::ProtocolError;
 use crate::Result;
-
-/// Per-node tensor digests of one execution trace, backed by a
-/// [`TraceCommitment`] when one was supplied and a lazy memo otherwise.
-#[derive(Debug)]
-pub struct TraceDigestCache<'a> {
-    committed: Option<&'a TraceCommitment>,
-    lazy: HashMap<usize, Digest>,
-    rehashed: u64,
-}
-
-impl<'a> TraceDigestCache<'a> {
-    /// A cache over `committed` digests (zero rehashing when `Some`).
-    pub fn new(committed: Option<&'a TraceCommitment>) -> Self {
-        TraceDigestCache {
-            committed,
-            lazy: HashMap::new(),
-            rehashed: 0,
-        }
-    }
-
-    /// The digest of node `id`'s value in `trace`, from the commitment
-    /// when available, the memo otherwise, hashing the tensor only on a
-    /// first miss.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an out-of-range node id.
-    pub fn digest(&mut self, trace: &Execution, id: NodeId) -> Result<Digest> {
-        if let Some(c) = self.committed {
-            if let Some(d) = c.digest(id.0) {
-                return Ok(*d);
-            }
-        }
-        if let Some(d) = self.lazy.get(&id.0) {
-            return Ok(*d);
-        }
-        let d = tensor_hash(trace.value(id)?);
-        self.rehashed += 1;
-        self.lazy.insert(id.0, d);
-        Ok(d)
-    }
-
-    /// Hash of the ordered value list `H(Σ H(canon(z)))` — identical to
-    /// [`tao_merkle::tensor_list_hash`] over the same tensors, but built
-    /// from the cached digests.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an out-of-range node id.
-    pub fn list_hash(&mut self, trace: &Execution, ids: &[NodeId]) -> Result<Digest> {
-        let mut h = FastSha256::new();
-        for &id in ids {
-            h.update(&self.digest(trace, id)?);
-        }
-        Ok(h.finalize())
-    }
-
-    /// How many tensor leaf hashes this cache computed (0 when every
-    /// lookup was served by the supplied [`TraceCommitment`]).
-    pub fn rehashed_leaves(&self) -> u64 {
-        self.rehashed
-    }
-
-    /// The backing commitment, when one was supplied.
-    pub fn committed(&self) -> Option<&'a TraceCommitment> {
-        self.committed
-    }
-
-    /// Inclusion proof for node `id`'s digest into the backing
-    /// commitment's trace tree (`None` without a commitment or out of
-    /// range). This is what lets a record's interface digests be *opened*
-    /// against the trace root bound into `C0`.
-    pub fn prove(&self, id: NodeId) -> Option<InclusionProof> {
-        self.committed.and_then(|c| c.tree().prove(id.0))
-    }
-}
 
 /// A posted subgraph record: slice indices, interface hashes, and
 /// inclusion proofs binding the slice to the committed graph and weights.
@@ -105,9 +24,9 @@ impl<'a> TraceDigestCache<'a> {
 pub struct SubgraphRecord {
     /// The slice with its frontiers.
     pub sub: Subgraph,
-    /// `h_In`: hash of the live-in tensor list (proposer's values).
+    /// `h_In`: hash of the live-in digest list (proposer's values).
     pub live_in_hash: Digest,
-    /// `h_Out`: hash of the live-out tensor list (proposer's values).
+    /// `h_Out`: hash of the live-out digest list (proposer's values).
     pub live_out_hash: Digest,
     /// Inclusion proofs into the graph tree for every node in the slice.
     pub op_proofs: Vec<(usize, InclusionProof)>,
@@ -116,9 +35,8 @@ pub struct SubgraphRecord {
     pub param_proofs: Vec<(String, InclusionProof)>,
     /// Revealed interface digests `(node id, digest, proof)` opening each
     /// live-in/live-out node's digest against the trace root bound into
-    /// `C0`. Empty when the proposer's trace carries no commitment (then
-    /// an anchored verification must fail — the reveals are mandatory
-    /// whenever a trace root was committed).
+    /// `C0`. Every frontier node must be revealed: verification refuses a
+    /// record that leaves one out.
     pub trace_reveals: Vec<(usize, Digest, InclusionProof)>,
 }
 
@@ -171,28 +89,18 @@ impl<'g> ParamIndex<'g> {
     }
 }
 
-/// Builds a record for a slice from the proposer's trace (proposer side),
-/// rehashing both interface tensor lists from scratch. Convenience wrapper
-/// over [`make_record_with`] with a fresh digest cache.
+/// Builds a record for a slice (proposer side): op and parameter proofs
+/// from the anchor trees, with parameter leaves located through `params`,
+/// and the interface hashes and reveals read from the proposer's trace
+/// commitment.
 ///
-/// # Errors
-///
-/// Returns an error when a proof index is out of range.
-pub fn make_record(
-    graph: &Graph,
-    graph_tree: &MerkleTree,
-    weight_tree: &MerkleTree,
-    sub: &Subgraph,
-    trace: &Execution,
-) -> Result<SubgraphRecord> {
-    let mut cache = TraceDigestCache::new(None);
-    let params = ParamIndex::new(graph);
-    make_record_with(graph_tree, weight_tree, &params, sub, trace, &mut cache)
-}
-
-/// Builds a record for a slice, deriving the interface hashes from the
-/// digest cache (zero tensor rehashing when the cache is backed by a
-/// [`TraceCommitment`]) and locating parameter leaves through `params`.
+/// Every live-in and live-out node the commitment covers is revealed with
+/// its digest and its opening into the trace tree, and the interface
+/// hashes are derived from exactly those digests. A node the commitment
+/// does not cover (there is none, or it is too short) is simply left
+/// unrevealed, so the anchored verification refuses the record as a
+/// missing reveal: attributable to the proposer, like any reveal that does
+/// not open against the trace root bound into `C0`.
 ///
 /// # Errors
 ///
@@ -202,26 +110,27 @@ pub fn make_record_with(
     weight_tree: &MerkleTree,
     params: &ParamIndex<'_>,
     sub: &Subgraph,
-    trace: &Execution,
-    cache: &mut TraceDigestCache<'_>,
+    commitment: Option<&TraceCommitment>,
 ) -> Result<SubgraphRecord> {
-    let live_in_hash = cache.list_hash(trace, &sub.live_in)?;
-    let live_out_hash = cache.list_hash(trace, &sub.live_out)?;
-    // With a committed trace, reveal each interface digest with its
-    // opening into the trace tree so the challenger can check every
-    // revealed digest against the root bound into `C0`.
-    let mut trace_reveals = Vec::new();
-    if cache.committed().is_some() {
-        let mut seen = std::collections::HashSet::new();
-        for &id in sub.live_in.iter().chain(&sub.live_out) {
-            if !seen.insert(id.0) {
-                continue;
-            }
-            if let Some(proof) = cache.prove(id) {
-                trace_reveals.push((id.0, cache.digest(trace, id)?, proof));
-            }
+    // The frontiers are sorted, duplicate-free and disjoint (live-ins
+    // precede the slice, live-outs lie in it), so each node is revealed
+    // once.
+    let reveal = |id: &NodeId| {
+        let c = commitment?;
+        Some((id.0, *c.digest(id.0)?, c.tree().prove(id.0)?))
+    };
+    let list_hash = |reveals: &[(usize, Digest, InclusionProof)]| {
+        let mut h = FastSha256::new();
+        for (_, digest, _) in reveals {
+            h.update(digest);
         }
-    }
+        h.finalize()
+    };
+    let mut trace_reveals: Vec<_> = sub.live_in.iter().filter_map(reveal).collect();
+    let live_in_hash = list_hash(&trace_reveals);
+    let live_out: Vec<_> = sub.live_out.iter().filter_map(reveal).collect();
+    let live_out_hash = list_hash(&live_out);
+    trace_reveals.extend(live_out);
     let mut op_proofs = Vec::with_capacity(sub.len());
     for idx in sub.start..sub.end {
         let proof = graph_tree
@@ -266,25 +175,31 @@ enum LeafSource<'a> {
 /// Verifies a record against the committed roots by re-serializing and
 /// rehashing every proven leaf (challenger side, no trees needed). This is
 /// the oracle for [`verify_record_anchored`]: both return the same counts
-/// or the same error for any record.
-///
-/// With `trace_root`, the reveal rule of [`verify_record_anchored`]
-/// applies too.
+/// or the same error for any record, under the same coverage and reveal
+/// rules.
 ///
 /// Returns `(merkle_checks, reveal_checks)`.
 ///
 /// # Errors
 ///
-/// As [`verify_record_anchored`], except [`ProtocolError::AnchorMismatch`]:
-/// there are no trees to check.
+/// As [`verify_record_anchored`], except [`ProtocolError::AnchorMismatch`]
+/// and [`ProtocolError::Unanchored`]: there are no trees to check, and the
+/// trace root is given.
 pub fn verify_record(
     graph: &Graph,
     graph_root: &Digest,
     weight_root: &Digest,
-    trace_root: Option<&Digest>,
+    trace_root: &Digest,
     record: &SubgraphRecord,
 ) -> Result<(u64, u64)> {
-    verify_with(graph, graph_root, weight_root, trace_root, record, LeafSource::Rehash)
+    verify_with(
+        graph,
+        graph_root,
+        weight_root,
+        trace_root,
+        record,
+        LeafSource::Rehash,
+    )
 }
 
 /// Verifies a record against the dispute's anchors (challenger side):
@@ -300,9 +215,9 @@ pub fn verify_record(
 /// [`extract`] of its range, because the challenger screens and
 /// re-executes the child from those frontiers.
 ///
-/// The reveal rule: when the anchors carry the trace root bound into `C0`,
-/// **every** live-in and live-out node must carry a revealed digest that
-/// opens against it via a Merkle path, and the record's interface hashes
+/// The reveal rule: **every** live-in and live-out node must carry a
+/// revealed digest that opens against the anchors' trace root (the one
+/// bound into `C0`) via a Merkle path, and the record's interface hashes
 /// must re-derive from exactly those revealed digests. A tampered or stale
 /// digest cache therefore cannot steer the round. It fails here,
 /// attributably.
@@ -315,7 +230,8 @@ pub fn verify_record(
 /// # Errors
 ///
 /// Returns [`ProtocolError::AnchorMismatch`] when a tree's root differs
-/// from its committed root, [`ProtocolError::BadRecord`] when the record
+/// from its committed root, [`ProtocolError::Unanchored`] when the anchors
+/// carry no trace root, [`ProtocolError::BadRecord`] when the record
 /// breaks the coverage rule or any provenance proof fails, and
 /// [`ProtocolError::RevealMismatch`] (naming
 /// the first offending node) on a missing, mis-indexed, or non-opening
@@ -327,12 +243,12 @@ pub fn verify_record_anchored(
     params: &ParamIndex<'_>,
     record: &SubgraphRecord,
 ) -> Result<(u64, u64)> {
-    anchors.check_roots()?;
+    let trace_root = anchors.check()?;
     verify_with(
         graph,
         anchors.graph_root,
         anchors.weight_root,
-        anchors.trace_root,
+        trace_root,
         record,
         LeafSource::Cached {
             graph_tree: anchors.graph_tree,
@@ -346,18 +262,28 @@ fn verify_with(
     graph: &Graph,
     graph_root: &Digest,
     weight_root: &Digest,
-    trace_root: Option<&Digest>,
+    trace_root: &Digest,
     record: &SubgraphRecord,
     leaves: LeafSource<'_>,
 ) -> Result<(u64, u64)> {
     let sub = &record.sub;
-    if !record.op_proofs.iter().map(|(i, _)| *i).eq(sub.start..sub.end) {
+    if !record
+        .op_proofs
+        .iter()
+        .map(|(i, _)| *i)
+        .eq(sub.start..sub.end)
+    {
         return Err(ProtocolError::BadRecord(format!(
             "op proofs do not cover [{}, {}) in order",
             sub.start, sub.end
         )));
     }
-    if !record.param_proofs.iter().map(|(n, _)| n).eq(&sub.param_refs) {
+    if !record
+        .param_proofs
+        .iter()
+        .map(|(n, _)| n)
+        .eq(&sub.param_refs)
+    {
         return Err(ProtocolError::BadRecord(
             "parameter proofs do not name exactly the slice's parameters".into(),
         ));
@@ -399,11 +325,7 @@ fn verify_with(
             )));
         }
     }
-    let reveal_checks = match trace_root {
-        Some(root) => verify_reveals(root, record)?,
-        None => 0,
-    };
-    Ok((checks, reveal_checks))
+    Ok((checks, verify_reveals(trace_root, record)?))
 }
 
 /// The reveal rule shared by both verifiers; returns the reveal count.
@@ -449,7 +371,7 @@ fn verify_reveals(root: &Digest, record: &SubgraphRecord) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_graph::{execute, extract, GraphBuilder, OpKind};
+    use tao_graph::{execute, extract, Execution, GraphBuilder, OpKind};
     use tao_merkle::{graph_tree as build_gt, weight_tree as build_wt};
     use tao_tensor::{KernelConfig, Tensor};
 
@@ -468,13 +390,30 @@ mod tests {
         (g, exec, gt, wt)
     }
 
+    /// The record the proposer of `trace` posts for `[start, end)`.
+    fn record(
+        g: &Graph,
+        gt: &MerkleTree,
+        wt: &MerkleTree,
+        (start, end): (usize, usize),
+        trace: &Execution,
+    ) -> SubgraphRecord {
+        let sub = extract(g, start, end).unwrap();
+        let commitment = TraceCommitment::build(&trace.values);
+        make_record_with(gt, wt, &ParamIndex::new(g), &sub, Some(&commitment)).unwrap()
+    }
+
+    fn trace_root(exec: &Execution) -> Digest {
+        TraceCommitment::build(&exec.values).root()
+    }
+
     #[test]
     fn record_roundtrip_verifies() {
         let (g, exec, gt, wt) = setup();
-        let sub = extract(&g, 2, 4).unwrap();
-        let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
-        let (checks, reveals) = verify_record(&g, &gt.root(), &wt.root(), None, &rec).unwrap();
-        assert_eq!(reveals, 0);
+        let rec = record(&g, &gt, &wt, (2, 4), &exec);
+        let (checks, reveals) =
+            verify_record(&g, &gt.root(), &wt.root(), &trace_root(&exec), &rec).unwrap();
+        assert_eq!(reveals as usize, rec.trace_reveals.len());
         assert_eq!(
             checks as usize,
             rec.op_proofs.len() + rec.param_proofs.len()
@@ -486,54 +425,39 @@ mod tests {
     fn record_with_param_refs() {
         let (g, exec, gt, wt) = setup();
         // Slice containing only the matmul references parameter "w".
-        let sub = extract(&g, 2, 3).unwrap();
-        let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
+        let rec = record(&g, &gt, &wt, (2, 3), &exec);
         assert_eq!(rec.param_proofs.len(), 1);
-        assert!(verify_record(&g, &gt.root(), &wt.root(), None, &rec).is_ok());
+        assert!(verify_record(&g, &gt.root(), &wt.root(), &trace_root(&exec), &rec).is_ok());
     }
 
     #[test]
     fn tampered_root_rejected() {
         let (g, exec, gt, wt) = setup();
-        let sub = extract(&g, 2, 4).unwrap();
-        let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
+        let rec = record(&g, &gt, &wt, (2, 4), &exec);
         let mut bad_root = gt.root();
         bad_root[0] ^= 0xff;
-        assert!(verify_record(&g, &bad_root, &wt.root(), None, &rec).is_err());
+        assert!(verify_record(&g, &bad_root, &wt.root(), &trace_root(&exec), &rec).is_err());
     }
 
     #[test]
     fn tampered_proof_rejected() {
         let (g, exec, gt, wt) = setup();
-        let sub = extract(&g, 2, 4).unwrap();
-        let mut rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
+        let mut rec = record(&g, &gt, &wt, (2, 4), &exec);
         rec.op_proofs[0].0 = 0; // Claim the slice starts at a different op.
-        assert!(verify_record(&g, &gt.root(), &wt.root(), None, &rec).is_err());
+        assert!(verify_record(&g, &gt.root(), &wt.root(), &trace_root(&exec), &rec).is_err());
     }
 
     #[test]
-    fn cached_records_equal_uncached_and_count_rehashes() {
+    fn committed_records_reveal_every_frontier_digest() {
         let (g, exec, gt, wt) = setup();
         let sub = extract(&g, 2, 4).unwrap();
-        let plain = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
-        assert!(plain.trace_reveals.is_empty(), "no commitment, no reveals");
-
-        // Committed digests: identical hashes plus interface reveals,
-        // zero rehashed leaves, and the reveals open against the root.
-        let commitment = tao_merkle::TraceCommitment::build(&exec.values);
-        let mut cache = TraceDigestCache::new(Some(&commitment));
+        let commitment = TraceCommitment::build(&exec.values);
         let params = ParamIndex::new(&g);
-        let cached = make_record_with(&gt, &wt, &params, &sub, &exec, &mut cache).unwrap();
-        assert_eq!(cached.live_in_hash, plain.live_in_hash);
-        assert_eq!(cached.live_out_hash, plain.live_out_hash);
-        assert_eq!(cached.op_proofs, plain.op_proofs);
-        assert_eq!(cached.param_proofs, plain.param_proofs);
+        let rec = make_record_with(&gt, &wt, &params, &sub, Some(&commitment)).unwrap();
         assert_eq!(
-            cached.trace_reveals.len(),
+            rec.trace_reveals.len(),
             sub.live_in.len() + sub.live_out.len()
         );
-        assert!(cached.byte_size() > plain.byte_size());
-        assert_eq!(cache.rehashed_leaves(), 0);
         let root = commitment.root();
         let (gr, wr) = (gt.root(), wt.root());
         let anchors = DisputeAnchors {
@@ -543,51 +467,51 @@ mod tests {
             weight_root: &wr,
             trace_root: Some(&root),
         };
-        let (_, reveal_checks) = verify_record_anchored(&g, &anchors, &params, &cached).unwrap();
-        assert_eq!(reveal_checks as usize, cached.trace_reveals.len());
+        let (_, reveal_checks) = verify_record_anchored(&g, &anchors, &params, &rec).unwrap();
+        assert_eq!(reveal_checks as usize, rec.trace_reveals.len());
         assert_eq!(
-            verify_record(&g, &gr, &wr, Some(&root), &cached),
-            verify_record_anchored(&g, &anchors, &params, &cached)
+            verify_record(&g, &gr, &wr, &root, &rec),
+            verify_record_anchored(&g, &anchors, &params, &rec)
         );
-        // The plain record carries no reveals, so anchored verification
-        // must reject it: reveals are mandatory once a root is committed.
+        // Without a commitment nothing is revealed, so the record is
+        // refused: the reveals are mandatory.
+        let bare = make_record_with(&gt, &wt, &params, &sub, None).unwrap();
+        assert!(bare.trace_reveals.is_empty());
         assert!(matches!(
-            verify_record_anchored(&g, &anchors, &params, &plain),
+            verify_record_anchored(&g, &anchors, &params, &bare),
             Err(ProtocolError::RevealMismatch { .. })
         ));
         // A tampered revealed digest fails to open against the root.
-        let mut tampered = cached.clone();
+        let mut tampered = rec.clone();
         tampered.trace_reveals[0].1[0] ^= 0x01;
         assert!(matches!(
             verify_record_anchored(&g, &anchors, &params, &tampered),
             Err(ProtocolError::RevealMismatch { .. })
         ));
-
-        // Lazy cache: same record, rehashes each node once then memoizes.
-        let mut lazy = TraceDigestCache::new(None);
-        let first = make_record_with(&gt, &wt, &params, &sub, &exec, &mut lazy).unwrap();
-        assert_eq!(first, plain);
-        let after_first = lazy.rehashed_leaves();
-        assert!(after_first > 0);
-        let second = make_record_with(&gt, &wt, &params, &sub, &exec, &mut lazy).unwrap();
-        assert_eq!(second, plain);
-        assert_eq!(lazy.rehashed_leaves(), after_first, "memoized across rounds");
+        // Anchors without a trace root verify nothing.
+        let unanchored = DisputeAnchors {
+            trace_root: None,
+            ..anchors
+        };
+        assert_eq!(
+            verify_record_anchored(&g, &unanchored, &params, &rec),
+            Err(ProtocolError::Unanchored)
+        );
     }
 
     #[test]
     fn anchored_verification_refuses_a_tree_off_its_root() {
         let (g, exec, gt, wt) = setup();
-        let sub = extract(&g, 2, 4).unwrap();
-        let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
+        let rec = record(&g, &gt, &wt, (2, 4), &exec);
         let params = ParamIndex::new(&g);
-        let (gr, mut wr) = (gt.root(), wt.root());
+        let (gr, mut wr, root) = (gt.root(), wt.root(), trace_root(&exec));
         wr[0] ^= 0x01;
         let anchors = DisputeAnchors {
             graph_tree: &gt,
             weight_tree: &wt,
             graph_root: &gr,
             weight_root: &wr,
-            trace_root: None,
+            trace_root: Some(&root),
         };
         assert_eq!(
             verify_record_anchored(&g, &anchors, &params, &rec),
@@ -598,12 +522,11 @@ mod tests {
     #[test]
     fn interface_hashes_bind_values() {
         let (g, exec, gt, wt) = setup();
-        let sub = extract(&g, 3, 4).unwrap();
-        let rec = make_record(&g, &gt, &wt, &sub, &exec).unwrap();
+        let rec = record(&g, &gt, &wt, (3, 4), &exec);
         // A perturbed trace yields a different live-out hash.
         let mut perturbed = exec.clone();
         perturbed.values[3].data_mut()[0] += 0.1;
-        let rec2 = make_record(&g, &gt, &wt, &sub, &perturbed).unwrap();
+        let rec2 = record(&g, &gt, &wt, (3, 4), &perturbed);
         assert_ne!(rec.live_out_hash, rec2.live_out_hash);
         assert_eq!(rec.live_in_hash, rec2.live_in_hash);
     }

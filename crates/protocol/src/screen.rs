@@ -3,9 +3,9 @@
 //! percentiles against the committed thresholds (§2.2, Eq. 15).
 //!
 //! Screening is where the challenger pays its one unavoidable forward
-//! pass; the resulting [`Screening`] carries the full execution trace so a
-//! subsequent dispute can reuse it via
-//! [`ChallengerView::with_screening`](crate::ChallengerView::with_screening)
+//! pass; the resulting [`Screening`] carries the full execution trace, and
+//! a dispute plays from it
+//! ([`ChallengerView::from_screening`](crate::ChallengerView::from_screening))
 //! instead of recomputing. [`screen_batch`] amortizes one committed
 //! deployment across many claims, fanning the per-claim forward passes out
 //! over scoped threads.
@@ -245,17 +245,25 @@ mod tests {
             .value(out)
             .unwrap()
             .clone();
-        let malformed = [
+        let mut malformed = vec![
             Tensor::from_vec(honest.data()[..16].to_vec(), &[1, 16]).unwrap(),
             Tensor::<f32>::zeros(&[0]),
             honest.reshape(&[32]).unwrap(),
         ];
+        // Non-finite claims of the right shape: all NaN or ±inf, and every
+        // second element replaced.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            malformed.push(Tensor::full(honest.dims(), bad));
+            let mut half = honest.clone();
+            half.data_mut().iter_mut().step_by(2).for_each(|x| *x = bad);
+            malformed.push(half);
+        }
         for claimed in &malformed {
             let claim = ClaimCheck {
                 inputs: &input,
                 claimed_output: claimed,
             };
-            let dims = claimed.dims();
+            let dims = (claimed.dims(), claimed.data().first());
             let screenings = [
                 screen_claim(&g, out, &bundle, claim, &challenger).unwrap(),
                 screen_batch(&g, out, &bundle, &[claim], &challenger)

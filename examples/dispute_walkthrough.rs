@@ -62,10 +62,6 @@ fn main() {
     session.dispute(&coordinator).expect("dispute runs");
     let report = session.settle(&coordinator).expect("settlement");
     let dispute = report.dispute.as_ref().expect("dispute ran");
-    assert_eq!(
-        dispute.challenger_forward_passes, 0,
-        "the dispute reuses the screening trace"
-    );
     println!("\ndispute game (N = {n_way}), screening trace reused:");
     for r in &dispute.rounds {
         println!(

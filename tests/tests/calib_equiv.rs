@@ -94,25 +94,45 @@ proptest! {
     /// oracle followed by the reference sort, bit for bit, for tensors with
     /// NaN and inf elements and `eps` of zero, the default, or negative (a
     /// negative `eps` makes negative relative errors: the fallback path).
+    /// On the oracle side too, a pair whose bits differ while one of the
+    /// two is not finite (two NaNs agree) makes the whole profile `+inf`;
+    /// `agree` ties every non-finite element in half the cases, so agreeing
+    /// NaN and inf pairs reach the element-wise comparison.
     #[test]
     fn error_profile_is_bit_equal_to_elementwise_then_reference(
         len in 0usize..200,
         codes in prop::collection::vec(0u64..u64::MAX, 400),
         tie in prop::collection::vec(0u8..4, 200),
         eps_kind in 0usize..4,
+        agree in 0u8..2,
     ) {
         let eps = [0.0, DEFAULT_EPS, -1e-3, -0.75][eps_kind];
         let a: Vec<f32> = codes[..len].iter().map(|&c| element(c)).collect();
         // A quarter of the claimed elements agree exactly (zero errors).
         let b: Vec<f32> = (0..len)
-            .map(|i| if tie[i] == 0 { a[i] } else { element(codes[200 + i]) })
+            .map(|i| {
+                let other = element(codes[200 + i]);
+                let finite = a[i].is_finite() && other.is_finite();
+                if tie[i] == 0 || (agree == 1 && !finite) { a[i] } else { other }
+            })
             .collect();
+        let disagree = a.iter().zip(&b).any(|(x, y)| {
+            !(x.is_finite() && y.is_finite())
+                && x.to_bits() != y.to_bits()
+                && !(x.is_nan() && y.is_nan())
+        });
         let a = Tensor::from_vec(a, &[len]).unwrap();
         let b = Tensor::from_vec(b, &[len]).unwrap();
         let fast = error_profile(&a, &b, eps);
         let (abs, rel) = elementwise_errors(&a, &b, eps);
-        prop_assert_eq!(bits(&fast.abs), bits(&grid_profile_reference(&abs)));
-        prop_assert_eq!(bits(&fast.rel), bits(&grid_profile_reference(&rel)));
+        let (abs, rel) = if disagree {
+            let inf = vec![f64::INFINITY; PERCENTILE_GRID.len()];
+            (inf.clone(), inf)
+        } else {
+            (grid_profile_reference(&abs), grid_profile_reference(&rel))
+        };
+        prop_assert_eq!(bits(&fast.abs), bits(&abs));
+        prop_assert_eq!(bits(&fast.rel), bits(&rel));
     }
 
     /// Every single-bit mutant of a committed threshold leaf either decodes

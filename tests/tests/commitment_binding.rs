@@ -6,12 +6,12 @@
 
 use tao::{deploy, Deployment, ProposerBehavior, SessionBuilder, SessionConfig};
 use tao_device::{Device, Fleet};
-use tao_graph::{execute, execute_observed, OpKind, Perturbations};
-use tao_merkle::{MerkleTree, StreamingCommitter, TraceCommitment};
+use tao_graph::{execute, execute_observed, Execution, OpKind, Perturbations};
+use tao_merkle::{Digest, MerkleTree, StreamingCommitter, TraceCommitment};
 use tao_models::{bert, data, BertConfig};
 use tao_protocol::{
-    run_dispute, ChallengerView, DisputeConfig, DisputeOutcome, DisputeResult, ProposerView,
-    ProtocolError,
+    run_dispute, screen_claim, ChallengerView, ClaimCheck, DisputeConfig, DisputeOutcome,
+    DisputeResult, ProposerView, ProtocolError, Screening,
 };
 use tao_tensor::Tensor;
 
@@ -27,16 +27,33 @@ fn deployment() -> (Deployment, Vec<Tensor<f32>>, BertConfig) {
     (d, inputs, cfg)
 }
 
+/// The challenger's screening of `trace`'s claimed logits.
+fn screen(d: &Deployment, inputs: &[Tensor<f32>], trace: &Execution) -> Screening {
+    let claim = ClaimCheck {
+        inputs,
+        claimed_output: trace.value(d.model.logits).unwrap(),
+    };
+    let graph = &d.model.graph;
+    screen_claim(
+        graph,
+        d.model.logits,
+        &d.thresholds,
+        claim,
+        &Device::h100_like(),
+    )
+    .unwrap()
+}
+
 /// Runs a dispute for a proposer that perturbed mid-graph, with the given
-/// commitment presented for the descent and the given root anchored into
-/// the claim. The honest-commitment root comes from streaming digests
-/// through the proposer's own forward pass, exactly as a real session
-/// prepares `C0`.
+/// commitment presented for the descent (none when withheld) and the given
+/// root anchored into the claim. The honest-commitment root comes from
+/// streaming digests through the proposer's own forward pass, exactly as a
+/// real session prepares `C0`.
 fn dispute_with(
     d: &Deployment,
     inputs: &[Tensor<f32>],
     commitment: Option<&TraceCommitment>,
-    anchor_root: Option<&tao_merkle::Digest>,
+    anchor_root: &Digest,
 ) -> DisputeOutcome {
     let graph = &d.model.graph;
     let challenger = Device::h100_like();
@@ -56,16 +73,14 @@ fn dispute_with(
     if let Some(c) = commitment {
         proposer = proposer.with_commitment(c);
     }
-    let mut anchors = d.dispute_anchors();
-    if let Some(root) = anchor_root {
-        anchors = anchors.with_trace_root(root);
-    }
+    let screening = screen(d, inputs, &trace);
+    assert!(screening.flagged, "the planted cheat must be flagged");
     run_dispute(
         graph,
-        anchors,
+        d.dispute_anchors().with_trace_root(anchor_root),
         proposer,
         inputs,
-        ChallengerView::fresh(&challenger),
+        ChallengerView::from_screening(&challenger, &screening),
         &d.thresholds,
         DisputeConfig { n_way: 2 },
     )
@@ -104,16 +119,11 @@ fn honest_commitment_survives_anchored_descent() {
     let (d, inputs, _) = deployment();
     let commitment = streamed_commitment(&d, &inputs);
     let root = commitment.root();
-    let unanchored = dispute_with(&d, &inputs, Some(&commitment), None);
-    let anchored = dispute_with(&d, &inputs, Some(&commitment), Some(&root));
-    // Anchoring changes nothing for an honest committer: same leaf, same
-    // challenger cost, zero leaf rehashes — but now the reveals are
-    // *verified*, not trusted.
-    assert_eq!(anchored.result, unanchored.result);
-    assert!(matches!(anchored.result, DisputeResult::Leaf(_)));
-    assert_eq!(anchored.rehashed_leaves, 0);
-    assert_eq!(anchored.challenger_flops, unanchored.challenger_flops);
-    assert_eq!(unanchored.reveal_checks, 0);
+    let anchored = dispute_with(&d, &inputs, Some(&commitment), &root);
+    // An honest committer's reveals all open against the root, so the
+    // descent reaches the planted leaf with every reveal *verified*.
+    let target = d.model.graph.compute_nodes()[5];
+    assert_eq!(anchored.result, DisputeResult::Leaf(target));
     assert!(anchored.reveal_checks > 0);
 }
 
@@ -128,7 +138,7 @@ fn single_corrupted_digest_is_detected_and_attributed() {
     digests[d.model.graph.len() / 2][0] ^= 0x01;
     let tampered = TraceCommitment::from_digests(digests);
     assert_ne!(tampered.root(), honest_root);
-    let outcome = dispute_with(&d, &inputs, Some(&tampered), Some(&honest_root));
+    let outcome = dispute_with(&d, &inputs, Some(&tampered), &honest_root);
     // The reveals open against the tampered tree, not the root bound into
     // C0: the descent terminates with an attributable breach at round 0
     // instead of descending on garbage.
@@ -152,7 +162,7 @@ fn stale_commitment_over_wrong_trace_is_detected() {
     let other_inputs = vec![bert::sample_ids(cfg, 999)];
     let stale = streamed_commitment(&d, &other_inputs);
     assert_ne!(stale.root(), honest_root);
-    let outcome = dispute_with(&d, &inputs, Some(&stale), Some(&honest_root));
+    let outcome = dispute_with(&d, &inputs, Some(&stale), &honest_root);
     assert!(
         matches!(outcome.result, DisputeResult::CommitmentBreach { .. }),
         "stale cache must be detected: {:?}",
@@ -165,18 +175,31 @@ fn dropping_the_commitment_is_no_escape_hatch() {
     let (d, inputs, _) = deployment();
     let commitment = streamed_commitment(&d, &inputs);
     let honest_root = commitment.root();
-    // Withholding the commitment produces records with no reveals; under
-    // an anchored dispute that is itself a breach (missing reveal), not a
-    // quiet fallback to unverified hashing.
-    let outcome = dispute_with(&d, &inputs, None, Some(&honest_root));
-    assert!(
-        matches!(
-            outcome.result,
-            DisputeResult::CommitmentBreach { round: 0, .. }
-        ),
-        "withheld commitment must be a breach: {:?}",
-        outcome.result
-    );
+    // Withholding the commitment produces records with no reveals, and a
+    // truncated one leaves the nodes past its end unrevealed: each is a
+    // missing reveal. An over-long one reveals every node, but from a tree
+    // that is not the one whose root was bound into C0. All three are a
+    // breach at round 0, not a quiet fallback to unverified hashing.
+    let digests = commitment.digests();
+    let truncated = TraceCommitment::from_digests(digests[..digests.len() / 2].to_vec());
+    let mut longer = digests.to_vec();
+    longer.push(digests[0]);
+    let over_long = TraceCommitment::from_digests(longer);
+    for (label, presented) in [
+        ("withheld", None),
+        ("truncated", Some(&truncated)),
+        ("over-long", Some(&over_long)),
+    ] {
+        let outcome = dispute_with(&d, &inputs, presented, &honest_root);
+        assert!(
+            matches!(
+                outcome.result,
+                DisputeResult::CommitmentBreach { round: 0, .. }
+            ),
+            "{label} commitment must be a breach: {:?}",
+            outcome.result
+        );
+    }
 }
 
 #[test]
@@ -184,29 +207,43 @@ fn anchor_tree_off_its_committed_root_is_refused() {
     let (d, inputs, _) = deployment();
     let graph = &d.model.graph;
     let trace = execute(graph, &inputs, Device::rtx4090_like().config(), None).unwrap();
+    let commitment = TraceCommitment::build(&trace.values);
+    let root = commitment.root();
+    let screening = screen(&d, &inputs, &trace);
     let challenger = Device::h100_like();
+    let dispute = |anchors| {
+        run_dispute(
+            graph,
+            anchors,
+            ProposerView::new(&trace).with_commitment(&commitment),
+            &inputs,
+            ChallengerView::from_screening(&challenger, &screening),
+            &d.thresholds,
+            DisputeConfig { n_way: 2 },
+        )
+    };
     // A tree whose root differs from the committed one would have the
     // challenger check proofs against the wrong leaf digests, so the
     // dispute is refused with a typed error before any record is posted.
     let foreign = MerkleTree::from_leaves(&[b"not the committed tree".to_vec()]);
     for tree in ["graph", "weight"] {
-        let mut anchors = d.dispute_anchors();
+        let mut anchors = d.dispute_anchors().with_trace_root(&root);
         if tree == "graph" {
             anchors.graph_tree = &foreign;
         } else {
             anchors.weight_tree = &foreign;
         }
-        let got = run_dispute(
-            graph,
-            anchors,
-            ProposerView::new(&trace),
-            &inputs,
-            ChallengerView::fresh(&challenger),
-            &d.thresholds,
-            DisputeConfig { n_way: 2 },
+        assert_eq!(
+            dispute(anchors).unwrap_err(),
+            ProtocolError::AnchorMismatch { tree }
         );
-        assert_eq!(got.unwrap_err(), ProtocolError::AnchorMismatch { tree });
     }
+    // Without the trace root bound into C0 there is nothing to open the
+    // proposer's reveals against: refused the same way.
+    assert_eq!(
+        dispute(d.dispute_anchors()).unwrap_err(),
+        ProtocolError::Unanchored
+    );
 }
 
 /// A session's `C0` trace root comes from the deployment's parameter

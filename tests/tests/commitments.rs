@@ -4,9 +4,10 @@
 use tao_graph::extract;
 use tao_merkle::{
     claim_commitment, commit_model, graph_tree, sha256, tensor_hash, weight_tree, ClaimMeta,
+    TraceCommitment,
 };
 use tao_models::{bert, qwen, BertConfig, QwenConfig};
-use tao_protocol::{make_record, verify_record};
+use tao_protocol::{make_record_with, verify_record, ParamIndex};
 use tao_tensor::{KernelConfig, Tensor};
 
 fn meta() -> ClaimMeta {
@@ -80,18 +81,23 @@ fn subgraph_records_bind_interfaces_across_whole_model() {
     let inputs = vec![qwen::sample_ids(QwenConfig::small(), 5)];
     let exec = tao_graph::execute(&m.graph, &inputs, &KernelConfig::reference(), None).unwrap();
 
+    let params = ParamIndex::new(&m.graph);
+    let commitment = TraceCommitment::build(&exec.values);
+    let root = commitment.root();
+
     // Every quarter-slice of the model verifies, and tampering any slice's
     // trace breaks its live-out hash.
     let quarters = tao_graph::partition(0, m.graph.len(), 4);
     for (s, e) in quarters {
         let sub = extract(&m.graph, s, e).unwrap();
-        let rec = make_record(&m.graph, &gt, &wt, &sub, &exec).unwrap();
-        let (checks, _) = verify_record(&m.graph, &gt.root(), &wt.root(), None, &rec).unwrap();
+        let rec = make_record_with(&gt, &wt, &params, &sub, Some(&commitment)).unwrap();
+        let (checks, _) = verify_record(&m.graph, &gt.root(), &wt.root(), &root, &rec).unwrap();
         assert!(checks > 0);
         if let Some(&out_node) = sub.live_out.first() {
             let mut tampered = exec.clone();
             tampered.values[out_node.0].data_mut()[0] += 0.5;
-            let rec2 = make_record(&m.graph, &gt, &wt, &sub, &tampered).unwrap();
+            let tampered = TraceCommitment::build(&tampered.values);
+            let rec2 = make_record_with(&gt, &wt, &params, &sub, Some(&tampered)).unwrap();
             assert_ne!(rec.live_out_hash, rec2.live_out_hash);
         }
     }

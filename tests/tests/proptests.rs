@@ -164,18 +164,21 @@ mod dispute_localization {
     use std::sync::OnceLock;
     use tao::Deployment;
     use tao_device::{Device, Fleet};
-    use tao_graph::{execute, Execution, Perturbations};
+    use tao_graph::{execute, Perturbations};
     use tao_models::{bert, data, BertConfig};
-    use tao_protocol::{run_dispute, ChallengerView, DisputeConfig, DisputeResult, ProposerView};
+    use tao_protocol::{
+        run_dispute, screen_claim, ChallengerView, ClaimCheck, DisputeConfig, DisputeResult,
+        ProposerView, Screening,
+    };
     use tao_tensor::Tensor;
 
-    /// One deployment, one input, and the challenger's screening trace of
-    /// that input — shared across all proptest cases. The screening trace
+    /// One deployment, one input, and the challenger's screening of that
+    /// input — shared across all proptest cases. The screening trace
     /// depends only on the challenger device and the inputs, never on the
     /// proposer's perturbation, so every dispute below reuses it exactly
     /// as the session runtime does.
-    fn deployment() -> &'static (Deployment, Vec<Tensor<f32>>, Execution) {
-        static CELL: OnceLock<(Deployment, Vec<Tensor<f32>>, Execution)> = OnceLock::new();
+    fn deployment() -> &'static (Deployment, Vec<Tensor<f32>>, Screening) {
+        static CELL: OnceLock<(Deployment, Vec<Tensor<f32>>, Screening)> = OnceLock::new();
         CELL.get_or_init(|| {
             let cfg = BertConfig {
                 layers: 1,
@@ -185,8 +188,25 @@ mod dispute_localization {
             let samples = data::token_dataset(8, cfg.seq, cfg.vocab, 77);
             let d = tao::deploy(model, Fleet::standard(), &samples, 3.0).expect("deploy");
             let inputs = vec![bert::sample_ids(cfg, 55)];
-            let screening = execute(&d.model.graph, &inputs, Device::h100_like().config(), None)
-                .expect("challenger screening");
+            let honest = execute(
+                &d.model.graph,
+                &inputs,
+                Device::rtx4090_like().config(),
+                None,
+            )
+            .expect("forward");
+            let claim = ClaimCheck {
+                inputs: &inputs,
+                claimed_output: honest.value(d.model.logits).expect("logits"),
+            };
+            let screening = screen_claim(
+                &d.model.graph,
+                d.model.logits,
+                &d.thresholds,
+                claim,
+                &Device::h100_like(),
+            )
+            .expect("challenger screening");
             (d, inputs, screening)
         })
     }
@@ -210,15 +230,15 @@ mod dispute_localization {
             let trace = execute(&d.model.graph, inputs, proposer.config(), Some(&p)).expect("forward");
             let challenger_dev = Device::h100_like();
             let proposer_commitment = tao_merkle::TraceCommitment::build(&trace.values);
+            let trace_root = proposer_commitment.root();
             let outcome = run_dispute(
-                &d.model.graph, d.dispute_anchors(),
+                &d.model.graph, d.dispute_anchors().with_trace_root(&trace_root),
                 ProposerView::new(&trace).with_commitment(&proposer_commitment), inputs,
-                ChallengerView::with_screening(&challenger_dev, screening),
+                ChallengerView::from_screening(&challenger_dev, screening),
                 &d.thresholds,
                 DisputeConfig { n_way },
             ).expect("dispute");
-            prop_assert_eq!(outcome.challenger_forward_passes, 0);
-            prop_assert_eq!(outcome.rehashed_leaves, 0);
+            prop_assert!(outcome.reveal_checks > 0);
             // A perturbation can be numerically absorbed downstream (e.g.
             // a near-uniform delta into softmax); when it is observable at
             // all, the game must land exactly on the perturbed operator.

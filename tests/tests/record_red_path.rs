@@ -18,8 +18,8 @@ use tao_graph::{execute, extract, partition, Execution, NodeId, Perturbations};
 use tao_merkle::{Digest, FastSha256, InclusionProof, TraceCommitment};
 use tao_models::{bert, data, qwen, resnet, BertConfig, Model, QwenConfig, ResNetConfig};
 use tao_protocol::{
-    make_record_with, run_dispute, verify_record, verify_record_anchored, ChallengerView,
-    DisputeConfig, ParamIndex, ProposerView, SubgraphRecord, TraceDigestCache,
+    make_record_with, run_dispute, screen_claim, verify_record, verify_record_anchored,
+    ChallengerView, ClaimCheck, DisputeConfig, ParamIndex, ProposerView, SubgraphRecord,
 };
 use tao_tensor::Tensor;
 
@@ -100,12 +100,18 @@ fn dispute_records(
     let commitment = TraceCommitment::build(&trace.values);
     let root = commitment.root();
     let anchors = d.dispute_anchors().with_trace_root(&root);
+    let challenger = Device::h100_like();
+    let claim = ClaimCheck {
+        inputs,
+        claimed_output: trace.value(d.model.logits).unwrap(),
+    };
+    let screening = screen_claim(graph, d.model.logits, &d.thresholds, claim, &challenger).unwrap();
     let outcome = run_dispute(
         graph,
         anchors,
         ProposerView::new(&trace).with_commitment(&commitment),
         inputs,
-        ChallengerView::fresh(&Device::h100_like()),
+        ChallengerView::from_screening(&challenger, &screening),
         &d.thresholds,
         DisputeConfig { n_way: N_WAY },
     )
@@ -113,7 +119,6 @@ fn dispute_records(
     assert!(!outcome.rounds.is_empty());
 
     let params = ParamIndex::new(graph);
-    let mut cache = TraceDigestCache::new(Some(&commitment));
     let mut records = Vec::new();
     for round in &outcome.rounds {
         let mut round_checks = 0;
@@ -124,8 +129,7 @@ fn dispute_records(
                 anchors.weight_tree,
                 &params,
                 &sub,
-                &trace,
-                &mut cache,
+                Some(&commitment),
             )
             .unwrap();
             round_checks += verify_record_anchored(graph, &anchors, &params, &rec)
@@ -289,7 +293,7 @@ fn cached_and_rehashing_verifiers_agree_on_every_mutant() {
                     graph,
                     anchors.graph_root,
                     anchors.weight_root,
-                    Some(&root),
+                    &root,
                     &mutant,
                 );
                 let cached = verify_record_anchored(graph, &anchors, &params, &mutant);

@@ -120,8 +120,6 @@ fn batch_of_32_under_contention_matches_serial_execution() {
         assert_eq!(winner_of(s), winner_of(p), "session {i} winner");
         if cheats(i) {
             assert_eq!(winner_of(p), Some(Party::Challenger), "cheat {i} caught");
-            // Screening-trace reuse holds under contention too.
-            assert_eq!(p.dispute.as_ref().unwrap().challenger_forward_passes, 0);
         } else {
             assert!(p.proposer_prevailed(), "honest session {i}");
         }
