@@ -231,7 +231,9 @@ pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
     let nchw = |dims: &[usize]| -> std::result::Result<(usize, usize, usize, usize), ShapeIssue> {
         match dims {
             [n, c, h, w] => Ok((*n, *c, *h, *w)),
-            _ => Err(issue(format!("{kind:?}: expected NCHW input, got {dims:?}"))),
+            _ => Err(issue(format!(
+                "{kind:?}: expected NCHW input, got {dims:?}"
+            ))),
         }
     };
     let last_axis = |dims: &[usize]| -> std::result::Result<usize, ShapeIssue> {
@@ -283,7 +285,10 @@ pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
         OpKind::RmsNorm { .. } => {
             let d = last_axis(inputs[0])?;
             if inputs[1] != [d] {
-                return Err(issue(format!("rms_norm gamma {:?} must be [{d}]", inputs[1])));
+                return Err(issue(format!(
+                    "rms_norm gamma {:?} must be [{d}]",
+                    inputs[1]
+                )));
             }
             Ok(inputs[0].to_vec())
         }
@@ -367,21 +372,27 @@ pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
                 )));
             }
             if a[1] != b[0] {
-                return Err(issue(format!("quant_matmul inner dims differ: {a:?} @ {b:?}")));
+                return Err(issue(format!(
+                    "quant_matmul inner dims differ: {a:?} @ {b:?}"
+                )));
             }
             Ok(vec![a[0], b[1]])
         }
         OpKind::QuantLinear => {
             let (x, w) = (inputs[0], inputs[1]);
             if w.len() != 2 {
-                return Err(issue(format!("quant_linear weight must be rank 2, got {w:?}")));
+                return Err(issue(format!(
+                    "quant_linear weight must be rank 2, got {w:?}"
+                )));
             }
             let in_f = *x
                 .last()
                 .ok_or_else(|| issue("quant_linear input needs rank >= 1"))?;
             let (out_f, w_in) = (w[0], w[1]);
             if w_in != in_f {
-                return Err(issue(format!("quant_linear features differ: {x:?} @ {w:?}")));
+                return Err(issue(format!(
+                    "quant_linear features differ: {x:?} @ {w:?}"
+                )));
             }
             if let Some(b) = inputs.get(2) {
                 if **b != [out_f] {
@@ -450,7 +461,12 @@ pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
                     "pool2d: kernel {kernel}/stride {stride} invalid for {h}x{w}"
                 )));
             }
-            Ok(vec![n, c, (h - kernel) / stride + 1, (w - kernel) / stride + 1])
+            Ok(vec![
+                n,
+                c,
+                (h - kernel) / stride + 1,
+                (w - kernel) / stride + 1,
+            ])
         }
         OpKind::AdaptiveAvgPool1x1 => {
             let (n, c, _, _) = nchw(inputs[0])?;
@@ -502,7 +518,9 @@ pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
             let dims = inputs[0];
             let rank = dims.len();
             if perm.len() != rank {
-                return Err(issue(format!("permute {perm:?} rank differs from {dims:?}")));
+                return Err(issue(format!(
+                    "permute {perm:?} rank differs from {dims:?}"
+                )));
             }
             let mut seen = vec![false; rank];
             for &p in perm {
@@ -518,7 +536,9 @@ pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
         OpKind::Slice { axis, start, end } => {
             let dims = inputs[0];
             if *axis >= dims.len() {
-                return Err(issue(format!("slice axis {axis} out of range for {dims:?}")));
+                return Err(issue(format!(
+                    "slice axis {axis} out of range for {dims:?}"
+                )));
             }
             let extent = dims[*axis];
             if start > end || *end > extent {
@@ -534,7 +554,9 @@ pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
             let first = inputs[0];
             let rank = first.len();
             if *axis >= rank {
-                return Err(issue(format!("concat axis {axis} out of range for {first:?}")));
+                return Err(issue(format!(
+                    "concat axis {axis} out of range for {first:?}"
+                )));
             }
             let mut total = 0;
             for t in inputs {
@@ -557,7 +579,9 @@ pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
         OpKind::Embedding => {
             let table = inputs[0];
             if table.len() != 2 {
-                return Err(issue(format!("embedding table must be rank 2, got {table:?}")));
+                return Err(issue(format!(
+                    "embedding table must be rank 2, got {table:?}"
+                )));
             }
             let ids: usize = inputs[1].iter().product();
             Ok(vec![ids, table[1]])

@@ -195,7 +195,10 @@ pub fn analyze_with(graph: &Graph, input_shapes: &[Vec<usize>], cfg: &LintConfig
         // Alias class for the peak-resident model.
         let key = match &node.kind {
             OpKind::Input(idx) => Some(ClassKey::Input(*idx)),
-            OpKind::Parameter(name) => graph.param(name).ok().map(|_| ClassKey::Param(name.clone())),
+            OpKind::Parameter(name) => graph
+                .param(name)
+                .ok()
+                .map(|_| ClassKey::Param(name.clone())),
             _ if ct.aliasing => node.inputs.first().and_then(|id| class_of[id.0].clone()),
             _ => Some(ClassKey::Node(node.id.0)),
         };

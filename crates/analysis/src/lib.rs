@@ -23,6 +23,7 @@ pub mod lint;
 
 pub use contract::{contract, infer_shape, Arity, ErrorRule, Intrinsic, OpContract, ShapeIssue};
 pub use interp::{
-    analyze, analyze_with, StaticReport, BYTES_PER_GAS, FLOPS_PER_DEPOSIT_UNIT, FLOPS_PER_GAS, GAS_BASE,
+    analyze, analyze_with, StaticReport, BYTES_PER_GAS, FLOPS_PER_DEPOSIT_UNIT, FLOPS_PER_GAS,
+    GAS_BASE,
 };
 pub use lint::{lint_graph, LintConfig, LintFinding, LintRule, Severity};

@@ -114,11 +114,8 @@ fn positivity(graph: &Graph) -> Vec<Positivity> {
     use Positivity::*;
     let mut classes: Vec<Positivity> = Vec::with_capacity(graph.len());
     for node in graph.nodes() {
-        let arg = |k: usize| -> Positivity {
-            node.inputs
-                .get(k)
-                .map_or(Unknown, |id| classes[id.0])
-        };
+        let arg =
+            |k: usize| -> Positivity { node.inputs.get(k).map_or(Unknown, |id| classes[id.0]) };
         let class = match &node.kind {
             OpKind::Parameter(name) => match graph.param(name) {
                 Ok(t) if t.data().iter().all(|&v| v > 0.0) && !t.is_empty() => Positive,
@@ -395,7 +392,10 @@ mod tests {
         // var + eps then rsqrt: the BatchNorm denominator idiom.
         let mut b = GraphBuilder::new(1);
         let x = b.input(0, "x");
-        let var = b.parameter("var", Tensor::<f32>::from_vec(vec![0.5, 1.0], &[2]).unwrap());
+        let var = b.parameter(
+            "var",
+            Tensor::<f32>::from_vec(vec![0.5, 1.0], &[2]).unwrap(),
+        );
         let shifted = b.op("shifted", OpKind::AddScalar(1e-5), &[var]);
         let inv = b.op("inv", OpKind::Rsqrt, &[shifted]);
         let y = b.op("y", OpKind::Mul, &[x, inv]);

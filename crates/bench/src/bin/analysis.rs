@@ -48,7 +48,11 @@ fn export_csv(id: &str, secs: f64, units: u64) {
         );
     }
     let ns = (secs * 1e9) as u128;
-    let _ = writeln!(file, "{},1,{ns},{ns},{ns},0,elements,{units},0", id.replace(',', ";"));
+    let _ = writeln!(
+        file,
+        "{},1,{ns},{ns},{ns},0,elements,{units},0",
+        id.replace(',', ";")
+    );
 }
 
 fn bundled(name: &str) -> (Model, Vec<Tensor<f32>>) {
@@ -116,7 +120,8 @@ fn main() {
         // Pooled executor working set for the peak comparison.
         let mut pool = BufferPool::new();
         let _ = forward_with_stats(&model.graph, &inputs, &cfg, &mut pool).expect("pooled");
-        let (_, pooled) = forward_with_stats(&model.graph, &inputs, &cfg, &mut pool).expect("pooled");
+        let (_, pooled) =
+            forward_with_stats(&model.graph, &inputs, &cfg, &mut pool).expect("pooled");
 
         // Drift floor: the quote IS the measurement.
         let measured_flops: u64 = exec.flops.iter().sum();
@@ -141,8 +146,16 @@ fn main() {
         );
         assert!(report.is_admissible(), "{name}: bundled model must admit");
 
-        export_csv(&format!("analysis/static/{name}"), static_secs, measured_flops);
-        export_csv(&format!("analysis/measured/{name}"), exec_secs, measured_flops);
+        export_csv(
+            &format!("analysis/static/{name}"),
+            static_secs,
+            measured_flops,
+        );
+        export_csv(
+            &format!("analysis/measured/{name}"),
+            exec_secs,
+            measured_flops,
+        );
         rows.push(vec![
             name.into(),
             format!("{measured_flops}"),

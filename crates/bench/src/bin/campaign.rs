@@ -49,7 +49,11 @@ fn export_criterion_csv(id: &str, secs: f64, claims: u64) {
         );
     }
     let ns = (secs * 1e9) as u128;
-    let _ = writeln!(file, "{},1,{ns},{ns},{ns},0,elements,{claims},0", id.replace(',', ";"));
+    let _ = writeln!(
+        file,
+        "{},1,{ns},{ns},{ns},0,elements,{claims},0",
+        id.replace(',', ";")
+    );
 }
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
@@ -165,7 +169,8 @@ fn main() {
     );
 
     report.assert_floors();
-    println!("\nAll campaign floors hold ({} claims, detection rate {:.2}).",
+    println!(
+        "\nAll campaign floors hold ({} claims, detection rate {:.2}).",
         claims,
         report.detection_rate()
     );

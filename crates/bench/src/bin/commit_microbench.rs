@@ -94,7 +94,11 @@ fn export_csv(id: &str, secs: f64, bytes: u64) {
         );
     }
     let ns = (secs * 1e9) as u128;
-    let _ = writeln!(file, "{},1,{ns},{ns},{ns},0,bytes,{bytes},0", id.replace(',', ";"));
+    let _ = writeln!(
+        file,
+        "{},1,{ns},{ns},{ns},0,bytes,{bytes},0",
+        id.replace(',', ";")
+    );
 }
 
 /// Exports both sides of a pair as `<prefix>/seed-scalar` and
@@ -190,7 +194,11 @@ fn main() {
 
     // --- 3. serial tree build vs the seed builder, over leaf counts -----
     let leaf_len = 64;
-    let leaf_counts: &[usize] = if smoke { &[2048] } else { &[16384, 32768, 65536] };
+    let leaf_counts: &[usize] = if smoke {
+        &[2048]
+    } else {
+        &[16384, 32768, 65536]
+    };
     let mut rows = Vec::new();
     for &leaf_count in leaf_counts {
         let leaves: Vec<Vec<u8>> = (0..leaf_count)
@@ -290,7 +298,11 @@ fn main() {
         || verdicts(verify_inclusion_digest, &valid),
         || compared(&valid),
     );
-    export_csv("commit/inclusion_verify/path-compare", path.fast, (32 * valid.len()) as u64);
+    export_csv(
+        "commit/inclusion_verify/path-compare",
+        path.fast,
+        (32 * valid.len()) as u64,
+    );
     let per_proof = |t: f64| format!("{:.0}ns", 1e9 * t / valid.len() as f64);
     print_table(
         &format!(
@@ -339,14 +351,25 @@ fn main() {
             .sum();
         let pass_samples = if smoke { 11 } else { 201 };
         let p = paired(pass_samples, || stream(&empty), || stream(&table));
-        export_csv(&format!("commit/streamed_pass/{name}/no-table"), p.seed, bytes_all as u64);
-        export_csv(&format!("commit/streamed_pass/{name}/table"), p.fast, bytes_missed as u64);
+        export_csv(
+            &format!("commit/streamed_pass/{name}/no-table"),
+            p.seed,
+            bytes_all as u64,
+        );
+        export_csv(
+            &format!("commit/streamed_pass/{name}/table"),
+            p.fast,
+            bytes_missed as u64,
+        );
         rows.push(vec![
             name.to_string(),
             format!("{}", graph.len()),
             format!("{bytes_all}"),
             format!("{bytes_missed}"),
-            format!("{:.0}%", 100.0 * (1.0 - bytes_missed as f64 / bytes_all as f64)),
+            format!(
+                "{:.0}%",
+                100.0 * (1.0 - bytes_missed as f64 / bytes_all as f64)
+            ),
             format!("{:.1}us", 1e6 * p.seed),
             format!("{:.1}us", 1e6 * p.fast),
             format!("{:.2}x", p.speedup),
@@ -395,13 +418,30 @@ fn bundled_models() -> Vec<(&'static str, Model, Vec<Tensor<f32>>)> {
     let resnet_cfg = ResNetConfig::small();
     let int8_cfg = TransformerConfig::small();
     vec![
-        ("bert-small", bert::build(bert_cfg, 1), vec![bert::sample_ids(bert_cfg, 7)]),
-        ("qwen-small", qwen::build(qwen_cfg, 1), vec![qwen::sample_ids(qwen_cfg, 7)]),
-        ("qwen-deep8", qwen::build(deep_cfg, 1), vec![qwen::sample_ids(deep_cfg, 7)]),
+        (
+            "bert-small",
+            bert::build(bert_cfg, 1),
+            vec![bert::sample_ids(bert_cfg, 7)],
+        ),
+        (
+            "qwen-small",
+            qwen::build(qwen_cfg, 1),
+            vec![qwen::sample_ids(qwen_cfg, 7)],
+        ),
+        (
+            "qwen-deep8",
+            qwen::build(deep_cfg, 1),
+            vec![qwen::sample_ids(deep_cfg, 7)],
+        ),
         (
             "resnet-small",
             resnet::build(resnet_cfg, 1),
-            vec![data::class_image(resnet_cfg.in_channels, resnet_cfg.image, 1, 7)],
+            vec![data::class_image(
+                resnet_cfg.in_channels,
+                resnet_cfg.image,
+                1,
+                7,
+            )],
         ),
         (
             "transformer-int8",

@@ -251,7 +251,9 @@ fn profile_table(samples: usize, smoke: bool) {
         let fast = grid_profile(&values);
         let oracle = grid_profile_reference(&values);
         assert!(
-            fast.iter().zip(&oracle).all(|(f, o)| f.to_bits() == o.to_bits()),
+            fast.iter()
+                .zip(&oracle)
+                .all(|(f, o)| f.to_bits() == o.to_bits()),
             "grid_profile drifted from the reference at {n} values"
         );
         let reps = (if smoke { 4096 } else { 65536 } / n).max(1);
@@ -263,7 +265,11 @@ fn profile_table(samples: usize, smoke: bool) {
                 }
             }
         };
-        let p = paired(samples, repeat(grid_profile_reference), repeat(grid_profile));
+        let p = paired(
+            samples,
+            repeat(grid_profile_reference),
+            repeat(grid_profile),
+        );
         worst = worst.min(p.speedup);
         rows.push(vec![
             n.to_string(),

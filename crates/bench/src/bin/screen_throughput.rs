@@ -44,7 +44,11 @@ fn export_csv(id: &str, secs: f64, sessions: u64) {
         );
     }
     let ns = (secs * 1e9) as u128;
-    let _ = writeln!(file, "{},1,{ns},{ns},{ns},0,elements,{sessions},0", id.replace(',', ";"));
+    let _ = writeln!(
+        file,
+        "{},1,{ns},{ns},{ns},0,elements,{sessions},0",
+        id.replace(',', ";")
+    );
 }
 
 fn main() {

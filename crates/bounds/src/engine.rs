@@ -144,9 +144,7 @@ impl BoundEngine {
             ErrorRule::Fresh { scale } => fresh(scale),
 
             // Intrinsics: documented max-ULP relative errors.
-            ErrorRule::Intrinsic(i) => {
-                fresh(self.intrinsic_rel(self.intrinsic_ulp(i)) / U32)
-            }
+            ErrorRule::Intrinsic(i) => fresh(self.intrinsic_rel(self.intrinsic_ulp(i)) / U32),
             ErrorRule::UnitRange => {
                 // |sin|,|cos| ≤ 1: charge 2 ULP absolute at unit scale.
                 out.map(|y| 2.0 * U32 * (y.abs() + 1.0))

@@ -85,7 +85,9 @@ impl CampaignConfig {
             return Err(TaoError::Config("campaign needs at least one epoch".into()));
         }
         if self.workers == 0 {
-            return Err(TaoError::Config("campaign needs at least one worker".into()));
+            return Err(TaoError::Config(
+                "campaign needs at least one worker".into(),
+            ));
         }
         if self.population.claimants() == 0 {
             return Err(TaoError::Config(
@@ -131,14 +133,32 @@ mod tests {
     fn degenerate_configs_rejected() {
         let ok = CampaignConfig::smoke(1);
         for bad in [
-            CampaignConfig { epochs: 0, ..ok.clone() },
-            CampaignConfig { workers: 0, ..ok.clone() },
             CampaignConfig {
-                population: Population { honest: 0, evasion: 0, spam: 0, collusion: 0, griefers: 3 },
+                epochs: 0,
                 ..ok.clone()
             },
-            CampaignConfig { escalation: 1.0, ..ok.clone() },
-            CampaignConfig { calib_samples: 1, ..ok },
+            CampaignConfig {
+                workers: 0,
+                ..ok.clone()
+            },
+            CampaignConfig {
+                population: Population {
+                    honest: 0,
+                    evasion: 0,
+                    spam: 0,
+                    collusion: 0,
+                    griefers: 3,
+                },
+                ..ok.clone()
+            },
+            CampaignConfig {
+                escalation: 1.0,
+                ..ok.clone()
+            },
+            CampaignConfig {
+                calib_samples: 1,
+                ..ok
+            },
         ] {
             assert!(bad.validate().is_err());
         }

@@ -137,7 +137,10 @@ pub struct CampaignReport {
 impl CampaignReport {
     /// Total planted cheats across the campaign.
     pub fn planted(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.role.is_planted_cheat()).count()
+        self.outcomes
+            .iter()
+            .filter(|o| o.role.is_planted_cheat())
+            .count()
     }
 
     /// Planted cheats settled for the challenger.
@@ -231,7 +234,11 @@ impl CampaignReport {
         }
         let nets = self.final_nets;
         if p.evasion > 0 {
-            assert!(nets.evasion < 0.0, "floor: evasion profitable ({})", nets.evasion);
+            assert!(
+                nets.evasion < 0.0,
+                "floor: evasion profitable ({})",
+                nets.evasion
+            );
         }
         if p.spam > 0 {
             assert!(nets.spam < 0.0, "floor: spam profitable ({})", nets.spam);
@@ -244,7 +251,11 @@ impl CampaignReport {
             );
         }
         if p.griefers > 0 && p.honest > 0 {
-            assert!(nets.griefer < 0.0, "floor: griefing profitable ({})", nets.griefer);
+            assert!(
+                nets.griefer < 0.0,
+                "floor: griefing profitable ({})",
+                nets.griefer
+            );
         }
         for e in &self.epochs {
             assert!(

@@ -197,7 +197,9 @@ impl Campaign {
         let mut dev_seed = 0u64;
         let mut next_device = || {
             dev_seed += 1;
-            fleet.sample_device(mix(cfg.seed, 0xD0_0000 + dev_seed)).clone()
+            fleet
+                .sample_device(mix(cfg.seed, 0xD0_0000 + dev_seed))
+                .clone()
         };
         for i in 0..pop.honest {
             claimants.push(Claimant {
@@ -357,14 +359,22 @@ impl Campaign {
                             let w = wt_rr % NUM_WATCHTOWERS;
                             wt_rr += 1;
                             *costs.entry(watchtowers[w].0.clone()).or_default() += econ.c_ch;
-                            (watchtowers[w].0.clone(), watchtowers[w].1.clone(), Move::Screen)
+                            (
+                                watchtowers[w].0.clone(),
+                                watchtowers[w].1.clone(),
+                                Move::Screen,
+                            )
                         }
                     }
                     Role::Evasion | Role::Spam => {
                         let w = wt_rr % NUM_WATCHTOWERS;
                         wt_rr += 1;
                         *costs.entry(watchtowers[w].0.clone()).or_default() += econ.c_ch;
-                        (watchtowers[w].0.clone(), watchtowers[w].1.clone(), Move::Screen)
+                        (
+                            watchtowers[w].0.clone(),
+                            watchtowers[w].1.clone(),
+                            Move::Screen,
+                        )
                     }
                     Role::Collusion => {
                         let pi = collusion_idx;
@@ -479,8 +489,7 @@ impl Campaign {
             };
             let (nets, _) = nets_snapshot(&coord, &accounts, &funded, &costs);
             let ledger = coord.coordinator().ledger();
-            let conservation_err_units =
-                (ledger.total_value() - ledger.injected()).units().abs();
+            let conservation_err_units = (ledger.total_value() - ledger.injected()).units().abs();
             epoch_stats.push(EpochStats {
                 epoch,
                 claims: claimants.len(),

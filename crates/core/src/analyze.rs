@@ -70,7 +70,11 @@ pub fn render_report(model: &Model, report: &StaticReport) -> String {
     heavy.truncate(10);
     if !heavy.is_empty() {
         let _ = writeln!(out, "\nheaviest operators:");
-        let _ = writeln!(out, "{:<6} {:<14} {:>14} {:<18}", "node", "op", "flops", "shape");
+        let _ = writeln!(
+            out,
+            "{:<6} {:<14} {:>14} {:<18}",
+            "node", "op", "flops", "shape"
+        );
         for i in heavy {
             let node = &model.graph.nodes()[i];
             let shape = report.shapes[i]
@@ -110,11 +114,7 @@ mod tests {
     fn every_bundled_model_is_statically_admissible() {
         for name in MODEL_NAMES {
             let (model, report) = analyze_model(name, &LintConfig::default()).unwrap();
-            assert!(
-                report.is_admissible(),
-                "{name}: {:?}",
-                report.lint_findings
-            );
+            assert!(report.is_admissible(), "{name}: {:?}", report.lint_findings);
             assert!(report.total_flops() > 0, "{name} must cost something");
             assert!(report.peak_resident_bytes > 0);
             assert!(

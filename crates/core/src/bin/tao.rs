@@ -152,9 +152,7 @@ fn cmd_sessions(model: &str, workers: Option<usize>) {
         })
         .collect();
     let start = std::time::Instant::now();
-    let reports = scheduler
-        .run(&coordinator, builders)
-        .expect("sessions run");
+    let reports = scheduler.run(&coordinator, builders).expect("sessions run");
     let secs = start.elapsed().as_secs_f64();
     for r in &reports {
         println!(

@@ -219,7 +219,13 @@ mod tests {
             ..BertConfig::small()
         };
         let samples = tao_models::data::token_dataset(4, cfg.seq, cfg.vocab, 10);
-        let raw = deploy(bert::build(cfg, 1), Fleet::standard(), &samples, DEFAULT_ALPHA).unwrap();
+        let raw = deploy(
+            bert::build(cfg, 1),
+            Fleet::standard(),
+            &samples,
+            DEFAULT_ALPHA,
+        )
+        .unwrap();
         let smoothed = deploy_with(
             bert::build(cfg, 1),
             Fleet::standard(),

@@ -193,7 +193,9 @@ fn check_peak_escrow(coordinator: &SharedCoordinator, pending: &[PendingSession]
     let inner = coordinator.coordinator();
     let mut peak: BTreeMap<&str, Money> = BTreeMap::new();
     for session in pending {
-        let entry = peak.entry(session.proposer_account()).or_insert(Money::ZERO);
+        let entry = peak
+            .entry(session.proposer_account())
+            .or_insert(Money::ZERO);
         *entry += session.deposit_quote(inner);
     }
     for (account, needed) in peak {
@@ -285,10 +287,7 @@ mod tests {
         let econ = EconParams::default_market();
         let (lo, hi) = econ.feasible_slash_region().unwrap();
         let inner = Coordinator::new(econ, (lo + hi) / 2.0).unwrap();
-        let quote = inner
-            .amounts()
-            .d_p
-            .max(d.static_report.deposit_bound);
+        let quote = inner.amounts().d_p.max(d.static_report.deposit_bound);
         // Enough for two serial claims, but not three concurrent ones.
         let funded = quote * 2;
         inner.fund("proposer", funded);

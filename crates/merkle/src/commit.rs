@@ -11,7 +11,9 @@
 use tao_graph::Graph;
 use tao_tensor::Tensor;
 
-use crate::canon::{canon_param, canon_param_sink, canon_signature, canon_tensor, canon_tensor_sink};
+use crate::canon::{
+    canon_param, canon_param_sink, canon_signature, canon_tensor, canon_tensor_sink,
+};
 use crate::sha256::{sha256, Digest, FastSha256, Sha256};
 use crate::tree::{hash_leaves, verify_inclusion, InclusionProof, MerkleTree};
 

@@ -194,7 +194,9 @@ impl TokenChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_graph::{execute, execute_observed, forward_observed, BufferPool, GraphBuilder, OpKind};
+    use tao_graph::{
+        execute, execute_observed, forward_observed, BufferPool, GraphBuilder, OpKind,
+    };
     use tao_tensor::KernelConfig;
 
     fn mlp() -> (tao_graph::Graph, Vec<Tensor<f32>>) {

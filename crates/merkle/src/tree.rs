@@ -173,7 +173,11 @@ impl MerkleTree {
                 return false;
             }
             // The hashing walk halves the index once per level.
-            let bit = if k < usize::BITS as usize { (proof.index >> k) & 1 } else { 0 };
+            let bit = if k < usize::BITS as usize {
+                (proof.index >> k) & 1
+            } else {
+                0
+            };
             if self.levels[level - 1][2 * pos + (1 - bit)] != *sib {
                 return false;
             }
@@ -437,7 +441,9 @@ mod tests {
                 );
             }
         }
-        assert!(MerkleTree::from_leaves::<Vec<u8>>(&[]).leaf_digests().is_empty());
+        assert!(MerkleTree::from_leaves::<Vec<u8>>(&[])
+            .leaf_digests()
+            .is_empty());
     }
 
     #[test]

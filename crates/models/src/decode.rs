@@ -75,7 +75,12 @@ pub fn greedy_decode(
         let logits_value;
         let logits = match logits_pos {
             Some(pos) => {
-                let mut outputs = forward(&model.graph, std::slice::from_ref(&window), kernel, &mut pool)?;
+                let mut outputs = forward(
+                    &model.graph,
+                    std::slice::from_ref(&window),
+                    kernel,
+                    &mut pool,
+                )?;
                 logits_value = outputs.swap_remove(pos);
                 &logits_value
             }

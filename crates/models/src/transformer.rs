@@ -221,7 +221,14 @@ pub fn build(cfg: TransformerConfig, seed: u64) -> Model {
         let attn = self_attention(&mut b, &format!("{p}.attn"), norm1, d, None, next());
         let res1 = b.op(format!("{p}.residual1"), OpKind::Add, &[attn, cur]);
         let norm2 = layer_norm(&mut b, &format!("{p}.ln2"), res1, cfg.dim);
-        let ffn = gelu_ffn(&mut b, &format!("{p}.ffn"), norm2, cfg.dim, cfg.dim * 4, next());
+        let ffn = gelu_ffn(
+            &mut b,
+            &format!("{p}.ffn"),
+            norm2,
+            cfg.dim,
+            cfg.dim * 4,
+            next(),
+        );
         cur = b.op(format!("{p}.residual2"), OpKind::Add, &[ffn, res1]);
     }
 

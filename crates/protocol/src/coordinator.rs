@@ -714,9 +714,8 @@ fn check_economics(econ: &EconParams, slash: f64) -> Result<(EconAmounts, Money)
     let amounts = econ.amounts().ok_or_else(|| {
         ProtocolError::BadState("economic parameters yield no exact amounts".to_string())
     })?;
-    let slash = Money::from_f64(slash).ok_or_else(|| {
-        ProtocolError::BadState(format!("slash {slash} is not representable"))
-    })?;
+    let slash = Money::from_f64(slash)
+        .ok_or_else(|| ProtocolError::BadState(format!("slash {slash} is not representable")))?;
     Ok((amounts, slash))
 }
 
@@ -1001,8 +1000,7 @@ pub mod reference {
                     let slashed = self.slash.min(deposit);
                     self.take_escrow(&proposer, slashed);
                     self.release(&proposer, deposit - slashed);
-                    let split =
-                        slash_split(slashed, self.amounts.alpha_ch, self.amounts.alpha_cm);
+                    let split = slash_split(slashed, self.amounts.alpha_ch, self.amounts.alpha_cm);
                     self.fund(&challenger, split.reward);
                     if committee_size > 0 {
                         self.fund("committee-pool", split.committee);

@@ -184,7 +184,9 @@ impl EconParams {
         let d_ch = Money::from_f64(self.d_ch)?;
         let r_p = Money::from_f64(self.r_p)?;
         let committee_fee = Money::from_f64(self.committee_fee)?;
-        if d_p < Money::ZERO || d_ch < Money::ZERO || r_p < Money::ZERO
+        if d_p < Money::ZERO
+            || d_ch < Money::ZERO
+            || r_p < Money::ZERO
             || committee_fee < Money::ZERO
         {
             return None;
@@ -431,7 +433,12 @@ impl Ledger {
     /// Runs `f` with both accounts' entries under their shard locks,
     /// acquired in ascending shard-index order. `from` and `to` must be
     /// distinct account names.
-    fn with_pair<R>(&self, from: &str, to: &str, f: impl FnOnce(&mut Account, &mut Account) -> R) -> R {
+    fn with_pair<R>(
+        &self,
+        from: &str,
+        to: &str,
+        f: impl FnOnce(&mut Account, &mut Account) -> R,
+    ) -> R {
         debug_assert_ne!(from, to, "with_pair requires distinct accounts");
         let (ia, ib) = (self.shard_of(from), self.shard_of(to));
         if ia == ib {
@@ -495,7 +502,11 @@ impl Ledger {
 impl Clone for Ledger {
     fn clone(&self) -> Self {
         Ledger {
-            shards: self.shards.iter().map(|s| Mutex::new(s.lock().clone())).collect(),
+            shards: self
+                .shards
+                .iter()
+                .map(|s| Mutex::new(s.lock().clone()))
+                .collect(),
             supply: Mutex::new(*self.supply.lock()),
         }
     }
@@ -580,7 +591,9 @@ mod tests {
 
     #[test]
     fn amounts_derive_exactly_from_default_market() {
-        let a = EconParams::default_market().amounts().expect("finite params");
+        let a = EconParams::default_market()
+            .amounts()
+            .expect("finite params");
         assert_eq!(a.d_p, m(500));
         assert_eq!(a.d_ch, m(50));
         assert_eq!(a.r_p, m(15));
@@ -595,7 +608,13 @@ mod tests {
         assert!(EconParams { d_p: f64::NAN, ..p }.amounts().is_none());
         assert!(EconParams { d_ch: -1.0, ..p }.amounts().is_none());
         // Shares summing past 100% would make the burn negative.
-        assert!(EconParams { alpha_ch: 0.7, alpha_cm: 0.4, ..p }.amounts().is_none());
+        assert!(EconParams {
+            alpha_ch: 0.7,
+            alpha_cm: 0.4,
+            ..p
+        }
+        .amounts()
+        .is_none());
     }
 
     #[test]
@@ -610,7 +629,11 @@ mod tests {
         // Satellite 1: the failure is a typed error naming the account,
         // the requirement, and the shortfall — not a bare f64.
         match l.reserve("b", m(51)).unwrap_err() {
-            ProtocolError::InsufficientFunds { account, needed, available } => {
+            ProtocolError::InsufficientFunds {
+                account,
+                needed,
+                available,
+            } => {
                 assert_eq!(account, "b");
                 assert_eq!(needed, m(51));
                 assert_eq!(available, m(50));
@@ -643,7 +666,11 @@ mod tests {
         assert_eq!(l.balance("a"), m(75));
         assert_eq!(l.balance("b"), m(35));
         match l.transfer("a", "b", m(80)).unwrap_err() {
-            ProtocolError::InsufficientFunds { account, needed, available } => {
+            ProtocolError::InsufficientFunds {
+                account,
+                needed,
+                available,
+            } => {
                 assert_eq!(account, "a");
                 assert_eq!(needed, m(80));
                 assert_eq!(available, m(75));

@@ -175,7 +175,10 @@ mod tests {
         let e2 = ev(Some(1), 1, "settle", 7, 120);
         let e3 = ev(None, 0, "settle", 7, 120);
         let e4 = ev(Some(1), 0, "settle", 7, 121);
-        let encs: Vec<Vec<u8>> = [&e1, &e2, &e3, &e4].iter().map(|e| encode_event(e)).collect();
+        let encs: Vec<Vec<u8>> = [&e1, &e2, &e3, &e4]
+            .iter()
+            .map(|e| encode_event(e))
+            .collect();
         for i in 0..encs.len() {
             for j in (i + 1)..encs.len() {
                 assert_ne!(encs[i], encs[j], "events {i} and {j} collide");

@@ -452,7 +452,11 @@ mod x86 {
         let mut i = 0;
         while i < k {
             let end = (i + kblock).min(k);
-            let partial = seq_mr_v(&block[i * MR..end * MR], &panel[i * PANEL..end * PANEL], fma);
+            let partial = seq_mr_v(
+                &block[i * MR..end * MR],
+                &panel[i * PANEL..end * PANEL],
+                fma,
+            );
             for (lane, part) in acc.iter_mut().zip(&partial) {
                 *lane = _mm256_add_ps(*lane, *part);
             }
@@ -687,7 +691,11 @@ fn seq_mr_tile<T: Element>(
         let arow = &block[kk * MR..kk * MR + rows];
         for (r, &av) in arow.iter().enumerate() {
             for (lane, &bv) in acc[r].iter_mut().zip(brow) {
-                *lane = if fma { av.mul_add(bv, *lane) } else { *lane + av * bv };
+                *lane = if fma {
+                    av.mul_add(bv, *lane)
+                } else {
+                    *lane + av * bv
+                };
             }
         }
     }
@@ -793,7 +801,8 @@ fn mr_tile<T: Element>(
         // losslessly and the result transmutes element-for-element; the
         // target features were runtime-detected.
         unsafe {
-            let b32 = core::slice::from_raw_parts(lhs_block.as_ptr().cast::<f32>(), lhs_block.len());
+            let b32 =
+                core::slice::from_raw_parts(lhs_block.as_ptr().cast::<f32>(), lhs_block.len());
             let p32 = core::slice::from_raw_parts(panel.as_ptr().cast::<f32>(), panel.len());
             let tile = x86::mr_tile_f32(cfg, b32, rows, p32);
             return core::mem::transmute_copy(&tile);
@@ -848,8 +857,7 @@ pub fn gemm_packed_into<T: Element>(
                 let col0 = p * PANEL;
                 let width = PANEL.min(n - col0);
                 for (r, tile_row) in tile.iter().enumerate().take(rows) {
-                    chunk[r * n + col0..r * n + col0 + width]
-                        .copy_from_slice(&tile_row[..width]);
+                    chunk[r * n + col0..r * n + col0 + width].copy_from_slice(&tile_row[..width]);
                 }
             }
         }
@@ -1038,7 +1046,10 @@ mod tests {
         let mut out = vec![0f32; m * n];
         gemm_packed_into(&cfg, &lhs, &rhs, &mut out, 4);
         let base = gemm(&cfg, &a, m, &rhs, 1);
-        assert!(base.iter().zip(&out).all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(base
+            .iter()
+            .zip(&out)
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -104,11 +104,7 @@ impl Tensor<f32> {
         check_scale(scale, "dequantize")?;
         let mut out = buf;
         out.clear();
-        out.extend(
-            self.data()
-                .iter()
-                .map(|&x| (f64::from(x) * scale) as f32),
-        );
+        out.extend(self.data().iter().map(|&x| (f64::from(x) * scale) as f32));
         Tensor::from_vec(out, self.dims())
     }
 

@@ -211,8 +211,7 @@ mod x86q {
             let vi = _mm256_shuffle_epi8(vp, mask);
             for (r, _) in a_rows.iter().enumerate() {
                 let pair = *pairs.get_unchecked(r * kpairs + kp);
-                acc[r] =
-                    _mm256_add_epi32(acc[r], _mm256_madd_epi16(vi, _mm256_set1_epi32(pair)));
+                acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(vi, _mm256_set1_epi32(pair)));
             }
         }
         for (r, a_row) in a_rows.iter().enumerate() {
@@ -287,8 +286,7 @@ pub fn quant_gemm_into(a: &[i8], m: usize, rhs: &PackedRhs<i8>, out: &mut [i32],
                 let col0 = p * PANEL;
                 let width = PANEL.min(n - col0);
                 for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                    chunk[r * n + col0..r * n + col0 + width]
-                        .copy_from_slice(&acc_row[..width]);
+                    chunk[r * n + col0..r * n + col0 + width].copy_from_slice(&acc_row[..width]);
                 }
             }
         }
@@ -376,7 +374,9 @@ mod tests {
 
     #[test]
     fn roundtrip_error_is_within_half_a_step() {
-        let data: Vec<f32> = (0..1000).map(|i| ((i * 37) % 613) as f32 / 7.0 - 40.0).collect();
+        let data: Vec<f32> = (0..1000)
+            .map(|i| ((i * 37) % 613) as f32 / 7.0 - 40.0)
+            .collect();
         let (q, scale) = quantize_symmetric(&data);
         for (&x, &qi) in data.iter().zip(&q) {
             let back = dequantize_value(i32::from(qi), scale);

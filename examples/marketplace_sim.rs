@@ -88,9 +88,7 @@ fn main() {
     };
     println!("scheduler pool: {} workers", scheduler.threads());
     let start = std::time::Instant::now();
-    let reports = scheduler
-        .run(&coordinator, builders)
-        .expect("sessions run");
+    let reports = scheduler.run(&coordinator, builders).expect("sessions run");
     let secs = start.elapsed().as_secs_f64();
 
     let mut caught = 0;

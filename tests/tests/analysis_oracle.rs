@@ -149,7 +149,10 @@ fn op_zoo() -> (Graph, Vec<Tensor<f32>>) {
         "mask",
         Tensor::<f32>::from_vec(vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0], &[8]).unwrap(),
     );
-    let w_cv = b.parameter("w_cv", Tensor::<f32>::randn(&[5, 4, 3, 3], 16).mul_scalar(0.2));
+    let w_cv = b.parameter(
+        "w_cv",
+        Tensor::<f32>::randn(&[5, 4, 3, 3], 16).mul_scalar(0.2),
+    );
     let b_cv = b.parameter("b_cv", Tensor::<f32>::randn(&[5], 17));
     let g4 = b.parameter("g4", Tensor::<f32>::ones(&[4]));
     let be4 = b.parameter("be4", Tensor::<f32>::zeros(&[4]));
@@ -374,10 +377,7 @@ fn chain_graph(base: &[usize], codes: &[u8]) -> (Graph, Vec<Tensor<f32>>) {
             5 => {
                 // Broadcast add against a trailing-dim parameter.
                 let d = *shape.last().unwrap();
-                let p = b.parameter(
-                    format!("p{i}"),
-                    Tensor::<f32>::randn(&[d], 100 + i as u64),
-                );
+                let p = b.parameter(format!("p{i}"), Tensor::<f32>::randn(&[d], 100 + i as u64));
                 cur = b.op(name, OpKind::Add, &[cur, p]);
             }
             6 if shape.len() >= 2 => {

@@ -93,7 +93,11 @@ fn campaign_replays_identically_from_the_same_seed() {
         for (a, b) in base.outcomes.iter().zip(&r.outcomes) {
             assert_eq!(a.claim_id, b.claim_id, "claim-id assignment diverged");
             assert_eq!(a.operator, b.operator);
-            assert_eq!(a.final_status, b.final_status, "claim {} status", a.claim_id);
+            assert_eq!(
+                a.final_status, b.final_status,
+                "claim {} status",
+                a.claim_id
+            );
             assert_eq!(a.challenged, b.challenged, "claim {} challenge", a.claim_id);
             assert_eq!(
                 a.exceedance.to_bits(),

@@ -332,7 +332,9 @@ proptest! {
 /// compressor this host dispatches to (cheap, exhaustive, deterministic).
 #[test]
 fn padding_boundaries_on_every_backend() {
-    for len in [0usize, 1, 54, 55, 56, 57, 63, 64, 65, 118, 119, 120, 127, 128, 129] {
+    for len in [
+        0usize, 1, 54, 55, 56, 57, 63, 64, 65, 118, 119, 120, 127, 128, 129,
+    ] {
         let data = message(len, 9);
         assert_eq!(fast_sha256(&data), sha256(&data), "len {len}");
     }
@@ -377,7 +379,7 @@ fn weight_tree_streaming_equals_reference() {
 /// valid inputs.
 fn bundled_pairs() -> Vec<(&'static str, Model, Model, Vec<Tensor<f32>>)> {
     use tao_models::{
-        bert, data, diffusion, qwen, quantize_linears, resnet, transformer, BertConfig,
+        bert, data, diffusion, quantize_linears, qwen, resnet, transformer, BertConfig,
         DiffusionConfig, QwenConfig, ResNetConfig, TransformerConfig,
     };
     let bert_cfg = BertConfig {
@@ -495,12 +497,22 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
         for (j, &id) in param_ids.iter().enumerate() {
             let dims = trace.values[id.0].dims().to_vec();
             let mut p = Perturbations::new();
-            p.insert(id, Tensor::<f32>::randn(&dims, 900 + j as u64).mul_scalar(0.01));
+            p.insert(
+                id,
+                Tensor::<f32>::randn(&dims, 900 + j as u64).mul_scalar(0.01),
+            );
             let mut c = StreamingCommitter::with_params(g.len(), &table);
             let cheat = execute_observed(g, &inputs, &k, Some(&p), &mut c).unwrap();
-            assert!(table.get(id.0, &cheat.values[id.0]).is_none(), "{name}: {id} hit");
+            assert!(
+                table.get(id.0, &cheat.values[id.0]).is_none(),
+                "{name}: {id} hit"
+            );
             let want = TraceCommitment::build(&cheat.values);
-            assert_ne!(want.root(), oracle.root(), "{name}: {id} perturbation invisible");
+            assert_ne!(
+                want.root(),
+                oracle.root(),
+                "{name}: {id} perturbation invisible"
+            );
             assert_eq!(c.finish(), want, "{name}: perturbed {id} streamed");
         }
 
@@ -517,12 +529,20 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
         values[id.0] = view;
         let want = TraceCommitment::build(&values);
         assert_ne!(want.root(), oracle.root(), "{name}: reshape invisible");
-        assert_eq!(streamed_over(&values, &table), want, "{name}: reshape streamed");
+        assert_eq!(
+            streamed_over(&values, &table),
+            want,
+            "{name}: reshape streamed"
+        );
 
         // Same topology, different weights: the foreign table never hits.
         let foreign = ParamDigests::new(&other.graph);
         assert_eq!(foreign.len(), g.len(), "{name}: same topology");
         assert!((0..g.len()).all(|i| foreign.get(i, &trace.values[i]).is_none()));
-        assert_eq!(streamed_over(&trace.values, &foreign), oracle, "{name}: foreign");
+        assert_eq!(
+            streamed_over(&trace.values, &foreign),
+            oracle,
+            "{name}: foreign"
+        );
     }
 }

@@ -62,13 +62,7 @@ fn dispute_with(
     let shape = honest.values[target.0].dims().to_vec();
     let mut p = Perturbations::new();
     p.insert(target, Tensor::<f32>::randn(&shape, 4_242).mul_scalar(0.05));
-    let trace = execute(
-        graph,
-        inputs,
-        Device::rtx4090_like().config(),
-        Some(&p),
-    )
-    .unwrap();
+    let trace = execute(graph, inputs, Device::rtx4090_like().config(), Some(&p)).unwrap();
     let mut proposer = ProposerView::new(&trace);
     if let Some(c) = commitment {
         proposer = proposer.with_commitment(c);
@@ -289,5 +283,8 @@ fn parameter_cheat_session_root_equals_oracle() {
         assert_eq!(pending.trace_root(), oracle, "{label}");
         roots.push(oracle);
     }
-    assert_ne!(roots[0], roots[1], "the parameter cheat must reach the root");
+    assert_ne!(
+        roots[0], roots[1],
+        "the parameter cheat must reach the root"
+    );
 }

@@ -116,6 +116,12 @@ fn meta_binds_device_and_window() {
     let c2 = claim_commitment(&c, &tensor_hash(&x), &tensor_hash(&y), &rt, &other);
     assert_ne!(c1, c2);
     // The trace root is bound too: same everything else, different root.
-    let c3 = claim_commitment(&c, &tensor_hash(&x), &tensor_hash(&y), &sha256(b"other"), &meta());
+    let c3 = claim_commitment(
+        &c,
+        &tensor_hash(&x),
+        &tensor_hash(&y),
+        &sha256(b"other"),
+        &meta(),
+    );
     assert_ne!(c1, c3, "trace root must be bound into C0");
 }

@@ -291,7 +291,8 @@ fn shard_count_sweep_is_serial_equivalent() {
     let serial_ids = run_serial_oracle(&specs, &mut oracle);
     for shards in [1usize, 64] {
         for workers in worker_counts() {
-            let coordinator = Arc::new(Coordinator::with_shards(econ, slash, shards, shards).unwrap());
+            let coordinator =
+                Arc::new(Coordinator::with_shards(econ, slash, shards, shards).unwrap());
             assert_eq!(coordinator.shard_counts(), (shards, shards));
             fund_sharded(&coordinator);
             let ids = run_sharded_parallel(specs.clone(), coordinator.clone(), workers);
@@ -388,7 +389,9 @@ fn audit_lifecycle_settles_and_conserves_on_shards() {
     sharded.settle(id, Party::Proposer, COMMITTEE).unwrap();
     assert!(matches!(
         sharded.claim(id).unwrap().status,
-        ClaimStatus::Settled { winner: Party::Proposer }
+        ClaimStatus::Settled {
+            winner: Party::Proposer
+        }
     ));
     // Committee fees paid, proposer made whole plus reward — exactly.
     assert!(sharded.balance("committee-pool") > Money::ZERO);

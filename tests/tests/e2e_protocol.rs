@@ -101,7 +101,10 @@ fn qwen_dispute_localizes_across_partition_widths() {
             .unwrap();
         let dispute = report.dispute.expect("dispute ran");
         assert_eq!(dispute.result, DisputeResult::Leaf(target), "N = {n_way}");
-        assert!(dispute.reveal_checks > 0, "N = {n_way}: reveals must be verified");
+        assert!(
+            dispute.reveal_checks > 0,
+            "N = {n_way}: reveals must be verified"
+        );
         rounds_by_n.push(dispute.rounds.len());
     }
     assert!(
@@ -212,7 +215,8 @@ fn campaign_disputes_reuse_screening_traces_and_commitments() {
         assert!(
             d.reveal_checks > 0,
             "claim {} ({:?}): campaign dispute skipped reveal verification",
-            outcome.claim_id, outcome.role
+            outcome.claim_id,
+            outcome.role
         );
     }
     // Every planted cheat and every griefed honest claim carries a dispute.

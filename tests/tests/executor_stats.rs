@@ -185,8 +185,16 @@ fn observed_warm_pass_keeps_pool_economics_identical() {
                 .map(|t| t.data().iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
-        assert_eq!(bits(&outputs), bits(&want), "pass {pass}: pooled output drifted");
-        assert_eq!(bits(&streamed), bits(&want), "pass {pass}: observed output drifted");
+        assert_eq!(
+            bits(&outputs),
+            bits(&want),
+            "pass {pass}: pooled output drifted"
+        );
+        assert_eq!(
+            bits(&streamed),
+            bits(&want),
+            "pass {pass}: observed output drifted"
+        );
         if pass == 1 {
             assert!(stats.pool_hits > 0);
         }
@@ -237,4 +245,3 @@ fn greedy_decode_runs_pooled_with_zero_parameter_copies() {
         window = Tensor::from_vec(ids, &[cfg.seq]).unwrap();
     }
 }
-

@@ -6,7 +6,9 @@ use tao_calib::{calibrate, error_profile, DEFAULT_EPS};
 use tao_device::{Device, Fleet};
 use tao_graph::execute;
 use tao_merkle::{tensor_hash, MerkleTree, TokenChain, TraceCommitment};
-use tao_models::{diffusion, greedy_decode, greedy_decode_committed, qwen, Argmax, DiffusionConfig, QwenConfig};
+use tao_models::{
+    diffusion, greedy_decode, greedy_decode_committed, qwen, Argmax, DiffusionConfig, QwenConfig,
+};
 use tao_tensor::{KernelConfig, Tensor};
 
 /// Re-runs the sampler on the challenger device and returns the earliest
@@ -198,10 +200,18 @@ fn decode_sessions_are_disputable_at_token_granularity() {
     forged[3].1[0] ^= 0x01;
     let forged_chain = TokenChain::from_steps(&forged);
     for t in 0..3 {
-        assert_eq!(forged_chain.root_at(t), commit.chain.root_at(t), "prefix t={t}");
+        assert_eq!(
+            forged_chain.root_at(t),
+            commit.chain.root_at(t),
+            "prefix t={t}"
+        );
     }
     for t in 3..6 {
-        assert_ne!(forged_chain.root_at(t), commit.chain.root_at(t), "suffix t={t}");
+        assert_ne!(
+            forged_chain.root_at(t),
+            commit.chain.root_at(t),
+            "suffix t={t}"
+        );
     }
 }
 

@@ -96,15 +96,9 @@ fn quantized_chain_model() -> tao_models::Model {
     use tao_graph::GraphBuilder;
     let mut b = GraphBuilder::new(1);
     let x = b.input(0, "x"); // [4, 16]
-    let w = b.parameter(
-        "w",
-        Tensor::<f32>::rand_uniform(&[6, 16], -1.0, 1.0, 91),
-    );
+    let w = b.parameter("w", Tensor::<f32>::rand_uniform(&[6, 16], -1.0, 1.0, 91));
     let bias = b.parameter("bias", Tensor::<f32>::rand_uniform(&[6], -0.5, 0.5, 92));
-    let w2 = b.parameter(
-        "w2",
-        Tensor::<f32>::rand_uniform(&[6, 8], -1.0, 1.0, 93),
-    );
+    let w2 = b.parameter("w2", Tensor::<f32>::rand_uniform(&[6, 8], -1.0, 1.0, 93));
     let ql = b.op("ql", OpKind::QuantLinear, &[x, w, bias]);
     let qm = b.op("qm", OpKind::QuantMatmul, &[ql, w2]);
     let qz = b.op("qz", OpKind::Quantize { scale: 0.02 }, &[qm]);
@@ -291,7 +285,10 @@ fn assert_dispute_localizes(
     assert!(report.challenged, "{what}: cheat must not pass screening");
     let dispute = report.dispute.expect("dispute ran");
     assert_eq!(dispute.result, DisputeResult::Leaf(target), "{what}");
-    assert!(dispute.reveal_checks > 0, "{what}: reveals must be verified");
+    assert!(
+        dispute.reveal_checks > 0,
+        "{what}: reveals must be verified"
+    );
     assert_eq!(report.verdict.unwrap().1, LeafVerdict::Fraud, "{what}");
     assert!(
         matches!(
