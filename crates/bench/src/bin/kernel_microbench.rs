@@ -93,6 +93,15 @@ fn median_secs_per_call<R>(samples: usize, reps: usize, mut f: impl FnMut() -> R
     }) / reps as f64
 }
 
+/// One timed repetition of `reps` calls of `f`.
+fn repeated<R>(reps: usize, mut f: impl FnMut() -> R) -> impl FnMut() {
+    move || {
+        for _ in 0..reps {
+            std::hint::black_box(f());
+        }
+    }
+}
+
 /// Per-element oracle for the strided layout ops: output element `flat`
 /// reads `src` at the offset `at` computes from its multi-index.
 fn per_element_gather(src: &[f32], out_dims: &[usize], at: impl Fn(&[usize]) -> usize) -> Vec<f32> {
@@ -232,6 +241,98 @@ fn per_op_overhead_table(samples: usize, reps: usize) {
         &["op", "oracle", "fast path", "speedup"],
         &rows,
     );
+}
+
+/// Bundled-shapes table: every `Linear` shape of the bundled transformers
+/// and ResNet-small's two convolutions, each packing its weight per call
+/// (`linear`, `conv2d`) against the weight packed once, as the graph does
+/// (`linear_packed_with_buf`, `conv2d_packed_with_buf`). Each pair is
+/// timed as alternating repetitions and bit-compared, with the scalar
+/// oracle too. Floors (outside smoke mode): prepacked `linear` ≥ 1.25x at
+/// every shape, prepacked `conv2d` ≥ 0.9x (its weight is small beside
+/// the image).
+fn bundled_shapes_table(samples: usize, reps: usize, smoke: bool) {
+    let cfg = KernelConfig {
+        accum: AccumMode::Blocked(32),
+        fma: true,
+        math: MathLib::VariantA,
+    };
+    let mut rows = Vec::new();
+    let mut worst_linear = f64::INFINITY;
+    let mut worst_conv = f64::INFINITY;
+    let mut row = |op: String, flops: u64, p: tao_bench::Paired| {
+        rows.push(vec![
+            op,
+            format!("{:.2}us", 1e6 * p.seed / reps as f64),
+            format!("{:.2}us", 1e6 * p.fast / reps as f64),
+            format!("{:.2}x", p.speedup),
+            format!("{:.1}", flops as f64 * reps as f64 / p.fast / 1e9),
+        ]);
+    };
+    for (m, k, n) in [
+        (1, 32, 32),
+        (8, 32, 32),
+        (8, 32, 96),
+        (8, 96, 32),
+        (8, 128, 32),
+    ] {
+        let x = Tensor::<f32>::rand_uniform(&[m, k], -1.0, 1.0, 30 + k as u64);
+        let w = Tensor::<f32>::rand_uniform(&[n, k], -0.3, 0.3, 40 + n as u64);
+        let packed = PackedRhs::from_transposed(w.data(), n, k);
+        let per_call = || x.linear(&w, None, &cfg).unwrap();
+        let prepacked = || {
+            x.linear_packed_with_buf(&packed, None, &cfg, Vec::new())
+                .unwrap()
+        };
+        let oracle = x.linear_reference(&w, None, &cfg).unwrap();
+        let what = format!("linear {m}x{k}x{n}");
+        assert_bits_eq(per_call().data(), oracle.data(), &what);
+        assert_bits_eq(prepacked().data(), oracle.data(), &what);
+        let p = paired(samples, repeated(reps, per_call), repeated(reps, prepacked));
+        worst_linear = worst_linear.min(p.speedup);
+        row(what, 2 * (m * k * n) as u64, p);
+    }
+    let params = Conv2dParams {
+        stride: 1,
+        padding: 1,
+    };
+    for c_in in [3usize, 8] {
+        let img = Tensor::<f32>::rand_uniform(&[1, c_in, 16, 16], -1.0, 1.0, 50 + c_in as u64);
+        let w = Tensor::<f32>::rand_uniform(&[8, c_in, 3, 3], -0.3, 0.3, 60 + c_in as u64);
+        let packed = PackedLhs::from_row_major(w.data(), 8, c_in * 9);
+        let per_call = || img.conv2d(&w, None, params, &cfg).unwrap();
+        let prepacked = || {
+            img.conv2d_packed_with_buf(&w, &packed, None, params, &cfg, Vec::new())
+                .unwrap()
+        };
+        let oracle = img.conv2d_reference(&w, None, params, &cfg).unwrap();
+        let what = format!("conv2d {c_in}->8 3x3 on 16x16 (8x{}x256)", c_in * 9);
+        assert_bits_eq(per_call().data(), oracle.data(), &what);
+        assert_bits_eq(prepacked().data(), oracle.data(), &what);
+        let p = paired(samples, repeated(reps, per_call), repeated(reps, prepacked));
+        worst_conv = worst_conv.min(p.speedup);
+        row(what, 2 * (8 * c_in * 9 * 256) as u64, p);
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    print_table(
+        &format!(
+            "Kernel microbench — bundled shapes, blocked(32)+fma, weight packed per call vs once ({cores} cores, median of paired ratios)"
+        ),
+        &["op", "per-call pack", "prepacked", "speedup", "prepacked GFLOP/s"],
+        &rows,
+    );
+    if smoke {
+        println!("(smoke mode: bundled-shapes floors not asserted)");
+    } else {
+        assert!(
+            worst_linear >= 1.25,
+            "prepacked linear ran at {worst_linear:.2}x per-call packing, below the 1.25x floor"
+        );
+        assert!(
+            worst_conv >= 0.9,
+            "prepacked conv2d ran at {worst_conv:.2}x per-call packing, below the 0.9x floor"
+        );
+    }
 }
 
 /// Percentile-profile table: `grid_profile` (integer-key sort) against
@@ -542,7 +643,7 @@ fn main() {
     // --- packed-lhs register blocking, attention-shaped ------------------
     // Batched attention matmuls (scores = Q Kᵀ per head) are where lhs
     // panel packing pays: the MR-row register tile reuses each rhs panel
-    // load across 4 output rows. Packing happens inside the timed region,
+    // load across MR output rows. Packing happens inside the timed region,
     // exactly as `matmul_with_buf` pays it. Floor: ≥ 1.2x over the
     // unpacked blocked kernel, asserted outside smoke mode.
     let (heads, seq, hd) = if smoke { (2, 32, 16) } else { (8, 128, 64) };
@@ -613,6 +714,13 @@ fn main() {
             "packed-lhs attention matmul ran at {lhs_speedup:.2}x unpacked, below the 1.2x floor"
         );
     }
+
+    // --- bundled shapes: weights packed per call vs once ----------------
+    bundled_shapes_table(
+        if smoke { 5 } else { 21 },
+        if smoke { 20 } else { 200 },
+        smoke,
+    );
 
     // --- per-op overhead: the forward pass's small ops ------------------
     per_op_overhead_table(samples, if smoke { 20 } else { 200 });

@@ -210,8 +210,8 @@ pub(crate) fn run(
         if let Some(delta) = perturb.and_then(|p| p.get(&node.id)) {
             out = out.add(delta)?;
         }
-        if let OpKind::Parameter(name) = &node.kind {
-            if !out.shares_buffer(graph.param(name)?) {
+        if let Some(param) = graph.param_value(node.id) {
+            if !out.shares_buffer(param) {
                 stats.param_copies += 1;
             }
         }
@@ -253,8 +253,9 @@ fn output_shares_storage(
     out: &Tensor<f32>,
 ) -> bool {
     node.inputs.iter().any(|&i| out.shares_buffer(&values[i.0]))
-        || matches!(&node.kind, OpKind::Parameter(name)
-            if graph.param(name).map(|p| out.shares_buffer(p)).unwrap_or(false))
+        || graph
+            .param_value(node.id)
+            .is_some_and(|p| out.shares_buffer(p))
         || matches!(node.kind, OpKind::Input(idx)
             if inputs.get(idx).map(|t| out.shares_buffer(t)).unwrap_or(false))
 }
@@ -333,7 +334,10 @@ pub(crate) fn eval_node_with<'v>(
             expected: idx + 1,
             got: inputs.len(),
         })?,
-        OpKind::Parameter(name) => graph.param(name)?.clone(),
+        OpKind::Parameter(name) => graph
+            .param_value(node.id)
+            .ok_or_else(|| GraphError::MissingParameter(name.clone()))?
+            .clone(),
         OpKind::Add => {
             need(2)?;
             arg(0)?.add_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
@@ -438,9 +442,17 @@ pub(crate) fn eval_node_with<'v>(
             need(2)?;
             arg(0)?.matmul_with_buf(arg(1)?, cfg, buf(Some(arg(1)?))?)?
         }
+        // A weight that is the graph's own parameter tensor runs from the
+        // operand the graph packed once; any other weight (perturbed,
+        // revealed, computed) is packed per call. Both run the same kernel.
         OpKind::Linear => {
             let bias = bias()?;
-            arg(0)?.linear_with_buf(arg(1)?, bias, cfg, buf(Some(arg(1)?))?)?
+            let (x, w) = (arg(0)?, arg(1)?);
+            let buf = buf(Some(w))?;
+            match graph.linear_pack(node.inputs[1], w) {
+                Some(packed) => x.linear_packed_with_buf(packed, bias, cfg, buf)?,
+                None => x.linear_with_buf(w, bias, cfg, buf)?,
+            }
         }
         OpKind::Conv2d { stride, padding } => {
             let bias = bias()?;
@@ -448,7 +460,12 @@ pub(crate) fn eval_node_with<'v>(
                 stride: *stride,
                 padding: *padding,
             };
-            arg(0)?.conv2d_with_buf(arg(1)?, bias, params, cfg, buf(Some(arg(1)?))?)?
+            let (x, w) = (arg(0)?, arg(1)?);
+            let buf = buf(Some(w))?;
+            match graph.conv_pack(node.inputs[1], w) {
+                Some(packed) => x.conv2d_packed_with_buf(w, packed, bias, params, cfg, buf)?,
+                None => x.conv2d_with_buf(w, bias, params, cfg, buf)?,
+            }
         }
         OpKind::QuantMatmul => {
             need(2)?;

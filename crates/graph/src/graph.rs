@@ -1,7 +1,9 @@
 //! The operator-level dataflow graph.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use tao_tensor::kernel::{PackedLhs, PackedRhs};
 use tao_tensor::Tensor;
 
 use crate::error::GraphError;
@@ -38,7 +40,10 @@ pub struct Node {
 /// (`input.0 < id.0`), which the constructor validates. The canonical order
 /// is what the dispute game's partition policy and the calibration's
 /// "normalized node position" refer to.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Clones share the derived tables; equality compares only what the graph
+/// was built from (nodes, parameters, inputs, outputs).
+#[derive(Debug, Clone)]
 pub struct Graph {
     nodes: Vec<Node>,
     params: BTreeMap<String, Tensor<f32>>,
@@ -46,6 +51,91 @@ pub struct Graph {
     outputs: Vec<NodeId>,
     // Derived in `new` (the graph is immutable afterwards).
     last_use: Vec<usize>,
+    slots: Arc<ParamSlots>,
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes
+            && self.params == other.params
+            && self.num_inputs == other.num_inputs
+            && self.outputs == other.outputs
+    }
+}
+
+/// A parameter node's value, plus its GEMM operand packed once for the
+/// graph's lifetime when the parameter is a `Linear` or `Conv2d` weight.
+struct ParamSlot {
+    value: Tensor<f32>,
+    pack: Option<WeightPack>,
+}
+
+enum WeightPack {
+    /// A rank-2 `Linear` weight as the GEMM rhs.
+    Linear(PackedRhs<f32>),
+    /// A `Conv2d` weight's `[c_out, c_in*kh*kw]` rows as the GEMM lhs.
+    Conv(PackedLhs<f32>),
+}
+
+/// Node-indexed parameter slots (`None` for every other node).
+struct ParamSlots(Vec<Option<ParamSlot>>);
+
+impl core::fmt::Debug for ParamSlots {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let packed = self.0.iter().flatten().filter(|s| s.pack.is_some());
+        write!(f, "ParamSlots {{ packed: {} }}", packed.count())
+    }
+}
+
+impl ParamSlots {
+    fn new(nodes: &[Node], params: &BTreeMap<String, Tensor<f32>>) -> Self {
+        let mut slots: Vec<Option<ParamSlot>> = nodes
+            .iter()
+            .map(|node| match &node.kind {
+                OpKind::Parameter(name) => params.get(name).map(|value| ParamSlot {
+                    value: value.clone(),
+                    pack: None,
+                }),
+                _ => None,
+            })
+            .collect();
+        for node in nodes {
+            let is_linear = match node.kind {
+                OpKind::Linear => true,
+                OpKind::Conv2d { .. } => false,
+                _ => continue,
+            };
+            let Some(Some(slot)) = node.inputs.get(1).map(|w| &mut slots[w.0]) else {
+                continue;
+            };
+            if slot.pack.is_some() {
+                continue;
+            }
+            let (w, dims) = (&slot.value, slot.value.dims());
+            slot.pack =
+                match (is_linear, dims) {
+                    (true, &[out_f, in_f]) => Some(WeightPack::Linear(PackedRhs::from_transposed(
+                        w.data(),
+                        out_f,
+                        in_f,
+                    ))),
+                    (false, &[c_out, _, _, _]) => Some(WeightPack::Conv(
+                        PackedLhs::from_row_major(w.data(), c_out, w.len() / c_out.max(1)),
+                    )),
+                    _ => None,
+                };
+        }
+        ParamSlots(slots)
+    }
+
+    /// Node `id`'s slot when `value` is that node's parameter tensor: the
+    /// same buffer and the same dims (the `ParamDigests` rule). A perturbed,
+    /// revealed or reshaped weight misses.
+    fn hit(&self, id: NodeId, value: &Tensor<f32>) -> Option<&WeightPack> {
+        let slot = self.0.get(id.0)?.as_ref()?;
+        let same = value.shares_buffer(&slot.value) && value.dims() == slot.value.dims();
+        same.then_some(slot.pack.as_ref()).flatten()
+    }
 }
 
 impl Graph {
@@ -107,12 +197,14 @@ impl Graph {
         for &out in &outputs {
             last_use[out.0] = usize::MAX;
         }
+        let slots = Arc::new(ParamSlots::new(&nodes, &params));
         Ok(Graph {
             nodes,
             params,
             num_inputs,
             outputs,
             last_use,
+            slots,
         })
     }
 
@@ -154,6 +246,43 @@ impl Graph {
         self.params
             .get(name)
             .ok_or_else(|| GraphError::MissingParameter(name.into()))
+    }
+
+    /// The value of parameter node `id`: the state dict's tensor, shared
+    /// (an `Arc` clone), read from a node-indexed slot. `None` when `id` is
+    /// not a parameter node.
+    pub fn param_value(&self, id: NodeId) -> Option<&Tensor<f32>> {
+        Some(&self.slots.0.get(id.0)?.as_ref()?.value)
+    }
+
+    /// The `Linear` weight of parameter node `id`, packed once when the
+    /// graph was built, if `weight` is that node's own tensor (same buffer,
+    /// same dims); `None` for any other tensor.
+    pub fn linear_pack(&self, id: NodeId, weight: &Tensor<f32>) -> Option<&PackedRhs<f32>> {
+        match self.slots.hit(id, weight)? {
+            WeightPack::Linear(packed) => Some(packed),
+            WeightPack::Conv(_) => None,
+        }
+    }
+
+    /// The `Conv2d` weight of parameter node `id`, packed once when the
+    /// graph was built, under the same identity rule as
+    /// [`linear_pack`](Self::linear_pack).
+    pub fn conv_pack(&self, id: NodeId, weight: &Tensor<f32>) -> Option<&PackedLhs<f32>> {
+        match self.slots.hit(id, weight)? {
+            WeightPack::Conv(packed) => Some(packed),
+            WeightPack::Linear(_) => None,
+        }
+    }
+
+    /// Number of parameter nodes whose GEMM operand the graph packed.
+    pub fn packed_weights(&self) -> usize {
+        self.slots
+            .0
+            .iter()
+            .flatten()
+            .filter(|s| s.pack.is_some())
+            .count()
     }
 
     /// Number of graph inputs.

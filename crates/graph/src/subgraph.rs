@@ -160,8 +160,8 @@ pub fn execute_subgraph(
         let value = |id: NodeId| {
             if id.0 >= sub.start {
                 out.get(id.0 - sub.start)
-            } else if let OpKind::Parameter(name) = &nodes.get(id.0)?.kind {
-                graph.param(name).ok()
+            } else if let Some(param) = graph.param_value(id) {
+                Some(param)
             } else if sub.live_in.binary_search(&id).is_ok() {
                 boundary.get(id.0)
             } else {

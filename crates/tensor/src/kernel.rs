@@ -18,12 +18,16 @@
 //!   [`PANEL`] interleaved columns (`panel[kk * PANEL + j]` holds row `kk` of
 //!   panel-column `j`), so the inner loop streams both operands
 //!   contiguously. Packing moves bytes, not arithmetic: no rounding changes.
-//! * **Register tiling.** The micro-kernel evaluates [`PANEL`] *independent*
-//!   dot products at once — one accumulator lane per output column, each
-//!   lane stepping through `k` in precisely the order the scalar
-//!   [`AccumMode`] definition dictates. The speedup comes from running
-//!   [`PANEL`] dependency chains in parallel instead of waiting out the FP
-//!   add latency of a single chain; no chain is ever reassociated.
+//! * **Register tiling.** The micro-kernel evaluates an [`MR`]x[`PANEL`]
+//!   block of *independent* dot products at once: [`MR`] lhs rows, packed
+//!   into interleaved row blocks ([`PackedLhs`]), against one rhs panel.
+//!   Each of the [`MR`] rows is one vector accumulator chain of [`PANEL`]
+//!   lanes, and every lane steps through `k` in precisely the order the
+//!   scalar [`AccumMode`] definition dictates. The speedup comes from
+//!   running [`MR`] dependency chains in parallel instead of waiting out the
+//!   FP add latency of a single chain; no chain is ever reassociated.
+//!   Kahan accumulation keeps the row-at-a-time path ([`gemm_into`]): its
+//!   compensated update does not fit [`MR`] chains in registers.
 //! * **Row-band threading.** Output rows are independent, so row bands are
 //!   fanned out over `std::thread::scope` workers. Each element is computed
 //!   by exactly one worker with exactly the single-thread instruction
@@ -73,26 +77,54 @@ impl<T: Scalar> PackedRhs<T> {
     /// layout — row-major or transposed matrices — without materializing
     /// an intermediate matrix.
     pub fn pack_with(k: usize, n: usize, at: impl Fn(usize, usize) -> T) -> Self {
-        let num_panels = n.div_ceil(PANEL);
-        let mut panels = vec![T::ZERO; num_panels * k * PANEL];
-        for p in 0..num_panels {
-            let base = p * k * PANEL;
-            let col0 = p * PANEL;
-            let width = PANEL.min(n - col0);
+        let mut packed = Self::zeroed(k, n);
+        for col in 0..n {
+            let base = (col / PANEL) * k * PANEL + col % PANEL;
             for kk in 0..k {
-                let row = &mut panels[base + kk * PANEL..base + (kk + 1) * PANEL];
-                for (j, slot) in row.iter_mut().enumerate().take(width) {
-                    *slot = at(kk, col0 + j);
-                }
+                packed.panels[base + kk * PANEL] = at(kk, col);
             }
         }
-        PackedRhs { k, n, panels }
+        packed
     }
 
-    /// Packs a row-major `[k, n]` matrix (the `B` of `A @ B`).
+    /// An all-zero `k x n` operand, to be filled row by row with
+    /// [`put_row`](Self::put_row).
+    pub(crate) fn zeroed(k: usize, n: usize) -> Self {
+        PackedRhs {
+            k,
+            n,
+            panels: vec![T::ZERO; n.div_ceil(PANEL) * k * PANEL],
+        }
+    }
+
+    /// Writes reduction row `kk` (all `n` columns) into place: one
+    /// fixed-size [`PANEL`]-wide copy per whole panel, then the ragged tail.
+    pub(crate) fn put_row(&mut self, kk: usize, row: &[T]) {
+        assert_eq!(row.len(), self.n, "row length mismatch");
+        let stride = self.k * PANEL;
+        let mut runs = row.chunks_exact(PANEL);
+        for (p, run) in runs.by_ref().enumerate() {
+            let at = p * stride + kk * PANEL;
+            self.panels[at..at + PANEL].copy_from_slice(run);
+        }
+        let tail = runs.remainder();
+        if !tail.is_empty() {
+            let at = (self.n / PANEL) * stride + kk * PANEL;
+            self.panels[at..at + tail.len()].copy_from_slice(tail);
+        }
+    }
+
+    /// Packs a row-major `[k, n]` matrix (the `B` of `A @ B`), copying each
+    /// row's [`PANEL`]-wide runs into place.
     pub fn from_row_major(b: &[T], k: usize, n: usize) -> Self {
         assert_eq!(b.len(), k * n, "rhs length mismatch");
-        Self::pack_with(k, n, |kk, col| b[kk * n + col])
+        let mut packed = Self::zeroed(k, n);
+        if n > 0 {
+            for (kk, row) in b.chunks_exact(n).enumerate() {
+                packed.put_row(kk, row);
+            }
+        }
+        packed
     }
 
     /// Packs a row-major `[n, k]` matrix holding the *transposed* operand —
@@ -607,9 +639,9 @@ pub fn gemm<T: Element>(
 }
 
 /// Row-block height of the packed-lhs micro-kernel: how many output rows
-/// one [`PackedLhs`] panel interleaves, i.e. how many rows share each
-/// streamed rhs panel load.
-pub const MR: usize = 4;
+/// one [`PackedLhs`] panel interleaves, i.e. how many independent
+/// accumulator chains share each streamed rhs panel load.
+pub const MR: usize = 8;
 
 /// The left-hand operand of a GEMM, repacked into row blocks of [`MR`]
 /// interleaved rows (`panel[kk * MR + r]` holds reduction index `kk` of
@@ -618,9 +650,7 @@ pub const MR: usize = 4;
 /// Packing the lhs buys two things the row-at-a-time `gemm_row` path
 /// cannot: each rhs panel row is loaded once and reused across [`MR`]
 /// output rows, and [`MR`] independent accumulation chains run per column
-/// lane instead of one — which is what hides the FP-add/FMA latency on
-/// attention-shaped batched matmuls, where each batch's lhs is packed
-/// once and reused across every column panel of that batch's GEMM.
+/// lane instead of one, which hides the FP-add/FMA latency.
 /// Like rhs packing, this moves bytes, not arithmetic: every output
 /// element's dot product still reduces in the exact scalar-oracle order.
 #[derive(Debug, Clone)]
@@ -631,29 +661,17 @@ pub struct PackedLhs<T: Scalar> {
 }
 
 impl<T: Scalar> PackedLhs<T> {
-    /// Packs an `m x k` operand whose element at output row `row`,
-    /// reduction index `kk` is produced by `at(row, kk)`.
-    pub fn pack_with(m: usize, k: usize, at: impl Fn(usize, usize) -> T) -> Self {
-        let num_blocks = m.div_ceil(MR);
-        let mut panels = vec![T::ZERO; num_blocks * k * MR];
-        for p in 0..num_blocks {
-            let base = p * k * MR;
-            let row0 = p * MR;
-            let height = MR.min(m - row0);
-            for kk in 0..k {
-                let slot = &mut panels[base + kk * MR..base + (kk + 1) * MR];
-                for (r, lane) in slot.iter_mut().enumerate().take(height) {
-                    *lane = at(row0 + r, kk);
-                }
-            }
-        }
-        PackedLhs { m, k, panels }
-    }
-
     /// Packs a row-major `[m, k]` matrix (the `A` of `A @ B`).
     pub fn from_row_major(a: &[T], m: usize, k: usize) -> Self {
         assert_eq!(a.len(), m * k, "lhs length mismatch");
-        Self::pack_with(m, k, |row, kk| a[row * k + kk])
+        let mut panels = vec![T::ZERO; m.div_ceil(MR) * k * MR];
+        for (row, vals) in a.chunks_exact(k.max(1)).take(m).enumerate() {
+            let base = (row / MR) * k * MR + row % MR;
+            for (kk, &v) in vals[..k].iter().enumerate() {
+                panels[base + kk * MR] = v;
+            }
+        }
+        PackedLhs { m, k, panels }
     }
 
     /// Output row count `m`.

@@ -1,9 +1,10 @@
 //! 2-D convolution over NCHW tensors.
 //!
-//! The hot path lowers each image to a row-major im2col matrix, packs it
-//! into the blocked-GEMM panel layout of [`crate::kernel`] and reuses the
-//! register-tiled matmul core; [`Tensor::conv2d_reference`] keeps the
-//! original gather-per-output scalar loop as the bit-exactness oracle.
+//! The hot path gathers each image's im2col matrix straight into the
+//! blocked-GEMM panel layout of [`crate::kernel`] and reuses the
+//! register-tiled matmul core, with the weight as the packed lhs;
+//! [`Tensor::conv2d_reference`] keeps the original gather-per-output scalar
+//! loop as the bit-exactness oracle.
 
 use crate::accum::KernelConfig;
 use crate::element::Element;
@@ -66,7 +67,8 @@ impl<T: Element> Tensor<T> {
 
     /// [`conv2d`](Self::conv2d) into a recycled output buffer: the same
     /// im2col-backed GEMM and bit-identical results, but the output tensor
-    /// reuses `buf`'s allocation when its capacity suffices.
+    /// reuses `buf`'s allocation when its capacity suffices. Packs the
+    /// weight, then runs [`conv2d_packed_with_buf`](Self::conv2d_packed_with_buf).
     ///
     /// # Errors
     ///
@@ -74,6 +76,30 @@ impl<T: Element> Tensor<T> {
     pub fn conv2d_with_buf(
         &self,
         weight: &Tensor<T>,
+        bias: Option<&Tensor<T>>,
+        params: Conv2dParams,
+        cfg: &KernelConfig,
+        buf: Vec<T>,
+    ) -> Result<Tensor<T>> {
+        let geo = self.conv2d_check(weight, bias, params)?;
+        let packed = PackedLhs::from_row_major(weight.data(), geo.c_out, geo.patch);
+        self.conv2d_packed_with_buf(weight, &packed, bias, params, cfg, buf)
+    }
+
+    /// [`conv2d_with_buf`](Self::conv2d_with_buf) with `weight` already
+    /// packed as `packed` (`PackedLhs::from_row_major` of its
+    /// `[c_out, c_in*kh*kw]` rows), so a weight used by many calls is packed
+    /// once. Kahan configs keep the row-at-a-time path and read `weight`
+    /// itself. Bit-identical to packing per call.
+    ///
+    /// # Errors
+    ///
+    /// Same error conditions as [`conv2d`](Self::conv2d), plus an error
+    /// when `packed` does not have `weight`'s shape.
+    pub fn conv2d_packed_with_buf(
+        &self,
+        weight: &Tensor<T>,
+        packed: &PackedLhs<T>,
         bias: Option<&Tensor<T>>,
         params: Conv2dParams,
         cfg: &KernelConfig,
@@ -91,6 +117,13 @@ impl<T: Element> Tensor<T> {
             patch,
             ..
         } = geo;
+        if (packed.m(), packed.k()) != (c_out, patch) {
+            return Err(TensorError::InvalidArgument(format!(
+                "conv2d: packed weight is {}x{}, weight is {c_out}x{patch}",
+                packed.m(),
+                packed.k()
+            )));
+        }
         let ohow = oh * ow;
         let mut out = buf;
         out.clear();
@@ -103,18 +136,20 @@ impl<T: Element> Tensor<T> {
         // count, mirroring the batched-matmul split).
         let threads = auto_threads((n * c_out * ohow * patch) as u64);
         let inner_threads = (threads / n.max(1)).max(1);
-        let lhs =
-            lhs_pack_applies(cfg).then(|| PackedLhs::from_row_major(weight.data(), c_out, patch));
+        let pack_lhs = lhs_pack_applies(cfg);
         par_bands(&mut out, c_out * ohow, threads, |img0, band| {
-            let mut cols = vec![T::ZERO; patch * ohow];
+            // One panel set and one im2col-row scratch per band: every
+            // image overwrites every real lane, and padded lanes stay zero.
+            let mut rhs = PackedRhs::zeroed(patch, ohow);
+            let mut row = vec![T::ZERO; ohow];
             for (i, image) in band.chunks_mut(c_out * ohow).enumerate() {
                 let ni = img0 + i;
                 let img = &self.data()[ni * c_in * h * w..(ni + 1) * c_in * h * w];
-                im2col(img, &geo, params, &mut cols);
-                let rhs = PackedRhs::from_row_major(&cols, patch, ohow);
-                match &lhs {
-                    Some(lhs) => gemm_packed_into(cfg, lhs, &rhs, image, inner_threads),
-                    None => gemm_into(cfg, weight.data(), c_out, &rhs, image, inner_threads),
+                im2col_packed(img, &geo, params, &mut rhs, &mut row);
+                if pack_lhs {
+                    gemm_packed_into(cfg, packed, &rhs, image, inner_threads);
+                } else {
+                    gemm_into(cfg, weight.data(), c_out, &rhs, image, inner_threads);
                 }
                 if let Some(b) = bias {
                     for (oc, row) in image.chunks_mut(ohow).enumerate() {
@@ -266,28 +301,34 @@ impl<T: Element> Tensor<T> {
     }
 }
 
-/// Gathers one `[c_in, h, w]` image into its row-major `[patch, oh*ow]`
-/// im2col matrix: row `(ic*kh + ky)*kw + kx`, column `oy*ow + ox` holds
-/// input `(ic, oy*stride + ky - pad, ox*stride + kx - pad)`, or zero in
-/// the padding. Column `col` therefore lists the receptive field in the
-/// same canonical (channel, row, column) order the oracle gathers.
+/// Gathers one `[c_in, h, w]` image's `[patch, oh*ow]` im2col matrix
+/// into `rhs`'s panels, one row at a time through the `oh*ow`-long `row`
+/// scratch: row `(ic*kh + ky)*kw + kx`, column `oy*ow + ox` holds input
+/// `(ic, oy*stride + ky - pad, ox*stride + kx - pad)`, or zero in the
+/// padding. Column `col` therefore lists the receptive field in the same
+/// canonical (channel, row, column) order the oracle gathers.
 ///
 /// The loops run over `ic/ky/kx/oy/ox` directly: the in-image `ox` range
 /// of each row is computed once, so no per-element index division or
 /// bounds test remains, and unit strides copy whole input rows.
-fn im2col<T: Element>(img: &[T], geo: &ConvGeometry, params: Conv2dParams, cols: &mut [T]) {
+fn im2col_packed<T: Element>(
+    img: &[T],
+    geo: &ConvGeometry,
+    params: Conv2dParams,
+    rhs: &mut PackedRhs<T>,
+    row: &mut [T],
+) {
     let (s, pad) = (params.stride, params.padding);
     let (h, w, ow) = (geo.h, geo.w, geo.ow);
     if h * w == 0 {
-        // An empty image under padding: every receptive field is padding.
-        cols.fill(T::ZERO);
+        // An empty image under padding: every receptive field is padding,
+        // and the panels are already zero.
         return;
     }
-    let mut rows = cols.chunks_exact_mut(geo.oh * ow);
+    let mut kk = 0;
     for plane in img.chunks_exact(h * w) {
         for ky in 0..geo.kh {
             for kx in 0..geo.kw {
-                let row = rows.next().expect("cols holds patch rows");
                 // ix = ox*s + kx - pad lies in 0..w exactly for ox in lo..hi.
                 let lo = pad.saturating_sub(kx).div_ceil(s).min(ow);
                 let hi = (w + pad).saturating_sub(kx).div_ceil(s).clamp(lo, ow);
@@ -312,6 +353,8 @@ fn im2col<T: Element>(img: &[T], geo: &ConvGeometry, params: Conv2dParams, cols:
                         }
                     }
                 }
+                rhs.put_row(kk, row);
+                kk += 1;
             }
         }
     }

@@ -243,7 +243,8 @@ impl<T: Element> Tensor<T> {
     }
 
     /// [`linear`](Self::linear) into a recycled output buffer (identical
-    /// results; see [`matmul_with_buf`](Self::matmul_with_buf)).
+    /// results; see [`matmul_with_buf`](Self::matmul_with_buf)): packs the
+    /// weight, then runs [`linear_packed_with_buf`](Self::linear_packed_with_buf).
     ///
     /// # Errors
     ///
@@ -255,8 +256,29 @@ impl<T: Element> Tensor<T> {
         cfg: &KernelConfig,
         buf: Vec<T>,
     ) -> Result<Tensor<T>> {
-        let (rows, in_f, out_f) = self.linear_check(weight, bias)?;
+        let (_, in_f, out_f) = self.linear_check(weight, bias)?;
         let rhs = PackedRhs::from_transposed(weight.data(), out_f, in_f);
+        self.linear_packed_with_buf(&rhs, bias, cfg, buf)
+    }
+
+    /// [`linear_with_buf`](Self::linear_with_buf) against a weight already
+    /// packed by [`PackedRhs::from_transposed`] (a `[out, in]` weight is
+    /// `weight.n() = out` columns of `weight.k() = in` terms), so a weight
+    /// used by many calls is packed once. Bit-identical to packing per call.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the input's last dimension is not
+    /// `weight.k()` or the bias is not `[weight.n()]`.
+    pub fn linear_packed_with_buf(
+        &self,
+        weight: &PackedRhs<T>,
+        bias: Option<&Tensor<T>>,
+        cfg: &KernelConfig,
+        buf: Vec<T>,
+    ) -> Result<Tensor<T>> {
+        let (in_f, out_f) = (weight.k(), weight.n());
+        let rows = self.linear_rows(in_f, out_f, bias)?;
         let mut out = buf;
         out.clear();
         out.resize(rows * out_f, T::ZERO);
@@ -265,9 +287,9 @@ impl<T: Element> Tensor<T> {
         // padded rows, so it keeps the row-at-a-time path.
         if rows > 1 && lhs_pack_applies(cfg) {
             let lhs = PackedLhs::from_row_major(self.data(), rows, in_f);
-            gemm_packed_into(cfg, &lhs, &rhs, &mut out, threads);
+            gemm_packed_into(cfg, &lhs, weight, &mut out, threads);
         } else {
-            gemm_into(cfg, self.data(), rows, &rhs, &mut out, threads);
+            gemm_into(cfg, self.data(), rows, weight, &mut out, threads);
         }
         if let Some(b) = bias {
             for row in out.chunks_mut(out_f) {
@@ -324,7 +346,15 @@ impl<T: Element> Tensor<T> {
                 op: "linear weight",
             });
         }
-        let in_f = self.dims()[self
+        let (out_f, in_f) = (weight.dims()[0], weight.dims()[1]);
+        let rows = self.linear_rows(in_f, out_f, bias)?;
+        Ok((rows, in_f, out_f))
+    }
+
+    /// Checks the input and bias against an `[out_f, in_f]` weight and
+    /// returns the input's row count.
+    fn linear_rows(&self, in_f: usize, out_f: usize, bias: Option<&Tensor<T>>) -> Result<usize> {
+        let x_in = self.dims()[self
             .rank()
             .checked_sub(1)
             .ok_or(TensorError::RankMismatch {
@@ -332,11 +362,10 @@ impl<T: Element> Tensor<T> {
                 got: 0,
                 op: "linear input",
             })?];
-        let (out_f, w_in) = (weight.dims()[0], weight.dims()[1]);
-        if w_in != in_f {
+        if x_in != in_f {
             return Err(TensorError::ShapeMismatch {
                 lhs: self.dims().to_vec(),
-                rhs: weight.dims().to_vec(),
+                rhs: vec![out_f, in_f],
                 op: "linear",
             });
         }
@@ -349,8 +378,7 @@ impl<T: Element> Tensor<T> {
                 });
             }
         }
-        let rows = self.dims()[..self.rank() - 1].iter().product();
-        Ok((rows, in_f, out_f))
+        Ok(self.dims()[..self.rank() - 1].iter().product())
     }
 }
 

@@ -8,7 +8,7 @@
 //! stays in-tree permanently and the vector path must be **bit-identical**
 //! to it. Unlike floating point, integer multiply-accumulate is exact and
 //! wrapping `i32` addition is associative and commutative, so *any*
-//! evaluation order — SIMD pair-sums, [`MR`]-row register blocks, row-band
+//! evaluation order — SIMD pair-sums, four-row register blocks, row-band
 //! threading — reproduces the scalar result bit-for-bit. That makes the
 //! quantized contract trivially satisfiable by every device config: a
 //! quantized operator is **cross-device exact**, its calibration envelope
@@ -34,7 +34,12 @@
 //! breaking bit-identity with the oracle, so the `u8 x i8` form is banned
 //! here despite being one instruction shorter.
 
-use crate::kernel::{par_bands, PackedRhs, MR, PANEL};
+use crate::kernel::{par_bands, PackedRhs, PANEL};
+
+/// Row-block height of the int8 micro-kernel: four `pmaddwd` accumulator
+/// chains per panel already saturate it, and the `f32` tile's
+/// [`MR`](crate::kernel::MR) of eight measured slower here.
+const MR: usize = 4;
 
 /// Largest quantized magnitude: the symmetric `i8` range is `[-127, 127]`.
 pub const QMAX: i32 = 127;

@@ -19,7 +19,8 @@
 
 use proptest::prelude::*;
 use tao_tensor::kernel::{
-    gemm, gemm_packed_into, lhs_pack_applies, PackedLhs, PackedRhs, MAX_KERNEL_THREADS, PANEL,
+    gemm, gemm_into, gemm_packed_into, lhs_pack_applies, PackedLhs, PackedRhs, MAX_KERNEL_THREADS,
+    MR, PANEL,
 };
 use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathElement, MathLib, Shape, Tensor};
 
@@ -455,6 +456,58 @@ proptest! {
             prop_assert!(
                 f.to_bits() == oracle.to_bits(),
                 "gemm k={k} n={n} col={col} {cfg:?}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The register tile against the scalar `cfg.dot` oracle: every
+    /// accumulation mode (Kahan through its row path), FMA on and off,
+    /// ragged `m = 1..=17` around the [`MR`]-row block, `n` around the
+    /// [`PANEL`] width, `Blocked` block sizes mostly below `k`, at 1 and 2
+    /// threads.
+    #[test]
+    fn prop_register_tile_matches_scalar_dot(
+        m in 1usize..18,
+        k in 0usize..100,
+        n in 1usize..(2 * PANEL + 2),
+        mode in 0usize..4,
+        block in 1usize..33,
+        fma in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let accum = match mode {
+            0 => AccumMode::Sequential,
+            1 => AccumMode::Pairwise,
+            2 => AccumMode::Blocked(block),
+            _ => AccumMode::Kahan,
+        };
+        let cfg = KernelConfig { accum, fma: fma == 1, math: MathLib::Reference };
+        let a = operand(&[m, k], seed);
+        let b = operand(&[k, n], seed ^ 0x5a5a);
+        let rhs = PackedRhs::from_row_major(b.data(), k, n);
+        let lhs = PackedLhs::from_row_major(a.data(), m, k);
+        let mut oracle = Vec::with_capacity(m * n);
+        for row in 0..m {
+            let a_row = &a.data()[row * k..(row + 1) * k];
+            for col in 0..n {
+                let col_vals: Vec<f32> = (0..k).map(|kk| b.data()[kk * n + col]).collect();
+                oracle.push(cfg.dot(a_row, &col_vals));
+            }
+        }
+        for threads in [1, 2] {
+            let mut out = vec![f32::NAN; m * n];
+            if lhs_pack_applies(&cfg) {
+                gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
+            } else {
+                gemm_into(&cfg, a.data(), m, &rhs, &mut out, threads);
+            }
+            prop_assert!(
+                out.iter().zip(&oracle).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "tile {m}x{k}x{n} MR={MR} threads={threads} {cfg:?}"
             );
         }
     }
