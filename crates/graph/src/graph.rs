@@ -81,9 +81,9 @@ enum WeightPack {
 struct ParamSlots(Vec<Option<ParamSlot>>);
 
 impl core::fmt::Debug for ParamSlots {
+    // Derived from the nodes and parameters the graph already prints.
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let packed = self.0.iter().flatten().filter(|s| s.pack.is_some());
-        write!(f, "ParamSlots {{ packed: {} }}", packed.count())
+        f.debug_struct("ParamSlots").finish_non_exhaustive()
     }
 }
 
@@ -100,30 +100,22 @@ impl ParamSlots {
             })
             .collect();
         for node in nodes {
-            let is_linear = match node.kind {
-                OpKind::Linear => true,
-                OpKind::Conv2d { .. } => false,
-                _ => continue,
-            };
             let Some(Some(slot)) = node.inputs.get(1).map(|w| &mut slots[w.0]) else {
                 continue;
             };
             if slot.pack.is_some() {
                 continue;
             }
-            let (w, dims) = (&slot.value, slot.value.dims());
-            slot.pack =
-                match (is_linear, dims) {
-                    (true, &[out_f, in_f]) => Some(WeightPack::Linear(PackedRhs::from_transposed(
-                        w.data(),
-                        out_f,
-                        in_f,
-                    ))),
-                    (false, &[c_out, _, _, _]) => Some(WeightPack::Conv(
-                        PackedLhs::from_row_major(w.data(), c_out, w.len() / c_out.max(1)),
-                    )),
-                    _ => None,
-                };
+            let w = &slot.value;
+            slot.pack = match (&node.kind, w.dims()) {
+                (OpKind::Linear, &[out_f, in_f]) => Some(WeightPack::Linear(
+                    PackedRhs::from_transposed(w.data(), out_f, in_f),
+                )),
+                (OpKind::Conv2d { .. }, &[c_out, _, _, _]) => Some(WeightPack::Conv(
+                    PackedLhs::from_row_major(w.data(), c_out, w.len() / c_out.max(1)),
+                )),
+                _ => None,
+            };
         }
         ParamSlots(slots)
     }
@@ -251,7 +243,7 @@ impl Graph {
     /// The value of parameter node `id`: the state dict's tensor, shared
     /// (an `Arc` clone), read from a node-indexed slot. `None` when `id` is
     /// not a parameter node.
-    pub fn param_value(&self, id: NodeId) -> Option<&Tensor<f32>> {
+    pub(crate) fn param_value(&self, id: NodeId) -> Option<&Tensor<f32>> {
         Some(&self.slots.0.get(id.0)?.as_ref()?.value)
     }
 
@@ -273,16 +265,6 @@ impl Graph {
             WeightPack::Conv(packed) => Some(packed),
             WeightPack::Linear(_) => None,
         }
-    }
-
-    /// Number of parameter nodes whose GEMM operand the graph packed.
-    pub fn packed_weights(&self) -> usize {
-        self.slots
-            .0
-            .iter()
-            .flatten()
-            .filter(|s| s.pack.is_some())
-            .count()
     }
 
     /// Number of graph inputs.

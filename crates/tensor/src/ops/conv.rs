@@ -332,6 +332,27 @@ fn im2col_packed<T: Element>(
                 // ix = ox*s + kx - pad lies in 0..w exactly for ox in lo..hi.
                 let lo = pad.saturating_sub(kx).div_ceil(s).min(ow);
                 let hi = (w + pad).saturating_sub(kx).div_ceil(s).clamp(lo, ow);
+                if s == 1 && ow == w && lo < hi {
+                    // Unit stride with output rows as wide as input rows:
+                    // the in-image runs of rows oy0..oy1 are one shifted
+                    // copy of the plane; re-zero the border columns after.
+                    let oy0 = pad.saturating_sub(ky).min(geo.oh);
+                    let oy1 = (h + pad).saturating_sub(ky).clamp(oy0, geo.oh);
+                    row[..oy0 * ow].fill(T::ZERO);
+                    row[oy1 * ow..].fill(T::ZERO);
+                    if oy0 < oy1 {
+                        let (start, end) = (oy0 * ow + lo, (oy1 - 1) * ow + hi);
+                        let src = (oy0 + ky - pad) * w + lo + kx - pad;
+                        row[start..end].copy_from_slice(&plane[src..src + (end - start)]);
+                        for out in row[oy0 * ow..oy1 * ow].chunks_exact_mut(ow) {
+                            out[..lo].fill(T::ZERO);
+                            out[hi..].fill(T::ZERO);
+                        }
+                    }
+                    rhs.put_row(kk, row);
+                    kk += 1;
+                    continue;
+                }
                 for (oy, out) in row.chunks_exact_mut(ow).enumerate() {
                     let iy = (oy * s + ky).wrapping_sub(pad);
                     if iy >= h {

@@ -112,7 +112,7 @@ fn graph_packed_execution_equals_reference_oracles_on_every_bundled_model() {
                 );
                 gemm_nodes += 1;
                 let w_id = node.inputs[1];
-                if graph.param_value(w_id).is_some() {
+                if matches!(graph.nodes()[w_id.0].kind, OpKind::Parameter(_)) {
                     let hit = match conv {
                         None => graph.linear_pack(w_id, w).is_some(),
                         Some(_) => graph.conv_pack(w_id, w).is_some(),
@@ -129,7 +129,6 @@ fn graph_packed_execution_equals_reference_oracles_on_every_bundled_model() {
         }
         assert!(gemm_nodes > 0, "{name}: no Linear or Conv2d node");
         assert!(hits > 0, "{name}: no weight parameter was packed");
-        assert!(graph.packed_weights() > 0, "{name}: empty pack table");
     }
 }
 
@@ -231,7 +230,6 @@ fn graph_clone_and_equality_see_only_what_the_graph_was_built_from() {
     let (graph, w_id, _) = one_linear();
     let clone = graph.clone();
     assert_eq!(clone, graph);
-    assert_eq!(clone.packed_weights(), 1);
     let w = graph.param("w").unwrap();
     assert!(clone.param("w").unwrap().shares_buffer(w));
     assert!(clone.linear_pack(w_id, w).is_some());
