@@ -521,6 +521,20 @@ mod tests {
     }
 
     #[test]
+    fn packed_weight_must_match_the_weight() {
+        let x = Tensor::<f32>::ones(&[1, 2, 4, 4]);
+        let w = Tensor::<f32>::ones(&[3, 2, 3, 3]);
+        let params = Conv2dParams::default();
+        let good = PackedLhs::from_row_major(w.data(), 3, 18);
+        let packed = x.conv2d_packed_with_buf(&w, &good, None, params, &cfg(), Vec::new());
+        assert_eq!(packed.unwrap(), x.conv2d(&w, None, params, &cfg()).unwrap());
+        let bad = PackedLhs::from_row_major(&w.data()[..12], 2, 6);
+        assert!(x
+            .conv2d_packed_with_buf(&w, &bad, None, params, &cfg(), Vec::new())
+            .is_err());
+    }
+
+    #[test]
     fn rejects_bad_shapes() {
         let x = Tensor::<f32>::zeros(&[1, 2, 4, 4]);
         let w = Tensor::<f32>::zeros(&[1, 3, 3, 3]);

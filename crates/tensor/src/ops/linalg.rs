@@ -512,6 +512,25 @@ mod tests {
     }
 
     #[test]
+    fn packed_linear_checks_input_and_bias() {
+        let w = Tensor::<f32>::rand_uniform(&[3, 4], -1.0, 1.0, 5);
+        let packed = PackedRhs::from_transposed(w.data(), 3, 4);
+        let x = Tensor::<f32>::rand_uniform(&[2, 4], -1.0, 1.0, 6);
+        let fast = x
+            .linear_packed_with_buf(&packed, None, &cfg(), Vec::new())
+            .unwrap();
+        assert_eq!(fast, x.linear(&w, None, &cfg()).unwrap());
+        let narrow = Tensor::<f32>::zeros(&[2, 3]);
+        assert!(narrow
+            .linear_packed_with_buf(&packed, None, &cfg(), Vec::new())
+            .is_err());
+        let bad_bias = Tensor::<f32>::zeros(&[4]);
+        assert!(x
+            .linear_packed_with_buf(&packed, Some(&bad_bias), &cfg(), Vec::new())
+            .is_err());
+    }
+
+    #[test]
     fn linear_bits_match_reference_oracle() {
         let x = Tensor::<f32>::rand_uniform(&[5, 33], -10.0, 10.0, 7);
         let w = Tensor::<f32>::rand_uniform(&[21, 33], -1.0, 1.0, 8);

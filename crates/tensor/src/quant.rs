@@ -36,9 +36,8 @@
 
 use crate::kernel::{par_bands, PackedRhs, PANEL};
 
-/// Row-block height of the int8 micro-kernel: four `pmaddwd` accumulator
-/// chains per panel already saturate it, and the `f32` tile's
-/// [`MR`](crate::kernel::MR) of eight measured slower here.
+/// Row-block height of the int8 micro-kernel; the `f32` tile's eight rows
+/// ([`MR`](crate::kernel::MR)) measured slower here.
 const MR: usize = 4;
 
 /// Largest quantized magnitude: the symmetric `i8` range is `[-127, 127]`.
