@@ -12,15 +12,16 @@
 //!    `i`-th id the coordinator hands out).
 //! 3. **Screen + dispute** (parallel): challenger screening, dispute
 //!    localization and leaf adjudication run concurrently; `open_challenge`
-//!    touches only the claim's own shard. No session advances the clock
+//!    holds the coordinator's lock only for its own bookkeeping. No
+//!    session advances the clock
 //!    here, so no claim's challenge window can close under a slower
 //!    session.
 //! 4. **Settle** (parallel): disputed claims settle and unchallenged
-//!    claims' windows elapse concurrently — the sharded coordinator makes
-//!    per-claim settlement commutative (per-claim status transitions under
-//!    shard locks, account deltas under ordered ledger locks, the clock an
-//!    atomic monotone counter) — and reports are collected in session
-//!    order.
+//!    claims' windows elapse concurrently. Each settle or advance runs
+//!    alone under the coordinator's one lock, and per-claim settlement
+//!    commutes (every amount is a function of its claim, the clock only
+//!    moves forward), so the interleaving does not matter. Reports are
+//!    collected in session order.
 //!
 //! Bond arithmetic on the coordinator is a sum of per-event deltas, so the
 //! final balances, claim statuses and per-session reports match a serial
@@ -36,7 +37,7 @@
 //! earlier claims already pending.
 //!
 //! The worker pool is configurable up to [`MAX_WORKERS`]. The settle
-//! phase is coordinator-bound and uses the full pool; the compute-bound
+//! phase runs no kernels and uses the full pool; the compute-bound
 //! phases (prepare, screen + dispute) spawn kernel row-band workers of
 //! their own, so they stay clamped to the kernel-nesting cap
 //! ([`MAX_PAR_THREADS`]) and nested parallelism remains bounded by the
@@ -71,11 +72,10 @@ impl Scheduler {
         Scheduler { threads }
     }
 
-    /// A scheduler with an explicit worker count (at least 1). The old
-    /// 8-worker ceiling is gone — the sharded coordinator settles in
-    /// parallel, so pools up to [`MAX_WORKERS`] are accepted (the
-    /// compute-bound phases internally clamp to [`MAX_PAR_THREADS`] to
-    /// bound nested kernel parallelism).
+    /// A scheduler with an explicit worker count (at least 1). Pools up
+    /// to [`MAX_WORKERS`] are accepted (the compute-bound phases
+    /// internally clamp to [`MAX_PAR_THREADS`] to bound nested kernel
+    /// parallelism).
     pub fn with_threads(threads: usize) -> Self {
         Scheduler {
             threads: threads.clamp(1, MAX_WORKERS),
@@ -170,8 +170,8 @@ impl Scheduler {
             },
         );
         // Phase 4 (parallel): settlement. Per-claim settles and clock
-        // advances commute on the sharded coordinator, so reports are
-        // produced concurrently and collected in session order.
+        // advances commute on the coordinator, so reports are produced
+        // concurrently and collected in session order.
         let settled = parallel_map(resolved, self.threads, |entry| -> Result<_> {
             let (session, extra) = entry?;
             Ok((session.settle(coordinator)?, extra))

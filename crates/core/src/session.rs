@@ -18,9 +18,10 @@
 //! [`SessionBuilder::run`] is the one-shot convenience that drives all
 //! phases in order, preserving the behavior of the old free-function API.
 //!
-//! The coordinator is shared through [`SharedCoordinator`]: the
-//! coordinator is internally sharded (per-claim and per-account lock
-//! shards), so sessions on distinct claims never contend at all.
+//! The coordinator is shared through [`SharedCoordinator`]. Every
+//! coordinator method takes `&self` and runs under the coordinator's one
+//! lock, held only for the bookkeeping of one protocol step; the forward
+//! passes and disputes of concurrent sessions run outside it.
 
 use tao_bounds::BoundEngine;
 use tao_device::Device;
@@ -87,11 +88,9 @@ impl Default for SessionConfig {
 
 /// A [`Coordinator`] shared across concurrent sessions.
 ///
-/// The coordinator is internally sharded (per-claim and per-account lock
-/// shards with a deterministic lock order — see `tao-protocol`'s
-/// coordinator docs), so this handle wraps it in no mutex: sessions on
-/// distinct claims proceed with zero contention, and settlement runs in
-/// parallel.
+/// The coordinator already serializes its own operations behind one lock
+/// (see `tao-protocol`'s coordinator docs), so this handle adds no mutex
+/// and no behaviour of its own: it only forwards to the coordinator.
 #[derive(Debug)]
 pub struct SharedCoordinator {
     inner: Coordinator,

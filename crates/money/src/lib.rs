@@ -3,7 +3,7 @@
 //! Every balance, escrow, deposit, fee and slash in the protocol is a
 //! [`Money`]: a signed 128-bit count of **micro-credits** (`1 credit =
 //! 10^6` units, [`SCALE`]). Integer arithmetic makes parallel settlement
-//! associative — sharded settlement over any interleaving produces
+//! associative — parallel settlement in any interleaving produces
 //! bit-identical balances to the serial reference, and the conservation
 //! invariant `Σ balances + Σ escrow == injected` is an exact equality
 //! rather than an `abs() < 1e-9` tolerance.

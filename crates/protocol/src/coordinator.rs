@@ -14,53 +14,41 @@
 //! an [`EconAmounts`] and all settlement arithmetic is integer. Settle
 //! amounts are computed from per-claim state (`slashed = min(S_slash,
 //! deposit)`) rather than from live aggregate escrow, so every money
-//! movement is a pure function of the claim — independent of how settle
-//! threads interleave — and sharded-parallel execution is **bit-exact**
-//! against the serial reference.
+//! movement is a pure function of the claim — independent of the order
+//! in which concurrent settles run — and parallel callers end
+//! **bit-exact** against the serial reference.
 //!
-//! # Sharded concurrency
+//! # One lock
 //!
-//! Since the marketplace's throughput ceiling is the arbiter rather than
-//! the kernels, the coordinator is internally **sharded** instead of
-//! living behind one big lock:
-//!
-//! * claim state lives in [`ClaimShards`] — [`CLAIM_SHARDS`] independent
-//!   locks keyed by `claim_id & (CLAIM_SHARDS - 1)`, with claim ids from
-//!   an atomic counter — so submit/challenge/settle on distinct claims
-//!   never contend;
-//! * account balances live in the sharded [`Ledger`], whose two-account
-//!   transfers take their shard locks in ascending index order;
-//! * the logical clock is an atomic counter; the gas meter and the model
-//!   registry sit behind their own small locks.
-//!
-//! The **lock-ordering rule**: a claim-shard lock may be held while
-//! acquiring account-shard locks (status checks gate money movement), and
-//! account-shard locks are only ever acquired in ascending shard-index
-//! order; the supply and gas locks are only taken with no other lock
-//! held by the same operation. No operation ever acquires a claim lock
-//! while holding an account lock, so the hierarchy is acyclic.
+//! Like the contract it stands in for, the coordinator is a serial state
+//! machine: the clock, the claims, the [`Ledger`], the model registry,
+//! the gas meter and the sealed epochs sit in one struct behind one
+//! mutex, and each operation runs alone under it. Every method takes
+//! `&self`, so worker threads share the coordinator directly. Claims are
+//! stored by their dense ids, and every pending claim is also indexed by
+//! `(deadline, id)`, so [`Coordinator::advance`] touches only the claims
+//! whose windows elapsed, however many claims were posted before.
 //!
 //! # Canonical gas log and epoch commitments
 //!
 //! Each claim-scoped gas event carries a `(claim, seq)` key whose
-//! sequence number is allocated from the claim's own counter **under the
-//! claim's shard lock** — the same critical section that performs the
-//! state transition — so per-claim event order is protocol causality,
-//! not meter-append order. [`Coordinator::seal_epoch`] drains the meter
-//! into a canonically sorted, Merkle-committed [`EpochCommitment`]
-//! (see [`crate::epoch`]) whose root is identical across worker counts.
+//! sequence number is allocated from the claim's own counter in the same
+//! critical section that performs the state transition, so per-claim
+//! event order is protocol causality, not the order in which threads
+//! reached the lock. [`Coordinator::seal_epoch`] drains the meter into a
+//! canonically sorted, Merkle-committed [`EpochCommitment`] (see
+//! [`crate::epoch`]) whose root is identical across worker counts.
 //!
 //! The contract, enforced differentially by
 //! `tests/tests/coordinator_invariants.rs`: any batch of coordinator
 //! interactions driven in parallel is **observationally equivalent** to
-//! the same batch driven serially through the single-mutex
+//! the same batch driven serially through the
 //! [`reference::SerialCoordinator`] (same statuses, winners, balances,
 //! canonical gas log and epoch roots — all compared with `==`), and
 //! `Σ balances + Σ escrow == injected()` holds exactly at phase
 //! boundaries.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeSet;
 
 use parking_lot::Mutex;
 
@@ -72,6 +60,11 @@ use crate::epoch::{epoch_root, sort_canonical, EpochCommitment};
 use crate::error::ProtocolError;
 use crate::gas::{self, GasMeter};
 use crate::Result;
+
+/// The challenger of record of an audited claim. Audits post no deposit,
+/// so no voluntary challenger may use this name and no watchtower may
+/// adopt an audit.
+pub const AUDIT_ACCOUNT: &str = "audit-committee";
 
 /// A protocol party.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,19 +113,20 @@ pub struct Claim {
     /// Current status.
     pub status: ClaimStatus,
     /// Number of gas events logged against this claim — the claim's
-    /// monotone sequence counter, bumped under the claim's shard lock so
+    /// monotone sequence counter, bumped with each state transition so
     /// the canonical gas log reflects protocol causality.
     pub events: u32,
 }
 
 impl Claim {
-    /// Last tick at which a challenge is accepted.
+    /// Last tick at which a challenge is accepted. Saturates, so a window
+    /// too long to add to the posting tick stays open instead of wrapping
+    /// into an already-elapsed deadline.
     pub fn deadline(&self) -> u64 {
-        self.posted_at + self.window
+        self.posted_at.saturating_add(self.window)
     }
 
     /// Allocates the next gas-event sequence number for this claim.
-    /// Must be called while holding the claim's shard lock.
     fn next_seq(&mut self) -> u32 {
         let seq = self.events;
         self.events += 1;
@@ -140,100 +134,66 @@ impl Claim {
     }
 }
 
-/// Default number of claim shards. The shard count is runtime
-/// configurable via [`ClaimShards::with_shards`] /
-/// [`Coordinator::with_shards`] and always rounded up to a power of two
-/// so the shard index is a mask of the claim id.
-pub const CLAIM_SHARDS: usize = 16;
-
-/// Claim state split over [`CLAIM_SHARDS`] independent locks, with claim
-/// ids handed out by an atomic counter. Shard `id & (CLAIM_SHARDS - 1)`
-/// owns claim `id`, so operations on distinct claims contend only on a
-/// shard collision. Within a shard, claims sit in a `BTreeMap` so scans
-/// ([`Coordinator::advance`]) visit them in deterministic id order.
-#[derive(Debug)]
-pub struct ClaimShards {
-    shards: Vec<Mutex<BTreeMap<u64, Claim>>>,
-    next_id: AtomicU64,
+/// Everything the coordinator mutates, behind its one lock.
+#[derive(Debug, Default)]
+struct State {
+    tick: u64,
+    /// Claims by id: ids are dense, so claim `id` sits at index `id`.
+    claims: Vec<Claim>,
+    /// `(deadline, id)` of every pending claim, earliest deadline first.
+    pending: BTreeSet<(u64, u64)>,
+    ledger: Ledger,
+    models: Vec<ModelCommitment>,
+    gas: GasMeter,
+    epochs: Vec<EpochCommitment>,
 }
 
-impl Default for ClaimShards {
-    fn default() -> Self {
-        ClaimShards::new()
-    }
-}
-
-impl ClaimShards {
-    /// Empty shard array with the default shard count ([`CLAIM_SHARDS`]).
-    pub fn new() -> Self {
-        Self::with_shards(CLAIM_SHARDS)
-    }
-
-    /// Empty shard array with `shards` claim shards, rounded up to the
-    /// next power of two (minimum 1 — a 1-shard array degenerates to the
-    /// serial single-lock layout).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        ClaimShards {
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
-            next_id: AtomicU64::new(0),
-        }
-    }
-
-    /// The (power-of-two) number of claim shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Allocates the next claim id.
-    fn allocate(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The shard owning `id`.
-    fn shard(&self, id: u64) -> &Mutex<BTreeMap<u64, Claim>> {
-        &self.shards[(id as usize) & (self.shards.len() - 1)]
-    }
-
-    /// A snapshot of claim `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unknown id.
-    pub fn get(&self, id: u64) -> Result<Claim> {
-        self.shard(id)
-            .lock()
-            .get(&id)
-            .cloned()
+impl State {
+    fn claim(&self, id: u64) -> Result<&Claim> {
+        self.claims
+            .get(id as usize)
             .ok_or(ProtocolError::UnknownClaim(id))
     }
 
-    /// How many claim ids have been handed out.
-    pub fn len(&self) -> usize {
-        self.next_id.load(Ordering::Relaxed) as usize
+    /// Checks that claim `id` is pending and its window still open.
+    fn check_challengeable(&self, id: u64) -> Result<()> {
+        let claim = self.claim(id)?;
+        if !matches!(claim.status, ClaimStatus::Pending) {
+            return Err(ProtocolError::BadState(format!(
+                "claim #{id} is not pending"
+            )));
+        }
+        if self.tick > claim.deadline() {
+            return Err(ProtocolError::WindowClosed {
+                claim: id,
+                now: self.tick,
+                deadline: claim.deadline(),
+            });
+        }
+        Ok(())
     }
 
-    /// True when no claim was ever posted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Moves a checked pending claim into a dispute with `challenger` of
+    /// record; returns the transition's sequence number.
+    fn freeze(&mut self, id: u64, challenger: &str) -> u32 {
+        let claim = &mut self.claims[id as usize];
+        self.pending.remove(&(claim.deadline(), id));
+        claim.status = ClaimStatus::Disputed {
+            challenger: challenger.to_string(),
+        };
+        claim.next_seq()
     }
 }
 
-/// The in-process coordinator, internally sharded (see the module docs for
-/// the shard layout and lock-ordering rule). Every method takes `&self`:
-/// the coordinator is shared across worker threads directly, without an
-/// external lock.
+/// The in-process coordinator: one lock over all of its state (see the
+/// module docs). Every method takes `&self`, so the coordinator is shared
+/// across worker threads directly.
 #[derive(Debug)]
 pub struct Coordinator {
-    tick: AtomicU64,
-    ledger: Ledger,
-    claims: ClaimShards,
-    models: Mutex<Vec<ModelCommitment>>,
+    state: Mutex<State>,
     econ: EconParams,
     amounts: EconAmounts,
     slash: Money,
-    gas: Mutex<GasMeter>,
-    epochs: Mutex<Vec<EpochCommitment>>,
 }
 
 impl Coordinator {
@@ -242,49 +202,20 @@ impl Coordinator {
     /// # Errors
     ///
     /// Returns an error when `slash` is outside the feasible region of the
-    /// economic parameters.
-    pub fn new(econ: EconParams, slash: f64) -> Result<Self> {
-        Self::with_shards(econ, slash, CLAIM_SHARDS, crate::econ::ACCOUNT_SHARDS)
-    }
-
-    /// Creates a coordinator with explicit claim/account shard counts,
-    /// each rounded up to the next power of two (minimum 1). A
-    /// `(1, 1)`-sharded coordinator is the serial single-lock layout —
-    /// observationally equivalent to any other count, only slower under
-    /// contention; the invariants suite sweeps 1 and 64 to pin that.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `slash` is outside the feasible region of the
     /// economic parameters or the parameters yield no exact amounts.
-    pub fn with_shards(
-        econ: EconParams,
-        slash: f64,
-        claim_shards: usize,
-        account_shards: usize,
-    ) -> Result<Self> {
+    pub fn new(econ: EconParams, slash: f64) -> Result<Self> {
         let (amounts, slash) = check_economics(&econ, slash)?;
         Ok(Coordinator {
-            tick: AtomicU64::new(0),
-            ledger: Ledger::with_shards(account_shards),
-            claims: ClaimShards::with_shards(claim_shards),
-            models: Mutex::new(Vec::new()),
+            state: Mutex::default(),
             econ,
             amounts,
             slash,
-            gas: Mutex::new(GasMeter::new()),
-            epochs: Mutex::new(Vec::new()),
         })
-    }
-
-    /// The runtime `(claim, account)` shard counts.
-    pub fn shard_counts(&self) -> (usize, usize) {
-        (self.claims.shard_count(), self.ledger.shard_count())
     }
 
     /// Current logical tick (block height).
     pub fn now(&self) -> u64 {
-        self.tick.load(Ordering::Relaxed)
+        self.state.lock().tick
     }
 
     /// The exact protocol amounts (deposits, reward, fee, split rates).
@@ -305,37 +236,28 @@ impl Coordinator {
     /// Credits an account. Accepts whole credits (`fund("p", 10_000)`)
     /// or an exact [`Money`].
     pub fn fund(&self, account: &str, amount: impl Into<Money>) {
-        self.ledger.mint(account, amount.into());
+        self.state.lock().ledger.mint(account, amount.into());
     }
 
     /// Free (non-escrowed) balance of an account.
     pub fn balance(&self, account: &str) -> Money {
-        self.ledger.balance(account)
+        self.state.lock().ledger.balance(account)
     }
 
     /// Escrowed balance of an account.
     pub fn escrowed(&self, account: &str) -> Money {
-        self.ledger.escrowed(account)
+        self.state.lock().ledger.escrowed(account)
     }
 
-    /// The sharded account ledger (conservation accounting lives there).
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+    /// A snapshot of the account ledger (conservation accounting lives
+    /// there).
+    pub fn ledger(&self) -> Ledger {
+        self.state.lock().ledger.clone()
     }
 
     /// A snapshot of the gas ledger (events since the last sealed epoch).
     pub fn gas(&self) -> GasMeter {
-        self.gas.lock().clone()
-    }
-
-    fn charge(&self, action: &str, amount: u64) {
-        self.gas.lock().charge(action, amount);
-    }
-
-    fn charge_claim(&self, claim: u64, seq: u32, action: &str, gas_cost: u64, amount: Money) {
-        self.gas
-            .lock()
-            .charge_claim(claim, seq, action, gas_cost, amount);
+        self.state.lock().gas.clone()
     }
 
     /// Seals the current epoch: drains every gas event logged since the
@@ -344,43 +266,40 @@ impl Coordinator {
     /// it. The meter's running `total` is preserved. Call from a phase
     /// boundary (no coordinator operation in flight).
     pub fn seal_epoch(&self) -> EpochCommitment {
-        let mut entries = {
-            let mut meter = self.gas.lock();
-            std::mem::take(&mut meter.log)
-        };
+        let s = &mut *self.state.lock();
+        let mut entries = std::mem::take(&mut s.gas.log);
         sort_canonical(&mut entries);
-        let root = epoch_root(&entries);
-        let mut epochs = self.epochs.lock();
         let commitment = EpochCommitment {
-            index: epochs.len() as u64,
+            index: s.epochs.len() as u64,
+            root: epoch_root(&entries),
             entries,
-            root,
         };
-        epochs.push(commitment.clone());
+        s.epochs.push(commitment.clone());
         commitment
     }
 
     /// Roots of every sealed epoch, in seal order.
     pub fn epoch_roots(&self) -> Vec<Digest> {
-        self.epochs.lock().iter().map(|e| e.root).collect()
+        self.state.lock().epochs.iter().map(|e| e.root).collect()
     }
 
     /// Every sealed epoch commitment, in seal order.
     pub fn epochs(&self) -> Vec<EpochCommitment> {
-        self.epochs.lock().clone()
+        self.state.lock().epochs.clone()
     }
 
     /// Registers a model commitment (Phase 0).
     pub fn register_model(&self, commitment: ModelCommitment) -> usize {
-        self.charge("register_model", gas::G_TX + 3 * gas::G_SSTORE_NEW);
-        let mut models = self.models.lock();
-        models.push(commitment);
-        models.len() - 1
+        let s = &mut *self.state.lock();
+        s.gas
+            .charge("register_model", gas::G_TX + 3 * gas::G_SSTORE_NEW);
+        s.models.push(commitment);
+        s.models.len() - 1
     }
 
     /// A registered model commitment.
     pub fn model(&self, idx: usize) -> Option<ModelCommitment> {
-        self.models.lock().get(idx).cloned()
+        self.state.lock().models.get(idx).cloned()
     }
 
     /// The §5.5 randomized-audit channel: deterministically decides (from
@@ -393,9 +312,9 @@ impl Coordinator {
     ///
     /// Returns an error for an unknown claim.
     pub fn audit_selected(&self, id: u64, beacon: u64) -> Result<bool> {
-        let claim = self.claim(id)?;
+        let commitment = self.state.lock().claim(id)?.commitment;
         let mut h = tao_merkle::Sha256::new();
-        h.update(&claim.commitment);
+        h.update(&commitment);
         h.update(&beacon.to_le_bytes());
         let digest = h.finalize();
         let draw =
@@ -403,38 +322,22 @@ impl Coordinator {
         Ok(draw < self.econ.phi)
     }
 
-    /// Opens a randomized audit against a pending claim. Unlike a
-    /// voluntary challenge, no challenger deposit is posted — the audit is
-    /// funded from service fees — but the proposer collateral freezes the
-    /// same way.
+    /// Opens a randomized audit against a pending claim, recording
+    /// [`AUDIT_ACCOUNT`] as challenger of record. Unlike a voluntary
+    /// challenge, no challenger deposit is posted — the audit is funded
+    /// from service fees — but the proposer collateral freezes the same
+    /// way.
     ///
     /// # Errors
     ///
     /// Returns an error when the claim is not pending or the window
     /// closed.
     pub fn open_audit(&self, id: u64) -> Result<()> {
-        let now = self.now();
-        let seq = {
-            let mut shard = self.claims.shard(id).lock();
-            let claim = shard.get_mut(&id).ok_or(ProtocolError::UnknownClaim(id))?;
-            if !matches!(claim.status, ClaimStatus::Pending) {
-                return Err(ProtocolError::BadState(format!(
-                    "claim #{id} is not pending"
-                )));
-            }
-            if now > claim.deadline() {
-                return Err(ProtocolError::WindowClosed {
-                    claim: id,
-                    now,
-                    deadline: claim.deadline(),
-                });
-            }
-            claim.status = ClaimStatus::Disputed {
-                challenger: "audit-committee".to_string(),
-            };
-            claim.next_seq()
-        };
-        self.charge_claim(id, seq, "open_audit", gas::open_challenge(), Money::ZERO);
+        let s = &mut *self.state.lock();
+        s.check_challengeable(id)?;
+        let seq = s.freeze(id, AUDIT_ACCOUNT);
+        s.gas
+            .charge_claim(id, seq, "open_audit", gas::open_challenge(), Money::ZERO);
         Ok(())
     }
 
@@ -465,24 +368,24 @@ impl Coordinator {
             )));
         }
         let deposit = self.amounts.d_p.max(report.deposit_bound);
-        self.ledger.reserve(proposer, deposit)?;
-        let id = self.claims.allocate();
-        self.claims.shard(id).lock().insert(
+        let s = &mut *self.state.lock();
+        s.ledger.reserve(proposer, deposit)?;
+        let id = s.claims.len() as u64;
+        let claim = Claim {
             id,
-            Claim {
-                id,
-                proposer: proposer.to_string(),
-                commitment,
-                posted_at: self.now(),
-                window: meta.challenge_window,
-                deposit,
-                status: ClaimStatus::Pending,
-                events: 1,
-            },
-        );
-        // seq 0 belongs to the commit by construction; logged after the
-        // shard lock is released (gas is a leaf lock).
-        self.charge_claim(id, 0, "commit_claim", report.gas_quote, deposit);
+            proposer: proposer.to_string(),
+            commitment,
+            posted_at: s.tick,
+            window: meta.challenge_window,
+            deposit,
+            status: ClaimStatus::Pending,
+            // seq 0 belongs to the commit by construction.
+            events: 1,
+        };
+        s.pending.insert((claim.deadline(), id));
+        s.claims.push(claim);
+        s.gas
+            .charge_claim(id, 0, "commit_claim", report.gas_quote, deposit);
         Ok(id)
     }
 
@@ -492,73 +395,57 @@ impl Coordinator {
     ///
     /// Returns an error for an unknown id.
     pub fn claim(&self, id: u64) -> Result<Claim> {
-        self.claims.get(id)
+        self.state.lock().claim(id).cloned()
     }
 
     /// Advances the logical clock, finalizing pending claims whose windows
-    /// elapsed. Returns the finalized ids in ascending order. Safe to call
-    /// concurrently: the tick is bumped atomically and each claim's
-    /// Pending → Finalized transition happens under its shard lock, so a
-    /// claim finalizes (and its deposit releases, its reward pays) exactly
-    /// once no matter how many advances race. Each finalization logs a
-    /// zero-gas `finalize` event carrying the reward amount.
+    /// elapsed: their deposits release and their rewards pay, each with a
+    /// zero-gas `finalize` event carrying the reward amount. Returns the
+    /// finalized ids in ascending order. The elapsed claims come off the
+    /// front of the pending-deadline index, so the cost follows the
+    /// claims finalized, not the claims ever posted.
     pub fn advance(&self, ticks: u64) -> Vec<u64> {
-        let now = self.tick.fetch_add(ticks, Ordering::Relaxed) + ticks;
+        let s = &mut *self.state.lock();
+        s.tick += ticks;
         let mut finalized = Vec::new();
-        for shard in &self.claims.shards {
-            let mut shard = shard.lock();
-            for claim in shard.values_mut() {
-                if matches!(claim.status, ClaimStatus::Pending) && now > claim.deadline() {
-                    claim.status = ClaimStatus::Finalized;
-                    let seq = claim.next_seq();
-                    finalized.push((claim.id, claim.proposer.clone(), claim.deposit, seq));
-                }
+        while let Some(&(deadline, id)) = s.pending.first() {
+            if deadline >= s.tick {
+                break;
             }
+            s.pending.pop_first();
+            finalized.push(id);
         }
-        finalized.sort_unstable_by_key(|(id, ..)| *id);
-        for (id, proposer, deposit, seq) in &finalized {
-            self.ledger.release(proposer, *deposit);
-            // Pay the task reward on finality.
-            self.ledger.mint(proposer, self.amounts.r_p);
-            self.charge_claim(*id, *seq, "finalize", 0, self.amounts.r_p);
+        finalized.sort_unstable();
+        for &id in &finalized {
+            let claim = &mut s.claims[id as usize];
+            claim.status = ClaimStatus::Finalized;
+            let seq = claim.next_seq();
+            s.ledger.release(&claim.proposer, claim.deposit);
+            s.ledger.mint(&claim.proposer, self.amounts.r_p);
+            s.gas.charge_claim(id, seq, "finalize", 0, self.amounts.r_p);
         }
-        finalized.into_iter().map(|(id, ..)| id).collect()
+        finalized
     }
 
     /// Opens a challenge against a pending claim, escrowing `D_ch` and
-    /// freezing the proposer's collateral. The status check and the
-    /// deposit reservation happen under the claim's shard lock, so two
-    /// challengers racing for one claim cannot both win.
+    /// freezing the proposer's collateral.
     ///
     /// # Errors
     ///
-    /// Returns an error when the claim is not pending, the window closed,
-    /// or the challenger cannot post the deposit.
+    /// Returns an error when `challenger` is [`AUDIT_ACCOUNT`], the claim
+    /// is not pending, the window closed, or the challenger cannot post
+    /// the deposit.
     pub fn open_challenge(&self, id: u64, challenger: &str) -> Result<()> {
-        let now = self.now();
-        let seq = {
-            let mut shard = self.claims.shard(id).lock();
-            let claim = shard.get_mut(&id).ok_or(ProtocolError::UnknownClaim(id))?;
-            if !matches!(claim.status, ClaimStatus::Pending) {
-                return Err(ProtocolError::BadState(format!(
-                    "claim #{id} is not pending"
-                )));
-            }
-            if now > claim.deadline() {
-                return Err(ProtocolError::WindowClosed {
-                    claim: id,
-                    now,
-                    deadline: claim.deadline(),
-                });
-            }
-            // Claim-shard → account-shard is the sanctioned lock order.
-            self.ledger.reserve(challenger, self.amounts.d_ch)?;
-            claim.status = ClaimStatus::Disputed {
-                challenger: challenger.to_string(),
-            };
-            claim.next_seq()
-        };
-        self.charge_claim(
+        if challenger == AUDIT_ACCOUNT {
+            return Err(ProtocolError::BadState(format!(
+                "{AUDIT_ACCOUNT} opens audits, not challenges"
+            )));
+        }
+        let s = &mut *self.state.lock();
+        s.check_challengeable(id)?;
+        s.ledger.reserve(challenger, self.amounts.d_ch)?;
+        let seq = s.freeze(id, challenger);
+        s.gas.charge_claim(
             id,
             seq,
             "open_challenge",
@@ -574,41 +461,42 @@ impl Coordinator {
     /// collusion exit move — a colluding challenger that opens a dispute
     /// and then abandons it cannot hand the proposer a free win (the
     /// dispute continues under the adopter) and pays for the desertion.
-    /// The status check, the adopter's reservation and the record swap all
-    /// happen under the claim's shard lock, so two adopters racing for one
-    /// abandoned dispute cannot both win.
+    /// Audits are not adoptable: the committee posted no deposit to burn,
+    /// and its slash share is not for sale.
     ///
     /// # Errors
     ///
-    /// Returns an error when the claim is not disputed, when `adopter`
-    /// already is the challenger of record, or when the adopter cannot
-    /// post the deposit.
+    /// Returns an error when the claim is not disputed or is under audit,
+    /// when `adopter` already is the challenger of record or is
+    /// [`AUDIT_ACCOUNT`], or when the adopter cannot post the deposit.
     pub fn adopt_challenge(&self, id: u64, adopter: &str) -> Result<String> {
-        let (deserter, seq) = {
-            let mut shard = self.claims.shard(id).lock();
-            let claim = shard.get_mut(&id).ok_or(ProtocolError::UnknownClaim(id))?;
-            let ClaimStatus::Disputed { challenger } = &claim.status else {
-                return Err(ProtocolError::BadState(format!(
-                    "claim #{id} is not disputed"
-                )));
-            };
-            if challenger == adopter {
-                return Err(ProtocolError::BadState(format!(
-                    "claim #{id}: {adopter} already challenges it"
-                )));
-            }
-            let deserter = challenger.clone();
-            // Claim-shard → account-shard is the sanctioned lock order.
-            self.ledger.reserve(adopter, self.amounts.d_ch)?;
-            claim.status = ClaimStatus::Disputed {
-                challenger: adopter.to_string(),
-            };
-            (deserter, claim.next_seq())
+        let s = &mut *self.state.lock();
+        let ClaimStatus::Disputed { challenger } = &s.claim(id)?.status else {
+            return Err(ProtocolError::BadState(format!(
+                "claim #{id} is not disputed"
+            )));
         };
+        if challenger == AUDIT_ACCOUNT || adopter == AUDIT_ACCOUNT {
+            return Err(ProtocolError::BadState(format!(
+                "claim #{id}: audits cannot be adopted"
+            )));
+        }
+        if challenger == adopter {
+            return Err(ProtocolError::BadState(format!(
+                "claim #{id}: {adopter} already challenges it"
+            )));
+        }
+        let deserter = challenger.clone();
+        s.ledger.reserve(adopter, self.amounts.d_ch)?;
         // Burn (not refund) the deserter's deposit: abandoning an open
         // dispute is the collusion exit move and must not be free.
-        self.ledger.burn_escrow(&deserter, self.amounts.d_ch);
-        self.charge_claim(
+        s.ledger.burn_escrow(&deserter, self.amounts.d_ch);
+        let claim = &mut s.claims[id as usize];
+        claim.status = ClaimStatus::Disputed {
+            challenger: adopter.to_string(),
+        };
+        let seq = claim.next_seq();
+        s.gas.charge_claim(
             id,
             seq,
             "adopt_challenge",
@@ -620,33 +508,33 @@ impl Coordinator {
 
     /// Settles a disputed claim: the loser is slashed by `S_slash` from
     /// escrow, the winner's deposit is released, and the winner (plus the
-    /// committee, when used) is rewarded per §5.5. The Disputed → Settled
-    /// transition claims exclusive settlement rights under the claim's
-    /// shard lock before any money moves, so concurrent settles of
-    /// distinct claims — even on overlapping accounts — interleave freely.
+    /// committee, when used) is rewarded per §5.5.
     ///
     /// Every amount is a pure function of the claim: the slash is
     /// `min(S_slash, deposit)` and splits per the documented rounding
-    /// policy ([`tao_money::slash_split`]), so parallel settlement is
-    /// bit-exact against the serial reference regardless of
-    /// interleaving.
+    /// policy ([`tao_money::slash_split`]), so settles of distinct claims
+    /// commute and parallel settlement is bit-exact against the serial
+    /// reference regardless of interleaving.
     ///
     /// # Errors
     ///
     /// Returns an error when the claim is not disputed.
     pub fn settle(&self, id: u64, winner: Party, committee_size: usize) -> Result<()> {
-        let (proposer, challenger, deposit, seq) = {
-            let mut shard = self.claims.shard(id).lock();
-            let claim = shard.get_mut(&id).ok_or(ProtocolError::UnknownClaim(id))?;
-            let ClaimStatus::Disputed { challenger } = &claim.status else {
-                return Err(ProtocolError::BadState(format!(
-                    "claim #{id} is not disputed"
-                )));
-            };
-            let tuple = (claim.proposer.clone(), challenger.clone(), claim.deposit);
-            claim.status = ClaimStatus::Settled { winner };
-            (tuple.0, tuple.1, tuple.2, claim.next_seq())
+        let s = &mut *self.state.lock();
+        let claim = s
+            .claims
+            .get_mut(id as usize)
+            .ok_or(ProtocolError::UnknownClaim(id))?;
+        let ClaimStatus::Disputed { challenger } = &claim.status else {
+            return Err(ProtocolError::BadState(format!(
+                "claim #{id} is not disputed"
+            )));
         };
+        let challenger = challenger.clone();
+        claim.status = ClaimStatus::Settled { winner };
+        let seq = claim.next_seq();
+        let (proposer, deposit) = (claim.proposer.as_str(), claim.deposit);
+        let ledger = &mut s.ledger;
         let moved = match winner {
             Party::Challenger => {
                 // Slash the proposer by min(S_slash, deposit) — determined
@@ -654,28 +542,26 @@ impl Coordinator {
                 // challenger and committee shares are re-minted from the
                 // burn per the split policy; the remainder stays destroyed.
                 let slashed = self.slash.min(deposit);
-                let burned = self.ledger.burn_escrow(&proposer, slashed);
+                let burned = ledger.burn_escrow(proposer, slashed);
                 debug_assert_eq!(burned, slashed, "claim deposit must back its slash");
-                self.ledger.release(&proposer, deposit - slashed);
+                ledger.release(proposer, deposit - slashed);
                 let split = slash_split(slashed, self.amounts.alpha_ch, self.amounts.alpha_cm);
-                self.ledger.mint(&challenger, split.reward);
+                ledger.mint(&challenger, split.reward);
                 if committee_size > 0 {
-                    self.ledger.mint("committee-pool", split.committee);
+                    ledger.mint("committee-pool", split.committee);
                 }
-                self.ledger.release(&challenger, self.amounts.d_ch);
+                ledger.release(&challenger, self.amounts.d_ch);
                 slashed
             }
             Party::Proposer => {
                 // Spam deterrence: the challenger forfeits its deposit to
-                // the proposer — an atomic ordered two-account transfer.
-                // (Audit challengers posted no deposit; nothing moves.)
-                let forfeited =
-                    self.ledger
-                        .escrow_transfer(&challenger, &proposer, self.amounts.d_ch);
-                self.ledger.release(&proposer, deposit);
-                self.ledger.mint(&proposer, self.amounts.r_p);
+                // the proposer. (Audit challengers posted no deposit;
+                // nothing moves.)
+                let forfeited = ledger.escrow_transfer(&challenger, proposer, self.amounts.d_ch);
+                ledger.release(proposer, deposit);
+                ledger.mint(proposer, self.amounts.r_p);
                 if committee_size > 0 {
-                    self.ledger.mint(
+                    ledger.mint(
                         "committee-pool",
                         self.amounts.committee_fee * committee_size as u64,
                     );
@@ -683,7 +569,8 @@ impl Coordinator {
                 forfeited
             }
         };
-        self.charge_claim(id, seq, "settlement", gas::settlement(), moved);
+        s.gas
+            .charge_claim(id, seq, "settlement", gas::settlement(), moved);
         Ok(())
     }
 
@@ -720,14 +607,15 @@ fn check_economics(econ: &EconParams, slash: f64) -> Result<(EconAmounts, Money)
 }
 
 pub mod reference {
-    //! The single-mutex serial coordinator, kept in-tree permanently as
-    //! the differential oracle for the sharded [`Coordinator`](super::Coordinator) — the same
-    //! idiom as the scalar kernel oracles in `tao-tensor`. Its semantics
-    //! are exactly the pre-sharding (PR 2) arbiter: one struct, `&mut
-    //! self` methods, claims in a `Vec`, balances in two maps. The
-    //! equivalence proptest drives identical batches through both and
-    //! asserts identical statuses, winners, balances, canonical gas logs
-    //! and epoch roots — all with `==`, no tolerance.
+    //! The plain serial coordinator, kept in-tree permanently as the
+    //! differential oracle for [`Coordinator`](super::Coordinator) — the
+    //! same idiom as the scalar kernel oracles in `tao-tensor`. Its
+    //! semantics are exactly the original arbiter: one struct, `&mut
+    //! self` methods, claims in a `Vec`, balances in two maps, and an
+    //! `advance` that scans every claim (the oracle for the pending-deadline
+    //! index). The equivalence proptests drive identical batches through
+    //! both and assert identical statuses, winners, balances, canonical gas
+    //! logs and epoch roots — all with `==`, no tolerance.
 
     use std::collections::HashMap;
 
@@ -741,7 +629,7 @@ pub mod reference {
     use crate::gas::{self, GasMeter};
     use crate::Result;
 
-    /// The pre-sharding coordinator: fully serial, one logical lock.
+    /// The oracle coordinator: fully serial, `&mut self` throughout.
     #[derive(Debug, Clone)]
     pub struct SerialCoordinator {
         tick: u64,
@@ -980,7 +868,7 @@ pub mod reference {
         }
 
         /// Settles a disputed claim with the same pure-function-of-claim
-        /// amounts as the sharded coordinator.
+        /// amounts as [`super::Coordinator::settle`].
         ///
         /// # Errors
         ///
@@ -1249,11 +1137,97 @@ mod tests {
             assert_eq!(
                 s.balance(acct),
                 c.balance(acct),
-                "{acct}: serial vs sharded"
+                "{acct}: serial vs coordinator"
             );
         }
         // Canonical gas logs are byte-identical too.
         assert_eq!(canonical_log(&s.gas), canonical_log(&c.gas()));
+    }
+
+    #[test]
+    fn huge_window_saturates_instead_of_wrapping_into_finality() {
+        let c = coordinator();
+        c.fund("prop", 1_000);
+        c.fund("chal", 100);
+        c.advance(1);
+        let huge = ClaimMeta {
+            challenge_window: u64::MAX,
+            ..meta()
+        };
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &huge, report())
+            .unwrap();
+        assert_eq!(c.claim(id).unwrap().deadline(), u64::MAX);
+        assert!(c.advance(1).is_empty(), "an open window must not finalize");
+        assert_eq!(c.claim(id).unwrap().status, ClaimStatus::Pending);
+        assert_eq!(c.balance("prop"), m(500), "no reward paid");
+        c.open_challenge(id, "chal").unwrap();
+    }
+
+    #[test]
+    fn audits_cannot_be_adopted() {
+        let c = coordinator();
+        c.fund("prop", 1_000);
+        c.fund("watchtower", 100);
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
+        c.open_audit(id).unwrap();
+        let gas = c.gas();
+        assert!(matches!(
+            c.adopt_challenge(id, "watchtower"),
+            Err(ProtocolError::BadState(_))
+        ));
+        // Nothing moved: the audit stays the committee's.
+        assert_eq!(c.balance("watchtower"), m(100));
+        assert_eq!(c.escrowed("watchtower"), Money::ZERO);
+        assert_eq!(c.gas(), gas);
+        assert!(matches!(
+            c.claim(id).unwrap().status,
+            ClaimStatus::Disputed { ref challenger } if challenger == AUDIT_ACCOUNT
+        ));
+        // The slash share of a guilty verdict never reaches the watchtower.
+        c.settle(id, Party::Challenger, 3).unwrap();
+        assert_eq!(c.balance("watchtower"), m(100));
+        assert_eq!(c.ledger().total_value(), c.ledger().injected());
+    }
+
+    #[test]
+    fn audit_account_cannot_challenge_or_adopt() {
+        let c = coordinator();
+        c.fund("prop", 1_000);
+        c.fund("colluder", 100);
+        c.fund(AUDIT_ACCOUNT, 100);
+        let id = c
+            .submit_claim_quoted("prop", commitment(), &meta(), report())
+            .unwrap();
+        let gas = c.gas();
+        assert!(matches!(
+            c.open_challenge(id, AUDIT_ACCOUNT),
+            Err(ProtocolError::BadState(_))
+        ));
+        assert_eq!(c.claim(id).unwrap().status, ClaimStatus::Pending);
+        assert_eq!(c.balance(AUDIT_ACCOUNT), m(100));
+        assert_eq!(c.escrowed(AUDIT_ACCOUNT), Money::ZERO);
+        assert_eq!(c.gas(), gas);
+        // Nor can the name take over an abandoned challenge, which would
+        // make it look like an audit nobody may adopt.
+        c.open_challenge(id, "colluder").unwrap();
+        let gas = c.gas();
+        assert!(matches!(
+            c.adopt_challenge(id, AUDIT_ACCOUNT),
+            Err(ProtocolError::BadState(_))
+        ));
+        assert!(matches!(
+            c.claim(id).unwrap().status,
+            ClaimStatus::Disputed { ref challenger } if challenger == "colluder"
+        ));
+        assert_eq!(c.balance(AUDIT_ACCOUNT), m(100));
+        assert_eq!(c.escrowed("colluder"), c.amounts().d_ch);
+        assert_eq!(c.gas(), gas);
+        // The abandoned challenge stays adoptable by a real watchtower.
+        c.fund("watchtower", 100);
+        assert_eq!(c.adopt_challenge(id, "watchtower").unwrap(), "colluder");
     }
 
     #[test]
@@ -1291,7 +1265,7 @@ mod tests {
             other => panic!("expected InsufficientFunds, got {other:?}"),
         }
         // A rejected submission allocates no claim id.
-        assert!(c.claims.is_empty());
+        assert!(c.state.lock().claims.is_empty());
     }
 
     #[test]
@@ -1369,34 +1343,6 @@ mod tests {
             ..EconParams::default_market()
         };
         assert!(Coordinator::new(econ, 100.0).is_err());
-    }
-
-    #[test]
-    fn shard_counts_are_runtime_configurable_and_round_to_powers_of_two() {
-        let econ = EconParams::default_market();
-        let (lo, hi) = econ.feasible_slash_region().unwrap();
-        let slash = (lo + hi) / 2.0;
-        assert_eq!(coordinator().shard_counts(), (16, 16), "defaults");
-        let c = Coordinator::with_shards(econ, slash, 3, 5).unwrap();
-        assert_eq!(c.shard_counts(), (4, 8), "rounded up to powers of two");
-        let serial = Coordinator::with_shards(econ, slash, 0, 1).unwrap();
-        assert_eq!(serial.shard_counts(), (1, 1), "minimum one shard");
-        // The 1-shard layout still runs the full lifecycle.
-        serial.fund("prop", 1_000);
-        serial.fund("chal", 100);
-        let id = serial
-            .submit_claim_quoted("prop", commitment(), &meta(), report())
-            .unwrap();
-        serial.open_challenge(id, "chal").unwrap();
-        serial.settle(id, Party::Challenger, 3).unwrap();
-        assert!(matches!(
-            serial.claim(id).unwrap().status,
-            ClaimStatus::Settled {
-                winner: Party::Challenger
-            }
-        ));
-        let big = Coordinator::with_shards(econ, slash, 64, 64).unwrap();
-        assert_eq!(big.shard_counts(), (64, 64));
     }
 
     #[test]
@@ -1525,7 +1471,7 @@ mod tests {
         ));
         assert_eq!(c.escrowed("prop"), Money::ZERO);
         assert_eq!(c.gas().total, 0);
-        assert!(c.claims.is_empty());
+        assert!(c.state.lock().claims.is_empty());
     }
 
     #[test]
@@ -1588,7 +1534,7 @@ mod tests {
 
     #[test]
     fn parallel_settles_on_distinct_claims_match_serial() {
-        // Drive the same 32-claim batch through the sharded coordinator in
+        // Drive the same 32-claim batch through the coordinator in
         // parallel and the serial reference oracle; balances, canonical
         // gas logs and epoch roots must be bit-identical.
         let econ = EconParams::default_market();
@@ -1654,12 +1600,12 @@ mod tests {
             assert_eq!(
                 serial.balance(account),
                 c.balance(account),
-                "{account}: serial vs sharded"
+                "{account}: serial vs coordinator"
             );
         }
         assert_eq!(c.ledger().total_value(), c.ledger().injected());
-        // The canonical log is identical even though the sharded meter
-        // filled in settle-interleaving order, and so is the epoch root.
+        // The canonical log is identical even though the coordinator's
+        // meter filled in settle-interleaving order, and so is the epoch root.
         assert_eq!(canonical_log(&serial.gas), canonical_log(&c.gas()));
         let mut s_mut = serial;
         assert_eq!(s_mut.seal_epoch().root, c.seal_epoch().root);

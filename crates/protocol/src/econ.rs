@@ -1,5 +1,5 @@
-//! Economic soundness and incentives (§5.5, Eq. 16–25), and the sharded
-//! account [`Ledger`] that moves the money.
+//! Economic soundness and incentives (§5.5, Eq. 16–25), and the account
+//! [`Ledger`] that moves the money.
 //!
 //! Incentive analysis ([`EconParams`]) stays in f64 — the paper's
 //! utility formulas are real-valued and never touch the ledger. The
@@ -8,19 +8,9 @@
 //! and all ledger arithmetic from that point on is exact i128
 //! fixed-point: see the `tao-money` crate docs for the scale and the
 //! rounding policy.
-//!
-//! The ledger shards accounts over [`ACCOUNT_SHARDS`] independent locks so
-//! bond operations on unrelated accounts never contend. Operations that
-//! touch two accounts ([`Ledger::transfer`], [`Ledger::escrow_transfer`])
-//! acquire both shard locks in **ascending shard-index order** (one lock
-//! when the accounts collide on a shard), which makes the lock order a
-//! total order and rules out deadlock by construction. Single-account
-//! operations hold exactly one shard lock. The supply counter is only ever
-//! locked on its own, after every account lock has been released.
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use tao_money::{Money, Ppm};
 
 use crate::error::ProtocolError;
@@ -226,11 +216,6 @@ pub struct EconAmounts {
     pub alpha_cm: Ppm,
 }
 
-/// Default number of account shards. The shard count is runtime
-/// configurable via [`Ledger::with_shards`] and always rounded up to a
-/// power of two so the shard index is a mask of the account-name hash.
-pub const ACCOUNT_SHARDS: usize = 16;
-
 /// One account's funds: the free balance and the escrowed bonds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Account {
@@ -238,107 +223,67 @@ struct Account {
     escrow: Money,
 }
 
-/// A sharded account ledger: balances and escrow split over
-/// [`ACCOUNT_SHARDS`] locks keyed by a deterministic hash of the account
-/// name, so operations on accounts in distinct shards run fully in
-/// parallel.
+/// The account ledger: each account's free balance and escrow, plus the
+/// net supply injected from outside. Plain data; the
+/// [`Coordinator`](crate::Coordinator) owns one behind its lock.
 ///
 /// Every operation conserves `Σ balances + Σ escrow` against the running
 /// [`injected`](Ledger::injected) supply counter: mints add to it, burns
-/// subtract from it, and transfers/reservations/releases leave it
-/// untouched. Because balances are exact integers, at any quiescent
-/// point (no operation in flight) [`total_value`](Ledger::total_value)
-/// equals `injected()` **exactly** — the conservation invariant the
-/// concurrency tests assert with `==` after every phase.
-#[derive(Debug)]
+/// subtract from it, and reservations/releases/escrow transfers leave it
+/// untouched. Because balances are exact integers,
+/// [`total_value`](Ledger::total_value) equals `injected()` **exactly**
+/// — the conservation invariant the concurrency tests assert with `==`
+/// after every phase.
+#[derive(Debug, Clone, Default)]
 pub struct Ledger {
-    shards: Vec<Mutex<HashMap<String, Account>>>,
+    accounts: HashMap<String, Account>,
     /// Net value injected from outside (mints minus burns).
-    supply: Mutex<Money>,
-}
-
-impl Default for Ledger {
-    fn default() -> Self {
-        Ledger::new()
-    }
+    supply: Money,
 }
 
 impl Ledger {
-    /// An empty ledger with the default shard count
-    /// ([`ACCOUNT_SHARDS`]).
+    /// An empty ledger.
     pub fn new() -> Self {
-        Self::with_shards(ACCOUNT_SHARDS)
+        Self::default()
     }
 
-    /// An empty ledger with `shards` account shards, rounded up to the
-    /// next power of two (minimum 1 — a 1-shard ledger is the serial
-    /// special case, useful as a differential baseline).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        Ledger {
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
-            supply: Mutex::new(Money::ZERO),
-        }
-    }
-
-    /// The (power-of-two) number of account shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Deterministic shard index of an account (FNV-1a of the name,
-    /// masked). Deterministic so shard placement — and therefore which
-    /// operations can contend — is stable across runs and machines.
-    pub fn shard_of(&self, account: &str) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in account.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h as usize) & (self.shards.len() - 1)
+    /// The entry of `account`, created empty on first use.
+    fn account(&mut self, account: &str) -> &mut Account {
+        self.accounts.entry(account.to_string()).or_default()
     }
 
     /// Credits an account with freshly injected value (external funding or
     /// a protocol reward).
-    pub fn mint(&self, account: &str, amount: Money) {
+    pub fn mint(&mut self, account: &str, amount: Money) {
         if amount.is_zero() {
             return;
         }
-        self.shards[self.shard_of(account)]
-            .lock()
-            .entry(account.to_string())
-            .or_default()
-            .balance += amount;
-        *self.supply.lock() += amount;
+        self.account(account).balance += amount;
+        self.supply += amount;
     }
 
     /// Free (non-escrowed) balance of an account.
     pub fn balance(&self, account: &str) -> Money {
-        self.shards[self.shard_of(account)]
-            .lock()
+        self.accounts
             .get(account)
             .map_or(Money::ZERO, |a| a.balance)
     }
 
     /// Escrowed balance of an account.
     pub fn escrowed(&self, account: &str) -> Money {
-        self.shards[self.shard_of(account)]
-            .lock()
-            .get(account)
-            .map_or(Money::ZERO, |a| a.escrow)
+        self.accounts.get(account).map_or(Money::ZERO, |a| a.escrow)
     }
 
     /// Reserves a deposit: moves `amount` from the free balance into
-    /// escrow, atomically under the account's shard lock.
+    /// escrow.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::InsufficientFunds`] naming the account, the
     /// requested amount and the available balance when the balance is
     /// below `amount`; nothing moves in that case.
-    pub fn reserve(&self, account: &str, amount: Money) -> Result<(), ProtocolError> {
-        let mut shard = self.shards[self.shard_of(account)].lock();
-        let acct = shard.entry(account.to_string()).or_default();
+    pub fn reserve(&mut self, account: &str, amount: Money) -> Result<(), ProtocolError> {
+        let acct = self.account(account);
         if acct.balance < amount {
             return Err(ProtocolError::InsufficientFunds {
                 account: account.to_string(),
@@ -353,9 +298,8 @@ impl Ledger {
 
     /// Releases up to `amount` from escrow back to the free balance;
     /// returns how much actually moved (clamped to the escrowed funds).
-    pub fn release(&self, account: &str, amount: Money) -> Money {
-        let mut shard = self.shards[self.shard_of(account)].lock();
-        let acct = shard.entry(account.to_string()).or_default();
+    pub fn release(&mut self, account: &str, amount: Money) -> Money {
+        let acct = self.account(account);
         let moved = amount.min(acct.escrow).max(Money::ZERO);
         acct.escrow -= moved;
         acct.balance += moved;
@@ -364,151 +308,39 @@ impl Ledger {
 
     /// Destroys up to `amount` of escrowed funds (a slash burn); returns
     /// how much was actually burned.
-    pub fn burn_escrow(&self, account: &str, amount: Money) -> Money {
-        let burned = {
-            let mut shard = self.shards[self.shard_of(account)].lock();
-            let acct = shard.entry(account.to_string()).or_default();
-            let burned = amount.min(acct.escrow).max(Money::ZERO);
-            acct.escrow -= burned;
-            burned
-        };
-        if !burned.is_zero() {
-            *self.supply.lock() -= burned;
-        }
+    pub fn burn_escrow(&mut self, account: &str, amount: Money) -> Money {
+        let acct = self.account(account);
+        let burned = amount.min(acct.escrow).max(Money::ZERO);
+        acct.escrow -= burned;
+        self.supply -= burned;
         burned
     }
 
-    /// Atomic two-account transfer of free balance. Both shard locks are
-    /// taken in ascending shard-index order (a single lock when the
-    /// accounts share a shard), so concurrent reverse transfers cannot
-    /// deadlock.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::InsufficientFunds`] when `from`'s balance is
-    /// below `amount`; nothing moves in that case.
-    pub fn transfer(&self, from: &str, to: &str, amount: Money) -> Result<(), ProtocolError> {
-        if from == to {
-            let balance = self.balance(from);
-            return if balance < amount {
-                Err(ProtocolError::InsufficientFunds {
-                    account: from.to_string(),
-                    needed: amount,
-                    available: balance,
-                })
-            } else {
-                Ok(())
-            };
-        }
-        self.with_pair(from, to, |a, b| {
-            if a.balance < amount {
-                return Err(ProtocolError::InsufficientFunds {
-                    account: from.to_string(),
-                    needed: amount,
-                    available: a.balance,
-                });
-            }
-            a.balance -= amount;
-            b.balance += amount;
-            Ok(())
-        })
-    }
-
-    /// Atomically moves up to `amount` from `from`'s **escrow** into
-    /// `to`'s free balance (a forfeiture or slash share), with the same
-    /// ascending lock order as [`transfer`](Self::transfer). Returns how
-    /// much moved.
-    pub fn escrow_transfer(&self, from: &str, to: &str, amount: Money) -> Money {
-        if from == to {
-            return self.release(from, amount);
-        }
-        self.with_pair(from, to, |a, b| {
-            let moved = amount.min(a.escrow).max(Money::ZERO);
-            a.escrow -= moved;
-            b.balance += moved;
-            moved
-        })
-    }
-
-    /// Runs `f` with both accounts' entries under their shard locks,
-    /// acquired in ascending shard-index order. `from` and `to` must be
-    /// distinct account names.
-    fn with_pair<R>(
-        &self,
-        from: &str,
-        to: &str,
-        f: impl FnOnce(&mut Account, &mut Account) -> R,
-    ) -> R {
-        debug_assert_ne!(from, to, "with_pair requires distinct accounts");
-        let (ia, ib) = (self.shard_of(from), self.shard_of(to));
-        if ia == ib {
-            let mut shard = self.shards[ia].lock();
-            shard.entry(from.to_string()).or_default();
-            shard.entry(to.to_string()).or_default();
-            // Two live &mut entries into one map are impossible; operate on
-            // local copies and write both back under the same lock.
-            let mut a = shard[from];
-            let mut b = shard[to];
-            let out = f(&mut a, &mut b);
-            shard.insert(from.to_string(), a);
-            shard.insert(to.to_string(), b);
-            out
-        } else {
-            let (lo, hi) = (ia.min(ib), ia.max(ib));
-            let g_lo = self.shards[lo].lock();
-            let g_hi = self.shards[hi].lock();
-            let (mut g_from, mut g_to) = if ia == lo { (g_lo, g_hi) } else { (g_hi, g_lo) };
-            let a = g_from.entry(from.to_string()).or_default();
-            // The guards borrow disjoint maps, so both entries are live.
-            let b = g_to.entry(to.to_string()).or_default();
-            f(a, b)
-        }
+    /// Moves up to `amount` from `from`'s **escrow** into `to`'s free
+    /// balance (a forfeiture); returns how much moved.
+    pub fn escrow_transfer(&mut self, from: &str, to: &str, amount: Money) -> Money {
+        let acct = self.account(from);
+        let moved = amount.min(acct.escrow).max(Money::ZERO);
+        acct.escrow -= moved;
+        self.account(to).balance += moved;
+        moved
     }
 
     /// Net value injected from outside (mints minus burns).
     pub fn injected(&self) -> Money {
-        *self.supply.lock()
+        self.supply
     }
 
-    /// `Σ balances + Σ escrow` over every account. Integer addition is
-    /// associative, so no summation order is imposed. Only meaningful at
-    /// quiescent points: the shard locks are taken one at a time, not
-    /// all at once.
+    /// `Σ balances + Σ escrow` over every account.
     pub fn total_value(&self) -> Money {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .lock()
-                    .values()
-                    .map(|a| a.balance + a.escrow)
-                    .sum::<Money>()
-            })
-            .sum()
+        self.accounts.values().map(|a| a.balance + a.escrow).sum()
     }
 
     /// Every account name the ledger has seen, sorted.
     pub fn accounts(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().keys().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut names: Vec<String> = self.accounts.keys().cloned().collect();
         names.sort();
         names
-    }
-}
-
-impl Clone for Ledger {
-    fn clone(&self) -> Self {
-        Ledger {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| Mutex::new(s.lock().clone()))
-                .collect(),
-            supply: Mutex::new(*self.supply.lock()),
-        }
     }
 }
 
@@ -619,7 +451,7 @@ mod tests {
 
     #[test]
     fn ledger_roundtrip_conserves_value() {
-        let l = Ledger::new();
+        let mut l = Ledger::new();
         l.mint("a", m(100));
         l.mint("b", m(50));
         assert_eq!(l.balance("a"), m(100));
@@ -648,7 +480,7 @@ mod tests {
 
     #[test]
     fn ledger_burn_reduces_supply() {
-        let l = Ledger::new();
+        let mut l = Ledger::new();
         l.mint("a", m(100));
         l.reserve("a", m(60)).unwrap();
         assert_eq!(l.burn_escrow("a", m(45)), m(45));
@@ -658,87 +490,22 @@ mod tests {
     }
 
     #[test]
-    fn ledger_transfers_are_atomic_and_conserving() {
-        let l = Ledger::new();
+    fn ledger_escrow_transfer_clamps_and_conserves() {
+        let mut l = Ledger::new();
         l.mint("a", m(100));
         l.mint("b", m(10));
-        l.transfer("a", "b", m(25)).unwrap();
-        assert_eq!(l.balance("a"), m(75));
-        assert_eq!(l.balance("b"), m(35));
-        match l.transfer("a", "b", m(80)).unwrap_err() {
-            ProtocolError::InsufficientFunds {
-                account,
-                needed,
-                available,
-            } => {
-                assert_eq!(account, "a");
-                assert_eq!(needed, m(80));
-                assert_eq!(available, m(75));
-            }
-            other => panic!("expected InsufficientFunds, got {other:?}"),
-        }
         l.reserve("a", m(50)).unwrap();
         assert_eq!(l.escrow_transfer("a", "b", m(30)), m(30));
         assert_eq!(l.escrow_transfer("a", "b", m(30)), m(20), "clamped");
         assert_eq!(l.escrowed("a"), Money::ZERO);
-        assert_eq!(l.balance("b"), m(85));
-        // Self-transfers are no-ops on the balance.
-        l.transfer("a", "a", m(5)).unwrap();
-        assert_eq!(l.balance("a"), m(25));
+        assert_eq!(l.balance("a"), m(50));
+        assert_eq!(l.balance("b"), m(60));
+        // A self-transfer releases the escrow back to the free balance.
+        l.reserve("b", m(5)).unwrap();
+        assert_eq!(l.escrow_transfer("b", "b", m(8)), m(5));
+        assert_eq!(l.balance("b"), m(60));
+        assert_eq!(l.escrowed("b"), Money::ZERO);
         assert_eq!(l.total_value(), l.injected());
-    }
-
-    #[test]
-    fn ledger_same_shard_pair_uses_one_lock() {
-        // Find two distinct names that collide on a shard, then transfer
-        // between them: the single-lock path must still move the money.
-        let l = Ledger::new();
-        let a = "acct-0".to_string();
-        let mut b = None;
-        for i in 1..10_000 {
-            let cand = format!("acct-{i}");
-            if l.shard_of(&cand) == l.shard_of(&a) {
-                b = Some(cand);
-                break;
-            }
-        }
-        let b = b.expect("a colliding account exists");
-        l.mint(&a, m(10));
-        l.transfer(&a, &b, m(4)).unwrap();
-        assert_eq!(l.balance(&a), m(6));
-        assert_eq!(l.balance(&b), m(4));
-    }
-
-    #[test]
-    fn ledger_reverse_transfers_from_threads_never_deadlock_or_lose_updates() {
-        // The two-lock-ordering trap: threads transferring around a cycle
-        // in both directions. Every iteration is net-zero, so any lost
-        // update or deadlock shows up as a balance mismatch or a hang.
-        let l = std::sync::Arc::new(Ledger::new());
-        for acct in ["x", "y", "z"] {
-            l.mint(acct, m(1_000));
-        }
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let l = l.clone();
-                scope.spawn(move || {
-                    for _ in 0..500 {
-                        if t % 2 == 0 {
-                            l.transfer("x", "y", m(1)).unwrap();
-                            l.transfer("y", "z", m(1)).unwrap();
-                            l.transfer("z", "x", m(1)).unwrap();
-                        } else {
-                            l.transfer("z", "y", m(1)).unwrap();
-                            l.transfer("y", "x", m(1)).unwrap();
-                            l.transfer("x", "z", m(1)).unwrap();
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(l.balance("x"), m(1_000));
-        assert_eq!(l.balance("y"), m(1_000));
-        assert_eq!(l.balance("z"), m(1_000));
-        assert_eq!(l.injected(), m(3_000));
+        assert_eq!(l.injected(), m(110));
     }
 }

@@ -4,7 +4,7 @@
 //! The gas meter's `log` vector fills in meter-append order, which under
 //! parallel settlement depends on thread interleaving. What *is*
 //! deterministic is the `(claim, seq)` key on every event: `seq` comes
-//! from the claim's own counter, allocated under the claim's shard lock,
+//! from the claim's own counter, allocated with each state transition,
 //! so a claim's events are totally ordered by protocol causality.
 //! [`canonical_log`] therefore stable-sorts by claim id then sequence
 //! (coordinator-lane events — `claim: None` — sort first and keep their

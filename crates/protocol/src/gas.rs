@@ -28,9 +28,10 @@ use tao_money::Money;
 /// per-claim order, for how much gas, and how much money it moved.
 ///
 /// `(claim, seq)` is the canonical sort key: `seq` is allocated from the
-/// claim's own monotone counter **under the claim's shard lock**, so the
-/// canonical order of a claim's events is fixed by protocol causality no
-/// matter how settle threads interleave their meter appends. Events with
+/// claim's own monotone counter **in the same critical section as the
+/// state transition**, so the canonical order of a claim's events is fixed
+/// by protocol causality no matter how settle threads interleave their
+/// meter appends. Events with
 /// `claim: None` belong to the coordinator lane (model registration,
 /// dispute-game metering) and keep a meter-local sequence; the
 /// coordinator only emits them from serial phases.
@@ -85,7 +86,7 @@ impl GasMeter {
     }
 
     /// Records a claim-scoped action. `seq` must come from the claim's
-    /// own monotone counter (allocated under the claim's shard lock);
+    /// own monotone counter (allocated with the claim's state transition);
     /// the meter itself imposes no ordering.
     pub fn charge_claim(
         &mut self,

@@ -27,13 +27,13 @@ pub use adjudicate::{
     theoretical_verdict, AdjudicationPath, LeafCase, LeafVerdict, VoteOutcome,
 };
 pub use coordinator::{
-    reference::SerialCoordinator, Claim, ClaimShards, ClaimStatus, Coordinator, Party, CLAIM_SHARDS,
+    reference::SerialCoordinator, Claim, ClaimStatus, Coordinator, Party, AUDIT_ACCOUNT,
 };
 pub use dispute::{
     run_dispute, ChallengerView, DisputeAnchors, DisputeConfig, DisputeOutcome, DisputeResult,
     ProposerView, RoundStats,
 };
-pub use econ::{EconAmounts, EconParams, Ledger, ACCOUNT_SHARDS};
+pub use econ::{EconAmounts, EconParams, Ledger};
 pub use epoch::{canonical_log, encode_event, encode_log, epoch_root, log_csv, EpochCommitment};
 pub use error::ProtocolError;
 pub use gas::{GasEvent, GasMeter};

@@ -8,10 +8,11 @@
 /// itself this way).
 pub const MAX_PAR_THREADS: usize = tao_tensor::kernel::MAX_KERNEL_THREADS;
 
-/// Hard upper bound on a worker pool. Coordinator interactions are
-/// lock-shard-bound rather than compute-bound, so pools may usefully
-/// exceed [`MAX_PAR_THREADS`]; this bound only keeps a mistyped request
-/// from spawning thousands of threads.
+/// Hard upper bound on a worker pool. The scheduler's settle phase runs
+/// no kernels — each worker takes the coordinator's lock briefly and then
+/// drops its session's traces — so its pool may exceed
+/// [`MAX_PAR_THREADS`]; this bound only keeps a mistyped request from
+/// spawning thousands of threads.
 pub const MAX_WORKERS: usize = 64;
 
 /// Applies `f` to every item on scoped worker threads, returning results

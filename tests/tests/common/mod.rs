@@ -28,7 +28,7 @@ pub fn worker_counts() -> Vec<usize> {
 }
 
 /// Runs `f` on a helper thread and fails the test if it has not finished
-/// within 60 s — a deadlock in the shard locking would otherwise hang the
+/// within 60 s — a deadlock in the coordinator would otherwise hang the
 /// suite forever.
 pub fn with_deadlock_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();

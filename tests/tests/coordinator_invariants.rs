@@ -1,9 +1,8 @@
-//! Differential concurrency invariants for the sharded coordinator.
+//! Differential concurrency invariants for the coordinator.
 //!
-//! The hard contract of the sharding PR, tightened by the fixed-point
-//! money PR: for any batch of sessions, the sharded coordinator driven
-//! **in parallel** is observationally equivalent to the pre-sharding
-//! single-mutex arbiter ([`SerialCoordinator`]) driven **serially** —
+//! The contract: for any batch of sessions, the [`Coordinator`] driven
+//! **in parallel** is observationally equivalent to the serial oracle
+//! ([`SerialCoordinator`]) driven **serially** —
 //! same claim statuses, same winners, **bit-exact** final balances and
 //! escrow (`==`, no tolerance anywhere), the same canonical gas log to
 //! the byte, and the same per-epoch settlement Merkle root — and the
@@ -18,12 +17,13 @@
 //! honest (finalizes by window elapse), fraud (challenger wins the
 //! dispute), spam (proposer wins and takes the challenger deposit), or
 //! underfunded (the submission itself must bounce, identically on both
-//! paths).
+//! paths). A serial proptest pins the pending-deadline index behind
+//! `Coordinator::advance` to the oracle's full scan, with per-claim
+//! windows so deadlines interleave across ids.
 //!
 //! Worker counts are forced via `TAO_TEST_WORKERS` (CI runs 2, 8 and 32
 //! as a fail-fast step); without it every count is swept. A 60 s
-//! watchdog turns any shard-lock deadlock into a test failure instead of
-//! a hang. Set `TAO_EPOCH_CSV` to a path to export the canonical epoch
+//! watchdog turns any deadlock into a test failure instead of a hang. Set `TAO_EPOCH_CSV` to a path to export the canonical epoch
 //! log as CSV (the artifact CI uploads).
 
 mod common;
@@ -89,7 +89,7 @@ fn fund_serial(c: &mut SerialCoordinator) {
     c.fund(PAUPER, 1);
 }
 
-fn fund_sharded(c: &Coordinator) {
+fn fund_coordinator(c: &Coordinator) {
     for p in PROPOSERS {
         c.fund(p, 20_000);
     }
@@ -111,7 +111,7 @@ fn accounts() -> Vec<&'static str> {
     all
 }
 
-/// Drives the batch serially through the single-mutex PR 2 oracle,
+/// Drives the batch serially through the oracle,
 /// phase by phase in the scheduler's protocol-event order. Returns the
 /// per-spec claim ids (None when the submission bounced).
 fn run_serial_oracle(specs: &[Spec], oracle: &mut SerialCoordinator) -> Vec<Option<u64>> {
@@ -145,10 +145,10 @@ fn run_serial_oracle(specs: &[Spec], oracle: &mut SerialCoordinator) -> Vec<Opti
     ids
 }
 
-/// Drives the same batch against the sharded coordinator: serial submit
+/// Drives the same batch against the coordinator: serial submit
 /// (deterministic ids, as the scheduler does), then parallel challenge
 /// and parallel settle phases on `workers` threads.
-fn run_sharded_parallel(
+fn run_parallel(
     specs: Vec<Spec>,
     coordinator: Arc<Coordinator>,
     workers: usize,
@@ -200,7 +200,7 @@ fn run_sharded_parallel(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random mixed batches: sharded-parallel ≡ single-mutex-serial on
+    /// Random mixed batches: coordinator-parallel ≡ oracle-serial on
     /// statuses, winners, balances, escrow, canonical gas logs and epoch
     /// roots — all bit-exact — at every forced worker count, with value
     /// conserved exactly at phase boundaries.
@@ -218,8 +218,8 @@ proptest! {
 
         for workers in worker_counts() {
             let coordinator = Arc::new(Coordinator::new(econ, slash).unwrap());
-            fund_sharded(&coordinator);
-            let ids = run_sharded_parallel(specs.clone(), coordinator.clone(), workers);
+            fund_coordinator(&coordinator);
+            let ids = run_parallel(specs.clone(), coordinator.clone(), workers);
 
             prop_assert_eq!(&ids, &serial_ids, "claim-id assignment ({workers} workers)");
             for (i, (spec, id)) in specs.iter().zip(&ids).enumerate() {
@@ -239,19 +239,19 @@ proptest! {
                 prop_assert_eq!(
                     &status,
                     &oracle.claim(*id).unwrap().status,
-                    "spec {i}: sharded vs serial status"
+                    "spec {i}: coordinator vs serial status"
                 );
             }
             for account in accounts() {
                 prop_assert_eq!(
                     oracle.balance(account),
                     coordinator.balance(account),
-                    "{account} balance: serial vs sharded ({workers} workers)"
+                    "{account} balance: serial vs coordinator ({workers} workers)"
                 );
                 prop_assert_eq!(
                     oracle.escrowed(account),
                     coordinator.escrowed(account),
-                    "{account} escrow: serial vs sharded ({workers} workers)"
+                    "{account} escrow: serial vs coordinator ({workers} workers)"
                 );
             }
             let ledger = coordinator.ledger();
@@ -262,71 +262,22 @@ proptest! {
             );
             // The canonical settlement+gas log is byte-identical to the
             // serial oracle's, and so is its Merkle commitment.
-            let sharded_log = canonical_log(&coordinator.gas());
+            let parallel_log = canonical_log(&coordinator.gas());
             prop_assert_eq!(
                 encode_log(&serial_log),
-                encode_log(&sharded_log),
+                encode_log(&parallel_log),
                 "canonical log bytes diverged ({workers} workers)"
             );
             prop_assert_eq!(
                 epoch_root(&serial_log),
-                epoch_root(&sharded_log),
+                epoch_root(&parallel_log),
                 "epoch root diverged ({workers} workers)"
             );
         }
     }
 }
 
-/// Shard counts are runtime-configurable (PR 4 leftover): a 1-shard
-/// coordinator — the serial single-lock layout — and a 64-shard one must
-/// both be observationally equivalent to the serial oracle on a fixed
-/// mixed batch at every forced worker count. Bit-exact, like everything
-/// else in this suite.
-#[test]
-fn shard_count_sweep_is_serial_equivalent() {
-    let specs: Vec<Spec> = (0..48).map(decode).collect();
-    let (econ, slash) = econ_and_slash();
-    let mut oracle = SerialCoordinator::new(econ, slash).unwrap();
-    fund_serial(&mut oracle);
-    let serial_ids = run_serial_oracle(&specs, &mut oracle);
-    for shards in [1usize, 64] {
-        for workers in worker_counts() {
-            let coordinator =
-                Arc::new(Coordinator::with_shards(econ, slash, shards, shards).unwrap());
-            assert_eq!(coordinator.shard_counts(), (shards, shards));
-            fund_sharded(&coordinator);
-            let ids = run_sharded_parallel(specs.clone(), coordinator.clone(), workers);
-            assert_eq!(ids, serial_ids, "{shards} shards, {workers} workers");
-            for id in ids.iter().flatten() {
-                assert_eq!(
-                    coordinator.claim(*id).unwrap().status,
-                    oracle.claim(*id).unwrap().status,
-                    "{shards} shards, {workers} workers: claim {id} status"
-                );
-            }
-            for account in accounts() {
-                assert_eq!(
-                    oracle.balance(account),
-                    coordinator.balance(account),
-                    "{shards} shards, {workers} workers: {account} balance"
-                );
-                assert_eq!(
-                    oracle.escrowed(account),
-                    coordinator.escrowed(account),
-                    "{shards} shards, {workers} workers: {account} escrow"
-                );
-            }
-            let ledger = coordinator.ledger();
-            assert_eq!(
-                ledger.total_value(),
-                ledger.injected(),
-                "{shards} shards, {workers} workers: conservation"
-            );
-        }
-    }
-}
-
-/// Satellite determinism check for the epoch commitment layer: the same
+/// Determinism check for the epoch commitment layer: the same
 /// fixed mixed batch driven at 2, 8 and 32 workers (and serially through
 /// the oracle) produces byte-identical canonical log encodings and the
 /// **identical** sealed epoch Merkle root. When `TAO_EPOCH_CSV` is set,
@@ -347,8 +298,8 @@ fn epoch_root_is_identical_across_worker_counts() {
     let mut roots = vec![serial_epoch.root];
     for workers in [2usize, 8, 32] {
         let coordinator = Arc::new(Coordinator::new(econ, slash).unwrap());
-        fund_sharded(&coordinator);
-        run_sharded_parallel(specs.clone(), coordinator.clone(), workers);
+        fund_coordinator(&coordinator);
+        run_parallel(specs.clone(), coordinator.clone(), workers);
         let epoch = coordinator.seal_epoch();
         assert_eq!(
             encode_log(&serial_epoch.entries),
@@ -372,31 +323,170 @@ fn epoch_root_is_identical_across_worker_counts() {
     }
 }
 
-/// The audit channel goes through the same shard paths as a voluntary
+/// The audit channel goes through the same transitions as a voluntary
 /// challenge (deposit-free freeze, then settlement); the proptest above
 /// covers challenges exhaustively, this covers the audit transitions and
 /// conservation.
 #[test]
 fn audit_lifecycle_settles_and_conserves_on_shards() {
     let (econ, slash) = econ_and_slash();
-    let sharded = Coordinator::new(econ, slash).unwrap();
-    sharded.fund("prop", 5_000);
+    let coordinator = Coordinator::new(econ, slash).unwrap();
+    coordinator.fund("prop", 5_000);
 
-    let id = sharded
+    let id = coordinator
         .submit_claim_quoted("prop", commitment(0), &meta(), claim_report())
         .unwrap();
-    sharded.open_audit(id).unwrap();
-    sharded.settle(id, Party::Proposer, COMMITTEE).unwrap();
+    coordinator.open_audit(id).unwrap();
+    coordinator.settle(id, Party::Proposer, COMMITTEE).unwrap();
     assert!(matches!(
-        sharded.claim(id).unwrap().status,
+        coordinator.claim(id).unwrap().status,
         ClaimStatus::Settled {
             winner: Party::Proposer
         }
     ));
     // Committee fees paid, proposer made whole plus reward — exactly.
-    assert!(sharded.balance("committee-pool") > Money::ZERO);
-    assert!(sharded.balance("prop") > Money::from_credits(5_000));
-    assert_eq!(sharded.escrowed("prop"), Money::ZERO);
-    let ledger = sharded.ledger();
+    assert!(coordinator.balance("committee-pool") > Money::ZERO);
+    assert!(coordinator.balance("prop") > Money::from_credits(5_000));
+    assert_eq!(coordinator.escrowed("prop"), Money::ZERO);
+    let ledger = coordinator.ledger();
     assert_eq!(ledger.total_value(), ledger.injected());
+}
+
+/// One serially applied coordinator operation of the pending-index
+/// proptest.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Post a claim with its own challenge window.
+    Submit { proposer: usize, window: u64 },
+    /// Advance the clock.
+    Advance(u64),
+    /// Challenge the `pick`-th (mod count) pending claim.
+    Challenge { pick: usize, challenger: usize },
+    /// Settle the `pick`-th (mod count) disputed claim.
+    Settle { pick: usize, winner: Party },
+}
+
+/// Decodes one generated integer into an operation: windows 0–20,
+/// advances of 0–14 ticks.
+fn decode_op(code: u64) -> Op {
+    let arg = code / 4;
+    match code % 4 {
+        0 => Op::Submit {
+            proposer: (arg % 4) as usize,
+            window: (arg / 4) % 21,
+        },
+        1 => Op::Advance(arg % 15),
+        2 => Op::Challenge {
+            pick: (arg / 3) as usize,
+            challenger: (arg % 3) as usize,
+        },
+        _ => Op::Settle {
+            pick: (arg / 2) as usize,
+            winner: if arg.is_multiple_of(2) {
+                Party::Challenger
+            } else {
+                Party::Proposer
+            },
+        },
+    }
+}
+
+/// The ids of the oracle's claims whose status matches `wanted`.
+fn ids_where(
+    oracle: &SerialCoordinator,
+    claims: u64,
+    wanted: impl Fn(&ClaimStatus) -> bool,
+) -> Vec<u64> {
+    (0..claims)
+        .filter(|&id| wanted(&oracle.claim(id).unwrap().status))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pending-deadline index behind `Coordinator::advance` finalizes
+    /// exactly what the oracle's full scan does: per-claim windows make
+    /// deadlines cross ids, and challenges pull claims out of the index
+    /// between advances. Every operation's result and every advance's
+    /// finalized ids match, then statuses, balances, escrow and the
+    /// canonical gas log.
+    #[test]
+    fn pending_index_matches_serial_scan(
+        codes in prop::collection::vec(0u64..u64::MAX, 1..120),
+    ) {
+        let (econ, slash) = econ_and_slash();
+        let mut oracle = SerialCoordinator::new(econ, slash).unwrap();
+        let coordinator = Coordinator::new(econ, slash).unwrap();
+        for p in PROPOSERS {
+            oracle.fund(p, 100_000);
+            coordinator.fund(p, 100_000);
+        }
+        for ch in CHALLENGERS {
+            oracle.fund(ch, 10_000);
+            coordinator.fund(ch, 10_000);
+        }
+        let mut claims = 0u64;
+        for (step, op) in codes.into_iter().map(decode_op).enumerate() {
+            match op {
+                Op::Submit { proposer, window } => {
+                    let meta = tao_merkle::ClaimMeta {
+                        challenge_window: window,
+                        ..meta()
+                    };
+                    let c = commitment(step);
+                    let expected = oracle
+                        .submit_claim_quoted(PROPOSERS[proposer], c, &meta, claim_report());
+                    let got = coordinator
+                        .submit_claim_quoted(PROPOSERS[proposer], c, &meta, claim_report());
+                    prop_assert_eq!(&got, &expected, "step {step}: submit");
+                    claims += 1;
+                }
+                Op::Advance(ticks) => {
+                    prop_assert_eq!(
+                        coordinator.advance(ticks),
+                        oracle.advance(ticks),
+                        "step {step}: finalized ids"
+                    );
+                }
+                Op::Challenge { pick, challenger } => {
+                    let pending = ids_where(&oracle, claims, |s| *s == ClaimStatus::Pending);
+                    let Some(&id) = pending.get(pick % pending.len().max(1)) else { continue };
+                    prop_assert_eq!(
+                        coordinator.open_challenge(id, CHALLENGERS[challenger]),
+                        oracle.open_challenge(id, CHALLENGERS[challenger]),
+                        "step {step}: challenge #{id}"
+                    );
+                }
+                Op::Settle { pick, winner } => {
+                    let disputed = ids_where(&oracle, claims, |s| {
+                        matches!(s, ClaimStatus::Disputed { .. })
+                    });
+                    let Some(&id) = disputed.get(pick % disputed.len().max(1)) else { continue };
+                    prop_assert_eq!(
+                        coordinator.settle(id, winner, COMMITTEE),
+                        oracle.settle(id, winner, COMMITTEE),
+                        "step {step}: settle #{id}"
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(coordinator.now(), oracle.now());
+        for id in 0..claims {
+            prop_assert_eq!(
+                &coordinator.claim(id).unwrap(),
+                oracle.claim(id).unwrap(),
+                "claim #{id}"
+            );
+        }
+        for account in accounts() {
+            prop_assert_eq!(coordinator.balance(account), oracle.balance(account), "{account} balance");
+            prop_assert_eq!(coordinator.escrowed(account), oracle.escrowed(account), "{account} escrow");
+        }
+        prop_assert_eq!(
+            encode_log(&canonical_log(&coordinator.gas())),
+            encode_log(&canonical_log(&oracle.gas)),
+            "canonical log bytes"
+        );
+    }
 }

@@ -1,12 +1,13 @@
-//! Seeded-interleaving stress for the sharded coordinator's two-lock
-//! transfer ordering — the deadlock / lost-update trap.
+//! Seeded-interleaving stress for opposite-direction settles — the
+//! deadlock / lost-update trap.
 //!
 //! Six accounts form every ordered (proposer, challenger) pair, so for
 //! each pair `(a, b)` the reversed pair `(b, a)` is also in the batch:
 //! proposer-win settlements fire `escrow_transfer(challenger → proposer)`
 //! in **both directions between the same two accounts at the same time**.
-//! Without the ascending shard-index lock order this is the classic ABBA
-//! deadlock; with sloppy locking it is a lost update. The test drives the
+//! Any per-account locking would have to order its locks to avoid the
+//! classic ABBA deadlock, and sloppy locking loses updates; the
+//! coordinator's one lock must show neither. The test drives the
 //! settle/challenge phases from forced thread counts (2/8/32, or
 //! `TAO_TEST_WORKERS` in CI's fail-fast step) under a 60 s watchdog and
 //! asserts balance conservation — `Σ balances + Σ escrowed deposits`
@@ -77,7 +78,7 @@ fn commitment(i: usize) -> tao_merkle::Digest {
     tagged_commitment("stress", i)
 }
 
-/// Asserts `Σ balances + Σ escrow == injected` on the sharded ledger —
+/// Asserts `Σ balances + Σ escrow == injected` on the ledger —
 /// exactly, in micro-credits.
 fn assert_conserved(c: &Coordinator, phase: &str) {
     let ledger = c.ledger();
@@ -152,7 +153,7 @@ fn overlapping_pair_settlement_conserves_and_matches_serial() {
 
         // Parallel settle phase: reversed pairs settle concurrently, so
         // escrow transfers run in both directions between the same
-        // accounts — the two-lock-ordering trap.
+        // accounts.
         let coord = coordinator.clone();
         with_deadlock_watchdog(move || {
             parallel_map(challenged, workers, move |(id, lane)| {
@@ -177,23 +178,23 @@ fn overlapping_pair_settlement_conserves_and_matches_serial() {
                 Money::ZERO,
                 "{account} escrow drained"
             );
-            let (serial, sharded) = (oracle.balance(account), coordinator.balance(account));
+            let (serial, parallel) = (oracle.balance(account), coordinator.balance(account));
             assert_eq!(
-                serial, sharded,
-                "{account}: serial {serial} vs sharded {sharded} ({workers} workers)"
+                serial, parallel,
+                "{account}: serial {serial} vs parallel {parallel} ({workers} workers)"
             );
         }
         assert_eq!(
             oracle.balance("committee-pool"),
             coordinator.balance("committee-pool"),
-            "committee-pool: serial vs sharded"
+            "committee-pool: serial vs parallel"
         );
     }
 }
 
 /// Settles and window-elapse advances racing together: honest claims
 /// finalize exactly once (one deposit release, one reward) no matter how
-/// many concurrent `advance` calls sweep the shards.
+/// many concurrent `advance` calls race for the elapsed windows.
 #[test]
 fn concurrent_advances_finalize_each_claim_exactly_once() {
     let (econ, slash) = econ_and_slash();

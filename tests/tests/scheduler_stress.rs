@@ -1,6 +1,5 @@
 //! Scheduler stress: a batch of 32 mixed honest/cheating sessions on a
-//! 16-worker pool (twice the old 8-worker ceiling, which the sharded
-//! coordinator lifted). Under that contention the pool bound, the
+//! 16-worker pool (twice the old 8-worker ceiling). Under that contention the pool bound, the
 //! deterministic claim-id assignment and the serial-equivalence guarantee
 //! — now including the **parallel settle phase** — must all still hold.
 
@@ -101,7 +100,7 @@ fn batch_of_32_under_contention_matches_serial_execution() {
 
     // Concurrent run on a 16-worker pool — beyond the old 8-worker cap —
     // over 32 sessions, so every worker still multiplexes sessions and
-    // the settle phase runs 16-wide over the sharded coordinator.
+    // the settle phase runs 16-wide over the one coordinator.
     let parallel_coord = coordinator();
     let scheduler = Scheduler::with_threads(16);
     assert_eq!(scheduler.threads(), 16);
