@@ -13,9 +13,8 @@
 //! 3. **Screen + dispute** (parallel): challenger screening, dispute
 //!    localization and leaf adjudication run concurrently; `open_challenge`
 //!    holds the coordinator's lock only for its own bookkeeping. No
-//!    session advances the clock
-//!    here, so no claim's challenge window can close under a slower
-//!    session.
+//!    session advances the clock here, so no claim's challenge window can
+//!    close under a slower session.
 //! 4. **Settle** (parallel): disputed claims settle and unchallenged
 //!    claims' windows elapse concurrently. Each settle or advance runs
 //!    alone under the coordinator's one lock, and per-claim settlement

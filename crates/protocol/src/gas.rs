@@ -31,10 +31,9 @@ use tao_money::Money;
 /// claim's own monotone counter **in the same critical section as the
 /// state transition**, so the canonical order of a claim's events is fixed
 /// by protocol causality no matter how settle threads interleave their
-/// meter appends. Events with
-/// `claim: None` belong to the coordinator lane (model registration,
-/// dispute-game metering) and keep a meter-local sequence; the
-/// coordinator only emits them from serial phases.
+/// meter appends. Events with `claim: None` belong to the coordinator lane
+/// (model registration, dispute-game metering) and keep a meter-local
+/// sequence; the coordinator only emits them from serial phases.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GasEvent {
     /// The claim this event belongs to; `None` for coordinator-lane
