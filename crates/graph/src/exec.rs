@@ -654,6 +654,26 @@ mod tests {
     }
 
     #[test]
+    fn zero_stride_conv2d_is_an_error_not_a_panic() {
+        let mut b = GraphBuilder::new(1);
+        let x = b.input(0, "x");
+        let w = b.parameter("w", Tensor::<f32>::ones(&[1, 1, 2, 2]));
+        let kind = OpKind::Conv2d {
+            stride: 0,
+            padding: 0,
+        };
+        let y = b.op("conv", kind, &[x, w]);
+        let g = b.finish(vec![y]).unwrap();
+        let input = Tensor::<f32>::ones(&[1, 1, 4, 4]);
+        let cfg = KernelConfig::reference();
+        let traced = execute(&g, std::slice::from_ref(&input), &cfg, None);
+        assert!(traced.is_err(), "execute accepted stride 0");
+        let mut pool = crate::pool::BufferPool::new();
+        let pooled = crate::pool::forward(&g, &[input], &cfg, &mut pool);
+        assert!(pooled.is_err(), "forward accepted stride 0");
+    }
+
+    #[test]
     fn flatten_from_keeps_batch() {
         let mut b = GraphBuilder::new(1);
         let x = b.input(0, "x");

@@ -11,27 +11,30 @@
 //! so an optimization that reorders a single addition is a consensus bug,
 //! not a speedup.
 //!
-//! The freedoms a faithful kernel does have are exactly the ones real BLAS
-//! implementations exploit *between* dot products, never inside one:
+//! There is one GEMM driver, [`gemm_packed_into`], and it accepts every
+//! [`KernelConfig`]. The freedoms a faithful kernel does have are exactly
+//! the ones real BLAS implementations exploit *between* dot products, never
+//! inside one:
 //!
 //! * **Packing.** The right-hand side is repacked once into column panels of
 //!   [`PANEL`] interleaved columns (`panel[kk * PANEL + j]` holds row `kk` of
-//!   panel-column `j`), so the inner loop streams both operands
-//!   contiguously. Packing moves bytes, not arithmetic: no rounding changes.
-//! * **Register tiling.** The micro-kernel evaluates an [`MR`]x[`PANEL`]
-//!   block of *independent* dot products at once: [`MR`] lhs rows, packed
-//!   into interleaved row blocks ([`PackedLhs`]), against one rhs panel.
-//!   Each of the [`MR`] rows is one vector accumulator chain of [`PANEL`]
+//!   panel-column `j`), and the left-hand side into blocks of up to [`MR`]
+//!   interleaved rows ([`PackedLhs`]), so the inner loop streams both
+//!   operands contiguously. Packing moves bytes, not arithmetic: no rounding
+//!   changes.
+//! * **Register tiling.** The micro-kernel evaluates one lhs row block
+//!   against one rhs panel: up to [`MR`]x[`PANEL`] *independent* dot
+//!   products at once. Each row is one accumulator chain of [`PANEL`]
 //!   lanes, and every lane steps through `k` in precisely the order the
 //!   scalar [`AccumMode`] definition dictates. The speedup comes from
 //!   running [`MR`] dependency chains in parallel instead of waiting out the
-//!   FP add latency of a single chain; no chain is ever reassociated.
-//!   Kahan accumulation keeps the row-at-a-time path ([`gemm_into`]): its
-//!   compensated update does not fit [`MR`] chains in registers.
-//! * **Row-band threading.** Output rows are independent, so row bands are
-//!   fanned out over `std::thread::scope` workers. Each element is computed
-//!   by exactly one worker with exactly the single-thread instruction
-//!   sequence, making results independent of the thread count.
+//!   FP add latency of a single chain; no chain is ever reassociated. A
+//!   block holds only real rows, so a one-row operand runs the one-row
+//!   instance of the same tile.
+//! * **Row-band threading.** Row blocks are independent, so bands of them
+//!   are fanned out over `std::thread::scope` workers. Each element is
+//!   computed by exactly one worker with exactly the single-thread
+//!   instruction sequence, making results independent of the thread count.
 //!
 //! The differential harness in `tests/tests/kernel_equiv.rs` proptests
 //! blocked-vs-oracle bit equality across every accumulation mode, FMA
@@ -153,145 +156,266 @@ impl<T: Scalar> PackedRhs<T> {
     }
 }
 
-/// One register tile: [`PANEL`] dot products of `a` against the panel's
-/// interleaved columns, every lane following the scalar sequential order
-/// (`acc += a[i] * b[i]`, or FMA-contracted when `fma`).
-fn seq_tile<T: Element>(a: &[T], panel: &[T], fma: bool) -> [T; PANEL] {
-    let mut acc = [T::ZERO; PANEL];
-    if fma {
-        for (kk, &av) in a.iter().enumerate() {
-            let row = &panel[kk * PANEL..(kk + 1) * PANEL];
-            for (lane, &bv) in acc.iter_mut().zip(row) {
-                *lane = av.mul_add(bv, *lane);
-            }
-        }
-    } else {
-        for (kk, &av) in a.iter().enumerate() {
-            let row = &panel[kk * PANEL..(kk + 1) * PANEL];
-            for (lane, &bv) in acc.iter_mut().zip(row) {
-                *lane += av * bv;
-            }
-        }
-    }
-    acc
+/// Row-block height of the packed lhs: how many output rows one
+/// [`PackedLhs`] block interleaves, i.e. how many independent accumulator
+/// chains share each streamed rhs panel load.
+pub const MR: usize = 8;
+
+/// The left-hand operand of a GEMM, repacked into blocks of [`MR`]
+/// interleaved rows; the last block holds the `m % MR` leftover rows, if
+/// any. A block of `rows` rows stores reduction index `kk` of its row `r`
+/// at `block[kk * rows + r]`, so the packing holds exactly `m * k` values:
+/// no padded rows, and a one-row operand is its own row.
+///
+/// Packing the lhs buys two things: each rhs panel row is loaded once and
+/// reused across a block's rows, and up to [`MR`] independent accumulation
+/// chains run per column lane instead of one, which hides the FP-add/FMA
+/// latency. Like rhs packing, this moves bytes, not arithmetic: every
+/// output element's dot product still reduces in the exact scalar-oracle
+/// order.
+#[derive(Debug, Clone)]
+pub struct PackedLhs<T: Scalar> {
+    m: usize,
+    k: usize,
+    panels: Vec<T>,
 }
 
-/// Pairwise (balanced-tree) register tile; the recursion splits at the same
-/// midpoints as the scalar `pairwise_dot`, so every lane reduces its
-/// products in the identical tree shape.
-fn pairwise_tile<T: Element>(a: &[T], panel: &[T], fma: bool) -> [T; PANEL] {
-    let mut out = [T::ZERO; PANEL];
-    match a.len() {
-        0 => {}
-        1 => {
-            for (lane, &bv) in out.iter_mut().zip(&panel[..PANEL]) {
-                *lane = a[0] * bv;
+impl<T: Scalar> PackedLhs<T> {
+    /// Packs a row-major `[m, k]` matrix (the `A` of `A @ B`).
+    pub fn from_row_major(a: &[T], m: usize, k: usize) -> Self {
+        assert_eq!(a.len(), m * k, "lhs length mismatch");
+        let mut panels = vec![T::ZERO; m * k];
+        if k > 0 {
+            for (src, dst) in a.chunks(MR * k).zip(panels.chunks_mut(MR * k)) {
+                // Constant row counts for the common blocks, so the
+                // interleave compiles to a fixed-stride (or plain) copy.
+                match src.len() / k {
+                    1 => interleave(src, k, 1, dst),
+                    MR => interleave(src, k, MR, dst),
+                    rows => interleave(src, k, rows, dst),
+                }
             }
         }
-        2 => {
-            let (r0, r1) = panel[..2 * PANEL].split_at(PANEL);
-            for ((lane, &b0), &b1) in out.iter_mut().zip(r0).zip(r1) {
+        PackedLhs { m, k, panels }
+    }
+
+    /// Output row count `m`.
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Reduction length `k`.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+}
+
+/// Interleaves the `rows` rows of `k` values in `src` into one packed lhs
+/// block: `dst[kk * rows + r] = src[r * k + kk]`.
+#[inline(always)]
+fn interleave<T: Copy>(src: &[T], k: usize, rows: usize, dst: &mut [T]) {
+    for (r, row) in src.chunks_exact(k).enumerate() {
+        for (kk, &v) in row.iter().enumerate() {
+            dst[kk * rows + r] = v;
+        }
+    }
+}
+
+/// Sequential register block: `rows` dot products per column lane against
+/// the `rows`-row interleaved `block`, every row following the scalar
+/// sequential order (`acc += a * b`, or FMA-contracted when `fma`).
+fn seq_mr_tile<T: Element>(
+    block: &[T],
+    rows: usize,
+    panel: &[T],
+    fma: bool,
+    acc: &mut [[T; PANEL]; MR],
+) {
+    for (kk, arow) in block.chunks_exact(rows).enumerate() {
+        let brow = &panel[kk * PANEL..(kk + 1) * PANEL];
+        for (accr, &av) in acc.iter_mut().zip(arow) {
+            for (lane, &bv) in accr.iter_mut().zip(brow) {
                 *lane = if fma {
-                    a[1].mul_add(b1, a[0] * b0)
+                    av.mul_add(bv, *lane)
                 } else {
-                    a[0] * b0 + a[1] * b1
+                    *lane + av * bv
                 };
             }
         }
-        n => {
-            let mid = n / 2;
-            let left = pairwise_tile(&a[..mid], &panel[..mid * PANEL], fma);
-            let right = pairwise_tile(&a[mid..], &panel[mid * PANEL..], fma);
-            for ((lane, &l), &r) in out.iter_mut().zip(&left).zip(&right) {
-                *lane = l + r;
-            }
-        }
     }
-    out
 }
 
-/// Blocked register tile: sequential partials per `block`-sized chunk, then
-/// a strict left-to-right reduction of the partials — the exact structure
-/// of the scalar `AccumMode::Blocked` dot, lane by lane.
-fn blocked_tile<T: Element>(block: usize, a: &[T], panel: &[T], fma: bool) -> [T; PANEL] {
-    let block = block.max(1);
-    let k = a.len();
-    if k <= block {
-        return seq_tile(a, panel, fma);
+/// Blocked variant of [`seq_mr_tile`]: per-row sequential partials per
+/// `kblock`-sized `k` chunk with a strict left-to-right partial reduction —
+/// the exact scalar `AccumMode::Blocked` structure, row by row.
+fn blocked_mr_tile<T: Element>(
+    kblock: usize,
+    block: &[T],
+    rows: usize,
+    panel: &[T],
+    fma: bool,
+) -> [[T; PANEL]; MR] {
+    let kblock = kblock.max(1);
+    let k = block.len() / rows;
+    let mut acc = [[T::ZERO; PANEL]; MR];
+    if k <= kblock {
+        seq_mr_tile(block, rows, panel, fma, &mut acc);
+        return acc;
     }
-    let mut acc = [T::ZERO; PANEL];
     let mut i = 0;
     while i < k {
-        let end = (i + block).min(k);
-        let partial = seq_tile(&a[i..end], &panel[i * PANEL..end * PANEL], fma);
-        for (lane, &p) in acc.iter_mut().zip(&partial) {
-            *lane += p;
+        let end = (i + kblock).min(k);
+        let mut partial = [[T::ZERO; PANEL]; MR];
+        seq_mr_tile(
+            &block[i * rows..end * rows],
+            rows,
+            &panel[i * PANEL..end * PANEL],
+            fma,
+            &mut partial,
+        );
+        for (accr, partr) in acc.iter_mut().zip(&partial) {
+            for (lane, &p) in accr.iter_mut().zip(partr) {
+                *lane += p;
+            }
         }
         i = end;
     }
     acc
 }
 
-/// Kahan-compensated register tile; products round individually and the
-/// compensated update sequence per lane matches the scalar Kahan dot.
-fn kahan_tile<T: Element>(a: &[T], panel: &[T]) -> [T; PANEL] {
-    let mut acc = [T::ZERO; PANEL];
-    let mut comp = [T::ZERO; PANEL];
-    for (kk, &av) in a.iter().enumerate() {
-        let row = &panel[kk * PANEL..(kk + 1) * PANEL];
-        for ((lane, c), &bv) in acc.iter_mut().zip(comp.iter_mut()).zip(row) {
-            let x = av * bv;
-            let y = x - *c;
-            let t = *lane + y;
-            *c = (t - *lane) - y;
-            *lane = t;
+/// Pairwise variant of [`seq_mr_tile`]: the recursion splits `k` at the
+/// same midpoints as the scalar `pairwise_dot`, so each of the `rows`
+/// rows reduces its products in the identical tree shape.
+fn pairwise_mr_tile<T: Element>(
+    block: &[T],
+    rows: usize,
+    panel: &[T],
+    fma: bool,
+) -> [[T; PANEL]; MR] {
+    let mut acc = [[T::ZERO; PANEL]; MR];
+    match block.len() / rows {
+        0 => {}
+        1 => {
+            for (accr, &av) in acc.iter_mut().zip(block) {
+                for (lane, &bv) in accr.iter_mut().zip(&panel[..PANEL]) {
+                    *lane = av * bv;
+                }
+            }
+        }
+        2 => {
+            let (r0, r1) = panel[..2 * PANEL].split_at(PANEL);
+            for (r, accr) in acc.iter_mut().enumerate().take(rows) {
+                let (a0, a1) = (block[r], block[rows + r]);
+                for ((lane, &b0), &b1) in accr.iter_mut().zip(r0).zip(r1) {
+                    *lane = if fma {
+                        a1.mul_add(b1, a0 * b0)
+                    } else {
+                        a0 * b0 + a1 * b1
+                    };
+                }
+            }
+        }
+        k => {
+            let mid = k / 2;
+            let left = pairwise_mr_tile(&block[..mid * rows], rows, &panel[..mid * PANEL], fma);
+            let right = pairwise_mr_tile(&block[mid * rows..], rows, &panel[mid * PANEL..], fma);
+            for ((accr, l), r) in acc.iter_mut().zip(&left).zip(&right).take(rows) {
+                for ((lane, &lv), &rv) in accr.iter_mut().zip(l).zip(r) {
+                    *lane = lv + rv;
+                }
+            }
         }
     }
     acc
 }
 
-/// Dispatches one register tile under `cfg`'s accumulation order and FMA
-/// setting. `f32` tiles use the AVX2/FMA vector micro-kernel when the host
-/// supports it: [`PANEL`] is exactly one 256-bit vector, and per-lane
-/// vector multiply/add/fused-multiply-add are the *same* IEEE-754
-/// operations as their scalar counterparts, so the specialization is
-/// bit-identical (covered by the same differential tests).
-fn dot_tile<T: Element>(cfg: &KernelConfig, a: &[T], panel: &[T]) -> [T; PANEL] {
+/// Kahan-compensated variant of [`seq_mr_tile`]: products round
+/// individually, and each lane runs the scalar Kahan dot's compensated
+/// update sequence. It has no vector specialization; this one tile serves
+/// every host.
+fn kahan_mr_tile<T: Element>(block: &[T], rows: usize, panel: &[T]) -> [[T; PANEL]; MR] {
+    let mut acc = [[T::ZERO; PANEL]; MR];
+    let mut comp = [[T::ZERO; PANEL]; MR];
+    for (kk, arow) in block.chunks_exact(rows).enumerate() {
+        let brow = &panel[kk * PANEL..(kk + 1) * PANEL];
+        for ((accr, compr), &av) in acc.iter_mut().zip(&mut comp).zip(arow) {
+            for ((lane, c), &bv) in accr.iter_mut().zip(compr.iter_mut()).zip(brow) {
+                let x = av * bv;
+                let y = x - *c;
+                let t = *lane + y;
+                *c = (t - *lane) - y;
+                *lane = t;
+            }
+        }
+    }
+    acc
+}
+
+/// Computes one row block of the output: `out` (`rows * rhs.n()` values)
+/// receives the `rows` (1..=[`MR`]) rows of the interleaved `block`
+/// against every rhs panel, under `cfg`. `f32` blocks use the AVX2/FMA
+/// vector micro-kernel when the host supports it: [`PANEL`] is exactly one
+/// 256-bit vector, and per-lane vector multiply/add/fused multiply-add are
+/// the *same* IEEE-754 operations as their scalar counterparts, so the
+/// specialization is bit-identical (covered by the same differential
+/// tests).
+fn block_into<T: Element>(
+    cfg: &KernelConfig,
+    block: &[T],
+    rows: usize,
+    rhs: &PackedRhs<T>,
+    out: &mut [T],
+) {
     #[cfg(target_arch = "x86_64")]
     if core::any::TypeId::of::<T>() == core::any::TypeId::of::<f32>() && x86::have_fma_simd() {
         // SAFETY: `T` is `f32` (checked above), so the slices reinterpret
-        // losslessly and the result array transmutes element-for-element;
-        // the target features were runtime-detected.
+        // losslessly; the target features were runtime-detected.
         unsafe {
-            let a32 = core::slice::from_raw_parts(a.as_ptr().cast::<f32>(), a.len());
-            let p32 = core::slice::from_raw_parts(panel.as_ptr().cast::<f32>(), panel.len());
-            let tile = x86::dot_tile_f32(cfg, a32, p32);
-            return core::mem::transmute_copy(&tile);
+            let b32 = core::slice::from_raw_parts(block.as_ptr().cast::<f32>(), block.len());
+            let p32 =
+                core::slice::from_raw_parts(rhs.panels.as_ptr().cast::<f32>(), rhs.panels.len());
+            let o32 = core::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<f32>(), out.len());
+            if x86::block_f32(cfg, b32, rows, p32, rhs.n, o32) {
+                return;
+            }
         }
     }
-    match cfg.accum {
-        AccumMode::Sequential => seq_tile(a, panel, cfg.fma),
-        AccumMode::Pairwise => pairwise_tile(a, panel, cfg.fma),
-        AccumMode::Blocked(block) => blocked_tile(block, a, panel, cfg.fma),
-        AccumMode::Kahan => kahan_tile(a, panel),
+    let n = rhs.n;
+    for (p, panel) in rhs.panels.chunks(rhs.k * PANEL).enumerate() {
+        let tile = match cfg.accum {
+            AccumMode::Sequential => {
+                let mut acc = [[T::ZERO; PANEL]; MR];
+                seq_mr_tile(block, rows, panel, cfg.fma, &mut acc);
+                acc
+            }
+            AccumMode::Blocked(kblock) => blocked_mr_tile(kblock, block, rows, panel, cfg.fma),
+            AccumMode::Pairwise => pairwise_mr_tile(block, rows, panel, cfg.fma),
+            AccumMode::Kahan => kahan_mr_tile(block, rows, panel),
+        };
+        let col0 = p * PANEL;
+        let width = PANEL.min(n - col0);
+        for (r, tile_row) in tile.iter().enumerate().take(rows) {
+            out[r * n + col0..r * n + col0 + width].copy_from_slice(&tile_row[..width]);
+        }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::have_fma_simd;
 
-/// AVX2/FMA register-tile specialization for `f32`.
+/// AVX2/FMA register-block specialization for `f32`.
 ///
-/// Each 256-bit vector holds the [`PANEL`] independent accumulator lanes;
-/// `vmulps`/`vaddps`/`vfmadd231ps` apply the identical IEEE-754 rounding
-/// per lane as the scalar `*`/`+`/`mul_add`, so every micro-kernel below is
-/// a transliteration of its scalar counterpart, not a reassociation.
+/// Each 256-bit vector holds the [`PANEL`] lanes of one row's accumulator
+/// chain; `vmulps`/`vaddps`/`vfmadd231ps` apply the identical IEEE-754
+/// rounding per lane as the scalar `*`/`+`/`mul_add`, so every
+/// micro-kernel below is a transliteration of its scalar counterpart, not a
+/// reassociation. Each is generic over the block's row count `R`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{AccumMode, KernelConfig, MR, PANEL};
     use core::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
     };
     use std::sync::OnceLock;
 
@@ -301,61 +425,149 @@ mod x86 {
         *HAVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
     }
 
+    /// One `rows`-row output block (see [`super::block_into`]); returns
+    /// `false`, writing nothing, for Kahan accumulation, whose scalar tile
+    /// serves every host.
+    ///
     /// # Safety
     ///
-    /// Requires AVX2+FMA (checked by [`have_fma_simd`]) and
-    /// `panel.len() == a.len() * PANEL`.
+    /// Requires AVX2+FMA (checked by [`have_fma_simd`]), `1 <= rows <= MR`,
+    /// `panels` holding `n.div_ceil(PANEL)` panels of `block.len() / rows`
+    /// rows, and `out.len() == rows * n`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot_tile_f32(
+    pub(super) unsafe fn block_f32(
         cfg: &KernelConfig,
-        a: &[f32],
-        panel: &[f32],
-    ) -> [f32; PANEL] {
-        debug_assert_eq!(panel.len(), a.len() * PANEL);
-        let acc = match cfg.accum {
-            AccumMode::Sequential => seq_v(a, panel, cfg.fma),
-            AccumMode::Pairwise => pairwise_v(a, panel, cfg.fma),
-            AccumMode::Blocked(block) => blocked_v(block, a, panel, cfg.fma),
-            AccumMode::Kahan => kahan_v(a, panel),
-        };
-        let mut out = [0f32; PANEL];
-        _mm256_storeu_ps(out.as_mut_ptr(), acc);
-        out
+        block: &[f32],
+        rows: usize,
+        panels: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) -> bool {
+        match rows {
+            1 => rows_block::<1>(cfg, block, panels, n, out),
+            2 => rows_block::<2>(cfg, block, panels, n, out),
+            3 => rows_block::<3>(cfg, block, panels, n, out),
+            4 => rows_block::<4>(cfg, block, panels, n, out),
+            5 => rows_block::<5>(cfg, block, panels, n, out),
+            6 => rows_block::<6>(cfg, block, panels, n, out),
+            7 => rows_block::<7>(cfg, block, panels, n, out),
+            // A block never holds more than MR rows.
+            _ => rows_block::<MR>(cfg, block, panels, n, out),
+        }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn seq_v(a: &[f32], panel: &[f32], fma: bool) -> __m256 {
-        let mut acc = _mm256_setzero_ps();
+    #[inline]
+    unsafe fn rows_block<const R: usize>(
+        cfg: &KernelConfig,
+        block: &[f32],
+        panels: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) -> bool {
+        let panel_len = (block.len() / R) * PANEL;
+        for (p, panel) in panels.chunks(panel_len).enumerate() {
+            let acc = match cfg.accum {
+                AccumMode::Sequential => seq_mr_v::<R>(block, panel, cfg.fma),
+                AccumMode::Blocked(kblock) => blocked_mr_v::<R>(kblock, block, panel, cfg.fma),
+                AccumMode::Pairwise => pairwise_mr_v::<R>(block, panel, cfg.fma),
+                // Reached on the first panel, before anything is written.
+                AccumMode::Kahan => return false,
+            };
+            let col0 = p * PANEL;
+            let width = PANEL.min(n - col0);
+            for (r, lane) in acc.iter().enumerate() {
+                let dst = &mut out[r * n + col0..r * n + col0 + width];
+                if width == PANEL {
+                    _mm256_storeu_ps(dst.as_mut_ptr(), *lane);
+                } else {
+                    let mut tail = [0f32; PANEL];
+                    _mm256_storeu_ps(tail.as_mut_ptr(), *lane);
+                    dst.copy_from_slice(&tail[..width]);
+                }
+            }
+        }
+        true
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn seq_mr_v<const R: usize>(block: &[f32], panel: &[f32], fma: bool) -> [__m256; R] {
+        let k = block.len() / R;
+        let mut acc = [_mm256_setzero_ps(); R];
         let p = panel.as_ptr();
+        let b = block.as_ptr();
         if fma {
-            for (kk, &av) in a.iter().enumerate() {
+            for kk in 0..k {
                 let row = _mm256_loadu_ps(p.add(kk * PANEL));
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(av), row, acc);
+                for (r, lane) in acc.iter_mut().enumerate() {
+                    *lane = _mm256_fmadd_ps(_mm256_set1_ps(*b.add(kk * R + r)), row, *lane);
+                }
             }
         } else {
-            for (kk, &av) in a.iter().enumerate() {
+            for kk in 0..k {
                 let row = _mm256_loadu_ps(p.add(kk * PANEL));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), row));
+                for (r, lane) in acc.iter_mut().enumerate() {
+                    *lane = _mm256_add_ps(
+                        *lane,
+                        _mm256_mul_ps(_mm256_set1_ps(*b.add(kk * R + r)), row),
+                    );
+                }
             }
         }
         acc
     }
 
-    /// Pairwise tile: recursion splits at the scalar midpoints down to
-    /// four terms, whose subtrees [`pairwise_leaf`] evaluates inline.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn blocked_mr_v<const R: usize>(
+        kblock: usize,
+        block: &[f32],
+        panel: &[f32],
+        fma: bool,
+    ) -> [__m256; R] {
+        let kblock = kblock.max(1);
+        let k = block.len() / R;
+        if k <= kblock {
+            return seq_mr_v::<R>(block, panel, fma);
+        }
+        let mut acc = [_mm256_setzero_ps(); R];
+        let mut i = 0;
+        while i < k {
+            let end = (i + kblock).min(k);
+            let partial =
+                seq_mr_v::<R>(&block[i * R..end * R], &panel[i * PANEL..end * PANEL], fma);
+            for (lane, part) in acc.iter_mut().zip(&partial) {
+                *lane = _mm256_add_ps(*lane, *part);
+            }
+            i = end;
+        }
+        acc
+    }
+
+    /// Pairwise block: the recursion splits `k` at the scalar midpoints for
+    /// all `R` rows at once, down to four terms, whose subtrees
+    /// [`pairwise_leaf`] evaluates inline.
     ///
     /// # Safety
     ///
-    /// Requires AVX2+FMA and `panel.len() >= a.len() * PANEL`.
+    /// Requires AVX2+FMA and `panel.len() >= (block.len() / R) * PANEL`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn pairwise_v(a: &[f32], panel: &[f32], fma: bool) -> __m256 {
-        if a.len() <= 4 {
-            return pairwise_leaf::<1>(a, panel, fma)[0];
+    unsafe fn pairwise_mr_v<const R: usize>(
+        block: &[f32],
+        panel: &[f32],
+        fma: bool,
+    ) -> [__m256; R] {
+        let k = block.len() / R;
+        if k <= 4 {
+            return pairwise_leaf::<R>(block, panel, fma);
         }
-        let mid = a.len() / 2;
-        let left = pairwise_v(&a[..mid], &panel[..mid * PANEL], fma);
-        let right = pairwise_v(&a[mid..], &panel[mid * PANEL..], fma);
-        _mm256_add_ps(left, right)
+        let mid = k / 2;
+        let left = pairwise_mr_v::<R>(&block[..mid * R], &panel[..mid * PANEL], fma);
+        let right = pairwise_mr_v::<R>(&block[mid * R..], &panel[mid * PANEL..], fma);
+        let mut acc = left;
+        for (lane, r) in acc.iter_mut().zip(right) {
+            *lane = _mm256_add_ps(*lane, r);
+        }
+        acc
     }
 
     /// The scalar `pairwise_dot` tree for `k <= 4` terms, unrolled, for
@@ -398,156 +610,6 @@ mod x86 {
         }
         acc
     }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn blocked_v(block: usize, a: &[f32], panel: &[f32], fma: bool) -> __m256 {
-        let block = block.max(1);
-        let k = a.len();
-        if k <= block {
-            return seq_v(a, panel, fma);
-        }
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < k {
-            let end = (i + block).min(k);
-            let partial = seq_v(&a[i..end], &panel[i * PANEL..end * PANEL], fma);
-            acc = _mm256_add_ps(acc, partial);
-            i = end;
-        }
-        acc
-    }
-
-    /// [`MR`]-row register block for the packed-lhs path. Zero-padded
-    /// block rows are computed and discarded by the caller.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA (checked by [`have_fma_simd`]),
-    /// `panel.len() == (block.len() / MR) * PANEL`, and an accumulation
-    /// mode in `cfg` that [`super::lhs_pack_applies`] admits.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn mr_tile_f32(
-        cfg: &KernelConfig,
-        block: &[f32],
-        rows: usize,
-        panel: &[f32],
-    ) -> [[f32; PANEL]; MR] {
-        let _ = rows; // All MR lanes are computed; padded rows are discarded.
-        let acc = match cfg.accum {
-            AccumMode::Sequential => seq_mr_v(block, panel, cfg.fma),
-            AccumMode::Blocked(kblock) => blocked_mr_v(kblock, block, panel, cfg.fma),
-            AccumMode::Pairwise => pairwise_mr_v(block, panel, cfg.fma),
-            AccumMode::Kahan => unreachable!("lhs_pack_applies gates the packed-lhs path"),
-        };
-        let mut out = [[0f32; PANEL]; MR];
-        for (slot, lane) in out.iter_mut().zip(&acc) {
-            _mm256_storeu_ps(slot.as_mut_ptr(), *lane);
-        }
-        out
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn seq_mr_v(block: &[f32], panel: &[f32], fma: bool) -> [__m256; MR] {
-        let k = block.len() / MR;
-        let mut acc = [_mm256_setzero_ps(); MR];
-        let p = panel.as_ptr();
-        let b = block.as_ptr();
-        if fma {
-            for kk in 0..k {
-                let row = _mm256_loadu_ps(p.add(kk * PANEL));
-                for (r, lane) in acc.iter_mut().enumerate() {
-                    *lane = _mm256_fmadd_ps(_mm256_set1_ps(*b.add(kk * MR + r)), row, *lane);
-                }
-            }
-        } else {
-            for kk in 0..k {
-                let row = _mm256_loadu_ps(p.add(kk * PANEL));
-                for (r, lane) in acc.iter_mut().enumerate() {
-                    *lane = _mm256_add_ps(
-                        *lane,
-                        _mm256_mul_ps(_mm256_set1_ps(*b.add(kk * MR + r)), row),
-                    );
-                }
-            }
-        }
-        acc
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn blocked_mr_v(kblock: usize, block: &[f32], panel: &[f32], fma: bool) -> [__m256; MR] {
-        let kblock = kblock.max(1);
-        let k = block.len() / MR;
-        if k <= kblock {
-            return seq_mr_v(block, panel, fma);
-        }
-        let mut acc = [_mm256_setzero_ps(); MR];
-        let mut i = 0;
-        while i < k {
-            let end = (i + kblock).min(k);
-            let partial = seq_mr_v(
-                &block[i * MR..end * MR],
-                &panel[i * PANEL..end * PANEL],
-                fma,
-            );
-            for (lane, part) in acc.iter_mut().zip(&partial) {
-                *lane = _mm256_add_ps(*lane, *part);
-            }
-            i = end;
-        }
-        acc
-    }
-
-    /// [`MR`]-row mirror of [`pairwise_v`]: the recursion splits `k` at the
-    /// same midpoints, and each level handles all [`MR`] rows at once.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA and `panel.len() >= (block.len() / MR) * PANEL`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn pairwise_mr_v(block: &[f32], panel: &[f32], fma: bool) -> [__m256; MR] {
-        let k = block.len() / MR;
-        if k <= 4 {
-            return pairwise_leaf::<MR>(block, panel, fma);
-        }
-        let mid = k / 2;
-        let left = pairwise_mr_v(&block[..mid * MR], &panel[..mid * PANEL], fma);
-        let right = pairwise_mr_v(&block[mid * MR..], &panel[mid * PANEL..], fma);
-        let mut acc = left;
-        for (lane, r) in acc.iter_mut().zip(right) {
-            *lane = _mm256_add_ps(*lane, r);
-        }
-        acc
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn kahan_v(a: &[f32], panel: &[f32]) -> __m256 {
-        let mut acc = _mm256_setzero_ps();
-        let mut comp = _mm256_setzero_ps();
-        let p = panel.as_ptr();
-        for (kk, &av) in a.iter().enumerate() {
-            let x = _mm256_mul_ps(_mm256_set1_ps(av), _mm256_loadu_ps(p.add(kk * PANEL)));
-            let y = _mm256_sub_ps(x, comp);
-            let t = _mm256_add_ps(acc, y);
-            comp = _mm256_sub_ps(_mm256_sub_ps(t, acc), y);
-            acc = t;
-        }
-        acc
-    }
-}
-
-/// Computes one output row: `out_row[col] = cfg.dot(a_row, column col)`.
-fn gemm_row<T: Element>(cfg: &KernelConfig, a_row: &[T], rhs: &PackedRhs<T>, out_row: &mut [T]) {
-    if rhs.k == 0 {
-        out_row.fill(T::ZERO);
-        return;
-    }
-    let panel_len = rhs.k * PANEL;
-    for (p, panel) in rhs.panels.chunks(panel_len).enumerate() {
-        let tile = dot_tile(cfg, a_row, panel);
-        let col0 = p * PANEL;
-        let width = PANEL.min(rhs.n - col0);
-        out_row[col0..col0 + width].copy_from_slice(&tile[..width]);
-    }
 }
 
 /// Worker-thread count appropriate for `flops` multiply-accumulates: 1
@@ -571,10 +633,10 @@ pub fn host_threads() -> usize {
 }
 
 /// Splits `out` into contiguous bands of whole `unit`-element chunks and
-/// runs `f(first_unit_index, band)` for each band on a scoped worker
-/// thread (or inline when one worker suffices). Units are never split
-/// across workers, so any per-unit computation is identical at every
-/// thread count.
+/// runs `f(first_unit_index, band)` for each band: the first on the
+/// calling thread, the others on scoped worker threads (all inline when
+/// one worker suffices). Units are never split across workers, so any
+/// per-unit computation is identical at every thread count.
 pub(crate) fn par_bands<T, F>(out: &mut [T], unit: usize, threads: usize, f: F)
 where
     T: Send,
@@ -587,265 +649,24 @@ where
         return;
     }
     let per = units.div_ceil(workers);
+    let (first, rest) = out.split_at_mut((per * unit).min(out.len()));
     std::thread::scope(|scope| {
-        for (wi, band) in out.chunks_mut(per * unit).enumerate() {
+        for (wi, band) in rest.chunks_mut(per * unit).enumerate() {
             let f = &f;
-            scope.spawn(move || f(wi * per, band));
+            scope.spawn(move || f((wi + 1) * per, band));
         }
+        f(0, first);
     });
 }
 
-/// Blocked GEMM into a preallocated buffer: `out[row * n + col] =
-/// cfg.dot(a[row*k..][..k], column col of rhs)` for every row and column,
+/// The GEMM driver: `out[row * n + col] = cfg.dot(row of lhs, column col
+/// of rhs)` for every row and column, under every [`KernelConfig`],
 /// bit-identical to the scalar oracle at any `threads` count.
 ///
 /// # Panics
 ///
-/// Panics if `a` is not `m * rhs.k()` long or `out` is not
-/// `m * rhs.n()` long.
-pub fn gemm_into<T: Element>(
-    cfg: &KernelConfig,
-    a: &[T],
-    m: usize,
-    rhs: &PackedRhs<T>,
-    out: &mut [T],
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * rhs.k, "lhs length mismatch");
-    assert_eq!(out.len(), m * rhs.n, "out length mismatch");
-    if rhs.n == 0 {
-        return;
-    }
-    par_bands(out, rhs.n, threads, |row0, band| {
-        for (i, out_row) in band.chunks_mut(rhs.n).enumerate() {
-            let row = row0 + i;
-            gemm_row(cfg, &a[row * rhs.k..(row + 1) * rhs.k], rhs, out_row);
-        }
-    });
-}
-
-/// Allocating convenience wrapper around [`gemm_into`] (used by the kernel
-/// microbenchmarks to pin an explicit thread count).
-pub fn gemm<T: Element>(
-    cfg: &KernelConfig,
-    a: &[T],
-    m: usize,
-    rhs: &PackedRhs<T>,
-    threads: usize,
-) -> Vec<T> {
-    let mut out = vec![T::ZERO; m * rhs.n];
-    gemm_into(cfg, a, m, rhs, &mut out, threads);
-    out
-}
-
-/// Row-block height of the packed-lhs micro-kernel: how many output rows
-/// one [`PackedLhs`] panel interleaves, i.e. how many independent
-/// accumulator chains share each streamed rhs panel load.
-pub const MR: usize = 8;
-
-/// The left-hand operand of a GEMM, repacked into row blocks of [`MR`]
-/// interleaved rows (`panel[kk * MR + r]` holds reduction index `kk` of
-/// block-row `r`; rows past `m` are zero-padded, computed and discarded).
-///
-/// Packing the lhs buys two things the row-at-a-time `gemm_row` path
-/// cannot: each rhs panel row is loaded once and reused across [`MR`]
-/// output rows, and [`MR`] independent accumulation chains run per column
-/// lane instead of one, which hides the FP-add/FMA latency.
-/// Like rhs packing, this moves bytes, not arithmetic: every output
-/// element's dot product still reduces in the exact scalar-oracle order.
-#[derive(Debug, Clone)]
-pub struct PackedLhs<T: Scalar> {
-    m: usize,
-    k: usize,
-    panels: Vec<T>,
-}
-
-impl<T: Scalar> PackedLhs<T> {
-    /// Packs a row-major `[m, k]` matrix (the `A` of `A @ B`).
-    pub fn from_row_major(a: &[T], m: usize, k: usize) -> Self {
-        assert_eq!(a.len(), m * k, "lhs length mismatch");
-        let mut panels = vec![T::ZERO; m.div_ceil(MR) * k * MR];
-        for (row, vals) in a.chunks_exact(k.max(1)).take(m).enumerate() {
-            let base = (row / MR) * k * MR + row % MR;
-            for (kk, &v) in vals[..k].iter().enumerate() {
-                panels[base + kk * MR] = v;
-            }
-        }
-        PackedLhs { m, k, panels }
-    }
-
-    /// Output row count `m`.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Reduction length `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
-/// Whether `cfg` has a packed-lhs [`MR`]-row micro-kernel. Sequential and
-/// blocked accumulation tile directly (their per-row chains are plain
-/// left-to-right folds the block kernel replays verbatim), and pairwise
-/// tiles recurse over `k` with the same midpoints for all [`MR`] rows at
-/// once; Kahan configs keep the row-at-a-time path.
-pub fn lhs_pack_applies(cfg: &KernelConfig) -> bool {
-    !matches!(cfg.accum, AccumMode::Kahan)
-}
-
-/// One [`MR`]x[`PANEL`] sequential register block: `rows` dot products per
-/// column lane, every row following the scalar sequential order.
-fn seq_mr_tile<T: Element>(
-    block: &[T],
-    rows: usize,
-    panel: &[T],
-    fma: bool,
-    acc: &mut [[T; PANEL]; MR],
-) {
-    let k = block.len() / MR;
-    for kk in 0..k {
-        let brow = &panel[kk * PANEL..(kk + 1) * PANEL];
-        let arow = &block[kk * MR..kk * MR + rows];
-        for (r, &av) in arow.iter().enumerate() {
-            for (lane, &bv) in acc[r].iter_mut().zip(brow) {
-                *lane = if fma {
-                    av.mul_add(bv, *lane)
-                } else {
-                    *lane + av * bv
-                };
-            }
-        }
-    }
-}
-
-/// Blocked variant of [`seq_mr_tile`]: per-row sequential partials per
-/// `block`-sized `k` chunk with a strict left-to-right partial reduction —
-/// the exact scalar `AccumMode::Blocked` structure, row by row.
-fn blocked_mr_tile<T: Element>(
-    kblock: usize,
-    lhs_block: &[T],
-    rows: usize,
-    panel: &[T],
-    fma: bool,
-) -> [[T; PANEL]; MR] {
-    let kblock = kblock.max(1);
-    let k = lhs_block.len() / MR;
-    let mut acc = [[T::ZERO; PANEL]; MR];
-    if k <= kblock {
-        seq_mr_tile(lhs_block, rows, panel, fma, &mut acc);
-        return acc;
-    }
-    let mut i = 0;
-    while i < k {
-        let end = (i + kblock).min(k);
-        let mut partial = [[T::ZERO; PANEL]; MR];
-        seq_mr_tile(
-            &lhs_block[i * MR..end * MR],
-            rows,
-            &panel[i * PANEL..end * PANEL],
-            fma,
-            &mut partial,
-        );
-        for (accr, partr) in acc.iter_mut().zip(&partial) {
-            for (lane, &p) in accr.iter_mut().zip(partr) {
-                *lane += p;
-            }
-        }
-        i = end;
-    }
-    acc
-}
-
-/// Pairwise variant of [`seq_mr_tile`]: the recursion splits `k` at the
-/// same midpoints as the scalar `pairwise_dot`, so each of the `rows`
-/// rows reduces its products in the identical tree shape.
-fn pairwise_mr_tile<T: Element>(
-    block: &[T],
-    rows: usize,
-    panel: &[T],
-    fma: bool,
-) -> [[T; PANEL]; MR] {
-    let mut acc = [[T::ZERO; PANEL]; MR];
-    match block.len() / MR {
-        0 => {}
-        1 => {
-            for (accr, &av) in acc.iter_mut().zip(&block[..rows]) {
-                for (lane, &bv) in accr.iter_mut().zip(&panel[..PANEL]) {
-                    *lane = av * bv;
-                }
-            }
-        }
-        2 => {
-            let (r0, r1) = panel[..2 * PANEL].split_at(PANEL);
-            for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-                let (a0, a1) = (block[r], block[MR + r]);
-                for ((lane, &b0), &b1) in accr.iter_mut().zip(r0).zip(r1) {
-                    *lane = if fma {
-                        a1.mul_add(b1, a0 * b0)
-                    } else {
-                        a0 * b0 + a1 * b1
-                    };
-                }
-            }
-        }
-        k => {
-            let mid = k / 2;
-            let left = pairwise_mr_tile(&block[..mid * MR], rows, &panel[..mid * PANEL], fma);
-            let right = pairwise_mr_tile(&block[mid * MR..], rows, &panel[mid * PANEL..], fma);
-            for ((accr, l), r) in acc.iter_mut().zip(&left).zip(&right).take(rows) {
-                for ((lane, &lv), &rv) in accr.iter_mut().zip(l).zip(r) {
-                    *lane = lv + rv;
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// Dispatches one [`MR`]-row register block under `cfg` (every
-/// accumulation mode but Kahan; see [`lhs_pack_applies`]). `f32` blocks use
-/// the AVX2/FMA vector micro-kernel when the host supports it, under the
-/// same per-lane IEEE-754-equivalence argument as [`dot_tile`].
-fn mr_tile<T: Element>(
-    cfg: &KernelConfig,
-    lhs_block: &[T],
-    rows: usize,
-    panel: &[T],
-) -> [[T; PANEL]; MR] {
-    #[cfg(target_arch = "x86_64")]
-    if core::any::TypeId::of::<T>() == core::any::TypeId::of::<f32>() && x86::have_fma_simd() {
-        // SAFETY: `T` is `f32` (checked above), so the slices reinterpret
-        // losslessly and the result transmutes element-for-element; the
-        // target features were runtime-detected.
-        unsafe {
-            let b32 =
-                core::slice::from_raw_parts(lhs_block.as_ptr().cast::<f32>(), lhs_block.len());
-            let p32 = core::slice::from_raw_parts(panel.as_ptr().cast::<f32>(), panel.len());
-            let tile = x86::mr_tile_f32(cfg, b32, rows, p32);
-            return core::mem::transmute_copy(&tile);
-        }
-    }
-    match cfg.accum {
-        AccumMode::Sequential => {
-            let mut acc = [[T::ZERO; PANEL]; MR];
-            seq_mr_tile(lhs_block, rows, panel, cfg.fma, &mut acc);
-            acc
-        }
-        AccumMode::Blocked(kblock) => blocked_mr_tile(kblock, lhs_block, rows, panel, cfg.fma),
-        AccumMode::Pairwise => pairwise_mr_tile(lhs_block, rows, panel, cfg.fma),
-        AccumMode::Kahan => unreachable!("lhs_pack_applies gates the packed-lhs path"),
-    }
-}
-
-/// Blocked GEMM from a packed lhs into a preallocated buffer, bit-identical
-/// to [`gemm_into`] on the unpacked operand at any thread count.
-///
-/// # Panics
-///
-/// Panics if `lhs.k() != rhs.k()`, if `out` is not `lhs.m() * rhs.n()`
-/// long, or if `cfg` has no packed-lhs micro-kernel
-/// (see [`lhs_pack_applies`]).
+/// Panics if `lhs.k() != rhs.k()` or if `out` is not `lhs.m() * rhs.n()`
+/// long.
 pub fn gemm_packed_into<T: Element>(
     cfg: &KernelConfig,
     lhs: &PackedLhs<T>,
@@ -855,7 +676,6 @@ pub fn gemm_packed_into<T: Element>(
 ) {
     assert_eq!(lhs.k, rhs.k, "reduction length mismatch");
     assert_eq!(out.len(), lhs.m * rhs.n, "out length mismatch");
-    assert!(lhs_pack_applies(cfg), "no packed-lhs kernel for {cfg:?}");
     if rhs.n == 0 {
         return;
     }
@@ -864,22 +684,26 @@ pub fn gemm_packed_into<T: Element>(
         return;
     }
     let (n, k) = (rhs.n, rhs.k);
-    let panel_len = k * PANEL;
     par_bands(out, MR * n, threads, |block0, band| {
         for (bi, chunk) in band.chunks_mut(MR * n).enumerate() {
-            let block = block0 + bi;
             let rows = chunk.len() / n;
-            let lhs_block = &lhs.panels[block * k * MR..(block + 1) * k * MR];
-            for (p, panel) in rhs.panels.chunks(panel_len).enumerate() {
-                let tile = mr_tile(cfg, lhs_block, rows, panel);
-                let col0 = p * PANEL;
-                let width = PANEL.min(n - col0);
-                for (r, tile_row) in tile.iter().enumerate().take(rows) {
-                    chunk[r * n + col0..r * n + col0 + width].copy_from_slice(&tile_row[..width]);
-                }
-            }
+            let start = (block0 + bi) * MR * k;
+            block_into(cfg, &lhs.panels[start..start + rows * k], rows, rhs, chunk);
         }
     });
+}
+
+/// Allocating convenience wrapper around [`gemm_packed_into`] (used by the
+/// kernel microbenchmarks and tests to pin an explicit thread count).
+pub fn gemm<T: Element>(
+    cfg: &KernelConfig,
+    lhs: &PackedLhs<T>,
+    rhs: &PackedRhs<T>,
+    threads: usize,
+) -> Vec<T> {
+    let mut out = vec![T::ZERO; lhs.m * rhs.n];
+    gemm_packed_into(cfg, lhs, rhs, &mut out, threads);
+    out
 }
 
 #[cfg(test)]
@@ -908,7 +732,7 @@ mod tests {
         cfgs
     }
 
-    fn ill_conditioned(n: usize, seed: u64) -> Vec<f32> {
+    fn ill_conditioned_f64(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed | 1;
         (0..n)
             .map(|_| {
@@ -917,9 +741,43 @@ mod tests {
                 state ^= state << 17;
                 let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
                 let sign = if state & 2 == 0 { 1.0 } else { -1.0 };
-                (sign * 10f64.powf(unit * 6.0 - 3.0)) as f32
+                sign * 10f64.powf(unit * 6.0 - 3.0)
             })
             .collect()
+    }
+
+    fn ill_conditioned(n: usize, seed: u64) -> Vec<f32> {
+        ill_conditioned_f64(n, seed)
+            .into_iter()
+            .map(|v| v as f32)
+            .collect()
+    }
+
+    /// `cfg.dot` of every row of the row-major `[m, k]` `a` against every
+    /// column of the row-major `[k, n]` `b`, row-major.
+    fn oracle<T: Element>(
+        cfg: &KernelConfig,
+        a: &[T],
+        b: &[T],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(m * n);
+        for row in 0..m {
+            for col in 0..n {
+                let col_vals: Vec<T> = (0..k).map(|kk| b[kk * n + col]).collect();
+                out.push(cfg.dot(&a[row * k..(row + 1) * k], &col_vals));
+            }
+        }
+        out
+    }
+
+    fn same_bits<T: Element>(x: &[T], y: &[T]) -> bool {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(p, q)| p.to_f64().to_bits() == q.to_f64().to_bits())
     }
 
     #[test]
@@ -944,19 +802,17 @@ mod tests {
     #[test]
     fn tiles_match_scalar_dot_for_every_mode() {
         for k in [0usize, 1, 2, 3, 7, 8, 31, 33, 97] {
-            let a = ill_conditioned(k, 11);
             let n = PANEL + 3;
             let b = ill_conditioned(k * n, 23);
-            let packed = PackedRhs::from_row_major(&b, k, n);
-            for cfg in all_cfgs() {
-                let fast = gemm(&cfg, &a, 1, &packed, 1);
-                for col in 0..n {
-                    let col_vals: Vec<f32> = (0..k).map(|kk| b[kk * n + col]).collect();
-                    let oracle = cfg.dot(&a, &col_vals);
-                    assert_eq!(
-                        fast[col].to_bits(),
-                        oracle.to_bits(),
-                        "k={k} col={col} {cfg:?}"
+            let rhs = PackedRhs::from_row_major(&b, k, n);
+            for m in [1, MR, MR + 1] {
+                let a = ill_conditioned(m * k, 11);
+                let lhs = PackedLhs::from_row_major(&a, m, k);
+                for cfg in all_cfgs() {
+                    let fast = gemm(&cfg, &lhs, &rhs, 1);
+                    assert!(
+                        same_bits(&fast, &oracle(&cfg, &a, &b, m, k, n)),
+                        "m={m} k={k} {cfg:?}"
                     );
                 }
             }
@@ -968,16 +824,13 @@ mod tests {
         let (m, k, n) = (13, 57, 19);
         let a = ill_conditioned(m * k, 5);
         let b = ill_conditioned(k * n, 9);
-        let packed = PackedRhs::from_row_major(&b, k, n);
+        let rhs = PackedRhs::from_row_major(&b, k, n);
+        let lhs = PackedLhs::from_row_major(&a, m, k);
         for cfg in all_cfgs() {
-            let one = gemm(&cfg, &a, m, &packed, 1);
+            let one = gemm(&cfg, &lhs, &rhs, 1);
             for threads in [2, 3, 8, 64] {
-                let many = gemm(&cfg, &a, m, &packed, threads);
-                let same = one
-                    .iter()
-                    .zip(&many)
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "threads={threads} {cfg:?}");
+                let many = gemm(&cfg, &lhs, &rhs, threads);
+                assert!(same_bits(&one, &many), "threads={threads} {cfg:?}");
             }
         }
     }
@@ -996,52 +849,86 @@ mod tests {
     fn degenerate_shapes() {
         let cfg = KernelConfig::reference();
         // k = 0: all dots are empty sums.
-        let packed = PackedRhs::from_row_major(&[], 0, 4);
-        assert_eq!(gemm::<f32>(&cfg, &[], 3, &packed, 2), vec![0.0; 12]);
+        let rhs = PackedRhs::from_row_major(&[], 0, 4);
+        let lhs = PackedLhs::<f32>::from_row_major(&[], 3, 0);
+        assert_eq!(gemm(&cfg, &lhs, &rhs, 2), vec![0.0; 12]);
         // n = 0: empty output.
-        let packed = PackedRhs::from_row_major(&[], 5, 0);
-        assert!(gemm::<f32>(&cfg, &[1.0; 10], 2, &packed, 2).is_empty());
+        let rhs = PackedRhs::from_row_major(&[], 5, 0);
+        let lhs = PackedLhs::from_row_major(&[1.0f32; 10], 2, 5);
+        assert!(gemm(&cfg, &lhs, &rhs, 2).is_empty());
         // m = 0: empty output.
-        let packed = PackedRhs::from_row_major(&[1.0, 2.0], 1, 2);
-        assert!(gemm::<f32>(&cfg, &[], 0, &packed, 2).is_empty());
+        let rhs = PackedRhs::from_row_major(&[1.0f32, 2.0], 1, 2);
+        let lhs = PackedLhs::from_row_major(&[], 0, 1);
+        assert!(gemm(&cfg, &lhs, &rhs, 2).is_empty());
     }
 
     #[test]
     fn packed_lhs_layout_roundtrips() {
-        let (m, k) = (7, 5);
-        let a: Vec<f32> = (0..m * k).map(|i| i as f32).collect();
-        let lhs = PackedLhs::from_row_major(&a, m, k);
-        assert_eq!(lhs.m(), m);
-        assert_eq!(lhs.k(), k);
-        for row in 0..m {
-            let p = row / MR;
-            let r = row % MR;
-            for kk in 0..k {
-                assert_eq!(lhs.panels[p * k * MR + kk * MR + r], a[row * k + kk]);
+        for m in [1, 7, MR, 2 * MR + 3] {
+            let k = 5;
+            let a: Vec<f32> = (0..m * k).map(|i| i as f32).collect();
+            let lhs = PackedLhs::from_row_major(&a, m, k);
+            assert_eq!(lhs.m(), m);
+            assert_eq!(lhs.k(), k);
+            // No padded rows: the packing holds exactly the operand.
+            assert_eq!(lhs.panels.len(), m * k);
+            for row in 0..m {
+                let block0 = row - row % MR;
+                let rows = MR.min(m - block0);
+                for kk in 0..k {
+                    assert_eq!(
+                        lhs.panels[block0 * k + kk * rows + row % MR],
+                        a[row * k + kk]
+                    );
+                }
             }
         }
-        // Padded block rows are zero.
-        assert_eq!(lhs.panels[(m / MR) * k * MR + m % MR], 0.0);
+        // A one-row operand is its own row.
+        let row = [3.0f32, -1.0, 2.5];
+        assert_eq!(PackedLhs::from_row_major(&row, 1, 3).panels, row);
     }
 
     #[test]
-    fn packed_lhs_matches_row_gemm_bitwise() {
+    fn packed_lhs_matches_scalar_dot_bitwise() {
         // Ragged everywhere: m % MR != 0, n % PANEL != 0, odd k.
         let (m, k, n) = (11, 37, 19);
         let a = ill_conditioned(m * k, 3);
         let b = ill_conditioned(k * n, 13);
         let rhs = PackedRhs::from_row_major(&b, k, n);
         let lhs = PackedLhs::from_row_major(&a, m, k);
-        for cfg in all_cfgs().into_iter().filter(lhs_pack_applies) {
-            let base = gemm(&cfg, &a, m, &rhs, 1);
+        for cfg in all_cfgs() {
+            let want = oracle(&cfg, &a, &b, m, k, n);
             for threads in [1usize, 2, 5] {
-                let mut out = vec![0f32; m * n];
+                let mut out = vec![f32::NAN; m * n];
                 gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
-                let same = base
-                    .iter()
-                    .zip(&out)
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "threads={threads} {cfg:?}");
+                assert!(same_bits(&out, &want), "threads={threads} {cfg:?}");
+            }
+        }
+    }
+
+    /// The generic scalar tiles (which an AVX2 host runs for no `f32`
+    /// config but Kahan) through the driver in `f64`: every accumulation
+    /// mode, one-row operands and one-row tail blocks, 1 and 2 threads.
+    #[test]
+    fn f64_driver_matches_scalar_dot_for_every_mode_and_row_count() {
+        let n = PANEL + 5;
+        for k in [1usize, 2, 3, 5, 33, 70] {
+            let b = ill_conditioned_f64(k * n, 31 + k as u64);
+            let rhs = PackedRhs::from_row_major(&b, k, n);
+            for m in 1..=17 {
+                let a = ill_conditioned_f64(m * k, 41 + m as u64);
+                let lhs = PackedLhs::from_row_major(&a, m, k);
+                for cfg in all_cfgs() {
+                    let want = oracle(&cfg, &a, &b, m, k, n);
+                    for threads in [1, 2] {
+                        let mut out = vec![f64::NAN; m * n];
+                        gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
+                        assert!(
+                            same_bits(&out, &want),
+                            "f64 {m}x{k}x{n} threads={threads} {cfg:?}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1063,11 +950,7 @@ mod tests {
         let lhs = PackedLhs::from_row_major(&a, m, k);
         let mut out = vec![0f32; m * n];
         gemm_packed_into(&cfg, &lhs, &rhs, &mut out, 4);
-        let base = gemm(&cfg, &a, m, &rhs, 1);
-        assert!(base
-            .iter()
-            .zip(&out)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(same_bits(&out, &oracle(&cfg, &a, &b, m, k, n)));
     }
 
     #[test]

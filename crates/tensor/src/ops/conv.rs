@@ -1,17 +1,15 @@
 //! 2-D convolution over NCHW tensors.
 //!
 //! The hot path gathers each image's im2col matrix straight into the
-//! blocked-GEMM panel layout of [`crate::kernel`] and reuses the
-//! register-tiled matmul core, with the weight as the packed lhs;
-//! [`Tensor::conv2d_reference`] keeps the original gather-per-output scalar
-//! loop as the bit-exactness oracle.
+//! rhs panel layout of [`crate::kernel`] and runs its one GEMM driver
+//! ([`gemm_packed_into`]) under every `KernelConfig`, with the weight as
+//! the packed lhs; [`Tensor::conv2d_reference`] keeps the original
+//! gather-per-output scalar loop as the bit-exactness oracle.
 
 use crate::accum::KernelConfig;
 use crate::element::Element;
 use crate::error::TensorError;
-use crate::kernel::{
-    auto_threads, gemm_into, gemm_packed_into, lhs_pack_applies, par_bands, PackedLhs, PackedRhs,
-};
+use crate::kernel::{auto_threads, gemm_packed_into, par_bands, PackedLhs, PackedRhs};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -34,11 +32,13 @@ impl Default for Conv2dParams {
 }
 
 impl Conv2dParams {
-    /// Output spatial extent for an input extent and kernel extent.
+    /// Output spatial extent for an input extent and kernel extent, or
+    /// `None` when the kernel exceeds the padded input or the stride is 0.
     pub fn out_extent(&self, input: usize, kernel: usize) -> Option<usize> {
         (input + 2 * self.padding)
-            .checked_sub(kernel)
-            .map(|v| v / self.stride + 1)
+            .checked_sub(kernel)?
+            .checked_div(self.stride)
+            .map(|v| v + 1)
     }
 }
 
@@ -53,8 +53,8 @@ impl<T: Element> Tensor<T> {
     ///
     /// # Errors
     ///
-    /// Returns an error for non-4D operands, channel mismatches, or kernels
-    /// larger than the padded input.
+    /// Returns an error for non-4D operands, channel mismatches, a zero
+    /// stride, or kernels larger than the padded input.
     pub fn conv2d(
         &self,
         weight: &Tensor<T>,
@@ -89,8 +89,8 @@ impl<T: Element> Tensor<T> {
     /// [`conv2d_with_buf`](Self::conv2d_with_buf) with `weight` already
     /// packed as `packed` (`PackedLhs::from_row_major` of its
     /// `[c_out, c_in*kh*kw]` rows), so a weight used by many calls is packed
-    /// once. Kahan configs keep the row-at-a-time path and read `weight`
-    /// itself. Bit-identical to packing per call.
+    /// once; `weight` itself only supplies the shape. Bit-identical to
+    /// packing per call.
     ///
     /// # Errors
     ///
@@ -136,7 +136,6 @@ impl<T: Element> Tensor<T> {
         // count, mirroring the batched-matmul split).
         let threads = auto_threads((n * c_out * ohow * patch) as u64);
         let inner_threads = (threads / n.max(1)).max(1);
-        let pack_lhs = lhs_pack_applies(cfg);
         par_bands(&mut out, c_out * ohow, threads, |img0, band| {
             // One panel set and one im2col-row scratch per band: every
             // image overwrites every real lane, and padded lanes stay zero.
@@ -146,11 +145,7 @@ impl<T: Element> Tensor<T> {
                 let ni = img0 + i;
                 let img = &self.data()[ni * c_in * h * w..(ni + 1) * c_in * h * w];
                 im2col_packed(img, &geo, params, &mut rhs, &mut row);
-                if pack_lhs {
-                    gemm_packed_into(cfg, packed, &rhs, image, inner_threads);
-                } else {
-                    gemm_into(cfg, weight.data(), c_out, &rhs, image, inner_threads);
-                }
+                gemm_packed_into(cfg, packed, &rhs, image, inner_threads);
                 if let Some(b) = bias {
                     for (oc, row) in image.chunks_mut(ohow).enumerate() {
                         let bv = b.data()[oc];
@@ -279,6 +274,11 @@ impl<T: Element> Tensor<T> {
                     op: "conv2d bias",
                 });
             }
+        }
+        if params.stride == 0 {
+            return Err(TensorError::InvalidArgument(
+                "conv2d: stride must be at least 1, got 0".into(),
+            ));
         }
         let oh = params.out_extent(h, kh).ok_or_else(|| {
             TensorError::InvalidArgument("conv2d: kernel taller than input".into())
@@ -532,6 +532,26 @@ mod tests {
         assert!(x
             .conv2d_packed_with_buf(&w, &bad, None, params, &cfg(), Vec::new())
             .is_err());
+    }
+
+    #[test]
+    fn zero_stride_is_an_error_not_a_panic() {
+        let x = Tensor::<f32>::ones(&[1, 1, 4, 4]);
+        let w = Tensor::<f32>::ones(&[1, 1, 2, 2]);
+        let params = Conv2dParams {
+            stride: 0,
+            padding: 0,
+        };
+        assert_eq!(params.out_extent(4, 2), None);
+        for result in [
+            x.conv2d(&w, None, params, &cfg()),
+            x.conv2d_reference(&w, None, params, &cfg()),
+        ] {
+            match result {
+                Err(TensorError::InvalidArgument(msg)) => assert!(msg.contains("stride"), "{msg}"),
+                other => panic!("stride 0 gave {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Matrix multiplication, batched matmul and affine (linear) layers.
 //!
-//! The hot paths route through the packed/blocked GEMM in
-//! [`crate::kernel`]; the scalar `*_reference` kernels are the permanent
+//! Every product packs both operands and runs the one GEMM driver of
+//! [`crate::kernel`] ([`gemm_packed_into`]) under any `KernelConfig` and
+//! row count; the scalar `*_reference` kernels are the permanent
 //! bit-exactness oracles (see `tests/tests/kernel_equiv.rs`).
 
 use crate::accum::KernelConfig;
 use crate::element::Element;
 use crate::error::TensorError;
-use crate::kernel::{
-    auto_threads, gemm_into, gemm_packed_into, lhs_pack_applies, par_bands, PackedLhs, PackedRhs,
-};
+use crate::kernel::{auto_threads, gemm_packed_into, par_bands, PackedLhs, PackedRhs};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -114,78 +113,45 @@ impl<T: Element> Tensor<T> {
         if out.is_empty() {
             return Tensor::from_vec(out, &plan.out_dims);
         }
-        let per_batch_flops = (m * k * n) as u64;
-        if batch == 1 {
-            let rhs = PackedRhs::from_row_major(&other.data()[..k * n], k, n);
-            let threads = auto_threads(per_batch_flops);
-            if lhs_pack_applies(cfg) {
-                let lhs = PackedLhs::from_row_major(&self.data()[..m * k], m, k);
-                gemm_packed_into(cfg, &lhs, &rhs, &mut out, threads);
-            } else {
-                gemm_into(cfg, &self.data()[..m * k], m, &rhs, &mut out, threads);
-            }
-        } else {
-            // Shared-rhs broadcast packs once; otherwise each batch entry
-            // packs its own panel set. Batches are fanned out over threads;
-            // when the batch is smaller than the worker budget, the
-            // leftover workers go to row bands *inside* each entry (both
-            // axes are bit-exact at any thread count). For the accum modes
-            // where MR-row register blocking reproduces the committed
-            // per-row chains (see `lhs_pack_applies`), each batch's lhs is
-            // packed once into MR panels and reused across all of that
-            // entry's column panels — the attention-shaped B×T GEMM case.
-            let pack_lhs = lhs_pack_applies(cfg);
-            let shared_rhs = plan
-                .b_broadcast
-                .then(|| PackedRhs::from_row_major(&other.data()[..k * n], k, n));
-            let shared_lhs = (pack_lhs && plan.a_broadcast)
-                .then(|| PackedLhs::from_row_major(&self.data()[..m * k], m, k));
-            let threads = auto_threads(per_batch_flops.saturating_mul(batch as u64));
-            let inner_threads = (threads / batch.max(1)).max(1);
-            par_bands(&mut out, m * n, threads, |batch0, band| {
-                for (i, out_mat) in band.chunks_mut(m * n).enumerate() {
-                    let bi = batch0 + i;
-                    let a_off = if plan.a_broadcast { 0 } else { bi * m * k };
-                    let packed;
-                    let rhs = match &shared_rhs {
-                        Some(shared) => shared,
-                        None => {
-                            let b_off = bi * k * n;
-                            packed = PackedRhs::from_row_major(
-                                &other.data()[b_off..b_off + k * n],
-                                k,
-                                n,
-                            );
-                            &packed
-                        }
-                    };
-                    if pack_lhs {
-                        let packed_a;
-                        let lhs = match &shared_lhs {
-                            Some(shared) => shared,
-                            None => {
-                                packed_a = PackedLhs::from_row_major(
-                                    &self.data()[a_off..a_off + m * k],
-                                    m,
-                                    k,
-                                );
-                                &packed_a
-                            }
-                        };
-                        gemm_packed_into(cfg, lhs, rhs, out_mat, inner_threads);
-                    } else {
-                        gemm_into(
-                            cfg,
-                            &self.data()[a_off..a_off + m * k],
-                            m,
-                            rhs,
-                            out_mat,
-                            inner_threads,
-                        );
+        // Shared (broadcast) operands pack once; otherwise each batch entry
+        // packs its own. Batches are fanned out over threads; when the
+        // batch is smaller than the worker budget, the leftover workers go
+        // to row bands *inside* each entry (both axes are bit-exact at any
+        // thread count). A single product is the one-entry batch.
+        let shared_rhs = plan
+            .b_broadcast
+            .then(|| PackedRhs::from_row_major(&other.data()[..k * n], k, n));
+        let shared_lhs = plan
+            .a_broadcast
+            .then(|| PackedLhs::from_row_major(&self.data()[..m * k], m, k));
+        let threads = auto_threads(((m * k * n) as u64).saturating_mul(batch as u64));
+        let inner_threads = (threads / batch.max(1)).max(1);
+        par_bands(&mut out, m * n, threads, |batch0, band| {
+            for (i, out_mat) in band.chunks_mut(m * n).enumerate() {
+                let bi = batch0 + i;
+                let packed_b;
+                let rhs = match &shared_rhs {
+                    Some(shared) => shared,
+                    None => {
+                        let b_off = bi * k * n;
+                        packed_b =
+                            PackedRhs::from_row_major(&other.data()[b_off..b_off + k * n], k, n);
+                        &packed_b
                     }
-                }
-            });
-        }
+                };
+                let packed_a;
+                let lhs = match &shared_lhs {
+                    Some(shared) => shared,
+                    None => {
+                        let a_off = bi * m * k;
+                        packed_a =
+                            PackedLhs::from_row_major(&self.data()[a_off..a_off + m * k], m, k);
+                        &packed_a
+                    }
+                };
+                gemm_packed_into(cfg, lhs, rhs, out_mat, inner_threads);
+            }
+        });
         Tensor::from_vec(out, &plan.out_dims)
     }
 
@@ -282,15 +248,9 @@ impl<T: Element> Tensor<T> {
         let mut out = buf;
         out.clear();
         out.resize(rows * out_f, T::ZERO);
+        let lhs = PackedLhs::from_row_major(self.data(), rows, in_f);
         let threads = auto_threads((rows * in_f * out_f) as u64);
-        // One row gains nothing from MR-row tiles and would pay for the
-        // padded rows, so it keeps the row-at-a-time path.
-        if rows > 1 && lhs_pack_applies(cfg) {
-            let lhs = PackedLhs::from_row_major(self.data(), rows, in_f);
-            gemm_packed_into(cfg, &lhs, weight, &mut out, threads);
-        } else {
-            gemm_into(cfg, self.data(), rows, weight, &mut out, threads);
-        }
+        gemm_packed_into(cfg, &lhs, weight, &mut out, threads);
         if let Some(b) = bias {
             for row in out.chunks_mut(out_f) {
                 for (v, &bv) in row.iter_mut().zip(b.data()) {

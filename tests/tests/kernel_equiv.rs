@@ -19,8 +19,7 @@
 
 use proptest::prelude::*;
 use tao_tensor::kernel::{
-    gemm, gemm_into, gemm_packed_into, lhs_pack_applies, PackedLhs, PackedRhs, MAX_KERNEL_THREADS,
-    MR, PANEL,
+    gemm, gemm_packed_into, PackedLhs, PackedRhs, MAX_KERNEL_THREADS, MR, PANEL,
 };
 use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathElement, MathLib, Shape, Tensor};
 
@@ -158,31 +157,29 @@ fn norms_every_mode_fma_and_intrinsic_family_bit_equal() {
 
 #[test]
 fn gemm_thread_count_never_changes_bits() {
-    let (m, k, n) = (23, 77, 29);
-    let a = operand(&[m, k], 61);
-    let b = operand(&[k, n], 62);
-    let packed = PackedRhs::from_row_major(b.data(), k, n);
-    let lhs = PackedLhs::from_row_major(a.data(), m, k);
-    for cfg in all_configs() {
-        let one = gemm(&cfg, a.data(), m, &packed, 1);
-        for threads in [2, 5, MAX_KERNEL_THREADS, 3 * MAX_KERNEL_THREADS] {
-            let many = gemm(&cfg, a.data(), m, &packed, threads);
+    // One row, a one-row tail block after two full blocks, a 7-row tail.
+    for m in [1, 2 * MR + 1, 23] {
+        let (k, n) = (77, 29);
+        let a = operand(&[m, k], 61);
+        let b = operand(&[k, n], 62);
+        let packed = PackedRhs::from_row_major(b.data(), k, n);
+        let lhs = PackedLhs::from_row_major(a.data(), m, k);
+        for cfg in all_configs() {
+            let one = gemm(&cfg, &lhs, &packed, 1);
+            let oracle = a.matmul_reference(&b, &cfg).unwrap();
             assert!(
                 one.iter()
-                    .zip(&many)
+                    .zip(oracle.data())
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "threads={threads} {cfg:?}"
+                "m={m} single thread vs oracle {cfg:?}"
             );
-        }
-        if lhs_pack_applies(&cfg) {
-            for threads in [1, 2, MAX_KERNEL_THREADS] {
-                let mut out = vec![0f32; m * n];
-                gemm_packed_into(&cfg, &lhs, &packed, &mut out, threads);
+            for threads in [2, 5, MAX_KERNEL_THREADS, 3 * MAX_KERNEL_THREADS] {
+                let many = gemm(&cfg, &lhs, &packed, threads);
                 assert!(
                     one.iter()
-                        .zip(&out)
+                        .zip(&many)
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "packed lhs threads={threads} {cfg:?}"
+                    "m={m} threads={threads} {cfg:?}"
                 );
             }
         }
@@ -201,7 +198,6 @@ fn pairwise_packed_lhs_matches_scalar_dot_at_every_thread_count() {
             fma,
             math: MathLib::Reference,
         };
-        assert!(lhs_pack_applies(&cfg));
         for k in [0usize, 1, 2, 3, 5, 17, 33, 65, 97, 130] {
             for (m, n) in [(1, 1), (3, 9), (4, 8), (7, 17), (13, 5)] {
                 let a = operand(&[m, k], 90 + k as u64);
@@ -231,8 +227,8 @@ fn pairwise_packed_lhs_matches_scalar_dot_at_every_thread_count() {
     }
 }
 
-/// `linear` packs the lhs for every packable mode once it has more than
-/// one row; pin pairwise at the reduction-length edges against the
+/// `linear` packs the lhs for every mode and row count (one row packs as
+/// itself); pin pairwise at the reduction-length edges against the
 /// scalar oracle.
 #[test]
 fn linear_pairwise_reduction_edges_bit_equal() {
@@ -449,7 +445,8 @@ proptest! {
         let a = operand(&[1, k], seed);
         let b = operand(&[k, n], seed ^ 0x9999);
         let packed = PackedRhs::from_row_major(b.data(), k, n);
-        let fast = gemm(&cfg, a.data(), 1, &packed, 1);
+        let lhs = PackedLhs::from_row_major(a.data(), 1, k);
+        let fast = gemm(&cfg, &lhs, &packed, 1);
         for (col, f) in fast.iter().enumerate() {
             let col_vals: Vec<f32> = (0..k).map(|kk| b.data()[kk * n + col]).collect();
             let oracle = cfg.dot(a.data(), &col_vals);
@@ -465,10 +462,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The register tile against the scalar `cfg.dot` oracle: every
-    /// accumulation mode (Kahan through its row path), FMA on and off,
-    /// ragged `m = 1..=17` around the [`MR`]-row block, `n` around the
-    /// [`PANEL`] width, `Blocked` block sizes mostly below `k`, at 1 and 2
-    /// threads.
+    /// accumulation mode (Kahan through its scalar tile), FMA on and off,
+    /// ragged `m = 1..=17` around the [`MR`]-row block (one-row operands
+    /// and one-row tail blocks included), `n` around the [`PANEL`] width,
+    /// `Blocked` block sizes mostly below `k`, at 1 and 2 threads.
     #[test]
     fn prop_register_tile_matches_scalar_dot(
         m in 1usize..18,
@@ -500,11 +497,7 @@ proptest! {
         }
         for threads in [1, 2] {
             let mut out = vec![f32::NAN; m * n];
-            if lhs_pack_applies(&cfg) {
-                gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
-            } else {
-                gemm_into(&cfg, a.data(), m, &rhs, &mut out, threads);
-            }
+            gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
             prop_assert!(
                 out.iter().zip(&oracle).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "tile {m}x{k}x{n} MR={MR} threads={threads} {cfg:?}"
