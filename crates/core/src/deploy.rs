@@ -8,7 +8,7 @@ use tao_calib::{calibrate, CalibrationRecord, TailEstimator, ThresholdBundle};
 use tao_device::Fleet;
 use tao_merkle::{graph_tree, weight_tree, MerkleTree, ModelCommitment, ParamDigests};
 use tao_models::Model;
-use tao_protocol::DisputeAnchors;
+use tao_protocol::{DisputeAnchors, DisputePlans};
 use tao_tensor::Tensor;
 
 use crate::error::TaoError;
@@ -40,6 +40,10 @@ pub struct DeploymentArtifacts {
     /// deposit bound and lint findings. Claim admission
     /// ([`crate::PendingSession::submit`]) prices claims from this report.
     pub static_report: StaticReport,
+    /// The dispute plans of this deployment, one per partition width,
+    /// each built by the first dispute at that width and shared by every
+    /// later one through [`Deployment::dispute_anchors`].
+    pub dispute_plans: DisputePlans,
 }
 
 /// A shared handle to a deployed model.
@@ -68,8 +72,9 @@ impl Deployment {
         &self.inner
     }
 
-    /// The dispute anchors (Merkle trees + committed roots) of this
-    /// deployment, in the shape [`tao_protocol::run_dispute`] consumes.
+    /// The dispute anchors (Merkle trees, committed roots and dispute
+    /// plans) of this deployment, in the shape [`tao_protocol::run_dispute`]
+    /// consumes.
     pub fn dispute_anchors(&self) -> DisputeAnchors<'_> {
         DisputeAnchors {
             graph_tree: &self.inner.graph_tree,
@@ -79,6 +84,7 @@ impl Deployment {
             // The trace root is per-claim, not per-deployment: the session
             // attaches it via `with_trace_root` once `C0` is prepared.
             trace_root: None,
+            plans: &self.inner.dispute_plans,
         }
     }
 }
@@ -166,6 +172,7 @@ pub fn deploy_with(
         commitment,
         param_digests,
         static_report,
+        dispute_plans: DisputePlans::default(),
     }))
 }
 

@@ -131,9 +131,10 @@ impl MerkleTree {
         if index >= self.len() {
             return None;
         }
-        let mut siblings = Vec::new();
+        let path = &self.levels[..self.levels.len().saturating_sub(1)];
+        let mut siblings = Vec::with_capacity(path.len());
         let mut idx = index;
-        for level in &self.levels[..self.levels.len().saturating_sub(1)] {
+        for level in path {
             let sib = idx ^ 1;
             siblings.push(level.get(sib).copied());
             idx /= 2;

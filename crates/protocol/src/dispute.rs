@@ -2,17 +2,19 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use tao_calib::ThresholdBundle;
 use tao_device::Device;
-use tao_graph::{execute_subgraph, extract, partition, Execution, Graph, NodeId};
+use tao_graph::{execute_subgraph, partition, Execution, Graph, NodeId};
 use tao_merkle::{Digest, MerkleTree, TraceCommitment};
 use tao_tensor::Tensor;
 
 use crate::adjudicate::{bit_identical, node_exceedance};
 use crate::error::ProtocolError;
 use crate::gas::{self, GasMeter};
-use crate::record::{make_record_with, verify_record_anchored, ParamIndex};
+use crate::plan::{DisputePlan, DisputePlans};
+use crate::record::{verify_record_anchored, OpenedReveals};
 use crate::screen::Screening;
 use crate::Result;
 
@@ -42,8 +44,10 @@ const LIVE_IN_SLACK: f64 = 16.0;
 
 /// The Phase 0 and claim commitments a dispute is anchored to: the Merkle
 /// trees the proposer proves records against, the on-coordinator roots
-/// the challenger verifies them with, and the trace root bound into the
-/// claim's `C0` that every revealed interface digest must open against.
+/// the challenger verifies them with, the trace root bound into the
+/// claim's `C0` that every revealed interface digest must open against,
+/// and the deployment's [`DisputePlans`], from which both sides read every
+/// record's slice and provenance proofs.
 ///
 /// # Soundness precondition
 ///
@@ -59,7 +63,8 @@ const LIVE_IN_SLACK: f64 = 16.0;
 /// committed root once per dispute (and every anchored record check
 /// again) and refuses a mismatch with [`ProtocolError::AnchorMismatch`];
 /// whether the trees were built from `graph` is the caller's
-/// responsibility.
+/// responsibility, and so is that `plans` holds plans of that graph only
+/// (as [`DisputePlans`] built over these trees from it do).
 #[derive(Debug, Clone, Copy)]
 pub struct DisputeAnchors<'a> {
     /// Graph-structure Merkle tree `T_g`.
@@ -76,6 +81,10 @@ pub struct DisputeAnchors<'a> {
     /// attaches it; [`run_dispute`] refuses anchors without one
     /// ([`ProtocolError::Unanchored`]).
     pub trace_root: Option<&'a Digest>,
+    /// The deployment's dispute plans, one per partition width, built on
+    /// first use from the graph and the two trees above and shared by
+    /// every dispute over the deployment.
+    pub plans: &'a DisputePlans,
 }
 
 impl<'a> DisputeAnchors<'a> {
@@ -102,6 +111,17 @@ impl<'a> DisputeAnchors<'a> {
             return Err(ProtocolError::AnchorMismatch { tree: "weight" });
         }
         self.trace_root.ok_or(ProtocolError::Unanchored)
+    }
+
+    /// The plan for width `n_way` over these anchors' trees, built from
+    /// `graph` on first use.
+    ///
+    /// # Errors
+    ///
+    /// As [`DisputePlan::build`].
+    pub fn plan(&self, graph: &Graph, n_way: usize) -> Result<Arc<DisputePlan>> {
+        self.plans
+            .get(graph, self.graph_tree, self.weight_tree, n_way)
     }
 }
 
@@ -286,13 +306,22 @@ impl DisputeOutcome {
 /// accounted in [`RoundStats::selection_flops`]; only
 /// [`RoundStats::reexecuted_flops`] omits it.
 ///
+/// What does not depend on the claim is not rebuilt per dispute: every
+/// record's slice and graph- and weight-tree proofs come from the
+/// deployment's [`DisputePlan`] for `cfg.n_way` (built by the first
+/// dispute at that width), a reveal identical to one that already opened
+/// is not hashed again ([`OpenedReveals`]), and a child whose values are
+/// the challenger's own trace reads its live-out exceedances from the
+/// screening memo.
+///
 /// # Errors
 ///
 /// Returns [`ProtocolError::BadWidth`] when `cfg.n_way < 2`,
 /// [`ProtocolError::AnchorMismatch`] when an anchor tree does not have its
 /// committed root, [`ProtocolError::Unanchored`] when the anchors carry no
-/// trace root, and an error if record construction or verification fails
-/// or a re-execution hits a kernel error.
+/// trace root, [`ProtocolError::PlanMismatch`] when an anchor tree's leaf
+/// count does not fit `graph`, and an error if record construction or
+/// verification fails or a re-execution hits a kernel error.
 pub fn run_dispute(
     graph: &Graph,
     anchors: DisputeAnchors<'_>,
@@ -306,7 +335,7 @@ pub fn run_dispute(
         return Err(ProtocolError::BadWidth { n_way: cfg.n_way });
     }
     anchors.check()?;
-    let params = ParamIndex::new(graph);
+    let plan = anchors.plan(graph, cfg.n_way)?;
     let proposer_trace = proposer.trace;
     let own_trace = challenger.trace;
     let mut gas = GasMeter::new();
@@ -334,6 +363,11 @@ pub fn run_dispute(
         Ok(exc)
     };
 
+    // Every reveal that opened against the trace root: a frontier node is
+    // revealed again in later rounds, and an identical reveal is not
+    // hashed twice.
+    let mut opened = OpenedReveals::default();
+
     let mut rounds = Vec::new();
     let mut total_flops = 0u64;
     let mut total_checks = 0u64;
@@ -356,18 +390,11 @@ pub fn run_dispute(
             break DisputeResult::Leaf(NodeId(start));
         }
         let slices = partition(start, end, cfg.n_way);
-        // Proposer: build and post one record per child.
+        // Proposer: post one record per child, read from its plan.
         let mut records = Vec::with_capacity(slices.len());
         let mut partition_bytes = 0u64;
-        for &(s, e) in &slices {
-            let sub = extract(graph, s, e)?;
-            let rec = make_record_with(
-                anchors.graph_tree,
-                anchors.weight_tree,
-                &params,
-                &sub,
-                proposer.commitment,
-            )?;
+        for &range in &slices {
+            let rec = plan.record(range, proposer.commitment)?;
             partition_bytes += rec.byte_size() as u64;
             records.push(rec);
         }
@@ -394,7 +421,7 @@ pub fn run_dispute(
         // whose exceedance sits orders of magnitude higher.
         let mut breach: Option<NodeId> = None;
         for rec in &records {
-            match verify_record_anchored(graph, &anchors, &params, rec) {
+            match verify_record_anchored(&anchors, &plan, &mut opened, rec) {
                 Ok((checks, reveals)) => {
                     stats.merkle_checks += checks;
                     total_reveals += reveals;
@@ -496,14 +523,16 @@ pub fn run_dispute(
                         "inherited values of [{s}, {e}) differ from its re-execution"
                     );
                 }
+                // Values that are the challenger's own trace have their
+                // exceedances in the screening memo already.
+                let own_values = reexecuted.is_none() && matches!(known, Cow::Borrowed(_));
                 let mut child_exceedance = 0.0f64;
                 for &id in &rec.sub.live_out {
-                    let exc = node_exceedance(
-                        thresholds,
-                        id,
-                        proposer_trace.value(id)?,
-                        &local[id.0 - s],
-                    );
+                    let exc = if own_values {
+                        screen_exc(id)?
+                    } else {
+                        node_exceedance(thresholds, id, proposer_trace.value(id)?, &local[id.0 - s])
+                    };
                     child_exceedance = child_exceedance.max(exc);
                 }
                 if child_exceedance > 1.0 {
@@ -629,6 +658,7 @@ mod tests {
                 graph_root: &gt.root(),
                 weight_root: &wt.root(),
                 trace_root: Some(&root),
+                plans: &DisputePlans::default(),
             },
             ProposerView::new(&trace).with_commitment(&commitment),
             inputs,

@@ -80,6 +80,17 @@ pub enum ProtocolError {
         /// The configured width.
         n_way: usize,
     },
+    /// A dispute plan was asked for over trees that do not match the
+    /// graph: the graph tree needs one leaf per node and the weight tree
+    /// one per parameter (`"graph"` or `"weight"` names the tree).
+    PlanMismatch {
+        /// Which tree has the wrong leaf count.
+        tree: &'static str,
+        /// The tree's leaf count.
+        leaves: usize,
+        /// The graph's node or parameter count.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -122,6 +133,16 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::BadWidth { n_way } => {
                 write!(f, "dispute partition width {n_way} is below 2")
+            }
+            ProtocolError::PlanMismatch {
+                tree,
+                leaves,
+                expected,
+            } => {
+                write!(
+                    f,
+                    "the {tree} tree has {leaves} leaves, the graph {expected}"
+                )
             }
         }
     }

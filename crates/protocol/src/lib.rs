@@ -17,6 +17,7 @@ pub mod epoch;
 pub mod error;
 pub mod gas;
 pub mod par;
+pub mod plan;
 pub mod record;
 pub mod screen;
 pub mod temporal;
@@ -38,9 +39,8 @@ pub use epoch::{canonical_log, encode_event, encode_log, epoch_root, log_csv, Ep
 pub use error::ProtocolError;
 pub use gas::{GasEvent, GasMeter};
 pub use par::{parallel_map, MAX_PAR_THREADS, MAX_WORKERS};
-pub use record::{
-    make_record_with, verify_record, verify_record_anchored, ParamIndex, SubgraphRecord,
-};
+pub use plan::{DisputePlan, DisputePlans};
+pub use record::{verify_record, verify_record_anchored, OpenedReveals, SubgraphRecord};
 pub use screen::{screen_batch, screen_claim, ClaimCheck, Screening};
 pub use tao_money::{Money, Ppm};
 pub use temporal::{earliest_offense, states_agree, TemporalCommitment, TemporalVerdict};

@@ -1,8 +1,10 @@
 //! Subgraph records: the per-child commitments posted during dispute
 //! rounds, with Merkle provenance proofs (§5.2).
 //!
-//! A record's interface hashes (`h_In`/`h_Out`) and the reveals that open
-//! them are read from the proposer's [`TraceCommitment`] (per-node tensor
+//! A record's slice and provenance proofs come from the deployment's
+//! [`DisputePlan`]; its interface hashes (`h_In`/`h_Out`) and the reveals
+//! that open them are read from the proposer's
+//! [`TraceCommitment`](tao_merkle::TraceCommitment) (per-node tensor
 //! digests computed once, at claim time), so no activation tensor is
 //! hashed inside a dispute.
 
@@ -11,11 +13,12 @@ use std::collections::HashMap;
 use tao_graph::{extract, Graph, NodeId, Subgraph};
 use tao_merkle::{
     verify_graph_leaf, verify_inclusion, verify_weight_leaf, Digest, FastSha256, InclusionProof,
-    MerkleTree, TraceCommitment,
+    MerkleTree,
 };
 
 use crate::dispute::DisputeAnchors;
 use crate::error::ProtocolError;
+use crate::plan::DisputePlan;
 use crate::Result;
 
 /// A posted subgraph record: slice indices, interface hashes, and
@@ -62,121 +65,67 @@ impl SubgraphRecord {
     }
 }
 
-/// Leaf position of every parameter name in the weight tree (the state
-/// dict's sorted key order). Built once per dispute and shared by record
-/// construction and verification.
-#[derive(Debug, Clone)]
-pub struct ParamIndex<'g> {
-    positions: HashMap<&'g str, usize>,
-}
-
-impl<'g> ParamIndex<'g> {
-    /// Indexes `graph`'s parameters in weight-tree leaf order.
-    pub fn new(graph: &'g Graph) -> Self {
-        ParamIndex {
-            positions: graph
-                .params()
-                .keys()
-                .enumerate()
-                .map(|(i, k)| (k.as_str(), i))
-                .collect(),
-        }
-    }
-
-    /// The weight-tree leaf index of parameter `name`.
-    pub(crate) fn get(&self, name: &str) -> Option<usize> {
-        self.positions.get(name).copied()
-    }
-}
-
-/// Builds a record for a slice (proposer side): op and parameter proofs
-/// from the anchor trees, with parameter leaves located through `params`,
-/// and the interface hashes and reveals read from the proposer's trace
-/// commitment.
-///
-/// Every live-in and live-out node the commitment covers is revealed with
-/// its digest and its opening into the trace tree, and the interface
-/// hashes are derived from exactly those digests. A node the commitment
-/// does not cover (there is none, or it is too short) is simply left
-/// unrevealed, so the anchored verification refuses the record as a
-/// missing reveal: attributable to the proposer, like any reveal that does
-/// not open against the trace root bound into `C0`.
-///
-/// # Errors
-///
-/// Returns an error when a proof index is out of range.
-pub fn make_record_with(
-    graph_tree: &MerkleTree,
-    weight_tree: &MerkleTree,
-    params: &ParamIndex<'_>,
-    sub: &Subgraph,
-    commitment: Option<&TraceCommitment>,
-) -> Result<SubgraphRecord> {
-    // The frontiers are sorted, duplicate-free and disjoint (live-ins
-    // precede the slice, live-outs lie in it), so each node is revealed
-    // once.
-    let reveal = |id: &NodeId| {
-        let c = commitment?;
-        Some((id.0, *c.digest(id.0)?, c.tree().prove(id.0)?))
-    };
-    let list_hash = |reveals: &[(usize, Digest, InclusionProof)]| {
-        let mut h = FastSha256::new();
-        for (_, digest, _) in reveals {
-            h.update(digest);
-        }
-        h.finalize()
-    };
-    let mut trace_reveals: Vec<_> = sub.live_in.iter().filter_map(reveal).collect();
-    let live_in_hash = list_hash(&trace_reveals);
-    let live_out: Vec<_> = sub.live_out.iter().filter_map(reveal).collect();
-    let live_out_hash = list_hash(&live_out);
-    trace_reveals.extend(live_out);
-    let mut op_proofs = Vec::with_capacity(sub.len());
-    for idx in sub.start..sub.end {
-        let proof = graph_tree
-            .prove(idx)
-            .ok_or_else(|| ProtocolError::BadRecord(format!("no graph leaf {idx}")))?;
-        op_proofs.push((idx, proof));
-    }
-    let mut param_proofs = Vec::new();
-    for name in &sub.param_refs {
-        let leaf_index = params
-            .get(name)
-            .ok_or_else(|| ProtocolError::BadRecord(format!("unknown parameter {name:?}")))?;
-        let proof = weight_tree
-            .prove(leaf_index)
-            .ok_or_else(|| ProtocolError::BadRecord(format!("no weight leaf {leaf_index}")))?;
-        param_proofs.push((name.clone(), proof));
-    }
-    Ok(SubgraphRecord {
-        sub: sub.clone(),
-        live_in_hash,
-        live_out_hash,
-        op_proofs,
-        param_proofs,
-        trace_reveals,
-    })
-}
-
 /// How a verifier checks each op and parameter proof.
 enum LeafSource<'a> {
     /// Re-serialize the graph's node or parameter, hash it and hash the
     /// proof's path up to the committed root: the oracle.
-    Rehash,
+    Rehash {
+        graph: &'a Graph,
+        graph_root: &'a Digest,
+        weight_root: &'a Digest,
+    },
     /// Compare the proof with the path of the verifier's own tree, built
-    /// from the graph and checked to be on the committed root.
+    /// from the graph and checked to be on the committed root; the plan
+    /// gives each parameter's leaf.
     Cached {
         graph_tree: &'a MerkleTree,
         weight_tree: &'a MerkleTree,
-        params: &'a ParamIndex<'a>,
+        param_leaves: &'a [usize],
     },
 }
 
-/// Verifies a record against the committed roots by re-serializing and
-/// rehashing every proven leaf (challenger side, no trees needed). This is
-/// the oracle for [`verify_record_anchored`]: both return the same counts
-/// or the same error for any record, under the same coverage and reveal
-/// rules.
+/// The trace reveals that opened against one trace root, so a repeat of
+/// one is accepted without hashing its path again.
+///
+/// A dispute reveals the same frontier node in several rounds. An
+/// identical proof of an identical digest opens identically, so a reveal
+/// whose `(index, digest, proof)` equals one that already opened against
+/// the same root is accepted as is; any other reveal is hashed. Verdicts
+/// and reveal counts are the rehashing ones.
+#[derive(Debug, Default)]
+pub struct OpenedReveals {
+    root: Option<Digest>,
+    opened: HashMap<usize, (Digest, InclusionProof)>,
+}
+
+impl OpenedReveals {
+    /// True when `proof` opens `digest` against `root`.
+    fn opens(&mut self, root: &Digest, digest: &Digest, proof: &InclusionProof) -> bool {
+        if self.root != Some(*root) {
+            self.opened.clear();
+            self.root = Some(*root);
+        }
+        if self
+            .opened
+            .get(&proof.index)
+            .is_some_and(|(d, p)| d == digest && p == proof)
+        {
+            return true;
+        }
+        let opens = verify_inclusion(root, &digest[..], proof);
+        if opens {
+            self.opened.insert(proof.index, (*digest, proof.clone()));
+        }
+        opens
+    }
+}
+
+/// Verifies a record against the committed roots by re-extracting its
+/// slice and re-serializing and rehashing every proven leaf and reveal
+/// (challenger side, no trees or plan needed). This is the oracle for
+/// [`verify_record_anchored`]: both return the same counts or the same
+/// error for any record of a planned range, under the same coverage and
+/// reveal rules.
 ///
 /// Returns `(merkle_checks, reveal_checks)`.
 ///
@@ -192,28 +141,40 @@ pub fn verify_record(
     trace_root: &Digest,
     record: &SubgraphRecord,
 ) -> Result<(u64, u64)> {
+    check_coverage(record)?;
+    let sub = &record.sub;
+    if extract(graph, sub.start, sub.end).ok().as_ref() != Some(sub) {
+        return Err(frontier_error(sub));
+    }
     verify_with(
-        graph,
-        graph_root,
-        weight_root,
         trace_root,
         record,
-        LeafSource::Rehash,
+        LeafSource::Rehash {
+            graph,
+            graph_root,
+            weight_root,
+        },
+        None,
     )
 }
 
-/// Verifies a record against the dispute's anchors (challenger side):
-/// every op and parameter proof is compared with the path of the
-/// challenger's own tree ([`MerkleTree::matches_path`]), so no node
+/// Verifies a record against the dispute's anchors and the challenger's
+/// own [`DisputePlan`] (challenger side): the record's slice is compared
+/// with the plan's entry for its range, and every op and parameter proof
+/// with the path of the challenger's own tree
+/// ([`MerkleTree::matches_path`]), so nothing is extracted and no node
 /// signature, parameter tensor or proof path is serialized or hashed. Only
-/// the trace reveals are hashed: the challenger does not hold the
-/// proposer's trace tree.
+/// the trace reveals are hashed, since the challenger does not hold the
+/// proposer's trace tree, and a reveal already in `opened` is not hashed
+/// again (see [`OpenedReveals`]).
 ///
 /// The coverage rule: a record must prove exactly its slice. Its op
 /// proofs are for `sub.start..sub.end` in order, its parameter proofs name
-/// exactly `sub.param_refs`, and `sub` (frontiers included) equals
-/// [`extract`] of its range, because the challenger screens and
-/// re-executes the child from those frontiers.
+/// exactly `sub.param_refs`, and `sub` (frontiers included) equals the
+/// plan's slice of its range (which is [`tao_graph::extract`]'s), because
+/// the challenger screens and re-executes the child from those frontiers.
+/// A range the plan lacks is refused like a slice with wrong frontiers:
+/// the game never posts one.
 ///
 /// The reveal rule: **every** live-in and live-out node must carry a
 /// revealed digest that opens against the anchors' trace root (the one
@@ -223,7 +184,7 @@ pub fn verify_record(
 /// attributably.
 ///
 /// Sound under the precondition documented on [`DisputeAnchors`]: the
-/// trees are the verifier's own, built from `graph`.
+/// trees and the plan are the verifier's own, built from one graph.
 ///
 /// Returns `(merkle_checks, reveal_checks)`.
 ///
@@ -238,34 +199,34 @@ pub fn verify_record(
 /// reveal, or interface hashes that do not re-derive from the revealed
 /// digests.
 pub fn verify_record_anchored(
-    graph: &Graph,
     anchors: &DisputeAnchors<'_>,
-    params: &ParamIndex<'_>,
+    plan: &DisputePlan,
+    opened: &mut OpenedReveals,
     record: &SubgraphRecord,
 ) -> Result<(u64, u64)> {
     let trace_root = anchors.check()?;
+    check_coverage(record)?;
+    let sub = &record.sub;
+    let planned = plan
+        .range(sub.start, sub.end)
+        .filter(|planned| planned.sub == *sub)
+        .ok_or_else(|| frontier_error(sub))?;
     verify_with(
-        graph,
-        anchors.graph_root,
-        anchors.weight_root,
         trace_root,
         record,
         LeafSource::Cached {
             graph_tree: anchors.graph_tree,
             weight_tree: anchors.weight_tree,
-            params,
+            param_leaves: &planned.param_leaves,
         },
+        Some(opened),
     )
 }
 
-fn verify_with(
-    graph: &Graph,
-    graph_root: &Digest,
-    weight_root: &Digest,
-    trace_root: &Digest,
-    record: &SubgraphRecord,
-    leaves: LeafSource<'_>,
-) -> Result<(u64, u64)> {
+/// The first half of the coverage rule, shared by both verifiers: op
+/// proofs for exactly `sub.start..sub.end` in order, and parameter proofs
+/// naming exactly `sub.param_refs`.
+fn check_coverage(record: &SubgraphRecord) -> Result<()> {
     let sub = &record.sub;
     if !record
         .op_proofs
@@ -288,17 +249,33 @@ fn verify_with(
             "parameter proofs do not name exactly the slice's parameters".into(),
         ));
     }
-    if extract(graph, sub.start, sub.end).ok().as_ref() != Some(sub) {
-        return Err(ProtocolError::BadRecord(format!(
-            "slice [{}, {}) does not carry the graph's frontiers",
-            sub.start, sub.end
-        )));
-    }
+    Ok(())
+}
+
+/// The second half of the coverage rule: a slice whose frontiers are not
+/// the graph's (or, for the anchored verifier, not its plan's).
+fn frontier_error(sub: &Subgraph) -> ProtocolError {
+    ProtocolError::BadRecord(format!(
+        "slice [{}, {}) does not carry the graph's frontiers",
+        sub.start, sub.end
+    ))
+}
+
+/// Checks the provenance proofs and reveals of a record whose slice has
+/// passed the coverage rule.
+fn verify_with(
+    trace_root: &Digest,
+    record: &SubgraphRecord,
+    leaves: LeafSource<'_>,
+    opened: Option<&mut OpenedReveals>,
+) -> Result<(u64, u64)> {
     let mut checks = 0u64;
     for (idx, proof) in &record.op_proofs {
         checks += 1;
         let ok = match &leaves {
-            LeafSource::Rehash => verify_graph_leaf(graph_root, graph.node(NodeId(*idx))?, proof),
+            LeafSource::Rehash {
+                graph, graph_root, ..
+            } => verify_graph_leaf(graph_root, graph.node(NodeId(*idx))?, proof),
             LeafSource::Cached { graph_tree, .. } => graph_tree.matches_path(*idx, proof),
         };
         if !ok {
@@ -307,17 +284,17 @@ fn verify_with(
             )));
         }
     }
-    for (name, proof) in &record.param_proofs {
+    for (i, (name, proof)) in record.param_proofs.iter().enumerate() {
         checks += 1;
         let ok = match &leaves {
-            LeafSource::Rehash => verify_weight_leaf(weight_root, name, graph.param(name)?, proof),
+            LeafSource::Rehash {
+                graph, weight_root, ..
+            } => verify_weight_leaf(weight_root, name, graph.param(name)?, proof),
             LeafSource::Cached {
                 weight_tree,
-                params,
+                param_leaves,
                 ..
-            } => params
-                .get(name)
-                .is_some_and(|k| weight_tree.matches_path(k, proof)),
+            } => weight_tree.matches_path(param_leaves[i], proof),
         };
         if !ok {
             return Err(ProtocolError::BadRecord(format!(
@@ -325,11 +302,16 @@ fn verify_with(
             )));
         }
     }
-    Ok((checks, verify_reveals(trace_root, record)?))
+    Ok((checks, verify_reveals(trace_root, record, opened)?))
 }
 
 /// The reveal rule shared by both verifiers; returns the reveal count.
-fn verify_reveals(root: &Digest, record: &SubgraphRecord) -> Result<u64> {
+/// Without `opened` every reveal's path is hashed.
+fn verify_reveals(
+    root: &Digest,
+    record: &SubgraphRecord,
+    mut opened: Option<&mut OpenedReveals>,
+) -> Result<u64> {
     let revealed: HashMap<usize, (&Digest, &InclusionProof)> = record
         .trace_reveals
         .iter()
@@ -350,7 +332,12 @@ fn verify_reveals(root: &Digest, record: &SubgraphRecord) -> Result<u64> {
                         detail: format!("{side} digest never revealed"),
                     })?;
             reveal_checks += 1;
-            if proof.index != id.0 || !verify_inclusion(root, &digest[..], proof) {
+            let opens = proof.index == id.0
+                && match opened.as_deref_mut() {
+                    Some(memo) => memo.opens(root, digest, proof),
+                    None => verify_inclusion(root, &digest[..], proof),
+                };
+            if !opens {
                 return Err(ProtocolError::RevealMismatch {
                     node: id,
                     detail: format!("{side} reveal does not open against the committed root"),
@@ -371,8 +358,9 @@ fn verify_reveals(root: &Digest, record: &SubgraphRecord) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_graph::{execute, extract, Execution, GraphBuilder, OpKind};
-    use tao_merkle::{graph_tree as build_gt, weight_tree as build_wt};
+    use crate::plan::DisputePlans;
+    use tao_graph::{execute, Execution, GraphBuilder, OpKind};
+    use tao_merkle::{graph_tree as build_gt, weight_tree as build_wt, TraceCommitment};
     use tao_tensor::{KernelConfig, Tensor};
 
     fn setup() -> (Graph, Execution, MerkleTree, MerkleTree) {
@@ -390,17 +378,22 @@ mod tests {
         (g, exec, gt, wt)
     }
 
-    /// The record the proposer of `trace` posts for `[start, end)`.
+    /// The N = 2 plan of the 5-node graph: `[0, 3)` and `[3, 5)`, then
+    /// `[0, 2)`, `[2, 3)`, `[3, 4)`, `[4, 5)`, `[0, 1)` and `[1, 2)`.
+    fn plan(g: &Graph, gt: &MerkleTree, wt: &MerkleTree) -> DisputePlan {
+        DisputePlan::build(g, gt, wt, 2).unwrap()
+    }
+
+    /// The record the proposer of `trace` posts for `range`.
     fn record(
         g: &Graph,
         gt: &MerkleTree,
         wt: &MerkleTree,
-        (start, end): (usize, usize),
+        range: (usize, usize),
         trace: &Execution,
     ) -> SubgraphRecord {
-        let sub = extract(g, start, end).unwrap();
         let commitment = TraceCommitment::build(&trace.values);
-        make_record_with(gt, wt, &ParamIndex::new(g), &sub, Some(&commitment)).unwrap()
+        plan(g, gt, wt).record(range, Some(&commitment)).unwrap()
     }
 
     fn trace_root(exec: &Execution) -> Digest {
@@ -410,7 +403,7 @@ mod tests {
     #[test]
     fn record_roundtrip_verifies() {
         let (g, exec, gt, wt) = setup();
-        let rec = record(&g, &gt, &wt, (2, 4), &exec);
+        let rec = record(&g, &gt, &wt, (3, 5), &exec);
         let (checks, reveals) =
             verify_record(&g, &gt.root(), &wt.root(), &trace_root(&exec), &rec).unwrap();
         assert_eq!(reveals as usize, rec.trace_reveals.len());
@@ -433,7 +426,7 @@ mod tests {
     #[test]
     fn tampered_root_rejected() {
         let (g, exec, gt, wt) = setup();
-        let rec = record(&g, &gt, &wt, (2, 4), &exec);
+        let rec = record(&g, &gt, &wt, (3, 5), &exec);
         let mut bad_root = gt.root();
         bad_root[0] ^= 0xff;
         assert!(verify_record(&g, &bad_root, &wt.root(), &trace_root(&exec), &rec).is_err());
@@ -442,7 +435,7 @@ mod tests {
     #[test]
     fn tampered_proof_rejected() {
         let (g, exec, gt, wt) = setup();
-        let mut rec = record(&g, &gt, &wt, (2, 4), &exec);
+        let mut rec = record(&g, &gt, &wt, (3, 5), &exec);
         rec.op_proofs[0].0 = 0; // Claim the slice starts at a different op.
         assert!(verify_record(&g, &gt.root(), &wt.root(), &trace_root(&exec), &rec).is_err());
     }
@@ -450,42 +443,49 @@ mod tests {
     #[test]
     fn committed_records_reveal_every_frontier_digest() {
         let (g, exec, gt, wt) = setup();
-        let sub = extract(&g, 2, 4).unwrap();
+        let plan = plan(&g, &gt, &wt);
+        let sub = plan.subgraph(3, 5).unwrap();
         let commitment = TraceCommitment::build(&exec.values);
-        let params = ParamIndex::new(&g);
-        let rec = make_record_with(&gt, &wt, &params, &sub, Some(&commitment)).unwrap();
+        let rec = plan.record((3, 5), Some(&commitment)).unwrap();
         assert_eq!(
             rec.trace_reveals.len(),
             sub.live_in.len() + sub.live_out.len()
         );
         let root = commitment.root();
         let (gr, wr) = (gt.root(), wt.root());
+        let plans = DisputePlans::default();
         let anchors = DisputeAnchors {
             graph_tree: &gt,
             weight_tree: &wt,
             graph_root: &gr,
             weight_root: &wr,
             trace_root: Some(&root),
+            plans: &plans,
         };
-        let (_, reveal_checks) = verify_record_anchored(&g, &anchors, &params, &rec).unwrap();
+        let mut opened = OpenedReveals::default();
+        let (_, reveal_checks) =
+            verify_record_anchored(&anchors, &plan, &mut opened, &rec).unwrap();
         assert_eq!(reveal_checks as usize, rec.trace_reveals.len());
+        // A second check reads every reveal from `opened`, to the same
+        // verdict as the oracle.
         assert_eq!(
             verify_record(&g, &gr, &wr, &root, &rec),
-            verify_record_anchored(&g, &anchors, &params, &rec)
+            verify_record_anchored(&anchors, &plan, &mut opened, &rec)
         );
         // Without a commitment nothing is revealed, so the record is
         // refused: the reveals are mandatory.
-        let bare = make_record_with(&gt, &wt, &params, &sub, None).unwrap();
+        let bare = plan.record((3, 5), None).unwrap();
         assert!(bare.trace_reveals.is_empty());
         assert!(matches!(
-            verify_record_anchored(&g, &anchors, &params, &bare),
+            verify_record_anchored(&anchors, &plan, &mut opened, &bare),
             Err(ProtocolError::RevealMismatch { .. })
         ));
-        // A tampered revealed digest fails to open against the root.
+        // A tampered revealed digest fails to open against the root, also
+        // after its untampered reveal opened.
         let mut tampered = rec.clone();
         tampered.trace_reveals[0].1[0] ^= 0x01;
         assert!(matches!(
-            verify_record_anchored(&g, &anchors, &params, &tampered),
+            verify_record_anchored(&anchors, &plan, &mut opened, &tampered),
             Err(ProtocolError::RevealMismatch { .. })
         ));
         // Anchors without a trace root verify nothing.
@@ -494,7 +494,7 @@ mod tests {
             ..anchors
         };
         assert_eq!(
-            verify_record_anchored(&g, &unanchored, &params, &rec),
+            verify_record_anchored(&unanchored, &plan, &mut opened, &rec),
             Err(ProtocolError::Unanchored)
         );
     }
@@ -502,19 +502,25 @@ mod tests {
     #[test]
     fn anchored_verification_refuses_a_tree_off_its_root() {
         let (g, exec, gt, wt) = setup();
-        let rec = record(&g, &gt, &wt, (2, 4), &exec);
-        let params = ParamIndex::new(&g);
+        let rec = record(&g, &gt, &wt, (3, 5), &exec);
         let (gr, mut wr, root) = (gt.root(), wt.root(), trace_root(&exec));
         wr[0] ^= 0x01;
+        let plans = DisputePlans::default();
         let anchors = DisputeAnchors {
             graph_tree: &gt,
             weight_tree: &wt,
             graph_root: &gr,
             weight_root: &wr,
             trace_root: Some(&root),
+            plans: &plans,
         };
         assert_eq!(
-            verify_record_anchored(&g, &anchors, &params, &rec),
+            verify_record_anchored(
+                &anchors,
+                &plan(&g, &gt, &wt),
+                &mut OpenedReveals::default(),
+                &rec
+            ),
             Err(ProtocolError::AnchorMismatch { tree: "weight" })
         );
     }

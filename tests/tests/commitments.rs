@@ -7,7 +7,7 @@ use tao_merkle::{
     TraceCommitment,
 };
 use tao_models::{bert, qwen, BertConfig, QwenConfig};
-use tao_protocol::{make_record_with, verify_record, ParamIndex};
+use tao_protocol::{verify_record, DisputePlan};
 use tao_tensor::{KernelConfig, Tensor};
 
 fn meta() -> ClaimMeta {
@@ -81,7 +81,7 @@ fn subgraph_records_bind_interfaces_across_whole_model() {
     let inputs = vec![qwen::sample_ids(QwenConfig::small(), 5)];
     let exec = tao_graph::execute(&m.graph, &inputs, &KernelConfig::reference(), None).unwrap();
 
-    let params = ParamIndex::new(&m.graph);
+    let plan = DisputePlan::build(&m.graph, &gt, &wt, 4).unwrap();
     let commitment = TraceCommitment::build(&exec.values);
     let root = commitment.root();
 
@@ -90,14 +90,15 @@ fn subgraph_records_bind_interfaces_across_whole_model() {
     let quarters = tao_graph::partition(0, m.graph.len(), 4);
     for (s, e) in quarters {
         let sub = extract(&m.graph, s, e).unwrap();
-        let rec = make_record_with(&gt, &wt, &params, &sub, Some(&commitment)).unwrap();
+        let rec = plan.record((s, e), Some(&commitment)).unwrap();
+        assert_eq!(rec.sub, sub);
         let (checks, _) = verify_record(&m.graph, &gt.root(), &wt.root(), &root, &rec).unwrap();
         assert!(checks > 0);
         if let Some(&out_node) = sub.live_out.first() {
             let mut tampered = exec.clone();
             tampered.values[out_node.0].data_mut()[0] += 0.5;
             let tampered = TraceCommitment::build(&tampered.values);
-            let rec2 = make_record_with(&gt, &wt, &params, &sub, Some(&tampered)).unwrap();
+            let rec2 = plan.record((s, e), Some(&tampered)).unwrap();
             assert_ne!(rec.live_out_hash, rec2.live_out_hash);
         }
     }

@@ -18,6 +18,10 @@
 //!   range of each bundled model's N=2 and N=4 bisection trees.
 //! - Planted- and mild-cheat disputes equal the outcomes pinned in
 //!   `golden/dispute_outcomes.txt`.
+//! - The dispute plan of each bundled model at N=2 and N=4 holds exactly
+//!   the ranges recursive `partition` produces, each with `extract`'s
+//!   slice, and every planned record equals the one assembled from
+//!   `extract` and `MerkleTree::prove`.
 
 use tao::{
     default_coordinator, deploy, Deployment, ProposerBehavior, SessionBuilder, SessionConfig,
@@ -29,14 +33,17 @@ use tao_device::{Device, Fleet};
 use tao_graph::{
     execute, execute_subgraph, extract, partition, Graph, NodeId, OpKind, Perturbations,
 };
-use tao_merkle::TraceCommitment;
+use tao_merkle::{
+    graph_tree, weight_tree, Digest, FastSha256, InclusionProof, MerkleTree, TraceCommitment,
+};
 use tao_models::{
     bert, data, diffusion, quantize_linears, qwen, resnet, transformer, BertConfig,
     DiffusionConfig, Model, QwenConfig, ResNetConfig, TransformerConfig,
 };
 use tao_protocol::{
     adjudicate, leaf_case, run_dispute, sample_committee, screen_claim, ChallengerView, ClaimCheck,
-    DisputeConfig, DisputeOutcome, DisputeResult, LeafVerdict, ProposerView, ProtocolError,
+    DisputeConfig, DisputeOutcome, DisputePlan, DisputeResult, LeafVerdict, ProposerView,
+    ProtocolError, SubgraphRecord,
 };
 use tao_tensor::Tensor;
 
@@ -648,4 +655,77 @@ fn disputes_match_the_golden_outcomes() {
         assert_eq!(got, want, "line {}", i + 1);
     }
     assert_eq!(rendered.lines().count(), golden.lines().count());
+}
+
+/// The record of `[start, end)` assembled without a plan: `extract`'s
+/// slice, `MerkleTree::prove` on the graph and weight trees, and every
+/// frontier digest revealed from `commitment`.
+fn record_by_extract_and_prove(
+    graph: &Graph,
+    (gt, wt): (&MerkleTree, &MerkleTree),
+    (start, end): (usize, usize),
+    commitment: &TraceCommitment,
+) -> SubgraphRecord {
+    let sub = extract(graph, start, end).unwrap();
+    let reveal = |id: &NodeId| {
+        let proof = commitment.tree().prove(id.0).unwrap();
+        (id.0, *commitment.digest(id.0).unwrap(), proof)
+    };
+    let live_in: Vec<_> = sub.live_in.iter().map(reveal).collect();
+    let live_out: Vec<_> = sub.live_out.iter().map(reveal).collect();
+    let list_hash = |reveals: &[(usize, Digest, InclusionProof)]| {
+        let mut h = FastSha256::new();
+        for (_, digest, _) in reveals {
+            h.update(digest);
+        }
+        h.finalize()
+    };
+    let leaf_of = |name: &String| graph.params().keys().position(|k| k == name).unwrap();
+    SubgraphRecord {
+        live_in_hash: list_hash(&live_in),
+        live_out_hash: list_hash(&live_out),
+        op_proofs: (start..end).map(|i| (i, gt.prove(i).unwrap())).collect(),
+        param_proofs: sub
+            .param_refs
+            .iter()
+            .map(|n| (n.clone(), wt.prove(leaf_of(n)).unwrap()))
+            .collect(),
+        trace_reveals: live_in.into_iter().chain(live_out).collect(),
+        sub,
+    }
+}
+
+#[test]
+fn the_dispute_plan_equals_extract_and_prove_on_every_bisection_range() {
+    for (name, model, inputs) in bundled_models() {
+        let graph = &model.graph;
+        let (gt, wt) = (graph_tree(graph), weight_tree(graph));
+        let trace = execute(graph, &inputs, Device::rtx4090_like().config(), None).unwrap();
+        let commitment = TraceCommitment::build(&trace.values);
+        for n_way in [2, 4] {
+            let plan = DisputePlan::build(graph, &gt, &wt, n_way).unwrap();
+            let mut want = Vec::new();
+            let mut pending = vec![(0, graph.len())];
+            while let Some((start, end)) = pending.pop() {
+                if end - start > 1 {
+                    want.extend(partition(start, end, n_way));
+                    pending.extend(partition(start, end, n_way));
+                }
+            }
+            want.sort_unstable();
+            assert_eq!(plan.ranges().collect::<Vec<_>>(), want, "{name} N={n_way}");
+            for &(s, e) in &want {
+                assert_eq!(
+                    plan.subgraph(s, e),
+                    Some(&extract(graph, s, e).unwrap()),
+                    "{name} N={n_way}: [{s}, {e})"
+                );
+                assert_eq!(
+                    plan.record((s, e), Some(&commitment)).unwrap(),
+                    record_by_extract_and_prove(graph, (&gt, &wt), (s, e), &commitment),
+                    "{name} N={n_way}: [{s}, {e})"
+                );
+            }
+        }
+    }
 }

@@ -1,25 +1,32 @@
 //! Red-path record verification: every record a real dispute posts, on
 //! each bundled model, under single-field and single-bit mutations.
 //!
-//! The challenger verifies records against the cached leaf digests of its
-//! own trees ([`verify_record_anchored`]); [`verify_record`] re-serializes
-//! and rehashes every leaf and is the oracle. For every mutant both must
-//! return the identical `Ok((merkle_checks, reveal_checks))` or the
-//! identical typed error, and neither may panic. Mutations that break a
+//! The challenger verifies records against its own dispute plan and the
+//! cached leaf digests of its own trees, and opens each distinct trace
+//! reveal once per dispute ([`verify_record_anchored`]); [`verify_record`]
+//! re-extracts every slice and re-serializes and rehashes every leaf and
+//! reveal, and is the oracle. For every mutant both must return the
+//! identical `Ok((merkle_checks, reveal_checks))` or the identical typed
+//! error, and neither may panic. Mutations that break a
 //! binding (a flipped digest bit, a dropped reveal, a foreign parameter
 //! name) must be rejected, and so must records that do not prove exactly
 //! their slice: op proofs dropped, reordered or duplicated, a parameter
 //! proof omitted, or a live-in/live-out frontier truncated with its
 //! interface hash re-derived to match.
+//!
+//! Two red paths are specific to the plan and the reveal memo: a record
+//! for a range outside the plan is refused with the frontier check's
+//! error, and a later-round record whose repeated reveal carries a
+//! tampered digest or proof is refused as the oracle refuses it.
 
 use tao::{deploy, Deployment};
 use tao_device::{Device, Fleet};
-use tao_graph::{execute, extract, partition, Execution, NodeId, Perturbations};
+use tao_graph::{execute, extract, partition, Execution, NodeId, Perturbations, Subgraph};
 use tao_merkle::{Digest, FastSha256, InclusionProof, TraceCommitment};
 use tao_models::{bert, data, qwen, resnet, BertConfig, Model, QwenConfig, ResNetConfig};
 use tao_protocol::{
-    make_record_with, run_dispute, screen_claim, verify_record, verify_record_anchored,
-    ChallengerView, ClaimCheck, DisputeConfig, ParamIndex, ProposerView, SubgraphRecord,
+    run_dispute, screen_claim, verify_record, verify_record_anchored, ChallengerView, ClaimCheck,
+    DisputeConfig, OpenedReveals, ProposerView, ProtocolError, SubgraphRecord,
 };
 use tao_tensor::Tensor;
 
@@ -83,11 +90,12 @@ fn bundled() -> Vec<(&'static str, Deployment, Vec<Tensor<f32>>)> {
 
 /// Runs an anchored dispute against a proposer that perturbed a mid-graph
 /// operator, then rebuilds every record it posted, round by round, exactly
-/// as the proposer built them.
+/// as the proposer built them, and verifies them in that order with one
+/// reveal memo, as the dispute did. Returns each record with its round.
 fn dispute_records(
     d: &Deployment,
     inputs: &[Tensor<f32>],
-) -> (Vec<SubgraphRecord>, TraceCommitment) {
+) -> (Vec<(usize, SubgraphRecord)>, TraceCommitment) {
     let graph = &d.model.graph;
     let nodes = graph.compute_nodes();
     let target = nodes[nodes.len() / 2];
@@ -118,29 +126,66 @@ fn dispute_records(
     .unwrap();
     assert!(!outcome.rounds.is_empty());
 
-    let params = ParamIndex::new(graph);
+    let plan = anchors.plan(graph, N_WAY).unwrap();
+    let mut opened = OpenedReveals::default();
     let mut records = Vec::new();
+    let mut reveals = 0;
     for round in &outcome.rounds {
         let mut round_checks = 0;
-        for (s, e) in partition(round.range.0, round.range.1, N_WAY) {
-            let sub = extract(graph, s, e).unwrap();
-            let rec = make_record_with(
-                anchors.graph_tree,
-                anchors.weight_tree,
-                &params,
-                &sub,
-                Some(&commitment),
-            )
-            .unwrap();
-            round_checks += verify_record_anchored(graph, &anchors, &params, &rec)
-                .unwrap()
-                .0;
-            records.push(rec);
+        for range in partition(round.range.0, round.range.1, N_WAY) {
+            let rec = plan.record(range, Some(&commitment)).unwrap();
+            let (checks, reveal_checks) =
+                verify_record_anchored(&anchors, &plan, &mut opened, &rec).unwrap();
+            round_checks += checks;
+            reveals += reveal_checks;
+            records.push((round.round, rec));
         }
         // These are the records the dispute verified: same Merkle checks.
         assert_eq!(round_checks, round.merkle_checks, "round {}", round.round);
     }
+    // A repeated reveal still counts as a check.
+    assert_eq!(reveals, outcome.reveal_checks);
     (records, commitment)
+}
+
+/// The oracle record of `[start, end)`: [`extract`]'s slice, proofs from
+/// the deployment's trees and reveals from `commitment`, assembled without
+/// the dispute plan.
+fn oracle_record(
+    d: &Deployment,
+    (start, end): (usize, usize),
+    commitment: &TraceCommitment,
+) -> SubgraphRecord {
+    let graph = &d.model.graph;
+    let sub = extract(graph, start, end).unwrap();
+    let reveal = |id: &NodeId| {
+        let proof = commitment.tree().prove(id.0).unwrap();
+        (id.0, *commitment.digest(id.0).unwrap(), proof)
+    };
+    let live_in: Vec<_> = sub.live_in.iter().map(reveal).collect();
+    let live_out: Vec<_> = sub.live_out.iter().map(reveal).collect();
+    let list_hash = |reveals: &[(usize, Digest, InclusionProof)]| {
+        let mut h = FastSha256::new();
+        for (_, digest, _) in reveals {
+            h.update(digest);
+        }
+        h.finalize()
+    };
+    let leaf_of = |name: &String| graph.params().keys().position(|k| k == name).unwrap();
+    SubgraphRecord {
+        live_in_hash: list_hash(&live_in),
+        live_out_hash: list_hash(&live_out),
+        op_proofs: (start..end)
+            .map(|i| (i, d.graph_tree.prove(i).unwrap()))
+            .collect(),
+        param_proofs: sub
+            .param_refs
+            .iter()
+            .map(|n| (n.clone(), d.weight_tree.prove(leaf_of(n)).unwrap()))
+            .collect(),
+        trace_reveals: live_in.into_iter().chain(live_out).collect(),
+        sub,
+    }
 }
 
 /// Flips one bit of the first present sibling of `proof`.
@@ -281,10 +326,16 @@ fn cached_and_rehashing_verifiers_agree_on_every_mutant() {
         let (records, commitment) = dispute_records(&d, &inputs);
         let root = commitment.root();
         let anchors = d.dispute_anchors().with_trace_root(&root);
-        let params = ParamIndex::new(graph);
+        let plan = anchors.plan(graph, N_WAY).unwrap();
+        // Every honest reveal has opened once, so a mutant's untouched
+        // reveals are read from the memo and its tampered ones are not.
+        let mut opened = OpenedReveals::default();
+        for (_, rec) in &records {
+            verify_record_anchored(&anchors, &plan, &mut opened, rec).unwrap();
+        }
         let mut rejected = 0usize;
         let mut total = 0usize;
-        for (r, rec) in records.iter().enumerate() {
+        for (r, (_, rec)) in records.iter().enumerate() {
             for (label, mutant, must_reject) in
                 std::iter::once(("unchanged".to_string(), rec.clone(), false))
                     .chain(mutants(rec, graph.len()))
@@ -296,7 +347,7 @@ fn cached_and_rehashing_verifiers_agree_on_every_mutant() {
                     &root,
                     &mutant,
                 );
-                let cached = verify_record_anchored(graph, &anchors, &params, &mutant);
+                let cached = verify_record_anchored(&anchors, &plan, &mut opened, &mutant);
                 assert_eq!(cached, oracle, "{model} record {r}: {label}");
                 if must_reject {
                     assert!(cached.is_err(), "{model} record {r}: {label} accepted");
@@ -312,5 +363,134 @@ fn cached_and_rehashing_verifiers_agree_on_every_mutant() {
             rejected > total / 2,
             "{model}: only {rejected} of {total} mutants rejected"
         );
+    }
+}
+
+/// The frontier check's refusal of the slice `[start, end)`.
+fn frontier_error(start: usize, end: usize) -> ProtocolError {
+    ProtocolError::BadRecord(format!(
+        "slice [{start}, {end}) does not carry the graph's frontiers"
+    ))
+}
+
+#[test]
+fn a_record_for_a_range_outside_the_plan_is_refused() {
+    for (model, d, inputs) in bundled() {
+        let graph = &d.model.graph;
+        let len = graph.len();
+        let (_, commitment) = dispute_records(&d, &inputs);
+        let root = commitment.root();
+        let anchors = d.dispute_anchors().with_trace_root(&root);
+        let plan = anchors.plan(graph, N_WAY).unwrap();
+        let mut opened = OpenedReveals::default();
+        // Empty, reversed and out-of-bounds slices with well-formed op
+        // proof coverage: neither in the plan nor extractable, so the
+        // oracle refuses each with the same error.
+        let proof = d.graph_tree.prove(0).unwrap();
+        for (start, end) in [(3, 3), (5, 2), (len - 1, len + 1), (len, len + 2)] {
+            let rec = SubgraphRecord {
+                sub: Subgraph {
+                    start,
+                    end,
+                    live_in: vec![],
+                    param_refs: vec![],
+                    live_out: vec![],
+                },
+                live_in_hash: FastSha256::new().finalize(),
+                live_out_hash: FastSha256::new().finalize(),
+                op_proofs: (start..end).map(|i| (i, proof.clone())).collect(),
+                param_proofs: vec![],
+                trace_reveals: vec![],
+            };
+            let oracle = verify_record(graph, anchors.graph_root, anchors.weight_root, &root, &rec);
+            assert_eq!(oracle, Err(frontier_error(start, end)), "{model}");
+            assert_eq!(
+                verify_record_anchored(&anchors, &plan, &mut opened, &rec),
+                oracle,
+                "{model}: [{start}, {end})"
+            );
+        }
+        // Well-formed records of slices the game never posts (the whole
+        // graph, and a range straddling the first split): the oracle,
+        // which holds no plan, accepts them; the plan refuses them with
+        // the frontier check's error.
+        for (start, end) in [(0, len), (1, len / 2 + 2)] {
+            assert!(plan.subgraph(start, end).is_none(), "{model}");
+            let rec = oracle_record(&d, (start, end), &commitment);
+            assert!(
+                verify_record(graph, anchors.graph_root, anchors.weight_root, &root, &rec).is_ok()
+            );
+            assert_eq!(
+                verify_record_anchored(&anchors, &plan, &mut opened, &rec),
+                Err(frontier_error(start, end)),
+                "{model}: [{start}, {end})"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_repeated_reveal_with_a_tampered_digest_or_proof_is_refused_like_the_oracle() {
+    for (model, d, inputs) in bundled() {
+        let graph = &d.model.graph;
+        let (records, commitment) = dispute_records(&d, &inputs);
+        let root = commitment.root();
+        let anchors = d.dispute_anchors().with_trace_root(&root);
+        let plan = anchors.plan(graph, N_WAY).unwrap();
+        let mut repeats = 0;
+        for (r, (round, rec)) in records.iter().enumerate() {
+            // The reveals of records from earlier rounds, opened in order.
+            let mut opened = OpenedReveals::default();
+            let earlier: Vec<&SubgraphRecord> = records[..r]
+                .iter()
+                .filter(|(k, _)| k < round)
+                .map(|(_, e)| e)
+                .collect();
+            for e in &earlier {
+                verify_record_anchored(&anchors, &plan, &mut opened, e).unwrap();
+            }
+            for (i, (id, digest, proof)) in rec.trace_reveals.iter().enumerate() {
+                let repeated = earlier
+                    .iter()
+                    .flat_map(|e| &e.trace_reveals)
+                    .any(|(n, dg, p)| n == id && dg == digest && p == proof);
+                if !repeated {
+                    continue;
+                }
+                repeats += 1;
+                let mut variants: Vec<(&str, SubgraphRecord, bool)> = Vec::new();
+                let mut tampered = rec.clone();
+                tampered.trace_reveals[i].1[3] ^= 0x04;
+                variants.push(("digest bit", tampered, true));
+                let mut tampered = rec.clone();
+                flip_sibling_bit(&mut tampered.trace_reveals[i].2, 5);
+                // A proof with no present sibling has no bit to flip.
+                let must_reject = tampered != *rec;
+                variants.push(("sibling bit", tampered, must_reject));
+                // A different proof that opens the same digest: not in the
+                // memo, so its path is hashed, to the oracle's verdict.
+                let mut longer = rec.clone();
+                longer.trace_reveals[i].2.siblings.push(None);
+                variants.push(("extra empty sibling", longer, false));
+                for (label, variant, must_reject) in variants {
+                    let oracle = verify_record(
+                        graph,
+                        anchors.graph_root,
+                        anchors.weight_root,
+                        &root,
+                        &variant,
+                    );
+                    let anchored = verify_record_anchored(&anchors, &plan, &mut opened, &variant);
+                    assert_eq!(anchored, oracle, "{model} record {r} reveal {i}: {label}");
+                    if must_reject {
+                        assert!(
+                            matches!(anchored, Err(ProtocolError::RevealMismatch { .. })),
+                            "{model} record {r} reveal {i}: {label} accepted"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(repeats > 0, "{model}: no reveal repeats across rounds");
     }
 }

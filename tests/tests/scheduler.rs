@@ -3,8 +3,10 @@
 //! same sessions one after another — same claim ids, same challenge
 //! flags, same winners, and bit-exact final balances.
 
+use std::sync::Arc;
+
 use tao::{
-    deploy, Deployment, ProposerBehavior, Scheduler, SessionBuilder, SessionReport,
+    deploy, Deployment, ProposerBehavior, Scheduler, SessionBuilder, SessionConfig, SessionReport,
     SharedCoordinator,
 };
 use tao_device::{Device, Fleet};
@@ -135,4 +137,31 @@ fn concurrent_scheduler_is_equivalent_to_serial_execution() {
         assert_eq!(serial_inner.escrowed(account), tao_protocol::Money::ZERO);
         assert_eq!(parallel_inner.escrowed(account), tao_protocol::Money::ZERO);
     }
+}
+
+/// The dispute plan is per deployment: the batch's two disputes build one
+/// plan between them, and later requests at their width return it.
+#[test]
+fn scheduled_disputes_share_one_plan() {
+    let (d, cfg) = deployment();
+    assert!(d.dispute_plans.is_empty());
+    let reports = Scheduler::with_threads(2)
+        .run(&coordinator(), builders(&d, cfg))
+        .unwrap();
+    assert_eq!(
+        reports.iter().filter(|r| r.challenged).count(),
+        CHEATS.len()
+    );
+    assert_eq!(d.dispute_plans.len(), 1);
+    let n_way = SessionConfig::default().n_way;
+    let anchors = d.dispute_anchors();
+    let plan = anchors.plan(&d.model.graph, n_way).unwrap();
+    assert!(Arc::ptr_eq(
+        &plan,
+        &d.clone()
+            .dispute_anchors()
+            .plan(&d.model.graph, n_way)
+            .unwrap()
+    ));
+    assert_eq!(d.dispute_plans.len(), 1);
 }
