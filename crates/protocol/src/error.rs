@@ -141,7 +141,7 @@ impl fmt::Display for ProtocolError {
             } => {
                 write!(
                     f,
-                    "the {tree} tree has {leaves} leaves, the graph {expected}"
+                    "the {tree} tree has {leaves} leaves where the graph needs {expected}"
                 )
             }
         }
