@@ -180,13 +180,12 @@ pub fn analyze_with(graph: &Graph, input_shapes: &[Vec<usize>], cfg: &LintConfig
                     .map(|id| shapes[id.0].as_deref().map(Shape::new))
                     .collect();
                 in_shapes.map_or(0, |ins| {
-                    let refs: Vec<&Shape> = ins.iter().collect();
                     let out = Shape::new(out);
                     if !ct.aliasing {
                         let read: usize = ins.iter().map(Shape::volume).sum();
                         bytes_moved += 4 * (read + out.volume()) as u64;
                     }
-                    node.kind.flops(&refs, &out)
+                    node.kind.flops(ins.iter(), &out)
                 })
             }
             None => 0,

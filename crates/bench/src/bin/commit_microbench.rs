@@ -1,7 +1,7 @@
-//! Commitment-layer microbenchmark: the dispatched SHA-256 and the
-//! streaming trace committer vs the seed scalar paths.
+//! Commitment-layer microbenchmark: the dispatched SHA-256, the batch
+//! hasher and the streaming trace committer vs the seed scalar paths.
 //!
-//! Five sections, every timed pair also bit-compared (digests and roots),
+//! Six sections, every timed pair also bit-compared (digests and roots),
 //! so this doubles as a fast regression check of the commitment
 //! equivalence contract (`cargo test --test commit_equiv` is the
 //! exhaustive version). Each pair is timed as alternating repetitions of
@@ -28,6 +28,14 @@
 //!    one pass's node values streamed through a `StreamingCommitter` with
 //!    and without the deployment's `ParamDigests` table: bytes hashed, time
 //!    and the two roots bit-compared.
+//! 6. **Batch commitment per forward pass** — for each bundled model, one
+//!    pass's node values committed with the `ParamDigests` table by
+//!    `TraceCommitment::build_with_params` (one `sha256_batch` per stage:
+//!    the values, the leaves, each tree level) vs every message hashed on
+//!    its own with `FastSha256`, roots bit-compared. The title line names
+//!    the arm that ran (the 16-lane AVX-512 compressor, or per-message
+//!    hashing). Asserted ≥ 1.5x on qwen-deep8 outside smoke mode when the
+//!    16-lane arm ran.
 //!
 //! Run with `cargo run --release -p tao-bench --bin commit_microbench`.
 //! Pass `--smoke` for a seconds-scale CI variant. Set
@@ -39,7 +47,7 @@ use std::io::Write as _;
 use tao_bench::{paired, print_table, Paired};
 use tao_graph::{execute, NodeId, ValueObserver};
 use tao_merkle::{
-    canon_tensor_len, hash_leaves, sha256, verify_inclusion_digest,
+    canon_tensor_len, hash_leaves, sha256, tensor_hash, verify_inclusion_digest,
     verify_inclusion_digest_reference, Digest, FastSha256, InclusionProof, MerkleTree,
     ParamDigests, StreamingCommitter, TraceCommitment,
 };
@@ -122,21 +130,71 @@ fn sha_ni_detected() -> bool {
     false
 }
 
+/// True when the host has the CPU features `sha256_batch` needs for its
+/// 16-lane AVX-512 compressor.
+fn avx512_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 fn fast_sha256(data: &[u8]) -> Digest {
     let mut h = FastSha256::new();
     h.update(data);
     h.finalize()
 }
 
+/// The trace root of `values` with every message hashed on its own by
+/// `FastSha256`: one `tensor_hash` per value that misses `params`, then
+/// one hash per leaf and per interior node, level by level.
+fn per_message_root(values: &[Tensor<f32>], params: &ParamDigests) -> Digest {
+    let hash = |prefix: u8, parts: &[&[u8]]| {
+        let mut h = FastSha256::new();
+        h.update(&[prefix]);
+        for part in parts {
+            h.update(part);
+        }
+        h.finalize()
+    };
+    let mut level: Vec<Digest> = values
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let digest = params.get(i, v).unwrap_or_else(|| tensor_hash(v));
+            hash(0x00, &[&digest])
+        })
+        .collect();
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| match pair {
+                [l, r] => hash(0x01, &[l, r]),
+                _ => pair[0],
+            })
+            .collect();
+    }
+    level.first().copied().unwrap_or_else(|| sha256(b""))
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let cores = tao_tensor::kernel::host_threads();
+    let lanes16 = avx512_detected();
     println!(
-        "commit_microbench — {cores} cores; SHA-NI {}",
+        "commit_microbench — {cores} cores; SHA-NI {}; batch arm: {}",
         if sha_ni_detected() {
             "detected"
         } else {
             "not detected (scalar rounds)"
+        },
+        if lanes16 {
+            "16-lane AVX-512"
+        } else {
+            "per-message (no AVX-512)"
         }
     );
     let samples = if smoke { 3 } else { 15 };
@@ -383,6 +441,68 @@ fn main() {
         &rows,
     );
 
+    // --- 6. batch vs per-message commitment per forward pass ------------
+    let mut rows = Vec::new();
+    let mut deep8 = f64::NAN;
+    for (name, model, inputs) in bundled_models() {
+        let graph = &model.graph;
+        let trace = execute(graph, &inputs, &KernelConfig::reference(), None).expect("forward");
+        let values = &trace.values;
+        let table = ParamDigests::new(graph);
+        let root = TraceCommitment::build_with_params(values, &table).root();
+        assert_eq!(
+            root,
+            per_message_root(values, &table),
+            "{name}: batch root drifted"
+        );
+        assert_eq!(
+            root,
+            TraceCommitment::reference(values).root(),
+            "{name}: batch root drifted from the seed oracle"
+        );
+        let pass_samples = if smoke { 11 } else { 201 };
+        let p = paired(
+            pass_samples,
+            || per_message_root(values, &table),
+            || TraceCommitment::build_with_params(values, &table),
+        );
+        let bytes: usize = values
+            .iter()
+            .enumerate()
+            .filter(|(i, v)| table.get(*i, v).is_none())
+            .map(|(_, v)| canon_tensor_len(v))
+            .sum();
+        export_csv(
+            &format!("commit/batch_pass/{name}/per-message"),
+            p.seed,
+            bytes as u64,
+        );
+        export_csv(
+            &format!("commit/batch_pass/{name}/batch"),
+            p.fast,
+            bytes as u64,
+        );
+        if name == "qwen-deep8" {
+            deep8 = p.speedup;
+        }
+        rows.push(vec![
+            name.to_string(),
+            format!("{}", graph.len()),
+            format!("{bytes}"),
+            format!("{:.1}us", 1e6 * p.seed),
+            format!("{:.1}us", 1e6 * p.fast),
+            format!("{:.2}x", p.speedup),
+        ]);
+    }
+    print_table(
+        &format!(
+            "Batch commitment per forward pass — one pass's node values with the ParamDigests table, per-message FastSha256 vs sha256_batch ({} arm), {cores} cores (roots bit-identical)",
+            if lanes16 { "16-lane AVX-512" } else { "per-message" }
+        ),
+        &["model", "nodes", "bytes (table)", "per-message", "batch", "speedup"],
+        &rows,
+    );
+
     println!(
         "\nAll timed pairs bit-compared against the seed scalar paths: OK.\n\
          {} KiB trace-commitment speedup vs seed (median of {samples} paired ratios): {:.2}x",
@@ -393,6 +513,7 @@ fn main() {
         "Inclusion-proof path comparison vs fast path hashing (median of {samples} paired ratios): {:.2}x",
         path.speedup
     );
+    println!("qwen-deep8 batch commitment vs per-message hashing: {deep8:.2}x");
     if smoke {
         println!("(smoke mode: speedup floors not asserted)");
     } else {
@@ -406,6 +527,12 @@ fn main() {
             "path-comparison speedup {:.2}x fell below the 8x floor",
             path.speedup
         );
+        if lanes16 {
+            assert!(
+                deep8 >= 1.5,
+                "qwen-deep8 batch commitment ran at {deep8:.2}x per-message hashing, below the 1.5x floor"
+            );
+        }
     }
 }
 

@@ -55,7 +55,7 @@ fn assert_bits_eq(fast: &[f32], slow: &[f32], what: &str) {
 
 /// Each row of the row-major `[m, k]` matrix `a` packed as its own
 /// one-row operand, for [`gemm_by_rows`].
-fn pack_rows(a: &[f32], k: usize) -> Vec<PackedLhs<f32>> {
+fn pack_rows(a: &[f32], k: usize) -> Vec<PackedLhs<'_, f32>> {
     a.chunks_exact(k)
         .map(|row| PackedLhs::from_row_major(row, 1, k))
         .collect()
@@ -255,6 +255,29 @@ fn per_op_overhead_table(samples: usize, reps: usize) {
         median_secs_per_call(samples, reps, || xs.linear(&lw, None, &cfg).unwrap()),
         median_secs_per_call(samples, reps, || {
             xs.linear_reference(&lw, None, &cfg).unwrap()
+        }),
+    );
+
+    // A one-row Linear on its graph-packed weight (BERT's pooler and
+    // classifier, ResNet's head): the row is the packed lhs, borrowed.
+    let cfg = KernelConfig {
+        accum: AccumMode::Blocked(32),
+        fma: true,
+        math: MathLib::VariantA,
+    };
+    let x1 = Tensor::<f32>::rand_uniform(&[1, 32], -1.0, 1.0, 18);
+    let packed = PackedRhs::from_transposed(lw.data(), 32, 32);
+    let one_row = || {
+        x1.linear_packed_with_buf(&packed, None, &cfg, Vec::new())
+            .unwrap()
+    };
+    row(
+        "linear 1x32x32 prepacked, blocked(32)+fma".into(),
+        one_row().data(),
+        x1.linear_reference(&lw, None, &cfg).unwrap().data(),
+        median_secs_per_call(samples, reps, one_row),
+        median_secs_per_call(samples, reps, || {
+            x1.linear_reference(&lw, None, &cfg).unwrap()
         }),
     );
 

@@ -25,11 +25,8 @@
 
 use tao_bounds::BoundEngine;
 use tao_device::Device;
-use tao_graph::{execute_observed, Execution, Perturbations};
-use tao_merkle::{
-    claim_commitment, inputs_hash, tensor_hash, ClaimMeta, Digest, StreamingCommitter,
-    TraceCommitment,
-};
+use tao_graph::{execute, Execution, Perturbations};
+use tao_merkle::{claim_commitment, inputs_hash, tensor_hash, ClaimMeta, Digest, TraceCommitment};
 use tao_protocol::{
     adjudicate, leaf_case, run_dispute, sample_committee, screen_claim, AdjudicationPath,
     ChallengerView, ClaimCheck, ClaimStatus, Coordinator, DisputeConfig, DisputeOutcome,
@@ -204,22 +201,17 @@ impl SessionBuilder {
             ProposerBehavior::Honest => None,
             ProposerBehavior::Malicious(p) => Some(p),
         };
-        // The trace commitment streams through the forward pass: every
-        // node's value is hashed as it is produced instead of in a post-hoc
-        // pass over the finished trace. Built exactly once, here — the
+        // The kept trace is committed in one batch, parameter digests
+        // from the deployment's table. Built exactly once, here — the
         // dispute reuses it, never rebuilds.
-        let mut committer = StreamingCommitter::with_params(
-            deployment.model.graph.len(),
-            &deployment.param_digests,
-        );
-        let trace = execute_observed(
+        let trace = execute(
             &deployment.model.graph,
             &inputs,
             cfg.proposer.config(),
             perturb,
-            &mut committer,
         )?;
-        let trace_commitment = committer.finish();
+        let trace_commitment =
+            TraceCommitment::build_with_params(&trace.values, &deployment.param_digests);
         let output = trace.value(deployment.model.logits)?.clone();
         let meta = ClaimMeta {
             device: cfg.proposer.name().to_string(),
@@ -300,8 +292,8 @@ impl PendingSession {
         &self.commitment
     }
 
-    /// Root of the per-node trace commitment bound into `C0` (streamed
-    /// through the proposer's forward pass at prepare time).
+    /// Root of the per-node trace commitment bound into `C0` (the
+    /// proposer's kept trace, committed in one batch at prepare time).
     pub fn trace_root(&self) -> Digest {
         self.trace_commitment.root()
     }
@@ -559,7 +551,7 @@ impl Session {
             .expect("resolve_dispute() runs after a screening is cached");
         let graph = &self.deployment.model.graph;
         // The proposer committed to its trace when the claim was prepared
-        // (streamed through the forward pass, root bound into `C0`); the
+        // (its kept trace, root bound into `C0`); the
         // dispute reads every record's digests from that commitment — it
         // is never rebuilt, and no activation tensor is rehashed — and
         // anchors every revealed digest to the root bound into `C0`, so a

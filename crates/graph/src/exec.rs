@@ -221,8 +221,8 @@ pub(crate) fn run(
             stats.fresh_allocations += 1;
         }
         if keep_all {
-            let in_shapes: Vec<_> = node.inputs.iter().map(|&i| values[i.0].shape()).collect();
-            flops.push(node.kind.flops(&in_shapes, out.shape()));
+            let in_shapes = node.inputs.iter().map(|&i| values[i.0].shape());
+            flops.push(node.kind.flops(in_shapes, out.shape()));
         }
         if let Some(obs) = observer.as_deref_mut() {
             obs.observe(node.id, &out);

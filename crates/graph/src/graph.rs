@@ -74,7 +74,7 @@ enum WeightPack {
     /// A rank-2 `Linear` weight as the GEMM rhs.
     Linear(PackedRhs<f32>),
     /// A `Conv2d` weight's `[c_out, c_in*kh*kw]` rows as the GEMM lhs.
-    Conv(PackedLhs<f32>),
+    Conv(PackedLhs<'static, f32>),
 }
 
 /// Node-indexed parameter slots (`None` for every other node).
@@ -112,7 +112,7 @@ impl ParamSlots {
                     PackedRhs::from_transposed(w.data(), out_f, in_f),
                 )),
                 (OpKind::Conv2d { .. }, &[c_out, _, _, _]) => Some(WeightPack::Conv(
-                    PackedLhs::from_row_major(w.data(), c_out, w.len() / c_out.max(1)),
+                    PackedLhs::from_row_major(w.data(), c_out, w.len() / c_out.max(1)).into_owned(),
                 )),
                 _ => None,
             };
@@ -260,7 +260,7 @@ impl Graph {
     /// The `Conv2d` weight of parameter node `id`, packed once when the
     /// graph was built, under the same identity rule as
     /// [`linear_pack`](Self::linear_pack).
-    pub fn conv_pack(&self, id: NodeId, weight: &Tensor<f32>) -> Option<&PackedLhs<f32>> {
+    pub fn conv_pack(&self, id: NodeId, weight: &Tensor<f32>) -> Option<&PackedLhs<'_, f32>> {
         match self.slots.hit(id, weight)? {
             WeightPack::Conv(packed) => Some(packed),
             WeightPack::Linear(_) => None,

@@ -271,9 +271,14 @@ impl OpKind {
         )
     }
 
-    /// Floating-point operation count given the input and output shapes,
-    /// following the usual multiply-add = 2 FLOPs convention.
-    pub fn flops(&self, inputs: &[&Shape], output: &Shape) -> u64 {
+    /// Floating-point operation count given the input shapes (in operand
+    /// order) and the output shape, following the usual multiply-add =
+    /// 2 FLOPs convention.
+    pub fn flops<'s>(
+        &self,
+        mut inputs: impl Iterator<Item = &'s Shape> + Clone,
+        output: &Shape,
+    ) -> u64 {
         let out_n = output.volume() as u64;
         match self {
             OpKind::Input(_) | OpKind::Parameter(_) => 0,
@@ -304,21 +309,21 @@ impl OpKind {
             OpKind::MatMul => {
                 // [.., m, k] @ [.., k, n]: 2*m*k*n per batch element.
                 let k = inputs
-                    .first()
+                    .next()
                     .map(|s| *s.dims().last().unwrap_or(&1))
                     .unwrap_or(1);
                 2 * out_n * k as u64
             }
             OpKind::Linear => {
                 let k = inputs
-                    .first()
+                    .next()
                     .map(|s| *s.dims().last().unwrap_or(&1))
                     .unwrap_or(1);
                 2 * out_n * k as u64
             }
             OpKind::Conv2d { .. } => {
                 let patch: usize = inputs
-                    .get(1)
+                    .nth(1)
                     .map(|w| w.dims()[1..].iter().product())
                     .unwrap_or(1);
                 2 * out_n * patch as u64
@@ -328,23 +333,24 @@ impl OpKind {
             // dequantize(+bias) op per output element.
             OpKind::QuantMatmul | OpKind::QuantLinear => {
                 let k = inputs
-                    .first()
+                    .clone()
+                    .next()
                     .map(|s| *s.dims().last().unwrap_or(&1))
                     .unwrap_or(1);
-                let in_n: u64 = inputs.iter().map(|s| s.volume() as u64).sum();
+                let in_n: u64 = inputs.map(|s| s.volume() as u64).sum();
                 2 * out_n * k as u64 + in_n + out_n
             }
             OpKind::Quantize { .. } | OpKind::Dequantize { .. } => out_n,
             OpKind::MeanAll | OpKind::SumAll => {
-                inputs.first().map(|s| s.volume() as u64).unwrap_or(0)
+                inputs.next().map(|s| s.volume() as u64).unwrap_or(0)
             }
             OpKind::SumAxis(_) | OpKind::MeanAxis(_) | OpKind::MaxAxis(_) => {
-                inputs.first().map(|s| s.volume() as u64).unwrap_or(0)
+                inputs.next().map(|s| s.volume() as u64).unwrap_or(0)
             }
             OpKind::MaxPool2d { kernel, .. } | OpKind::AvgPool2d { kernel, .. } => {
                 out_n * (kernel * kernel) as u64
             }
-            OpKind::AdaptiveAvgPool1x1 => inputs.first().map(|s| s.volume() as u64).unwrap_or(0),
+            OpKind::AdaptiveAvgPool1x1 => inputs.next().map(|s| s.volume() as u64).unwrap_or(0),
             OpKind::UpsampleNearest(_)
             | OpKind::Reshape(_)
             | OpKind::Flatten
@@ -395,7 +401,7 @@ mod tests {
             OpKind::Embedding,
         ] {
             assert!(op.is_structural(), "{op}");
-            assert_eq!(op.flops(&[&s], &s), 0, "{op}");
+            assert_eq!(op.flops([&s].into_iter(), &s), 0, "{op}");
         }
     }
 
@@ -404,7 +410,10 @@ mod tests {
         let a = Shape::new(&[8, 16]);
         let b = Shape::new(&[16, 4]);
         let out = Shape::new(&[8, 4]);
-        assert_eq!(OpKind::MatMul.flops(&[&a, &b], &out), 2 * 8 * 16 * 4);
+        assert_eq!(
+            OpKind::MatMul.flops([&a, &b].into_iter(), &out),
+            2 * 8 * 16 * 4
+        );
     }
 
     #[test]
@@ -417,7 +426,7 @@ mod tests {
                 stride: 1,
                 padding: 0
             }
-            .flops(&[&x, &w], &out),
+            .flops([&x, &w].into_iter(), &out),
             2 * (4 * 6 * 6) * (3 * 3 * 3)
         );
     }

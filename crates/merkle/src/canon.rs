@@ -10,6 +10,8 @@
 //! sequence directly into a [`CanonSink`] — typically a hasher — so the
 //! commitment hot path never allocates a per-leaf buffer.
 
+use std::borrow::Cow;
+
 use tao_graph::Node;
 use tao_tensor::{Element, Tensor};
 
@@ -50,25 +52,22 @@ fn put_str(out: &mut impl CanonSink, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
-/// Streams the canonical little-endian element bytes of `data` into the
-/// sink. On little-endian targets the in-memory representation of the
-/// sealed float element types *is* the canonical encoding, so the whole
-/// slice is fed as one borrow with no conversion buffer.
-pub(crate) fn put_element_bytes<T: Element>(sink: &mut impl CanonSink, data: &[T]) {
+/// The canonical little-endian element bytes of `data`. On little-endian
+/// targets the in-memory representation of the sealed float element types
+/// *is* the canonical encoding, so the slice is borrowed with no
+/// conversion buffer.
+pub(crate) fn element_bytes<T: Element>(data: &[T]) -> Cow<'_, [u8]> {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: `Element` is sealed to `f32`/`f64`, plain-old-data types
         // whose little-endian memory layout equals their canonical
         // `to_le_bytes` encoding on this target.
-        let bytes = unsafe {
+        Cow::Borrowed(unsafe {
             core::slice::from_raw_parts(data.as_ptr().cast::<u8>(), core::mem::size_of_val(data))
-        };
-        sink.put(bytes);
+        })
     }
     #[cfg(not(target_endian = "little"))]
-    for &v in data {
-        sink.put(&v.to_le_bytes_vec());
-    }
+    Cow::Owned(data.iter().flat_map(|v| v.to_le_bytes_vec()).collect())
 }
 
 /// Byte length of [`canon_tensor`]'s encoding without materializing it.
@@ -80,6 +79,13 @@ pub fn canon_tensor_len<T: Element>(t: &Tensor<T>) -> usize {
 /// allocating: dtype tag, shape, row-major strides, then raw little-endian
 /// element bytes.
 pub fn canon_tensor_sink<T: Element>(t: &Tensor<T>, sink: &mut impl CanonSink) {
+    canon_tensor_header_sink(t, sink);
+    sink.put(&element_bytes(t.data()));
+}
+
+/// The part of [`canon_tensor`] before the element bytes: dtype tag,
+/// shape and row-major strides.
+pub(crate) fn canon_tensor_header_sink<T: Element>(t: &Tensor<T>, sink: &mut impl CanonSink) {
     put_str(sink, T::DTYPE);
     sink.put(&(t.rank() as u64).to_le_bytes());
     for &d in t.dims() {
@@ -88,7 +94,6 @@ pub fn canon_tensor_sink<T: Element>(t: &Tensor<T>, sink: &mut impl CanonSink) {
     for s in t.shape().strides() {
         sink.put(&(s as u64).to_le_bytes());
     }
-    put_element_bytes(sink, t.data());
 }
 
 /// Canonical serialization of a tensor: dtype tag, shape, row-major
@@ -103,9 +108,19 @@ pub fn canon_tensor<T: Element>(t: &Tensor<T>) -> Vec<u8> {
 /// materializing the tensor encoding (`name`, then the length-prefixed
 /// tensor bytes).
 pub fn canon_param_sink<T: Element>(name: &str, t: &Tensor<T>, sink: &mut impl CanonSink) {
+    canon_param_header_sink(name, t, sink);
+    sink.put(&element_bytes(t.data()));
+}
+
+/// The part of [`canon_param`] before the element bytes.
+pub(crate) fn canon_param_header_sink<T: Element>(
+    name: &str,
+    t: &Tensor<T>,
+    sink: &mut impl CanonSink,
+) {
     put_str(sink, name);
     sink.put(&(canon_tensor_len(t) as u64).to_le_bytes());
-    canon_tensor_sink(t, sink);
+    canon_tensor_header_sink(t, sink);
 }
 
 /// Canonical serialization of a named parameter (`name` then tensor).

@@ -1,9 +1,11 @@
 //! Model and claim commitments (Phase 0 / Phase 1 artifacts), plus
 //! [`TraceCommitment`] — per-node digests of an execution trace.
 //!
-//! The commitment hot path is allocation-free: tensors are canonicalized
-//! straight into a [`FastSha256`] (no per-leaf byte buffers) and trees
-//! build with [`MerkleTree::from_leaf_digests`]. The seed materializing
+//! The commitment hot path never materializes a tensor's canonical bytes:
+//! a single tensor streams into a [`FastSha256`], and a whole trace or
+//! weight list is one [`sha256_batch`] whose messages are each tensor's
+//! small canonical header followed by its element bytes, read in place.
+//! Trees build with [`MerkleTree::from_leaf_digests`]. The seed materializing
 //! paths ([`tensor_hash_reference`], [`TraceCommitment::reference`]) stay
 //! in-tree as the differential oracles and microbenchmark baselines; all
 //! digests and roots are bit-identical by contract.
@@ -12,9 +14,11 @@ use tao_graph::Graph;
 use tao_tensor::Tensor;
 
 use crate::canon::{
-    canon_param, canon_param_sink, canon_signature, canon_tensor, canon_tensor_sink,
+    canon_param, canon_param_header_sink, canon_signature, canon_tensor, canon_tensor_header_sink,
+    canon_tensor_sink, element_bytes,
 };
-use crate::sha256::{sha256, Digest, FastSha256, Sha256};
+use crate::params::ParamDigests;
+use crate::sha256::{sha256, sha256_batch, Digest, FastSha256, Sha256};
 use crate::tree::{hash_leaves, verify_inclusion, InclusionProof, MerkleTree};
 
 /// Execution metadata bound into a claim commitment (the paper's "meta":
@@ -59,20 +63,47 @@ pub struct ModelCommitment {
 /// lexicographic key order — the state dict is a `BTreeMap`, so iteration
 /// order is already sorted).
 ///
-/// Each leaf's canonical bytes stream straight into the hasher (no
-/// per-leaf buffer); bit-identical to [`weight_tree_reference`].
+/// The leaves are hashed in one batch, each reading its tensor's element
+/// bytes in place; bit-identical to [`weight_tree_reference`].
 pub fn weight_tree(graph: &Graph) -> MerkleTree {
-    let leaf_digests: Vec<Digest> = graph
-        .params()
-        .iter()
-        .map(|(name, t)| {
-            let mut h = FastSha256::new();
-            h.update(&[crate::tree::LEAF_PREFIX]);
-            canon_param_sink(name, t, &mut h);
-            h.finalize()
+    let (names, tensors): (Vec<&String>, Vec<&Tensor<f32>>) = graph.params().iter().unzip();
+    MerkleTree::from_leaf_digests(hash_tensors(&tensors, |i, head| {
+        head.push(crate::tree::LEAF_PREFIX);
+        canon_param_header_sink(names[i], tensors[i], head);
+    }))
+}
+
+/// Hashes `head_i ‖ element bytes of tensors[i]` for every tensor in one
+/// [`sha256_batch`]; `head(i, arena)` appends message `i`'s head.
+fn hash_tensors(
+    tensors: &[&Tensor<f32>],
+    mut head: impl FnMut(usize, &mut Vec<u8>),
+) -> Vec<Digest> {
+    let mut arena = Vec::new();
+    let ends: Vec<usize> = (0..tensors.len())
+        .map(|i| {
+            head(i, &mut arena);
+            arena.len()
         })
         .collect();
-    MerkleTree::from_leaf_digests(leaf_digests)
+    let bodies: Vec<_> = tensors.iter().map(|t| element_bytes(t.data())).collect();
+    let messages: Vec<(&[u8], &[u8])> = ends
+        .iter()
+        .zip(&bodies)
+        .scan(0, |start, (&end, body)| {
+            let head = &arena[*start..end];
+            *start = end;
+            Some((head, &body[..]))
+        })
+        .collect();
+    sha256_batch(&messages)
+}
+
+/// [`tensor_hash`] of every tensor, in one batch.
+pub(crate) fn tensor_hashes(tensors: &[&Tensor<f32>]) -> Vec<Digest> {
+    hash_tensors(tensors, |i, head| {
+        canon_tensor_header_sink(tensors[i], head)
+    })
 }
 
 /// Seed construction of `T_w`: materialize every `canon(name, tensor)`
@@ -136,14 +167,37 @@ pub struct TraceCommitment {
 }
 
 impl TraceCommitment {
-    /// Commits a trace: one [`tensor_hash`] per value.
+    /// Commits a trace: one [`tensor_hash`] per value, all in one batch.
     pub fn build(values: &[Tensor<f32>]) -> Self {
-        Self::from_digests(values.iter().map(tensor_hash).collect())
+        Self::build_with_params(values, &ParamDigests::default())
     }
 
-    /// Assembles a commitment from already-computed per-node digests. This
-    /// is the streamed-hashing entry point: the executor's observer hashes
-    /// each node's value as it is produced, and only the tree assembly
+    /// Commits a kept trace whose parameter nodes take their digests from
+    /// `params` (a hit needs the node's own weight buffer at its shape);
+    /// every other value is hashed in one batch. Bit-identical to
+    /// [`TraceCommitment::build`] for any table.
+    pub fn build_with_params(values: &[Tensor<f32>], params: &ParamDigests) -> Self {
+        let cached: Vec<Option<Digest>> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| params.get(i, v))
+            .collect();
+        let misses: Vec<&Tensor<f32>> = values
+            .iter()
+            .zip(&cached)
+            .filter_map(|(v, d)| d.is_none().then_some(v))
+            .collect();
+        let mut hashed = tensor_hashes(&misses).into_iter();
+        let digests = cached
+            .into_iter()
+            .map(|d| d.or_else(|| hashed.next()).expect("one digest per miss"))
+            .collect();
+        Self::from_digests(digests)
+    }
+
+    /// Assembles a commitment from already-computed per-node digests: the
+    /// streamed-hashing entry point, where the executor's observer hashes
+    /// each node's value as it is produced and only the tree assembly
     /// remains at the end of the pass. Bit-identical to
     /// [`TraceCommitment::build`] when the digests equal
     /// `values.iter().map(tensor_hash)`.

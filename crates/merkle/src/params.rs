@@ -2,10 +2,11 @@
 //! not once per forward pass.
 //!
 //! A `Parameter` node's traced value is the graph's own weight tensor (an
-//! `Arc` clone, never a copy), so its [`tensor_hash`] is the same on every
-//! pass. [`ParamDigests`] hashes each parameter node's tensor once and
-//! serves that digest to every streamed trace commitment
-//! ([`crate::StreamingCommitter::with_params`]).
+//! `Arc` clone, never a copy), so its [`tensor_hash`](crate::tensor_hash)
+//! is the same on every pass. [`ParamDigests`] hashes each parameter
+//! node's tensor once and serves that digest to every trace commitment
+//! of the deployment ([`crate::TraceCommitment::build_with_params`],
+//! [`crate::StreamingCommitter::with_params`]).
 //!
 //! A lookup hits only when the observed value shares the cached tensor's
 //! buffer *and* has its shape; anything else (a perturbed weight, a
@@ -13,18 +14,19 @@
 //! storage is never mutated — `Tensor::data_mut` unshares first — and the
 //! table's own clone keeps the buffer from ever becoming unique, so it can
 //! never be reclaimed into a buffer pool and refilled. Equal shapes give
-//! equal canonical headers, so a hit's digest equals [`tensor_hash`] of the
-//! value bit for bit.
+//! equal canonical headers, so a hit's digest equals
+//! [`tensor_hash`](crate::tensor_hash) of the value bit for bit.
 
 use std::sync::Arc;
 
 use tao_graph::{Graph, OpKind};
 use tao_tensor::Tensor;
 
-use crate::commit::tensor_hash;
+use crate::commit::tensor_hashes;
 use crate::sha256::Digest;
 
-/// A parameter node's cached tensor and its [`tensor_hash`].
+/// A parameter node's cached tensor and its
+/// [`tensor_hash`](crate::tensor_hash).
 type Cached = (Tensor<f32>, Digest);
 
 /// One slot per graph node: the cached tensor and digest for a `Parameter`
@@ -35,17 +37,26 @@ pub struct ParamDigests {
 }
 
 impl ParamDigests {
-    /// Hashes every `Parameter` node's tensor of `graph` once.
+    /// Hashes every `Parameter` node's tensor of `graph` once, in one
+    /// batch.
     pub fn new(graph: &Graph) -> Self {
-        let slots = graph
+        let tensors: Vec<Option<&Tensor<f32>>> = graph
             .nodes()
             .iter()
             .map(|node| match &node.kind {
-                OpKind::Parameter(name) => {
-                    let t = graph.param(name).ok()?;
-                    Some((t.clone(), tensor_hash(t)))
-                }
+                OpKind::Parameter(name) => graph.param(name).ok(),
                 _ => None,
+            })
+            .collect();
+        let mut digests =
+            tensor_hashes(&tensors.iter().flatten().copied().collect::<Vec<_>>()).into_iter();
+        let slots = tensors
+            .into_iter()
+            .map(|t| {
+                Some((
+                    t?.clone(),
+                    digests.next().expect("one digest per parameter"),
+                ))
             })
             .collect();
         ParamDigests { slots }
@@ -74,6 +85,7 @@ impl ParamDigests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::tensor_hash;
     use tao_graph::GraphBuilder;
 
     fn graph(seed: u64) -> Graph {

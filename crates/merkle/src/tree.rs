@@ -3,12 +3,14 @@
 //! Tree construction has two implementations with bit-identical output:
 //! the seed builder ([`MerkleTree::from_leaf_digests_reference`]), kept
 //! in-tree permanently as the differential oracle, and the default builder
-//! ([`MerkleTree::from_leaf_digests`]), which walks the same levels
-//! serially but hashes each interior node as two pre-padded blocks through
-//! [`FastSha256`]'s compressor. Both run on the calling thread: the largest
-//! tree a protocol session builds has a few hundred leaves.
+//! ([`MerkleTree::from_leaf_digests`]), which walks the same levels but
+//! hashes each level's interior nodes as one [`sha256_batch`]. Both run on
+//! the calling thread: the largest tree a protocol session builds has a
+//! few hundred leaves.
 
-use crate::sha256::{compress_blocks, sha256, state_digest, Digest, FastSha256, Sha256, H0};
+use crate::sha256::{
+    compress_blocks, sha256, sha256_batch, state_digest, Digest, FastSha256, Sha256, H0,
+};
 
 /// Domain-separation prefix for leaf hashes.
 pub(crate) const LEAF_PREFIX: u8 = 0x00;
@@ -60,21 +62,22 @@ impl MerkleTree {
     }
 
     /// Builds a tree from precomputed (already domain-separated) leaf
-    /// digests, hashing each interior node as two pre-padded blocks in one
-    /// compressor call; bit-identical to
+    /// digests, hashing each level's pairs `NODE_PREFIX || l || r` in one
+    /// batch; bit-identical to
     /// [`MerkleTree::from_leaf_digests_reference`].
     pub fn from_leaf_digests(leaf_digests: Vec<Digest>) -> Self {
         let mut levels = vec![leaf_digests];
-        while levels.last().map(|l| l.len() > 1).unwrap_or(false) {
-            let prev = levels.last().expect("non-empty by loop condition");
-            let next = prev
-                .chunks(2)
-                .map(|pair| match pair {
-                    [l, r] => pair_digest(l, r),
-                    // Odd node promoted unchanged.
-                    _ => pair[0],
-                })
+        while let Some(prev) = levels.last().filter(|l| l.len() > 1) {
+            let pairs: Vec<(&[u8], &[u8])> = prev
+                .as_flattened()
+                .chunks_exact(64)
+                .map(|pair| (&[NODE_PREFIX][..], pair))
                 .collect();
+            let mut next = sha256_batch(&pairs);
+            if prev.len() % 2 == 1 {
+                // Odd node promoted unchanged.
+                next.push(prev[prev.len() - 1]);
+            }
             levels.push(next);
         }
         MerkleTree { levels }
@@ -231,10 +234,15 @@ fn leaf_digest(leaf: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Hashes raw leaves (`LEAF_PREFIX || leaf`) into leaf digests. Equal to
-/// the scalar per-leaf hashing of [`MerkleTree::from_leaves_reference`].
+/// Hashes raw leaves (`LEAF_PREFIX || leaf`) into leaf digests in one
+/// batch. Equal to the scalar per-leaf hashing of
+/// [`MerkleTree::from_leaves_reference`].
 pub fn hash_leaves<B: AsRef<[u8]>>(leaves: &[B]) -> Vec<Digest> {
-    leaves.iter().map(|l| leaf_digest(l.as_ref())).collect()
+    let messages: Vec<(&[u8], &[u8])> = leaves
+        .iter()
+        .map(|l| (&[LEAF_PREFIX][..], l.as_ref()))
+        .collect();
+    sha256_batch(&messages)
 }
 
 /// Verifies an inclusion proof for raw leaf bytes against a root.

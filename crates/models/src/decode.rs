@@ -7,8 +7,8 @@
 //! committed rule, tolerance-level logit drift can flip an argmax and turn
 //! numerical noise into divergent generations.
 
-use tao_graph::{execute, execute_observed, forward, forward_observed, BufferPool};
-use tao_merkle::{Digest, ParamDigests, StreamingCommitter, TokenChain};
+use tao_graph::{execute, forward, BufferPool};
+use tao_merkle::{Digest, ParamDigests, TokenChain, TraceCommitment};
 use tao_tensor::{KernelConfig, Tensor};
 
 use crate::common::Model;
@@ -117,20 +117,19 @@ pub fn greedy_decode(
 /// bisection — no recommitment of earlier tokens required.
 #[derive(Debug, Clone)]
 pub struct DecodeCommitment {
-    /// Per-step trace-commitment roots (one full forward pass each),
-    /// streamed through the pass rather than hashed post hoc.
+    /// Per-step trace-commitment roots (one full forward pass each).
     pub step_roots: Vec<Digest>,
     /// Rolling chain over `(step, token, step_root)`; see [`TokenChain`].
     pub chain: TokenChain,
 }
 
-/// [`greedy_decode`] plus per-token incremental commitments: each step's
-/// forward pass streams its node values through a [`StreamingCommitter`]
-/// and the resulting step root is appended to a prefix-stable
-/// [`TokenChain`].
+/// [`greedy_decode`] plus per-token incremental commitments: each step
+/// keeps its forward pass's trace, commits it in one batch
+/// ([`TraceCommitment::build_with_params`]) and appends the step root to a
+/// prefix-stable [`TokenChain`].
 ///
-/// Decoded tokens and logits are bit-identical to [`greedy_decode`] — the
-/// observer only reads values the executor already produced.
+/// Decoded tokens and logits are bit-identical to [`greedy_decode`]: both
+/// executors evaluate every node with the same kernels.
 ///
 /// # Errors
 ///
@@ -147,44 +146,14 @@ pub fn greedy_decode_committed(
     let mut out = Vec::with_capacity(steps);
     let mut step_roots = Vec::with_capacity(steps);
     let mut chain = TokenChain::new();
-    let logits_pos = model
-        .graph
-        .outputs()
-        .iter()
-        .position(|&id| id == model.logits);
-    let mut pool = BufferPool::new();
     // The weights are hashed once per call, not once per token.
     let params = ParamDigests::new(&model.graph);
     for step in 0..steps {
-        // A fresh committer per step: each token's forward pass gets its
-        // own trace root, so disputes land on one step, not the session.
-        let mut committer = StreamingCommitter::with_params(model.graph.len(), &params);
-        let logits_value;
-        let logits = match logits_pos {
-            Some(pos) => {
-                let mut outputs = forward_observed(
-                    &model.graph,
-                    std::slice::from_ref(&window),
-                    kernel,
-                    &mut pool,
-                    &mut committer,
-                )?;
-                logits_value = outputs.swap_remove(pos);
-                &logits_value
-            }
-            None => {
-                let exec = execute_observed(
-                    &model.graph,
-                    std::slice::from_ref(&window),
-                    kernel,
-                    None,
-                    &mut committer,
-                )?;
-                logits_value = exec.value(model.logits)?.clone();
-                &logits_value
-            }
-        };
-        let step_root = committer.finish().root();
+        // Each token's forward pass gets its own trace root, so disputes
+        // land on one step, not the session.
+        let exec = execute(&model.graph, std::slice::from_ref(&window), kernel, None)?;
+        let step_root = TraceCommitment::build_with_params(&exec.values, &params).root();
+        let logits = exec.value(model.logits)?;
         let lane = logits.data()[logits.len() - cfg.vocab..].to_vec();
         let token = policy.select(&lane, step as u64).unwrap_or(0);
         chain.append(token as u64, &step_root);

@@ -47,6 +47,8 @@
 //! [`Tensor::conv2d`]: crate::Tensor::conv2d
 //! [`Tensor::matmul_reference`]: crate::Tensor::matmul_reference
 
+use std::borrow::Cow;
+
 use crate::accum::{AccumMode, KernelConfig};
 use crate::element::{Element, Scalar};
 
@@ -165,7 +167,8 @@ pub const MR: usize = 8;
 /// interleaved rows; the last block holds the `m % MR` leftover rows, if
 /// any. A block of `rows` rows stores reduction index `kk` of its row `r`
 /// at `block[kk * rows + r]`, so the packing holds exactly `m * k` values:
-/// no padded rows, and a one-row operand is its own row.
+/// no padded rows, and a one-row operand is its own row, so it borrows the
+/// caller's slice instead of copying it.
 ///
 /// Packing the lhs buys two things: each rhs panel row is loaded once and
 /// reused across a block's rows, and up to [`MR`] independent accumulation
@@ -174,16 +177,24 @@ pub const MR: usize = 8;
 /// output element's dot product still reduces in the exact scalar-oracle
 /// order.
 #[derive(Debug, Clone)]
-pub struct PackedLhs<T: Scalar> {
+pub struct PackedLhs<'a, T: Scalar> {
     m: usize,
     k: usize,
-    panels: Vec<T>,
+    panels: Cow<'a, [T]>,
 }
 
-impl<T: Scalar> PackedLhs<T> {
-    /// Packs a row-major `[m, k]` matrix (the `A` of `A @ B`).
-    pub fn from_row_major(a: &[T], m: usize, k: usize) -> Self {
+impl<'a, T: Scalar> PackedLhs<'a, T> {
+    /// Packs a row-major `[m, k]` matrix (the `A` of `A @ B`); a matrix of
+    /// at most one row is already packed and is borrowed.
+    pub fn from_row_major(a: &'a [T], m: usize, k: usize) -> Self {
         assert_eq!(a.len(), m * k, "lhs length mismatch");
+        if m <= 1 {
+            return PackedLhs {
+                m,
+                k,
+                panels: Cow::Borrowed(a),
+            };
+        }
         let mut panels = vec![T::ZERO; m * k];
         if k > 0 {
             for (src, dst) in a.chunks(MR * k).zip(panels.chunks_mut(MR * k)) {
@@ -196,7 +207,20 @@ impl<T: Scalar> PackedLhs<T> {
                 }
             }
         }
-        PackedLhs { m, k, panels }
+        PackedLhs {
+            m,
+            k,
+            panels: Cow::Owned(panels),
+        }
+    }
+
+    /// The same operand owning its packed values.
+    pub fn into_owned(self) -> PackedLhs<'static, T> {
+        PackedLhs {
+            m: self.m,
+            k: self.k,
+            panels: Cow::Owned(self.panels.into_owned()),
+        }
     }
 
     /// Output row count `m`.
@@ -885,7 +909,9 @@ mod tests {
         }
         // A one-row operand is its own row.
         let row = [3.0f32, -1.0, 2.5];
-        assert_eq!(PackedLhs::from_row_major(&row, 1, 3).panels, row);
+        let one = PackedLhs::from_row_major(&row, 1, 3);
+        assert!(matches!(one.panels, Cow::Borrowed(p) if p.as_ptr() == row.as_ptr()));
+        assert_eq!(one.into_owned().panels[..], row);
     }
 
     #[test]

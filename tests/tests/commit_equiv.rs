@@ -284,10 +284,10 @@ proptest! {
         let g = b.finish(vec![cur]).unwrap();
         let inputs = vec![Tensor::<f32>::rand_uniform(&[3, width], -1.0, 1.0, seed + 99)];
         let k = KernelConfig::reference();
-        // Post-hoc oracle over the trace executor's kept-alive values.
+        // Seed oracle over the trace executor's kept-alive values.
         let mut probe = StreamingCommitter::new(g.len());
         let trace = execute_observed(&g, &inputs, &k, None, &mut probe).unwrap();
-        let oracle = TraceCommitment::build(&trace.values);
+        let oracle = TraceCommitment::reference(&trace.values);
         prop_assert_eq!(probe.finish().root(), oracle.root(), "trace");
         // Pooled passes, cold and then warm on the same pool.
         let mut pool = BufferPool::new();
@@ -453,11 +453,12 @@ fn streamed_over(values: &[Tensor<f32>], params: &ParamDigests) -> TraceCommitme
 }
 
 /// The parameter table never changes a digest: on every bundled model the
-/// table-backed streamed commitments equal the
-/// `TraceCommitment::build` oracle on an honest pass (traced, and pooled
-/// cold and warm), with each parameter node perturbed in turn, with a
-/// reshaped view of a parameter (same buffer, other shape), and with a
-/// table built from the same topology under different weights.
+/// kept-trace batch build (with and without the table) and the
+/// table-backed streamed commitments equal the `TraceCommitment::reference`
+/// seed oracle on an honest pass (traced, and pooled cold and warm), with
+/// each parameter node perturbed in turn, with a reshaped view of a
+/// parameter (same buffer, other shape), and with a table built from the
+/// same topology under different weights.
 #[test]
 fn param_table_commitments_equal_oracle_on_every_bundled_model() {
     let k = KernelConfig::reference();
@@ -475,11 +476,16 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
         // Honest pass: every parameter node hits the table.
         let mut c = StreamingCommitter::with_params(g.len(), &table);
         let trace = execute_observed(g, &inputs, &k, None, &mut c).unwrap();
-        let oracle = TraceCommitment::build(&trace.values);
+        let oracle = TraceCommitment::reference(&trace.values);
         assert_eq!(
+            TraceCommitment::build(&trace.values),
             oracle,
-            TraceCommitment::reference(&trace.values),
-            "{name}: seed oracle"
+            "{name}: kept trace"
+        );
+        assert_eq!(
+            TraceCommitment::build_with_params(&trace.values, &table),
+            oracle,
+            "{name}: kept trace with table"
         );
         assert_eq!(c.finish(), oracle, "{name}: honest traced");
         let hits = (0..g.len())
@@ -507,13 +513,18 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
                 table.get(id.0, &cheat.values[id.0]).is_none(),
                 "{name}: {id} hit"
             );
-            let want = TraceCommitment::build(&cheat.values);
+            let want = TraceCommitment::reference(&cheat.values);
             assert_ne!(
                 want.root(),
                 oracle.root(),
                 "{name}: {id} perturbation invisible"
             );
             assert_eq!(c.finish(), want, "{name}: perturbed {id} streamed");
+            assert_eq!(
+                TraceCommitment::build_with_params(&cheat.values, &table),
+                want,
+                "{name}: perturbed {id} kept trace"
+            );
         }
 
         // A reshaped view shares the buffer but not the canonical header.
@@ -527,12 +538,17 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
         };
         assert!(view.shares_buffer(w));
         values[id.0] = view;
-        let want = TraceCommitment::build(&values);
+        let want = TraceCommitment::reference(&values);
         assert_ne!(want.root(), oracle.root(), "{name}: reshape invisible");
         assert_eq!(
             streamed_over(&values, &table),
             want,
             "{name}: reshape streamed"
+        );
+        assert_eq!(
+            TraceCommitment::build_with_params(&values, &table),
+            want,
+            "{name}: reshape kept trace"
         );
 
         // Same topology, different weights: the foreign table never hits.
@@ -543,6 +559,11 @@ fn param_table_commitments_equal_oracle_on_every_bundled_model() {
             streamed_over(&trace.values, &foreign),
             oracle,
             "{name}: foreign"
+        );
+        assert_eq!(
+            TraceCommitment::build_with_params(&trace.values, &foreign),
+            oracle,
+            "{name}: foreign kept trace"
         );
     }
 }

@@ -100,10 +100,10 @@ fn streamed_commitment(d: &Deployment, inputs: &[Tensor<f32>]) -> TraceCommitmen
     )
     .unwrap();
     let commitment = committer.finish();
-    // Streamed digests are bit-identical to the post-hoc oracle.
+    // Streamed digests are bit-identical to the seed oracle.
     assert_eq!(
         commitment.root(),
-        TraceCommitment::build(&trace.values).root()
+        TraceCommitment::reference(&trace.values).root()
     );
     commitment
 }
@@ -242,8 +242,9 @@ fn anchor_tree_off_its_committed_root_is_refused() {
 
 /// A session's `C0` trace root comes from the deployment's parameter
 /// table; a cheat planted on a parameter node (a fresh buffer, so a table
-/// miss) must still commit exactly the oracle's root over the cheating
-/// trace, and an honest session the oracle's root over the honest one.
+/// miss) must still commit exactly the seed oracle's root over the
+/// cheating trace, and an honest session the oracle's root over the honest
+/// one. Both equal a streaming committer's pass over the same inputs.
 #[test]
 fn parameter_cheat_session_root_equals_oracle() {
     let (d, inputs, _) = deployment();
@@ -269,18 +270,32 @@ fn parameter_cheat_session_root_equals_oracle() {
             ProposerBehavior::Malicious(p) => Some(p),
             ProposerBehavior::Honest => None,
         };
-        let oracle = TraceCommitment::build(
-            &execute(graph, &inputs, cfg.proposer.config(), perturb)
-                .unwrap()
-                .values,
-        )
-        .root();
+        let values = execute(graph, &inputs, cfg.proposer.config(), perturb)
+            .unwrap()
+            .values;
+        let oracle = TraceCommitment::reference(&values).root();
         let pending = SessionBuilder::new(&d, inputs.clone())
             .config(cfg.clone())
-            .behavior(behavior)
+            .behavior(behavior.clone())
             .prepare()
             .unwrap();
         assert_eq!(pending.trace_root(), oracle, "{label}");
+        // The batch commit equals the streaming committer's pass over the
+        // same inputs.
+        let mut committer = StreamingCommitter::with_params(graph.len(), &d.param_digests);
+        execute_observed(
+            graph,
+            &inputs,
+            cfg.proposer.config(),
+            perturb,
+            &mut committer,
+        )
+        .unwrap();
+        assert_eq!(
+            pending.trace_root(),
+            committer.finish().root(),
+            "{label}: streamed"
+        );
         roots.push(oracle);
     }
     assert_ne!(

@@ -175,14 +175,14 @@ fn decode_sessions_are_disputable_at_token_granularity() {
     for t in 0..6 {
         assert_eq!(longer.chain.root_at(t), commit.chain.root_at(t), "t={t}");
     }
-    // Every step root equals the post-hoc oracle over a traced execution
-    // of that step's window (the prompt shifted left by the tokens so far).
+    // Every step root equals the seed oracle over a traced execution of
+    // that step's window (the prompt shifted left by the tokens so far).
     let mut window = prompt.clone();
     for (t, step) in steps.iter().enumerate() {
         let trace = execute(&model.graph, std::slice::from_ref(&window), &k, None).unwrap();
         assert_eq!(
             commit.step_roots[t],
-            TraceCommitment::build(&trace.values).root(),
+            TraceCommitment::reference(&trace.values).root(),
             "step {t}"
         );
         let mut ids = window.data()[1..].to_vec();
