@@ -16,15 +16,21 @@
 //!
 //! The headline number — single-thread 256x256 f32 matmul speedup over the
 //! seed scalar loop under the reference config — is recorded in BENCH.md
-//! and asserted ≥ 4x here (outside smoke mode). The last table times the
-//! percentile profile's integer-key sort against the seed float sort
-//! (asserted ≥ 1.5x at every size outside smoke mode).
+//! and asserted ≥ 4x here (outside smoke mode). The percentile-profile
+//! table times the integer-key sort against the seed float sort
+//! (asserted ≥ 1.5x at every size outside smoke mode), and the last table
+//! times the calibration sweep, which profiles each error multiset once,
+//! against `calibrate_reference` (asserted ≥ 1.1x on qwen-deep8 outside
+//! smoke mode).
 
+use std::cell::RefCell;
 use std::io::Write as _;
 use std::time::Instant;
 
 use tao_bench::{paired, print_table};
-use tao_calib::{grid_profile, grid_profile_reference};
+use tao_calib::{calibrate, calibrate_reference, grid_profile, grid_profile_reference};
+use tao_device::Fleet;
+use tao_models::{data, qwen, resnet, QwenConfig, ResNetConfig};
 use tao_tensor::kernel::{gemm, gemm_packed_into, PackedLhs, PackedRhs};
 use tao_tensor::quant::{quant_gemm_into, quant_gemm_reference, quantize_symmetric};
 use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathElement, MathLib, Shape, Tensor};
@@ -441,6 +447,82 @@ fn profile_table(samples: usize, smoke: bool) {
     }
 }
 
+/// Calibration-sweep table: `calibrate` (relayout nodes reuse their
+/// input's profile) against `calibrate_reference` (every node profiled in
+/// every device pair) on the standard fleet, as alternating repetitions.
+/// Every repetition's record is bit-compared with the reference record.
+/// qwen-deep8 has a quarter of its profiled elements in relayout nodes;
+/// resnet-small has almost none and is the control (about 1.0x, no floor).
+/// The floor (outside smoke mode) is 1.1x on qwen-deep8's median
+/// per-repetition ratio.
+fn calibration_table(reps: usize, smoke: bool) {
+    let n = if smoke { 2 } else { 16 };
+    let deep = QwenConfig::deep(8);
+    let res = ResNetConfig::small();
+    let models = [
+        (
+            "qwen-deep8",
+            qwen::build(deep, 31),
+            data::token_dataset(n, deep.seq, deep.vocab, 2_500),
+        ),
+        (
+            "resnet-small",
+            resnet::build(res, 17),
+            data::image_dataset(n, res.in_channels, res.image, res.classes, 3_000),
+        ),
+    ];
+    let fleet = Fleet::standard();
+    let mut rows = Vec::new();
+    let mut deep8 = f64::NAN;
+    for (name, model, samples) in &models {
+        let graph = &model.graph;
+        let oracle = calibrate_reference(graph, samples, &fleet).expect("calibrate");
+        let records = RefCell::new(Vec::new());
+        let p = paired(
+            reps,
+            || {
+                records
+                    .borrow_mut()
+                    .push(calibrate_reference(graph, samples, &fleet))
+            },
+            || records.borrow_mut().push(calibrate(graph, samples, &fleet)),
+        );
+        for record in records.into_inner() {
+            assert!(
+                record.expect("calibrate").bit_eq(&oracle),
+                "{name}: calibration record drifted from calibrate_reference"
+            );
+        }
+        if *name == "qwen-deep8" {
+            deep8 = p.speedup;
+        }
+        rows.push(vec![
+            name.to_string(),
+            format!("{}", graph.traced_nodes().len()),
+            format!("{n}"),
+            format!("{:.1}ms", 1e3 * p.seed),
+            format!("{:.1}ms", 1e3 * p.fast),
+            format!("{:.2}x", p.speedup),
+        ]);
+    }
+    print_table(
+        &format!(
+            "Kernel microbench — calibration sweep, every node profiled vs relayouts reusing their input's profile, standard fleet, {} threads (median of {reps} paired ratios, records bit-identical)",
+            tao_tensor::kernel::host_threads().min(8)
+        ),
+        &["model", "nodes", "samples", "reference", "reuse", "speedup"],
+        &rows,
+    );
+    if smoke {
+        println!("(smoke mode: 1.1x calibration floor not asserted)");
+    } else {
+        assert!(
+            deep8 >= 1.1,
+            "qwen-deep8 calibration ran at {deep8:.2}x calibrate_reference, below the 1.1x floor"
+        );
+    }
+}
+
 fn fleet_configs() -> Vec<(&'static str, KernelConfig)> {
     vec![
         ("reference (seq, no fma)", KernelConfig::reference()),
@@ -811,6 +893,9 @@ fn main() {
 
     // --- percentile profiles: calibration's, screening's and disputes' sort
     profile_table(if smoke { 5 } else { 21 }, smoke);
+
+    // --- calibration sweep: each error multiset profiled once ----------
+    calibration_table(if smoke { 3 } else { 15 }, smoke);
 
     println!(
         "\nAll timed pairs bit-compared against the scalar oracles: OK.\n\

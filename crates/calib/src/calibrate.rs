@@ -3,13 +3,13 @@
 use std::collections::HashMap;
 
 use tao_device::Fleet;
-use tao_graph::{execute, Graph, NodeId};
+use tao_graph::{execute, Execution, Graph, NodeId, Relayout};
 use tao_tensor::Tensor;
 
 use crate::error::CalibError;
 use crate::percentile::grid_profile_keys;
 use crate::profile::{
-    error_keys_into, OperatorThreshold, PercentilePair, ThresholdBundle, DEFAULT_EPS,
+    abs_error_sum, error_keys_into, OperatorThreshold, PercentilePair, ThresholdBundle, DEFAULT_EPS,
 };
 use crate::Result;
 
@@ -33,6 +33,35 @@ pub struct CalibrationRecord {
 }
 
 impl CalibrationRecord {
+    /// True when `other` has the same nodes and mnemonics and, bit for
+    /// bit, the same envelopes, sequences and mean errors.
+    pub fn bit_eq(&self, other: &CalibrationRecord) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let pairs_eq = |a: &[PercentilePair], b: &[PercentilePair]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| bits(&x.abs) == bits(&y.abs) && bits(&x.rel) == bits(&y.rel))
+        };
+        self.nodes == other.nodes
+            && self.mnemonics == other.mnemonics
+            && pairs_eq(&self.envelopes, &other.envelopes)
+            && self.sequences.len() == other.sequences.len()
+            && self.sequences.iter().all(|(node, seq)| {
+                other
+                    .sequences
+                    .get(node)
+                    .is_some_and(|theirs| pairs_eq(seq, theirs))
+            })
+            && self.mean_abs.len() == other.mean_abs.len()
+            && self.mean_abs.iter().all(|(node, mean)| {
+                other
+                    .mean_abs
+                    .get(node)
+                    .is_some_and(|theirs| theirs.to_bits() == mean.to_bits())
+            })
+    }
+
     /// Builds the committed threshold bundle with safety factor `alpha`
     /// from the raw max envelope (Eq. 5–7).
     pub fn into_thresholds(self, alpha: f64) -> ThresholdBundle {
@@ -87,13 +116,25 @@ impl CalibrationRecord {
 
 /// Runs the offline cross-device calibration: every sample is executed on
 /// every fleet device, and per-operator error percentile profiles are
-/// collected over all ordered device pairs (Eq. 1–6).
+/// collected over every unordered device pair (Eq. 1–6). Each pair
+/// `(j, k)` with `j` before `k` in fleet order is visited once, and its
+/// relative errors are taken relative to device `j`'s output.
+///
+/// Each distinct error multiset is profiled once. A relayout node
+/// ([`OpKind::relayout`]) whose input is a traced node has its input's
+/// errors in every device pair, so it takes its input's profile; an
+/// in-order relayout takes its input's error sum too, and a permuting one
+/// adds its own errors up in its own element order, as
+/// [`calibrate_reference`] does. The record is bit-identical to that
+/// oracle's.
 ///
 /// Samples are swept in parallel (scoped threads), each worker owning a
 /// contiguous chunk of samples. Workers return their results through their
 /// join handles and the merge runs after the scope: envelopes are
 /// max-folds (order-free), and each sample's error sum is added in sample
 /// order, so the record is the same for any thread count.
+///
+/// [`OpKind::relayout`]: tao_graph::OpKind::relayout
 ///
 /// # Errors
 ///
@@ -103,32 +144,89 @@ pub fn calibrate(
     samples: &[Vec<Tensor<f32>>],
     fleet: &Fleet,
 ) -> Result<CalibrationRecord> {
+    calibrate_with_threads(graph, samples, fleet, default_threads())
+}
+
+/// [`calibrate`] on at most `threads` workers.
+pub(crate) fn calibrate_with_threads(
+    graph: &Graph,
+    samples: &[Vec<Tensor<f32>>],
+    fleet: &Fleet,
+    threads: usize,
+) -> Result<CalibrationRecord> {
+    let nodes = graph.traced_nodes();
+    let sources = relayout_sources(graph, &nodes);
+    sweep(graph, samples, fleet, &nodes, threads, |traces| {
+        sample_errors(traces, &nodes, &sources)
+    })
+}
+
+/// The seed calibration, which profiles every node in every device pair:
+/// the oracle [`calibrate`] must match bit for bit.
+///
+/// # Errors
+///
+/// As [`calibrate`].
+pub fn calibrate_reference(
+    graph: &Graph,
+    samples: &[Vec<Tensor<f32>>],
+    fleet: &Fleet,
+) -> Result<CalibrationRecord> {
+    let nodes = graph.traced_nodes();
+    sweep(graph, samples, fleet, &nodes, default_threads(), |traces| {
+        sample_errors_reference(traces, &nodes)
+    })
+}
+
+fn default_threads() -> usize {
+    tao_tensor::kernel::host_threads().min(8)
+}
+
+/// The sweep both calibrations share: executes every sample on every
+/// device, hands each sample's traces to `profile`, and merges the
+/// per-sample results into the record.
+fn sweep(
+    graph: &Graph,
+    samples: &[Vec<Tensor<f32>>],
+    fleet: &Fleet,
+    compute_nodes: &[NodeId],
+    threads: usize,
+    profile: impl Fn(&[Execution]) -> Result<SampleErrors> + Sync,
+) -> Result<CalibrationRecord> {
     if fleet.len() < 2 {
         return Err(CalibError::NotEnoughDevices(fleet.len()));
     }
     if samples.is_empty() {
         return Err(CalibError::NoSamples);
     }
-    let compute_nodes = graph.traced_nodes();
     let mnemonics: Vec<String> = compute_nodes
         .iter()
         .map(|&id| graph.node(id).map(|n| n.kind.mnemonic().to_string()))
         .collect::<core::result::Result<_, _>>()
         .map_err(|e| CalibError::Graph(e.to_string()))?;
 
-    let threads = tao_tensor::kernel::host_threads().min(8);
     let chunk = samples.len().div_ceil(threads);
+    let profile = &profile;
+    let run_sample = |sample: &[Tensor<f32>]| {
+        let traces = fleet
+            .devices()
+            .iter()
+            .map(|dev| execute(graph, sample, dev.config(), None))
+            .collect::<core::result::Result<Vec<_>, _>>()
+            .map_err(|e| CalibError::Graph(e.to_string()))?;
+        profile(&traces)
+    };
     // Joining every handle inside the scope keeps a worker panic from
     // propagating; it surfaces as `CalibError::Worker` below.
     let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = samples
             .chunks(chunk)
             .map(|sample_chunk| {
-                let compute_nodes = &compute_nodes;
+                let run_sample = &run_sample;
                 scope.spawn(move || {
                     sample_chunk
                         .iter()
-                        .map(|sample| sample_errors(graph, sample, fleet, compute_nodes))
+                        .map(|sample| run_sample(sample))
                         .collect::<Result<Vec<_>>>()
                 })
             })
@@ -160,7 +258,7 @@ pub fn calibrate(
         .map(|(&node, &(sum, count))| (node, if count == 0 { 0.0 } else { sum / count as f64 }))
         .collect();
     Ok(CalibrationRecord {
-        nodes: compute_nodes,
+        nodes: compute_nodes.to_vec(),
         mnemonics,
         envelopes,
         sequences,
@@ -169,24 +267,85 @@ pub fn calibrate(
 }
 
 /// One sample's result per compute node: its profile envelope across the
-/// ordered device pairs, and the `(sum, count)` of its absolute errors.
+/// unordered device pairs, and the `(sum, count)` of its absolute errors.
 type SampleErrors = Vec<(PercentilePair, (f64, u64))>;
 
-/// Executes one sample on every fleet device and folds the per-node error
-/// profiles over all device pairs. One pair of key buffers serves every
-/// device pair and node.
-fn sample_errors(
-    graph: &Graph,
-    sample: &[Tensor<f32>],
-    fleet: &Fleet,
-    compute_nodes: &[NodeId],
-) -> Result<SampleErrors> {
-    let traces = fleet
-        .devices()
+/// Per compute node, the relayout it is and the position in
+/// `compute_nodes` of the traced input whose errors it shares, or `None`
+/// for a node profiled on its own (every other op, and a relayout of an
+/// input or a parameter, which has no trace to share). Inputs precede
+/// their consumers, so a source always sits earlier than its node.
+fn relayout_sources(graph: &Graph, compute_nodes: &[NodeId]) -> Vec<Option<(Relayout, usize)>> {
+    let mut position = vec![None; graph.len()];
+    for (ci, &id) in compute_nodes.iter().enumerate() {
+        position[id.0] = Some(ci);
+    }
+    compute_nodes
         .iter()
-        .map(|dev| execute(graph, sample, dev.config(), None))
-        .collect::<core::result::Result<Vec<_>, _>>()
-        .map_err(|e| CalibError::Graph(e.to_string()))?;
+        .map(|&id| {
+            let node = &graph.nodes()[id.0];
+            match node.kind.relayout() {
+                Relayout::Other => None,
+                relayout => Some((relayout, position[node.inputs.first()?.0]?)),
+            }
+        })
+        .collect()
+}
+
+fn shape_mismatch(node: NodeId, a: &Tensor<f32>, b: &Tensor<f32>) -> CalibError {
+    CalibError::Graph(format!(
+        "node {node}: devices disagree on its shape ({:?} vs {:?})",
+        a.dims(),
+        b.dims()
+    ))
+}
+
+/// Folds one sample's per-node error profiles over the device pairs,
+/// profiling each distinct error multiset once (see [`calibrate`]). One
+/// pair of key buffers serves every device pair and node.
+fn sample_errors(
+    traces: &[Execution],
+    compute_nodes: &[NodeId],
+    sources: &[Option<(Relayout, usize)>],
+) -> Result<SampleErrors> {
+    let mut out = vec![(PercentilePair::zero(), (0.0, 0)); compute_nodes.len()];
+    let (mut abs, mut rel) = (Vec::new(), Vec::new());
+    for j in 0..traces.len() {
+        for k in j + 1..traces.len() {
+            for ((slot, &node), source) in out.iter_mut().zip(compute_nodes).zip(sources) {
+                let a = &traces[j].values[node.0];
+                let b = &traces[k].values[node.0];
+                let sum = match source {
+                    Some((Relayout::InOrder, _)) => continue,
+                    Some(_) => abs_error_sum(a, b),
+                    None => error_keys_into(a, b, DEFAULT_EPS, &mut abs, &mut rel).inspect(|_| {
+                        slot.0.envelope(&PercentilePair {
+                            abs: grid_profile_keys(&mut abs),
+                            rel: grid_profile_keys(&mut rel),
+                        })
+                    }),
+                }
+                .ok_or_else(|| shape_mismatch(node, a, b))?;
+                slot.1 .0 += sum;
+                slot.1 .1 += a.len() as u64;
+            }
+        }
+    }
+    // Every device pair gave a relayout its source's profile, so the
+    // envelopes over the pairs are equal too; node order resolves chains.
+    for ci in 0..out.len() {
+        match sources[ci] {
+            Some((Relayout::InOrder, src)) => out[ci] = out[src].clone(),
+            Some((_, src)) => out[ci].0 = out[src].0.clone(),
+            None => {}
+        }
+    }
+    Ok(out)
+}
+
+/// The seed body of [`sample_errors`]: every node profiled in every
+/// device pair.
+fn sample_errors_reference(traces: &[Execution], compute_nodes: &[NodeId]) -> Result<SampleErrors> {
     let mut out = vec![(PercentilePair::zero(), (0.0, 0)); compute_nodes.len()];
     let (mut abs, mut rel) = (Vec::new(), Vec::new());
     for j in 0..traces.len() {
@@ -194,14 +353,8 @@ fn sample_errors(
             for (slot, &node) in out.iter_mut().zip(compute_nodes) {
                 let a = &traces[j].values[node.0];
                 let b = &traces[k].values[node.0];
-                let sum =
-                    error_keys_into(a, b, DEFAULT_EPS, &mut abs, &mut rel).ok_or_else(|| {
-                        CalibError::Graph(format!(
-                            "node {node}: devices disagree on its shape ({:?} vs {:?})",
-                            a.dims(),
-                            b.dims()
-                        ))
-                    })?;
+                let sum = error_keys_into(a, b, DEFAULT_EPS, &mut abs, &mut rel)
+                    .ok_or_else(|| shape_mismatch(node, a, b))?;
                 slot.0.envelope(&PercentilePair {
                     abs: grid_profile_keys(&mut abs),
                     rel: grid_profile_keys(&mut rel),
@@ -357,6 +510,26 @@ mod tests {
                 (sum / count as f64).to_bits(),
                 "node {node}"
             );
+        }
+    }
+
+    #[test]
+    fn record_is_the_same_at_every_worker_count() {
+        // A relayout chain over the matmul, so reused profiles and sums
+        // are merged across workers too.
+        let mut b = GraphBuilder::new(1);
+        let x = b.input(0, "x");
+        let w = b.parameter("w", Tensor::<f32>::rand_uniform(&[96, 32], -1.0, 1.0, 1));
+        let m = b.op("m", OpKind::MatMul, &[x, w]);
+        let t = b.op("t", OpKind::Transpose(0, 1), &[m]);
+        let r = b.op("r", OpKind::Reshape(vec![8, 16]), &[t]);
+        let s = b.op("s", OpKind::Softmax, &[r]);
+        let g = b.finish(vec![s]).unwrap();
+        let (samples, fleet) = (dataset(8), Fleet::standard());
+        let want = calibrate_reference(&g, &samples, &fleet).unwrap();
+        for threads in [1, 2, 3, 8] {
+            let got = calibrate_with_threads(&g, &samples, &fleet, threads).unwrap();
+            assert!(got.bit_eq(&want), "{threads} workers");
         }
     }
 

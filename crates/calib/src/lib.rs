@@ -17,7 +17,7 @@ pub mod percentile;
 pub mod profile;
 pub mod stability;
 
-pub use calibrate::{calibrate, CalibrationRecord};
+pub use calibrate::{calibrate, calibrate_reference, CalibrationRecord};
 pub use cap::CapCurve;
 pub use error::CalibError;
 pub use estimator::{smoothed_envelope, TailEstimator};

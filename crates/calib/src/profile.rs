@@ -65,8 +65,8 @@ pub fn elementwise_errors(a: &Tensor<f32>, b: &Tensor<f32>, eps: f64) -> (Vec<f6
 /// The error kernel behind every profile: writes the `to_bits()` keys of
 /// the finite absolute and relative errors of `a` against `b` (Eq. 1–2)
 /// into `abs`/`rel` in element order, as [`grid_profile_keys`] takes them.
-/// Both buffers are cleared first and keep their capacity, so a
-/// calibration worker reuses one pair across every device pair and node.
+/// Both buffers are overwritten and keep their capacity, so a calibration
+/// worker reuses one pair across every device pair and node.
 ///
 /// Returns the sum of all `n` absolute errors, non-finite ones included,
 /// added in element order (the numerator of the committed mean error), or
@@ -81,24 +81,39 @@ pub fn error_keys_into(
     if a.dims() != b.dims() {
         return None;
     }
-    abs.clear();
-    rel.clear();
-    abs.reserve(a.len());
-    rel.reserve(a.len());
-    let mut sum = 0.0;
+    // Branch-free: every key is written to the next free slot, which a
+    // finite key then keeps by advancing past it.
+    abs.resize(a.len(), 0);
+    rel.resize(a.len(), 0);
+    let (mut n_abs, mut n_rel, mut sum) = (0, 0, 0.0);
     for (&x, &y) in a.data().iter().zip(b.data()) {
         let (x, y) = (x as f64, y as f64);
         let d = (x - y).abs();
         let r = d / (x.abs() + eps);
         sum += d;
-        if d.is_finite() {
-            abs.push(d.to_bits());
-        }
-        if r.is_finite() {
-            rel.push(r.to_bits());
-        }
+        abs[n_abs] = d.to_bits();
+        n_abs += d.is_finite() as usize;
+        rel[n_rel] = r.to_bits();
+        n_rel += r.is_finite() as usize;
     }
+    abs.truncate(n_abs);
+    rel.truncate(n_rel);
     Some(sum)
+}
+
+/// The sum [`error_keys_into`] returns, without the keys: every absolute
+/// error of `a` against `b` added in element order, or `None` when the
+/// shapes differ.
+pub(crate) fn abs_error_sum(a: &Tensor<f32>, b: &Tensor<f32>) -> Option<f64> {
+    if a.dims() != b.dims() {
+        return None;
+    }
+    Some(
+        a.data()
+            .iter()
+            .zip(b.data())
+            .fold(0.0, |sum, (&x, &y)| sum + (x as f64 - y as f64).abs()),
+    )
 }
 
 /// Percentile profiles of the element-wise errors between two outputs

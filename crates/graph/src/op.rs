@@ -271,6 +271,69 @@ impl OpKind {
         )
     }
 
+    /// How this operator's output elements relate to its single input's.
+    ///
+    /// A relayout moves elements without arithmetic, so on any two
+    /// devices its per-element errors are exactly its input's: the same
+    /// sequence ([`Relayout::InOrder`]) or the same multiset in another
+    /// order ([`Relayout::Permuted`]). Calibration profiles each such
+    /// multiset once.
+    pub fn relayout(&self) -> Relayout {
+        match self {
+            OpKind::Reshape(_) | OpKind::Flatten | OpKind::FlattenFrom(_) | OpKind::Identity => {
+                Relayout::InOrder
+            }
+            OpKind::Transpose(_, _) | OpKind::Permute(_) => Relayout::Permuted,
+            OpKind::Input(_)
+            | OpKind::Parameter(_)
+            | OpKind::Add
+            | OpKind::Sub
+            | OpKind::Mul
+            | OpKind::Div
+            | OpKind::Pow
+            | OpKind::Neg
+            | OpKind::AddScalar(_)
+            | OpKind::MulScalar(_)
+            | OpKind::PowScalar(_)
+            | OpKind::Sqrt
+            | OpKind::Rsqrt
+            | OpKind::Exp
+            | OpKind::Log
+            | OpKind::Sin
+            | OpKind::Cos
+            | OpKind::Tanh
+            | OpKind::Relu
+            | OpKind::Gelu
+            | OpKind::Silu
+            | OpKind::Sigmoid
+            | OpKind::Softmax
+            | OpKind::LayerNorm { .. }
+            | OpKind::RmsNorm { .. }
+            | OpKind::BatchNorm2d { .. }
+            | OpKind::GroupNorm { .. }
+            | OpKind::MatMul
+            | OpKind::Linear
+            | OpKind::Conv2d { .. }
+            | OpKind::QuantMatmul
+            | OpKind::QuantLinear
+            | OpKind::Quantize { .. }
+            | OpKind::Dequantize { .. }
+            | OpKind::MeanAll
+            | OpKind::SumAll
+            | OpKind::SumAxis(_)
+            | OpKind::MeanAxis(_)
+            | OpKind::MaxAxis(_)
+            | OpKind::MaxPool2d { .. }
+            | OpKind::AvgPool2d { .. }
+            | OpKind::AdaptiveAvgPool1x1
+            | OpKind::UpsampleNearest(_)
+            | OpKind::Slice { .. }
+            | OpKind::Concat(_)
+            | OpKind::Embedding
+            | OpKind::MaskedFill(_) => Relayout::Other,
+        }
+    }
+
     /// Floating-point operation count given the input shapes (in operand
     /// order) and the output shape, following the usual multiply-add =
     /// 2 FLOPs convention.
@@ -366,6 +429,19 @@ impl OpKind {
     }
 }
 
+/// The answer of [`OpKind::relayout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relayout {
+    /// The single input's elements in the same order (reshape, flatten,
+    /// identity).
+    InOrder,
+    /// The single input's elements, permuted (transpose, permute).
+    Permuted,
+    /// Every other operator: it computes, selects, fills, duplicates or
+    /// gathers elements, or has no input.
+    Other,
+}
+
 impl core::fmt::Display for OpKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}", self.mnemonic())
@@ -402,6 +478,38 @@ mod tests {
         ] {
             assert!(op.is_structural(), "{op}");
             assert_eq!(op.flops([&s].into_iter(), &s), 0, "{op}");
+        }
+    }
+
+    #[test]
+    fn relayouts_are_the_arithmetic_free_single_input_moves() {
+        for op in [
+            OpKind::Reshape(vec![16]),
+            OpKind::Flatten,
+            OpKind::FlattenFrom(1),
+            OpKind::Identity,
+        ] {
+            assert_eq!(op.relayout(), Relayout::InOrder, "{op}");
+        }
+        for op in [OpKind::Transpose(0, 1), OpKind::Permute(vec![1, 0])] {
+            assert_eq!(op.relayout(), Relayout::Permuted, "{op}");
+        }
+        // Structural ops that select, fill, gather or negate are not.
+        for op in [
+            OpKind::Input(0),
+            OpKind::Parameter("w".into()),
+            OpKind::Slice {
+                axis: 0,
+                start: 0,
+                end: 1,
+            },
+            OpKind::Concat(0),
+            OpKind::Embedding,
+            OpKind::MaskedFill(0.0),
+            OpKind::Neg,
+            OpKind::UpsampleNearest(2),
+        ] {
+            assert_eq!(op.relayout(), Relayout::Other, "{op}");
         }
     }
 

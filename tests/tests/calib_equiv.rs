@@ -8,16 +8,19 @@
 //! fused error kernel behind `error_profile` against the element-wise
 //! oracle, pins the threshold roots of every bundled model to the values
 //! the seed sort produced, and mutates committed threshold leaves bit by
-//! bit to show the decoder fails closed.
+//! bit to show the decoder fails closed. `calibrate`, which profiles each
+//! distinct error multiset once, must also produce the record of
+//! `calibrate_reference`, which profiles every node in every device pair.
 
 use proptest::prelude::*;
 use tao::deploy;
 use tao_calib::{
-    elementwise_errors, error_profile, grid_profile, grid_profile_reference, threshold_from_json,
-    threshold_to_json, CalibError, OperatorThreshold, PercentilePair, DEFAULT_EPS, PERCENTILE_GRID,
+    calibrate, calibrate_reference, elementwise_errors, error_profile, grid_profile,
+    grid_profile_reference, threshold_from_json, threshold_to_json, CalibError, CalibrationRecord,
+    OperatorThreshold, PercentilePair, TailEstimator, DEFAULT_EPS, PERCENTILE_GRID,
 };
 use tao_device::Fleet;
-use tao_graph::NodeId;
+use tao_graph::{Graph, GraphBuilder, NodeId, OpKind, Relayout};
 use tao_merkle::{sha256, to_hex};
 use tao_models::{
     bert, data, diffusion, quantize_linears, qwen, resnet, transformer, BertConfig,
@@ -322,4 +325,135 @@ fn threshold_roots_match_the_seed_sort_for_every_bundled_model() {
             "{name}: threshold JSON"
         );
     }
+}
+
+/// Asserts that `fast` equals `oracle` field by field, floats by their bits.
+fn assert_records_bit_equal(name: &str, fast: &CalibrationRecord, oracle: &CalibrationRecord) {
+    assert_eq!(fast.nodes, oracle.nodes, "{name}: nodes");
+    assert_eq!(fast.mnemonics, oracle.mnemonics, "{name}: mnemonics");
+    assert_eq!(fast.envelopes.len(), oracle.envelopes.len(), "{name}");
+    assert_eq!(fast.sequences.len(), oracle.sequences.len(), "{name}");
+    assert_eq!(fast.mean_abs.len(), oracle.mean_abs.len(), "{name}");
+    let pair_bits = |p: &PercentilePair| (bits(&p.abs), bits(&p.rel));
+    for (i, (f, o)) in fast.envelopes.iter().zip(&oracle.envelopes).enumerate() {
+        assert_eq!(
+            pair_bits(f),
+            pair_bits(o),
+            "{name}: envelope of {}",
+            fast.nodes[i]
+        );
+    }
+    for node in &oracle.nodes {
+        let seq =
+            |r: &CalibrationRecord| r.sequences[node].iter().map(pair_bits).collect::<Vec<_>>();
+        assert_eq!(seq(fast), seq(oracle), "{name}: sequences of {node}");
+        assert_eq!(
+            fast.mean_abs[node].to_bits(),
+            oracle.mean_abs[node].to_bits(),
+            "{name}: mean_abs of {node}"
+        );
+    }
+    assert!(
+        fast.bit_eq(oracle),
+        "{name}: bit_eq disagrees with the field check"
+    );
+}
+
+#[test]
+fn calibration_reusing_relayout_profiles_equals_the_reference() {
+    let fleet = Fleet::standard();
+    for (name, model, samples) in calibration_zoo() {
+        let graph = &model.graph;
+        let fast = calibrate(graph, &samples, &fleet).unwrap();
+        let oracle = calibrate_reference(graph, &samples, &fleet).unwrap();
+        assert_records_bit_equal(name, &fast, &oracle);
+        for estimator in [TailEstimator::RawMax, TailEstimator::SmoothedTail { k: 4 }] {
+            assert_eq!(
+                fast.clone()
+                    .into_thresholds_with(3.0, estimator)
+                    .to_leaves(),
+                oracle
+                    .clone()
+                    .into_thresholds_with(3.0, estimator)
+                    .to_leaves(),
+                "{name}: {estimator:?} leaves"
+            );
+        }
+    }
+}
+
+/// A graph of every relayout: the chain Reshape→Permute→Transpose→
+/// Identity→Flatten→FlattenFrom over a matmul, relayouts of an input and
+/// of a parameter (no traced source: profiled on their own), and a
+/// `MaskedFill(-inf)` feeding a Permute (its non-finite errors are
+/// dropped from the keys and make its sum NaN).
+fn relayout_graph() -> Graph {
+    let mut b = GraphBuilder::new(1);
+    let x = b.input(0, "x");
+    // The last column 2^52 times the others: the small errors sit near
+    // the ulp of a sum holding a large one, so the f64 sum depends on
+    // whether they are added before or after it.
+    let mut w = Tensor::<f32>::rand_uniform(&[24, 24], -1.0, 1.0, 7);
+    for (i, v) in w.data_mut().iter_mut().enumerate() {
+        *v *= 2f32.powi(if i % 24 == 23 { 20 } else { -32 });
+    }
+    let w = b.parameter("w", w);
+    let mut mask = Tensor::<f32>::zeros(&[4, 24]);
+    for (i, m) in mask.data_mut().iter_mut().enumerate() {
+        *m = (i % 5 == 0) as u8 as f32;
+    }
+    let mask = b.parameter("mask", mask);
+    let m = b.op("m", OpKind::MatMul, &[x, w]);
+    let r = b.op("r", OpKind::Reshape(vec![4, 4, 6]), &[m]);
+    let p = b.op("p", OpKind::Permute(vec![2, 0, 1]), &[r]);
+    let t = b.op("t", OpKind::Transpose(0, 2), &[p]);
+    let i = b.op("i", OpKind::Identity, &[t]);
+    let f = b.op("f", OpKind::Flatten, &[i]);
+    let ff = b.op("ff", OpKind::FlattenFrom(1), &[f]);
+    let xt = b.op("xt", OpKind::Transpose(0, 1), &[x]);
+    let wr = b.op("wr", OpKind::Reshape(vec![576]), &[w]);
+    let filled = b.op("filled", OpKind::MaskedFill(f64::NEG_INFINITY), &[m, mask]);
+    let fp = b.op("fp", OpKind::Permute(vec![1, 0]), &[filled]);
+    b.finish(vec![ff, xt, wr, fp]).unwrap()
+}
+
+#[test]
+fn relayout_chains_and_non_finite_errors_equal_the_reference() {
+    let graph = relayout_graph();
+    let samples: Vec<_> = (0..5)
+        .map(|i| vec![Tensor::<f32>::rand_uniform(&[4, 24], -2.0, 2.0, 70 + i)])
+        .collect();
+    let fleet = Fleet::standard();
+    let fast = calibrate(&graph, &samples, &fleet).unwrap();
+    let oracle = calibrate_reference(&graph, &samples, &fleet).unwrap();
+    assert_records_bit_equal("relayout graph", &fast, &oracle);
+    let node = |name: &str| {
+        graph
+            .nodes()
+            .iter()
+            .find(|n| n.name == name)
+            .map(|n| n.id)
+            .unwrap()
+    };
+    let mean = |name: &str| oracle.mean_abs[&node(name)].to_bits();
+    // The permute's errors add up, in its order, to another sum than its
+    // source's: reusing the source's sum would fail the check above.
+    assert_eq!(
+        graph.node(node("p")).unwrap().kind.relayout(),
+        Relayout::Permuted
+    );
+    assert_ne!(
+        mean("p"),
+        mean("r"),
+        "the permuted sum must differ in order"
+    );
+    assert!(f64::from_bits(mean("m")) > 0.0);
+    assert!(f64::from_bits(mean("fp")).is_nan());
+    // The masked fill's finite errors still profile to real percentiles.
+    let filled = oracle
+        .nodes
+        .iter()
+        .position(|&n| n == node("filled"))
+        .unwrap();
+    assert!(oracle.envelopes[filled].abs.iter().any(|&v| v > 0.0));
 }
