@@ -13,47 +13,16 @@
 //! `--smoke` for the seconds-scale CI variant. Set `CRITERION_CSV=<path>`
 //! to append figure-ready CSV rows.
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use tao_analysis::analyze;
-use tao_bench::print_table;
+use tao_bench::{export_csv, print_table};
 use tao_graph::{execute_with_stats, forward_with_stats, BufferPool};
 use tao_models::{
     bert, data, diffusion, qwen, resnet, transformer, BertConfig, DiffusionConfig, Model,
     QwenConfig, ResNetConfig, TransformerConfig,
 };
 use tao_tensor::{KernelConfig, Tensor};
-
-fn export_csv(id: &str, secs: f64, units: u64) {
-    let Ok(path) = std::env::var("CRITERION_CSV") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let exists = std::path::Path::new(&path).exists();
-    let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    else {
-        eprintln!("analysis: CSV export to {path} failed to open");
-        return;
-    };
-    if !exists {
-        let _ = writeln!(
-            file,
-            "id,samples,min_ns,mean_ns,median_ns,stddev_ns,throughput_unit,throughput_per_iter,outliers_rejected"
-        );
-    }
-    let ns = (secs * 1e9) as u128;
-    let _ = writeln!(
-        file,
-        "{},1,{ns},{ns},{ns},0,elements,{units},0",
-        id.replace(',', ";")
-    );
-}
 
 fn bundled(name: &str) -> (Model, Vec<Tensor<f32>>) {
     match name {
@@ -149,11 +118,13 @@ fn main() {
         export_csv(
             &format!("analysis/static/{name}"),
             static_secs,
+            "elements",
             measured_flops,
         );
         export_csv(
             &format!("analysis/measured/{name}"),
             exec_secs,
+            "elements",
             measured_flops,
         );
         rows.push(vec![

@@ -19,42 +19,11 @@
 //! are asserted on every run, smoke included — this binary failing IS the
 //! regression signal.
 
-use std::io::Write as _;
 use std::time::Instant;
 
-use tao_bench::print_table;
+use tao_bench::{export_csv, print_table};
 use tao_calib::TailEstimator;
 use tao_campaign::{Campaign, CampaignConfig};
-
-fn export_criterion_csv(id: &str, secs: f64, claims: u64) {
-    let Ok(path) = std::env::var("CRITERION_CSV") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let exists = std::path::Path::new(&path).exists();
-    let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    else {
-        eprintln!("campaign: CSV export to {path} failed to open");
-        return;
-    };
-    if !exists {
-        let _ = writeln!(
-            file,
-            "id,samples,min_ns,mean_ns,median_ns,stddev_ns,throughput_unit,throughput_per_iter,outliers_rejected"
-        );
-    }
-    let ns = (secs * 1e9) as u128;
-    let _ = writeln!(
-        file,
-        "{},1,{ns},{ns},{ns},0,elements,{claims},0",
-        id.replace(',', ";")
-    );
-}
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     args.iter()
@@ -96,9 +65,10 @@ fn main() {
         std::fs::write(&path, report.to_csv()).expect("campaign CSV write");
         println!("campaign: epoch log written to {path}");
     }
-    export_criterion_csv(
+    export_csv(
         &format!("campaign/workers{}", report.workers),
         secs,
+        "elements",
         claims as u64,
     );
 

@@ -42,9 +42,7 @@
 //! `CRITERION_CSV=<path>` to append figure-ready CSV rows (same schema as
 //! the criterion stub's writer).
 
-use std::io::Write as _;
-
-use tao_bench::{paired, print_table, Paired};
+use tao_bench::{export_csv, paired, print_table, Paired};
 use tao_graph::{execute, NodeId, ValueObserver};
 use tao_merkle::{
     canon_tensor_len, hash_leaves, sha256, tensor_hash, verify_inclusion_digest,
@@ -77,43 +75,11 @@ fn pair_rows(p: &Paired, bytes: u64) -> Vec<Vec<String>> {
     ]
 }
 
-/// Appends one row in the criterion stub's CSV schema when
-/// `CRITERION_CSV` is set.
-fn export_csv(id: &str, secs: f64, bytes: u64) {
-    let Ok(path) = std::env::var("CRITERION_CSV") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let exists = std::path::Path::new(&path).exists();
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path);
-    let Ok(mut file) = file else {
-        eprintln!("commit_microbench: CSV export to {path} failed to open");
-        return;
-    };
-    if !exists {
-        let _ = writeln!(
-            file,
-            "id,samples,min_ns,mean_ns,median_ns,stddev_ns,throughput_unit,throughput_per_iter,outliers_rejected"
-        );
-    }
-    let ns = (secs * 1e9) as u128;
-    let _ = writeln!(
-        file,
-        "{},1,{ns},{ns},{ns},0,bytes,{bytes},0",
-        id.replace(',', ";")
-    );
-}
-
 /// Exports both sides of a pair as `<prefix>/seed-scalar` and
 /// `<prefix>/fast`.
 fn export_pair(prefix: &str, p: &Paired, bytes: u64) {
-    export_csv(&format!("{prefix}/seed-scalar"), p.seed, bytes);
-    export_csv(&format!("{prefix}/fast"), p.fast, bytes);
+    export_csv(&format!("{prefix}/seed-scalar"), p.seed, "bytes", bytes);
+    export_csv(&format!("{prefix}/fast"), p.fast, "bytes", bytes);
 }
 
 /// True when the host has the CPU features `FastSha256` needs for its
@@ -359,6 +325,7 @@ fn main() {
     export_csv(
         "commit/inclusion_verify/path-compare",
         path.fast,
+        "bytes",
         (32 * valid.len()) as u64,
     );
     let per_proof = |t: f64| format!("{:.0}ns", 1e9 * t / valid.len() as f64);
@@ -412,11 +379,13 @@ fn main() {
         export_csv(
             &format!("commit/streamed_pass/{name}/no-table"),
             p.seed,
+            "bytes",
             bytes_all as u64,
         );
         export_csv(
             &format!("commit/streamed_pass/{name}/table"),
             p.fast,
+            "bytes",
             bytes_missed as u64,
         );
         rows.push(vec![
@@ -475,11 +444,13 @@ fn main() {
         export_csv(
             &format!("commit/batch_pass/{name}/per-message"),
             p.seed,
+            "bytes",
             bytes as u64,
         );
         export_csv(
             &format!("commit/batch_pass/{name}/batch"),
             p.fast,
+            "bytes",
             bytes as u64,
         );
         if name == "qwen-deep8" {

@@ -24,10 +24,9 @@
 //! smoke mode).
 
 use std::cell::RefCell;
-use std::io::Write as _;
 use std::time::Instant;
 
-use tao_bench::{paired, print_table};
+use tao_bench::{export_csv, paired, print_table};
 use tao_calib::{calibrate, calibrate_reference, grid_profile, grid_profile_reference};
 use tao_device::Fleet;
 use tao_models::{data, qwen, resnet, QwenConfig, ResNetConfig};
@@ -67,7 +66,7 @@ fn pack_rows(a: &[f32], k: usize) -> Vec<PackedLhs<'_, f32>> {
         .collect()
 }
 
-/// The GEMM driver called one row at a time on single-thread: one
+/// The GEMM driver called one row at a time: one
 /// accumulator chain per row and panel, the arithmetic of an unblocked
 /// row-by-row GEMM. The baseline of the int8 and attention floors.
 fn gemm_by_rows(
@@ -77,40 +76,8 @@ fn gemm_by_rows(
     out: &mut [f32],
 ) {
     for (lhs, out_row) in rows.iter().zip(out.chunks_exact_mut(rhs.n())) {
-        gemm_packed_into(cfg, lhs, rhs, out_row, 1);
+        gemm_packed_into(cfg, lhs, rhs, out_row);
     }
-}
-
-/// Appends one row in the criterion stub's CSV schema when
-/// `CRITERION_CSV` is set.
-fn export_csv(id: &str, secs: f64, flops: u64) {
-    let Ok(path) = std::env::var("CRITERION_CSV") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let exists = std::path::Path::new(&path).exists();
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path);
-    let Ok(mut file) = file else {
-        eprintln!("kernel_microbench: CSV export to {path} failed to open");
-        return;
-    };
-    if !exists {
-        let _ = writeln!(
-            file,
-            "id,samples,min_ns,mean_ns,median_ns,stddev_ns,throughput_unit,throughput_per_iter,outliers_rejected"
-        );
-    }
-    let ns = (secs * 1e9) as u128;
-    let _ = writeln!(
-        file,
-        "{},1,{ns},{ns},{ns},0,flops,{flops},0",
-        id.replace(',', ";")
-    );
 }
 
 /// Median wall-clock seconds per call of `f`, timing `reps` calls per
@@ -574,18 +541,11 @@ fn main() {
     let mut reference_cfg_speedup = 0.0;
     for (name, cfg) in fleet_configs() {
         let t_oracle = median_secs(samples, || a.matmul_reference(&b, &cfg).unwrap());
-        let t_st = median_secs(samples, || gemm(&cfg, &lhs, &packed, 1));
-        let t_auto = median_secs(samples, || a.matmul(&b, &cfg).unwrap());
-        let oracle = a.matmul_reference(&b, &cfg).unwrap();
+        let t_st = median_secs(samples, || gemm(&cfg, &lhs, &packed));
         assert_bits_eq(
-            &gemm(&cfg, &lhs, &packed, 1),
-            oracle.data(),
-            &format!("matmul st {name}"),
-        );
-        assert_bits_eq(
-            a.matmul(&b, &cfg).unwrap().data(),
-            oracle.data(),
-            &format!("matmul auto {name}"),
+            &gemm(&cfg, &lhs, &packed),
+            a.matmul_reference(&b, &cfg).unwrap().data(),
+            &format!("matmul {name}"),
         );
         let st_speedup = t_oracle / t_st;
         if name.starts_with("reference") {
@@ -596,63 +556,13 @@ fn main() {
             format!("{:.2}ms", 1e3 * t_oracle),
             format!("{:.2}ms", 1e3 * t_st),
             format!("{st_speedup:.2}x"),
-            format!("{:.2}ms", 1e3 * t_auto),
-            format!("{:.2}x", t_oracle / t_auto),
         ]);
     }
     print_table(
         &format!("Kernel microbench — f32 matmul {dim}x{dim}x{dim}, blocked vs seed scalar oracle"),
-        &[
-            "kernel config",
-            "seed scalar",
-            "blocked 1-thread",
-            "speedup",
-            "blocked auto-threads",
-            "speedup",
-        ],
+        &["kernel config", "seed scalar", "blocked", "speedup"],
         &rows,
     );
-
-    // --- multi-thread speed check ----------------------------------------
-    // The row-band threading is bit-identical at every worker count
-    // (kernel_equiv proves that); this guards its *speed*: auto-threads
-    // must never regress below 0.9x the single-thread path. The two are
-    // timed in alternating pairs and the floor applies to the median
-    // per-pair ratio, so one slow sample on a shared host does not sink
-    // it. The reference container is single-core, so the check skips
-    // there (with a notice) and bites on multi-core hosts, where a
-    // row-band scheduling regression would otherwise go unnoticed.
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if avail == 1 {
-        println!(
-            "\nThreaded-speedup check skipped: available_parallelism() == 1 on this host\n\
-             (the row-band path is still bit-compared above; only its speed is unmeasurable here)."
-        );
-    } else {
-        let cfg = KernelConfig::reference();
-        let auto = tao_tensor::kernel::auto_threads((dim * dim * dim) as u64);
-        let ratio = paired(
-            samples,
-            || gemm(&cfg, &lhs, &packed, 1),
-            || gemm(&cfg, &lhs, &packed, auto),
-        )
-        .speedup;
-        println!(
-            "\nThreaded speedup — {dim}x{dim}x{dim} matmul, {auto} auto-threads on {avail} cores: \
-             {ratio:.2}x vs single-thread (median of {samples} paired ratios)"
-        );
-        if smoke {
-            println!("(smoke mode: 0.9x threaded floor not asserted)");
-        } else {
-            assert!(
-                ratio >= 0.9,
-                "blocked auto-threads ({auto} workers) ran at {ratio:.2}x single-thread, \
-                 below the 0.9x floor — row-band threading regressed"
-            );
-        }
-    }
 
     // --- conv2d + norms: the other rewired hot paths --------------------
     let (c, hw) = if smoke { (4, 8) } else { (8, 16) };
@@ -726,11 +636,11 @@ fn main() {
     gemm_by_rows(&f32_cfg, &f32_rows, &f32_rhs, &mut f32_out);
     assert_bits_eq(
         &f32_out,
-        &gemm(&f32_cfg, &f32_lhs, &f32_rhs, 1),
+        &gemm(&f32_cfg, &f32_lhs, &f32_rhs),
         "f32 driver one row at a time vs whole blocks",
     );
     let mut fast = vec![0i32; dim * dim];
-    quant_gemm_into(&qa, dim, &qrhs, &mut fast, 1);
+    quant_gemm_into(&qa, dim, &qrhs, &mut fast);
     assert_eq!(
         fast,
         quant_gemm_reference(&qa, dim, dim, &qb, dim),
@@ -739,20 +649,31 @@ fn main() {
     let t_f32_rows = median_secs(samples, || {
         gemm_by_rows(&f32_cfg, &f32_rows, &f32_rhs, &mut f32_out);
     });
-    let t_f32_tile = median_secs(samples, || gemm(&f32_cfg, &f32_lhs, &f32_rhs, 1));
+    let t_f32_tile = median_secs(samples, || gemm(&f32_cfg, &f32_lhs, &f32_rhs));
     let t_i8 = median_secs(samples, || {
-        quant_gemm_into(&qa, dim, &qrhs, &mut fast, 1);
+        quant_gemm_into(&qa, dim, &qrhs, &mut fast);
     });
     let t_i8_oracle = median_secs(samples, || quant_gemm_reference(&qa, dim, dim, &qb, dim));
     let gemm_flops = 2 * (dim as u64).pow(3);
-    export_csv(&format!("int8_gemm_{dim}"), t_i8, gemm_flops);
-    export_csv(&format!("int8_gemm_oracle_{dim}"), t_i8_oracle, gemm_flops);
+    export_csv(&format!("int8_gemm_{dim}"), t_i8, "flops", gemm_flops);
+    export_csv(
+        &format!("int8_gemm_oracle_{dim}"),
+        t_i8_oracle,
+        "flops",
+        gemm_flops,
+    );
     export_csv(
         &format!("f32_gemm_row_at_a_time_{dim}"),
         t_f32_rows,
+        "flops",
         gemm_flops,
     );
-    export_csv(&format!("f32_gemm_mr_tile_{dim}"), t_f32_tile, gemm_flops);
+    export_csv(
+        &format!("f32_gemm_mr_tile_{dim}"),
+        t_f32_tile,
+        "flops",
+        gemm_flops,
+    );
     let int8_vs_f32 = t_f32_rows / t_i8;
     let row = |kernel: &str, t: f64, vs_oracle: String| {
         vec![
@@ -825,25 +746,27 @@ fn main() {
     let t_packed = median_secs(samples, || {
         for (q, k) in q_heads.iter().zip(&k_rhs) {
             let lhs = PackedLhs::from_row_major(q.data(), seq, hd);
-            gemm_packed_into(&att_cfg, &lhs, k, &mut scores, 1);
+            gemm_packed_into(&att_cfg, &lhs, k, &mut scores);
         }
     });
     for ((q, rows), k) in q_heads.iter().zip(&q_rows).zip(&k_rhs) {
         let mut by_rows = vec![0f32; seq * seq];
         gemm_by_rows(&att_cfg, rows, k, &mut by_rows);
         let lhs = PackedLhs::from_row_major(q.data(), seq, hd);
-        gemm_packed_into(&att_cfg, &lhs, k, &mut scores, 1);
+        gemm_packed_into(&att_cfg, &lhs, k, &mut scores);
         assert_bits_eq(&scores, &by_rows, "MR-tile attention gemm");
     }
     let att_flops = 2 * (heads * seq * hd * seq) as u64;
     export_csv(
         &format!("attention_gemm_row_at_a_time_{heads}x{seq}x{hd}"),
         t_rows,
+        "flops",
         att_flops,
     );
     export_csv(
         &format!("attention_gemm_packed_lhs_{heads}x{seq}x{hd}"),
         t_packed,
+        "flops",
         att_flops,
     );
     let lhs_speedup = t_rows / t_packed;

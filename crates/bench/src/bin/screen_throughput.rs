@@ -13,43 +13,12 @@
 //! Pass `--smoke` for a seconds-scale CI variant. Set
 //! `CRITERION_CSV=<path>` to append figure-ready CSV rows.
 
-use std::io::Write as _;
 use std::time::Instant;
 
-use tao_bench::{bert_workload, print_table};
+use tao_bench::{bert_workload, export_csv, print_table};
 use tao_graph::execute;
 use tao_protocol::{screen_batch, screen_claim, ClaimCheck};
 use tao_tensor::Tensor;
-
-fn export_csv(id: &str, secs: f64, sessions: u64) {
-    let Ok(path) = std::env::var("CRITERION_CSV") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let exists = std::path::Path::new(&path).exists();
-    let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    else {
-        eprintln!("screen_throughput: CSV export to {path} failed to open");
-        return;
-    };
-    if !exists {
-        let _ = writeln!(
-            file,
-            "id,samples,min_ns,mean_ns,median_ns,stddev_ns,throughput_unit,throughput_per_iter,outliers_rejected"
-        );
-    }
-    let ns = (secs * 1e9) as u128;
-    let _ = writeln!(
-        file,
-        "{},1,{ns},{ns},{ns},0,elements,{sessions},0",
-        id.replace(',', ";")
-    );
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -124,8 +93,18 @@ fn main() {
 
     let serial_rate = claim_checks.len() as f64 / serial_secs;
     let batch_rate = claim_checks.len() as f64 / batch_secs;
-    export_csv("screen/serial", serial_secs, claim_checks.len() as u64);
-    export_csv("screen/batch", batch_secs, claim_checks.len() as u64);
+    export_csv(
+        "screen/serial",
+        serial_secs,
+        "elements",
+        claim_checks.len() as u64,
+    );
+    export_csv(
+        "screen/batch",
+        batch_secs,
+        "elements",
+        claim_checks.len() as u64,
+    );
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

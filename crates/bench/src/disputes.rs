@@ -3,8 +3,8 @@
 use std::time::Instant;
 
 use tao_device::Device;
-use tao_graph::{execute, execute_observed, NodeId, Perturbations};
-use tao_merkle::StreamingCommitter;
+use tao_graph::{execute, NodeId, Perturbations};
+use tao_merkle::TraceCommitment;
 use tao_protocol::{
     run_dispute, screen_claim, ChallengerView, ClaimCheck, DisputeConfig, DisputeOutcome,
     ProposerView,
@@ -58,12 +58,11 @@ pub fn run_perturbed_dispute(
     let shape = honest.values[target.0].dims().to_vec();
     let mut p = Perturbations::new();
     p.insert(target, Tensor::full(&shape, magnitude));
-    // The proposer's trace commitment streams through its forward pass
-    // (as in the real protocol) and its root anchors the dispute below.
-    let mut committer = StreamingCommitter::new(graph.len());
-    let trace = execute_observed(graph, input, proposer.config(), Some(&p), &mut committer)
-        .expect("perturbed forward");
-    let proposer_commitment = committer.finish();
+    // The proposer commits its kept trace as a session does, and the
+    // root anchors the dispute below.
+    let trace = execute(graph, input, proposer.config(), Some(&p)).expect("perturbed forward");
+    let proposer_commitment =
+        TraceCommitment::build_with_params(&trace.values, &w.deployment.param_digests);
     let claimed_output = trace
         .value(w.deployment.model.logits)
         .expect("logits traced");

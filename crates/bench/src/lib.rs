@@ -13,6 +13,8 @@
 pub mod attacks;
 pub mod disputes;
 
+use std::io::Write as _;
+
 use tao::{deploy, Deployment};
 use tao_calib::DEFAULT_ALPHA;
 use tao_device::Fleet;
@@ -239,6 +241,40 @@ pub fn paired<A, B>(
         fast: median(reps.iter().map(|r| r.1).collect()),
         speedup: median(reps.iter().map(|r| r.0 / r.1).collect()),
     }
+}
+
+/// Appends one row in the criterion stub's CSV schema to the file named
+/// by `CRITERION_CSV`, writing the header first when the file is new; a
+/// no-op when the variable is unset or empty. `unit` names what
+/// `per_iter` counts (`flops`, `bytes`, `elements`).
+pub fn export_csv(id: &str, secs: f64, unit: &str, per_iter: u64) {
+    let Ok(path) = std::env::var("CRITERION_CSV") else {
+        return;
+    };
+    if path.is_empty() {
+        return;
+    }
+    let exists = std::path::Path::new(&path).exists();
+    let Ok(mut file) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+    else {
+        eprintln!("CSV export to {path} failed to open");
+        return;
+    };
+    if !exists {
+        let _ = writeln!(
+            file,
+            "id,samples,min_ns,mean_ns,median_ns,stddev_ns,throughput_unit,throughput_per_iter,outliers_rejected"
+        );
+    }
+    let ns = (secs * 1e9) as u128;
+    let _ = writeln!(
+        file,
+        "{},1,{ns},{ns},{ns},0,{unit},{per_iter},0",
+        id.replace(',', ";")
+    );
 }
 
 /// Prints a simple aligned text table.

@@ -36,11 +36,10 @@
 //! earlier claims already pending.
 //!
 //! The worker pool is configurable up to [`MAX_WORKERS`]. The settle
-//! phase runs no kernels and uses the full pool; the compute-bound
-//! phases (prepare, screen + dispute) spawn kernel row-band workers of
-//! their own, so they stay clamped to the kernel-nesting cap
-//! ([`MAX_PAR_THREADS`]) and nested parallelism remains bounded by the
-//! square of that one constant.
+//! phase runs no forward passes and uses the full pool; the compute-bound
+//! phases (prepare, screen + dispute) stay clamped to
+//! [`MAX_PAR_THREADS`]. These session workers are the only threads a
+//! batch runs: every kernel runs on its caller's thread.
 
 use std::collections::BTreeMap;
 
@@ -73,8 +72,7 @@ impl Scheduler {
 
     /// A scheduler with an explicit worker count (at least 1). Pools up
     /// to [`MAX_WORKERS`] are accepted (the compute-bound phases
-    /// internally clamp to [`MAX_PAR_THREADS`] to bound nested kernel
-    /// parallelism).
+    /// internally clamp to [`MAX_PAR_THREADS`]).
     pub fn with_threads(threads: usize) -> Self {
         Scheduler {
             threads: threads.clamp(1, MAX_WORKERS),
@@ -134,11 +132,8 @@ impl Scheduler {
         sessions: Vec<SessionBuilder>,
         resolve: impl Fn(usize, &mut Session, &SharedCoordinator) -> Result<T> + Sync,
     ) -> Result<Vec<(SessionReport, T)>> {
-        // Compute-bound phases clamp to the kernel-nesting cap: each
-        // worker's forward passes spawn kernel row-band threads of their
-        // own, and the old 8-worker ceiling existed exactly to bound that
-        // product. Only the coordinator-bound settle phase uses the full
-        // pool.
+        // Compute-bound phases clamp to MAX_PAR_THREADS; only the
+        // coordinator-bound settle phase uses the full pool.
         let compute_threads = self.threads.min(MAX_PAR_THREADS);
         // Phase 1 (parallel): proposer forward passes + commitments.
         let prepared = parallel_map(sessions, compute_threads, SessionBuilder::prepare);

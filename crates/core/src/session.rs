@@ -427,14 +427,7 @@ impl Session {
         if !screening.flagged {
             return Ok(None);
         }
-        if self.dispute.is_some() {
-            return Ok(self.dispute.as_ref());
-        }
-        coordinator
-            .coordinator()
-            .open_challenge(self.claim_id, &self.cfg.challenger_account)?;
-        self.resolve_dispute()?;
-        Ok(self.dispute.as_ref())
+        self.challenge_and_resolve(coordinator)
     }
 
     /// Opens a challenge and plays the dispute game **regardless of the
@@ -458,13 +451,23 @@ impl Session {
                 "force_dispute() requires screen() to have run".into(),
             ));
         }
-        if self.dispute.is_some() {
-            return Ok(self.dispute.as_ref());
+        self.challenge_and_resolve(coordinator)
+    }
+
+    /// The shared body of [`dispute`](Self::dispute) and
+    /// [`force_dispute`](Self::force_dispute) once a screening exists:
+    /// returns a resolved dispute as is, otherwise opens the challenge and
+    /// plays the game.
+    fn challenge_and_resolve(
+        &mut self,
+        coordinator: &SharedCoordinator,
+    ) -> Result<Option<&DisputeOutcome>> {
+        if self.dispute.is_none() {
+            coordinator
+                .coordinator()
+                .open_challenge(self.claim_id, &self.cfg.challenger_account)?;
+            self.resolve_dispute()?;
         }
-        coordinator
-            .coordinator()
-            .open_challenge(self.claim_id, &self.cfg.challenger_account)?;
-        self.resolve_dispute()?;
         Ok(self.dispute.as_ref())
     }
 

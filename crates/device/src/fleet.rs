@@ -64,7 +64,8 @@ impl Fleet {
         &self.devices[(z % self.devices.len() as u64) as usize]
     }
 
-    /// All ordered pairs `(i, j)` with `i < j` (the calibration sweep).
+    /// Every unordered pair of devices once, as `(i, j)` with `i < j` (the
+    /// calibration sweep).
     pub fn pairs(&self) -> Vec<(&Device, &Device)> {
         let mut out = Vec::new();
         for i in 0..self.devices.len() {

@@ -1,15 +1,14 @@
 //! Order-preserving scoped-thread fan-out, shared by batch screening and
 //! the `tao` session scheduler.
 
-/// The tensor-kernel thread cap, re-exported for callers that fan out
-/// compute-heavy work: protocol-level workers that each trigger kernel
-/// row-band workers should stay at or below this so nested parallelism is
-/// bounded by the square of one shared constant (batch screening sizes
-/// itself this way).
-pub const MAX_PAR_THREADS: usize = tao_tensor::kernel::MAX_KERNEL_THREADS;
+/// Worker cap of the compute-bound fan-outs: batch screening and the
+/// scheduler's prepare and screen + dispute phases. Kernels run on the
+/// calling thread, so this also caps how many threads run forward passes
+/// at once.
+pub const MAX_PAR_THREADS: usize = 8;
 
 /// Hard upper bound on a worker pool. The scheduler's settle phase runs
-/// no kernels — each worker takes the coordinator's lock briefly and then
+/// no forward passes — each worker takes the coordinator's lock briefly and then
 /// drops its session's traces — so its pool may exceed
 /// [`MAX_PAR_THREADS`]; this bound only keeps a mistyped request from
 /// spawning thousands of threads.

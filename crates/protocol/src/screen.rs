@@ -119,8 +119,8 @@ pub fn screen_batch(
     claims: &[ClaimCheck<'_>],
     device: &Device,
 ) -> Result<Vec<Screening>> {
-    // Forward passes are compute-bound and each may spawn kernel row-band
-    // workers, so stay at the kernel-nesting cap rather than MAX_WORKERS.
+    // Forward passes are compute-bound: stay at the compute cap rather
+    // than MAX_WORKERS.
     let threads = claims.len().min(crate::par::MAX_PAR_THREADS);
     crate::parallel_map(claims.to_vec(), threads, |claim| {
         screen_claim(graph, output_node, thresholds, claim, device)

@@ -1,4 +1,4 @@
-//! Cache-blocked, register-tiled, optionally multi-threaded kernel core.
+//! Cache-blocked, register-tiled kernel core.
 //!
 //! This module is the performance engine behind [`Tensor::matmul`],
 //! [`Tensor::linear`] and [`Tensor::conv2d`]
@@ -31,10 +31,10 @@
 //!   FP add latency of a single chain; no chain is ever reassociated. A
 //!   block holds only real rows, so a one-row operand runs the one-row
 //!   instance of the same tile.
-//! * **Row-band threading.** Row blocks are independent, so bands of them
-//!   are fanned out over `std::thread::scope` workers. Each element is
-//!   computed by exactly one worker with exactly the single-thread
-//!   instruction sequence, making results independent of the thread count.
+//!
+//! Every kernel runs on the calling thread: parallelism lives one level
+//! up (sessions, calibration samples, screened claims), so no result can
+//! depend on a thread count.
 //!
 //! The differential harness in `tests/tests/kernel_equiv.rs` proptests
 //! blocked-vs-oracle bit equality across every accumulation mode, FMA
@@ -55,14 +55,6 @@ use crate::element::{Element, Scalar};
 /// Register-tile width: how many output columns one micro-kernel call
 /// produces, i.e. how many independent accumulation chains run in flight.
 pub const PANEL: usize = 8;
-
-/// Upper bound on kernel worker threads (matches the protocol-level
-/// `MAX_PAR_THREADS` fan-out cap so nested parallelism stays bounded).
-pub const MAX_KERNEL_THREADS: usize = 8;
-
-/// Minimum multiply-accumulate count before a GEMM fans out to threads;
-/// below this the spawn cost dominates any speedup.
-const PAR_MIN_FLOPS: u64 = 1 << 18;
 
 /// The right-hand operand of a GEMM, repacked into interleaved column
 /// panels of width [`PANEL`] (zero-padded past `n`; padded lanes are
@@ -636,56 +628,19 @@ mod x86 {
     }
 }
 
-/// Worker-thread count appropriate for `flops` multiply-accumulates: 1
-/// below the fan-out threshold, otherwise the host parallelism capped at
-/// [`MAX_KERNEL_THREADS`].
-pub fn auto_threads(flops: u64) -> usize {
-    if flops < PAR_MIN_FLOPS {
-        return 1;
-    }
-    host_threads().min(MAX_KERNEL_THREADS)
-}
-
 /// The host's available parallelism (at least 1), queried once per
 /// process. `std::thread::available_parallelism` reads cgroup files on
-/// every call, which costs tens of microseconds; every auto-threaded site
-/// (kernels, Merkle trees, calibration, the scheduler) reads this cached
+/// every call, which costs tens of microseconds; every site that sizes a
+/// worker pool (calibration, the scheduler, the benches) reads this cached
 /// value instead.
 pub fn host_threads() -> usize {
     static HOST_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Splits `out` into contiguous bands of whole `unit`-element chunks and
-/// runs `f(first_unit_index, band)` for each band: the first on the
-/// calling thread, the others on scoped worker threads (all inline when
-/// one worker suffices). Units are never split across workers, so any
-/// per-unit computation is identical at every thread count.
-pub(crate) fn par_bands<T, F>(out: &mut [T], unit: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let units = out.len().checked_div(unit).unwrap_or(0);
-    let workers = threads.clamp(1, MAX_KERNEL_THREADS).min(units.max(1));
-    if workers <= 1 {
-        f(0, out);
-        return;
-    }
-    let per = units.div_ceil(workers);
-    let (first, rest) = out.split_at_mut((per * unit).min(out.len()));
-    std::thread::scope(|scope| {
-        for (wi, band) in rest.chunks_mut(per * unit).enumerate() {
-            let f = &f;
-            scope.spawn(move || f((wi + 1) * per, band));
-        }
-        f(0, first);
-    });
-}
-
 /// The GEMM driver: `out[row * n + col] = cfg.dot(row of lhs, column col
 /// of rhs)` for every row and column, under every [`KernelConfig`],
-/// bit-identical to the scalar oracle at any `threads` count.
+/// bit-identical to the scalar oracle.
 ///
 /// # Panics
 ///
@@ -696,7 +651,6 @@ pub fn gemm_packed_into<T: Element>(
     lhs: &PackedLhs<T>,
     rhs: &PackedRhs<T>,
     out: &mut [T],
-    threads: usize,
 ) {
     assert_eq!(lhs.k, rhs.k, "reduction length mismatch");
     assert_eq!(out.len(), lhs.m * rhs.n, "out length mismatch");
@@ -708,25 +662,18 @@ pub fn gemm_packed_into<T: Element>(
         return;
     }
     let (n, k) = (rhs.n, rhs.k);
-    par_bands(out, MR * n, threads, |block0, band| {
-        for (bi, chunk) in band.chunks_mut(MR * n).enumerate() {
-            let rows = chunk.len() / n;
-            let start = (block0 + bi) * MR * k;
-            block_into(cfg, &lhs.panels[start..start + rows * k], rows, rhs, chunk);
-        }
-    });
+    for (bi, chunk) in out.chunks_mut(MR * n).enumerate() {
+        let rows = chunk.len() / n;
+        let start = bi * MR * k;
+        block_into(cfg, &lhs.panels[start..start + rows * k], rows, rhs, chunk);
+    }
 }
 
 /// Allocating convenience wrapper around [`gemm_packed_into`] (used by the
-/// kernel microbenchmarks and tests to pin an explicit thread count).
-pub fn gemm<T: Element>(
-    cfg: &KernelConfig,
-    lhs: &PackedLhs<T>,
-    rhs: &PackedRhs<T>,
-    threads: usize,
-) -> Vec<T> {
+/// kernel microbenchmarks and tests).
+pub fn gemm<T: Element>(cfg: &KernelConfig, lhs: &PackedLhs<T>, rhs: &PackedRhs<T>) -> Vec<T> {
     let mut out = vec![T::ZERO; lhs.m * rhs.n];
-    gemm_packed_into(cfg, lhs, rhs, &mut out, threads);
+    gemm_packed_into(cfg, lhs, rhs, &mut out);
     out
 }
 
@@ -833,28 +780,12 @@ mod tests {
                 let a = ill_conditioned(m * k, 11);
                 let lhs = PackedLhs::from_row_major(&a, m, k);
                 for cfg in all_cfgs() {
-                    let fast = gemm(&cfg, &lhs, &rhs, 1);
+                    let fast = gemm(&cfg, &lhs, &rhs);
                     assert!(
                         same_bits(&fast, &oracle(&cfg, &a, &b, m, k, n)),
                         "m={m} k={k} {cfg:?}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn thread_count_never_changes_bits() {
-        let (m, k, n) = (13, 57, 19);
-        let a = ill_conditioned(m * k, 5);
-        let b = ill_conditioned(k * n, 9);
-        let rhs = PackedRhs::from_row_major(&b, k, n);
-        let lhs = PackedLhs::from_row_major(&a, m, k);
-        for cfg in all_cfgs() {
-            let one = gemm(&cfg, &lhs, &rhs, 1);
-            for threads in [2, 3, 8, 64] {
-                let many = gemm(&cfg, &lhs, &rhs, threads);
-                assert!(same_bits(&one, &many), "threads={threads} {cfg:?}");
             }
         }
     }
@@ -875,15 +806,15 @@ mod tests {
         // k = 0: all dots are empty sums.
         let rhs = PackedRhs::from_row_major(&[], 0, 4);
         let lhs = PackedLhs::<f32>::from_row_major(&[], 3, 0);
-        assert_eq!(gemm(&cfg, &lhs, &rhs, 2), vec![0.0; 12]);
+        assert_eq!(gemm(&cfg, &lhs, &rhs), vec![0.0; 12]);
         // n = 0: empty output.
         let rhs = PackedRhs::from_row_major(&[], 5, 0);
         let lhs = PackedLhs::from_row_major(&[1.0f32; 10], 2, 5);
-        assert!(gemm(&cfg, &lhs, &rhs, 2).is_empty());
+        assert!(gemm(&cfg, &lhs, &rhs).is_empty());
         // m = 0: empty output.
         let rhs = PackedRhs::from_row_major(&[1.0f32, 2.0], 1, 2);
         let lhs = PackedLhs::from_row_major(&[], 0, 1);
-        assert!(gemm(&cfg, &lhs, &rhs, 2).is_empty());
+        assert!(gemm(&cfg, &lhs, &rhs).is_empty());
     }
 
     #[test]
@@ -917,24 +848,25 @@ mod tests {
     #[test]
     fn packed_lhs_matches_scalar_dot_bitwise() {
         // Ragged everywhere: m % MR != 0, n % PANEL != 0, odd k.
-        let (m, k, n) = (11, 37, 19);
-        let a = ill_conditioned(m * k, 3);
-        let b = ill_conditioned(k * n, 13);
-        let rhs = PackedRhs::from_row_major(&b, k, n);
-        let lhs = PackedLhs::from_row_major(&a, m, k);
-        for cfg in all_cfgs() {
-            let want = oracle(&cfg, &a, &b, m, k, n);
-            for threads in [1usize, 2, 5] {
+        for (m, k, n, seed_a, seed_b) in [(11, 37, 19, 3, 13), (13, 57, 19, 5, 9)] {
+            let a = ill_conditioned(m * k, seed_a);
+            let b = ill_conditioned(k * n, seed_b);
+            let rhs = PackedRhs::from_row_major(&b, k, n);
+            let lhs = PackedLhs::from_row_major(&a, m, k);
+            for cfg in all_cfgs() {
                 let mut out = vec![f32::NAN; m * n];
-                gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
-                assert!(same_bits(&out, &want), "threads={threads} {cfg:?}");
+                gemm_packed_into(&cfg, &lhs, &rhs, &mut out);
+                assert!(
+                    same_bits(&out, &oracle(&cfg, &a, &b, m, k, n)),
+                    "{m}x{k}x{n} {cfg:?}"
+                );
             }
         }
     }
 
     /// The generic scalar tiles (which an AVX2 host runs for no `f32`
     /// config but Kahan) through the driver in `f64`: every accumulation
-    /// mode, one-row operands and one-row tail blocks, 1 and 2 threads.
+    /// mode, one-row operands and one-row tail blocks.
     #[test]
     fn f64_driver_matches_scalar_dot_for_every_mode_and_row_count() {
         let n = PANEL + 5;
@@ -945,15 +877,12 @@ mod tests {
                 let a = ill_conditioned_f64(m * k, 41 + m as u64);
                 let lhs = PackedLhs::from_row_major(&a, m, k);
                 for cfg in all_cfgs() {
-                    let want = oracle(&cfg, &a, &b, m, k, n);
-                    for threads in [1, 2] {
-                        let mut out = vec![f64::NAN; m * n];
-                        gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
-                        assert!(
-                            same_bits(&out, &want),
-                            "f64 {m}x{k}x{n} threads={threads} {cfg:?}"
-                        );
-                    }
+                    let mut out = vec![f64::NAN; m * n];
+                    gemm_packed_into(&cfg, &lhs, &rhs, &mut out);
+                    assert!(
+                        same_bits(&out, &oracle(&cfg, &a, &b, m, k, n)),
+                        "f64 {m}x{k}x{n} {cfg:?}"
+                    );
                 }
             }
         }
@@ -966,7 +895,7 @@ mod tests {
         let rhs = PackedRhs::from_row_major(&[], 0, 4);
         let lhs = PackedLhs::<f32>::from_row_major(&[], 3, 0);
         let mut out = vec![1.0f32; 12];
-        gemm_packed_into(&cfg, &lhs, &rhs, &mut out, 2);
+        gemm_packed_into(&cfg, &lhs, &rhs, &mut out);
         assert_eq!(out, vec![0.0; 12]);
         // m smaller than one MR block.
         let (m, k, n) = (2, 9, 10);
@@ -975,17 +904,7 @@ mod tests {
         let rhs = PackedRhs::from_row_major(&b, k, n);
         let lhs = PackedLhs::from_row_major(&a, m, k);
         let mut out = vec![0f32; m * n];
-        gemm_packed_into(&cfg, &lhs, &rhs, &mut out, 4);
+        gemm_packed_into(&cfg, &lhs, &rhs, &mut out);
         assert!(same_bits(&out, &oracle(&cfg, &a, &b, m, k, n)));
-    }
-
-    #[test]
-    fn auto_threads_thresholds() {
-        assert_eq!(auto_threads(0), 1);
-        assert_eq!(auto_threads(PAR_MIN_FLOPS - 1), 1);
-        assert!(auto_threads(1 << 24) >= 1);
-        assert!(auto_threads(u64::MAX) <= MAX_KERNEL_THREADS);
-        assert!(host_threads() >= 1);
-        assert_eq!(host_threads(), host_threads());
     }
 }

@@ -18,13 +18,13 @@
 //! multiply-add contraction and alternative transcendental-intrinsic
 //! implementations selected by [`KernelConfig`].
 //!
-//! The hot paths (matmul, linear, im2col conv2d, lane-wise
-//! softmax/normalization and axis reductions) run on the cache-blocked,
-//! register-tiled, row-band-threaded engine in [`kernel`], which is
+//! The GEMM hot paths (matmul, linear, im2col conv2d) run on the
+//! cache-blocked, register-tiled engine in [`kernel`], which is
 //! **bit-identical** to the scalar oracle kernels (`matmul_reference` and
 //! friends) for every accumulation mode and FMA setting — the committed
 //! numeric contract the TAO protocol depends on. The differential harness
-//! in `tests/tests/kernel_equiv.rs` enforces that equivalence.
+//! in `tests/tests/kernel_equiv.rs` enforces that equivalence. Every
+//! operator runs on the calling thread.
 //!
 //! # Examples
 //!

@@ -9,7 +9,7 @@
 use crate::accum::KernelConfig;
 use crate::element::Element;
 use crate::error::TensorError;
-use crate::kernel::{auto_threads, gemm_packed_into, par_bands, PackedLhs, PackedRhs};
+use crate::kernel::{gemm_packed_into, PackedLhs, PackedRhs};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -131,31 +131,23 @@ impl<T: Element> Tensor<T> {
         if out.is_empty() {
             return Tensor::from_vec(out, &[n, c_out, oh, ow]);
         }
-        // Images fan out over workers; leftover workers go to row bands
-        // inside each image's GEMM (both axes are bit-exact at any thread
-        // count, mirroring the batched-matmul split).
-        let threads = auto_threads((n * c_out * ohow * patch) as u64);
-        let inner_threads = (threads / n.max(1)).max(1);
-        par_bands(&mut out, c_out * ohow, threads, |img0, band| {
-            // One panel set and one im2col-row scratch per band: every
-            // image overwrites every real lane, and padded lanes stay zero.
-            let mut rhs = PackedRhs::zeroed(patch, ohow);
-            let mut row = vec![T::ZERO; ohow];
-            for (i, image) in band.chunks_mut(c_out * ohow).enumerate() {
-                let ni = img0 + i;
-                let img = &self.data()[ni * c_in * h * w..(ni + 1) * c_in * h * w];
-                im2col_packed(img, &geo, params, &mut rhs, &mut row);
-                gemm_packed_into(cfg, packed, &rhs, image, inner_threads);
-                if let Some(b) = bias {
-                    for (oc, row) in image.chunks_mut(ohow).enumerate() {
-                        let bv = b.data()[oc];
-                        for v in row {
-                            *v += bv;
-                        }
+        // One panel set and one im2col-row scratch for the call: every
+        // image overwrites every real lane, and padded lanes stay zero.
+        let mut rhs = PackedRhs::zeroed(patch, ohow);
+        let mut row = vec![T::ZERO; ohow];
+        for (ni, image) in out.chunks_mut(c_out * ohow).enumerate() {
+            let img = &self.data()[ni * c_in * h * w..(ni + 1) * c_in * h * w];
+            im2col_packed(img, &geo, params, &mut rhs, &mut row);
+            gemm_packed_into(cfg, packed, &rhs, image);
+            if let Some(b) = bias {
+                for (oc, row) in image.chunks_mut(ohow).enumerate() {
+                    let bv = b.data()[oc];
+                    for v in row {
+                        *v += bv;
                     }
                 }
             }
-        });
+        }
         Tensor::from_vec(out, &[n, c_out, oh, ow])
     }
 

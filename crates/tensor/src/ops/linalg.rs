@@ -8,7 +8,7 @@
 use crate::accum::KernelConfig;
 use crate::element::Element;
 use crate::error::TensorError;
-use crate::kernel::{auto_threads, gemm_packed_into, par_bands, PackedLhs, PackedRhs};
+use crate::kernel::{gemm_packed_into, PackedLhs, PackedRhs};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -79,8 +79,8 @@ impl<T: Element> Tensor<T> {
     /// is a length-`k` dot product evaluated under the accumulation order
     /// and FMA setting of `cfg` — the locus of cross-device rounding drift.
     ///
-    /// The implementation is the cache-blocked, register-tiled,
-    /// row-band-threaded GEMM of [`crate::kernel`]; it is bit-identical to
+    /// The implementation is the cache-blocked, register-tiled GEMM of
+    /// [`crate::kernel`]; it is bit-identical to
     /// [`Tensor::matmul_reference`] for every `cfg` (tested exhaustively in
     /// `tests/tests/kernel_equiv.rs`).
     ///
@@ -114,44 +114,34 @@ impl<T: Element> Tensor<T> {
             return Tensor::from_vec(out, &plan.out_dims);
         }
         // Shared (broadcast) operands pack once; otherwise each batch entry
-        // packs its own. Batches are fanned out over threads; when the
-        // batch is smaller than the worker budget, the leftover workers go
-        // to row bands *inside* each entry (both axes are bit-exact at any
-        // thread count). A single product is the one-entry batch.
+        // packs its own. A single product is the one-entry batch.
         let shared_rhs = plan
             .b_broadcast
             .then(|| PackedRhs::from_row_major(&other.data()[..k * n], k, n));
         let shared_lhs = plan
             .a_broadcast
             .then(|| PackedLhs::from_row_major(&self.data()[..m * k], m, k));
-        let threads = auto_threads(((m * k * n) as u64).saturating_mul(batch as u64));
-        let inner_threads = (threads / batch.max(1)).max(1);
-        par_bands(&mut out, m * n, threads, |batch0, band| {
-            for (i, out_mat) in band.chunks_mut(m * n).enumerate() {
-                let bi = batch0 + i;
-                let packed_b;
-                let rhs = match &shared_rhs {
-                    Some(shared) => shared,
-                    None => {
-                        let b_off = bi * k * n;
-                        packed_b =
-                            PackedRhs::from_row_major(&other.data()[b_off..b_off + k * n], k, n);
-                        &packed_b
-                    }
-                };
-                let packed_a;
-                let lhs = match &shared_lhs {
-                    Some(shared) => shared,
-                    None => {
-                        let a_off = bi * m * k;
-                        packed_a =
-                            PackedLhs::from_row_major(&self.data()[a_off..a_off + m * k], m, k);
-                        &packed_a
-                    }
-                };
-                gemm_packed_into(cfg, lhs, rhs, out_mat, inner_threads);
-            }
-        });
+        for (bi, out_mat) in out.chunks_mut(m * n).enumerate() {
+            let packed_b;
+            let rhs = match &shared_rhs {
+                Some(shared) => shared,
+                None => {
+                    let b_off = bi * k * n;
+                    packed_b = PackedRhs::from_row_major(&other.data()[b_off..b_off + k * n], k, n);
+                    &packed_b
+                }
+            };
+            let packed_a;
+            let lhs = match &shared_lhs {
+                Some(shared) => shared,
+                None => {
+                    let a_off = bi * m * k;
+                    packed_a = PackedLhs::from_row_major(&self.data()[a_off..a_off + m * k], m, k);
+                    &packed_a
+                }
+            };
+            gemm_packed_into(cfg, lhs, rhs, out_mat);
+        }
         Tensor::from_vec(out, &plan.out_dims)
     }
 
@@ -249,8 +239,7 @@ impl<T: Element> Tensor<T> {
         out.clear();
         out.resize(rows * out_f, T::ZERO);
         let lhs = PackedLhs::from_row_major(self.data(), rows, in_f);
-        let threads = auto_threads((rows * in_f * out_f) as u64);
-        gemm_packed_into(cfg, &lhs, weight, &mut out, threads);
+        gemm_packed_into(cfg, &lhs, weight, &mut out);
         if let Some(b) = bias {
             for row in out.chunks_mut(out_f) {
                 for (v, &bv) in row.iter_mut().zip(b.data()) {

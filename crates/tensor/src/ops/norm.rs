@@ -7,7 +7,6 @@
 
 use crate::accum::KernelConfig;
 use crate::error::TensorError;
-use crate::kernel::{auto_threads, par_bands};
 use crate::math::{map_slice, MathElement};
 use crate::tensor::Tensor;
 use crate::Result;
@@ -15,10 +14,9 @@ use crate::Result;
 impl<T: MathElement> Tensor<T> {
     /// Softmax along the last axis.
     ///
-    /// Lanes are independent, so large inputs fan the per-lane pipeline
-    /// (`m = max(x); e = exp(x - m); S = Σe; y = e / S`) out over scoped
-    /// worker threads; every lane runs the identical instruction sequence
-    /// at any thread count, so results are bit-identical to
+    /// Each lane runs the pipeline
+    /// `m = max(x); e = exp(x - m); S = Σe; y = e / S` through the
+    /// vectorized elementwise maps, bit-identical to
     /// [`Tensor::softmax_last_reference`].
     ///
     /// # Errors
@@ -40,17 +38,13 @@ impl<T: MathElement> Tensor<T> {
         let mut out = buf;
         out.clear();
         out.resize(self.len(), T::ZERO);
-        let threads = auto_threads(self.len() as u64 * 4);
-        par_bands(&mut out, d, threads, |lane0, band| {
-            let mut e = vec![T::ZERO; d];
-            for (i, out_lane) in band.chunks_mut(d).enumerate() {
-                let lane = &self.data()[(lane0 + i) * d..(lane0 + i + 1) * d];
-                let m = lane.iter().copied().fold(lane[0], |a, b| a.maximum(b));
-                map_slice(lane, &mut e, |x| (x - m).exp_with(cfg.math));
-                let s = cfg.sum(&e);
-                map_slice(&e, out_lane, |ei| ei / s);
-            }
-        });
+        let mut e = vec![T::ZERO; d];
+        for (lane, out_lane) in self.data().chunks(d).zip(out.chunks_mut(d)) {
+            let m = lane.iter().copied().fold(lane[0], |a, b| a.maximum(b));
+            map_slice(lane, &mut e, |x| (x - m).exp_with(cfg.math));
+            let s = cfg.sum(&e);
+            map_slice(&e, out_lane, |ei| ei / s);
+        }
         Tensor::from_vec(out, self.dims())
     }
 
@@ -133,27 +127,23 @@ impl<T: MathElement> Tensor<T> {
         let mut out = buf;
         out.clear();
         out.resize(self.len(), T::ZERO);
-        let threads = auto_threads(self.len() as u64 * 4);
-        par_bands(&mut out, d, threads, |lane0, band| {
-            let mut centered = vec![T::ZERO; d];
-            let mut sq = vec![T::ZERO; d];
-            for (i, out_lane) in band.chunks_mut(d).enumerate() {
-                let lane = &self.data()[(lane0 + i) * d..(lane0 + i + 1) * d];
-                let mean = cfg.sum(lane) / nd;
-                map_slice(lane, &mut centered, |x| x - mean);
-                map_slice(&centered, &mut sq, |c| c * c);
-                let var = cfg.sum(&sq) / nd;
-                let inv = (var + epsd).rsqrt_with(cfg.math);
-                for (((slot, &c), &g), &b) in out_lane
-                    .iter_mut()
-                    .zip(&centered)
-                    .zip(gamma.data())
-                    .zip(beta.data())
-                {
-                    *slot = c * inv * g + b;
-                }
+        let mut centered = vec![T::ZERO; d];
+        let mut sq = vec![T::ZERO; d];
+        for (lane, out_lane) in self.data().chunks(d).zip(out.chunks_mut(d)) {
+            let mean = cfg.sum(lane) / nd;
+            map_slice(lane, &mut centered, |x| x - mean);
+            map_slice(&centered, &mut sq, |c| c * c);
+            let var = cfg.sum(&sq) / nd;
+            let inv = (var + epsd).rsqrt_with(cfg.math);
+            for (((slot, &c), &g), &b) in out_lane
+                .iter_mut()
+                .zip(&centered)
+                .zip(gamma.data())
+                .zip(beta.data())
+            {
+                *slot = c * inv * g + b;
             }
-        });
+        }
         Tensor::from_vec(out, self.dims())
     }
 
@@ -233,19 +223,15 @@ impl<T: MathElement> Tensor<T> {
         let mut out = buf;
         out.clear();
         out.resize(self.len(), T::ZERO);
-        let threads = auto_threads(self.len() as u64 * 3);
-        par_bands(&mut out, d, threads, |lane0, band| {
-            let mut sq = vec![T::ZERO; d];
-            for (i, out_lane) in band.chunks_mut(d).enumerate() {
-                let lane = &self.data()[(lane0 + i) * d..(lane0 + i + 1) * d];
-                map_slice(lane, &mut sq, |x| x * x);
-                let ms = cfg.sum(&sq) / nd;
-                let inv = (ms + epsd).rsqrt_with(cfg.math);
-                for ((slot, &x), &g) in out_lane.iter_mut().zip(lane).zip(gamma.data()) {
-                    *slot = x * inv * g;
-                }
+        let mut sq = vec![T::ZERO; d];
+        for (lane, out_lane) in self.data().chunks(d).zip(out.chunks_mut(d)) {
+            map_slice(lane, &mut sq, |x| x * x);
+            let ms = cfg.sum(&sq) / nd;
+            let inv = (ms + epsd).rsqrt_with(cfg.math);
+            for ((slot, &x), &g) in out_lane.iter_mut().zip(lane).zip(gamma.data()) {
+                *slot = x * inv * g;
             }
-        });
+        }
         Tensor::from_vec(out, self.dims())
     }
 
@@ -528,7 +514,7 @@ mod tests {
     #[test]
     fn parallel_lanes_bits_match_reference_oracle() {
         use crate::math::MathLib;
-        // Big enough to cross the thread fan-out threshold.
+        // Many lanes, each wider than one vector of the elementwise maps.
         let t = Tensor::<f32>::rand_uniform(&[512, 128], -4.0, 4.0, 17);
         let gamma = Tensor::<f32>::rand_uniform(&[128], 0.5, 1.5, 18);
         let beta = Tensor::<f32>::rand_uniform(&[128], -0.5, 0.5, 19);

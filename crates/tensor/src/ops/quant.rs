@@ -10,7 +10,7 @@
 //! threshold offense (see `tao-calib`).
 
 use crate::error::TensorError;
-use crate::kernel::{auto_threads, PackedRhs};
+use crate::kernel::PackedRhs;
 use crate::quant::{
     dequantize_value, max_abs, quant_gemm_into, quant_gemm_reference, quantize_symmetric,
     quantize_value, symmetric_scale,
@@ -132,7 +132,7 @@ impl Tensor<f32> {
         let (qb, sb) = quantize_symmetric(other.data());
         let rhs = PackedRhs::from_row_major(&qb, k, n);
         let mut acc = vec![0i32; m * n];
-        quant_gemm_into(&qa, m, &rhs, &mut acc, auto_threads((m * k * n) as u64));
+        quant_gemm_into(&qa, m, &rhs, &mut acc);
         let scale = sa * sb;
         let mut out = buf;
         out.clear();
@@ -195,13 +195,7 @@ impl Tensor<f32> {
         // trick the float linear uses.
         let rhs = PackedRhs::from_transposed(&qw, out_f, in_f);
         let mut acc = vec![0i32; rows * out_f];
-        quant_gemm_into(
-            &qx,
-            rows,
-            &rhs,
-            &mut acc,
-            auto_threads((rows * in_f * out_f) as u64),
-        );
+        quant_gemm_into(&qx, rows, &rhs, &mut acc);
         let mut out = buf;
         out.clear();
         out.extend(acc.chunks(out_f.max(1)).flat_map(|row| {

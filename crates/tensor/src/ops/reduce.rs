@@ -1,17 +1,13 @@
 //! Reductions along axes with pluggable accumulation order.
 //!
-//! Lanes along the reduced axis are independent, so [`Tensor::sum_axis`]
-//! and friends fan output positions over scoped worker threads for large
-//! tensors; each lane is still materialized contiguously and reduced with
-//! the exact single-thread instruction sequence, so results are
-//! bit-identical at every thread count. Whole-tensor reductions
-//! ([`Tensor::sum_all`]) are a single ordered chain and stay serial by
-//! construction.
+//! [`Tensor::sum_axis`] and friends materialize each lane along the
+//! reduced axis contiguously and reduce it under the tensor's
+//! accumulation order; whole-tensor reductions ([`Tensor::sum_all`]) are a
+//! single ordered chain.
 
 use crate::accum::KernelConfig;
 use crate::element::Element;
 use crate::error::TensorError;
-use crate::kernel::{auto_threads, par_bands};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -102,7 +98,7 @@ impl<T: Element> Tensor<T> {
     /// axis removed. The lane is materialized contiguously so `f` sees the
     /// elements in canonical axis order (this fixes the reduction order that
     /// the accumulation mode then permutes *internally*).
-    fn reduce_axis(&self, axis: usize, f: impl Fn(&[T]) -> T + Sync) -> Result<Tensor<T>> {
+    fn reduce_axis(&self, axis: usize, f: impl Fn(&[T]) -> T) -> Result<Tensor<T>> {
         let extent = self.shape().dim(axis)?;
         if extent == 0 {
             return Err(TensorError::InvalidArgument(
@@ -114,19 +110,15 @@ impl<T: Element> Tensor<T> {
         let out_shape = Shape::new(&out_dims);
         let inner: usize = self.dims()[axis + 1..].iter().product();
         let mut out = vec![T::ZERO; out_shape.volume()];
-        let threads = auto_threads(self.len() as u64);
-        par_bands(&mut out, 1, threads, |pos0, band| {
-            let mut lane = vec![T::ZERO; extent];
-            for (off, slot) in band.iter_mut().enumerate() {
-                // Output position -> (outer, inner) coordinates.
-                let pos = pos0 + off;
-                let (o, i) = (pos / inner.max(1), pos % inner.max(1));
-                for (k, l) in lane.iter_mut().enumerate() {
-                    *l = self.data()[o * extent * inner + k * inner + i];
-                }
-                *slot = f(&lane);
+        let mut lane = vec![T::ZERO; extent];
+        for (pos, slot) in out.iter_mut().enumerate() {
+            // Output position -> (outer, inner) coordinates.
+            let (o, i) = (pos / inner.max(1), pos % inner.max(1));
+            for (k, l) in lane.iter_mut().enumerate() {
+                *l = self.data()[o * extent * inner + k * inner + i];
             }
-        });
+            *slot = f(&lane);
+        }
         Tensor::from_vec(out, &out_dims)
     }
 }

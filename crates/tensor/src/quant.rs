@@ -8,8 +8,8 @@
 //! stays in-tree permanently and the vector path must be **bit-identical**
 //! to it. Unlike floating point, integer multiply-accumulate is exact and
 //! wrapping `i32` addition is associative and commutative, so *any*
-//! evaluation order — SIMD pair-sums, four-row register blocks, row-band
-//! threading — reproduces the scalar result bit-for-bit. That makes the
+//! evaluation order — SIMD pair-sums, four-row register blocks —
+//! reproduces the scalar result bit-for-bit. That makes the
 //! quantized contract trivially satisfiable by every device config: a
 //! quantized operator is **cross-device exact**, its calibration envelope
 //! is all-zero, and a single flipped output bit is an unbounded threshold
@@ -34,7 +34,7 @@
 //! breaking bit-identity with the oracle, so the `u8 x i8` form is banned
 //! here despite being one instruction shorter.
 
-use crate::kernel::{par_bands, PackedRhs, PANEL};
+use crate::kernel::{PackedRhs, PANEL};
 
 /// Row-block height of the int8 micro-kernel; the `f32` tile's eight rows
 /// ([`MR`](crate::kernel::MR)) measured slower here.
@@ -162,7 +162,7 @@ mod x86q {
     ];
 
     /// Packs one lhs row into broadcast-ready `i16` pairs: lane `kp` holds
-    /// `(a[2kp+1] << 16) | a[2kp]` as an `i32`. Built once per row band and
+    /// `(a[2kp+1] << 16) | a[2kp]` as an `i32`. Built once per row block and
     /// reused across every rhs panel — the scalar pair assembly used to run
     /// inside the panel loop and dominated the kernel's uop budget.
     pub(super) fn pack_pairs(a_row: &[i8], pairs: &mut [i32]) {
@@ -233,15 +233,15 @@ mod x86q {
 }
 
 /// Widening int8 GEMM into a preallocated `i32` buffer, bit-identical to
-/// [`quant_gemm_reference`] at any thread count (integer accumulation is
-/// exact, so this is a theorem, not a convention — and it is proptested
+/// [`quant_gemm_reference`] (integer accumulation is exact, so this is a
+/// theorem, not a convention — and it is proptested
 /// anyway in `tests/tests/quant_equiv.rs`).
 ///
 /// # Panics
 ///
 /// Panics if `a` is not `m * rhs.k()` long or `out` is not
 /// `m * rhs.n()` long.
-pub fn quant_gemm_into(a: &[i8], m: usize, rhs: &PackedRhs<i8>, out: &mut [i32], threads: usize) {
+pub fn quant_gemm_into(a: &[i8], m: usize, rhs: &PackedRhs<i8>, out: &mut [i32]) {
     let (k, n) = (rhs.k(), rhs.n());
     assert_eq!(a.len(), m * k, "lhs length mismatch");
     assert_eq!(out.len(), m * n, "out length mismatch");
@@ -257,50 +257,48 @@ pub fn quant_gemm_into(a: &[i8], m: usize, rhs: &PackedRhs<i8>, out: &mut [i32],
     let fast = x86q::have_avx2();
     #[cfg(not(target_arch = "x86_64"))]
     let fast = false;
-    par_bands(out, MR * n, threads, |block0, band| {
-        // Broadcast-ready lhs pairs, rebuilt per MR-row block and shared
-        // across every rhs panel (row-major `rows x (k / 2)`).
+    // Broadcast-ready lhs pairs, rebuilt per MR-row block and shared
+    // across every rhs panel (row-major `rows x (k / 2)`).
+    #[cfg(target_arch = "x86_64")]
+    let mut pairs: Vec<i32> = vec![0; if fast { MR * (k / 2) } else { 0 }];
+    for (bi, chunk) in out.chunks_mut(MR * n).enumerate() {
+        let row0 = bi * MR;
+        let rows = chunk.len() / n;
+        let a_rows: Vec<&[i8]> = (0..rows)
+            .map(|r| &a[(row0 + r) * k..(row0 + r + 1) * k])
+            .collect();
         #[cfg(target_arch = "x86_64")]
-        let mut pairs: Vec<i32> = vec![0; if fast { MR * (k / 2) } else { 0 }];
-        for (bi, chunk) in band.chunks_mut(MR * n).enumerate() {
-            let row0 = (block0 + bi) * MR;
-            let rows = chunk.len() / n;
-            let a_rows: Vec<&[i8]> = (0..rows)
-                .map(|r| &a[(row0 + r) * k..(row0 + r + 1) * k])
-                .collect();
-            #[cfg(target_arch = "x86_64")]
-            if fast {
-                for (r, a_row) in a_rows.iter().enumerate() {
-                    x86q::pack_pairs(a_row, &mut pairs[r * (k / 2)..(r + 1) * (k / 2)]);
-                }
-            }
-            for (p, panel) in rhs.panels().chunks(panel_len).enumerate() {
-                let mut acc = [[0i32; PANEL]; MR];
-                if fast {
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: AVX2 runtime-detected; panel is k * PANEL
-                    // long, every row slice is exactly k long, and pairs
-                    // holds MR * (k / 2) packed lhs pairs.
-                    unsafe {
-                        x86q::quant_mr_tile(&a_rows, &pairs, panel, k, &mut acc);
-                    }
-                } else {
-                    quant_mr_tile_scalar(&a_rows, panel, k, &mut acc);
-                }
-                let col0 = p * PANEL;
-                let width = PANEL.min(n - col0);
-                for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                    chunk[r * n + col0..r * n + col0 + width].copy_from_slice(&acc_row[..width]);
-                }
+        if fast {
+            for (r, a_row) in a_rows.iter().enumerate() {
+                x86q::pack_pairs(a_row, &mut pairs[r * (k / 2)..(r + 1) * (k / 2)]);
             }
         }
-    });
+        for (p, panel) in rhs.panels().chunks(panel_len).enumerate() {
+            let mut acc = [[0i32; PANEL]; MR];
+            if fast {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: AVX2 runtime-detected; panel is k * PANEL
+                // long, every row slice is exactly k long, and pairs
+                // holds MR * (k / 2) packed lhs pairs.
+                unsafe {
+                    x86q::quant_mr_tile(&a_rows, &pairs, panel, k, &mut acc);
+                }
+            } else {
+                quant_mr_tile_scalar(&a_rows, panel, k, &mut acc);
+            }
+            let col0 = p * PANEL;
+            let width = PANEL.min(n - col0);
+            for (r, acc_row) in acc.iter().enumerate().take(rows) {
+                chunk[r * n + col0..r * n + col0 + width].copy_from_slice(&acc_row[..width]);
+            }
+        }
+    }
 }
 
 /// Allocating convenience wrapper around [`quant_gemm_into`].
-pub fn quant_gemm(a: &[i8], m: usize, rhs: &PackedRhs<i8>, threads: usize) -> Vec<i32> {
+pub fn quant_gemm(a: &[i8], m: usize, rhs: &PackedRhs<i8>) -> Vec<i32> {
     let mut out = vec![0i32; m * rhs.n()];
-    quant_gemm_into(a, m, rhs, &mut out, threads);
+    quant_gemm_into(a, m, rhs, &mut out);
     out
 }
 
@@ -333,23 +331,20 @@ mod tests {
             let a = pseudo_i8(m * k, 11);
             let b = pseudo_i8(k * n, 23);
             let rhs = PackedRhs::from_row_major(&b, k, n);
-            let oracle = quant_gemm_reference(&a, m, k, &b, n);
-            for threads in [1usize, 2, 5] {
-                assert_eq!(
-                    quant_gemm(&a, m, &rhs, threads),
-                    oracle,
-                    "m={m} k={k} n={n} threads={threads}"
-                );
-            }
+            assert_eq!(
+                quant_gemm(&a, m, &rhs),
+                quant_gemm_reference(&a, m, k, &b, n),
+                "m={m} k={k} n={n}"
+            );
         }
     }
 
     #[test]
     fn degenerate_shapes() {
         let rhs = PackedRhs::from_row_major(&[], 0, 4);
-        assert_eq!(quant_gemm(&[], 3, &rhs, 2), vec![0; 12]);
+        assert_eq!(quant_gemm(&[], 3, &rhs), vec![0; 12]);
         let rhs = PackedRhs::from_row_major(&[], 5, 0);
-        assert!(quant_gemm(&[1i8; 10], 2, &rhs, 2).is_empty());
+        assert!(quant_gemm(&[1i8; 10], 2, &rhs).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Differential kernel-equivalence harness: the blocked/packed/threaded
+//! Differential kernel-equivalence harness: the blocked/packed
 //! hot-path kernels must be **bit-identical** to the scalar oracle kernels
 //! for every `KernelConfig` — accumulation order and FMA contraction are
 //! part of the committed numeric contract the TAO protocol verifies, so a
@@ -18,9 +18,7 @@
 //!   subnormals and infinities.
 
 use proptest::prelude::*;
-use tao_tensor::kernel::{
-    gemm, gemm_packed_into, PackedLhs, PackedRhs, MAX_KERNEL_THREADS, MR, PANEL,
-};
+use tao_tensor::kernel::{gemm, gemm_packed_into, PackedLhs, PackedRhs, MR, PANEL};
 use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathElement, MathLib, Shape, Tensor};
 
 /// Every accumulation mode × FMA combination the fleet can express,
@@ -156,7 +154,7 @@ fn norms_every_mode_fma_and_intrinsic_family_bit_equal() {
 }
 
 #[test]
-fn gemm_thread_count_never_changes_bits() {
+fn gemm_row_blocks_bit_equal_to_matmul_oracle() {
     // One row, a one-row tail block after two full blocks, a 7-row tail.
     for m in [1, 2 * MR + 1, 23] {
         let (k, n) = (77, 29);
@@ -165,33 +163,24 @@ fn gemm_thread_count_never_changes_bits() {
         let packed = PackedRhs::from_row_major(b.data(), k, n);
         let lhs = PackedLhs::from_row_major(a.data(), m, k);
         for cfg in all_configs() {
-            let one = gemm(&cfg, &lhs, &packed, 1);
+            let fast = gemm(&cfg, &lhs, &packed);
             let oracle = a.matmul_reference(&b, &cfg).unwrap();
             assert!(
-                one.iter()
+                fast.iter()
                     .zip(oracle.data())
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "m={m} single thread vs oracle {cfg:?}"
+                "m={m} {cfg:?}"
             );
-            for threads in [2, 5, MAX_KERNEL_THREADS, 3 * MAX_KERNEL_THREADS] {
-                let many = gemm(&cfg, &lhs, &packed, threads);
-                assert!(
-                    one.iter()
-                        .zip(&many)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "m={m} threads={threads} {cfg:?}"
-                );
-            }
         }
     }
 }
 
 /// Pairwise accumulation, fma on and off, through the packed-lhs MR-row
 /// tile: every reduction length the recursion treats specially (0, 1, 2,
-/// 3, odd, past 64), ragged `m`/`n`, at 1, 2 and 8 threads, against the
-/// scalar `cfg.dot` oracle.
+/// 3, odd, past 64) and ragged `m`/`n`, against the scalar `cfg.dot`
+/// oracle.
 #[test]
-fn pairwise_packed_lhs_matches_scalar_dot_at_every_thread_count() {
+fn pairwise_packed_lhs_matches_scalar_dot() {
     for fma in [false, true] {
         let cfg = KernelConfig {
             accum: AccumMode::Pairwise,
@@ -212,16 +201,14 @@ fn pairwise_packed_lhs_matches_scalar_dot_at_every_thread_count() {
                         oracle.push(cfg.dot(row, &col_vals));
                     }
                 }
-                for threads in [1, 2, 8] {
-                    let mut out = vec![f32::NAN; m * n];
-                    gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
-                    assert!(
-                        out.iter()
-                            .zip(&oracle)
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "pairwise fma={fma} {m}x{k}x{n} threads={threads}"
-                    );
-                }
+                let mut out = vec![f32::NAN; m * n];
+                gemm_packed_into(&cfg, &lhs, &rhs, &mut out);
+                assert!(
+                    out.iter()
+                        .zip(&oracle)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "pairwise fma={fma} {m}x{k}x{n}"
+                );
             }
         }
     }
@@ -254,10 +241,10 @@ fn linear_pairwise_reduction_edges_bit_equal() {
 }
 
 #[test]
-fn large_reductions_cross_the_parallel_threshold_bit_equal() {
-    // 256x256x256 engages row-band threading inside matmul (when the host
-    // has the cores) and the lane fan-out inside softmax/layer_norm; the
-    // oracle is single-threaded either way.
+fn large_reductions_bit_equal_to_scalar_oracles() {
+    // A 256x256x256 matmul (32 full row blocks, 32 full panels, eight
+    // Blocked(32) chunks per dot) and 512 lanes of 128 through softmax and
+    // layer_norm, each against its scalar seed loop.
     let cfg = KernelConfig {
         accum: AccumMode::Blocked(32),
         fma: true,
@@ -275,6 +262,13 @@ fn large_reductions_cross_the_parallel_threshold_bit_equal() {
         &x.softmax_last(&cfg).unwrap(),
         &x.softmax_last_reference(&cfg).unwrap(),
         "softmax 512x128",
+    );
+    let gamma = Tensor::<f32>::rand_uniform(&[128], 0.5, 1.5, 74);
+    let beta = Tensor::<f32>::rand_uniform(&[128], -0.5, 0.5, 75);
+    assert_bits_eq(
+        &x.layer_norm(&gamma, &beta, 1e-5, &cfg).unwrap(),
+        &x.layer_norm_reference(&gamma, &beta, 1e-5, &cfg).unwrap(),
+        "layer_norm 512x128",
     );
 }
 
@@ -446,7 +440,7 @@ proptest! {
         let b = operand(&[k, n], seed ^ 0x9999);
         let packed = PackedRhs::from_row_major(b.data(), k, n);
         let lhs = PackedLhs::from_row_major(a.data(), 1, k);
-        let fast = gemm(&cfg, &lhs, &packed, 1);
+        let fast = gemm(&cfg, &lhs, &packed);
         for (col, f) in fast.iter().enumerate() {
             let col_vals: Vec<f32> = (0..k).map(|kk| b.data()[kk * n + col]).collect();
             let oracle = cfg.dot(a.data(), &col_vals);
@@ -465,7 +459,7 @@ proptest! {
     /// accumulation mode (Kahan through its scalar tile), FMA on and off,
     /// ragged `m = 1..=17` around the [`MR`]-row block (one-row operands
     /// and one-row tail blocks included), `n` around the [`PANEL`] width,
-    /// `Blocked` block sizes mostly below `k`, at 1 and 2 threads.
+    /// `Blocked` block sizes mostly below `k`.
     #[test]
     fn prop_register_tile_matches_scalar_dot(
         m in 1usize..18,
@@ -495,14 +489,12 @@ proptest! {
                 oracle.push(cfg.dot(a_row, &col_vals));
             }
         }
-        for threads in [1, 2] {
-            let mut out = vec![f32::NAN; m * n];
-            gemm_packed_into(&cfg, &lhs, &rhs, &mut out, threads);
-            prop_assert!(
-                out.iter().zip(&oracle).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "tile {m}x{k}x{n} MR={MR} threads={threads} {cfg:?}"
-            );
-        }
+        let mut out = vec![f32::NAN; m * n];
+        gemm_packed_into(&cfg, &lhs, &rhs, &mut out);
+        prop_assert!(
+            out.iter().zip(&oracle).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "tile {m}x{k}x{n} MR={MR} {cfg:?}"
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 //! Differential equivalence harness for the int8-quantized kernel family.
 //!
 //! The quantized GEMM's AVX2 fast path must be **bit-identical** to the
-//! in-tree scalar int8 oracle at every shape and thread count: integer
+//! in-tree scalar int8 oracle at every shape: integer
 //! widening products with wrapping `i32` accumulation are associative, so
 //! any evaluation order reproduces the oracle bits exactly. That exactness
 //! is what the protocol leans on — quantized operators calibrate to
@@ -15,7 +15,7 @@ use tao_device::{Device, Fleet};
 use tao_graph::{execute, execute_with_stats, OpKind, Perturbations};
 use tao_models::{data, quantize_linears, transformer, TransformerConfig};
 use tao_protocol::{ClaimStatus, DisputeResult, LeafVerdict, Party};
-use tao_tensor::kernel::{PackedRhs, MAX_KERNEL_THREADS};
+use tao_tensor::kernel::PackedRhs;
 use tao_tensor::quant::{
     quant_gemm_into, quant_gemm_reference, quantize_symmetric, quantize_value, symmetric_scale,
 };
@@ -57,11 +57,9 @@ fn quant_gemm_bit_equal_at_panel_and_tile_boundaries() {
         let (qb, _) = quantize_symmetric(operand(&[k, n], 901 + n as u64).data());
         let rhs = PackedRhs::from_row_major(&qb, k, n);
         let oracle = quant_gemm_reference(&qa, m, k, &qb, n);
-        for threads in [1, 2, 5, MAX_KERNEL_THREADS] {
-            let mut fast = vec![0i32; m * n];
-            quant_gemm_into(&qa, m, &rhs, &mut fast, threads);
-            assert_eq!(fast, oracle, "quant gemm {m}x{k}x{n} threads {threads}");
-        }
+        let mut fast = vec![0i32; m * n];
+        quant_gemm_into(&qa, m, &rhs, &mut fast);
+        assert_eq!(fast, oracle, "quant gemm {m}x{k}x{n}");
     }
 }
 
@@ -197,7 +195,7 @@ fn static_scale_ops_invert_exactly_on_grid_points() {
 }
 
 // ---------------------------------------------------------------------------
-// Proptests: shapes × scales × thread counts, jointly sampled.
+// Proptests: shapes × scales, jointly sampled.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -206,16 +204,15 @@ proptest! {
         m in 1usize..20,
         k in 1usize..130,
         n in 1usize..20,
-        threads in 1usize..9,
         seed in 0u64..1_000_000,
     ) {
         let (qa, _) = quantize_symmetric(operand(&[m, k], seed).data());
         let (qb, _) = quantize_symmetric(operand(&[k, n], seed ^ 0xbeef).data());
         let rhs = PackedRhs::from_row_major(&qb, k, n);
         let mut fast = vec![0i32; m * n];
-        quant_gemm_into(&qa, m, &rhs, &mut fast, threads);
+        quant_gemm_into(&qa, m, &rhs, &mut fast);
         let oracle = quant_gemm_reference(&qa, m, k, &qb, n);
-        prop_assert_eq!(fast, oracle, "quant gemm {}x{}x{} t{}", m, k, n, threads);
+        prop_assert_eq!(fast, oracle, "quant gemm {}x{}x{}", m, k, n);
     }
 
     #[test]
