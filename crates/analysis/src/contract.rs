@@ -1,13 +1,15 @@
 //! Per-operator analysis contracts.
 //!
-//! Every [`OpKind`] gets one declarative [`OpContract`]: how many inputs it
-//! takes, whether its output aliases an existing buffer, and which
-//! [`ErrorRule`] class its floating-point rounding behaviour falls into.
-//! Static shape inference ([`infer_shape`]) mirrors the runtime validation
-//! of `tao-tensor` exactly — an operator admits a shape statically if and
-//! only if the kernel would accept tensors of those shapes — which is what
-//! lets `tests/tests/analysis_oracle.rs` assert *exact* equality between
-//! the static report and `execute_with_stats` measurements.
+//! Every [`OpKind`] gets one declarative [`OpContract`]: whether its output
+//! aliases an existing buffer, and which [`ErrorRule`] class its
+//! floating-point rounding behaviour falls into. Static shape inference
+//! ([`infer_shape`]) first checks the input count against
+//! [`OpKind::arity`], the table `tao_graph::eval_node` also checks, and
+//! then mirrors the runtime validation of `tao-tensor` exactly — an
+//! operator admits a shape statically if and only if the kernel would
+//! accept tensors of those shapes — which is what lets
+//! `tests/tests/analysis_oracle.rs` assert *exact* equality between the
+//! static report and `execute_with_stats` measurements.
 //!
 //! The bounds engine (`tao-bounds`) dispatches on [`ErrorRule`] instead of
 //! matching `OpKind` directly, so the per-op classification lives in
@@ -85,33 +87,9 @@ pub enum ErrorRule {
     Quantized,
 }
 
-/// How many inputs an operator accepts (mirrors `eval_node`'s checks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arity {
-    /// Exactly `n` inputs.
-    Exact(usize),
-    /// Between `lo` and `hi` inputs inclusive (e.g. optional bias).
-    Range(usize, usize),
-    /// At least `n` inputs (variadic concat).
-    AtLeast(usize),
-}
-
-impl Arity {
-    /// Whether `got` inputs satisfy this arity.
-    pub fn admits(&self, got: usize) -> bool {
-        match *self {
-            Arity::Exact(n) => got == n,
-            Arity::Range(lo, hi) => (lo..=hi).contains(&got),
-            Arity::AtLeast(n) => got >= n,
-        }
-    }
-}
-
 /// The declarative analysis contract of one operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpContract {
-    /// Input count the executor accepts.
-    pub arity: Arity,
     /// Whether the output tensor shares the storage of its first input
     /// (or of a graph parameter / caller input): `Arc`-clone ops allocate
     /// nothing, which is what the static peak-memory model folds over.
@@ -125,65 +103,55 @@ pub struct OpContract {
 /// runtime surprise in three crates.
 pub fn contract(kind: &OpKind) -> OpContract {
     use ErrorRule as E;
-    let c = |arity, aliasing, error| OpContract {
-        arity,
-        aliasing,
-        error,
-    };
+    let c = |aliasing, error| OpContract { aliasing, error };
     match kind {
-        OpKind::Input(_) => c(Arity::Exact(0), true, E::Exact),
-        OpKind::Parameter(_) => c(Arity::Exact(0), true, E::Exact),
-        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div => {
-            c(Arity::Exact(2), false, E::Fresh { scale: 1.0 })
-        }
-        OpKind::Pow => c(Arity::Exact(2), false, E::Fresh { scale: 6.0 }),
-        OpKind::Neg => c(Arity::Exact(1), false, E::Exact),
-        OpKind::AddScalar(_) | OpKind::MulScalar(_) => {
-            c(Arity::Exact(1), false, E::Fresh { scale: 1.0 })
-        }
-        OpKind::PowScalar(_) => c(Arity::Exact(1), false, E::Fresh { scale: 6.0 }),
-        OpKind::Sqrt => c(Arity::Exact(1), false, E::Fresh { scale: 1.0 }),
-        OpKind::Rsqrt => c(Arity::Exact(1), false, E::Intrinsic(Intrinsic::Rsqrt)),
-        OpKind::Exp => c(Arity::Exact(1), false, E::Intrinsic(Intrinsic::Exp)),
-        OpKind::Log => c(Arity::Exact(1), false, E::Intrinsic(Intrinsic::Log)),
-        OpKind::Tanh => c(Arity::Exact(1), false, E::Intrinsic(Intrinsic::Tanh)),
-        OpKind::Sin | OpKind::Cos => c(Arity::Exact(1), false, E::UnitRange),
-        OpKind::Relu => c(Arity::Exact(1), false, E::Exact),
-        OpKind::Gelu => c(Arity::Exact(1), false, E::Gelu),
-        OpKind::Silu => c(Arity::Exact(1), false, E::Silu),
-        OpKind::Sigmoid => c(Arity::Exact(1), false, E::Sigmoid),
-        OpKind::Softmax => c(Arity::Exact(1), false, E::Softmax),
-        OpKind::LayerNorm { .. } => c(Arity::Exact(3), false, E::LayerNorm),
-        OpKind::RmsNorm { .. } => c(Arity::Exact(2), false, E::RmsNorm),
-        OpKind::BatchNorm2d { .. } => c(Arity::Exact(5), false, E::BatchNorm),
-        OpKind::GroupNorm { .. } => c(Arity::Exact(3), false, E::GroupNorm),
-        OpKind::MatMul => c(Arity::Exact(2), false, E::DotProduct),
-        OpKind::Linear => c(Arity::Range(2, 3), false, E::DotProduct),
-        OpKind::Conv2d { .. } => c(Arity::Range(2, 3), false, E::DotProduct),
-        OpKind::QuantMatmul => c(Arity::Exact(2), false, E::Quantized),
-        OpKind::QuantLinear => c(Arity::Range(2, 3), false, E::Quantized),
-        OpKind::Quantize { .. } | OpKind::Dequantize { .. } => {
-            c(Arity::Exact(1), false, E::Quantized)
-        }
-        OpKind::MeanAll => c(Arity::Exact(1), false, E::MeanAll),
-        OpKind::SumAll => c(Arity::Exact(1), false, E::SumAll),
-        OpKind::SumAxis(_) => c(Arity::Exact(1), false, E::ReduceAxis { mean: false }),
-        OpKind::MeanAxis(_) => c(Arity::Exact(1), false, E::ReduceAxis { mean: true }),
-        OpKind::MaxAxis(_) => c(Arity::Exact(1), false, E::Exact),
-        OpKind::MaxPool2d { .. } => c(Arity::Exact(1), false, E::Exact),
-        OpKind::AvgPool2d { .. } => c(Arity::Exact(1), false, E::AvgPool),
-        OpKind::AdaptiveAvgPool1x1 => c(Arity::Exact(1), false, E::GlobalAvgPool),
-        OpKind::UpsampleNearest(_) => c(Arity::Exact(1), false, E::Exact),
-        OpKind::Reshape(_) => c(Arity::Exact(1), true, E::Exact),
-        OpKind::Flatten => c(Arity::Exact(1), true, E::Exact),
-        OpKind::FlattenFrom(_) => c(Arity::Exact(1), true, E::Exact),
-        OpKind::Transpose(_, _) => c(Arity::Exact(1), false, E::Exact),
-        OpKind::Permute(_) => c(Arity::Exact(1), false, E::Exact),
-        OpKind::Slice { .. } => c(Arity::Exact(1), false, E::Exact),
-        OpKind::Concat(_) => c(Arity::AtLeast(1), false, E::Exact),
-        OpKind::Embedding => c(Arity::Exact(2), false, E::Exact),
-        OpKind::MaskedFill(_) => c(Arity::Exact(2), false, E::Exact),
-        OpKind::Identity => c(Arity::Exact(1), true, E::Exact),
+        OpKind::Input(_) => c(true, E::Exact),
+        OpKind::Parameter(_) => c(true, E::Exact),
+        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div => c(false, E::Fresh { scale: 1.0 }),
+        OpKind::Pow => c(false, E::Fresh { scale: 6.0 }),
+        OpKind::Neg => c(false, E::Exact),
+        OpKind::AddScalar(_) | OpKind::MulScalar(_) => c(false, E::Fresh { scale: 1.0 }),
+        OpKind::PowScalar(_) => c(false, E::Fresh { scale: 6.0 }),
+        OpKind::Sqrt => c(false, E::Fresh { scale: 1.0 }),
+        OpKind::Rsqrt => c(false, E::Intrinsic(Intrinsic::Rsqrt)),
+        OpKind::Exp => c(false, E::Intrinsic(Intrinsic::Exp)),
+        OpKind::Log => c(false, E::Intrinsic(Intrinsic::Log)),
+        OpKind::Tanh => c(false, E::Intrinsic(Intrinsic::Tanh)),
+        OpKind::Sin | OpKind::Cos => c(false, E::UnitRange),
+        OpKind::Relu => c(false, E::Exact),
+        OpKind::Gelu => c(false, E::Gelu),
+        OpKind::Silu => c(false, E::Silu),
+        OpKind::Sigmoid => c(false, E::Sigmoid),
+        OpKind::Softmax => c(false, E::Softmax),
+        OpKind::LayerNorm { .. } => c(false, E::LayerNorm),
+        OpKind::RmsNorm { .. } => c(false, E::RmsNorm),
+        OpKind::BatchNorm2d { .. } => c(false, E::BatchNorm),
+        OpKind::GroupNorm { .. } => c(false, E::GroupNorm),
+        OpKind::MatMul => c(false, E::DotProduct),
+        OpKind::Linear => c(false, E::DotProduct),
+        OpKind::Conv2d { .. } => c(false, E::DotProduct),
+        OpKind::QuantMatmul => c(false, E::Quantized),
+        OpKind::QuantLinear => c(false, E::Quantized),
+        OpKind::Quantize { .. } | OpKind::Dequantize { .. } => c(false, E::Quantized),
+        OpKind::MeanAll => c(false, E::MeanAll),
+        OpKind::SumAll => c(false, E::SumAll),
+        OpKind::SumAxis(_) => c(false, E::ReduceAxis { mean: false }),
+        OpKind::MeanAxis(_) => c(false, E::ReduceAxis { mean: true }),
+        OpKind::MaxAxis(_) => c(false, E::Exact),
+        OpKind::MaxPool2d { .. } => c(false, E::Exact),
+        OpKind::AvgPool2d { .. } => c(false, E::AvgPool),
+        OpKind::AdaptiveAvgPool1x1 => c(false, E::GlobalAvgPool),
+        OpKind::UpsampleNearest(_) => c(false, E::Exact),
+        OpKind::Reshape(_) => c(true, E::Exact),
+        OpKind::Flatten => c(true, E::Exact),
+        OpKind::FlattenFrom(_) => c(true, E::Exact),
+        OpKind::Transpose(_, _) => c(false, E::Exact),
+        OpKind::Permute(_) => c(false, E::Exact),
+        OpKind::Slice { .. } => c(false, E::Exact),
+        OpKind::Concat(_) => c(false, E::Exact),
+        OpKind::Embedding => c(false, E::Exact),
+        OpKind::MaskedFill(_) => c(false, E::Exact),
+        OpKind::Identity => c(true, E::Exact),
     }
 }
 
@@ -214,11 +182,10 @@ fn issue(msg: impl Into<String>) -> ShapeIssue {
 /// reject tensors of these shapes.
 #[allow(clippy::too_many_lines)]
 pub fn infer_shape(kind: &OpKind, inputs: &[&[usize]]) -> ShapeResult {
-    let ct = contract(kind);
-    if !ct.arity.admits(inputs.len()) {
+    let arity = kind.arity();
+    if !arity.admits(inputs.len()) {
         return Err(issue(format!(
-            "{kind:?}: arity {:?} violated by {} inputs",
-            ct.arity,
+            "{kind:?}: arity {arity:?} violated by {} inputs",
             inputs.len()
         )));
     }

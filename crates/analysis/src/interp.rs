@@ -120,7 +120,9 @@ pub fn analyze_with(graph: &Graph, input_shapes: &[Vec<usize>], cfg: &LintConfig
     for node in graph.nodes() {
         let ct = contract(&node.kind);
         let out_shape: Option<Vec<usize>> = match &node.kind {
-            OpKind::Input(idx) => match input_shapes.get(*idx) {
+            // A leaf with input edges falls through to `infer_shape`,
+            // which denies it on arity as `eval_node` refuses it.
+            OpKind::Input(idx) if node.inputs.is_empty() => match input_shapes.get(*idx) {
                 Some(s) => Some(s.clone()),
                 None => {
                     findings.push(LintFinding::deny(
@@ -135,7 +137,7 @@ pub fn analyze_with(graph: &Graph, input_shapes: &[Vec<usize>], cfg: &LintConfig
                     None
                 }
             },
-            OpKind::Parameter(name) => match graph.param(name) {
+            OpKind::Parameter(name) if node.inputs.is_empty() => match graph.param(name) {
                 Ok(t) => Some(t.dims().to_vec()),
                 Err(_) => {
                     findings.push(LintFinding::deny(

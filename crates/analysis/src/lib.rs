@@ -2,9 +2,11 @@
 //! TAO marketplace.
 //!
 //! Every [`tao_graph::OpKind`] carries one declarative analysis contract
-//! ([`contract()`]): arity, output aliasing, an [`ErrorRule`] classification
-//! consumed by the bounds engine, and shape-inference rules that mirror
-//! the `tao-tensor` kernel validation exactly. The interpreter
+//! ([`contract()`]): output aliasing and an [`ErrorRule`] classification
+//! consumed by the bounds engine. Shape inference ([`infer_shape`]) checks
+//! the operator's [`tao_graph::OpKind::arity`], the table the executor
+//! also reads, and then mirrors the `tao-tensor` kernel validation
+//! exactly. The interpreter
 //! ([`analyze`]) folds those contracts over a graph *without executing
 //! it*, producing a [`StaticReport`] — inferred shapes, FLOPs, operand
 //! traffic, peak resident bytes, an admission gas quote, a deposit bound,
@@ -21,7 +23,7 @@ pub mod contract;
 pub mod interp;
 pub mod lint;
 
-pub use contract::{contract, infer_shape, Arity, ErrorRule, Intrinsic, OpContract, ShapeIssue};
+pub use contract::{contract, infer_shape, ErrorRule, Intrinsic, OpContract, ShapeIssue};
 pub use interp::{
     analyze, analyze_with, StaticReport, BYTES_PER_GAS, FLOPS_PER_DEPOSIT_UNIT, FLOPS_PER_GAS,
     GAS_BASE,

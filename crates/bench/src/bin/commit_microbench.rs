@@ -1,7 +1,7 @@
 //! Commitment-layer microbenchmark: the dispatched SHA-256, the batch
-//! hasher and the streaming trace committer vs the seed scalar paths.
+//! hasher and the trace commitment vs the seed scalar paths.
 //!
-//! Six sections, every timed pair also bit-compared (digests and roots),
+//! Five sections, every timed pair also bit-compared (digests and roots),
 //! so this doubles as a fast regression check of the commitment
 //! equivalence contract (`cargo test --test commit_equiv` is the
 //! exhaustive version). Each pair is timed as alternating repetitions of
@@ -24,11 +24,7 @@
 //!    (`MerkleTree::matches_path`, the dispute challenger's check), with
 //!    the valid and the tampered verdicts of all three bit-compared. Path
 //!    comparison is asserted ≥ 8x the fast path walk outside smoke mode.
-//! 5. **Streamed commitment per forward pass** — for each bundled model,
-//!    one pass's node values streamed through a `StreamingCommitter` with
-//!    and without the deployment's `ParamDigests` table: bytes hashed, time
-//!    and the two roots bit-compared.
-//! 6. **Batch commitment per forward pass** — for each bundled model, one
+//! 5. **Batch commitment per forward pass** — for each bundled model, one
 //!    pass's node values committed with the `ParamDigests` table by
 //!    `TraceCommitment::build_with_params` (one `sha256_batch` per stage:
 //!    the values, the leaves, each tree level) vs every message hashed on
@@ -43,11 +39,11 @@
 //! the criterion stub's writer).
 
 use tao_bench::{export_csv, paired, print_table, Paired};
-use tao_graph::{execute, NodeId, ValueObserver};
+use tao_graph::execute;
 use tao_merkle::{
     canon_tensor_len, hash_leaves, sha256, tensor_hash, verify_inclusion_digest,
     verify_inclusion_digest_reference, Digest, FastSha256, InclusionProof, MerkleTree,
-    ParamDigests, StreamingCommitter, TraceCommitment,
+    ParamDigests, TraceCommitment,
 };
 use tao_models::{
     bert, data, quantize_linears, qwen, resnet, transformer, BertConfig, Model, QwenConfig,
@@ -348,69 +344,7 @@ fn main() {
         ],
     );
 
-    // --- 5. streamed commitment per forward pass, with and without the
-    // parameter table -----------------------------------------------------
-    let mut rows = Vec::new();
-    for (name, model, inputs) in bundled_models() {
-        let graph = &model.graph;
-        let trace = execute(graph, &inputs, &KernelConfig::reference(), None).expect("forward");
-        let table = ParamDigests::new(graph);
-        let stream = |params: &ParamDigests| {
-            let mut c = StreamingCommitter::with_params(graph.len(), params);
-            for (i, v) in trace.values.iter().enumerate() {
-                c.observe(NodeId(i), v);
-            }
-            c.finish()
-        };
-        let empty = ParamDigests::default();
-        let oracle = TraceCommitment::build(&trace.values);
-        assert_eq!(stream(&empty), oracle, "{name}: streamed root drifted");
-        assert_eq!(stream(&table), oracle, "{name}: table-backed root drifted");
-        let bytes_all: usize = trace.values.iter().map(canon_tensor_len).sum();
-        let bytes_missed: usize = trace
-            .values
-            .iter()
-            .enumerate()
-            .filter(|(i, v)| table.get(*i, v).is_none())
-            .map(|(_, v)| canon_tensor_len(v))
-            .sum();
-        let pass_samples = if smoke { 11 } else { 201 };
-        let p = paired(pass_samples, || stream(&empty), || stream(&table));
-        export_csv(
-            &format!("commit/streamed_pass/{name}/no-table"),
-            p.seed,
-            "bytes",
-            bytes_all as u64,
-        );
-        export_csv(
-            &format!("commit/streamed_pass/{name}/table"),
-            p.fast,
-            "bytes",
-            bytes_missed as u64,
-        );
-        rows.push(vec![
-            name.to_string(),
-            format!("{}", graph.len()),
-            format!("{bytes_all}"),
-            format!("{bytes_missed}"),
-            format!(
-                "{:.0}%",
-                100.0 * (1.0 - bytes_missed as f64 / bytes_all as f64)
-            ),
-            format!("{:.1}us", 1e6 * p.seed),
-            format!("{:.1}us", 1e6 * p.fast),
-            format!("{:.2}x", p.speedup),
-        ]);
-    }
-    print_table(
-        &format!(
-            "Streamed commitment per forward pass — one pass's node values through a StreamingCommitter without / with the ParamDigests table, {cores} cores (roots bit-identical)"
-        ),
-        &["model", "nodes", "bytes (all)", "bytes (table)", "saved", "no table", "table", "speedup"],
-        &rows,
-    );
-
-    // --- 6. batch vs per-message commitment per forward pass ------------
+    // --- 5. batch vs per-message commitment per forward pass ------------
     let mut rows = Vec::new();
     let mut deep8 = f64::NAN;
     for (name, model, inputs) in bundled_models() {

@@ -30,7 +30,9 @@ use tao_bench::{export_csv, paired, print_table};
 use tao_calib::{calibrate, calibrate_reference, grid_profile, grid_profile_reference};
 use tao_device::Fleet;
 use tao_models::{data, qwen, resnet, QwenConfig, ResNetConfig};
-use tao_tensor::kernel::{gemm, gemm_packed_into, PackedLhs, PackedRhs};
+use tao_tensor::kernel::{
+    gemm, gemm_packed_into, host_threads, PackedLhs, PackedRhs, MAX_PAR_THREADS,
+};
 use tao_tensor::quant::{quant_gemm_into, quant_gemm_reference, quantize_symmetric};
 use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathElement, MathLib, Shape, Tensor};
 
@@ -475,7 +477,7 @@ fn calibration_table(reps: usize, smoke: bool) {
     print_table(
         &format!(
             "Kernel microbench — calibration sweep, every node profiled vs relayouts reusing their input's profile, standard fleet, {} threads (median of {reps} paired ratios, records bit-identical)",
-            tao_tensor::kernel::host_threads().min(8)
+            host_threads().min(MAX_PAR_THREADS)
         ),
         &["model", "nodes", "samples", "reference", "reuse", "speedup"],
         &rows,

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use tao_device::Fleet;
 use tao_graph::{execute, Execution, Graph, NodeId, Relayout};
+use tao_tensor::kernel::{host_threads, MAX_PAR_THREADS};
 use tao_tensor::Tensor;
 
 use crate::error::CalibError;
@@ -179,7 +180,7 @@ pub fn calibrate_reference(
 }
 
 fn default_threads() -> usize {
-    tao_tensor::kernel::host_threads().min(8)
+    host_threads().min(MAX_PAR_THREADS)
 }
 
 /// The sweep both calibrations share: executes every sample on every

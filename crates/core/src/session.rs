@@ -522,16 +522,8 @@ impl Session {
         // The adopter screens for itself: its own trace replaces the
         // deserter's, and the dispute below reuses it — the adopter pays one
         // forward pass, never more.
-        self.screening = Some(screen_claim(
-            &self.deployment.model.graph,
-            self.deployment.model.logits,
-            &self.deployment.thresholds,
-            ClaimCheck {
-                inputs: &self.inputs,
-                claimed_output: &self.output,
-            },
-            device,
-        )?);
+        self.screening = None;
+        self.screen()?;
         self.abandoned = false;
         self.resolve_dispute()?;
         Ok(self.dispute.as_ref())

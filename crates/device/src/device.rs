@@ -2,17 +2,6 @@
 
 use tao_tensor::{AccumMode, KernelConfig, MathLib};
 
-/// Broad device family, used in commitments' `meta` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceClass {
-    /// Consumer / workstation class (RTX-like).
-    Consumer,
-    /// Datacenter class (A100/H100-like).
-    Datacenter,
-    /// Canonical reference executor used for leaf re-execution.
-    Reference,
-}
-
 /// A simulated accelerator: a name plus the kernel configuration describing
 /// how its kernels round.
 ///
@@ -22,36 +11,17 @@ pub enum DeviceClass {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     name: String,
-    class: DeviceClass,
     config: KernelConfig,
-    /// When true, autotuning-style kernel re-selection is disabled and the
-    /// device always uses `config` verbatim (the paper's "software
-    /// determinism" flags). When false, [`Device::config_for_size`] may
-    /// legally pick a different tile size per problem size, modeling
-    /// autotuned kernel selection.
-    deterministic: bool,
 }
 
 impl Device {
-    /// Creates a custom device profile.
-    pub fn new(name: impl Into<String>, class: DeviceClass, config: KernelConfig) -> Self {
-        Device {
-            name: name.into(),
-            class,
-            config,
-            deterministic: true,
-        }
-    }
-
     /// Canonical reference device (sequential, no FMA, reference libm).
     ///
     /// Leaf adjudication and theoretical-bound checks re-execute here.
     pub fn reference() -> Self {
         Device {
             name: "reference".into(),
-            class: DeviceClass::Reference,
             config: KernelConfig::reference(),
-            deterministic: true,
         }
     }
 
@@ -60,13 +30,11 @@ impl Device {
     pub fn rtx4090_like() -> Self {
         Device {
             name: "sim-rtx4090".into(),
-            class: DeviceClass::Consumer,
             config: KernelConfig {
                 accum: AccumMode::Blocked(32),
                 fma: true,
                 math: MathLib::VariantA,
             },
-            deterministic: true,
         }
     }
 
@@ -75,13 +43,11 @@ impl Device {
     pub fn rtx6000_like() -> Self {
         Device {
             name: "sim-rtx6000".into(),
-            class: DeviceClass::Consumer,
             config: KernelConfig {
                 accum: AccumMode::Blocked(64),
                 fma: true,
                 math: MathLib::VariantB,
             },
-            deterministic: true,
         }
     }
 
@@ -90,13 +56,11 @@ impl Device {
     pub fn a100_like() -> Self {
         Device {
             name: "sim-a100".into(),
-            class: DeviceClass::Datacenter,
             config: KernelConfig {
                 accum: AccumMode::Pairwise,
                 fma: true,
                 math: MathLib::VariantA,
             },
-            deterministic: true,
         }
     }
 
@@ -104,13 +68,11 @@ impl Device {
     pub fn h100_like() -> Self {
         Device {
             name: "sim-h100".into(),
-            class: DeviceClass::Datacenter,
             config: KernelConfig {
                 accum: AccumMode::Pairwise,
                 fma: true,
                 math: MathLib::VariantB,
             },
-            deterministic: true,
         }
     }
 
@@ -129,72 +91,9 @@ impl Device {
         &self.name
     }
 
-    /// Device class.
-    pub fn class(&self) -> DeviceClass {
-        self.class
-    }
-
-    /// The kernel configuration in deterministic mode.
+    /// The kernel configuration: how this device's kernels round.
     pub fn config(&self) -> &KernelConfig {
         &self.config
-    }
-
-    /// Whether software-determinism flags are set (see struct docs).
-    pub fn is_deterministic(&self) -> bool {
-        self.deterministic
-    }
-
-    /// Returns a copy with software-determinism flags cleared.
-    pub fn with_autotune(mut self) -> Self {
-        self.deterministic = false;
-        self
-    }
-
-    /// Returns a copy with software-determinism flags set.
-    pub fn with_determinism(mut self) -> Self {
-        self.deterministic = true;
-        self
-    }
-
-    /// Kernel configuration for a given reduction length.
-    ///
-    /// In deterministic mode this is always [`Device::config`]. With
-    /// autotuning enabled, blocked kernels re-tile by problem size — the
-    /// same run-to-run schedule variability the paper's determinism flags
-    /// suppress (at a measured ~0.3% latency cost, reproduced by the
-    /// `overhead_determinism` bench).
-    pub fn config_for_size(&self, reduction_len: usize) -> KernelConfig {
-        if self.deterministic {
-            return self.config.clone();
-        }
-        let accum = match self.config.accum {
-            AccumMode::Blocked(_) => {
-                // Autotuner heuristic: tile grows with problem size.
-                let tile = match reduction_len {
-                    0..=128 => 16,
-                    129..=1024 => 64,
-                    _ => 256,
-                };
-                AccumMode::Blocked(tile)
-            }
-            other => other,
-        };
-        KernelConfig {
-            accum,
-            ..self.config.clone()
-        }
-    }
-
-    /// Simulated per-dot-product latency cost in arbitrary units; the
-    /// deterministic path adds a small constant for the disabled-autotuner
-    /// penalty. Used only by the overhead bench.
-    pub fn latency_model(&self, flops: u64) -> f64 {
-        let base = flops as f64;
-        if self.deterministic {
-            base * 1.003
-        } else {
-            base
-        }
     }
 }
 
@@ -245,32 +144,5 @@ mod tests {
     fn reference_is_sequential_no_fma() {
         let r = Device::reference();
         assert_eq!(r.config(), &KernelConfig::reference());
-        assert_eq!(r.class(), DeviceClass::Reference);
-    }
-
-    #[test]
-    fn autotune_changes_tile_by_size() {
-        let d = Device::rtx4090_like().with_autotune();
-        assert!(!d.is_deterministic());
-        let small = d.config_for_size(64);
-        let big = d.config_for_size(1 << 20);
-        assert_ne!(small.accum, big.accum);
-        let det = d.with_determinism();
-        assert_eq!(det.config_for_size(64), det.config_for_size(1 << 20));
-    }
-
-    #[test]
-    fn autotune_does_not_retile_pairwise_devices() {
-        let d = Device::a100_like().with_autotune();
-        assert_eq!(d.config_for_size(10).accum, AccumMode::Pairwise);
-    }
-
-    #[test]
-    fn determinism_latency_overhead_is_small() {
-        let d = Device::h100_like();
-        let det = d.latency_model(1_000_000);
-        let free = d.clone().with_autotune().latency_model(1_000_000);
-        let overhead = det / free - 1.0;
-        assert!(overhead > 0.0 && overhead < 0.01, "overhead {overhead}");
     }
 }

@@ -4,7 +4,7 @@ use crate::device::Device;
 
 /// An ordered, named collection of simulated devices.
 ///
-/// Calibration (in `tao-calib`) sweeps all ordered device *pairs* of a
+/// Calibration (in `tao-calib`) sweeps every unordered device *pair* of a
 /// fleet; committee sampling (in `tao-protocol`) draws adjudicators from a
 /// fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,11 +40,6 @@ impl Fleet {
         self.devices.is_empty()
     }
 
-    /// Looks a device up by name.
-    pub fn get(&self, name: &str) -> Option<&Device> {
-        self.devices.iter().find(|d| d.name() == name)
-    }
-
     /// Deterministically samples one device from a 64-bit seed (SplitMix64
     /// finalizer over the seed, reduced modulo the fleet size). Campaign
     /// harnesses use this to assign heterogeneous operator hardware
@@ -63,18 +58,6 @@ impl Fleet {
         z ^= z >> 31;
         &self.devices[(z % self.devices.len() as u64) as usize]
     }
-
-    /// Every unordered pair of devices once, as `(i, j)` with `i < j` (the
-    /// calibration sweep).
-    pub fn pairs(&self) -> Vec<(&Device, &Device)> {
-        let mut out = Vec::new();
-        for i in 0..self.devices.len() {
-            for j in i + 1..self.devices.len() {
-                out.push((&self.devices[i], &self.devices[j]));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -85,15 +68,7 @@ mod tests {
     fn standard_fleet_pairs() {
         let f = Fleet::standard();
         assert_eq!(f.len(), 4);
-        assert_eq!(f.pairs().len(), 6);
         assert!(!f.is_empty());
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let f = Fleet::standard();
-        assert!(f.get("sim-a100").is_some());
-        assert!(f.get("nonexistent").is_none());
     }
 
     #[test]
@@ -114,6 +89,5 @@ mod tests {
     fn empty_fleet() {
         let f = Fleet::new(vec![]);
         assert!(f.is_empty());
-        assert!(f.pairs().is_empty());
     }
 }

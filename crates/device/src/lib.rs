@@ -26,5 +26,5 @@
 pub mod device;
 pub mod fleet;
 
-pub use device::{Device, DeviceClass};
+pub use device::Device;
 pub use fleet::Fleet;

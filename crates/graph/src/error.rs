@@ -3,6 +3,7 @@
 use core::fmt;
 
 use crate::graph::NodeId;
+use crate::op::Arity;
 
 /// Errors from graph assembly, execution, and subgraph extraction.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +18,8 @@ pub enum GraphError {
     Arity {
         /// Offending node.
         node: NodeId,
-        /// Required input count (or minimum).
-        expected: usize,
+        /// The operator's [`Arity`].
+        expected: Arity,
         /// Actual input count.
         got: usize,
     },
@@ -91,11 +92,18 @@ mod tests {
             .contains("%3"));
         assert!(GraphError::Arity {
             node: NodeId(1),
-            expected: 2,
+            expected: Arity::Exact(2),
             got: 1
         }
         .to_string()
-        .contains("expected 2"));
+        .contains("expected 2 inputs"));
+        assert!(GraphError::Arity {
+            node: NodeId(1),
+            expected: Arity::Range(2, 3),
+            got: 4
+        }
+        .to_string()
+        .contains("expected 2 to 3 inputs"));
         let te = tao_tensor::TensorError::InvalidArgument("x".into());
         assert!(GraphError::from(te).to_string().contains("tensor error"));
     }

@@ -272,7 +272,9 @@ fn output_shares_storage(
 ///
 /// # Errors
 ///
-/// Returns an error on arity violations or kernel shape errors.
+/// Returns [`GraphError::Arity`] when the node's input count is not one
+/// its [`OpKind::arity`] admits, checked before any value is read, and an
+/// error on kernel shape errors.
 pub fn eval_node(
     graph: &Graph,
     node: &Node,
@@ -296,33 +298,24 @@ pub(crate) fn eval_node_with<'v>(
     cfg: &KernelConfig,
     pool: &mut BufferPool,
 ) -> Result<Tensor<f32>> {
+    let arity = node.kind.arity();
+    if !arity.admits(node.inputs.len()) {
+        return Err(GraphError::Arity {
+            node: node.id,
+            expected: arity,
+            got: node.inputs.len(),
+        });
+    }
     let arg = |k: usize| -> Result<&Tensor<f32>> {
         let id = *node.inputs.get(k).ok_or(GraphError::Arity {
             node: node.id,
-            expected: k + 1,
+            expected: arity,
             got: node.inputs.len(),
         })?;
         value(id).ok_or(GraphError::UnknownNode(id))
     };
-    let need = |n: usize| -> Result<()> {
-        if node.inputs.len() != n {
-            return Err(GraphError::Arity {
-                node: node.id,
-                expected: n,
-                got: node.inputs.len(),
-            });
-        }
-        Ok(())
-    };
     // An optional third operand (bias) after two required ones.
-    let bias = || -> Result<Option<&Tensor<f32>>> {
-        if node.inputs.len() == 3 {
-            Ok(Some(arg(2)?))
-        } else {
-            need(2)?;
-            Ok(None)
-        }
-    };
+    let bias = || (node.inputs.len() == 3).then(|| arg(2)).transpose();
     // An output buffer for a pooled kernel: the pool's smallest fit for
     // the output-size estimate, else a fresh (empty) Vec.
     let mut buf = |b: Option<&Tensor<f32>>| -> Result<Vec<f32>> {
@@ -338,110 +331,38 @@ pub(crate) fn eval_node_with<'v>(
             .param_value(node.id)
             .ok_or_else(|| GraphError::MissingParameter(name.clone()))?
             .clone(),
-        OpKind::Add => {
-            need(2)?;
-            arg(0)?.add_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
-        }
-        OpKind::Sub => {
-            need(2)?;
-            arg(0)?.sub_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
-        }
-        OpKind::Mul => {
-            need(2)?;
-            arg(0)?.mul_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
-        }
-        OpKind::Div => {
-            need(2)?;
-            arg(0)?.div_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
-        }
-        OpKind::Pow => {
-            need(2)?;
-            arg(0)?.pow(arg(1)?)?
-        }
-        OpKind::Neg => {
-            need(1)?;
-            arg(0)?.neg_with_buf(buf(None)?)
-        }
-        OpKind::AddScalar(s) => {
-            need(1)?;
-            arg(0)?.add_scalar_with_buf(*s as f32, buf(None)?)
-        }
-        OpKind::MulScalar(s) => {
-            need(1)?;
-            arg(0)?.mul_scalar_with_buf(*s as f32, buf(None)?)
-        }
-        OpKind::PowScalar(p) => {
-            need(1)?;
-            arg(0)?.pow_scalar(*p as f32)
-        }
-        OpKind::Sqrt => {
-            need(1)?;
-            arg(0)?.sqrt()
-        }
-        OpKind::Rsqrt => {
-            need(1)?;
-            arg(0)?.rsqrt(cfg)
-        }
-        OpKind::Exp => {
-            need(1)?;
-            arg(0)?.exp(cfg)
-        }
-        OpKind::Log => {
-            need(1)?;
-            arg(0)?.ln(cfg)
-        }
-        OpKind::Sin => {
-            need(1)?;
-            arg(0)?.sin()
-        }
-        OpKind::Cos => {
-            need(1)?;
-            arg(0)?.cos()
-        }
-        OpKind::Tanh => {
-            need(1)?;
-            arg(0)?.tanh(cfg)
-        }
-        OpKind::Relu => {
-            need(1)?;
-            arg(0)?.relu_with_buf(buf(None)?)
-        }
-        OpKind::Gelu => {
-            need(1)?;
-            arg(0)?.gelu(cfg)
-        }
-        OpKind::Silu => {
-            need(1)?;
-            arg(0)?.silu(cfg)
-        }
-        OpKind::Sigmoid => {
-            need(1)?;
-            arg(0)?.sigmoid(cfg)
-        }
-        OpKind::Softmax => {
-            need(1)?;
-            arg(0)?.softmax_last_with_buf(cfg, buf(None)?)?
-        }
+        OpKind::Add => arg(0)?.add_with_buf(arg(1)?, buf(Some(arg(1)?))?)?,
+        OpKind::Sub => arg(0)?.sub_with_buf(arg(1)?, buf(Some(arg(1)?))?)?,
+        OpKind::Mul => arg(0)?.mul_with_buf(arg(1)?, buf(Some(arg(1)?))?)?,
+        OpKind::Div => arg(0)?.div_with_buf(arg(1)?, buf(Some(arg(1)?))?)?,
+        OpKind::Pow => arg(0)?.pow(arg(1)?)?,
+        OpKind::Neg => arg(0)?.neg_with_buf(buf(None)?),
+        OpKind::AddScalar(s) => arg(0)?.add_scalar_with_buf(*s as f32, buf(None)?),
+        OpKind::MulScalar(s) => arg(0)?.mul_scalar_with_buf(*s as f32, buf(None)?),
+        OpKind::PowScalar(p) => arg(0)?.pow_scalar(*p as f32),
+        OpKind::Sqrt => arg(0)?.sqrt(),
+        OpKind::Rsqrt => arg(0)?.rsqrt(cfg),
+        OpKind::Exp => arg(0)?.exp(cfg),
+        OpKind::Log => arg(0)?.ln(cfg),
+        OpKind::Sin => arg(0)?.sin(),
+        OpKind::Cos => arg(0)?.cos(),
+        OpKind::Tanh => arg(0)?.tanh(cfg),
+        OpKind::Relu => arg(0)?.relu_with_buf(buf(None)?),
+        OpKind::Gelu => arg(0)?.gelu(cfg),
+        OpKind::Silu => arg(0)?.silu(cfg),
+        OpKind::Sigmoid => arg(0)?.sigmoid(cfg),
+        OpKind::Softmax => arg(0)?.softmax_last_with_buf(cfg, buf(None)?)?,
         OpKind::LayerNorm { eps } => {
-            need(3)?;
             arg(0)?.layer_norm_with_buf(arg(1)?, arg(2)?, *eps, cfg, buf(None)?)?
         }
-        OpKind::RmsNorm { eps } => {
-            need(2)?;
-            arg(0)?.rms_norm_with_buf(arg(1)?, *eps, cfg, buf(None)?)?
-        }
+        OpKind::RmsNorm { eps } => arg(0)?.rms_norm_with_buf(arg(1)?, *eps, cfg, buf(None)?)?,
         OpKind::BatchNorm2d { eps } => {
-            need(5)?;
             arg(0)?.batch_norm2d(arg(1)?, arg(2)?, arg(3)?, arg(4)?, *eps, cfg)?
         }
         OpKind::GroupNorm { groups, eps } => {
-            need(3)?;
             arg(0)?.group_norm(*groups, arg(1)?, arg(2)?, *eps, cfg)?
         }
-        OpKind::MatMul => {
-            need(2)?;
-            arg(0)?.matmul_with_buf(arg(1)?, cfg, buf(Some(arg(1)?))?)?
-        }
+        OpKind::MatMul => arg(0)?.matmul_with_buf(arg(1)?, cfg, buf(Some(arg(1)?))?)?,
         // A weight that is the graph's own parameter tensor runs from the
         // operand the graph packed once; any other weight (perturbed,
         // revealed, computed) is packed per call. Both run the same kernel.
@@ -467,68 +388,25 @@ pub(crate) fn eval_node_with<'v>(
                 None => x.conv2d_with_buf(w, bias, params, cfg, buf)?,
             }
         }
-        OpKind::QuantMatmul => {
-            need(2)?;
-            arg(0)?.quant_matmul_with_buf(arg(1)?, buf(Some(arg(1)?))?)?
-        }
+        OpKind::QuantMatmul => arg(0)?.quant_matmul_with_buf(arg(1)?, buf(Some(arg(1)?))?)?,
         OpKind::QuantLinear => {
             let bias = bias()?;
             arg(0)?.quant_linear_with_buf(arg(1)?, bias, buf(Some(arg(1)?))?)?
         }
-        OpKind::Quantize { scale } => {
-            need(1)?;
-            arg(0)?.quantize_static_with_buf(*scale, buf(None)?)?
-        }
-        OpKind::Dequantize { scale } => {
-            need(1)?;
-            arg(0)?.dequantize_static_with_buf(*scale, buf(None)?)?
-        }
-        OpKind::MeanAll => {
-            need(1)?;
-            Tensor::scalar(arg(0)?.mean_all(cfg))
-        }
-        OpKind::SumAll => {
-            need(1)?;
-            Tensor::scalar(arg(0)?.sum_all(cfg))
-        }
-        OpKind::SumAxis(axis) => {
-            need(1)?;
-            arg(0)?.sum_axis(*axis, cfg)?
-        }
-        OpKind::MeanAxis(axis) => {
-            need(1)?;
-            arg(0)?.mean_axis(*axis, cfg)?
-        }
-        OpKind::MaxAxis(axis) => {
-            need(1)?;
-            arg(0)?.max_axis(*axis)?
-        }
-        OpKind::MaxPool2d { kernel, stride } => {
-            need(1)?;
-            arg(0)?.max_pool2d(*kernel, *stride)?
-        }
-        OpKind::AvgPool2d { kernel, stride } => {
-            need(1)?;
-            arg(0)?.avg_pool2d(*kernel, *stride, cfg)?
-        }
-        OpKind::AdaptiveAvgPool1x1 => {
-            need(1)?;
-            arg(0)?.adaptive_avg_pool2d_1x1(cfg)?
-        }
-        OpKind::UpsampleNearest(factor) => {
-            need(1)?;
-            arg(0)?.upsample_nearest2x(*factor)?
-        }
-        OpKind::Reshape(dims) => {
-            need(1)?;
-            arg(0)?.reshape(dims)?
-        }
-        OpKind::Flatten => {
-            need(1)?;
-            arg(0)?.flatten()
-        }
+        OpKind::Quantize { scale } => arg(0)?.quantize_static_with_buf(*scale, buf(None)?)?,
+        OpKind::Dequantize { scale } => arg(0)?.dequantize_static_with_buf(*scale, buf(None)?)?,
+        OpKind::MeanAll => Tensor::scalar(arg(0)?.mean_all(cfg)),
+        OpKind::SumAll => Tensor::scalar(arg(0)?.sum_all(cfg)),
+        OpKind::SumAxis(axis) => arg(0)?.sum_axis(*axis, cfg)?,
+        OpKind::MeanAxis(axis) => arg(0)?.mean_axis(*axis, cfg)?,
+        OpKind::MaxAxis(axis) => arg(0)?.max_axis(*axis)?,
+        OpKind::MaxPool2d { kernel, stride } => arg(0)?.max_pool2d(*kernel, *stride)?,
+        OpKind::AvgPool2d { kernel, stride } => arg(0)?.avg_pool2d(*kernel, *stride, cfg)?,
+        OpKind::AdaptiveAvgPool1x1 => arg(0)?.adaptive_avg_pool2d_1x1(cfg)?,
+        OpKind::UpsampleNearest(factor) => arg(0)?.upsample_nearest2x(*factor)?,
+        OpKind::Reshape(dims) => arg(0)?.reshape(dims)?,
+        OpKind::Flatten => arg(0)?.flatten(),
         OpKind::FlattenFrom(axis) => {
-            need(1)?;
             let t = arg(0)?;
             let keep: Vec<usize> = t.dims()[..*axis].to_vec();
             let rest: usize = t.dims()[*axis..].iter().product();
@@ -536,33 +414,16 @@ pub(crate) fn eval_node_with<'v>(
             dims.push(rest);
             t.reshape(&dims)?
         }
-        OpKind::Transpose(a, b) => {
-            need(1)?;
-            arg(0)?.transpose(*a, *b)?
-        }
-        OpKind::Permute(perm) => {
-            need(1)?;
-            arg(0)?.permute(perm)?
-        }
-        OpKind::Slice { axis, start, end } => {
-            need(1)?;
-            arg(0)?.slice(*axis, *start, *end)?
-        }
+        OpKind::Transpose(a, b) => arg(0)?.transpose(*a, *b)?,
+        OpKind::Permute(perm) => arg(0)?.permute(perm)?,
+        OpKind::Slice { axis, start, end } => arg(0)?.slice(*axis, *start, *end)?,
         OpKind::Concat(axis) => {
-            if node.inputs.is_empty() {
-                return Err(GraphError::Arity {
-                    node: node.id,
-                    expected: 1,
-                    got: 0,
-                });
-            }
             let tensors = (0..node.inputs.len())
                 .map(arg)
                 .collect::<Result<Vec<_>>>()?;
             Tensor::cat(&tensors, *axis)?
         }
         OpKind::Embedding => {
-            need(2)?;
             let ids: Vec<usize> = arg(1)?
                 .data()
                 .iter()
@@ -570,14 +431,8 @@ pub(crate) fn eval_node_with<'v>(
                 .collect();
             arg(0)?.embedding(&ids)?
         }
-        OpKind::MaskedFill(value) => {
-            need(2)?;
-            arg(0)?.masked_fill(arg(1)?, *value as f32)?
-        }
-        OpKind::Identity => {
-            need(1)?;
-            arg(0)?.clone()
-        }
+        OpKind::MaskedFill(value) => arg(0)?.masked_fill(arg(1)?, *value as f32)?,
+        OpKind::Identity => arg(0)?.clone(),
     };
     Ok(out)
 }
@@ -633,12 +488,20 @@ mod tests {
 
     #[test]
     fn arity_violation_detected() {
-        let mut b = GraphBuilder::new(1);
-        let x = b.input(0, "x");
-        let bad = b.op("bad", OpKind::Add, &[x]);
-        let g = b.finish(vec![bad]).unwrap();
-        let r = execute(&g, &[Tensor::ones(&[1])], &KernelConfig::reference(), None);
-        assert!(matches!(r, Err(GraphError::Arity { .. })));
+        // Too few inputs, then too many.
+        let cases: [(OpKind, usize); 3] =
+            [(OpKind::Add, 1), (OpKind::Relu, 2), (OpKind::Linear, 4)];
+        for (kind, n) in cases {
+            let mut b = GraphBuilder::new(1);
+            let x = b.input(0, "x");
+            let bad = b.op("bad", kind.clone(), &vec![x; n]);
+            let g = b.finish(vec![bad]).unwrap();
+            let r = execute(&g, &[Tensor::ones(&[1])], &KernelConfig::reference(), None);
+            assert!(
+                matches!(r, Err(GraphError::Arity { got, .. }) if got == n),
+                "{kind} with {n} inputs: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use exec::{
     ValueObserver,
 };
 pub use graph::{Graph, Node, NodeId};
-pub use op::{OpKind, Relayout};
+pub use op::{Arity, OpKind, Relayout};
 pub use pool::{forward, forward_observed, forward_with_stats, BufferPool, ExecStats};
 pub use subgraph::{execute_subgraph, extract, partition, Subgraph};
 

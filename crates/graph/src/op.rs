@@ -271,6 +271,64 @@ impl OpKind {
         )
     }
 
+    /// How many inputs this operator takes: the one arity table, read by
+    /// [`crate::eval_node`] before it dispatches and by static shape
+    /// inference.
+    pub fn arity(&self) -> Arity {
+        match self {
+            OpKind::Input(_) | OpKind::Parameter(_) => Arity::Exact(0),
+            OpKind::Neg
+            | OpKind::AddScalar(_)
+            | OpKind::MulScalar(_)
+            | OpKind::PowScalar(_)
+            | OpKind::Sqrt
+            | OpKind::Rsqrt
+            | OpKind::Exp
+            | OpKind::Log
+            | OpKind::Sin
+            | OpKind::Cos
+            | OpKind::Tanh
+            | OpKind::Relu
+            | OpKind::Gelu
+            | OpKind::Silu
+            | OpKind::Sigmoid
+            | OpKind::Softmax
+            | OpKind::Quantize { .. }
+            | OpKind::Dequantize { .. }
+            | OpKind::MeanAll
+            | OpKind::SumAll
+            | OpKind::SumAxis(_)
+            | OpKind::MeanAxis(_)
+            | OpKind::MaxAxis(_)
+            | OpKind::MaxPool2d { .. }
+            | OpKind::AvgPool2d { .. }
+            | OpKind::AdaptiveAvgPool1x1
+            | OpKind::UpsampleNearest(_)
+            | OpKind::Reshape(_)
+            | OpKind::Flatten
+            | OpKind::FlattenFrom(_)
+            | OpKind::Transpose(_, _)
+            | OpKind::Permute(_)
+            | OpKind::Slice { .. }
+            | OpKind::Identity => Arity::Exact(1),
+            OpKind::Add
+            | OpKind::Sub
+            | OpKind::Mul
+            | OpKind::Div
+            | OpKind::Pow
+            | OpKind::RmsNorm { .. }
+            | OpKind::MatMul
+            | OpKind::QuantMatmul
+            | OpKind::Embedding
+            | OpKind::MaskedFill(_) => Arity::Exact(2),
+            OpKind::LayerNorm { .. } | OpKind::GroupNorm { .. } => Arity::Exact(3),
+            OpKind::BatchNorm2d { .. } => Arity::Exact(5),
+            // An optional bias after two required operands.
+            OpKind::Linear | OpKind::Conv2d { .. } | OpKind::QuantLinear => Arity::Range(2, 3),
+            OpKind::Concat(_) => Arity::AtLeast(1),
+        }
+    }
+
     /// How this operator's output elements relate to its single input's.
     ///
     /// A relayout moves elements without arithmetic, so on any two
@@ -425,6 +483,38 @@ impl OpKind {
             | OpKind::Embedding
             | OpKind::MaskedFill(_)
             | OpKind::Identity => 0,
+        }
+    }
+}
+
+/// How many inputs an operator accepts: the answer of [`OpKind::arity`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arity {
+    /// Exactly `n` inputs.
+    Exact(usize),
+    /// Between `lo` and `hi` inputs inclusive (an optional bias).
+    Range(usize, usize),
+    /// At least `n` inputs (variadic concat).
+    AtLeast(usize),
+}
+
+impl Arity {
+    /// Whether `got` inputs satisfy this arity.
+    pub fn admits(&self, got: usize) -> bool {
+        match *self {
+            Arity::Exact(n) => got == n,
+            Arity::Range(lo, hi) => (lo..=hi).contains(&got),
+            Arity::AtLeast(n) => got >= n,
+        }
+    }
+}
+
+impl core::fmt::Display for Arity {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Arity::Exact(n) => write!(f, "{n}"),
+            Arity::Range(lo, hi) => write!(f, "{lo} to {hi}"),
+            Arity::AtLeast(n) => write!(f, "at least {n}"),
         }
     }
 }

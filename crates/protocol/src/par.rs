@@ -1,11 +1,7 @@
 //! Order-preserving scoped-thread fan-out, shared by batch screening and
 //! the `tao` session scheduler.
 
-/// Worker cap of the compute-bound fan-outs: batch screening and the
-/// scheduler's prepare and screen + dispute phases. Kernels run on the
-/// calling thread, so this also caps how many threads run forward passes
-/// at once.
-pub const MAX_PAR_THREADS: usize = 8;
+pub use tao_tensor::kernel::MAX_PAR_THREADS;
 
 /// Hard upper bound on a worker pool. The scheduler's settle phase runs
 /// no forward passes — each worker takes the coordinator's lock briefly and then

@@ -628,6 +628,12 @@ mod x86 {
     }
 }
 
+/// Worker cap of every compute-bound fan-out: calibration samples, batch
+/// screening and the scheduler's prepare and screen + dispute phases.
+/// Kernels run on the calling thread, so this also caps how many threads
+/// run forward passes at once.
+pub const MAX_PAR_THREADS: usize = 8;
+
 /// The host's available parallelism (at least 1), queried once per
 /// process. `std::thread::available_parallelism` reads cgroup files on
 /// every call, which costs tens of microseconds; every site that sizes a

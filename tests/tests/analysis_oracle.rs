@@ -12,12 +12,12 @@
 
 use proptest::prelude::*;
 use tao_analysis::{
-    analyze, analyze_with, LintConfig, LintRule, Severity, StaticReport, BYTES_PER_GAS,
-    FLOPS_PER_GAS, GAS_BASE,
+    analyze, analyze_with, infer_shape, LintConfig, LintRule, Severity, StaticReport,
+    BYTES_PER_GAS, FLOPS_PER_GAS, GAS_BASE,
 };
 use tao_graph::{
-    execute, execute_observed, execute_with_stats, forward_observed, BufferPool, Graph,
-    GraphBuilder, NodeId, OpKind,
+    eval_node, execute, execute_observed, execute_with_stats, forward_observed, BufferPool, Graph,
+    GraphBuilder, GraphError, NodeId, OpKind,
 };
 use tao_merkle::{StreamingCommitter, TraceCommitment};
 use tao_models::{
@@ -359,6 +359,45 @@ fn op_zoo_is_bit_identical_under_every_retention_policy() {
     }
 }
 
+#[test]
+fn executor_and_shape_inference_refuse_the_same_input_counts() {
+    // Every zoo node, cloned with one input too few and one too many (an
+    // `Input` or `Parameter` leaf gains one input edge): `eval_node` must
+    // refuse the count before it reads a value (it is given none), and
+    // `infer_shape` must report an arity issue for exactly the counts
+    // `eval_node` refuses. The node's own count must pass both.
+    let (graph, inputs) = op_zoo();
+    let shapes: Vec<Vec<usize>> = inputs.iter().map(|t| t.dims().to_vec()).collect();
+    let report = analyze(&graph, &shapes);
+    let cfg = KernelConfig::reference();
+    let mut refusals = 0;
+    for node in graph.nodes() {
+        let n = node.inputs.len();
+        for got in [n.checked_sub(1), Some(n), Some(n + 1)]
+            .into_iter()
+            .flatten()
+        {
+            let mut probe = node.clone();
+            probe.inputs.resize(got, NodeId(0));
+            let run = eval_node(&graph, &probe, &[], &[], &cfg, &mut BufferPool::new());
+            let refused = matches!(run, Err(GraphError::Arity { got: g, .. }) if g == got);
+            let dims: Vec<&[usize]> = probe
+                .inputs
+                .iter()
+                .map(|id| report.shapes[id.0].as_deref().expect("zoo shapes resolve"))
+                .collect();
+            let flagged = infer_shape(&probe.kind, &dims).is_err_and(|e| e.0.contains("arity"));
+            let label = format!("{} ({:?}) with {got} inputs", node.name, node.kind);
+            assert_eq!(refused, flagged, "{label}: executor {run:?}");
+            assert!(got != n || !refused, "{label}: its own count refused");
+            refusals += usize::from(refused);
+        }
+    }
+    // Only Concat admits one more input, and only the optional-bias ops
+    // one fewer, so nearly every probe is refused.
+    assert!(refusals > graph.len(), "{refusals} refusals");
+}
+
 /// Deterministically grows a random-but-valid op chain over a base shape,
 /// tracking the current shape so each op choice is admissible. Covers
 /// ragged dims, broadcast operands, rank changes and batched matmul.
@@ -442,6 +481,27 @@ fn planted_shape_mismatch_is_denied_by_default() {
         .lint_findings
         .iter()
         .any(|f| f.rule == LintRule::ShapeMismatch && f.severity == Severity::Deny));
+}
+
+#[test]
+fn planted_leaf_with_an_input_edge_is_denied_and_refused_at_execution() {
+    let mut b = GraphBuilder::new(1);
+    let x = b.input(0, "x");
+    let leaf = b.op("leaf", OpKind::Input(0), &[x]);
+    let y = b.op("y", OpKind::Softmax, &[leaf]);
+    let g = b.finish(vec![y]).unwrap();
+    let report = analyze(&g, &[vec![2]]);
+    assert!(report
+        .lint_findings
+        .iter()
+        .any(|f| f.rule == LintRule::ShapeMismatch
+            && f.severity == Severity::Deny
+            && f.node == Some(leaf)));
+    let run = execute(&g, &[Tensor::ones(&[2])], &KernelConfig::reference(), None);
+    assert!(
+        matches!(run, Err(GraphError::Arity { node, got: 1, .. }) if node == leaf),
+        "{run:?}"
+    );
 }
 
 #[test]
