@@ -2,7 +2,7 @@
 //! in-tree scalar oracle kernels, per `KernelConfig`, in the same
 //! table format the fig8/table3 binaries use. Every f32 GEMM row times
 //! the one driver, `gemm_packed_into` (or its `gemm` wrapper); the
-//! baselines of the int8 and attention floors call it one row at a time.
+//! baseline of the attention floor calls it one row at a time.
 //!
 //! Every timed pair is also bit-compared, so this doubles as a fast
 //! end-to-end regression check of the kernel-equivalence contract
@@ -16,7 +16,10 @@
 //!
 //! The headline number — single-thread 256x256 f32 matmul speedup over the
 //! seed scalar loop under the reference config — is recorded in BENCH.md
-//! and asserted ≥ 4x here (outside smoke mode). The percentile-profile
+//! and asserted ≥ 4x here (outside smoke mode). Every asserted floor is a
+//! median of per-repetition ratios over alternating repetitions
+//! (`tao_bench::paired`), so a drift in host speed moves both sides of a
+//! ratio together. The percentile-profile
 //! table times the integer-key sort against the seed float sort
 //! (asserted ≥ 1.5x at every size outside smoke mode), and the last table
 //! times the calibration sweep, which profiles each error multiset once,
@@ -33,7 +36,6 @@ use tao_models::{data, qwen, resnet, QwenConfig, ResNetConfig};
 use tao_tensor::kernel::{
     gemm, gemm_packed_into, host_threads, PackedLhs, PackedRhs, MAX_PAR_THREADS,
 };
-use tao_tensor::quant::{quant_gemm_into, quant_gemm_reference, quantize_symmetric};
 use tao_tensor::{AccumMode, Conv2dParams, KernelConfig, MathElement, MathLib, Shape, Tensor};
 
 /// Median wall-clock seconds of `samples` runs of `f` (one warm-up run).
@@ -70,7 +72,7 @@ fn pack_rows(a: &[f32], k: usize) -> Vec<PackedLhs<'_, f32>> {
 
 /// The GEMM driver called one row at a time: one
 /// accumulator chain per row and panel, the arithmetic of an unblocked
-/// row-by-row GEMM. The baseline of the int8 and attention floors.
+/// row-by-row GEMM. The baseline of the attention floor.
 fn gemm_by_rows(
     cfg: &KernelConfig,
     rows: &[PackedLhs<f32>],
@@ -519,14 +521,6 @@ fn fleet_configs() -> Vec<(&'static str, KernelConfig)> {
                 math: MathLib::VariantA,
             },
         ),
-        (
-            "kahan",
-            KernelConfig {
-                accum: AccumMode::Kahan,
-                fma: false,
-                math: MathLib::Reference,
-            },
-        ),
     ]
 }
 
@@ -542,26 +536,30 @@ fn main() {
     let mut rows = Vec::new();
     let mut reference_cfg_speedup = 0.0;
     for (name, cfg) in fleet_configs() {
-        let t_oracle = median_secs(samples, || a.matmul_reference(&b, &cfg).unwrap());
-        let t_st = median_secs(samples, || gemm(&cfg, &lhs, &packed));
         assert_bits_eq(
             &gemm(&cfg, &lhs, &packed),
             a.matmul_reference(&b, &cfg).unwrap().data(),
             &format!("matmul {name}"),
         );
-        let st_speedup = t_oracle / t_st;
+        let p = paired(
+            samples,
+            || a.matmul_reference(&b, &cfg).unwrap(),
+            || gemm(&cfg, &lhs, &packed),
+        );
         if name.starts_with("reference") {
-            reference_cfg_speedup = st_speedup;
+            reference_cfg_speedup = p.speedup;
         }
         rows.push(vec![
             name.to_string(),
-            format!("{:.2}ms", 1e3 * t_oracle),
-            format!("{:.2}ms", 1e3 * t_st),
-            format!("{st_speedup:.2}x"),
+            format!("{:.2}ms", 1e3 * p.seed),
+            format!("{:.2}ms", 1e3 * p.fast),
+            format!("{:.2}x", p.speedup),
         ]);
     }
     print_table(
-        &format!("Kernel microbench — f32 matmul {dim}x{dim}x{dim}, blocked vs seed scalar oracle"),
+        &format!(
+            "Kernel microbench — f32 matmul {dim}x{dim}x{dim}, blocked vs seed scalar oracle (median of paired ratios)"
+        ),
         &["kernel config", "seed scalar", "blocked", "speedup"],
         &rows,
     );
@@ -610,122 +608,13 @@ fn main() {
         &rows,
     );
 
-    // --- int8 quantized GEMM vs the f32 driver ----------------------------
-    // The quantized kernel family's acceptance row: the AVX2 int8 GEMM
-    // (bit-identical to the scalar int8 oracle) must beat the f32 driver
-    // called one row at a time (one accumulator chain per row and panel),
-    // not just the seed loop. Floor: ≥ 2x at 256³ on AVX2 hosts, asserted
-    // outside smoke mode. The "vs f32 MR tile" column compares it with the
-    // driver on whole row blocks, the path `matmul` runs; no floor.
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-    let avx2 = false;
-    let qa_f = Tensor::<f32>::rand_uniform(&[dim, dim], -2.0, 2.0, 6);
-    let qb_f = Tensor::<f32>::rand_uniform(&[dim, dim], -2.0, 2.0, 7);
-    let (qa, _) = quantize_symmetric(qa_f.data());
-    let (qb, _) = quantize_symmetric(qb_f.data());
-    let qrhs = PackedRhs::<i8>::from_row_major(&qb, dim, dim);
-    let f32_cfg = KernelConfig {
-        accum: AccumMode::Blocked(32),
-        fma: true,
-        math: MathLib::VariantA,
-    };
-    let f32_rhs = PackedRhs::from_row_major(qb_f.data(), dim, dim);
-    let f32_lhs = PackedLhs::from_row_major(qa_f.data(), dim, dim);
-    let f32_rows = pack_rows(qa_f.data(), dim);
-    let mut f32_out = vec![0f32; dim * dim];
-    gemm_by_rows(&f32_cfg, &f32_rows, &f32_rhs, &mut f32_out);
-    assert_bits_eq(
-        &f32_out,
-        &gemm(&f32_cfg, &f32_lhs, &f32_rhs),
-        "f32 driver one row at a time vs whole blocks",
-    );
-    let mut fast = vec![0i32; dim * dim];
-    quant_gemm_into(&qa, dim, &qrhs, &mut fast);
-    assert_eq!(
-        fast,
-        quant_gemm_reference(&qa, dim, dim, &qb, dim),
-        "int8 fast path drifted from the scalar int8 oracle"
-    );
-    let t_f32_rows = median_secs(samples, || {
-        gemm_by_rows(&f32_cfg, &f32_rows, &f32_rhs, &mut f32_out);
-    });
-    let t_f32_tile = median_secs(samples, || gemm(&f32_cfg, &f32_lhs, &f32_rhs));
-    let t_i8 = median_secs(samples, || {
-        quant_gemm_into(&qa, dim, &qrhs, &mut fast);
-    });
-    let t_i8_oracle = median_secs(samples, || quant_gemm_reference(&qa, dim, dim, &qb, dim));
-    let gemm_flops = 2 * (dim as u64).pow(3);
-    export_csv(&format!("int8_gemm_{dim}"), t_i8, "flops", gemm_flops);
-    export_csv(
-        &format!("int8_gemm_oracle_{dim}"),
-        t_i8_oracle,
-        "flops",
-        gemm_flops,
-    );
-    export_csv(
-        &format!("f32_gemm_row_at_a_time_{dim}"),
-        t_f32_rows,
-        "flops",
-        gemm_flops,
-    );
-    export_csv(
-        &format!("f32_gemm_mr_tile_{dim}"),
-        t_f32_tile,
-        "flops",
-        gemm_flops,
-    );
-    let int8_vs_f32 = t_f32_rows / t_i8;
-    let row = |kernel: &str, t: f64, vs_oracle: String| {
-        vec![
-            kernel.to_string(),
-            format!("{:.2}ms", 1e3 * t),
-            format!("{:.2}x", t_f32_rows / t),
-            format!("{:.2}x", t_f32_tile / t),
-            vs_oracle,
-        ]
-    };
-    print_table(
-        &format!(
-            "Kernel microbench — int8 GEMM {dim}x{dim}x{dim} vs the f32 driver, blocked(32)+fma (avx2: {avx2})"
-        ),
-        &[
-            "kernel",
-            "time",
-            "vs f32 one row at a time",
-            "vs f32 MR tile",
-            "vs int8 scalar oracle",
-        ],
-        &[
-            row("f32 one row at a time", t_f32_rows, String::new()),
-            row("f32 MR tile", t_f32_tile, String::new()),
-            row("int8 scalar oracle", t_i8_oracle, "1.00x".into()),
-            row(
-                "int8 fast path",
-                t_i8,
-                format!("{:.2}x", t_i8_oracle / t_i8),
-            ),
-        ],
-    );
-    if smoke {
-        println!("(smoke mode: 2x int8-vs-f32 floor not asserted)");
-    } else if !avx2 {
-        println!("(no AVX2 on this host: 2x int8-vs-f32 floor not asserted)");
-    } else {
-        assert!(
-            int8_vs_f32 >= 2.0,
-            "int8 GEMM ran at {int8_vs_f32:.2}x the f32 driver one row at a time, below the 2x floor"
-        );
-    }
-
     // --- MR-row register blocking, attention-shaped ----------------------
     // Batched attention matmuls (scores = Q Kᵀ per head) are where lhs
     // row blocks pay: the MR-row register tile reuses each rhs panel load
     // across MR output rows. Packing happens inside the timed region,
     // exactly as `matmul_with_buf` pays it. Floor: ≥ 1.2x over the driver
-    // called one row at a time (rows packed outside the timed region),
-    // asserted outside smoke mode.
+    // called one row at a time (rows packed outside the timed region) on
+    // the median of paired ratios, asserted outside smoke mode.
     let (heads, seq, hd) = if smoke { (2, 32, 16) } else { (8, 128, 64) };
     let att_cfg = KernelConfig::reference();
     let q_heads: Vec<Tensor<f32>> = (0..heads)
@@ -740,19 +629,22 @@ fn main() {
     let q_rows: Vec<Vec<PackedLhs<f32>>> =
         q_heads.iter().map(|q| pack_rows(q.data(), hd)).collect();
     let mut scores = vec![0f32; seq * seq];
-    let t_rows = median_secs(samples, || {
-        for (q, k) in q_rows.iter().zip(&k_rhs) {
-            gemm_by_rows(&att_cfg, q, k, &mut scores);
-        }
-    });
-    let t_packed = median_secs(samples, || {
-        for (q, k) in q_heads.iter().zip(&k_rhs) {
-            let lhs = PackedLhs::from_row_major(q.data(), seq, hd);
-            gemm_packed_into(&att_cfg, &lhs, k, &mut scores);
-        }
-    });
+    let mut by_rows = vec![0f32; seq * seq];
+    let att = paired(
+        samples,
+        || {
+            for (q, k) in q_rows.iter().zip(&k_rhs) {
+                gemm_by_rows(&att_cfg, q, k, &mut by_rows);
+            }
+        },
+        || {
+            for (q, k) in q_heads.iter().zip(&k_rhs) {
+                let lhs = PackedLhs::from_row_major(q.data(), seq, hd);
+                gemm_packed_into(&att_cfg, &lhs, k, &mut scores);
+            }
+        },
+    );
     for ((q, rows), k) in q_heads.iter().zip(&q_rows).zip(&k_rhs) {
-        let mut by_rows = vec![0f32; seq * seq];
         gemm_by_rows(&att_cfg, rows, k, &mut by_rows);
         let lhs = PackedLhs::from_row_major(q.data(), seq, hd);
         gemm_packed_into(&att_cfg, &lhs, k, &mut scores);
@@ -761,31 +653,31 @@ fn main() {
     let att_flops = 2 * (heads * seq * hd * seq) as u64;
     export_csv(
         &format!("attention_gemm_row_at_a_time_{heads}x{seq}x{hd}"),
-        t_rows,
+        att.seed,
         "flops",
         att_flops,
     );
     export_csv(
         &format!("attention_gemm_packed_lhs_{heads}x{seq}x{hd}"),
-        t_packed,
+        att.fast,
         "flops",
         att_flops,
     );
-    let lhs_speedup = t_rows / t_packed;
+    let lhs_speedup = att.speedup;
     print_table(
         &format!(
-            "Kernel microbench — attention-shaped batched matmul, {heads} heads x {seq}x{hd}x{seq}"
+            "Kernel microbench — attention-shaped batched matmul, {heads} heads x {seq}x{hd}x{seq} (median of paired ratios)"
         ),
         &["kernel", "time", "speedup"],
         &[
             vec![
                 "one row at a time".into(),
-                format!("{:.2}ms", 1e3 * t_rows),
+                format!("{:.2}ms", 1e3 * att.seed),
                 "1.00x".into(),
             ],
             vec![
                 "packed-lhs MR tile".into(),
-                format!("{:.2}ms", 1e3 * t_packed),
+                format!("{:.2}ms", 1e3 * att.fast),
                 format!("{lhs_speedup:.2}x"),
             ],
         ],
@@ -799,11 +691,10 @@ fn main() {
         );
     }
 
-    // The one-row packs above are 1,280 small allocations. Left live, they
+    // The one-row packs above are 1,024 small allocations. Left live, they
     // shift where the bundled-shapes table's operands land on the heap,
     // which moved its prepacked conv2d ratio across the 0.9x floor from
     // run to run.
-    drop(f32_rows);
     drop(q_rows);
 
     // --- bundled shapes: weights packed per call vs once ----------------

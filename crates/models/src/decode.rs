@@ -7,6 +7,8 @@
 //! committed rule, tolerance-level logit drift can flip an argmax and turn
 //! numerical noise into divergent generations.
 
+use std::cmp::Ordering;
+
 use tao_graph::{execute, forward, BufferPool};
 use tao_merkle::{Digest, ParamDigests, TokenChain, TraceCommitment};
 use tao_tensor::{KernelConfig, Tensor};
@@ -30,7 +32,9 @@ pub trait SelectToken {
     fn select(&self, logits: &[f32], step: u64) -> Option<usize>;
 }
 
-/// Plain argmax (ties broken by lowest index; *not* drift-stable).
+/// Plain argmax over the non-NaN logits (ties, `-0.0` against `+0.0`
+/// included, resolve to the highest index; *not* drift-stable). A lane
+/// with no non-NaN logit selects nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Argmax;
 
@@ -39,7 +43,8 @@ impl SelectToken for Argmax {
         logits
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
+            .filter(|(_, v)| !v.is_nan())
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(Ordering::Equal))
             .map(|(i, _)| i)
     }
 }
@@ -173,6 +178,20 @@ pub fn greedy_decode_committed(
 mod tests {
     use super::*;
     use crate::qwen;
+
+    #[test]
+    fn argmax_skips_nan_and_keeps_the_zero_tie_break() {
+        let nan = f32::NAN;
+        // One NaN among finite logits is skipped, wherever it sits.
+        assert_eq!(Argmax.select(&[1.0, nan, 3.0, 2.0], 0), Some(2));
+        assert_eq!(Argmax.select(&[nan, 0.5, -1.0], 0), Some(1));
+        // A lane with nothing but NaN selects nothing.
+        assert_eq!(Argmax.select(&[nan, nan, nan], 0), None);
+        // -0.0 and +0.0 compare equal, so the later index wins as it always
+        // has; a total order would pick index 0 (+0.0 > -0.0).
+        assert_eq!(Argmax.select(&[0.0, -0.0, -1.0], 0), Some(1));
+        assert_eq!(Argmax.select(&[-0.0, 0.0, -1.0], 0), Some(1));
+    }
 
     #[test]
     fn decode_is_deterministic_per_kernel() {

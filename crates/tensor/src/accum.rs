@@ -34,9 +34,6 @@ pub enum AccumMode {
     /// sequential reduction over the per-block partials. Models grid-level
     /// parallel reductions with a fixed tile size.
     Blocked(usize),
-    /// Compensated (Kahan) summation; nearly order-independent, used as an
-    /// extra-accurate device profile and in tests.
-    Kahan,
 }
 
 impl AccumMode {
@@ -61,17 +58,6 @@ impl AccumMode {
                     partials.push(AccumMode::Sequential.sum(chunk));
                 }
                 AccumMode::Sequential.sum(&partials)
-            }
-            AccumMode::Kahan => {
-                let mut acc = T::ZERO;
-                let mut comp = T::ZERO;
-                for &x in xs {
-                    let y = x - comp;
-                    let t = acc + y;
-                    comp = (t - acc) - y;
-                    acc = t;
-                }
-                acc
             }
         }
     }
@@ -112,19 +98,6 @@ impl AccumMode {
                     i = end;
                 }
                 AccumMode::Sequential.sum(&partials)
-            }
-            AccumMode::Kahan => {
-                // Products round individually; the additions are compensated.
-                let mut acc = T::ZERO;
-                let mut comp = T::ZERO;
-                for i in 0..n {
-                    let x = a[i] * b[i];
-                    let y = x - comp;
-                    let t = acc + y;
-                    comp = (t - acc) - y;
-                    acc = t;
-                }
-                acc
             }
         }
     }
@@ -195,11 +168,6 @@ impl KernelConfig {
     pub fn dot<T: Element>(&self, a: &[T], b: &[T]) -> T {
         self.accum.dot(a, b, self.fma)
     }
-
-    /// Number of basic additions in a length-`n` reduction (for bound `k`).
-    pub fn reduction_depth(n: usize) -> usize {
-        n.saturating_sub(1)
-    }
 }
 
 impl Default for KernelConfig {
@@ -237,7 +205,6 @@ mod tests {
             AccumMode::Sequential,
             AccumMode::Pairwise,
             AccumMode::Blocked(8),
-            AccumMode::Kahan,
         ] {
             assert_eq!(mode.sum(&xs), expected, "{mode:?}");
         }
@@ -255,16 +222,6 @@ mod tests {
             seq != pair || seq != blocked,
             "expected rounding differences"
         );
-    }
-
-    #[test]
-    fn kahan_is_closest_to_f64_reference() {
-        let xs = ill_conditioned(4096);
-        let reference: f64 = xs.iter().map(|&x| x as f64).sum();
-        let err = |v: f32| ((v as f64) - reference).abs();
-        let kahan = err(AccumMode::Kahan.sum(&xs));
-        let seq = err(AccumMode::Sequential.sum(&xs));
-        assert!(kahan <= seq, "kahan {kahan} vs sequential {seq}");
     }
 
     #[test]
@@ -318,7 +275,6 @@ mod tests {
             AccumMode::Sequential,
             AccumMode::Pairwise,
             AccumMode::Blocked(4),
-            AccumMode::Kahan,
         ] {
             assert_eq!(mode.sum(&xs), 0.0);
             assert_eq!(mode.dot(&xs, &xs, true), 0.0);
@@ -328,12 +284,5 @@ mod tests {
     #[test]
     fn reference_config_is_default() {
         assert_eq!(KernelConfig::default(), KernelConfig::reference());
-    }
-
-    #[test]
-    fn reduction_depth_formula() {
-        assert_eq!(KernelConfig::reduction_depth(0), 0);
-        assert_eq!(KernelConfig::reduction_depth(1), 0);
-        assert_eq!(KernelConfig::reduction_depth(10), 9);
     }
 }

@@ -1,30 +1,9 @@
-//! Scalar element traits: the minimal [`Scalar`] base implemented by the
-//! packable storage types (`f32`, `f64`, `i8`, `i32`) and the full
-//! floating-point [`Element`] interface implemented by `f32` and `f64`.
+//! The floating-point [`Element`] interface implemented by `f32` and
+//! `f64`.
 
 use core::fmt::Debug;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
-
-/// Minimal scalar interface the GEMM packing plumbing needs: a copyable
-/// value with an additive identity for zero-padding panels.
-///
-/// [`Element`] extends this with the full floating-point surface; the
-/// integer types (`i8`, `i32`) of the quantized kernel family implement
-/// only this base, which is what lets `PackedRhs::pack_with` pack `i8`
-/// panels with the exact code path the `f32` kernels use.
-pub trait Scalar: Copy + Debug + PartialEq + Send + Sync + 'static {
-    /// Additive identity (also the zero-padding value of packed panels).
-    const ZERO: Self;
-}
-
-impl Scalar for i8 {
-    const ZERO: Self = 0;
-}
-
-impl Scalar for i32 {
-    const ZERO: Self = 0;
-}
 
 /// Floating-point scalar usable as a tensor element.
 ///
@@ -34,7 +13,11 @@ impl Scalar for i32 {
 /// a handful of transcendental functions, and loss-free conversion through
 /// `f64` for bound arithmetic.
 pub trait Element:
-    Scalar
+    Copy
+    + Debug
+    + Send
+    + Sync
+    + 'static
     + PartialOrd
     + Add<Output = Self>
     + Sub<Output = Self>
@@ -44,6 +27,8 @@ pub trait Element:
     + AddAssign
     + Sum
 {
+    /// Additive identity (also the zero-padding value of packed panels).
+    const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
     /// Unit roundoff `u` (half the machine epsilon) of the format.
@@ -86,11 +71,8 @@ pub trait Element:
     fn to_le_bytes_vec(self) -> Vec<u8>;
 }
 
-impl Scalar for f32 {
-    const ZERO: Self = 0.0;
-}
-
 impl Element for f32 {
+    const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     // 2^-24 for binary32.
     const UNIT_ROUNDOFF: f64 = 5.960_464_477_539_063e-8;
@@ -162,11 +144,8 @@ impl Element for f32 {
     }
 }
 
-impl Scalar for f64 {
-    const ZERO: Self = 0.0;
-}
-
 impl Element for f64 {
+    const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     // 2^-53 for binary64.
     const UNIT_ROUNDOFF: f64 = 1.110_223_024_625_156_5e-16;

@@ -50,7 +50,7 @@
 use std::borrow::Cow;
 
 use crate::accum::{AccumMode, KernelConfig};
-use crate::element::{Element, Scalar};
+use crate::element::Element;
 
 /// Register-tile width: how many output columns one micro-kernel call
 /// produces, i.e. how many independent accumulation chains run in flight.
@@ -60,13 +60,13 @@ pub const PANEL: usize = 8;
 /// panels of width [`PANEL`] (zero-padded past `n`; padded lanes are
 /// computed and discarded, never observable).
 #[derive(Debug, Clone)]
-pub struct PackedRhs<T: Scalar> {
+pub struct PackedRhs<T: Element> {
     k: usize,
     n: usize,
     panels: Vec<T>,
 }
 
-impl<T: Scalar> PackedRhs<T> {
+impl<T: Element> PackedRhs<T> {
     /// Packs a `k x n` operand whose element at reduction index `kk`,
     /// output column `col` is produced by `at(kk, col)`.
     ///
@@ -141,13 +141,6 @@ impl<T: Scalar> PackedRhs<T> {
     pub fn n(&self) -> usize {
         self.n
     }
-
-    /// Raw interleaved panel storage (`n.div_ceil(PANEL) * k * PANEL`
-    /// elements; padded lanes hold `T::ZERO`). Crate-internal: the
-    /// quantized GEMM micro-kernels stream panels directly.
-    pub(crate) fn panels(&self) -> &[T] {
-        &self.panels
-    }
 }
 
 /// Row-block height of the packed lhs: how many output rows one
@@ -169,13 +162,13 @@ pub const MR: usize = 8;
 /// output element's dot product still reduces in the exact scalar-oracle
 /// order.
 #[derive(Debug, Clone)]
-pub struct PackedLhs<'a, T: Scalar> {
+pub struct PackedLhs<'a, T: Element> {
     m: usize,
     k: usize,
     panels: Cow<'a, [T]>,
 }
 
-impl<'a, T: Scalar> PackedLhs<'a, T> {
+impl<'a, T: Element> PackedLhs<'a, T> {
     /// Packs a row-major `[m, k]` matrix (the `A` of `A @ B`); a matrix of
     /// at most one row is already packed and is borrowed.
     pub fn from_row_major(a: &'a [T], m: usize, k: usize) -> Self {
@@ -345,28 +338,6 @@ fn pairwise_mr_tile<T: Element>(
     acc
 }
 
-/// Kahan-compensated variant of [`seq_mr_tile`]: products round
-/// individually, and each lane runs the scalar Kahan dot's compensated
-/// update sequence. It has no vector specialization; this one tile serves
-/// every host.
-fn kahan_mr_tile<T: Element>(block: &[T], rows: usize, panel: &[T]) -> [[T; PANEL]; MR] {
-    let mut acc = [[T::ZERO; PANEL]; MR];
-    let mut comp = [[T::ZERO; PANEL]; MR];
-    for (kk, arow) in block.chunks_exact(rows).enumerate() {
-        let brow = &panel[kk * PANEL..(kk + 1) * PANEL];
-        for ((accr, compr), &av) in acc.iter_mut().zip(&mut comp).zip(arow) {
-            for ((lane, c), &bv) in accr.iter_mut().zip(compr.iter_mut()).zip(brow) {
-                let x = av * bv;
-                let y = x - *c;
-                let t = *lane + y;
-                *c = (t - *lane) - y;
-                *lane = t;
-            }
-        }
-    }
-    acc
-}
-
 /// Computes one row block of the output: `out` (`rows * rhs.n()` values)
 /// receives the `rows` (1..=[`MR`]) rows of the interleaved `block`
 /// against every rhs panel, under `cfg`. `f32` blocks use the AVX2/FMA
@@ -391,10 +362,9 @@ fn block_into<T: Element>(
             let p32 =
                 core::slice::from_raw_parts(rhs.panels.as_ptr().cast::<f32>(), rhs.panels.len());
             let o32 = core::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<f32>(), out.len());
-            if x86::block_f32(cfg, b32, rows, p32, rhs.n, o32) {
-                return;
-            }
+            x86::block_f32(cfg, b32, rows, p32, rhs.n, o32);
         }
+        return;
     }
     let n = rhs.n;
     for (p, panel) in rhs.panels.chunks(rhs.k * PANEL).enumerate() {
@@ -406,7 +376,6 @@ fn block_into<T: Element>(
             }
             AccumMode::Blocked(kblock) => blocked_mr_tile(kblock, block, rows, panel, cfg.fma),
             AccumMode::Pairwise => pairwise_mr_tile(block, rows, panel, cfg.fma),
-            AccumMode::Kahan => kahan_mr_tile(block, rows, panel),
         };
         let col0 = p * PANEL;
         let width = PANEL.min(n - col0);
@@ -441,9 +410,7 @@ mod x86 {
         *HAVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
     }
 
-    /// One `rows`-row output block (see [`super::block_into`]); returns
-    /// `false`, writing nothing, for Kahan accumulation, whose scalar tile
-    /// serves every host.
+    /// One `rows`-row output block (see [`super::block_into`]).
     ///
     /// # Safety
     ///
@@ -458,7 +425,7 @@ mod x86 {
         panels: &[f32],
         n: usize,
         out: &mut [f32],
-    ) -> bool {
+    ) {
         match rows {
             1 => rows_block::<1>(cfg, block, panels, n, out),
             2 => rows_block::<2>(cfg, block, panels, n, out),
@@ -480,15 +447,13 @@ mod x86 {
         panels: &[f32],
         n: usize,
         out: &mut [f32],
-    ) -> bool {
+    ) {
         let panel_len = (block.len() / R) * PANEL;
         for (p, panel) in panels.chunks(panel_len).enumerate() {
             let acc = match cfg.accum {
                 AccumMode::Sequential => seq_mr_v::<R>(block, panel, cfg.fma),
                 AccumMode::Blocked(kblock) => blocked_mr_v::<R>(kblock, block, panel, cfg.fma),
                 AccumMode::Pairwise => pairwise_mr_v::<R>(block, panel, cfg.fma),
-                // Reached on the first panel, before anything is written.
-                AccumMode::Kahan => return false,
             };
             let col0 = p * PANEL;
             let width = PANEL.min(n - col0);
@@ -503,7 +468,6 @@ mod x86 {
                 }
             }
         }
-        true
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -696,7 +660,6 @@ mod tests {
             AccumMode::Blocked(1),
             AccumMode::Blocked(7),
             AccumMode::Blocked(32),
-            AccumMode::Kahan,
         ] {
             for fma in [false, true] {
                 cfgs.push(KernelConfig {
@@ -871,8 +834,8 @@ mod tests {
     }
 
     /// The generic scalar tiles (which an AVX2 host runs for no `f32`
-    /// config but Kahan) through the driver in `f64`: every accumulation
-    /// mode, one-row operands and one-row tail blocks.
+    /// config) through the driver in `f64`: every accumulation mode,
+    /// one-row operands and one-row tail blocks.
     #[test]
     fn f64_driver_matches_scalar_dot_for_every_mode_and_row_count() {
         let n = PANEL + 5;

@@ -48,7 +48,7 @@ pub mod shape;
 pub mod tensor;
 
 pub use accum::{AccumMode, KernelConfig};
-pub use element::{Element, Scalar};
+pub use element::Element;
 pub use error::TensorError;
 pub use math::{MathElement, MathLib};
 pub use ops::conv::Conv2dParams;

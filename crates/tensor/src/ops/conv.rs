@@ -491,7 +491,6 @@ mod tests {
             AccumMode::Sequential,
             AccumMode::Pairwise,
             AccumMode::Blocked(8),
-            AccumMode::Kahan,
         ] {
             for fma in [false, true] {
                 let c = KernelConfig {

@@ -401,7 +401,6 @@ mod tests {
             AccumMode::Sequential,
             AccumMode::Pairwise,
             AccumMode::Blocked(32),
-            AccumMode::Kahan,
         ] {
             for fma in [false, true] {
                 let c = KernelConfig {

@@ -10,10 +10,8 @@
 //! threshold offense (see `tao-calib`).
 
 use crate::error::TensorError;
-use crate::kernel::PackedRhs;
 use crate::quant::{
-    dequantize_value, max_abs, quant_gemm_into, quant_gemm_reference, quantize_symmetric,
-    quantize_value, symmetric_scale,
+    dequantize_value, quant_gemm, quantize_rows_symmetric, quantize_symmetric, quantize_value,
 };
 use crate::tensor::Tensor;
 use crate::Result;
@@ -130,31 +128,11 @@ impl Tensor<f32> {
         let (m, k, n) = quant_matmul_check(self, other)?;
         let (qa, sa) = quantize_symmetric(self.data());
         let (qb, sb) = quantize_symmetric(other.data());
-        let rhs = PackedRhs::from_row_major(&qb, k, n);
-        let mut acc = vec![0i32; m * n];
-        quant_gemm_into(&qa, m, &rhs, &mut acc);
+        let acc = quant_gemm(&qa, m, k, &qb, n);
         let scale = sa * sb;
         let mut out = buf;
         out.clear();
         out.extend(acc.iter().map(|&q| dequantize_value(q, scale)));
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Scalar-oracle quantized matmul: identical quantization policy, but
-    /// the widening GEMM is the in-tree [`quant_gemm_reference`]. The fast
-    /// path must match this bit-for-bit (proptested in
-    /// `tests/tests/quant_equiv.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`quant_matmul`](Self::quant_matmul).
-    pub fn quant_matmul_reference(&self, other: &Tensor<f32>) -> Result<Tensor<f32>> {
-        let (m, k, n) = quant_matmul_check(self, other)?;
-        let (qa, sa) = quantize_symmetric(self.data());
-        let (qb, sb) = quantize_symmetric(other.data());
-        let acc = quant_gemm_reference(&qa, m, k, &qb, n);
-        let scale = sa * sb;
-        let out = acc.iter().map(|&q| dequantize_value(q, scale)).collect();
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -190,12 +168,15 @@ impl Tensor<f32> {
         buf: Vec<f32>,
     ) -> Result<Tensor<f32>> {
         let (rows, in_f, out_f, sx, sw, qx, qw) = self.quant_linear_prepare(weight, bias)?;
-        // Weight rows are already the dot-product columns, so the packed
-        // panels read the quantized weight transposed — the same layout
-        // trick the float linear uses.
-        let rhs = PackedRhs::from_transposed(&qw, out_f, in_f);
-        let mut acc = vec![0i32; rows * out_f];
-        quant_gemm_into(&qx, rows, &rhs, &mut acc);
+        // The GEMM wants a row-major [in_f, out_f] rhs: the weight
+        // transposed.
+        let mut qwt = vec![0i8; in_f * out_f];
+        for o in 0..out_f {
+            for i in 0..in_f {
+                qwt[i * out_f + o] = qw[o * in_f + i];
+            }
+        }
+        let acc = quant_gemm(&qx, rows, in_f, &qwt, out_f);
         let mut out = buf;
         out.clear();
         out.extend(acc.chunks(out_f.max(1)).flat_map(|row| {
@@ -215,48 +196,9 @@ impl Tensor<f32> {
         Tensor::from_vec(out, &out_dims)
     }
 
-    /// Scalar-oracle quantized linear (see
-    /// [`quant_matmul_reference`](Self::quant_matmul_reference)).
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`quant_linear`](Self::quant_linear).
-    pub fn quant_linear_reference(
-        &self,
-        weight: &Tensor<f32>,
-        bias: Option<&Tensor<f32>>,
-    ) -> Result<Tensor<f32>> {
-        let (rows, in_f, out_f, sx, sw, qx, qw) = self.quant_linear_prepare(weight, bias)?;
-        // The oracle GEMM wants a row-major [in_f, out_f] rhs.
-        let mut qwt = vec![0i8; in_f * out_f];
-        for o in 0..out_f {
-            for i in 0..in_f {
-                qwt[i * out_f + o] = qw[o * in_f + i];
-            }
-        }
-        let acc = quant_gemm_reference(&qx, rows, in_f, &qwt, out_f);
-        let mut out: Vec<f32> = acc
-            .chunks(out_f.max(1))
-            .flat_map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(c, &q)| dequantize_value(q, sx * sw[c]))
-            })
-            .collect();
-        if let Some(b) = bias {
-            for row in out.chunks_mut(out_f) {
-                for (v, &bv) in row.iter_mut().zip(b.data()) {
-                    *v += bv;
-                }
-            }
-        }
-        let mut out_dims = self.dims().to_vec();
-        *out_dims.last_mut().expect("checked rank >= 1") = out_f;
-        Tensor::from_vec(out, &out_dims)
-    }
-
-    /// Shared validation + quantization front half of both quant-linear
-    /// kernels: returns `(rows, in_f, out_f, scale_x, scales_w, qx, qw)`.
+    /// Validation + quantization front half of
+    /// [`quant_linear`](Self::quant_linear): returns
+    /// `(rows, in_f, out_f, scale_x, scales_w, qx, qw)`.
     #[allow(clippy::type_complexity)]
     fn quant_linear_prepare(
         &self,
@@ -298,14 +240,7 @@ impl Tensor<f32> {
         let rows = self.len() / in_f.max(1);
         let (qx, sx) = quantize_symmetric(self.data());
         // Per-channel: one symmetric scale per weight row (output channel).
-        let mut qw = Vec::with_capacity(out_f * in_f);
-        let mut sw = Vec::with_capacity(out_f);
-        for o in 0..out_f {
-            let w_row = &weight.data()[o * in_f..(o + 1) * in_f];
-            let s = symmetric_scale(max_abs(w_row));
-            qw.extend(w_row.iter().map(|&x| quantize_value(x, s)));
-            sw.push(s);
-        }
+        let (qw, sw) = quantize_rows_symmetric(weight.data(), out_f, in_f);
         Ok((rows, in_f, out_f, sx, sw, qx, qw))
     }
 }
@@ -322,25 +257,54 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
+    /// Exact `i64` dot product of two quantized vectors, narrowed to the
+    /// `i32` accumulator (every product is at most `127²`, so the short
+    /// test shapes never leave its range).
+    fn i64_dot(a: impl Iterator<Item = i8>, b: impl Iterator<Item = i8>) -> i32 {
+        let sum: i64 = a.zip(b).map(|(x, y)| i64::from(x) * i64::from(y)).sum();
+        i32::try_from(sum).expect("test shapes fit i32")
+    }
+
     #[test]
     fn quant_matmul_matches_oracle_bitwise() {
-        let a = Tensor::<f32>::rand_uniform(&[9, 37], -4.0, 4.0, 5);
-        let b = Tensor::<f32>::rand_uniform(&[37, 13], -0.7, 0.7, 6);
-        let fast = a.quant_matmul(&b).unwrap();
-        let slow = a.quant_matmul_reference(&b).unwrap();
-        assert!(bits_eq(&fast, &slow));
+        let (m, k, n) = (9, 37, 13);
+        let a = Tensor::<f32>::rand_uniform(&[m, k], -4.0, 4.0, 5);
+        let b = Tensor::<f32>::rand_uniform(&[k, n], -0.7, 0.7, 6);
+        let (qa, sa) = quantize_symmetric(a.data());
+        let (qb, sb) = quantize_symmetric(b.data());
+        let mut oracle = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                let col = (0..k).map(|kk| qb[kk * n + j]);
+                let q = i64_dot(qa[i * k..(i + 1) * k].iter().copied(), col);
+                oracle.push(dequantize_value(q, sa * sb));
+            }
+        }
+        let oracle = Tensor::from_vec(oracle, &[m, n]).unwrap();
+        assert!(bits_eq(&a.quant_matmul(&b).unwrap(), &oracle));
     }
 
     #[test]
     fn quant_linear_matches_oracle_bitwise() {
-        let x = Tensor::<f32>::rand_uniform(&[2, 5, 33], -3.0, 3.0, 7);
-        let w = Tensor::<f32>::rand_uniform(&[21, 33], -1.0, 1.0, 8);
-        let b = Tensor::<f32>::rand_uniform(&[21], -1.0, 1.0, 9);
+        let (in_f, out_f) = (33, 21);
+        let x = Tensor::<f32>::rand_uniform(&[2, 5, in_f], -3.0, 3.0, 7);
+        let w = Tensor::<f32>::rand_uniform(&[out_f, in_f], -1.0, 1.0, 8);
+        let b = Tensor::<f32>::rand_uniform(&[out_f], -1.0, 1.0, 9);
+        // Each output is the dot of an input row with a weight row: the
+        // oracle reads the weight in its own layout, never transposed.
+        let (qx, sx) = quantize_symmetric(x.data());
+        let (qw, sw) = quantize_rows_symmetric(w.data(), out_f, in_f);
         for bias in [None, Some(&b)] {
-            let fast = x.quant_linear(&w, bias).unwrap();
-            let slow = x.quant_linear_reference(&w, bias).unwrap();
-            assert!(bits_eq(&fast, &slow));
-            assert_eq!(fast.dims(), &[2, 5, 21]);
+            let mut oracle = Vec::with_capacity(10 * out_f);
+            for x_row in qx.chunks_exact(in_f) {
+                for (o, w_row) in qw.chunks_exact(in_f).enumerate() {
+                    let q = i64_dot(x_row.iter().copied(), w_row.iter().copied());
+                    let v = dequantize_value(q, sx * sw[o]);
+                    oracle.push(bias.map_or(v, |b| v + b.data()[o]));
+                }
+            }
+            let oracle = Tensor::from_vec(oracle, &[2, 5, out_f]).unwrap();
+            assert!(bits_eq(&x.quant_linear(&w, bias).unwrap(), &oracle));
         }
     }
 

@@ -56,44 +56,6 @@ impl<T: Element> Tensor<T> {
         })
     }
 
-    /// Minimum along `axis`, removing it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an out-of-range axis.
-    pub fn min_axis(&self, axis: usize) -> Result<Tensor<T>> {
-        self.reduce_axis(axis, |lane| {
-            lane.iter().copied().fold(lane[0], |m, x| m.minimum(x))
-        })
-    }
-
-    /// Index of the maximum along the last axis (ties resolve to the first).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for rank-0 tensors.
-    pub fn argmax_last_axis(&self) -> Result<Vec<usize>> {
-        if self.rank() == 0 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                got: 0,
-                op: "argmax_last_axis",
-            });
-        }
-        let last = self.dims()[self.rank() - 1];
-        let mut out = Vec::with_capacity(self.len() / last.max(1));
-        for lane in self.data().chunks(last) {
-            let mut best = 0;
-            for (i, &v) in lane.iter().enumerate() {
-                if v > lane[best] {
-                    best = i;
-                }
-            }
-            out.push(best);
-        }
-        Ok(out)
-    }
-
     /// Applies `f` to every lane along `axis`, producing a tensor with the
     /// axis removed. The lane is materialized contiguously so `f` sees the
     /// elements in canonical axis order (this fixes the reduction order that
@@ -157,17 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn max_min_axis() {
+    fn max_axis_values() {
         let t = Tensor::<f32>::from_vec(vec![3.0, 1.0, 2.0, -1.0, 5.0, 0.0], &[2, 3]).unwrap();
         assert_eq!(t.max_axis(1).unwrap().data(), &[3.0, 5.0]);
-        assert_eq!(t.min_axis(1).unwrap().data(), &[1.0, -1.0]);
         assert_eq!(t.max_axis(0).unwrap().data(), &[3.0, 5.0, 2.0]);
-    }
-
-    #[test]
-    fn argmax_last_axis_batched() {
-        let t = Tensor::<f32>::from_vec(vec![1.0, 9.0, 2.0, 7.0, 0.0, 3.0], &[2, 3]).unwrap();
-        assert_eq!(t.argmax_last_axis().unwrap(), vec![1, 0]);
     }
 
     #[test]

@@ -85,24 +85,6 @@ impl Shape {
         idx
     }
 
-    /// Normalizes a possibly negative axis (`-1` = last) into `0..rank`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] when out of range.
-    pub fn normalize_axis(&self, axis: isize) -> Result<usize> {
-        let rank = self.rank() as isize;
-        let a = if axis < 0 { axis + rank } else { axis };
-        if a < 0 || a >= rank {
-            Err(TensorError::AxisOutOfRange {
-                axis: axis.unsigned_abs(),
-                rank: self.rank(),
-            })
-        } else {
-            Ok(a as usize)
-        }
-    }
-
     /// Broadcasts two shapes following NumPy/PyTorch semantics.
     ///
     /// Trailing dimensions are aligned; each pair must be equal or one of
@@ -306,15 +288,6 @@ mod tests {
         assert!(Shape::new(&[1, 4]).broadcastable_to(&Shape::new(&[3, 4])));
         assert!(!Shape::new(&[3, 4]).broadcastable_to(&Shape::new(&[1, 4])));
         assert!(Shape::new(&[4]).broadcastable_to(&Shape::new(&[2, 3, 4])));
-    }
-
-    #[test]
-    fn normalize_axis_handles_negative() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.normalize_axis(-1).unwrap(), 2);
-        assert_eq!(s.normalize_axis(0).unwrap(), 0);
-        assert!(s.normalize_axis(3).is_err());
-        assert!(s.normalize_axis(-4).is_err());
     }
 
     #[test]

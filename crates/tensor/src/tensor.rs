@@ -65,14 +65,6 @@ impl<T: Element> Tensor<T> {
         }
     }
 
-    /// Creates a tensor of zeros with the same shape as `other`.
-    pub fn zeros_like(other: &Tensor<T>) -> Self {
-        Tensor {
-            data: Arc::new(vec![T::ZERO; other.len()]),
-            shape: other.shape.clone(),
-        }
-    }
-
     /// Creates a tensor filled with ones.
     pub fn ones(shape: &[usize]) -> Self {
         Self::full(shape, T::ONE)
@@ -155,12 +147,6 @@ impl<T: Element> Tensor<T> {
     /// first when it is referenced by other tensors (copy-on-write).
     pub fn data_mut(&mut self) -> &mut [T] {
         Arc::make_mut(&mut self.data).as_mut_slice()
-    }
-
-    /// Consumes the tensor, returning its data vector (cloned only when
-    /// the buffer is shared with another tensor).
-    pub fn into_data(self) -> Vec<T> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Consumes the tensor, returning its data vector only when no other

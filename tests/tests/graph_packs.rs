@@ -69,11 +69,6 @@ fn configs() -> Vec<KernelConfig> {
             math,
         });
     }
-    cfgs.push(KernelConfig {
-        accum: AccumMode::Kahan,
-        fma: false,
-        math: MathLib::Reference,
-    });
     cfgs
 }
 

@@ -1,13 +1,12 @@
-//! Differential equivalence harness for the int8-quantized kernel family.
+//! Equivalence harness for the int8-quantized operator family.
 //!
-//! The quantized GEMM's AVX2 fast path must be **bit-identical** to the
-//! in-tree scalar int8 oracle at every shape: integer
-//! widening products with wrapping `i32` accumulation are associative, so
-//! any evaluation order reproduces the oracle bits exactly. That exactness
-//! is what the protocol leans on — quantized operators calibrate to
-//! all-zero envelopes and dispute with zero-tolerance strictness, so a
-//! single flipped bit on a quantized operator is an infinite-exceedance
-//! offense this suite plants and localizes end-to-end.
+//! The int8 GEMM must equal the exact sum of its widened products at every
+//! shape: integer multiply-accumulate is exact, so evaluation order cannot
+//! change a bit. That exactness is what the protocol leans on — quantized
+//! operators calibrate to all-zero envelopes and dispute with
+//! zero-tolerance strictness, so a single flipped bit on a quantized
+//! operator is an infinite-exceedance offense this suite plants and
+//! localizes end-to-end.
 
 use proptest::prelude::*;
 use tao::{default_coordinator, deploy, ProposerBehavior, SessionBuilder, SharedCoordinator};
@@ -15,10 +14,7 @@ use tao_device::{Device, Fleet};
 use tao_graph::{execute, execute_with_stats, OpKind, Perturbations};
 use tao_models::{data, quantize_linears, transformer, TransformerConfig};
 use tao_protocol::{ClaimStatus, DisputeResult, LeafVerdict, Party};
-use tao_tensor::kernel::PackedRhs;
-use tao_tensor::quant::{
-    quant_gemm_into, quant_gemm_reference, quantize_symmetric, quantize_value, symmetric_scale,
-};
+use tao_tensor::quant::{quant_gemm, quantize_symmetric, quantize_value, symmetric_scale};
 use tao_tensor::Tensor;
 
 fn operand(dims: &[usize], seed: u64) -> Tensor<f32> {
@@ -36,49 +32,56 @@ fn assert_f32_bits_eq(fast: &Tensor<f32>, slow: &Tensor<f32>, what: &str) {
     }
 }
 
+/// Every product of the row-major `[m, k]` `a` and `[k, n]` `b`, summed
+/// in `i64`: the int8 GEMM computed without sharing a line with it.
+fn i64_products(a: &[i8], m: usize, k: usize, b: &[i8], n: usize) -> Vec<i64> {
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            out.push(
+                (0..k)
+                    .map(|kk| i64::from(a[i * k + kk]) * i64::from(b[kk * n + j]))
+                    .sum(),
+            );
+        }
+    }
+    out
+}
+
+fn quantized(dims: &[usize], seed: u64) -> Vec<i8> {
+    quantize_symmetric(operand(dims, seed).data()).0
+}
+
 // ---------------------------------------------------------------------------
-// Raw int8 GEMM: AVX2 dispatch vs the scalar oracle, exhaustive boundaries.
+// Raw int8 GEMM against the exact i64 sum, ragged and empty shapes.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn quant_gemm_bit_equal_at_panel_and_tile_boundaries() {
-    // Shapes straddle the PANEL width (8), the MR register tile (4) and the
-    // odd-k scalar tail of the AVX2 micro-kernel.
+fn quant_gemm_equals_i64_sum_over_ragged_shapes() {
     for &(m, k, n) in &[
         (1, 1, 1),
         (3, 7, 5),
         (4, 8, 8),
+        (5, 9, 17),
         (5, 33, 9),
         (4, 64, 16),
         (7, 129, 17),
+        (13, 33, 19),
         (16, 96, 24),
+        (3, 0, 4),
+        (2, 5, 0),
+        (0, 6, 3),
     ] {
-        let (qa, _) = quantize_symmetric(operand(&[m, k], 900 + k as u64).data());
-        let (qb, _) = quantize_symmetric(operand(&[k, n], 901 + n as u64).data());
-        let rhs = PackedRhs::from_row_major(&qb, k, n);
-        let oracle = quant_gemm_reference(&qa, m, k, &qb, n);
-        let mut fast = vec![0i32; m * n];
-        quant_gemm_into(&qa, m, &rhs, &mut fast);
-        assert_eq!(fast, oracle, "quant gemm {m}x{k}x{n}");
-    }
-}
-
-#[test]
-fn tensor_quant_ops_bit_equal_to_reference() {
-    let x = operand(&[5, 33], 1);
-    let b_mat = operand(&[33, 9], 2);
-    assert_f32_bits_eq(
-        &x.quant_matmul(&b_mat).unwrap(),
-        &x.quant_matmul_reference(&b_mat).unwrap(),
-        "quant_matmul",
-    );
-    let w = operand(&[9, 33], 3);
-    let bias = operand(&[9], 4);
-    for bias in [None, Some(&bias)] {
-        assert_f32_bits_eq(
-            &x.quant_linear(&w, bias).unwrap(),
-            &x.quant_linear_reference(&w, bias).unwrap(),
-            "quant_linear",
+        let qa = quantized(&[m, k], 900 + k as u64);
+        let qb = quantized(&[k, n], 901 + n as u64);
+        let got: Vec<i64> = quant_gemm(&qa, m, k, &qb, n)
+            .into_iter()
+            .map(i64::from)
+            .collect();
+        assert_eq!(
+            got,
+            i64_products(&qa, m, k, &qb, n),
+            "quant gemm {m}x{k}x{n}"
         );
     }
 }
@@ -201,39 +204,18 @@ fn static_scale_ops_invert_exactly_on_grid_points() {
 proptest! {
     #[test]
     fn prop_quant_gemm_bit_equal(
-        m in 1usize..20,
-        k in 1usize..130,
-        n in 1usize..20,
+        m in 0usize..20,
+        k in 0usize..130,
+        n in 0usize..20,
         seed in 0u64..1_000_000,
     ) {
-        let (qa, _) = quantize_symmetric(operand(&[m, k], seed).data());
-        let (qb, _) = quantize_symmetric(operand(&[k, n], seed ^ 0xbeef).data());
-        let rhs = PackedRhs::from_row_major(&qb, k, n);
-        let mut fast = vec![0i32; m * n];
-        quant_gemm_into(&qa, m, &rhs, &mut fast);
-        let oracle = quant_gemm_reference(&qa, m, k, &qb, n);
-        prop_assert_eq!(fast, oracle, "quant gemm {}x{}x{}", m, k, n);
-    }
-
-    #[test]
-    fn prop_quant_linear_bit_equal(
-        rows in 1usize..10,
-        in_f in 1usize..70,
-        out_f in 1usize..16,
-        with_bias in 0usize..2,
-        seed in 0u64..1_000_000,
-    ) {
-        let x = operand(&[rows, in_f], seed);
-        let w = operand(&[out_f, in_f], seed ^ 0x5a5a);
-        let b = operand(&[out_f], seed ^ 0xa5a5);
-        let bias = (with_bias == 1).then_some(&b);
-        let fast = x.quant_linear(&w, bias).unwrap();
-        let slow = x.quant_linear_reference(&w, bias).unwrap();
-        prop_assert_eq!(
-            fast.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            slow.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "quant_linear {}x{}->{}", rows, in_f, out_f
-        );
+        let qa = quantized(&[m, k], seed);
+        let qb = quantized(&[k, n], seed ^ 0xbeef);
+        let got: Vec<i64> = quant_gemm(&qa, m, k, &qb, n)
+            .into_iter()
+            .map(i64::from)
+            .collect();
+        prop_assert_eq!(got, i64_products(&qa, m, k, &qb, n), "quant gemm {}x{}x{}", m, k, n);
     }
 
     #[test]
