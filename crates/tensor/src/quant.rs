@@ -108,6 +108,48 @@ pub fn quant_gemm(a: &[i8], m: usize, k: usize, b: &[i8], n: usize) -> Vec<i32> 
 mod tests {
     use super::*;
 
+    fn pseudo_i8(n: usize, seed: u64) -> Vec<i8> {
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                ((state % 255) as i64 - 127) as i8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fast_gemm_matches_oracle_over_ragged_shapes() {
+        // Oracle: every widened product summed in `i64`, indexed
+        // column-first so it shares no loop order with `quant_gemm`.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 7, 5),
+            (4, 8, 8),
+            (5, 9, 17),
+            (13, 33, 19),
+            (16, 64, 24),
+        ] {
+            let a = pseudo_i8(m * k, 11);
+            let b = pseudo_i8(k * n, 23);
+            let mut oracle = vec![0i64; m * n];
+            for j in 0..n {
+                for i in 0..m {
+                    oracle[i * n + j] = (0..k)
+                        .map(|kk| i64::from(a[i * k + kk]) * i64::from(b[kk * n + j]))
+                        .sum();
+                }
+            }
+            let got: Vec<i64> = quant_gemm(&a, m, k, &b, n)
+                .into_iter()
+                .map(i64::from)
+                .collect();
+            assert_eq!(got, oracle, "m={m} k={k} n={n}");
+        }
+    }
+
     #[test]
     fn degenerate_shapes() {
         assert_eq!(quant_gemm(&[], 3, 0, &[], 4), vec![0; 12]);

@@ -56,8 +56,11 @@ fn quantized(dims: &[usize], seed: u64) -> Vec<i8> {
 // Raw int8 GEMM against the exact i64 sum, ragged and empty shapes.
 // ---------------------------------------------------------------------------
 
+/// The shapes straddle the 8-wide rhs panel, the 4-row register block and
+/// the odd-`k` tail of the int8 tiles this crate once had, plus empty
+/// operands: edges where a blocked GEMM drops or repeats a lane.
 #[test]
-fn quant_gemm_equals_i64_sum_over_ragged_shapes() {
+fn quant_gemm_bit_equal_at_panel_and_tile_boundaries() {
     for &(m, k, n) in &[
         (1, 1, 1),
         (3, 7, 5),
