@@ -1,5 +1,7 @@
 //! Attack-evaluation metrics: margin bucketing, ASR, and progress stats.
 
+use std::cmp::Ordering;
+
 use rand::Rng;
 use rand::SeedableRng;
 
@@ -12,22 +14,27 @@ pub const BUCKETS: [(f64, f64); 5] = [(0.0, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 
 /// margin `m₀(c) = z_{c1} − z_c` and samples one class per bucket.
 ///
 /// Returns `(bucket index, class)` pairs; buckets too narrow to contain a
-/// class are skipped.
+/// class are skipped. NaN logits and NaN margins are skipped too: a lane
+/// with no non-NaN logit has no targets.
 pub fn bucket_targets(logits: &[f32], seed: u64) -> Vec<(usize, usize)> {
-    let c1 = logits
+    let Some(c1) = logits
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
+        .filter(|(_, z)| !z.is_nan())
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(Ordering::Equal))
         .map(|(i, _)| i)
-        .unwrap_or(0);
+    else {
+        return Vec::new();
+    };
     // Candidates sorted by margin ascending (small margin = easy flip).
     let mut candidates: Vec<(usize, f64)> = logits
         .iter()
         .enumerate()
         .filter(|&(i, _)| i != c1)
         .map(|(i, &z)| (i, (logits[c1] - z) as f64))
+        .filter(|(_, margin)| !margin.is_nan())
         .collect();
-    candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite margins"));
+    candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
     let n = candidates.len();
     if n == 0 {
         return Vec::new();
@@ -172,6 +179,24 @@ mod tests {
         }
         // Deterministic under the same seed.
         assert_eq!(picks, bucket_targets(&logits, 1));
+    }
+
+    /// NaN logits are never the argmax nor a target, and the rest of the
+    /// lane buckets as it does without them.
+    #[test]
+    fn bucket_targets_skip_nan_logits() {
+        let clean = vec![0.0f32, 5.0, 1.0, 2.0, 3.0, 4.0];
+        let mut with_nan = clean.clone();
+        with_nan.insert(2, f32::NAN);
+        with_nan.push(-f32::NAN);
+        // Class indices past the inserted NaN shift by one.
+        let shift = |c: usize| if c >= 2 { c + 1 } else { c };
+        let expected: Vec<(usize, usize)> = bucket_targets(&clean, 7)
+            .into_iter()
+            .map(|(b, c)| (b, shift(c)))
+            .collect();
+        assert_eq!(bucket_targets(&with_nan, 7), expected);
+        assert!(bucket_targets(&[f32::NAN, f32::NAN], 7).is_empty());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The nondecreasing cap curve `C_i : [0,1] → R≥0` (Eq. 8) used by the
 //! empirical feasible set and its order-statistics projection.
 
+use std::cmp::Ordering;
+
 use crate::percentile::PERCENTILE_GRID;
 use crate::profile::PercentilePair;
 
@@ -52,14 +54,18 @@ impl CapCurve {
 
     /// True when the sorted magnitudes `|Δ|` lie under the curve at every
     /// order-statistic rank `r_k = (k − ½)/n` — membership in the
-    /// empirical feasible set `F^emp` (Eq. 8).
+    /// empirical feasible set `F^emp` (Eq. 8). A NaN magnitude lies under
+    /// no curve, so it is never admitted.
     pub fn admits(&self, magnitudes: &[f64]) -> bool {
         let n = magnitudes.len();
         if n == 0 {
             return true;
         }
+        if magnitudes.iter().any(|m| m.is_nan()) {
+            return false;
+        }
         let mut sorted: Vec<f64> = magnitudes.iter().map(|m| m.abs()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
         sorted.iter().enumerate().all(|(k, &m)| {
             let r = (k as f64 + 0.5) / n as f64;
             m <= self.at(r) + f64::EPSILON
@@ -133,6 +139,19 @@ mod tests {
         assert!((c.at(0.5) - 0.5e-6).abs() < 1e-9);
         assert_eq!(c.at(-1.0), 0.0);
         assert_eq!(c.at(2.0), c.at(1.0));
+    }
+
+    #[test]
+    fn admits_rejects_nan_magnitudes() {
+        let c = CapCurve::from_thresholds(&linear_thresholds());
+        let small = [1e-9, 2e-9, 0.0];
+        assert!(c.admits(&small));
+        for nan in [f64::NAN, -f64::NAN] {
+            let mut with_nan = small.to_vec();
+            with_nan.insert(1, nan);
+            assert!(!c.admits(&with_nan));
+        }
+        assert!(!c.admits(&[f64::NAN]));
     }
 
     #[test]

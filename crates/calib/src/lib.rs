@@ -26,8 +26,8 @@ pub use percentile::{
     grid_index, grid_profile, grid_profile_reference, median, percentile, PERCENTILE_GRID,
 };
 pub use profile::{
-    elementwise_errors, error_profile, OperatorThreshold, PercentilePair, ThresholdBundle,
-    DEFAULT_ALPHA, DEFAULT_EPS,
+    elementwise_errors, error_profile, error_profile_into, OperatorThreshold, PercentilePair,
+    ThresholdBundle, DEFAULT_ALPHA, DEFAULT_EPS,
 };
 pub use stability::{
     diagnostics, running_medians, stability_table, sym_rel_change, StabilityMetrics, StabilityRow,

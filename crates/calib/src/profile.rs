@@ -128,7 +128,19 @@ pub(crate) fn abs_error_sum(a: &Tensor<f32>, b: &Tensor<f32>) -> Option<f64> {
 /// an error has no magnitude a percentile could bound, and dropping it,
 /// as calibration does, would let an all-NaN claim profile to zeros.
 pub fn error_profile(a: &Tensor<f32>, b: &Tensor<f32>, eps: f64) -> PercentilePair {
-    let (mut abs, mut rel) = (Vec::new(), Vec::new());
+    error_profile_into(a, b, eps, &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`error_profile`] through caller-owned key buffers, which
+/// [`error_keys_into`] overwrites: a caller profiling many nodes reuses
+/// one pair for all of them.
+pub fn error_profile_into(
+    a: &Tensor<f32>,
+    b: &Tensor<f32>,
+    eps: f64,
+    abs: &mut Vec<u64>,
+    rel: &mut Vec<u64>,
+) -> PercentilePair {
     // An absolute error is dropped exactly when an element of its pair is
     // not finite, so only then can a pair disagree non-finitely.
     let disagree = |abs: &Vec<u64>| {
@@ -138,10 +150,10 @@ pub fn error_profile(a: &Tensor<f32>, b: &Tensor<f32>, eps: f64) -> PercentilePa
                 .zip(b.data())
                 .any(|(&x, &y)| nonfinite_disagreement(x, y))
     };
-    match error_keys_into(a, b, eps, &mut abs, &mut rel) {
-        Some(_) if !disagree(&abs) => PercentilePair {
-            abs: grid_profile_keys(&mut abs),
-            rel: grid_profile_keys(&mut rel),
+    match error_keys_into(a, b, eps, abs, rel) {
+        Some(_) if !disagree(abs) => PercentilePair {
+            abs: grid_profile_keys(abs),
+            rel: grid_profile_keys(rel),
         },
         _ => PercentilePair {
             abs: vec![f64::INFINITY; PERCENTILE_GRID.len()],
@@ -284,6 +296,31 @@ mod tests {
         x.data_mut()[..3].copy_from_slice(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
         y.data_mut()[..3].copy_from_slice(&[-f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
         assert_eq!(error_profile(&x, &y, DEFAULT_EPS), PercentilePair::zero());
+    }
+
+    /// One pair of key buffers, reused across pairs of every size,
+    /// shape and finiteness in any order, profiles each pair exactly as
+    /// fresh buffers do.
+    #[test]
+    fn reused_key_buffers_profile_like_fresh_ones() {
+        let big = Tensor::<f32>::rand_uniform(&[300], -1.0, 1.0, 1);
+        let near = big.map(|x| x * 1.001 + 1e-6);
+        let small = Tensor::<f32>::rand_uniform(&[7], -1.0, 1.0, 3);
+        let mut nan = small.clone();
+        nan.data_mut()[2] = f32::NAN;
+        let pairs = [
+            (&big, &near),
+            (&small, &nan),
+            (&small, &big),
+            (&nan, &nan),
+            (&near, &big),
+            (&small, &small),
+        ];
+        let (mut abs, mut rel) = (Vec::new(), Vec::new());
+        for (a, b) in pairs.iter().chain(pairs.iter().rev()) {
+            let reused = error_profile_into(a, b, DEFAULT_EPS, &mut abs, &mut rel);
+            assert_eq!(reused, error_profile(a, b, DEFAULT_EPS));
+        }
     }
 
     #[test]

@@ -1,49 +1,55 @@
 //! Concurrent session scheduling over one shared deployment and
 //! coordinator.
 //!
-//! The scheduler alternates parallel compute phases with short serial
-//! coordinator phases so that concurrent execution is *observationally
-//! equivalent* to running the same sessions one after another:
+//! The scheduler is an in-order pipeline whose result is *observationally
+//! equivalent* to running the same sessions one after another. A pool of
+//! `min(threads, MAX_PAR_THREADS, batch)` scoped workers pulls session
+//! indices from one shared queue, and each worker drives its session from
+//! start to finish before it pulls the next:
 //!
-//! 1. **Prepare** (parallel): every proposer forward pass runs on a scoped
-//!    worker thread — no coordinator interaction.
-//! 2. **Submit** (serial, in session order): claims are posted one by one,
-//!    so claim ids are assigned deterministically (session `i` gets the
-//!    `i`-th id the coordinator hands out).
-//! 3. **Screen + dispute** (parallel): challenger screening, dispute
-//!    localization and leaf adjudication run concurrently; `open_challenge`
-//!    holds the coordinator's lock only for its own bookkeeping. No
-//!    session advances the clock here, so no claim's challenge window can
-//!    close under a slower session.
-//! 4. **Settle** (parallel): disputed claims settle and unchallenged
-//!    claims' windows elapse concurrently. Each settle or advance runs
-//!    alone under the coordinator's one lock, and per-claim settlement
-//!    commutes (every amount is a function of its claim, the clock only
-//!    moves forward), so the interleaving does not matter. Reports are
-//!    collected in session order.
+//! 1. **Prepare**: the proposer's forward pass and trace commitment, with
+//!    no coordinator interaction.
+//! 2. **Submit**, through a turnstile: session `i` posts its claim only
+//!    after session `i − 1` has posted, so session `i` gets the `i`-th
+//!    claim id the coordinator hands out whichever worker runs it.
+//! 3. **Resolve**: challenger screening, dispute localization and leaf
+//!    adjudication (or a custom hook, see [`Scheduler::run_with`]);
+//!    `open_challenge` holds the coordinator's lock only for its own
+//!    bookkeeping.
+//! 4. **Settle**, after one barrier: every worker waits until every
+//!    resolve is done, then settles the sessions it ran. No session
+//!    advances the clock before the barrier, so one honest claim's
+//!    `advance(window + 1)` cannot close another claim's window before
+//!    that claim is screened. Each settle or advance runs alone under the
+//!    coordinator's one lock, and per-claim settlement commutes (every
+//!    amount is a function of its claim, the clock only moves forward),
+//!    so the interleaving does not matter. Reports are collected in
+//!    session order.
+//!
+//! A worker keeps one session's model weights and traces hot from its
+//! proposer pass to its challenger pass; nothing waits for the whole batch
+//! but settlement.
 //!
 //! Bond arithmetic on the coordinator is a sum of per-event deltas, so the
-//! final balances, claim statuses and per-session reports match a serial
-//! run exactly (see `tests/tests/scheduler.rs` for the equivalence test
-//! and `tests/tests/coordinator_invariants.rs` for the coordinator-level
-//! proptest). The one behavioral difference is peak escrow: all proposer
-//! deposits are locked at once during phase 2, so accounts must be funded
-//! for the sum of concurrent deposits rather than one at a time. That
-//! requirement is checked **at admission**, before any claim is posted:
-//! an underfunded batch fails with a typed
-//! [`TaoError::InsufficientFunds`] naming the account, its peak escrow
-//! requirement and its balance, instead of bouncing mid-batch with
+//! final balances, claim statuses, per-session reports and epoch roots
+//! match a serial run exactly (see `tests/tests/scheduler.rs` for the
+//! equivalence test and `tests/tests/coordinator_invariants.rs` for the
+//! coordinator-level proptest). The one behavioral difference is peak
+//! escrow: every deposit of the batch may be locked at once before the
+//! barrier, so accounts must be funded for the sum of the batch's
+//! deposits rather than one at a time. That requirement is checked **at
+//! admission**, before any worker starts: an underfunded batch fails with
+//! a typed [`TaoError::InsufficientFunds`] naming the account, its peak
+//! escrow requirement and its balance, instead of bouncing mid-batch with
 //! earlier claims already pending.
 //!
-//! The worker pool is configurable up to [`MAX_WORKERS`]. The settle
-//! phase runs no forward passes and uses the full pool; the compute-bound
-//! phases (prepare, screen + dispute) stay clamped to
-//! [`MAX_PAR_THREADS`]. These session workers are the only threads a
-//! batch runs: every kernel runs on its caller's thread.
+//! These session workers are the only threads a batch runs: every kernel
+//! runs on its caller's thread.
 
 use std::collections::BTreeMap;
+use std::sync::{Barrier, Condvar, Mutex, MutexGuard, PoisonError};
 
-use tao_protocol::par::{parallel_map, MAX_PAR_THREADS, MAX_WORKERS};
+use tao_protocol::par::{MAX_PAR_THREADS, MAX_WORKERS};
 use tao_protocol::Money;
 
 use crate::error::TaoError;
@@ -70,16 +76,16 @@ impl Scheduler {
         Scheduler { threads }
     }
 
-    /// A scheduler with an explicit worker count (at least 1). Pools up
-    /// to [`MAX_WORKERS`] are accepted (the compute-bound phases
-    /// internally clamp to [`MAX_PAR_THREADS`]).
+    /// A scheduler with an explicit worker count, clamped to
+    /// `[1, MAX_WORKERS]`. A batch runs on at most [`MAX_PAR_THREADS`] of
+    /// them, and on no more workers than it has sessions.
     pub fn with_threads(threads: usize) -> Self {
         Scheduler {
             threads: threads.clamp(1, MAX_WORKERS),
         }
     }
 
-    /// The effective worker-thread count after clamping.
+    /// The requested worker count after clamping.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -90,12 +96,16 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// Returns the first error (by session order) any phase produced. A
-    /// submission error (phase 2) leaves already-submitted claims pending
-    /// on the coordinator; an error in a parallel phase propagates only
-    /// after that phase completes, so every surviving session has still
-    /// been driven through settlement or finality (the reports are
+    /// Returns the first error by session order, after every session that
+    /// posted a claim has been driven as far as it goes (the reports are
     /// discarded with the error).
+    ///
+    /// - An underfunded batch fails admission and posts nothing.
+    /// - A prepare or submit error in session `i` stops every later
+    ///   session before it posts: session `i` and every session after it
+    ///   post no claim, and sessions before `i` still settle or finalize.
+    /// - A resolve or settle error leaves that session's claim where the
+    ///   error found it; every other posted session still settles.
     pub fn run(
         &self,
         coordinator: &SharedCoordinator,
@@ -110,72 +120,189 @@ impl Scheduler {
         Ok(resolved.into_iter().map(|(report, ())| report).collect())
     }
 
-    /// [`run`](Self::run) with a custom resolve phase: `resolve` replaces
-    /// the default screen-then-dispute-if-flagged logic of phase 3 and
-    /// runs once per session (concurrently, at the compute-phase thread
-    /// cap), receiving the session's batch index, the session handle and
-    /// the shared coordinator. Whatever it returns rides along with the
+    /// [`run`](Self::run) with a custom resolve step: `resolve` replaces
+    /// the default screen-then-dispute-if-flagged logic and runs once per
+    /// session, on the session's worker right after its claim posts,
+    /// receiving the session's batch index, the session handle and the
+    /// shared coordinator. Whatever it returns rides along with the
     /// session's report.
     ///
     /// This is the campaign hook: adversarial drivers use it to play
     /// non-default moves — forced disputes on clean claims, abandoned
     /// challenges adopted by watchtowers — while keeping the scheduler's
-    /// four-phase structure (and its determinism guarantees) intact.
+    /// ordered submission and settlement barrier (and its determinism
+    /// guarantees) intact. `resolve` must not advance the clock.
     ///
     /// # Errors
     ///
-    /// As [`run`](Self::run): the first error by session order, after the
-    /// failing phase completes.
+    /// As [`run`](Self::run).
     pub fn run_with<T: Send>(
         &self,
         coordinator: &SharedCoordinator,
         sessions: Vec<SessionBuilder>,
         resolve: impl Fn(usize, &mut Session, &SharedCoordinator) -> Result<T> + Sync,
     ) -> Result<Vec<(SessionReport, T)>> {
-        // Compute-bound phases clamp to MAX_PAR_THREADS; only the
-        // coordinator-bound settle phase uses the full pool.
-        let compute_threads = self.threads.min(MAX_PAR_THREADS);
-        // Phase 1 (parallel): proposer forward passes + commitments.
-        let prepared = parallel_map(sessions, compute_threads, SessionBuilder::prepare);
-        let mut pending = Vec::with_capacity(prepared.len());
-        for p in prepared {
-            pending.push(p?);
-        }
-        // Admission check: concurrent sessions escrow every deposit at
-        // once during phase 2, so an account must cover the *sum* of its
-        // quotes, not one deposit at a time. Checking up front turns an
-        // opaque mid-batch bounce (which would strand already-posted
-        // claims) into a typed error naming the peak requirement.
-        check_peak_escrow(coordinator, &pending)?;
-        // Phase 2 (serial, in order): deterministic claim-id assignment.
-        let mut submitted = Vec::with_capacity(pending.len());
-        for (index, session) in pending.into_iter().enumerate() {
-            submitted.push((index, session.submit(coordinator)?));
-        }
-        // Phase 3 (parallel): screening, disputes and leaf adjudication —
-        // or whatever moves `resolve` plays instead.
-        let resolve = &resolve;
-        let resolved = parallel_map(
-            submitted,
-            compute_threads,
-            |(index, mut session)| -> Result<_> {
-                let extra = resolve(index, &mut session, coordinator)?;
-                Ok((session, extra))
-            },
-        );
-        // Phase 4 (parallel): settlement. Per-claim settles and clock
-        // advances commute on the coordinator, so reports are produced
-        // concurrently and collected in session order.
-        let settled = parallel_map(resolved, self.threads, |entry| -> Result<_> {
-            let (session, extra) = entry?;
-            Ok((session.settle(coordinator)?, extra))
+        // Every deposit of the batch may be escrowed at once before the
+        // settlement barrier, so an account must cover the *sum* of its
+        // quotes, not one deposit at a time. Checking before any worker
+        // starts turns an opaque mid-batch bounce (which would strand
+        // already-posted claims) into a typed error naming the peak.
+        check_peak_escrow(coordinator, &sessions)?;
+        let batch = sessions.len();
+        let workers = self.threads.min(MAX_PAR_THREADS).min(batch);
+        let queue = Mutex::new(sessions.into_iter().enumerate());
+        let turnstile = Turnstile::default();
+        let barrier = Barrier::new(workers);
+        // Prepare, submit in turn and resolve one session; `None` when an
+        // earlier session failed before this one could post.
+        let pipeline = |index: usize, builder: SessionBuilder| {
+            let _close = CloseOnUnwind(&turnstile, index);
+            let mut session = match turnstile.submit(index, builder.prepare(), coordinator)? {
+                Ok(session) => session,
+                Err(e) => return Some(Err(e)),
+            };
+            Some(resolve(index, &mut session, coordinator).map(|extra| (session, extra)))
+        };
+        let worker = || {
+            let resolved = {
+                let _arrive = ArriveOnDrop(&barrier);
+                let mut resolved = Vec::new();
+                loop {
+                    // Its own statement, so the queue unlocks before the
+                    // session runs.
+                    let Some((index, builder)) = lock(&queue).next() else {
+                        break resolved;
+                    };
+                    if let Some(outcome) = pipeline(index, builder) {
+                        resolved.push((index, outcome));
+                    }
+                }
+            };
+            resolved
+                .into_iter()
+                .map(|(index, outcome)| {
+                    let settled = outcome.and_then(|(session, extra)| {
+                        session.settle(coordinator).map(|report| (report, extra))
+                    });
+                    (index, settled)
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut slots: Vec<Option<Result<(SessionReport, T)>>> = Vec::new();
+        slots.resize_with(batch, || None);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            for handle in handles {
+                let settled = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (index, outcome) in settled {
+                    slots[index] = Some(outcome);
+                }
+            }
         });
-        let mut reports = Vec::with_capacity(settled.len());
-        for report in settled {
-            reports.push(report?);
-        }
-        Ok(reports)
+        // A session is skipped only after an earlier one failed, and that
+        // failure fills its slot, so the first error comes first.
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("a skipped session follows a failed one"))
+            .collect()
     }
+}
+
+/// Orders claim submission: session `i` posts only after every session
+/// before it posted, unless a session at or before `i` failed to post, in
+/// which case session `i` never posts.
+#[derive(Default)]
+struct Turnstile {
+    turn: Mutex<Turn>,
+    changed: Condvar,
+}
+
+struct Turn {
+    /// The next session index allowed to post.
+    next: usize,
+    /// The first session that failed to post; no later session posts.
+    stop: usize,
+}
+
+impl Default for Turn {
+    fn default() -> Self {
+        Turn {
+            next: 0,
+            stop: usize::MAX,
+        }
+    }
+}
+
+impl Turnstile {
+    /// Waits for session `index`'s turn and posts its prepared claim.
+    /// A prepare error closes the turnstile without waiting. `None` when
+    /// an earlier session failed to post.
+    fn submit(
+        &self,
+        index: usize,
+        prepared: Result<PendingSession>,
+        coordinator: &SharedCoordinator,
+    ) -> Option<Result<Session>> {
+        let mut turn = lock(&self.turn);
+        let submitted = match prepared {
+            Ok(pending) => {
+                while turn.next < index && index < turn.stop {
+                    turn = self
+                        .changed
+                        .wait(turn)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if index > turn.stop {
+                    return None;
+                }
+                pending.submit(coordinator)
+            }
+            Err(e) => Err(e),
+        };
+        match submitted {
+            Ok(_) => turn.next += 1,
+            Err(_) => turn.stop = turn.stop.min(index),
+        }
+        self.changed.notify_all();
+        Some(submitted)
+    }
+
+    /// Stops every session after `index` from posting.
+    fn close(&self, index: usize) {
+        let mut turn = lock(&self.turn);
+        turn.stop = turn.stop.min(index);
+        self.changed.notify_all();
+    }
+}
+
+/// Closes the turnstile at its session when a worker panics, so later
+/// sessions stop waiting for a turn that never comes.
+struct CloseOnUnwind<'a>(&'a Turnstile, usize);
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close(self.1);
+        }
+    }
+}
+
+/// Arrives at the settlement barrier when dropped, also when a worker
+/// panics, so the other workers never wait for it forever.
+struct ArriveOnDrop<'a>(&'a Barrier);
+
+impl Drop for ArriveOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.wait();
+    }
+}
+
+/// Locks `mutex`, ignoring poison: a panicking worker's panic is
+/// re-raised when the scope joins it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Verifies every proposer account can cover the batch's peak concurrent
@@ -183,10 +310,10 @@ impl Scheduler {
 /// (`max(D_p, deposit_bound)` each, in fixed-point money) against its
 /// free balance. Accounts are checked in name order so the first failure
 /// is deterministic.
-fn check_peak_escrow(coordinator: &SharedCoordinator, pending: &[PendingSession]) -> Result<()> {
+fn check_peak_escrow(coordinator: &SharedCoordinator, sessions: &[SessionBuilder]) -> Result<()> {
     let inner = coordinator.coordinator();
     let mut peak: BTreeMap<&str, Money> = BTreeMap::new();
-    for session in pending {
+    for session in sessions {
         let entry = peak
             .entry(session.proposer_account())
             .or_insert(Money::ZERO);

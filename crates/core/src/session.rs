@@ -7,8 +7,8 @@
 //!    runs the proposer's forward pass (pure compute, no coordinator);
 //!    [`SessionBuilder::submit`] additionally posts the claim.
 //! 2. [`PendingSession`] — executed but not yet posted; the split exists
-//!    so a scheduler can run the expensive proposer passes in parallel and
-//!    still submit claims in a deterministic order.
+//!    so a scheduler can run the expensive proposer passes concurrently
+//!    and still submit claims in a deterministic order.
 //! 3. [`Session`] — a posted claim. Drive it with [`Session::screen`]
 //!    (challenger trigger; caches the screening trace),
 //!    [`Session::dispute`] (localization + leaf adjudication, reusing the
@@ -182,6 +182,20 @@ impl SessionBuilder {
         self
     }
 
+    /// The proposer account that will post (and fund) the claim.
+    pub fn proposer_account(&self) -> &str {
+        &self.cfg.proposer_account
+    }
+
+    /// The exact deposit this claim will escrow on submission:
+    /// `max(D_p, deposit_bound)` from the deployment's static report.
+    pub fn deposit_quote(&self, coordinator: &Coordinator) -> Money {
+        coordinator
+            .amounts()
+            .d_p
+            .max(self.deployment.static_report.deposit_bound)
+    }
+
     /// Phase 1 compute: the proposer executes the committed model on its
     /// device and builds the claim commitment `C0`. No coordinator
     /// interaction happens here, so any number of `prepare` calls can run
@@ -298,25 +312,11 @@ impl PendingSession {
         self.trace_commitment.root()
     }
 
-    /// The proposer account that will post (and fund) the claim.
-    pub fn proposer_account(&self) -> &str {
-        &self.cfg.proposer_account
-    }
-
-    /// The exact deposit this claim will escrow on submission:
-    /// `max(D_p, deposit_bound)` from the deployment's static report.
-    pub fn deposit_quote(&self, coordinator: &Coordinator) -> Money {
-        coordinator
-            .amounts()
-            .d_p
-            .max(self.deployment.static_report.deposit_bound)
-    }
-
     /// Posts the claim, charging the gas quote and escrowing the deposit
     /// from the deployment's static report (`max(D_p, deposit_bound)`).
     /// Claim ids are assigned by the coordinator in submission order, so
-    /// submitting from one thread (as [`crate::Scheduler`] does) keeps
-    /// them deterministic.
+    /// submitting in session order (as [`crate::Scheduler`]'s turnstile
+    /// does) keeps them deterministic.
     ///
     /// # Errors
     ///

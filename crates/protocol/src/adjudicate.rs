@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use tao_bounds::{check_within_bound, BoundEngine, CheckReport};
-use tao_calib::{error_profile, ThresholdBundle, DEFAULT_EPS};
+use tao_calib::{error_profile_into, ThresholdBundle, DEFAULT_EPS};
 use tao_device::Device;
 use tao_graph::{eval_node, BufferPool, Execution, Graph, NodeId};
 use tao_tensor::Tensor;
@@ -148,9 +148,11 @@ pub fn committee_vote(
     }
     let claimed = case.claimed()?;
     let mut votes = Vec::with_capacity(committee.len());
+    let mut keys = ProfileKeys::default();
     for (i, member) in committee.iter().enumerate() {
         let reference = case.reexecute(member)?;
-        let honest_vote = node_exceedance(thresholds, case.leaf, claimed, &reference) <= 1.0;
+        let honest_vote =
+            node_exceedance(thresholds, case.leaf, claimed, &reference, &mut keys) <= 1.0;
         let flipped = dishonest.get(i).copied().unwrap_or(false);
         votes.push(honest_vote != flipped);
     }
@@ -163,19 +165,31 @@ pub fn committee_vote(
     Ok(VoteOutcome { votes, verdict })
 }
 
+/// Reusable `(abs, rel)` error-key buffers for [`node_exceedance`].
+pub(crate) type ProfileKeys = (Vec<u64>, Vec<u64>);
+
 /// The one node-exceedance rule of the dispute descent (its own-trace
 /// screen and its live-out confirmation) and the committee vote: the
 /// Eq. 15 exceedance of `claimed` over `reference` against `node`'s
 /// committed thresholds, or, for a node without one (an input or a
 /// parameter), 0 when the two are [`bit_identical`] and `+inf` otherwise.
+/// The profile's error keys go through `keys`, which one dispute or vote
+/// reuses for every node it profiles.
 pub(crate) fn node_exceedance(
     thresholds: &ThresholdBundle,
     node: NodeId,
     claimed: &Tensor<f32>,
     reference: &Tensor<f32>,
+    keys: &mut ProfileKeys,
 ) -> f64 {
     match thresholds.for_node(node) {
-        Some(entry) => entry.exceedance(&error_profile(claimed, reference, DEFAULT_EPS)),
+        Some(entry) => entry.exceedance(&error_profile_into(
+            claimed,
+            reference,
+            DEFAULT_EPS,
+            &mut keys.0,
+            &mut keys.1,
+        )),
         None if bit_identical(claimed, reference) => 0.0,
         None => f64::INFINITY,
     }

@@ -10,7 +10,7 @@ use tao_graph::{execute_subgraph, partition, Execution, Graph, NodeId};
 use tao_merkle::{Digest, MerkleTree, TraceCommitment};
 use tao_tensor::Tensor;
 
-use crate::adjudicate::{bit_identical, node_exceedance};
+use crate::adjudicate::{bit_identical, node_exceedance, ProfileKeys};
 use crate::error::ProtocolError;
 use crate::gas::{self, GasMeter};
 use crate::plan::{DisputePlan, DisputePlans};
@@ -347,9 +347,11 @@ pub fn run_dispute(
     // so it is memoized per node for the whole dispute: a node is one
     // child's live-out, the next child's live-in, again in the ungated
     // second pass and again in later rounds, and each profile is a
-    // whole-tensor scan.
+    // whole-tensor scan. Every profile of the dispute shares one pair of
+    // key buffers.
+    let mut keys = ProfileKeys::default();
     let mut screen_cache: HashMap<NodeId, f64> = HashMap::new();
-    let mut screen_exc = |id: NodeId| -> Result<f64> {
+    let mut screen_exc = |id: NodeId, keys: &mut ProfileKeys| -> Result<f64> {
         if let Some(&exc) = screen_cache.get(&id) {
             return Ok(exc);
         }
@@ -358,6 +360,7 @@ pub fn run_dispute(
             id,
             proposer_trace.value(id)?,
             own_trace.value(id)?,
+            keys,
         );
         screen_cache.insert(id, exc);
         Ok(exc)
@@ -454,7 +457,7 @@ pub fn run_dispute(
                 }
                 let mut suspect = false;
                 for &id in &rec.sub.live_out {
-                    if screen_exc(id)? > 1.0 {
+                    if screen_exc(id, &mut keys)? > 1.0 {
                         suspect = true;
                         break;
                     }
@@ -475,7 +478,7 @@ pub fn run_dispute(
                     // cost optimization, never a soundness assumption.
                     let mut gated = false;
                     for &id in &rec.sub.live_in {
-                        if screen_exc(id)? > LIVE_IN_SLACK {
+                        if screen_exc(id, &mut keys)? > LIVE_IN_SLACK {
                             gated = true;
                             break;
                         }
@@ -529,9 +532,15 @@ pub fn run_dispute(
                 let mut child_exceedance = 0.0f64;
                 for &id in &rec.sub.live_out {
                     let exc = if own_values {
-                        screen_exc(id)?
+                        screen_exc(id, &mut keys)?
                     } else {
-                        node_exceedance(thresholds, id, proposer_trace.value(id)?, &local[id.0 - s])
+                        node_exceedance(
+                            thresholds,
+                            id,
+                            proposer_trace.value(id)?,
+                            &local[id.0 - s],
+                            &mut keys,
+                        )
                     };
                     child_exceedance = child_exceedance.max(exc);
                 }

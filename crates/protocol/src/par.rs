@@ -1,13 +1,12 @@
-//! Order-preserving scoped-thread fan-out, shared by batch screening and
-//! the `tao` session scheduler.
+//! Order-preserving scoped-thread fan-out for batch screening, and the
+//! worker-count bounds the `tao` session scheduler shares.
 
 pub use tao_tensor::kernel::MAX_PAR_THREADS;
 
-/// Hard upper bound on a worker pool. The scheduler's settle phase runs
-/// no forward passes — each worker takes the coordinator's lock briefly and then
-/// drops its session's traces — so its pool may exceed
-/// [`MAX_PAR_THREADS`]; this bound only keeps a mistyped request from
-/// spawning thousands of threads.
+/// Hard upper bound on a requested worker count, so a mistyped request
+/// clamps instead of spawning thousands of threads. Pools that run forward
+/// passes (batch screening, the session scheduler) also stay within
+/// [`MAX_PAR_THREADS`].
 pub const MAX_WORKERS: usize = 64;
 
 /// Applies `f` to every item on scoped worker threads, returning results

@@ -1,7 +1,8 @@
 //! Scheduler stress: a batch of 32 mixed honest/cheating sessions on a
-//! 16-worker pool (twice the old 8-worker ceiling). Under that contention the pool bound, the
-//! deterministic claim-id assignment and the serial-equivalence guarantee
-//! — now including the **parallel settle phase** — must all still hold.
+//! 16-worker request, which a batch runs on `MAX_PAR_THREADS` workers.
+//! Under that contention the pool bound, the deterministic claim-id
+//! assignment through the turnstile and the serial-equivalence guarantee
+//! — including settlement after the barrier — must all still hold.
 
 use tao::{
     deploy, Deployment, ProposerBehavior, Scheduler, SessionBuilder, SessionReport,
@@ -98,9 +99,9 @@ fn batch_of_32_under_contention_matches_serial_execution() {
         .map(|b| b.run(&serial_coord).unwrap())
         .collect();
 
-    // Concurrent run on a 16-worker pool — beyond the old 8-worker cap —
-    // over 32 sessions, so every worker still multiplexes sessions and
-    // the settle phase runs 16-wide over the one coordinator.
+    // Concurrent run on a 16-worker request over 32 sessions: the batch
+    // runs on MAX_PAR_THREADS workers, so every worker pulls several
+    // sessions and waits its turn to submit each one.
     let parallel_coord = coordinator();
     let scheduler = Scheduler::with_threads(16);
     assert_eq!(scheduler.threads(), 16);
