@@ -8,7 +8,9 @@
 //!
 //! The suite also pins the gas schedule cross-crate (the static base must
 //! equal `tao_protocol::gas::commit_claim()`) and exercises the linter's
-//! red path: planted-violation fixtures must be rejected.
+//! red path: planted-violation fixtures must be rejected, and it pins
+//! the bounds engine's per-node theoretical bounds bit for bit on the zoo
+//! and every bundled model.
 
 use proptest::prelude::*;
 use tao_analysis::{
@@ -545,4 +547,80 @@ fn planted_unbounded_denominator_fails_only_under_strict() {
         .any(|f| f.rule == LintRule::UnboundedDenominator && f.severity == Severity::Warn));
     let strict = analyze_with(&g, &shapes, &LintConfig::strict());
     assert!(!strict.is_admissible());
+}
+
+/// SHA-256 digests of the per-node theoretical bounds (`f64::to_bits` of
+/// every element) under `BoundEngine::paper_default()` and
+/// `BoundEngine::deterministic()`, for the operator zoo and every bundled
+/// model. Any change to which rounding template an operator gets, or to a
+/// template's arithmetic, moves one of these.
+const BOUND_GOLDEN: [(&str, &str, &str); 6] = [
+    (
+        "zoo",
+        "28a6a6ef1c0ca801b1017552fdc9a0462027e8fc2d5c47e920f9dc38f8dffa00",
+        "b3e3255c05ff8ba20dbe0e97198736374313986610ab1560813bf118409f775c",
+    ),
+    (
+        "transformer",
+        "aa7b3d08f7dbd1a277e6a37b431e7a3b58c8a8380909babfbfa2e05fa2ac5b8e",
+        "22a3dd9a31a30fa076d9200b474a98967dd34569c5ebfc095118d6c91acc57cb",
+    ),
+    (
+        "bert",
+        "0e6d73750585ec3aae8c0f10b239a19e104684d875ce189f133109f5ed189639",
+        "65bfa62e7ebbf82d24254467578dfcf8736bd91cff9c14400e9ef7ab9759022a",
+    ),
+    (
+        "qwen",
+        "4f673d9ce7dceb6adf150c035895eb9c7d1cdc22efe3ee1297975ac284aab1bb",
+        "b355edc49fac98a6ada88de225ae52088da4f3ea5aa94534838843d8e35e4538",
+    ),
+    (
+        "resnet",
+        "365effebb54a28cb7a0e2be779aaf106509b6dedadc857a741fc77eb423be5b3",
+        "dfe29febadfdb00fa6a9fbecd6c39b6aca9281464151e67ac1d3c73bd7eacddb",
+    ),
+    (
+        "diffusion",
+        "1beec8bdf46a7cd7413ee9b5b1948d2b7bfe53880c9c740abf44c21794935d83",
+        "d41b08dfec5d31856bb18d3380fbfd202fbc9585a2eda161084f203faabfa804",
+    ),
+];
+
+/// Digest of `co_execute`'s result: one SHA-256 per node over the bits of
+/// its bound, hashed together in node order; an error hashes its text.
+fn bound_digest(engine: &tao_bounds::BoundEngine, graph: &Graph, inputs: &[Tensor<f32>]) -> String {
+    use tao_merkle::{sha256, to_hex};
+    let exec = execute(graph, inputs, &KernelConfig::reference(), None).unwrap();
+    let mut nodes = Vec::new();
+    match engine.co_execute(graph, &exec) {
+        Ok(bounds) => {
+            for tau in &bounds {
+                let bits: Vec<u8> = tau
+                    .data()
+                    .iter()
+                    .flat_map(|t| t.to_bits().to_le_bytes())
+                    .collect();
+                nodes.extend_from_slice(&sha256(&bits));
+            }
+        }
+        Err(e) => nodes.extend_from_slice(&sha256(e.to_string().as_bytes())),
+    }
+    to_hex(&sha256(&nodes))
+}
+
+#[test]
+fn theoretical_bounds_are_pinned() {
+    use tao_bounds::BoundEngine;
+    let graphs = std::iter::once(("zoo", op_zoo())).chain(tao::MODEL_NAMES.iter().map(|&name| {
+        let (model, inputs) = bundled(name);
+        (name, (model.graph, inputs))
+    }));
+    for ((name, (graph, inputs)), (golden_name, paper, det)) in graphs.zip(BOUND_GOLDEN) {
+        assert_eq!(name, golden_name);
+        let got_paper = bound_digest(&BoundEngine::paper_default(), &graph, &inputs);
+        let got_det = bound_digest(&BoundEngine::deterministic(), &graph, &inputs);
+        assert_eq!(got_paper, paper, "{name}: paper_default bounds");
+        assert_eq!(got_det, det, "{name}: deterministic bounds");
+    }
 }
