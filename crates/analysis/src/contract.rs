@@ -1,159 +1,18 @@
-//! Per-operator analysis contracts.
+//! Per-operator shape contracts.
 //!
-//! Every [`OpKind`] gets one declarative [`OpContract`]: whether its output
-//! aliases an existing buffer, and which [`ErrorRule`] class its
-//! floating-point rounding behaviour falls into. Static shape inference
-//! ([`infer_shape`]) first checks the input count against
-//! [`OpKind::arity`], the table `tao_graph::eval_node` also checks, and
-//! then mirrors the runtime validation of `tao-tensor` exactly — an
-//! operator admits a shape statically if and only if the kernel would
-//! accept tensors of those shapes — which is what lets
+//! Static shape inference ([`infer_shape`]) first checks the input count
+//! against [`OpKind::arity`], the table `tao_graph::eval_node` also
+//! checks, and then mirrors the runtime validation of `tao-tensor`
+//! exactly — an operator admits a shape statically if and only if the
+//! kernel would accept tensors of those shapes — which is what lets
 //! `tests/tests/analysis_oracle.rs` assert *exact* equality between the
 //! static report and `execute_with_stats` measurements.
 //!
-//! The bounds engine (`tao-bounds`) dispatches on [`ErrorRule`] instead of
-//! matching `OpKind` directly, so the per-op classification lives in
-//! exactly one place; the value-level bound templates stay with the engine.
+//! Each operator's rounding-error template lives in the bounds engine
+//! (`tao-bounds`), which matches [`OpKind`] itself.
 
 use tao_graph::OpKind;
 use tao_tensor::Shape;
-
-/// Intrinsic math functions with documented maximum-ULP errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Intrinsic {
-    /// `exp(x)`.
-    Exp,
-    /// `ln(x)`.
-    Log,
-    /// `tanh(x)`.
-    Tanh,
-    /// `1/sqrt(x)`.
-    Rsqrt,
-}
-
-/// Rounding-error classification of an operator: which first-order bound
-/// template applies (§3.1 of the paper). The bounds engine owns the
-/// value-level math; this enum owns the *classification*.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ErrorRule {
-    /// Structural or exact (data movement, comparisons): zero error.
-    Exact,
-    /// `scale` fresh roundings on the output: `ε ≤ scale·u·|out|`.
-    Fresh {
-        /// Number of unit roundoffs charged per element.
-        scale: f64,
-    },
-    /// Library intrinsic with a documented max-ULP relative error.
-    Intrinsic(Intrinsic),
-    /// `sin`/`cos`: 2 ULP absolute at unit scale (`|out| ≤ 1`).
-    UnitRange,
-    /// `σ(x) = 1/(1+e^{-x})` composite template.
-    Sigmoid,
-    /// `x·σ(x)` composite template.
-    Silu,
-    /// Tanh-approximation GELU composite template.
-    Gelu,
-    /// Shifted-softmax lane template.
-    Softmax,
-    /// Mean/variance normalization lane template.
-    LayerNorm,
-    /// Root-mean-square normalization lane template.
-    RmsNorm,
-    /// Per-channel affine normalization with running statistics.
-    BatchNorm,
-    /// Per-group normalization over NCHW input.
-    GroupNorm,
-    /// Length-`k` dot products under `γ_k` accumulation (matmul, linear,
-    /// conv2d; the engine recovers the geometry from the node).
-    DotProduct,
-    /// Single ordered whole-tensor sum.
-    SumAll,
-    /// Whole-tensor mean: sum chain plus one division rounding.
-    MeanAll,
-    /// Per-lane reduction along one axis.
-    ReduceAxis {
-        /// Whether a division by the lane extent follows the sum.
-        mean: bool,
-    },
-    /// Windowed average pooling.
-    AvgPool,
-    /// Global (adaptive 1x1) average pooling.
-    GlobalAvgPool,
-    /// Int8-quantized operator: the committed numeric contract is exact
-    /// integer arithmetic (widening wrapping-`i32` accumulation plus
-    /// deterministic `f64` scale roundings), so the *cross-device
-    /// deviation* bound is zero — every honest device reproduces the same
-    /// bits at every `KernelConfig`.
-    Quantized,
-}
-
-/// The declarative analysis contract of one operator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpContract {
-    /// Whether the output tensor shares the storage of its first input
-    /// (or of a graph parameter / caller input): `Arc`-clone ops allocate
-    /// nothing, which is what the static peak-memory model folds over.
-    pub aliasing: bool,
-    /// Rounding-error classification consumed by `tao-bounds`.
-    pub error: ErrorRule,
-}
-
-/// The analysis contract for `kind`. Total over [`OpKind`]; adding an
-/// operator without a contract is a compile error here rather than a
-/// runtime surprise in three crates.
-pub fn contract(kind: &OpKind) -> OpContract {
-    use ErrorRule as E;
-    let c = |aliasing, error| OpContract { aliasing, error };
-    match kind {
-        OpKind::Input(_) => c(true, E::Exact),
-        OpKind::Parameter(_) => c(true, E::Exact),
-        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div => c(false, E::Fresh { scale: 1.0 }),
-        OpKind::Pow => c(false, E::Fresh { scale: 6.0 }),
-        OpKind::Neg => c(false, E::Exact),
-        OpKind::AddScalar(_) | OpKind::MulScalar(_) => c(false, E::Fresh { scale: 1.0 }),
-        OpKind::PowScalar(_) => c(false, E::Fresh { scale: 6.0 }),
-        OpKind::Sqrt => c(false, E::Fresh { scale: 1.0 }),
-        OpKind::Rsqrt => c(false, E::Intrinsic(Intrinsic::Rsqrt)),
-        OpKind::Exp => c(false, E::Intrinsic(Intrinsic::Exp)),
-        OpKind::Log => c(false, E::Intrinsic(Intrinsic::Log)),
-        OpKind::Tanh => c(false, E::Intrinsic(Intrinsic::Tanh)),
-        OpKind::Sin | OpKind::Cos => c(false, E::UnitRange),
-        OpKind::Relu => c(false, E::Exact),
-        OpKind::Gelu => c(false, E::Gelu),
-        OpKind::Silu => c(false, E::Silu),
-        OpKind::Sigmoid => c(false, E::Sigmoid),
-        OpKind::Softmax => c(false, E::Softmax),
-        OpKind::LayerNorm { .. } => c(false, E::LayerNorm),
-        OpKind::RmsNorm { .. } => c(false, E::RmsNorm),
-        OpKind::BatchNorm2d { .. } => c(false, E::BatchNorm),
-        OpKind::GroupNorm { .. } => c(false, E::GroupNorm),
-        OpKind::MatMul => c(false, E::DotProduct),
-        OpKind::Linear => c(false, E::DotProduct),
-        OpKind::Conv2d { .. } => c(false, E::DotProduct),
-        OpKind::QuantMatmul => c(false, E::Quantized),
-        OpKind::QuantLinear => c(false, E::Quantized),
-        OpKind::Quantize { .. } | OpKind::Dequantize { .. } => c(false, E::Quantized),
-        OpKind::MeanAll => c(false, E::MeanAll),
-        OpKind::SumAll => c(false, E::SumAll),
-        OpKind::SumAxis(_) => c(false, E::ReduceAxis { mean: false }),
-        OpKind::MeanAxis(_) => c(false, E::ReduceAxis { mean: true }),
-        OpKind::MaxAxis(_) => c(false, E::Exact),
-        OpKind::MaxPool2d { .. } => c(false, E::Exact),
-        OpKind::AvgPool2d { .. } => c(false, E::AvgPool),
-        OpKind::AdaptiveAvgPool1x1 => c(false, E::GlobalAvgPool),
-        OpKind::UpsampleNearest(_) => c(false, E::Exact),
-        OpKind::Reshape(_) => c(true, E::Exact),
-        OpKind::Flatten => c(true, E::Exact),
-        OpKind::FlattenFrom(_) => c(true, E::Exact),
-        OpKind::Transpose(_, _) => c(false, E::Exact),
-        OpKind::Permute(_) => c(false, E::Exact),
-        OpKind::Slice { .. } => c(false, E::Exact),
-        OpKind::Concat(_) => c(false, E::Exact),
-        OpKind::Embedding => c(false, E::Exact),
-        OpKind::MaskedFill(_) => c(false, E::Exact),
-        OpKind::Identity => c(true, E::Exact),
-    }
-}
 
 /// A static shape-inference failure, phrased for lint output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -611,20 +470,5 @@ mod tests {
         assert!(infer_shape(&OpKind::Add, &[&[2]]).is_err());
         assert!(infer_shape(&OpKind::Linear, &[&[4, 3], &[5, 3], &[5]]).is_ok());
         assert!(infer_shape(&OpKind::Linear, &[&[4, 3]]).is_err());
-    }
-
-    #[test]
-    fn every_kind_has_a_contract() {
-        // Spot-check aliasing classification for the Arc-clone ops.
-        for kind in [
-            OpKind::Reshape(vec![4]),
-            OpKind::Flatten,
-            OpKind::FlattenFrom(1),
-            OpKind::Identity,
-        ] {
-            assert!(contract(&kind).aliasing, "{kind:?} aliases its input");
-        }
-        assert!(!contract(&OpKind::Transpose(0, 1)).aliasing);
-        assert_eq!(contract(&OpKind::Softmax).error, ErrorRule::Softmax);
     }
 }

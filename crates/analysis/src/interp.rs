@@ -1,5 +1,5 @@
-//! The contract interpreter: folds [`crate::contract()`] rules over a
-//! [`Graph`] without executing it, producing a [`StaticReport`].
+//! The static interpreter: folds shape inference and the cost model over
+//! a [`Graph`] without executing it, producing a [`StaticReport`].
 //!
 //! The cost model is pinned to the executor's measurements:
 //!
@@ -30,7 +30,7 @@ use tao_graph::{Graph, OpKind};
 use tao_money::Money;
 use tao_tensor::Shape;
 
-use crate::contract::{contract, infer_shape};
+use crate::contract::infer_shape;
 use crate::lint::{lint_graph, LintConfig, LintFinding, LintRule, Severity};
 
 /// Gas base of a claim commitment; equals
@@ -98,10 +98,25 @@ pub fn analyze(graph: &Graph, input_shapes: &[Vec<usize>]) -> StaticReport {
     analyze_with(graph, input_shapes, &LintConfig::default())
 }
 
-/// Folds the analysis contracts over `graph` given the caller-input
-/// shapes, producing the full [`StaticReport`]. Never fails: malformed
-/// regions surface as `Deny` findings and downstream shapes degrade to
-/// `None` (their costs count as zero).
+/// Whether `kind`'s output shares the storage of its first input (or of a
+/// graph parameter / caller input): `Arc`-clone ops allocate nothing and
+/// move no bytes, which is what the peak-memory model folds over.
+fn aliases(kind: &OpKind) -> bool {
+    matches!(
+        kind,
+        OpKind::Input(_)
+            | OpKind::Parameter(_)
+            | OpKind::Reshape(_)
+            | OpKind::Flatten
+            | OpKind::FlattenFrom(_)
+            | OpKind::Identity
+    )
+}
+
+/// Folds shape inference and the cost model over `graph` given the
+/// caller-input shapes, producing the full [`StaticReport`]. Never fails:
+/// malformed regions surface as `Deny` findings and downstream shapes
+/// degrade to `None` (their costs count as zero).
 pub fn analyze_with(graph: &Graph, input_shapes: &[Vec<usize>], cfg: &LintConfig) -> StaticReport {
     let mut shapes: Vec<Option<Vec<usize>>> = Vec::with_capacity(graph.len());
     let mut flops: Vec<u64> = Vec::with_capacity(graph.len());
@@ -118,7 +133,6 @@ pub fn analyze_with(graph: &Graph, input_shapes: &[Vec<usize>], cfg: &LintConfig
     let mut resident: HashMap<ClassKey, u64> = HashMap::new();
 
     for node in graph.nodes() {
-        let ct = contract(&node.kind);
         let out_shape: Option<Vec<usize>> = match &node.kind {
             // A leaf with input edges falls through to `infer_shape`,
             // which denies it on arity as `eval_node` refuses it.
@@ -183,7 +197,7 @@ pub fn analyze_with(graph: &Graph, input_shapes: &[Vec<usize>], cfg: &LintConfig
                     .collect();
                 in_shapes.map_or(0, |ins| {
                     let out = Shape::new(out);
-                    if !ct.aliasing {
+                    if !aliases(&node.kind) {
                         let read: usize = ins.iter().map(Shape::volume).sum();
                         bytes_moved += 4 * (read + out.volume()) as u64;
                     }
@@ -200,7 +214,7 @@ pub fn analyze_with(graph: &Graph, input_shapes: &[Vec<usize>], cfg: &LintConfig
                 .param(name)
                 .ok()
                 .map(|_| ClassKey::Param(name.clone())),
-            _ if ct.aliasing => node.inputs.first().and_then(|id| class_of[id.0].clone()),
+            kind if aliases(kind) => node.inputs.first().and_then(|id| class_of[id.0].clone()),
             _ => Some(ClassKey::Node(node.id.0)),
         };
         if let (Some(k), Some(out)) = (&key, &out_shape) {
@@ -243,6 +257,19 @@ mod tests {
         let y = b.op("y", OpKind::MatMul, &[x, w]);
         let s = b.op("s", OpKind::Softmax, &[y]);
         b.finish(vec![s]).unwrap()
+    }
+
+    #[test]
+    fn arc_clone_ops_alias_their_input() {
+        for kind in [
+            OpKind::Reshape(vec![4]),
+            OpKind::Flatten,
+            OpKind::FlattenFrom(1),
+            OpKind::Identity,
+        ] {
+            assert!(aliases(&kind), "{kind:?} aliases its input");
+        }
+        assert!(!aliases(&OpKind::Transpose(0, 1)));
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Static analysis of committed graphs — the admission-time seam of the
 //! TAO marketplace.
 //!
-//! Every [`tao_graph::OpKind`] carries one declarative analysis contract
-//! ([`contract()`]): output aliasing and an [`ErrorRule`] classification
-//! consumed by the bounds engine. Shape inference ([`infer_shape`]) checks
-//! the operator's [`tao_graph::OpKind::arity`], the table the executor
-//! also reads, and then mirrors the `tao-tensor` kernel validation
-//! exactly. The interpreter
-//! ([`analyze`]) folds those contracts over a graph *without executing
-//! it*, producing a [`StaticReport`] — inferred shapes, FLOPs, operand
+//! Shape inference ([`infer_shape`]) checks each
+//! [`tao_graph::OpKind`]'s [`tao_graph::OpKind::arity`], the table the
+//! executor also reads, and then mirrors the `tao-tensor` kernel
+//! validation exactly. The interpreter ([`analyze`]) folds shape
+//! inference and the cost model over a graph *without executing it*,
+//! producing a [`StaticReport`] — inferred shapes, FLOPs, operand
 //! traffic, peak resident bytes, an admission gas quote, a deposit bound,
 //! and linter findings — that the coordinator uses to price and
 //! sanity-check a claim before any forward pass.
@@ -23,7 +21,7 @@ pub mod contract;
 pub mod interp;
 pub mod lint;
 
-pub use contract::{contract, infer_shape, ErrorRule, Intrinsic, OpContract, ShapeIssue};
+pub use contract::{infer_shape, ShapeIssue};
 pub use interp::{
     analyze, analyze_with, StaticReport, BYTES_PER_GAS, FLOPS_PER_DEPOSIT_UNIT, FLOPS_PER_GAS,
     GAS_BASE,

@@ -11,7 +11,6 @@
 //! All bound arithmetic runs in f64 (the paper's runtime uses FP64 for
 //! error-bound calculations), on the FP32 values of the execution trace.
 
-use tao_analysis::{contract, ErrorRule, Intrinsic};
 use tao_tensor::{MathLib, Tensor};
 
 use tao_graph::{Execution, Graph, Node, NodeId, OpKind};
@@ -80,16 +79,6 @@ impl BoundEngine {
         self.math.rsqrt_max_ulp().max(MathLib::rsqrt_fleet_ulp()) + 1.0
     }
 
-    /// ULP budget for the intrinsic named by an analysis contract.
-    fn intrinsic_ulp(&self, intrinsic: Intrinsic) -> f64 {
-        match intrinsic {
-            Intrinsic::Exp => self.exp_ulp(),
-            Intrinsic::Log => self.ln_ulp(),
-            Intrinsic::Tanh => self.tanh_ulp(),
-            Intrinsic::Rsqrt => self.rsqrt_ulp(),
-        }
-    }
-
     /// Co-executes bounds for the whole trace: `τ_theo` for every node
     /// (zero tensors for structural operators).
     ///
@@ -106,18 +95,20 @@ impl BoundEngine {
         graph
             .nodes()
             .iter()
-            .map(|node| self.node_bound(graph, node, exec))
+            .map(|node| self.node_bound(node, exec))
             .collect()
     }
 
     /// Element-wise bound `τ_theo` for one node, given the trace.
     ///
+    /// The match over [`OpKind`] is exhaustive, so an operator without a
+    /// rounding template is a compile error here.
+    ///
     /// # Errors
     ///
     /// Returns an error for a malformed trace or unsupported shapes.
     #[allow(clippy::too_many_lines)]
-    pub fn node_bound(&self, graph: &Graph, node: &Node, exec: &Execution) -> Result<Tensor<f64>> {
-        let _ = graph; // Reserved for templates that need parameter lookup.
+    pub fn node_bound(&self, node: &Node, exec: &Execution) -> Result<Tensor<f64>> {
         let val = |id: NodeId| -> Result<Tensor<f64>> {
             Ok(exec.value(id).map_err(BoundError::from)?.cast::<f64>())
         };
@@ -125,32 +116,58 @@ impl BoundEngine {
         let zero = || Tensor::<f64>::zeros(out.dims());
         let fresh = |scale: f64| out.map(|y| scale * U32 * y.abs());
 
-        // Dispatch on the analysis contract's error classification: the
-        // per-op -> rule mapping lives in `tao-analysis` (one place for
-        // every crate), while the value-level bound templates stay here.
-        let bound = match contract(&node.kind).error {
+        let bound = match &node.kind {
             // Structural / exact operators contribute no rounding error.
-            ErrorRule::Exact => zero(),
+            OpKind::Input(_)
+            | OpKind::Parameter(_)
+            | OpKind::Neg
+            | OpKind::Relu
+            | OpKind::MaxAxis(_)
+            | OpKind::MaxPool2d { .. }
+            | OpKind::UpsampleNearest(_)
+            | OpKind::Reshape(_)
+            | OpKind::Flatten
+            | OpKind::FlattenFrom(_)
+            | OpKind::Transpose(_, _)
+            | OpKind::Permute(_)
+            | OpKind::Slice { .. }
+            | OpKind::Concat(_)
+            | OpKind::Embedding
+            | OpKind::MaskedFill(_)
+            | OpKind::Identity => zero(),
 
             // Quantized operators pin their entire numeric pipeline
             // (integer accumulation, deterministic f64 scale roundings),
             // so every honest device reproduces identical bits at every
             // `KernelConfig`: the cross-device deviation bound is zero and
             // *any* nonzero deviation is adversarial.
-            ErrorRule::Quantized => zero(),
+            OpKind::QuantMatmul
+            | OpKind::QuantLinear
+            | OpKind::Quantize { .. }
+            | OpKind::Dequantize { .. } => zero(),
 
             // `scale` fresh roundings on the output: ε ≤ scale·u|out|
-            // (elementwise arithmetic at 1, exp(y ln x) chains at 6, …).
-            ErrorRule::Fresh { scale } => fresh(scale),
+            // (elementwise arithmetic at 1, exp(y ln x) chains at 6).
+            OpKind::Add
+            | OpKind::Sub
+            | OpKind::Mul
+            | OpKind::Div
+            | OpKind::AddScalar(_)
+            | OpKind::MulScalar(_)
+            | OpKind::Sqrt => fresh(1.0),
+            OpKind::Pow | OpKind::PowScalar(_) => fresh(6.0),
 
             // Intrinsics: documented max-ULP relative errors.
-            ErrorRule::Intrinsic(i) => fresh(self.intrinsic_rel(self.intrinsic_ulp(i)) / U32),
-            ErrorRule::UnitRange => {
+            OpKind::Rsqrt => fresh(self.intrinsic_rel(self.rsqrt_ulp()) / U32),
+            OpKind::Exp => fresh(self.intrinsic_rel(self.exp_ulp()) / U32),
+            OpKind::Log => fresh(self.intrinsic_rel(self.ln_ulp()) / U32),
+            OpKind::Tanh => fresh(self.intrinsic_rel(self.tanh_ulp()) / U32),
+            OpKind::Sin | OpKind::Cos => {
                 // |sin|,|cos| ≤ 1: charge 2 ULP absolute at unit scale.
                 out.map(|y| 2.0 * U32 * (y.abs() + 1.0))
             }
 
-            ErrorRule::Sigmoid => {
+            OpKind::Sigmoid => {
                 // s = 1/(1 + exp(-x)): ε_e = ulp_exp·e, ε_d = ε_e + u·d,
                 // ε_s = s²·ε_d + u·s  (|d(1/d)| = 1/d² = s²/…).
                 let x = val(node.inputs[0])?;
@@ -170,7 +187,7 @@ impl BoundEngine {
                     x.dims(),
                 )?
             }
-            ErrorRule::Silu => {
+            OpKind::Silu => {
                 // out = x·σ(x): ε = |x| ε_σ + u|out|.
                 let x = val(node.inputs[0])?;
                 let rel_exp = self.intrinsic_rel(self.exp_ulp());
@@ -188,7 +205,7 @@ impl BoundEngine {
                     x.dims(),
                 )?
             }
-            ErrorRule::Gelu => {
+            OpKind::Gelu => {
                 // u1 = c(x + kx³): 4 roundings on monomials;
                 // t = tanh(u1): ε_t = (1-t²) ε_u1 + ulp_tanh·|t|;
                 // out = 0.5x(1+t): ε = 0.5|x| ε_t + 2u|out|.
@@ -213,38 +230,26 @@ impl BoundEngine {
                 )?
             }
 
-            ErrorRule::Softmax => self.softmax_bound(&val(node.inputs[0])?)?,
+            OpKind::Softmax => self.softmax_bound(&val(node.inputs[0])?)?,
 
-            ErrorRule::LayerNorm => {
-                let OpKind::LayerNorm { eps } = &node.kind else {
-                    unreachable!("contract classified {:?} as LayerNorm", node.kind)
-                };
+            OpKind::LayerNorm { eps } => {
                 let x = val(node.inputs[0])?;
                 let gamma_p = val(node.inputs[1])?;
                 self.layer_norm_bound(&x, &gamma_p, *eps)?
             }
-            ErrorRule::RmsNorm => {
-                let OpKind::RmsNorm { eps } = &node.kind else {
-                    unreachable!("contract classified {:?} as RmsNorm", node.kind)
-                };
+            OpKind::RmsNorm { eps } => {
                 let x = val(node.inputs[0])?;
                 let gamma_p = val(node.inputs[1])?;
                 self.rms_norm_bound(&x, &gamma_p, *eps)?
             }
-            ErrorRule::BatchNorm => {
-                let OpKind::BatchNorm2d { eps } = &node.kind else {
-                    unreachable!("contract classified {:?} as BatchNorm", node.kind)
-                };
+            OpKind::BatchNorm2d { eps } => {
                 let x = val(node.inputs[0])?;
                 let gamma_p = val(node.inputs[1])?;
                 let mean = val(node.inputs[3])?;
                 let var = val(node.inputs[4])?;
                 self.batch_norm_bound(&x, &gamma_p, &mean, &var, *eps)?
             }
-            ErrorRule::GroupNorm => {
-                let OpKind::GroupNorm { groups, eps } = &node.kind else {
-                    unreachable!("contract classified {:?} as GroupNorm", node.kind)
-                };
+            OpKind::GroupNorm { groups, eps } => {
                 let x = val(node.inputs[0])?;
                 let gamma_p = val(node.inputs[1])?;
                 self.group_norm_bound(&x, &gamma_p, *groups, *eps)?
@@ -252,69 +257,64 @@ impl BoundEngine {
 
             // Length-k dot products under γ_k accumulation; the geometry
             // (and optional bias rounding) comes back off the node.
-            ErrorRule::DotProduct => match &node.kind {
-                OpKind::MatMul => {
-                    // |fl(aᵀb) − aᵀb| ≤ γ_k Σ|a_i||b_i| with k the dot length.
-                    let a = val(node.inputs[0])?.abs();
-                    let b = val(node.inputs[1])?.abs();
-                    let k = *a.dims().last().unwrap_or(&1);
-                    let absprod = a
-                        .matmul(&b, &tao_tensor::KernelConfig::reference())
-                        .map_err(BoundError::from)?;
-                    absprod.mul_scalar(self.gamma(k))
-                }
-                OpKind::Linear => {
-                    let x = val(node.inputs[0])?.abs();
-                    let w = val(node.inputs[1])?.abs();
-                    let k = *x.dims().last().unwrap_or(&1);
-                    let cfg = tao_tensor::KernelConfig::reference();
-                    let base = match node.inputs.get(2) {
-                        Some(&b) => {
-                            let bias = val(b)?.abs();
-                            x.linear(&w, Some(&bias), &cfg).map_err(BoundError::from)?
-                        }
-                        None => x.linear(&w, None, &cfg).map_err(BoundError::from)?,
-                    };
-                    base.mul_scalar(self.gamma(k + 1))
-                }
-                OpKind::Conv2d { stride, padding } => {
-                    let x = val(node.inputs[0])?.abs();
-                    let w = val(node.inputs[1])?.abs();
-                    let patch: usize = w.dims()[1..].iter().product();
-                    let cfg = tao_tensor::KernelConfig::reference();
-                    let params = tao_tensor::Conv2dParams {
-                        stride: *stride,
-                        padding: *padding,
-                    };
-                    let base = match node.inputs.get(2) {
-                        Some(&b) => {
-                            let bias = val(b)?.abs();
-                            x.conv2d(&w, Some(&bias), params, &cfg)
-                                .map_err(BoundError::from)?
-                        }
-                        None => x.conv2d(&w, None, params, &cfg).map_err(BoundError::from)?,
-                    };
-                    base.mul_scalar(self.gamma(patch + 1))
-                }
-                kind => unreachable!("contract classified {kind:?} as DotProduct"),
-            },
+            OpKind::MatMul => {
+                // |fl(aᵀb) − aᵀb| ≤ γ_k Σ|a_i||b_i| with k the dot length.
+                let a = val(node.inputs[0])?.abs();
+                let b = val(node.inputs[1])?.abs();
+                let k = *a.dims().last().unwrap_or(&1);
+                let absprod = a
+                    .matmul(&b, &tao_tensor::KernelConfig::reference())
+                    .map_err(BoundError::from)?;
+                absprod.mul_scalar(self.gamma(k))
+            }
+            OpKind::Linear => {
+                let x = val(node.inputs[0])?.abs();
+                let w = val(node.inputs[1])?.abs();
+                let k = *x.dims().last().unwrap_or(&1);
+                let cfg = tao_tensor::KernelConfig::reference();
+                let base = match node.inputs.get(2) {
+                    Some(&b) => {
+                        let bias = val(b)?.abs();
+                        x.linear(&w, Some(&bias), &cfg).map_err(BoundError::from)?
+                    }
+                    None => x.linear(&w, None, &cfg).map_err(BoundError::from)?,
+                };
+                base.mul_scalar(self.gamma(k + 1))
+            }
+            OpKind::Conv2d { stride, padding } => {
+                let x = val(node.inputs[0])?.abs();
+                let w = val(node.inputs[1])?.abs();
+                let patch: usize = w.dims()[1..].iter().product();
+                let cfg = tao_tensor::KernelConfig::reference();
+                let params = tao_tensor::Conv2dParams {
+                    stride: *stride,
+                    padding: *padding,
+                };
+                let base = match node.inputs.get(2) {
+                    Some(&b) => {
+                        let bias = val(b)?.abs();
+                        x.conv2d(&w, Some(&bias), params, &cfg)
+                            .map_err(BoundError::from)?
+                    }
+                    None => x.conv2d(&w, None, params, &cfg).map_err(BoundError::from)?,
+                };
+                base.mul_scalar(self.gamma(patch + 1))
+            }
 
-            ErrorRule::SumAll => {
+            OpKind::SumAll => {
                 let x = val(node.inputs[0])?;
                 let abs_sum: f64 = x.data().iter().map(|v| v.abs()).sum();
                 Tensor::scalar(self.gamma(x.len().saturating_sub(1)) * abs_sum)
             }
-            ErrorRule::MeanAll => {
+            OpKind::MeanAll => {
                 let x = val(node.inputs[0])?;
                 let n = x.len().max(1) as f64;
                 let abs_sum: f64 = x.data().iter().map(|v| v.abs()).sum();
                 let y = out.data()[0];
                 Tensor::scalar(self.gamma(x.len().saturating_sub(1)) * abs_sum / n + U32 * y.abs())
             }
-            ErrorRule::ReduceAxis { mean } => {
-                let (OpKind::SumAxis(axis) | OpKind::MeanAxis(axis)) = &node.kind else {
-                    unreachable!("contract classified {:?} as ReduceAxis", node.kind)
-                };
+            OpKind::SumAxis(axis) | OpKind::MeanAxis(axis) => {
+                let mean = matches!(node.kind, OpKind::MeanAxis(_));
                 let x = val(node.inputs[0])?;
                 let extent = x.dims()[*axis];
                 let g = self.gamma(extent.saturating_sub(1));
@@ -327,10 +327,7 @@ impl BoundEngine {
                 }
                 t
             }
-            ErrorRule::AvgPool => {
-                let OpKind::AvgPool2d { kernel, .. } = &node.kind else {
-                    unreachable!("contract classified {:?} as AvgPool", node.kind)
-                };
+            OpKind::AvgPool2d { kernel, .. } => {
                 // Per window: γ_{k²-1}·Σ|window|/k² + u|out|; bound the
                 // window abs-sum by k²·max|x| for a cheap envelope.
                 let x = val(node.inputs[0])?;
@@ -339,7 +336,7 @@ impl BoundEngine {
                 let max_abs = x.max_abs();
                 out.map(|y| g * max_abs * k2 / k2 + U32 * y.abs())
             }
-            ErrorRule::GlobalAvgPool => {
+            OpKind::AdaptiveAvgPool1x1 => {
                 let x = val(node.inputs[0])?;
                 let (h, w) = (x.dims()[2], x.dims()[3]);
                 let hw = h * w;

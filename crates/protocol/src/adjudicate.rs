@@ -110,7 +110,7 @@ pub fn theoretical_check(
 ) -> Result<CheckReport> {
     let reference = case.reexecute(&Device::reference())?;
     let node = case.graph.node(case.leaf)?;
-    let tau = engine.node_bound(case.graph, node, case.proposer_trace)?;
+    let tau = engine.node_bound(node, case.proposer_trace)?;
     Ok(check_within_bound(case.claimed()?, &reference, &tau, scale))
 }
 
