@@ -43,7 +43,7 @@ pub use plan::{DisputePlan, DisputePlans};
 pub use record::{verify_record, verify_record_anchored, OpenedReveals, SubgraphRecord};
 pub use screen::{screen_batch, screen_claim, ClaimCheck, Screening};
 pub use tao_money::{Money, Ppm};
-pub use temporal::{earliest_offense, states_agree, TemporalCommitment, TemporalVerdict};
+pub use temporal::{earliest_offense, states_agree, TemporalVerdict};
 pub use tiebreak::{tie_seed, TieBreakRule};
 
 /// Crate-wide result alias.

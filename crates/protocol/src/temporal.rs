@@ -1,60 +1,14 @@
-//! Multi-step workloads (§7): temporal commitments over step states with
-//! prefix finality, and time-first bisection to the earliest offending
-//! step.
+//! Multi-step workloads (§7): time-first bisection to the earliest
+//! offending step, with prefix finality.
 //!
 //! Decoding, diffusion sampling and training all produce a sequence of
 //! step states (per-token logits, latents, checkpoints). TAO layers time
-//! over the operator dispute game: commit to a temporal Merkle chain of
-//! step states, bisect *across time* to the earliest offending step, then
-//! dispute *within* that step's operator DAG as usual. Steps before the
-//! earliest offense finalize even while later steps remain contested.
+//! over the operator dispute game: bisect *across time* to the earliest
+//! offending step, then dispute *within* that step's operator DAG as
+//! usual. Steps before the earliest offense finalize even while later
+//! steps remain contested.
 
-use tao_merkle::{tensor_hash, Digest, InclusionProof, MerkleTree};
 use tao_tensor::Tensor;
-
-/// A committed trajectory of step states.
-#[derive(Debug, Clone)]
-pub struct TemporalCommitment {
-    tree: MerkleTree,
-    hashes: Vec<Digest>,
-}
-
-impl TemporalCommitment {
-    /// Commits a trajectory of step-state tensors.
-    pub fn new(states: &[Tensor<f32>]) -> Self {
-        let hashes: Vec<Digest> = states.iter().map(tensor_hash).collect();
-        let leaves: Vec<Vec<u8>> = hashes.iter().map(|h| h.to_vec()).collect();
-        TemporalCommitment {
-            tree: MerkleTree::from_leaves(&leaves),
-            hashes,
-        }
-    }
-
-    /// The trajectory root committed on the coordinator.
-    pub fn root(&self) -> Digest {
-        self.tree.root()
-    }
-
-    /// Number of committed steps.
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// True for an empty trajectory.
-    pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
-    }
-
-    /// Inclusion proof for one step state.
-    pub fn prove_step(&self, step: usize) -> Option<InclusionProof> {
-        self.tree.prove(step)
-    }
-
-    /// Verifies a revealed step state against the root.
-    pub fn verify_step(root: &Digest, state: &Tensor<f32>, proof: &InclusionProof) -> bool {
-        tao_merkle::verify_inclusion(root, tensor_hash(state).as_ref(), proof)
-    }
-}
 
 /// Verdict of the time-first search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,30 +86,6 @@ mod tests {
         (0..n)
             .map(|i| Tensor::<f32>::randn(&[4, 4], i as u64).mul_scalar(0.1))
             .collect()
-    }
-
-    #[test]
-    fn commitment_roundtrip() {
-        let traj = trajectory(7);
-        let c = TemporalCommitment::new(&traj);
-        assert_eq!(c.len(), 7);
-        for (i, state) in traj.iter().enumerate() {
-            let p = c.prove_step(i).unwrap();
-            assert!(TemporalCommitment::verify_step(&c.root(), state, &p));
-        }
-        // Wrong state fails.
-        let p0 = c.prove_step(0).unwrap();
-        assert!(!TemporalCommitment::verify_step(&c.root(), &traj[1], &p0));
-    }
-
-    #[test]
-    fn tampered_step_changes_root() {
-        let traj = trajectory(5);
-        let c1 = TemporalCommitment::new(&traj);
-        let mut tampered = traj.clone();
-        tampered[3].data_mut()[0] += 1e-3;
-        let c2 = TemporalCommitment::new(&tampered);
-        assert_ne!(c1.root(), c2.root());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 
 use tao_device::Device;
 use tao_graph::{execute, GraphBuilder, OpKind};
-use tao_merkle::{sha256, ClaimMeta};
+use tao_merkle::{sha256, tensor_hash, verify_inclusion, ClaimMeta, MerkleTree};
 use tao_models::{diffusion, qwen, DiffusionConfig, QwenConfig};
 use tao_protocol::{
     earliest_offense, states_agree, tie_seed, ClaimStatus, Coordinator, EconParams, Party,
-    TemporalCommitment, TemporalVerdict, TieBreakRule,
+    TemporalVerdict, TieBreakRule,
 };
 use tao_tensor::Tensor;
 
@@ -27,7 +27,8 @@ fn temporal_dispute_over_ddim_trajectory() {
     for state in claimed.iter_mut().skip(4) {
         *state = state.add_scalar(0.2);
     }
-    let commitment = TemporalCommitment::new(&claimed);
+    // The trajectory root is a Merkle tree over the step states' hashes.
+    let commitment = MerkleTree::from_leaves(&claimed.iter().map(tensor_hash).collect::<Vec<_>>());
 
     // Challenger re-samples on its own device and bisects across time.
     let challenger = diffusion::ddim_sample(&model, cfg, steps, 11, Device::h100_like().config())
@@ -41,10 +42,10 @@ fn temporal_dispute_over_ddim_trajectory() {
 
     // The disputed step state is provable against the temporal root, so
     // the per-step operator dispute starts from committed data.
-    let proof = commitment.prove_step(step).expect("in range");
-    assert!(TemporalCommitment::verify_step(
+    let proof = commitment.prove(step).expect("in range");
+    assert!(verify_inclusion(
         &commitment.root(),
-        &claimed[step],
+        &tensor_hash(&claimed[step]),
         &proof
     ));
     // Prefix finality: earlier steps agree across devices.
@@ -188,7 +189,7 @@ fn committed_decoding_converges_across_devices_and_commits_temporally() {
 
     // The per-step logits form a temporal commitment chain; honest
     // trajectories agree within tolerance step by step.
-    let c = TemporalCommitment::new(&trajectories[0]);
+    let c = MerkleTree::from_leaves(&trajectories[0].iter().map(tensor_hash).collect::<Vec<_>>());
     assert_eq!(c.len(), 6);
     let verdict = earliest_offense(6, |i| {
         states_agree(&trajectories[0][i], &trajectories[1][i], 1e-3)
