@@ -74,23 +74,24 @@ impl CapCurve {
 
     /// Projects a perturbation onto the feasible set by clipping order
     /// statistics against the caps and restoring sign and position
-    /// (Eq. 12). Returns the projected values.
+    /// (Eq. 12). Returns the projected values; a NaN entry projects to
+    /// `0.0`.
     pub fn project(&self, values: &[f32]) -> Vec<f32> {
         let n = values.len();
         if n == 0 {
             return Vec::new();
         }
-        // Sort indices by |value| ascending.
+        // Sort indices by |value| ascending. `abs()` clears the sign bit,
+        // so no `-0.0` tie can reorder: on these keys `total_cmp` agrees
+        // with `partial_cmp` for every non-NaN pair, and NaNs sort last.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| {
-            values[i]
-                .abs()
-                .partial_cmp(&values[j].abs())
-                .expect("finite perturbations")
-        });
+        order.sort_by(|&i, &j| values[i].abs().total_cmp(&values[j].abs()));
         let mut out = vec![0.0f32; n];
         let mut prev_cap = 0.0f64;
         for (k, &idx) in order.iter().enumerate() {
+            if values[idx].is_nan() {
+                continue;
+            }
             let r = (k as f64 + 0.5) / n as f64;
             // Monotone caps.
             prev_cap = prev_cap.max(self.at(r));
@@ -199,6 +200,57 @@ mod tests {
         let proj = c.project(&small);
         for (a, b) in small.iter().zip(&proj) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    /// The projection as it sorted before NaN support, for the
+    /// bit-identity check on NaN-free inputs.
+    fn project_seed(c: &CapCurve, values: &[f32]) -> Vec<f32> {
+        let n = values.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| values[i].abs().partial_cmp(&values[j].abs()).unwrap());
+        let mut out = vec![0.0f32; n];
+        let mut prev_cap = 0.0f64;
+        for (k, &idx) in order.iter().enumerate() {
+            prev_cap = prev_cap.max(c.at((k as f64 + 0.5) / n as f64));
+            let mut m32 = (values[idx].abs() as f64).min(prev_cap) as f32;
+            if (m32 as f64) > prev_cap {
+                m32 = f32::from_bits(m32.to_bits().saturating_sub(1));
+            }
+            out[idx] = m32 * values[idx].signum();
+        }
+        out
+    }
+
+    #[test]
+    fn projection_zeroes_nan_and_keeps_finite_bits() {
+        let c = CapCurve::from_thresholds(&linear_thresholds());
+        let proj = c.project(&[1.0, f32::NAN, 0.5]);
+        assert!(proj.iter().all(|v| !v.is_nan()), "{proj:?}");
+        assert_eq!(proj[1].to_bits(), 0.0f32.to_bits());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cases: Vec<Vec<f32>> = vec![
+            vec![1.0, 0.5],
+            vec![0.0, -0.0, 0.0, -0.0, 1e-7],
+            vec![
+                -3e-6,
+                3e-6,
+                -3e-6,
+                1e-9,
+                0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ],
+            (0..97)
+                .map(|i| ((i * 37 % 23) as f32 - 11.0) * 1e-7)
+                .collect(),
+            tao_tensor::Tensor::<f32>::randn(&[256], 5)
+                .mul_scalar(1e-6)
+                .data()
+                .to_vec(),
+        ];
+        for v in &cases {
+            assert_eq!(bits(&c.project(v)), bits(&project_seed(&c, v)), "{v:?}");
         }
     }
 
