@@ -3,9 +3,10 @@
 //!
 //! The scheduler is an in-order pipeline whose result is *observationally
 //! equivalent* to running the same sessions one after another. A pool of
-//! `min(threads, MAX_PAR_THREADS, batch)` scoped workers pulls session
-//! indices from one shared queue, and each worker drives its session from
-//! start to finish before it pulls the next:
+//! `min(threads, batch)` scoped workers (`threads` is at most
+//! `MAX_PAR_THREADS`) pulls session indices from one shared queue, and
+//! each worker drives its session from start to finish before it pulls
+//! the next:
 //!
 //! 1. **Prepare**: the proposer's forward pass and trace commitment, with
 //!    no coordinator interaction.
@@ -49,7 +50,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Barrier, Condvar, Mutex, MutexGuard, PoisonError};
 
-use tao_protocol::par::{MAX_PAR_THREADS, MAX_WORKERS};
+use tao_protocol::par::MAX_PAR_THREADS;
 use tao_protocol::Money;
 
 use crate::error::TaoError;
@@ -69,23 +70,22 @@ impl Default for Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler sized to the host's available parallelism (bounded by
-    /// [`MAX_WORKERS`]).
+    /// A scheduler sized to the host's available parallelism, clamped to
+    /// `[1, MAX_PAR_THREADS]`.
     pub fn new() -> Self {
-        let threads = tao_tensor::kernel::host_threads().min(MAX_WORKERS);
-        Scheduler { threads }
+        Scheduler::with_threads(tao_tensor::kernel::host_threads())
     }
 
     /// A scheduler with an explicit worker count, clamped to
-    /// `[1, MAX_WORKERS]`. A batch runs on at most [`MAX_PAR_THREADS`] of
-    /// them, and on no more workers than it has sessions.
+    /// `[1, MAX_PAR_THREADS]`. A batch runs on no more workers than it has
+    /// sessions.
     pub fn with_threads(threads: usize) -> Self {
         Scheduler {
-            threads: threads.clamp(1, MAX_WORKERS),
+            threads: threads.clamp(1, MAX_PAR_THREADS),
         }
     }
 
-    /// The requested worker count after clamping.
+    /// The most workers a batch can use.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -149,7 +149,7 @@ impl Scheduler {
         // already-posted claims) into a typed error naming the peak.
         check_peak_escrow(coordinator, &sessions)?;
         let batch = sessions.len();
-        let workers = self.threads.min(MAX_PAR_THREADS).min(batch);
+        let workers = self.threads.min(batch);
         let queue = Mutex::new(sessions.into_iter().enumerate());
         let turnstile = Turnstile::default();
         let barrier = Barrier::new(workers);

@@ -11,7 +11,7 @@ use tao::{
 use tao_device::{Device, Fleet};
 use tao_graph::{execute, Perturbations};
 use tao_models::{bert, data, BertConfig};
-use tao_protocol::{ClaimStatus, Coordinator, EconParams, Party, MAX_PAR_THREADS, MAX_WORKERS};
+use tao_protocol::{ClaimStatus, Coordinator, EconParams, Party, MAX_PAR_THREADS};
 use tao_tensor::Tensor;
 
 const JOBS: usize = 32;
@@ -76,16 +76,15 @@ fn winner_of(report: &SessionReport) -> Option<Party> {
 }
 
 #[test]
-fn worker_pool_is_configurable_beyond_the_old_cap() {
-    // The old 8-worker ceiling (MAX_PAR_THREADS) is lifted: pools size
-    // freely up to MAX_WORKERS, and only degenerate requests clamp.
-    const { assert!(MAX_WORKERS > MAX_PAR_THREADS) };
-    assert_eq!(Scheduler::with_threads(16).threads(), 16);
-    assert_eq!(Scheduler::with_threads(32).threads(), 32);
-    assert_eq!(Scheduler::with_threads(1_000).threads(), MAX_WORKERS);
+fn worker_pool_reports_the_workers_a_batch_can_use() {
+    // A batch runs at most MAX_PAR_THREADS workers, so the pool clamps
+    // every request to [1, MAX_PAR_THREADS].
+    assert_eq!(MAX_PAR_THREADS, 8);
+    assert_eq!(Scheduler::with_threads(16).threads(), 8);
+    assert_eq!(Scheduler::with_threads(1_000).threads(), 8);
     assert_eq!(Scheduler::with_threads(0).threads(), 1);
     assert_eq!(Scheduler::with_threads(3).threads(), 3);
-    assert!(Scheduler::new().threads() <= MAX_WORKERS);
+    assert!((1..=MAX_PAR_THREADS).contains(&Scheduler::new().threads()));
 }
 
 #[test]
@@ -104,7 +103,7 @@ fn batch_of_32_under_contention_matches_serial_execution() {
     // sessions and waits its turn to submit each one.
     let parallel_coord = coordinator();
     let scheduler = Scheduler::with_threads(16);
-    assert_eq!(scheduler.threads(), 16);
+    assert_eq!(scheduler.threads(), MAX_PAR_THREADS);
     let parallel = scheduler.run(&parallel_coord, builders(&d, cfg)).unwrap();
 
     assert_eq!(serial.len(), JOBS);
