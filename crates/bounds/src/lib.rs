@@ -6,7 +6,9 @@
 //! maximum-ULP intrinsic tables, per-operator first-order bound templates
 //! (softmax, normalization, matmul/conv, reductions, activations), FP64
 //! co-execution over an execution trace, and the element-wise leaf check
-//! used in Phase 3 adjudication.
+//! used in Phase 3 adjudication. [`BoundEngine::node_bound`] picks each
+//! operator's template in one exhaustive match over
+//! [`tao_graph::OpKind`], so an operator without a bound does not compile.
 //!
 //! # Examples
 //!
