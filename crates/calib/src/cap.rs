@@ -89,6 +89,8 @@ impl CapCurve {
         let mut out = vec![0.0f32; n];
         let mut prev_cap = 0.0f64;
         for (k, &idx) in order.iter().enumerate() {
+            // A NaN stays 0.0: `f64::min` would pick the cap for it and
+            // `signum` would turn that back into NaN.
             if values[idx].is_nan() {
                 continue;
             }
