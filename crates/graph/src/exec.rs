@@ -107,7 +107,17 @@ pub fn execute(
     cfg: &KernelConfig,
     perturb: Option<&Perturbations>,
 ) -> Result<Execution> {
-    execute_with_stats(graph, inputs, cfg, perturb).map(|(exec, _)| exec)
+    let mut pool = BufferPool::new();
+    run::<false>(
+        graph,
+        inputs,
+        cfg,
+        perturb,
+        &mut pool,
+        Retention::KeepAll,
+        None,
+    )
+    .map(|(exec, _)| exec)
 }
 
 /// [`execute`] with a [`ValueObserver`] receiving every node's final value
@@ -126,7 +136,7 @@ pub fn execute_observed(
     observer: &mut dyn ValueObserver,
 ) -> Result<Execution> {
     let mut pool = BufferPool::new();
-    run(
+    run::<false>(
         graph,
         inputs,
         cfg,
@@ -155,7 +165,7 @@ pub fn execute_with_stats(
     perturb: Option<&Perturbations>,
 ) -> Result<(Execution, ExecStats)> {
     let mut pool = BufferPool::new();
-    run(
+    run::<true>(
         graph,
         inputs,
         cfg,
@@ -171,7 +181,11 @@ pub fn execute_with_stats(
 /// frees the values whose last consumer just ran, returning their buffers
 /// to `pool`. Under `LastUse` the freed slots of the returned values hold
 /// empty tensors and `flops` is empty.
-pub(crate) fn run(
+///
+/// `ExecStats::peak_resident_bytes` is measured only with `RESIDENT`
+/// (the `_with_stats` entry points); it costs a hash-map update per value,
+/// so every other pass leaves it 0.
+pub(crate) fn run<const RESIDENT: bool>(
     graph: &Graph,
     inputs: &[Tensor<f32>],
     cfg: &KernelConfig,
@@ -197,7 +211,7 @@ pub(crate) fn run(
         }
     }
     let mut stats = ExecStats::default();
-    let mut resident = ResidentSet::default();
+    let mut resident = RESIDENT.then(ResidentSet::default);
     // Freed slots are replaced by clones of this empty tensor (an Arc
     // bump, no allocation).
     let empty = Tensor::<f32>::zeros(&[0]);
@@ -227,17 +241,21 @@ pub(crate) fn run(
         if let Some(obs) = observer.as_deref_mut() {
             obs.observe(node.id, &out);
         }
-        resident.add(&out);
+        if let Some(resident) = resident.as_mut() {
+            resident.add(&out);
+        }
         values.push(out);
         for &id in free_at.get(node.id.0).map_or(&[][..], Vec::as_slice) {
             let dead = core::mem::replace(&mut values[id], empty.clone());
-            resident.remove(&dead);
+            if let Some(resident) = resident.as_mut() {
+                resident.remove(&dead);
+            }
             if let Some(buf) = dead.into_unique_data() {
                 pool.give(buf);
             }
         }
     }
-    stats.peak_resident_bytes = resident.peak;
+    stats.peak_resident_bytes = resident.map_or(0, |r| r.peak);
     Ok((Execution { values, flops }, stats))
 }
 

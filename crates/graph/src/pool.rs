@@ -42,7 +42,8 @@ pub struct ExecStats {
     /// Peak bytes of live value buffers (each shared buffer counted
     /// once). The trace executor's peak is its total; the pooled executor
     /// frees dead intermediates, so its peak tracks the graph's true
-    /// working set.
+    /// working set. Only the `_with_stats` entry points, which return it,
+    /// measure it.
     pub peak_resident_bytes: u64,
 }
 
@@ -208,7 +209,8 @@ pub fn forward(
     cfg: &KernelConfig,
     pool: &mut BufferPool,
 ) -> Result<Vec<Tensor<f32>>> {
-    forward_with_stats(graph, inputs, cfg, pool).map(|(outputs, _)| outputs)
+    let (pass, _) = run::<false>(graph, inputs, cfg, None, pool, Retention::LastUse, None)?;
+    Ok(pass.outputs(graph))
 }
 
 /// [`forward`] plus the executor cost ledger.
@@ -222,7 +224,7 @@ pub fn forward_with_stats(
     cfg: &KernelConfig,
     pool: &mut BufferPool,
 ) -> Result<(Vec<Tensor<f32>>, ExecStats)> {
-    let (pass, stats) = run(graph, inputs, cfg, None, pool, Retention::LastUse, None)?;
+    let (pass, stats) = run::<true>(graph, inputs, cfg, None, pool, Retention::LastUse, None)?;
     Ok((pass.outputs(graph), stats))
 }
 
@@ -242,7 +244,7 @@ pub fn forward_observed(
     pool: &mut BufferPool,
     observer: &mut dyn ValueObserver,
 ) -> Result<Vec<Tensor<f32>>> {
-    let (pass, _) = run(
+    let (pass, _) = run::<false>(
         graph,
         inputs,
         cfg,
@@ -346,7 +348,7 @@ mod tests {
         let cfg = KernelConfig::reference();
         let (mut plain, mut observed) = (BufferPool::new(), BufferPool::new());
         for pass in 0..2 {
-            let (_, want) = run(
+            let (_, want) = run::<true>(
                 &g,
                 &inputs,
                 &cfg,
@@ -357,7 +359,7 @@ mod tests {
             )
             .unwrap();
             let mut order = Order(Vec::new());
-            let (_, got) = run(
+            let (_, got) = run::<true>(
                 &g,
                 &inputs,
                 &cfg,
