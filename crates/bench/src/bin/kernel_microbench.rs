@@ -30,8 +30,13 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use tao_bench::{export_csv, paired, print_table};
-use tao_calib::{calibrate, calibrate_reference, grid_profile, grid_profile_reference};
+use tao_calib::percentile::{sort_keys, sort_keys_arm};
+use tao_calib::profile::error_keys_into;
+use tao_calib::{
+    calibrate, calibrate_reference, grid_profile, grid_profile_reference, DEFAULT_EPS,
+};
 use tao_device::Fleet;
+use tao_graph::execute;
 use tao_models::{data, qwen, resnet, QwenConfig, ResNetConfig};
 use tao_tensor::kernel::{
     gemm, gemm_packed_into, host_threads, PackedLhs, PackedRhs, MAX_PAR_THREADS,
@@ -361,9 +366,11 @@ fn bundled_shapes_table(samples: usize, reps: usize, smoke: bool) {
 
 /// Percentile-profile table: `grid_profile` (integer-key sort) against
 /// `grid_profile_reference` (the seed's stable float sort) on uniform
-/// non-negative samples, the shape of every profiled error. Each size is
+/// non-negative samples, the shape of every profiled error, and then
+/// `sort_keys` against `sort_unstable` on real error keys. Each row is
 /// timed as alternating repetitions and bit-compared; the floor (outside
-/// smoke mode) is 1.5x on the median per-repetition ratio at every size.
+/// smoke mode) is 1.5x on the median per-repetition ratio of every
+/// float-sort row. The `sort_keys` row has no floor.
 fn profile_table(samples: usize, smoke: bool) {
     let mut rows = Vec::new();
     let mut worst = f64::INFINITY;
@@ -397,15 +404,52 @@ fn profile_table(samples: usize, smoke: bool) {
         );
         worst = worst.min(p.speedup);
         rows.push(vec![
-            n.to_string(),
+            format!("{n} values, float sort vs grid_profile"),
             format!("{:.2}us", 1e6 * p.seed / reps as f64),
             format!("{:.2}us", 1e6 * p.fast / reps as f64),
             format!("{:.2}x", p.speedup),
         ]);
     }
+    let arrays = deep8_error_keys();
+    let mut buf = Vec::new();
+    for keys in &arrays {
+        let mut oracle = keys.clone();
+        oracle.sort_unstable();
+        buf.clone_from(keys);
+        sort_keys(&mut buf);
+        assert!(buf == oracle, "sort_keys drifted from sort_unstable");
+    }
+    let arrays = &arrays;
+    let sort_all = |sort: fn(&mut [u64])| {
+        let mut buf = Vec::new();
+        move || {
+            for keys in arrays {
+                buf.clone_from(keys);
+                sort(std::hint::black_box(&mut buf));
+            }
+        }
+    };
+    let p = paired(
+        samples,
+        sort_all(<[u64]>::sort_unstable),
+        sort_all(sort_keys),
+    );
+    let mean_len = arrays.iter().map(Vec::len).sum::<usize>() / arrays.len().max(1);
+    rows.push(vec![
+        format!(
+            "{} qwen-deep8 key arrays (mean {mean_len}), sort_unstable vs sort_keys",
+            arrays.len()
+        ),
+        format!("{:.2}us", 1e6 * p.seed / arrays.len() as f64),
+        format!("{:.2}us", 1e6 * p.fast / arrays.len() as f64),
+        format!("{:.2}x", p.speedup),
+    ]);
     print_table(
-        "Kernel microbench — percentile profile, integer-key sort vs stable float sort (median of paired ratios)",
-        &["values", "float sort", "key sort", "speedup"],
+        &format!(
+            "Kernel microbench — percentile profile, stable float sort vs integer-key grid_profile, and sort_unstable vs sort_keys ({} arm; median of paired ratios, per call)",
+            sort_keys_arm()
+        ),
+        &["input", "oracle", "fast", "speedup"],
         &rows,
     );
     if smoke {
@@ -416,6 +460,32 @@ fn profile_table(samples: usize, smoke: bool) {
             "integer-key grid_profile ran at {worst:.2}x the float sort, below the 1.5x floor"
         );
     }
+}
+
+/// The error keys one qwen-deep8 calibration sample profiles on the
+/// standard fleet: the abs and rel keys of every traced node for every
+/// device pair, as `error_keys_into` writes them.
+fn deep8_error_keys() -> Vec<Vec<u64>> {
+    let deep = QwenConfig::deep(8);
+    let model = qwen::build(deep, 31);
+    let sample = &data::token_dataset(1, deep.seq, deep.vocab, 2_500)[0];
+    let traces: Vec<_> = Fleet::standard()
+        .devices()
+        .iter()
+        .map(|dev| execute(&model.graph, sample, dev.config(), None).expect("execute"))
+        .collect();
+    let (mut abs, mut rel) = (Vec::new(), Vec::new());
+    let mut arrays = Vec::new();
+    for j in 0..traces.len() {
+        for k in j + 1..traces.len() {
+            for node in model.graph.traced_nodes() {
+                let (a, b) = (&traces[j].values[node.0], &traces[k].values[node.0]);
+                error_keys_into(a, b, DEFAULT_EPS, &mut abs, &mut rel).expect("same shapes");
+                arrays.extend([abs.clone(), rel.clone()]);
+            }
+        }
+    }
+    arrays
 }
 
 /// Calibration-sweep table: `calibrate` (relayout nodes reuse their
