@@ -241,8 +241,11 @@ mod avx512 {
     #[target_feature(enable = "avx512f,popcnt")]
     pub(super) unsafe fn partition(keys: &mut [u64], pivot: u64) -> (usize, usize) {
         const BLOCK: usize = 8 * UNROLL;
+        const { assert!(NETWORK_MAX >= 2 * BLOCK) };
         let n = keys.len();
-        debug_assert!(n > NETWORK_MAX && NETWORK_MAX >= 2 * BLOCK);
+        // Every load and store below stays in bounds only with the two
+        // held blocks in place.
+        assert!(n > NETWORK_MAX, "partition needs more than 64 keys");
         let base = keys.as_mut_ptr().cast::<i64>();
         let p = _mm512_set1_epi64(pivot as i64);
         let rem = n % 8;
