@@ -21,7 +21,9 @@
 //! (`tao_bench::paired`), so a drift in host speed moves both sides of a
 //! ratio together. The percentile-profile
 //! table times the integer-key sort against the seed float sort
-//! (asserted ≥ 1.5x at every size outside smoke mode), and the last table
+//! (asserted ≥ 1.5x at every size outside smoke mode) and `sort_keys`
+//! against `sort_unstable` on real qwen-deep8 error keys (no floor;
+//! the title names the arm that ran), and the last table
 //! times the calibration sweep, which profiles each error multiset once,
 //! against `calibrate_reference` (asserted ≥ 1.1x on qwen-deep8 outside
 //! smoke mode).

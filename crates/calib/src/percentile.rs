@@ -1,4 +1,5 @@
-//! Percentile computation and the committed percentile grid.
+//! Percentile computation, the committed percentile grid, and the key
+//! sort behind every profile.
 
 use core::cmp::Ordering;
 
